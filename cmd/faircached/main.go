@@ -1,7 +1,7 @@
 // Command faircached is the fair-caching placement daemon: it serves the
 // internal/server placement service over HTTP/JSON. Topologies are
-// registered, solved, published to and queried over the /v1 API; health
-// and expvar counters live on /healthz and /debug/vars.
+// registered, solved, published to and queried over the /v1 API;
+// liveness and Prometheus metrics live on /healthz and /metrics.
 //
 // Examples:
 //

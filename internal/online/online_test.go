@@ -115,8 +115,8 @@ func TestOnlineSustainsLongHorizon(t *testing.T) {
 	if live := sys.Live(); len(live) > opts.TTL {
 		t.Errorf("%d live chunks exceed the TTL window %d", len(live), opts.TTL)
 	}
-	if got := len(sys.Log()); got != 40 {
-		t.Errorf("log length = %d", got)
+	if got := sys.Clock(); got != 40 {
+		t.Errorf("clock = %d after 40 publications", got)
 	}
 }
 

@@ -40,7 +40,7 @@ func TestAsErrorContextMapping(t *testing.T) {
 func TestSolveDeadlineAbortsEngine(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(15, 15, 9)
-	solve := SolveRequest{Algorithm: "appx", Chunks: 64, Options: &SolveOptions{Capacity: 3}}
+	solve := SolveRequest{Chunks: 64, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
 
 	// Reference: the full solve, untimed-out.
 	start := time.Now()
@@ -59,7 +59,7 @@ func TestSolveDeadlineAbortsEngine(t *testing.T) {
 	// The worker is free: a small solve right behind the aborted one
 	// commits normally (it would queue behind a still-running engine).
 	var out SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "hopc", Chunks: 2}, &out, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "hopc"}}, &out, http.StatusOK)
 	if out.Version < 2 {
 		t.Fatalf("follow-up solve version = %d, want >= 2", out.Version)
 	}
@@ -70,7 +70,7 @@ func TestSolveDeadlineAbortsEngine(t *testing.T) {
 func TestSolveTimeoutDoesNotCommit(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(12, 12, 9)
-	solve := SolveRequest{Algorithm: "appx", Chunks: 48, TimeoutMs: 20, Options: &SolveOptions{Capacity: 3}}
+	solve := SolveRequest{Chunks: 48, TimeoutMs: 20, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve", solve, http.StatusGatewayTimeout, CodeTimeout)
 
 	var rep ReportResponse

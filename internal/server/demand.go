@@ -133,10 +133,9 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		s.vars.Add("demand_requests", batch.Requests)
-		s.vars.Add("demand_hits", batch.LocalHits)
-		s.vars.Add("demand_misses", batch.Requests-batch.CacheHits)
 		s.metrics.demandEvents.Add(float64(batch.Requests))
+		s.metrics.demandLocalHits.Add(float64(batch.LocalHits))
+		s.metrics.demandMisses.Add(float64(batch.Requests - batch.CacheHits))
 		return &RequestsResponse{Batch: batch, Demand: tp.demandInfo()}, nil
 	})
 	if err != nil {
@@ -219,9 +218,6 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 			func() { tp.commit(snap) }); jerr != nil {
 			return nil, jerr
 		}
-		s.vars.Add("adaptations", 1)
-		s.vars.Add("demand_evictions", int64(res.Evicted))
-		s.vars.Add("demand_copies_placed", int64(res.Placed))
 		s.metrics.adaptPasses.Inc()
 		s.metrics.adaptActions.WithLabelValues("evicted").Add(float64(res.Evicted))
 		s.metrics.adaptActions.WithLabelValues("placed").Add(float64(res.Placed))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"testing"
 
@@ -133,6 +132,8 @@ func TestAdaptCommitsSnapshot(t *testing.T) {
 	}
 }
 
+// TestDemandExpvarCounters checks the demand ingest and adaptation
+// counters on /metrics against the responses that moved them.
 func TestDemandExpvarCounters(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(5, 5, 12)
@@ -144,32 +145,23 @@ func TestDemandExpvarCounters(t *testing.T) {
 	var ar AdaptResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/adapt", nil, &ar, http.StatusOK)
 
-	_, raw := c.do("GET", "/debug/vars", nil)
-	var vars struct {
-		Faircached map[string]json.Number `json:"faircached"`
+	samples := c.scrape()
+	counter := func(name string) int64 { return int64(samples[name]) }
+	if got := counter("faircached_demand_events_total"); got != 1000 {
+		t.Errorf("demand events = %d, want 1000", got)
 	}
-	if err := json.Unmarshal(raw, &vars); err != nil {
-		t.Fatalf("unmarshal vars: %v; body %s", err, raw)
-	}
-	counter := func(name string) int64 {
-		v, _ := vars.Faircached[name].Int64()
-		return v
-	}
-	if got := counter("demand_requests"); got != 1000 {
-		t.Errorf("demand_requests = %d, want 1000", got)
-	}
-	hits, misses := counter("demand_hits"), counter("demand_misses")
+	hits, misses := counter("faircached_demand_local_hits_total"), counter("faircached_demand_misses_total")
 	if hits != rr.Demand.LocalHits {
-		t.Errorf("demand_hits = %d, want %d", hits, rr.Demand.LocalHits)
+		t.Errorf("demand local hits = %d, want %d", hits, rr.Demand.LocalHits)
 	}
 	if misses != 1000-rr.Demand.CacheHits {
-		t.Errorf("demand_misses = %d, want %d", misses, 1000-rr.Demand.CacheHits)
+		t.Errorf("demand misses = %d, want %d", misses, 1000-rr.Demand.CacheHits)
 	}
-	if got := counter("adaptations"); got != 1 {
-		t.Errorf("adaptations = %d, want 1", got)
+	if got := counter("faircached_adapt_passes_total"); got != 1 {
+		t.Errorf("adapt passes = %d, want 1", got)
 	}
-	if counter("demand_copies_placed") != int64(ar.Adaptation.Placed) {
-		t.Errorf("demand_copies_placed = %d, want %d", counter("demand_copies_placed"), ar.Adaptation.Placed)
+	if got := counter(`faircached_adapt_actions_total{action="placed"}`); got != int64(ar.Adaptation.Placed) {
+		t.Errorf("copies placed = %d, want %d", got, ar.Adaptation.Placed)
 	}
 }
 

@@ -77,11 +77,10 @@ func asError(err error) *Error {
 	return &Error{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()}
 }
 
-// writeError records the failure in this server's counters and writes
-// the typed JSON error envelope.
+// writeError writes the typed JSON error envelope; instrument counts the
+// failure in faircached_request_errors_total.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	e := asError(err)
-	s.vars.Add("errors", 1)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.Status)
 	_ = json.NewEncoder(w).Encode(struct {

@@ -151,7 +151,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.topos[id] = tp
 	s.mu.Unlock()
 
-	s.vars.Add("registrations", 1)
 	s.log.Info("topology registered",
 		"id", id, "kind", kind, "nodes", topo.NumNodes(), "links", topo.NumLinks(),
 		"producer", producer, "capacity", capacity)
@@ -312,14 +311,6 @@ type SolveOptions struct {
 	// trace field. Part of the coalescing identity (it changes the
 	// response), unlike the trace id (which never splits a flight).
 	Explain bool `json:"explain,omitempty"`
-
-	// PartitionRegions and PartitionHalo are the pre-consolidation
-	// spellings of Partition.Regions/Partition.Halo.
-	//
-	// Deprecated: use Partition. Still accepted; responses carry a
-	// deprecation note.
-	PartitionRegions int `json:"partitionRegions,omitempty"`
-	PartitionHalo    int `json:"partitionHalo,omitempty"`
 }
 
 func (o *SolveOptions) toOptions(capacity int) *faircache.Options {
@@ -352,10 +343,8 @@ func (o *SolveOptions) toOptions(capacity int) *faircache.Options {
 	return out
 }
 
-// SolveRequest is the body of POST /v1/topologies/{id}/solve. The
-// canonical v1 shape nests every per-solve knob under Options; the flat
-// fields remain accepted for older clients and are folded into Options
-// by normalize, with deprecation notes echoed in the response.
+// SolveRequest is the body of POST /v1/topologies/{id}/solve. Every
+// per-solve knob lives under Options; unknown fields answer bad_request.
 type SolveRequest struct {
 	// Chunks is the number of distinct chunks to place (default 5).
 	Chunks int `json:"chunks,omitempty"`
@@ -365,66 +354,23 @@ type SolveRequest struct {
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// Options tunes the algorithm; zero values mean paper defaults.
 	Options *SolveOptions `json:"options,omitempty"`
-
-	// Algorithm, Workers, PartitionRegions and PartitionHalo are the
-	// pre-consolidation flat spellings of the same-named Options fields.
-	//
-	// Deprecated: set them inside Options. Still accepted (nested values
-	// win); responses carry a deprecation note.
-	Algorithm        string `json:"algorithm,omitempty"`
-	Workers          int    `json:"workers,omitempty"`
-	PartitionRegions int    `json:"partitionRegions,omitempty"`
-	PartitionHalo    int    `json:"partitionHalo,omitempty"`
 }
 
-// normalize folds the deprecated flat request fields into the canonical
-// nested Options (nested values win over flat ones), resolves the
-// algorithm to its canonical name, and returns the deprecation notes to
-// echo in the response envelope. The returned SolveOptions is a
-// normalized copy: its Algorithm holds the canonical name and legacy
-// partition fields are folded into Partition, which makes its JSON
-// encoding a canonical coalescing identity.
-func (req *SolveRequest) normalize() (faircache.Algorithm, *SolveOptions, []string, *Error) {
+// normalize resolves the request's algorithm to its canonical name and
+// returns a normalized copy of its options whose JSON encoding is a
+// canonical coalescing identity.
+func (req *SolveRequest) normalize() (faircache.Algorithm, *SolveOptions, *Error) {
 	opts := &SolveOptions{}
 	if req.Options != nil {
 		o := *req.Options
 		opts = &o
 	}
-	var notes []string
-	if req.Algorithm != "" {
-		if opts.Algorithm == "" {
-			opts.Algorithm = req.Algorithm
-		}
-		notes = append(notes, `flat "algorithm" is deprecated; use options.algorithm`)
-	}
-	if req.Workers != 0 {
-		if opts.Workers == 0 {
-			opts.Workers = req.Workers
-		}
-		notes = append(notes, `flat "workers" is deprecated; use options.workers`)
-	}
-	if req.PartitionRegions != 0 || req.PartitionHalo != 0 {
-		if opts.PartitionRegions == 0 && opts.PartitionHalo == 0 {
-			opts.PartitionRegions = req.PartitionRegions
-			opts.PartitionHalo = req.PartitionHalo
-		}
-		notes = append(notes, `flat "partitionRegions"/"partitionHalo" are deprecated; use options.partition`)
-	}
-	if opts.PartitionRegions != 0 || opts.PartitionHalo != 0 {
-		if req.Options != nil && (req.Options.PartitionRegions != 0 || req.Options.PartitionHalo != 0) {
-			notes = append(notes, `options.partitionRegions/partitionHalo are deprecated; use options.partition`)
-		}
-		if opts.Partition == nil {
-			opts.Partition = &PartitionSpec{Regions: opts.PartitionRegions, Halo: opts.PartitionHalo}
-		}
-		opts.PartitionRegions, opts.PartitionHalo = 0, 0
-	}
 	alg, err := faircache.ParseAlgorithm(opts.Algorithm)
 	if err != nil {
-		return "", nil, nil, badRequestf("%v", err)
+		return "", nil, badRequestf("%v", err)
 	}
 	opts.Algorithm = alg.String()
-	return alg, opts, notes, nil
+	return alg, opts, nil
 }
 
 // SolveResponse reports a committed one-shot placement. Algorithm
@@ -457,8 +403,6 @@ type SolveResponse struct {
 	// Trace is the per-phase explain breakdown, present only when the
 	// request set options.explain.
 	Trace *faircache.ExplainReport `json:"trace,omitempty"`
-	// Deprecated lists the deprecated request fields this call used.
-	Deprecated []string `json:"deprecated,omitempty"`
 }
 
 // solveKey is the canonical coalescing identity of a solve: requests
@@ -493,7 +437,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("chunks must be >= 1, got %d", req.Chunks))
 		return
 	}
-	alg, opts, notes, aerr := req.normalize()
+	alg, opts, aerr := req.normalize()
 	if aerr != nil {
 		s.writeError(w, aerr)
 		return
@@ -535,7 +479,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		})
 		if shared {
 			s.metrics.coalesceHits.WithLabelValues("solve").Inc()
-			s.vars.Add("coalesced_solves", 1)
 		} else {
 			s.metrics.coalesceFlights.WithLabelValues("solve").Inc()
 		}
@@ -545,10 +488,9 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The flight's response is shared between callers: shallow-copy it so
-	// the per-caller coalesced flag and deprecation notes never race.
+	// the per-caller coalesced flag never races.
 	resp := *(v.(*SolveResponse))
 	resp.Coalesced = shared
-	resp.Deprecated = notes
 	writeJSON(w, http.StatusOK, &resp)
 }
 
@@ -603,7 +545,6 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 			func() { tp.commit(snap) }); jerr != nil {
 			return nil, jerr
 		}
-		s.vars.Add("solves", 1)
 		if res.Partition != nil {
 			s.metrics.stitchRebids.Add(float64(res.Partition.RebidCandidates))
 			s.metrics.stitchDropped.Add(float64(res.Partition.DroppedCopies))
@@ -691,8 +632,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			s.vars.Add("publications", 1)
-			s.vars.Add("evictions", int64(len(pub.Expired)))
+			s.metrics.publications.Inc()
+			s.metrics.expiredChunks.Add(float64(len(pub.Expired)))
 			pubs = append(pubs, PublicationInfo{
 				Chunk:      pub.Chunk,
 				Time:       pub.Time,
@@ -781,7 +722,6 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 	}
 	holders := snap.Holders[chunk]
 	served, hops, fromProducer := nearestServer(dist, holders, snap.Producer)
-	s.vars.Add("lookups", 1)
 	writeJSON(w, http.StatusOK, LookupResponse{
 		Version:      snap.Version,
 		Chunk:        chunk,
@@ -874,7 +814,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		v, shared, err = tp.reportG.Do(r.Context(), key, build)
 		if shared {
 			s.metrics.coalesceHits.WithLabelValues("report").Inc()
-			s.vars.Add("coalesced_reports", 1)
 		} else {
 			s.metrics.coalesceFlights.WithLabelValues("report").Inc()
 		}
@@ -883,7 +822,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.vars.Add("reports", 1)
 	resp := *(v.(*ReportResponse))
 	resp.Coalesced = shared
 	writeJSON(w, http.StatusOK, &resp)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"slices"
 	"strconv"
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/metrics/prom"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -192,10 +190,7 @@ func LoadWALState(dir string) (*WALState, error) {
 // runs the commit callback and nothing else, byte-for-byte today's
 // behavior.
 type journal struct {
-	vars *expvar.Map // the owning server's counters
-	// appendDur observes WAL append latency (nil when metrics are not
-	// wired, e.g. in journal-only tests).
-	appendDur *prom.Histogram
+	m *serverMetrics // the owning server's instruments
 
 	mu        sync.Mutex
 	log       *wal.Log
@@ -230,11 +225,9 @@ func (j *journal) append(ctx context.Context, rec *WALRecord, commit func()) err
 	defer j.mu.Unlock()
 	start := time.Now()
 	err = j.log.Append(payload)
-	if j.appendDur != nil {
-		j.appendDur.Observe(time.Since(start).Seconds())
-	}
+	j.m.walAppendDuration.Observe(time.Since(start).Seconds())
 	if err != nil {
-		j.vars.Add("wal_errors", 1)
+		j.m.walAppendErrors.Inc()
 		return err
 	}
 	if err := j.shadow.apply(rec); err != nil {
@@ -243,13 +236,12 @@ func (j *journal) append(ctx context.Context, rec *WALRecord, commit func()) err
 	if commit != nil {
 		commit()
 	}
-	j.vars.Add("wal_records", 1)
 	j.sinceSnap++
 	if j.every > 0 && j.sinceSnap >= j.every {
 		// The mutation is already durable and committed; a failed
 		// snapshot only delays compaction, so it is not a client error.
 		if err := j.snapshotLocked(); err != nil {
-			j.vars.Add("wal_snapshot_errors", 1)
+			j.m.walSnapshotErrors.Inc()
 		}
 	}
 	return nil
@@ -264,7 +256,7 @@ func (j *journal) snapshotLocked() error {
 		return err
 	}
 	j.sinceSnap = 0
-	j.vars.Add("wal_snapshots", 1)
+	j.m.walSnapshots.Inc()
 	return nil
 }
 

@@ -6,9 +6,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/client"
 	"repro/internal/server"
 )
 
@@ -39,24 +42,33 @@ func startService(t *testing.T) (*httptest.Server, string) {
 	return ts, reg.ID
 }
 
-// readCounters samples the faircached expvar map from /debug/vars.
+// readCounters samples the request, publication and lookup counters
+// from the service's /metrics exposition through client.Metrics.
 func readCounters(t *testing.T, baseURL string) map[string]int64 {
 	t.Helper()
-	resp, err := http.Get(baseURL + "/debug/vars")
+	text, err := client.New(baseURL).Metrics(context.Background())
 	if err != nil {
-		t.Fatalf("debug/vars: %v", err)
+		t.Fatalf("metrics: %v", err)
 	}
-	defer resp.Body.Close()
-	var all struct {
-		Faircached map[string]json.Number `json:"faircached"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		t.Fatalf("debug/vars decode: %v", err)
-	}
-	out := make(map[string]int64, len(all.Faircached))
-	for k, v := range all.Faircached {
-		if n, err := v.Int64(); err == nil {
-			out[k] = n
+	out := map[string]int64{}
+	for _, line := range strings.Split(text, "\n") {
+		idx := strings.LastIndex(line, " ")
+		if idx < 0 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		name := line[:idx]
+		v, err := strconv.ParseFloat(line[idx+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics sample %q: %v", line, err)
+		}
+		switch {
+		case strings.HasPrefix(name, "faircached_requests_total{"):
+			out["requests"] += int64(v)
+			if name == `faircached_requests_total{endpoint="lookup"}` {
+				out["lookups"] = int64(v)
+			}
+		case name == "faircached_publications_total":
+			out["publications"] = int64(v)
 		}
 	}
 	return out
@@ -64,7 +76,7 @@ func readCounters(t *testing.T, baseURL string) map[string]int64 {
 
 // TestThroughputSmoke runs the load generator against a live service and
 // asserts (a) the workload mostly succeeds with nonzero throughput and
-// (b) the request/publication/lookup counters on /debug/vars increase
+// (b) the request/publication/lookup counters on /metrics increase
 // monotonically across samples taken before, during and after the run.
 func TestThroughputSmoke(t *testing.T) {
 	ts, id := startService(t)

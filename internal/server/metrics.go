@@ -8,10 +8,9 @@ import (
 )
 
 // serverMetrics is the server's Prometheus instrument set, served on
-// GET /metrics. It replaces expvar as the first-class observability
-// surface (the expvar map stays as a shim for /debug/vars consumers).
-// Registry callbacks read live server state at scrape time, so gauges
-// like worker queue depth and WAL fsync lag never go stale.
+// GET /metrics, the daemon's one metrics surface. Registry callbacks
+// read live server state at scrape time, so gauges like worker queue
+// depth and WAL fsync lag never go stale.
 type serverMetrics struct {
 	registry *prom.Registry
 
@@ -44,9 +43,20 @@ type serverMetrics struct {
 	adaptPasses  *prom.Counter
 	adaptActions *prom.CounterVec // faircached_adapt_actions_total{action}
 
-	// Demand and durability instruments.
-	demandEvents      *prom.Counter
+	// Online publication outcomes.
+	publications  *prom.Counter
+	expiredChunks *prom.Counter
+
+	// Demand ingest outcomes.
+	demandEvents    *prom.Counter
+	demandLocalHits *prom.Counter
+	demandMisses    *prom.Counter
+
+	// Durability instruments.
 	walAppendDuration *prom.Histogram
+	walAppendErrors   *prom.Counter
+	walSnapshots      *prom.Counter
+	walSnapshotErrors *prom.Counter
 }
 
 // solveBuckets widen the default latency buckets upward: partitioned
@@ -87,10 +97,24 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Committed demand adaptation passes."),
 		adaptActions: reg.CounterVec("faircached_adapt_actions_total",
 			"Copies moved by adaptation passes, by action (evicted, placed, replaced).", "action"),
+		publications: reg.Counter("faircached_publications_total",
+			"Online chunk publications placed."),
+		expiredChunks: reg.Counter("faircached_expired_chunks_total",
+			"Chunks evicted by TTL expiry ahead of online publications."),
 		demandEvents: reg.Counter("faircached_demand_events_total",
 			"Demand request events ingested via POST requests batches."),
+		demandLocalHits: reg.Counter("faircached_demand_local_hits_total",
+			"Ingested demand events served by a cache copy within the hit radius."),
+		demandMisses: reg.Counter("faircached_demand_misses_total",
+			"Ingested demand events no cache copy served (fetched from the producer)."),
 		walAppendDuration: reg.Histogram("faircached_wal_append_duration_seconds",
 			"Latency of WAL record appends (includes fsync under the always policy).", nil),
+		walAppendErrors: reg.Counter("faircached_wal_append_errors_total",
+			"WAL appends that failed; the mutation was not committed."),
+		walSnapshots: reg.Counter("faircached_wal_snapshots_total",
+			"Full-state WAL snapshots written (each compacts the log)."),
+		walSnapshotErrors: reg.Counter("faircached_wal_snapshot_errors_total",
+			"Full-state WAL snapshots that failed; compaction is delayed, commits are unaffected."),
 	}
 	reg.GaugeFunc("faircached_topologies",
 		"Registered topologies.", func() float64 {

@@ -44,6 +44,29 @@ func parseScrape(t *testing.T, text string) (map[string]float64, map[string]stri
 	return samples, types
 }
 
+// scrape fetches GET /metrics and returns its samples keyed by
+// "name{labels}".
+func (c *testClient) scrape() map[string]float64 {
+	c.t.Helper()
+	resp, raw := c.do("GET", "/metrics", nil)
+	if resp.StatusCode != http.StatusOK {
+		c.t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	samples, _ := parseScrape(c.t, string(raw))
+	return samples
+}
+
+// familySum totals one family's samples across every label set.
+func familySum(samples map[string]float64, name string) float64 {
+	total := 0.0
+	for k, v := range samples {
+		if k == name || strings.HasPrefix(k, name+"{") {
+			total += v
+		}
+	}
+	return total
+}
+
 // TestMetricsEndpoint drives traffic, scrapes /metrics and checks the
 // exposition is well-formed Prometheus text: declared types, sorted
 // families, and internally consistent histograms (cumulative buckets,
@@ -91,6 +114,12 @@ func TestMetricsEndpoint(t *testing.T) {
 		"faircached_coalesce_aborted_total":   "counter",
 		"faircached_adapt_passes_total":       "counter",
 		"faircached_adapt_actions_total":      "counter",
+		"faircached_publications_total":       "counter",
+		"faircached_expired_chunks_total":     "counter",
+		"faircached_demand_local_hits_total":  "counter",
+		"faircached_demand_misses_total":      "counter",
+		"faircached_wal_append_errors_total":  "counter",
+		"faircached_wal_snapshots_total":      "counter",
 	}
 	for name, kind := range wantTypes {
 		if types[name] != kind {
@@ -106,6 +135,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`faircached_coalesce_flights_total{endpoint="solve"}`: 1,
 		"faircached_topologies":                               1,
 		"faircached_solve_duration_seconds_count":             1,
+		"faircached_publications_total":                       1,
 	}
 	for sample, want := range checks {
 		if got := samples[sample]; got != want {

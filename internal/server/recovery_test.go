@@ -38,7 +38,7 @@ func TestRecoveryRoundTrip(t *testing.T) {
 
 	c1, s1 := newTestClient(t, opts)
 	reg := c1.registerGrid(4, 4, 5)
-	c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "appx", Chunks: 4}, nil, http.StatusOK)
+	c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 4, Options: &SolveOptions{Algorithm: "appx"}}, nil, http.StatusOK)
 	for i := 0; i < 7; i++ {
 		c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	}
@@ -177,6 +177,15 @@ func TestRecoveryWithSnapshotsAndCompaction(t *testing.T) {
 		c1.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	}
 	before := reportOf(c1, reg.ID)
+	samples := c1.scrape()
+	if got := samples["faircached_wal_snapshots_total"]; got != 4 {
+		t.Errorf("snapshots counter = %v after 24 records at SnapshotEvery=5, want 4", got)
+	}
+	for _, name := range []string{"faircached_wal_snapshot_errors_total", "faircached_wal_append_errors_total"} {
+		if got, ok := samples[name]; !ok || got != 0 {
+			t.Errorf("%s = %v (present %v), want 0", name, got, ok)
+		}
+	}
 	c1.srv.Close()
 	s1.Close()
 
@@ -210,9 +219,9 @@ func TestEmptyDataDirStaysInMemory(t *testing.T) {
 	}
 }
 
-// TestExpvarIsolationBetweenServers asserts the satellite fix: two
-// Servers in one process keep independent counter maps, so driving one
-// leaves the other's /debug/vars untouched.
+// TestExpvarIsolationBetweenServers asserts two Servers in one process
+// keep independent metric registries, so driving one leaves the other's
+// /metrics scrape untouched.
 func TestExpvarIsolationBetweenServers(t *testing.T) {
 	busy, busySrv := newTestClient(t, Options{})
 	idle, idleSrv := newTestClient(t, Options{})
@@ -222,31 +231,26 @@ func TestExpvarIsolationBetweenServers(t *testing.T) {
 	}
 
 	counters := func(c *testClient) map[string]float64 {
-		var all map[string]any
-		c.doJSON("GET", "/debug/vars", nil, &all, http.StatusOK)
-		fc, ok := all["faircached"].(map[string]any)
-		if !ok {
-			t.Fatalf("/debug/vars has no faircached map: %v", all)
+		s := c.scrape()
+		return map[string]float64{
+			"registrations": s[`faircached_requests_total{endpoint="register"}`],
+			"publications":  s["faircached_publications_total"],
+			"solves":        s["faircached_solve_duration_seconds_count"],
+			"errors":        familySum(s, "faircached_request_errors_total"),
+			"lookups":       s[`faircached_requests_total{endpoint="lookup"}`],
 		}
-		out := make(map[string]float64, len(fc))
-		for k, v := range fc {
-			if f, ok := v.(float64); ok {
-				out[k] = f
-			}
-		}
-		return out
 	}
 	busyVars, idleVars := counters(busy), counters(idle)
 	if busyVars["registrations"] != 1 || busyVars["publications"] != 5 {
 		t.Errorf("busy server counters wrong: %v", busyVars)
 	}
-	for _, key := range []string{"registrations", "publications", "solves", "errors", "lookups"} {
-		if idleVars[key] != 0 {
-			t.Errorf("idle server leaked counter %s=%v from its sibling", key, idleVars[key])
+	for key, v := range idleVars {
+		if v != 0 {
+			t.Errorf("idle server leaked counter %s=%v from its sibling", key, v)
 		}
 	}
-	if busySrv.vars == idleSrv.vars {
-		t.Error("two Servers share one expvar map")
+	if busySrv.metrics.registry == idleSrv.metrics.registry {
+		t.Error("two Servers share one metrics registry")
 	}
 }
 

@@ -28,7 +28,6 @@
 //	GET    /v1/topologies/{id}/report  snapshot + fairness metrics + storage curve
 //	GET    /healthz                    liveness
 //	GET    /metrics                    Prometheus text-format metrics
-//	GET    /debug/vars                 expvar globals + this server's counters (legacy shim)
 //
 // Every error is a typed JSON object {"error":{"code","message"}} with a
 // matching HTTP status.
@@ -36,7 +35,6 @@ package server
 
 import (
 	"context"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -138,7 +136,6 @@ type Server struct {
 	mux     *http.ServeMux
 	start   time.Time
 	log     *slog.Logger
-	vars    *expvar.Map    // per-Server counters (legacy shim; /metrics is canonical)
 	metrics *serverMetrics // Prometheus instruments served on GET /metrics
 	journal *journal       // nil in in-memory mode
 
@@ -168,7 +165,6 @@ func New(opts Options) (*Server, error) {
 		opts:   opts.withDefaults(),
 		mux:    http.NewServeMux(),
 		start:  time.Now(),
-		vars:   new(expvar.Map).Init(),
 		topos:  make(map[string]*topology),
 		tracer: trace.New(0),
 	}
@@ -187,7 +183,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.mux.HandleFunc("GET /healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /metrics", s.instrument("metrics", s.metrics.registry.ServeHTTP))
-	s.mux.HandleFunc("GET /debug/vars", s.instrument("debug_vars", s.handleVars))
 	s.mux.HandleFunc("GET /debug/trace", s.instrument("debug_trace", s.handleDebugTrace))
 	s.mux.HandleFunc("POST /v1/topologies", s.instrument("register", s.handleRegister))
 	s.mux.HandleFunc("GET /v1/topologies", s.instrument("list", s.handleList))
@@ -232,7 +227,7 @@ func (s *Server) openJournal() error {
 		log.Close()
 		return fmt.Errorf("server: WAL recovery: %w", err)
 	}
-	s.journal = &journal{vars: s.vars, appendDur: s.metrics.walAppendDuration, log: log, shadow: shadow, every: s.opts.SnapshotEvery}
+	s.journal = &journal{m: s.metrics, log: log, shadow: shadow, every: s.opts.SnapshotEvery}
 	s.walRecovery = time.Since(begin)
 	rsp.SetInt("topologies", int64(len(s.topos)))
 	rsp.SetInt("records", int64(len(recovered.Records)))
@@ -289,7 +284,6 @@ func (s *Server) restore(shadow *walShadow) error {
 			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", version, "clock", ts.Clock)
 	}
 	s.nextID = shadow.nextID
-	s.vars.Add("recovered_topologies", int64(len(st.Topologies)))
 	return nil
 }
 
@@ -341,18 +335,14 @@ func (s *Server) ids() []string {
 }
 
 // instrument wraps a handler with per-endpoint request, error and
-// latency accounting in both the Prometheus registry (the canonical
-// surface) and this Server's own expvar map (the legacy shim). Both are
+// latency accounting in the Prometheus registry. The registry is
 // per-instance, so embedded servers and tests never share counters.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		s.vars.Add("requests", 1)
-		s.vars.Add("requests_"+name, 1)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		h(rec, r)
 		elapsed := time.Since(start)
-		s.vars.Add("latency_us_"+name, elapsed.Microseconds())
 		s.metrics.requests.WithLabelValues(name).Inc()
 		s.metrics.duration.WithLabelValues(name).Observe(elapsed.Seconds())
 		if rec.status >= 400 {
@@ -387,21 +377,4 @@ func (s *Server) detachHook(endpoint, id string) func(ctx context.Context, key s
 			"endpoint", endpoint, "topology", id, "key", key,
 			"flightAborted", alone, "traceId", traceIDFrom(ctx))
 	}
-}
-
-// handleVars serves the same shape expvar.Handler does — every published
-// global variable — plus this server's "faircached" counter map, which
-// is deliberately NOT registered in the process-global expvar namespace
-// (registration there is permanent and would bleed counters across
-// Server instances).
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	expvar.Do(func(kv expvar.KeyValue) {
-		if kv.Key == "faircached" {
-			return // never collide with the per-server map below
-		}
-		fmt.Fprintf(w, "%q: %s,\n", kv.Key, kv.Value.String())
-	})
-	fmt.Fprintf(w, "%q: %s\n}\n", "faircached", s.vars.String())
 }

@@ -83,7 +83,9 @@ type errorEnvelope struct {
 	Error *Error `json:"error"`
 }
 
-func (c *testClient) wantError(method, path string, body any, wantStatus int, wantCode string) {
+// wantError asserts a typed error envelope with the given status and
+// code, and returns its message.
+func (c *testClient) wantError(method, path string, body any, wantStatus int, wantCode string) string {
 	c.t.Helper()
 	resp, raw := c.do(method, path, body)
 	if resp.StatusCode != wantStatus {
@@ -96,6 +98,7 @@ func (c *testClient) wantError(method, path string, body any, wantStatus int, wa
 	if env.Error.Code != wantCode {
 		c.t.Fatalf("%s %s: code %q, want %q (message %q)", method, path, env.Error.Code, wantCode, env.Error.Message)
 	}
+	return env.Error.Message
 }
 
 func TestHealthz(t *testing.T) {
@@ -166,7 +169,7 @@ func TestSolveEveryAlgorithm(t *testing.T) {
 	for _, alg := range []string{"appx", "dist", "hopc", "cont"} {
 		var out SolveResponse
 		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
-			SolveRequest{Algorithm: alg, Chunks: 3}, &out, http.StatusOK)
+			SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: alg}}, &out, http.StatusOK)
 		if out.Algorithm == "" || len(out.Holders) != 3 {
 			t.Fatalf("%s: bad solve response %+v", alg, out)
 		}
@@ -183,7 +186,7 @@ func TestSolveEveryAlgorithm(t *testing.T) {
 	small := c.registerGrid(2, 2, 0)
 	var out SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+small.ID+"/solve",
-		SolveRequest{Algorithm: "brtf", Chunks: 1, Options: &SolveOptions{SearchBudget: 500}}, &out, http.StatusOK)
+		SolveRequest{Chunks: 1, Options: &SolveOptions{Algorithm: "brtf", SearchBudget: 500}}, &out, http.StatusOK)
 	if len(out.Holders) != 1 {
 		t.Fatalf("brtf: holders %v", out.Holders)
 	}
@@ -197,8 +200,8 @@ func TestSolvePartitioned(t *testing.T) {
 	reg := c.registerGrid(8, 8, 9)
 	var out SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 3,
-			Options: &SolveOptions{PartitionRegions: 4}}, &out, http.StatusOK)
+		SolveRequest{Chunks: 3,
+			Options: &SolveOptions{Algorithm: "appx", Partition: &PartitionSpec{Regions: 4}}}, &out, http.StatusOK)
 	if out.Partition == nil {
 		t.Fatal("partitioned solve response has no partition report")
 	}
@@ -217,7 +220,7 @@ func TestSolvePartitioned(t *testing.T) {
 	// A global solve keeps the field empty.
 	var global SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 3}, &global, http.StatusOK)
+		SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "appx"}}, &global, http.StatusOK)
 	if global.Partition != nil {
 		t.Fatalf("global solve reported a partition: %+v", global.Partition)
 	}
@@ -229,22 +232,22 @@ func TestSolvePartitioned(t *testing.T) {
 	}
 	// Sharding is appx-only and the region count is validated.
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "dist", Chunks: 3,
-			Options: &SolveOptions{PartitionRegions: 4}}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Chunks: 3,
+			Options: &SolveOptions{Algorithm: "dist", Partition: &PartitionSpec{Regions: 4}}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 3,
-			Options: &SolveOptions{PartitionRegions: 1000}}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Chunks: 3,
+			Options: &SolveOptions{Algorithm: "appx", Partition: &PartitionSpec{Regions: 1000}}}, http.StatusBadRequest, CodeBadRequest)
 }
 
 func TestSolveValidation(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(3, 3, 4)
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "magic"}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Options: &SolveOptions{Algorithm: "magic"}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: -2}, http.StatusBadRequest, CodeBadRequest)
+		SolveRequest{Chunks: -2, Options: &SolveOptions{Algorithm: "appx"}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/nope/solve",
-		SolveRequest{Algorithm: "appx"}, http.StatusNotFound, CodeNotFound)
+		SolveRequest{Options: &SolveOptions{Algorithm: "appx"}}, http.StatusNotFound, CodeNotFound)
 }
 
 func TestSolveTimeout(t *testing.T) {
@@ -253,7 +256,7 @@ func TestSolveTimeout(t *testing.T) {
 	// The solve cannot finish within a nanosecond; the worker either
 	// skips it (queued past deadline) or discards the late result.
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
-		SolveRequest{Algorithm: "appx", Chunks: 2}, http.StatusGatewayTimeout, CodeTimeout)
+		SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, http.StatusGatewayTimeout, CodeTimeout)
 	// A timed-out solve must not have committed a snapshot.
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
@@ -332,7 +335,7 @@ func TestReport(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 9)
 	var solve SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "appx", Chunks: 4}, &solve, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 4, Options: &SolveOptions{Algorithm: "appx"}}, &solve, http.StatusOK)
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version != solve.Version {
@@ -361,7 +364,7 @@ func TestSolveThenPublishKeepsOnlineState(t *testing.T) {
 	var p1 PublishResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, &p1, http.StatusOK)
 	var solve SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "hopc", Chunks: 2}, &solve, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "hopc"}}, &solve, http.StatusOK)
 	// The solve replaced the committed snapshot...
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
@@ -392,47 +395,43 @@ func TestDeleteTopology(t *testing.T) {
 	}
 }
 
+// TestDebugVarsCounters checks the request, solve, publication, lookup
+// and registration counters and the solve latency sum move on /metrics,
+// and that GET /debug/vars is not served.
 func TestDebugVarsCounters(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
-	read := func() map[string]json.RawMessage {
-		var all map[string]json.RawMessage
-		c.doJSON("GET", "/debug/vars", nil, &all, http.StatusOK)
-		var fc map[string]json.RawMessage
-		if raw, ok := all["faircached"]; ok {
-			if err := json.Unmarshal(raw, &fc); err != nil {
-				t.Fatalf("faircached vars: %v", err)
-			}
-		}
-		return fc
+	counters := map[string]func(map[string]float64) float64{
+		"requests": func(s map[string]float64) float64 { return familySum(s, "faircached_requests_total") },
+		"solves":   func(s map[string]float64) float64 { return s["faircached_solve_duration_seconds_count"] },
+		"publications": func(s map[string]float64) float64 {
+			return s["faircached_publications_total"]
+		},
+		"lookups": func(s map[string]float64) float64 {
+			return s[`faircached_requests_total{endpoint="lookup"}`]
+		},
+		"registrations": func(s map[string]float64) float64 {
+			return s[`faircached_requests_total{endpoint="register"}`]
+		},
+		"solve latency": func(s map[string]float64) float64 {
+			return s[`faircached_request_duration_seconds_sum{endpoint="solve"}`]
+		},
 	}
-	counter := func(m map[string]json.RawMessage, key string) int64 {
-		raw, ok := m[key]
-		if !ok {
-			return 0
-		}
-		var v int64
-		if err := json.Unmarshal(raw, &v); err != nil {
-			t.Fatalf("counter %s = %s: %v", key, raw, err)
-		}
-		return v
-	}
-	before := read()
+	before := c.scrape()
 	reg := c.registerGrid(3, 3, 4)
 	var solve SolveResponse
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: "appx", Chunks: 2}, &solve, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, &solve, http.StatusOK)
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, nil, http.StatusOK)
 	var lk LookupResponse
 	c.doJSON("GET", fmt.Sprintf("/v1/topologies/%s/lookup?chunk=0&node=0", reg.ID), nil, &lk, http.StatusOK)
-	after := read()
+	after := c.scrape()
 
-	for _, key := range []string{"requests", "solves", "publications", "lookups", "registrations"} {
-		b, a := counter(before, key), counter(after, key)
-		if a <= b {
-			t.Errorf("counter %s did not increase: %d -> %d", key, b, a)
+	for key, read := range counters {
+		if b, a := read(before), read(after); a <= b {
+			t.Errorf("counter %s did not increase: %v -> %v", key, b, a)
 		}
 	}
-	if counter(after, "latency_us_solve") <= counter(before, "latency_us_solve") {
-		t.Errorf("latency_us_solve did not grow")
+	if resp, _ := c.do("GET", "/debug/vars", nil); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /debug/vars: status %d, want 404", resp.StatusCode)
 	}
 }
 
@@ -460,7 +459,7 @@ func TestReportSolverStats(t *testing.T) {
 	reg := c.registerGrid(4, 4, 9)
 	for _, alg := range []string{"appx", "appx", "hopc", "cont"} {
 		var solve SolveResponse
-		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Algorithm: alg, Chunks: 3}, &solve, http.StatusOK)
+		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: alg}}, &solve, http.StatusOK)
 	}
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)

@@ -134,7 +134,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				switch (w + i) % 3 {
 				case 0:
 					c.do("POST", "/v1/topologies/"+reg.ID+"/solve",
-						SolveRequest{Algorithm: "hopc", Chunks: 2})
+						SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "hopc"}})
 				case 1:
 					c.do("POST", "/v1/topologies/"+reg.ID+"/publish", nil)
 				default:

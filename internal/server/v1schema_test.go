@@ -1,23 +1,21 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
-	"reflect"
+	"strings"
 	"testing"
 )
 
-// TestSolveSchemaV1 is the table-driven contract test for the
-// consolidated v1 solve schema: nested options are canonical, the
-// deprecated flat fields still work but are flagged in the response
-// envelope, nested values win over flat ones, and algorithm aliases
+// TestSolveSchemaV1 is the table-driven contract test for the v1 solve
+// schema: every knob is nested under options, and algorithm aliases
 // echo their canonical names.
 func TestSolveSchemaV1(t *testing.T) {
 	cases := []struct {
-		name           string
-		req            SolveRequest
-		wantAlgorithm  string
-		wantDeprecated []string
-		wantPartition  bool
+		name          string
+		req           SolveRequest
+		wantAlgorithm string
+		wantPartition bool
 	}{
 		{
 			name:          "canonical nested options",
@@ -35,40 +33,6 @@ func TestSolveSchemaV1(t *testing.T) {
 			wantAlgorithm: "Hopc",
 		},
 		{
-			name:           "flat algorithm still accepted with note",
-			req:            SolveRequest{Chunks: 3, Algorithm: "cont"},
-			wantAlgorithm:  "Cont",
-			wantDeprecated: []string{`flat "algorithm" is deprecated; use options.algorithm`},
-		},
-		{
-			name:           "flat workers still accepted with note",
-			req:            SolveRequest{Chunks: 3, Workers: 1},
-			wantAlgorithm:  "Appx",
-			wantDeprecated: []string{`flat "workers" is deprecated; use options.workers`},
-		},
-		{
-			name:          "nested algorithm wins over flat",
-			req:           SolveRequest{Chunks: 3, Algorithm: "dist", Options: &SolveOptions{Algorithm: "appx"}},
-			wantAlgorithm: "Appx",
-			wantDeprecated: []string{
-				`flat "algorithm" is deprecated; use options.algorithm`,
-			},
-		},
-		{
-			name:           "flat partition fields fold into options.partition",
-			req:            SolveRequest{Chunks: 3, PartitionRegions: 2},
-			wantAlgorithm:  "Appx",
-			wantDeprecated: []string{`flat "partitionRegions"/"partitionHalo" are deprecated; use options.partition`},
-			wantPartition:  true,
-		},
-		{
-			name:           "options.partitionRegions still accepted with note",
-			req:            SolveRequest{Chunks: 3, Options: &SolveOptions{PartitionRegions: 2}},
-			wantAlgorithm:  "Appx",
-			wantDeprecated: []string{`options.partitionRegions/partitionHalo are deprecated; use options.partition`},
-			wantPartition:  true,
-		},
-		{
 			name:          "canonical options.partition carries no note",
 			req:           SolveRequest{Chunks: 3, Options: &SolveOptions{Partition: &PartitionSpec{Regions: 2}}},
 			wantAlgorithm: "Appx",
@@ -84,9 +48,6 @@ func TestSolveSchemaV1(t *testing.T) {
 			if resp.Algorithm != tc.wantAlgorithm {
 				t.Errorf("algorithm = %q, want %q", resp.Algorithm, tc.wantAlgorithm)
 			}
-			if !reflect.DeepEqual(resp.Deprecated, tc.wantDeprecated) {
-				t.Errorf("deprecated notes = %#v, want %#v", resp.Deprecated, tc.wantDeprecated)
-			}
 			if (resp.Partition != nil) != tc.wantPartition {
 				t.Errorf("partition report present = %v, want %v", resp.Partition != nil, tc.wantPartition)
 			}
@@ -98,7 +59,8 @@ func TestSolveSchemaV1(t *testing.T) {
 }
 
 // TestSolveSchemaErrors checks schema violations answer the typed error
-// envelope.
+// envelope. Top-level algorithm/workers/partitionRegions/partitionHalo
+// and options.partitionRegions/partitionHalo are unknown fields.
 func TestSolveSchemaErrors(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 5)
@@ -106,18 +68,42 @@ func TestSolveSchemaErrors(t *testing.T) {
 		name string
 		body any
 		code string
+		// unknown, when set, is the field the error message must name.
+		unknown string
 	}{
-		{"unknown algorithm", SolveRequest{Options: &SolveOptions{Algorithm: "lru"}}, CodeBadRequest},
-		{"unknown flat algorithm", SolveRequest{Algorithm: "banana"}, CodeBadRequest},
-		{"unknown field", map[string]any{"algorithmm": "appx"}, CodeBadRequest},
-		{"negative chunks", SolveRequest{Chunks: -1}, CodeBadRequest},
+		{"unknown algorithm", SolveRequest{Options: &SolveOptions{Algorithm: "lru"}}, CodeBadRequest, ""},
+		{"unknown flat algorithm", map[string]any{"algorithm": "banana"}, CodeBadRequest, "algorithm"},
+		{"unknown field", map[string]any{"algorithmm": "appx"}, CodeBadRequest, "algorithmm"},
+		{"negative chunks", SolveRequest{Chunks: -1}, CodeBadRequest, ""},
 		{"partition on non-appx", SolveRequest{
 			Options: &SolveOptions{Algorithm: "dist", Partition: &PartitionSpec{Regions: 2}},
-		}, CodeBadRequest},
+		}, CodeBadRequest, ""},
+		{"flat algorithm removed", map[string]any{"chunks": 3, "algorithm": "cont"}, CodeBadRequest, "algorithm"},
+		{"flat workers removed", map[string]any{"chunks": 3, "workers": 1}, CodeBadRequest, "workers"},
+		{"flat algorithm beside nested options removed", map[string]any{
+			"chunks": 3, "algorithm": "dist", "options": map[string]any{"algorithm": "appx"},
+		}, CodeBadRequest, "algorithm"},
+		{"flat partitionRegions removed", map[string]any{"chunks": 3, "partitionRegions": 2}, CodeBadRequest, "partitionRegions"},
+		{"flat partitionHalo removed", map[string]any{"chunks": 3, "partitionHalo": 1}, CodeBadRequest, "partitionHalo"},
+		{"options.partitionRegions removed", map[string]any{
+			"chunks": 3, "options": map[string]any{"partitionRegions": 2},
+		}, CodeBadRequest, "partitionRegions"},
+		{"options.partitionHalo removed", map[string]any{
+			"chunks": 3, "options": map[string]any{"partitionHalo": 1},
+		}, CodeBadRequest, "partitionHalo"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve", tc.body, http.StatusBadRequest, tc.code)
+			msg := c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve", tc.body, http.StatusBadRequest, tc.code)
+			if tc.unknown != "" && !strings.Contains(msg, fmt.Sprintf("unknown field %q", tc.unknown)) {
+				t.Errorf("message %q does not name unknown field %q", msg, tc.unknown)
+			}
 		})
+	}
+	// No rejected request committed a placement.
+	var rep ReportResponse
+	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	if rep.Snapshot.Version != 1 {
+		t.Errorf("snapshot version = %d after rejected solves, want 1", rep.Snapshot.Version)
 	}
 }

@@ -6,10 +6,12 @@
 #   1. An exported function whose name ends in "Ctx" must take
 #      "ctx context.Context" as its FIRST parameter.
 #   2. An exported solve entry point (Solve*/Place*/Publish*/Select* and
-#      the five algorithm wrappers) that does NOT take a context must be
-#      on the allowlist below. The allowlist freezes the deprecated
-#      pre-context API; new entry points must be context-first, so any
-#      unlisted match fails the build.
+#      the five algorithm names) that does NOT take a context must be
+#      on the allowlist below. The allowlist freezes the pre-context
+#      API; new entry points must be context-first, so any unlisted
+#      match fails the build, and so does an entry that no longer
+#      matches a context-less entry point (stale entries would silently
+#      exempt a future function of the same name).
 #
 # Run from the repository root: ./scripts/ctxlint.sh
 set -u
@@ -27,18 +29,10 @@ if [ -n "$bad_ctx" ]; then
 fi
 
 # ---- rule 2: non-context solve entry points are frozen ------------------
-# Allowlist of deprecated wrappers and offline reference solvers, one
-# "file:Func" per line. Do NOT add new entries: write the context-first
-# variant instead and, if a compat shim is genuinely needed, bring it to
-# review with a Deprecated: doc comment.
-allowlist='
-./faircache.go:Approximate
-./faircache.go:Distribute
-./faircache.go:HopCountBaseline
-./faircache.go:ContentionBaseline
-./faircache.go:Optimal
-./online.go:Publish
-./internal/baseline/baseline.go:SelectNodes
+# Allowlist of offline reference solvers and sequential wrappers, one
+# "file:Func" per line, matched as whole lines. Do NOT add new entries:
+# write the context-first variant instead.
+allowlist='./internal/baseline/baseline.go:SelectNodes
 ./internal/baseline/baseline.go:PlaceChunks
 ./internal/confl/confl.go:Solve
 ./internal/confl/greedy.go:SolveGreedy
@@ -46,32 +40,40 @@ allowlist='
 ./internal/core/core.go:PlaceOne
 ./internal/dist/dist.go:PlaceChunks
 ./internal/exact/exact.go:SolveChunk
-./internal/exact/exact.go:PlaceChunks
-./internal/online/online.go:Publish
-./internal/ilp/ilp.go:SolveChunk
-./internal/lp/lp.go:Solve
-'
+./internal/exact/exact.go:PlaceChunks'
 
-matches=$(grep -rn --include='*.go' --exclude='*_test.go' \
+# Every context-less solve entry point, as "file:Func".
+found=$(grep -rn --include='*.go' --exclude='*_test.go' \
     -E '^func (\([^)]+\) )?(Solve|Place|Publish|Select|Approximate|Distribute|Optimal|HopCountBaseline|ContentionBaseline)[A-Za-z0-9]*\(.*(\*?Options|\*?cache\.State|producer|chunks|Request)' . |
-    grep -v 'context\.Context')
+    grep -v 'context\.Context' |
+    sed -E 's/^([^:]+):[0-9]+:func (\([^)]+\) )?([A-Za-z0-9]+)\(.*/\1:\3/' |
+    sort -u)
 
-echo "$matches" | while IFS= read -r line; do
-    [ -z "$line" ] && continue
-    file=${line%%:*}
-    rest=${line#*:}          # strip file
-    rest=${rest#*:}          # strip line number
-    name=$(printf '%s' "$rest" | sed -E 's/^func (\([^)]+\) )?([A-Za-z0-9]+)\(.*/\2/')
-    case "$allowlist" in
-    *"$file:$name"*) ;;
-    *)
-        echo "ctxlint: new solve entry point without a context.Context first parameter:" >&2
-        echo "  $line" >&2
-        echo "  (context-first is the API contract; see scripts/ctxlint.sh)" >&2
-        exit 1
-        ;;
+nl='
+'
+# contains LIST ENTRY: whether ENTRY is one whole line of LIST.
+contains() {
+    case "$nl$1$nl" in
+    *"$nl$2$nl"*) return 0 ;;
     esac
-done || fail=1
+    return 1
+}
+
+IFS=$nl
+for entry in $found; do
+    if ! contains "$allowlist" "$entry"; then
+        echo "ctxlint: new solve entry point without a context.Context first parameter: $entry" >&2
+        echo "  (context-first is the API contract; see scripts/ctxlint.sh)" >&2
+        fail=1
+    fi
+done
+for entry in $allowlist; do
+    if ! contains "$found" "$entry"; then
+        echo "ctxlint: stale allowlist entry $entry: no context-less solve entry point of that name in that file" >&2
+        fail=1
+    fi
+done
+unset IFS
 
 if [ "$fail" -ne 0 ]; then
     exit 1
