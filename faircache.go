@@ -203,19 +203,11 @@ type Options struct {
 	// subsequent publications: a chunk published at time t expires before
 	// the publication at t + ChunkTTL. Used only by NewOnline.
 	//
-	// The value maps onto the internal online TTL as follows:
-	//
 	//	ChunkTTL = 0   default: one capacity-worth of publications
 	//	               (a chunk lives for Capacity arrivals)
 	//	ChunkTTL > 0   exactly that many publications; ChunkTTL = 1 means
 	//	               a chunk is evicted at the very next publication
-	//	ChunkTTL < 0   chunks never expire (internally encoded as TTL = 0,
-	//	               the online package's "no expiry" sentinel)
-	//
-	// Note the inversion: the *public* zero value asks for the default,
-	// while the *internal* zero value means "never expire" — NewOnline
-	// performs the translation so callers only ever see the public
-	// semantics above.
+	//	ChunkTTL < 0   chunks never expire
 	ChunkTTL int
 	// GreedyConFL switches the centralized algorithm's per-chunk solver
 	// to the guarantee-free greedy heuristic (related work [23]) — an

@@ -438,50 +438,6 @@ func TestAccessDelayEstimate(t *testing.T) {
 	}
 }
 
-func TestOnlineSystemAPI(t *testing.T) {
-	topo, err := Grid(6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewOnline(topo, 9, &Options{Capacity: 3, ChunkTTL: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawExpiry bool
-	for i := 0; i < 12; i++ {
-		pub, err := sys.Publish()
-		if err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-		if pub.Time != i+1 || pub.Chunk != i {
-			t.Errorf("publication %d = %+v", i, pub)
-		}
-		if len(pub.Expired) > 0 {
-			sawExpiry = true
-		}
-	}
-	if !sawExpiry {
-		t.Error("no chunk ever expired over 12 publications with TTL 3")
-	}
-	if sys.Clock() != 12 {
-		t.Errorf("Clock() = %d", sys.Clock())
-	}
-	if len(sys.Live()) > 3 {
-		t.Errorf("live chunks %v exceed the TTL window", sys.Live())
-	}
-	for i, c := range sys.Counts() {
-		if c > 3 {
-			t.Errorf("node %d holds %d > capacity", i, c)
-		}
-	}
-	if g := sys.Gini(); g < 0 || g >= 1 {
-		t.Errorf("Gini() = %g out of range", g)
-	}
-	if _, err := NewOnline(topo, 99, nil); err == nil {
-		t.Error("bad producer: want error")
-	}
-}
-
 func TestGreedyConFLAblation(t *testing.T) {
 	topo, err := Grid(6, 6)
 	if err != nil {

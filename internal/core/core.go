@@ -292,30 +292,14 @@ func (s *Solver) checkModel(m *costmodel.Model) error {
 	return nil
 }
 
-// PlaceOne runs a single iteration of Algorithm 1 for an arbitrary chunk
-// id against the current state — the building block of the online variant
-// (package online), where chunks arrive over time rather than as a batch.
-func (s *Solver) PlaceOne(producer, chunkID int, st *cache.State) (*ChunkResult, error) {
-	return s.PlaceOneCtx(context.Background(), producer, chunkID, st)
-}
-
-// PlaceOneCtx is PlaceOne with cancellation and parallel inner work (see
-// PlaceCtx).
-func (s *Solver) PlaceOneCtx(ctx context.Context, producer, chunkID int, st *cache.State) (*ChunkResult, error) {
-	if st == nil || st.NumNodes() != s.g.NumNodes() {
-		return nil, ErrBadState
-	}
-	m, err := costmodel.New(s.g, s.pc, st, s.modelOptions())
-	if err != nil {
-		return nil, ErrBadState
-	}
-	return s.PlaceOneModelCtx(ctx, producer, chunkID, m)
-}
-
-// PlaceOneModelCtx is PlaceOneCtx against a caller-owned cost model (see
-// PlaceModelCtx). The online system keeps one model alive across
-// publications and TTL evictions, so each arrival pays only the delta
-// repair instead of a full cost rebuild.
+// PlaceOneModelCtx runs a single iteration of Algorithm 1 for an arbitrary
+// chunk id against a caller-owned cost model (see PlaceModelCtx) and
+// commits the chosen caching set through it. It is the per-chunk entry
+// point for chunks that arrive over time rather than as a batch: the
+// online system keeps one model alive across publications and TTL
+// evictions, and the adaptive engine re-places lost chunks on its warm
+// fork, so each call pays only the delta repair instead of a full cost
+// rebuild. The context is checked throughout the iteration.
 func (s *Solver) PlaceOneModelCtx(ctx context.Context, producer, chunkID int, m *costmodel.Model) (*ChunkResult, error) {
 	if producer < 0 || producer >= s.g.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadProducer, producer)

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cache"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 )
 
@@ -325,7 +327,12 @@ func TestPlaceOneArbitraryChunkID(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(16, 5)
-	res, err := s.PlaceOne(5, 42, st)
+	m, err := costmodel.New(g, s.PathCache(), st, s.modelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := s.PlaceOneModelCtx(ctx, 5, 42, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,11 +344,11 @@ func TestPlaceOneArbitraryChunkID(t *testing.T) {
 			t.Errorf("node %d missing chunk 42", v)
 		}
 	}
-	if _, err := s.PlaceOne(-1, 0, st); err == nil {
+	if _, err := s.PlaceOneModelCtx(ctx, -1, 0, m); err == nil {
 		t.Error("bad producer: want error")
 	}
-	if _, err := s.PlaceOne(5, 0, nil); err == nil {
-		t.Error("nil state: want error")
+	if _, err := s.PlaceOneModelCtx(ctx, 5, 0, nil); !errors.Is(err, ErrBadState) {
+		t.Errorf("nil model: err = %v, want ErrBadState", err)
 	}
 }
 

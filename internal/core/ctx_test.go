@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 )
 
@@ -127,8 +128,12 @@ func TestPlaceCtxPreCancelled(t *testing.T) {
 	if _, err := s.PlaceCtx(ctx, 0, 2, st); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceCtx: err = %v, want context.Canceled", err)
 	}
-	if _, err := s.PlaceOneCtx(ctx, 0, 0, st); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PlaceOneCtx: err = %v, want context.Canceled", err)
+	m, err := costmodel.New(g, s.PathCache(), st, s.modelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PlaceOneModelCtx(ctx, 0, 0, m); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlaceOneModelCtx: err = %v, want context.Canceled", err)
 	}
 }
 

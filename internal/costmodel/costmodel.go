@@ -2,12 +2,14 @@
 // owns the fairness degree costs of Eq. (1), the node contention weights
 // w_k·(1+S(k)) and the memoised all-pairs path contention cost matrix of
 // Eq. (2), and keeps them consistent under an explicit mutation API
-// (Commit, Evict, SwapTopology) with *delta updates*. Committing one chunk
-// changes S(k) at a handful of nodes; instead of the O(N·(N+E)) full
-// refresh Algorithm 1 used to pay before every chunk, the model recomputes
-// f_i for the touched nodes only and repairs just the c_ij entries whose
-// cached shortest paths run through nodes with changed weights
-// (graph.PathCache.RepairNodeCostPaths does the dirty-cone tracking).
+// (Commit, Evict) with *delta updates*. Committing one chunk changes S(k)
+// at a handful of nodes; instead of the O(N·(N+E)) full refresh
+// Algorithm 1 used to pay before every chunk, the model recomputes f_i for
+// the touched nodes only and repairs just the c_ij entries whose cached
+// shortest paths run through nodes with changed weights
+// (graph.PathCache.RepairNodeCostPaths does the dirty-cone tracking). A
+// model is bound to one graph for life: a topology change builds a new
+// model over the same cache state.
 //
 // Invariants:
 //
@@ -229,39 +231,12 @@ func (m *Model) Evict(node, chunk int) bool {
 	return true
 }
 
-// SwapTopology rebinds the model to a new graph over the same node set
-// (device mobility): the shared PathCache is reset to the new graph, node
-// weights pick up the new degrees, and the matrices rebuild from scratch
-// on the next refresh — connectivity changes invalidate every cached
-// path, so there is nothing to repair incrementally. Any other holder of
-// the same PathCache must be rebound by the caller too (the online system
-// rebuilds its core solver).
-func (m *Model) SwapTopology(g *graph.Graph) error {
-	if g == nil || g.NumNodes() != m.st.NumNodes() {
-		return ErrMismatch
-	}
-	m.g = g
-	m.pc.Reset(g)
-	m.built = false
-	m.pending = m.pending[:0]
-	for k := range m.delta {
-		m.queued[k] = false
-		m.delta[k] = 0
-		m.w[k] = contention.NodeCost(g, k) * float64(1+m.st.Stored(k))
-	}
-	m.hopMu.Lock()
-	m.hopDist = nil
-	m.hopMu.Unlock()
-	return nil
-}
-
-// RefreshCtx brings the matrices up to date: a cold build when none exist
-// (or after SwapTopology), a batched repair of the pending deltas
-// otherwise. Independent rows fan out over p; rows land in their own
-// slots, so the result is byte-identical at any pool width. A repair
-// cancelled mid-flight leaves some rows shifted and some not, so it
-// invalidates the matrices; the next refresh recovers through the full
-// rebuild path.
+// RefreshCtx brings the matrices up to date: a cold build when none exist,
+// a batched repair of the pending deltas otherwise. Independent rows fan
+// out over p; rows land in their own slots, so the result is
+// byte-identical at any pool width. A repair cancelled mid-flight leaves
+// some rows shifted and some not, so it invalidates the matrices; the next
+// refresh recovers through the full rebuild path.
 func (m *Model) RefreshCtx(ctx context.Context, p *pool.Pool) error {
 	if !m.built || m.opts.DisableIncremental {
 		return m.rebuild(ctx, p)

@@ -274,21 +274,8 @@ func (pc *PathCache) RepairNodeCostPaths(src int, weight []float64, changed []in
 	return touched
 }
 
-// Reset drops every memoised entry and rebinds the cache to g — the hook
-// for topology swaps (device mobility in the online system), where keeping
-// per-source entries for a graph that no longer exists would both serve
-// wrong answers and grow memory without bound across swaps. Reset must not
-// race with readers; the single-writer owners (the online system, the
-// per-topology server workers) guarantee that.
-func (pc *PathCache) Reset(g *Graph) {
-	pc.mu.Lock()
-	pc.g = g
-	pc.entries = make([]*pathEntry, g.n)
-	pc.mu.Unlock()
-}
-
 // Cached returns the number of per-source entries currently built — the
-// observable for growth audits and the post-swap regression test.
+// observable for growth audits (at most one entry per node).
 func (pc *PathCache) Cached() int {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()

@@ -3,10 +3,13 @@ package faircache
 import (
 	"context"
 	"fmt"
+	"slices"
 
+	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/costmodel"
+	"repro/internal/graph"
 	"repro/internal/metrics"
-	"repro/internal/online"
 )
 
 // Publication records one online chunk placement.
@@ -25,53 +28,70 @@ type Publication struct {
 // OnlineSystem is the online variant of the fair-caching algorithm (the
 // paper's future-work direction, Sec. VI): chunks are published over
 // time, stale chunks expire and are evicted, and each arrival is placed by
-// one fair-caching iteration against the live storage state. Storage is
-// recycled fairly over unbounded horizons.
+// one fair-caching iteration against the live storage state. Because
+// eviction lowers the fairness cost of loaded nodes, storage is recycled
+// fairly over unbounded horizons.
+//
+// One cost model lives across publications: arrivals and TTL evictions
+// mutate it through Commit and Evict, so each arrival pays a delta repair
+// instead of a full cost rebuild.
 type OnlineSystem struct {
-	sys  *online.System
-	topo *Topology
+	producer int
+	// ttl is a chunk's lifetime in publications; <= 0 never expires.
+	ttl    int
+	opts   core.Options
+	solver *core.Solver
+	model  *costmodel.Model
+
+	clock int
+	// live holds the ids of committed, unexpired chunks in publication
+	// order. Chunk c is published at time c+1 and expires at c+1+ttl, so
+	// ids expire from the front.
+	live []int
 }
 
-// NewOnline builds an online system on a topology. Options.Capacity sets
-// per-node storage and Options.ChunkTTL the chunk lifetime in subsequent
-// publications: 0 keeps the default of one capacity-worth, any positive
-// value is used verbatim (ChunkTTL = 1 evicts a chunk at the very next
-// publication), and any negative value means chunks never expire. See the
-// Options.ChunkTTL documentation for the exact mapping onto the internal
-// encoding.
+// NewOnline builds an online system on a topology. Each publication is
+// placed under the options Solve honours for AlgorithmApprox — capacities,
+// battery levels, weights, dual steps, GreedyConFL, ImproveSteiner,
+// Workers and ChunkStarted; Partition, Explain and TraceID do not apply.
+// ChunkTTL sets the chunk lifetime (see Options.ChunkTTL).
 func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) {
 	if opts != nil && opts.Capacity < 0 {
 		return nil, fmt.Errorf("%w: negative capacity %d", ErrBadArgument, opts.Capacity)
 	}
+	if n := t.NumNodes(); producer < 0 || producer >= n {
+		return nil, fmt.Errorf("%w: producer %d out of range [0,%d)", ErrBadArgument, producer, n)
+	}
 	o := opts.withDefaults()
-	onlineOpts := online.Options{
-		Capacity: o.Capacity,
-		TTL:      o.Capacity, // default: one capacity-worth of arrivals
-		Core:     core.DefaultOptions(),
+	sys := &OnlineSystem{producer: producer, ttl: o.Capacity, opts: coreOptions(o)}
+	if o.ChunkTTL != 0 {
+		sys.ttl = o.ChunkTTL
 	}
-	if opts != nil && opts.ChunkTTL != 0 {
-		onlineOpts.TTL = opts.ChunkTTL
-		if opts.ChunkTTL < 0 {
-			onlineOpts.TTL = 0 // never expire
-		}
+	if err := sys.bind(t, newState(t, o)); err != nil {
+		return nil, err
 	}
-	onlineOpts.Core.FairnessWeight = o.FairnessWeight
-	onlineOpts.Core.BatteryWeight = o.BatteryWeight
-	if o.AlphaStep > 0 {
-		onlineOpts.Core.ConFL.AlphaStep = o.AlphaStep
-	}
-	if o.GammaStep > 0 {
-		onlineOpts.Core.ConFL.GammaStep = o.GammaStep
-	}
-	if o.SpanQuorum > 0 {
-		onlineOpts.Core.ConFL.SpanQuorum = o.SpanQuorum
-	}
-	onlineOpts.Core.Workers = o.Workers
-	sys, err := online.New(t.g, producer, onlineOpts)
+	return sys, nil
+}
+
+// bind points later publications at topology t over cache state st with a
+// fresh path cache, solver and cost model. On error the system is
+// unchanged.
+func (o *OnlineSystem) bind(t *Topology, st *cache.State) error {
+	opts := o.opts
+	opts.PathCache = graph.NewPathCache(t.g)
+	solver, err := core.New(t.g, opts)
 	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+		return fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
-	return &OnlineSystem{sys: sys, topo: t}, nil
+	model, err := costmodel.New(t.g, opts.PathCache, st, costmodel.Options{
+		FairnessWeight: opts.FairnessWeight,
+		BatteryWeight:  opts.BatteryWeight,
+	})
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadArgument, err)
+	}
+	o.solver, o.model = solver, model
+	return nil
 }
 
 // Publish places the next chunk, evicting expired ones first. It is
@@ -80,27 +100,49 @@ func (o *OnlineSystem) Publish() (*Publication, error) {
 	return o.PublishCtx(context.Background())
 }
 
-// PublishCtx places the next chunk, evicting expired ones first. The
-// context governs the placement iteration: cancellation or deadline expiry
-// stops it mid-solve and surfaces as an error satisfying errors.Is with
-// ctx.Err(). A cancelled publication is not committed, but the clock tick
-// (and any TTL evictions it triggered) stands — time passed even though
-// the placement was abandoned.
+// PublishCtx places the next chunk, evicting expired ones first. A
+// pre-cancelled context leaves the system untouched. Otherwise the context
+// governs the placement iteration: cancellation or deadline expiry stops
+// it mid-solve and surfaces as an error satisfying errors.Is with
+// ctx.Err(). A cancelled publication is not committed, but the clock tick,
+// its chunk id and any TTL evictions it triggered stand — time passed even
+// though the placement was abandoned.
 func (o *OnlineSystem) PublishCtx(ctx context.Context) (*Publication, error) {
-	pub, err := o.sys.PublishCtx(ctx)
-	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("faircache: publish: %w", err)
 	}
-	return &Publication{
-		Chunk:      pub.Chunk,
-		Time:       pub.Time,
-		CacheNodes: pub.CacheNodes,
-		Expired:    pub.Expired,
-	}, nil
+	o.clock++
+	pub := &Publication{Chunk: o.clock - 1, Time: o.clock}
+
+	// Cache replacement: evict the chunks whose lifetime has passed.
+	if o.ttl > 0 {
+		n := 0
+		for n < len(o.live) && o.live[n]+1+o.ttl <= o.clock {
+			n++
+		}
+		if n > 0 {
+			pub.Expired = slices.Clone(o.live[:n])
+			o.live = o.live[n:]
+		}
+		for _, id := range pub.Expired {
+			for _, holder := range o.Holders(id) {
+				o.model.Evict(holder, id)
+			}
+		}
+	}
+
+	res, err := o.solver.PlaceOneModelCtx(ctx, o.producer, pub.Chunk, o.model)
+	if err != nil {
+		return nil, fmt.Errorf("faircache: publish chunk %d: %w", pub.Chunk, err)
+	}
+	pub.CacheNodes = append([]int(nil), res.CacheNodes...)
+	o.live = append(o.live, pub.Chunk)
+	return pub, nil
 }
 
-// Holders returns the nodes currently caching the given chunk.
-func (o *OnlineSystem) Holders(chunk int) []int { return o.sys.Holders(chunk) }
+// Holders returns the nodes currently caching the given chunk (empty once
+// it has expired).
+func (o *OnlineSystem) Holders(chunk int) []int { return o.model.State().Holders(chunk) }
 
 // OnlineSnapshot is an immutable copy of an online system's committed
 // state, taken between publications. It is the export hook a serving
@@ -121,38 +163,48 @@ type OnlineSnapshot struct {
 // Snapshot returns a deep-copied snapshot of the current state. The
 // caller may retain and read it concurrently with later publications.
 func (o *OnlineSystem) Snapshot() *OnlineSnapshot {
-	live := o.sys.Live()
+	live := o.Live()
 	holders := make(map[int][]int, len(live))
 	for _, chunk := range live {
-		holders[chunk] = o.sys.Holders(chunk)
+		holders[chunk] = o.Holders(chunk)
 	}
 	return &OnlineSnapshot{
-		Clock:     o.sys.Clock(),
-		Published: o.sys.Published(),
+		Clock:     o.clock,
+		Published: o.clock,
 		Holders:   holders,
-		Counts:    o.sys.Counts(),
+		Counts:    o.Counts(),
 	}
 }
 
-// Live returns the ids of chunks currently cached somewhere.
-func (o *OnlineSystem) Live() []int { return o.sys.Live() }
+// Live returns the ids of chunks currently cached somewhere, sorted.
+func (o *OnlineSystem) Live() []int {
+	var out []int
+	for _, id := range o.live {
+		if len(o.Holders(id)) > 0 {
+			out = append(out, id)
+		}
+	}
+	return out
+}
 
 // Counts returns the current per-node cached-chunk counts.
-func (o *OnlineSystem) Counts() []int { return o.sys.Counts() }
+func (o *OnlineSystem) Counts() []int { return o.model.State().Counts() }
 
 // Gini returns the Gini coefficient of the current caching load.
-func (o *OnlineSystem) Gini() float64 { return metrics.Gini(o.sys.Counts()) }
+func (o *OnlineSystem) Gini() float64 { return metrics.Gini(o.Counts()) }
 
 // Clock returns the number of publications so far.
-func (o *OnlineSystem) Clock() int { return o.sys.Clock() }
+func (o *OnlineSystem) Clock() int { return o.clock }
 
 // SetTopology swaps the network topology (device mobility): subsequent
 // publications place against the new connectivity while cached chunks and
-// their expiry clocks carry over. The node count must stay the same.
+// their expiry clocks carry over. The node count must stay the same, and
+// a rejected topology leaves the system unchanged. Every cached path is
+// invalid after a move, so the solver and cost model are rebuilt over the
+// live cache state rather than repaired.
 func (o *OnlineSystem) SetTopology(t *Topology) error {
-	if err := o.sys.SetTopology(t.g); err != nil {
-		return fmt.Errorf("faircache: %w", err)
+	if got, want := t.NumNodes(), o.model.State().NumNodes(); got != want {
+		return fmt.Errorf("%w: topology has %d nodes, system has %d", ErrBadArgument, got, want)
 	}
-	o.topo = t
-	return nil
+	return o.bind(t, o.model.State())
 }

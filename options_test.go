@@ -94,95 +94,6 @@ func TestWithDefaultsMiscBranches(t *testing.T) {
 	}
 }
 
-// TestOnlineTTLNeverExpire: ChunkTTL = -1 maps to "never expire" — no
-// publication ever evicts, and every chunk stays live and locatable.
-func TestOnlineTTLNeverExpire(t *testing.T) {
-	topo, err := Grid(6, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewOnline(topo, 9, &Options{Capacity: 3, ChunkTTL: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const pubs = 6
-	for i := 0; i < pubs; i++ {
-		pub, err := sys.Publish()
-		if err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-		if len(pub.Expired) != 0 {
-			t.Fatalf("publish %d evicted %v with never-expire TTL", i, pub.Expired)
-		}
-		if len(pub.CacheNodes) == 0 {
-			t.Fatalf("publish %d placed no copies", i)
-		}
-	}
-	live := sys.Live()
-	if len(live) != pubs {
-		t.Fatalf("Live() = %v, want all %d chunks live", live, pubs)
-	}
-	for chunk := 0; chunk < pubs; chunk++ {
-		if len(sys.Holders(chunk)) == 0 {
-			t.Errorf("chunk %d has no holders under never-expire TTL", chunk)
-		}
-	}
-	snap := sys.Snapshot()
-	if snap.Clock != pubs || snap.Published != pubs || len(snap.Holders) != pubs {
-		t.Fatalf("snapshot %+v, want clock=published=%d with %d live chunks", snap, pubs, pubs)
-	}
-}
-
-// TestOnlineTTLImmediateExpiry: ChunkTTL = 1 means a chunk published at
-// time t is evicted before the publication at t+1 — exactly one chunk is
-// ever live.
-func TestOnlineTTLImmediateExpiry(t *testing.T) {
-	topo, err := Grid(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := NewOnline(topo, 4, &Options{Capacity: 3, ChunkTTL: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		pub, err := sys.Publish()
-		if err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-		if i == 0 {
-			if len(pub.Expired) != 0 {
-				t.Fatalf("first publication expired %v", pub.Expired)
-			}
-		} else if !reflect.DeepEqual(pub.Expired, []int{i - 1}) {
-			t.Fatalf("publish %d expired %v, want [%d]", i, pub.Expired, i-1)
-		}
-		live := sys.Live()
-		if !reflect.DeepEqual(live, []int{i}) {
-			t.Fatalf("after publish %d, Live() = %v, want [%d]", i, live, i)
-		}
-	}
-	// Expired chunks hold nothing; the latest does.
-	if n := len(sys.Holders(0)); n != 0 {
-		t.Errorf("expired chunk 0 still has %d holders", n)
-	}
-	if len(sys.Holders(3)) == 0 {
-		t.Error("latest chunk has no holders")
-	}
-}
-
-// TestNewOnlineValidatesCapacity: a negative capacity is rejected with
-// the library's typed argument error instead of being silently defaulted.
-func TestNewOnlineValidatesCapacity(t *testing.T) {
-	topo, err := Grid(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewOnline(topo, 0, &Options{Capacity: -1}); !errors.Is(err, ErrBadArgument) {
-		t.Fatalf("NewOnline(capacity=-1) error = %v, want ErrBadArgument", err)
-	}
-}
-
 // TestTopologyHopDistances covers the façade's BFS export hook.
 func TestTopologyHopDistances(t *testing.T) {
 	topo, err := Grid(2, 3)

@@ -37,7 +37,6 @@ allowlist='./internal/baseline/baseline.go:SelectNodes
 ./internal/confl/confl.go:Solve
 ./internal/confl/greedy.go:SolveGreedy
 ./internal/core/core.go:Place
-./internal/core/core.go:PlaceOne
 ./internal/dist/dist.go:PlaceChunks
 ./internal/exact/exact.go:SolveChunk
 ./internal/exact/exact.go:PlaceChunks'

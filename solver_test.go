@@ -302,25 +302,3 @@ func TestParseAlgorithm(t *testing.T) {
 		t.Errorf("unknown algorithm err = %v, want ErrBadArgument", err)
 	}
 }
-
-func TestOnlinePublishCtxCancelled(t *testing.T) {
-	topo, err := faircache.Grid(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := faircache.NewOnline(topo, 5, &faircache.Options{Capacity: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := sys.PublishCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PublishCtx: err = %v, want context.Canceled", err)
-	}
-	if sys.Clock() != 0 {
-		t.Fatalf("pre-cancelled publish advanced the clock to %d", sys.Clock())
-	}
-	if _, err := sys.PublishCtx(context.Background()); err != nil {
-		t.Fatalf("publish after cancelled attempt: %v", err)
-	}
-}
