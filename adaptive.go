@@ -2,6 +2,7 @@ package faircache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -160,32 +161,42 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	sys, err := demand.New(s.topo.g, producer, chunks, demand.Options{
-		FairnessWeight: o.FairnessWeight,
-		Workers:        o.Workers,
-		Eviction:       strat,
-		HitRadius:      o.HitRadius,
-		TopDelta:       o.TopDelta,
-		CopyBudget:     o.CopyBudget,
-		Model:          m,
+	sys, err := demand.New(m, producer, chunks, demand.Options{
+		Workers:    o.Workers,
+		Eviction:   strat,
+		HitRadius:  o.HitRadius,
+		TopDelta:   o.TopDelta,
+		CopyBudget: o.CopyBudget,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+		return nil, demandError(err)
 	}
 	if err := sys.SeedCtx(ctx); err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+		return nil, demandError(err)
 	}
 	return &AdaptiveSystem{sys: sys, topo: s.topo, name: o.Eviction, tracer: s.tracer}, nil
 }
 
+// demandError wraps an error from the adaptive engine for the public API:
+// its input errors also satisfy errors.Is(err, ErrBadArgument), while
+// context expiry and everything else pass through unmarked.
+func demandError(err error) error {
+	if errors.Is(err, demand.ErrBadInput) {
+		return fmt.Errorf("%w: %w", ErrBadArgument, err)
+	}
+	return fmt.Errorf("faircache: %w", err)
+}
+
 // Report ingests a batch of request events: each is served by its
 // nearest current copy (or the producer), feeding the hit/miss
-// accounting and the popularity estimates the next Adapt call uses.
+// accounting and the popularity estimates the next Adapt call uses. An
+// out-of-range node or chunk fails with an error satisfying
+// errors.Is(err, ErrBadArgument).
 func (a *AdaptiveSystem) Report(events []RequestEvent) (BatchResult, error) {
 	before := a.sys.Stats()
 	for i, e := range events {
 		if _, _, err := a.sys.Observe(e.Node, e.Chunk); err != nil {
-			return BatchResult{}, fmt.Errorf("faircache: event %d: %w", i, err)
+			return BatchResult{}, demandError(fmt.Errorf("event %d: %w", i, err))
 		}
 	}
 	after := a.sys.Stats()

@@ -131,8 +131,41 @@ func TestAdaptiveEvictionSelection(t *testing.T) {
 	if _, err := s.NewAdaptive(context.Background(), 0, 4, &faircache.AdaptiveOptions{Eviction: "fifo"}); !errors.Is(err, faircache.ErrBadArgument) {
 		t.Fatalf("unknown strategy: err = %v, want ErrBadArgument", err)
 	}
-	if _, err := s.NewAdaptive(context.Background(), 99, 4, nil); err == nil {
-		t.Fatal("bad producer: want error")
+	if _, err := s.NewAdaptive(context.Background(), 99, 4, nil); !errors.Is(err, faircache.ErrBadArgument) {
+		t.Fatalf("bad producer: err = %v, want ErrBadArgument", err)
+	}
+	if _, err := s.NewAdaptive(context.Background(), 0, 4, &faircache.AdaptiveOptions{Capacity: -1}); !errors.Is(err, faircache.ErrBadArgument) {
+		t.Fatalf("negative capacity: err = %v, want ErrBadArgument", err)
+	}
+}
+
+// TestAdaptiveReportBadEventIsBadArgument: an out-of-range event is the
+// caller's mistake, so Report marks it ErrBadArgument (a daemon 400) the
+// way every other public entry point does, while a cancelled seed stays a
+// context error (a 499/504), not a bad argument.
+func TestAdaptiveReportBadEventIsBadArgument(t *testing.T) {
+	a := newAdaptive(t, &faircache.AdaptiveOptions{Capacity: 3})
+	for _, e := range []faircache.RequestEvent{
+		{Node: 99, Chunk: 0}, // node out of range
+		{Node: 1, Chunk: 16}, // chunk out of range
+	} {
+		if _, err := a.Report([]faircache.RequestEvent{e}); !errors.Is(err, faircache.ErrBadArgument) {
+			t.Errorf("Report(%+v): err = %v, want ErrBadArgument", e, err)
+		}
+	}
+	topo, err := faircache.Grid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := faircache.NewSolver(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err = s.NewAdaptive(ctx, 0, 4, nil)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, faircache.ErrBadArgument) {
+		t.Fatalf("cancelled seed: err = %v, want context.Canceled and not ErrBadArgument", err)
 	}
 }
 

@@ -64,7 +64,7 @@ func run(ctx context.Context, algName, grid string, randomN int, seed int64, pro
 			producer = topo.NumNodes() / 2
 		}
 	}
-	alg, err := parseAlgorithm(algName)
+	alg, err := faircache.ParseAlgorithm(algName)
 	if err != nil {
 		return err
 	}
@@ -90,23 +90,6 @@ func run(ctx context.Context, algName, grid string, randomN int, seed int64, pro
 		return reportJSON(res, topo)
 	}
 	return report(res, topo)
-}
-
-func parseAlgorithm(name string) (faircache.Algorithm, error) {
-	switch strings.ToLower(name) {
-	case "appx":
-		return faircache.AlgorithmApprox, nil
-	case "dist":
-		return faircache.AlgorithmDistributed, nil
-	case "hopc":
-		return faircache.AlgorithmHopCount, nil
-	case "cont":
-		return faircache.AlgorithmContention, nil
-	case "brtf":
-		return faircache.AlgorithmOptimal, nil
-	default:
-		return "", fmt.Errorf("unknown algorithm %q", name)
-	}
 }
 
 // jsonReport is the machine-readable result schema of the -json flag.

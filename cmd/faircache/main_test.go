@@ -55,9 +55,19 @@ func TestRunCancelled(t *testing.T) {
 	}
 }
 
+// TestParseAlgorithm: the CLI resolves -alg exactly as the library and
+// the daemon do, long-form aliases included.
 func TestParseAlgorithm(t *testing.T) {
-	alg, err := parseAlgorithm("BRTF")
-	if err != nil || alg != faircache.AlgorithmOptimal {
-		t.Errorf("parseAlgorithm(BRTF) = %v, %v", alg, err)
+	for name, want := range map[string]faircache.Algorithm{
+		"BRTF":        faircache.AlgorithmOptimal,
+		"exact":       faircache.AlgorithmOptimal,
+		"approximate": faircache.AlgorithmApprox,
+	} {
+		if err := run(context.Background(), name, "3x3", 0, 1, -1, 1, 5, 2, 0, 0, true); err != nil {
+			t.Errorf("-alg %q: %v", name, err)
+		}
+		if alg, err := faircache.ParseAlgorithm(name); err != nil || alg != want {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v, want %v", name, alg, err, want)
+		}
 	}
 }

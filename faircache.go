@@ -194,10 +194,14 @@ type Options struct {
 	SearchWidth int
 	// BatteryLevels holds per-node battery levels in (0, 1] for the
 	// battery-fairness extension (paper footnote 1); nil means all full.
-	// Only meaningful with BatteryWeight > 0.
+	// Only meaningful with BatteryWeight > 0. Appx (global and
+	// partitioned), Dist and online publications honour it; Brtf and the
+	// baselines ignore it.
 	BatteryLevels []float64
 	// BatteryWeight scales the battery Fairness Degree Cost in the
 	// weighted summation with the storage term (default 0: disabled).
+	// Appx (global and partitioned), Dist and online publications honour
+	// it; Brtf and the baselines ignore it.
 	BatteryWeight float64
 	// ChunkTTL is the online system's chunk lifetime, measured in
 	// subsequent publications: a chunk published at time t expires before

@@ -10,8 +10,8 @@
 // for already-cached data — so repeated invocations pick the same node set.
 // The paper extends them to multiple data items by filling the chosen set
 // to capacity, then re-running on the subgraph of unchosen nodes (largest
-// connected component), and so on (Sec. V-B); PlaceChunks implements that
-// extension.
+// connected component), and so on (Sec. V-B); PlaceChunksModelCtx
+// implements that extension.
 package baseline
 
 import (
@@ -80,43 +80,24 @@ var (
 	ErrNoCandidates = errors.New("baseline: no candidate nodes")
 )
 
-// SelectNodes runs the greedy facility placement on g: starting from the
-// producer (a free facility; pass producer < 0 for subgraph rounds without
-// one), it repeatedly adds the node that most reduces
+// SelectNodesCtx runs the greedy facility placement on g: starting from
+// the producer (a free facility; pass producer < 0 for subgraph rounds
+// without one), it repeatedly adds the node that most reduces
 //
 //	Σ_j min_{i ∈ F ∪ {producer}} d(i, j)  +  λ·|F|
 //
 // and stops when no addition improves the total. The returned set is in
-// selection order and never contains the producer.
-func SelectNodes(g *graph.Graph, producer int, alg Algorithm, lambda float64) ([]int, error) {
-	return SelectNodesCtx(context.Background(), g, producer, alg, lambda, nil)
-}
-
-// SelectNodesCtx is SelectNodes with cancellation (checked once per greedy
-// round) and with the distance matrix and per-candidate cost scans fanned
-// out over p. Candidate costs land in per-node slots and the arg-min scan
-// stays sequential, so the selection is identical at any pool width.
+// selection order and never contains the producer. Cancellation is checked
+// once per greedy round, and the distance matrix and per-candidate cost
+// scans fan out over p. Candidate costs land in per-node slots and the
+// arg-min scan stays sequential, so the selection is identical at any pool
+// width.
 func SelectNodesCtx(ctx context.Context, g *graph.Graph, producer int, alg Algorithm, lambda float64, p *pool.Pool) ([]int, error) {
 	dist, err := distanceMatrixCtx(ctx, g, alg, p)
 	if err != nil {
 		return nil, err
 	}
 	return selectFromMatrix(ctx, g, dist, producer, lambda, p)
-}
-
-// SelectNodesModelCtx is SelectNodesCtx with the delay metric served by a
-// warm cost model instead of recomputed per call: hop distances come from
-// the model's cached per-source BFS and the contention metric from its
-// memoised matrix. m must be a model over the same graph with an empty
-// cache state — both baselines ignore already-cached data by design, so
-// their metrics are topology-only and the placement service's per-topology
-// base model is exactly the right oracle.
-func SelectNodesModelCtx(ctx context.Context, m *costmodel.Model, producer int, alg Algorithm, lambda float64, p *pool.Pool) ([]int, error) {
-	dist, err := distanceMatrixModelCtx(ctx, m, alg, p)
-	if err != nil {
-		return nil, err
-	}
-	return selectFromMatrix(ctx, m.Graph(), dist, producer, lambda, p)
 }
 
 // selectFromMatrix runs the greedy facility placement over a prebuilt
@@ -189,7 +170,9 @@ func selectFromMatrix(ctx context.Context, g *graph.Graph, dist [][]float64, pro
 }
 
 // distanceMatrixCtx evaluates the algorithm's delay metric on the
-// topology, with the per-source passes spread over p.
+// topology, with the per-source passes spread over p. The subgraph rounds
+// use it: each induced subgraph is a topology no cost model covers, and
+// building a throwaway model would cost more than this direct sweep.
 func distanceMatrixCtx(ctx context.Context, g *graph.Graph, alg Algorithm, p *pool.Pool) ([][]float64, error) {
 	switch alg {
 	case HopCount:
@@ -289,36 +272,21 @@ type Placement struct {
 	State *cache.State
 }
 
-// PlaceChunks runs the paper's multi-item extension of a baseline
+// PlaceChunksModelCtx runs the paper's multi-item extension of a baseline
 // algorithm: chunks 0..chunks-1 are replicated across the currently
 // selected set until it is full, then a new set is selected from the
 // largest connected component of the unchosen remainder. st is mutated.
-func PlaceChunks(g *graph.Graph, producer, chunks int, st *cache.State, alg Algorithm, lambda float64) (*Placement, error) {
-	return PlaceChunksCtx(context.Background(), g, producer, chunks, st, alg, lambda, nil)
-}
-
-// PlaceChunksCtx is PlaceChunks with cancellation checked before every
-// chunk and inside each set-selection round; p parallelises the rounds'
-// distance matrices and candidate scans (see SelectNodesCtx).
-func PlaceChunksCtx(ctx context.Context, g *graph.Graph, producer, chunks int, st *cache.State, alg Algorithm, lambda float64, pl *pool.Pool) (*Placement, error) {
-	return placeChunks(ctx, g, nil, producer, chunks, st, alg, lambda, pl)
-}
-
-// PlaceChunksModelCtx is PlaceChunksCtx with the first selection round's
-// delay metric served by a warm cost model over the full topology (see
-// SelectNodesModelCtx; the model must be empty-state over g and is only
-// read, never mutated — baseline commits do not feed back into the
-// metric). Later rounds run on induced subgraphs, a different topology the
-// model does not cover, so they recompute their (much smaller) matrices
-// as before.
+// The first round's delay metric is served by the cost model m, which must
+// be an empty-state model over the topology (both baselines ignore
+// already-cached data by design, so their metrics are topology-only and the
+// placement service's per-topology base model is exactly the right
+// oracle); it is only read, never mutated. Later rounds run on induced
+// subgraphs the model does not cover, so they compute their (much smaller)
+// matrices directly. Cancellation is checked before every chunk and inside
+// each set-selection round; pl parallelises the rounds' distance matrices
+// and candidate scans.
 func PlaceChunksModelCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, st *cache.State, alg Algorithm, lambda float64, pl *pool.Pool) (*Placement, error) {
-	if m == nil {
-		return nil, errors.New("baseline: nil cost model")
-	}
-	return placeChunks(ctx, m.Graph(), m, producer, chunks, st, alg, lambda, pl)
-}
-
-func placeChunks(ctx context.Context, g *graph.Graph, m *costmodel.Model, producer, chunks int, st *cache.State, alg Algorithm, lambda float64, pl *pool.Pool) (*Placement, error) {
+	g := m.Graph()
 	if producer < 0 || producer >= g.NumNodes() {
 		return nil, fmt.Errorf("baseline: producer %d out of range [0,%d)", producer, g.NumNodes())
 	}
@@ -343,7 +311,7 @@ func placeChunks(ctx context.Context, g *graph.Graph, m *costmodel.Model, produc
 			return nil, fmt.Errorf("baseline: chunk %d: %w", n, err)
 		}
 		if !hasVacancy(st, curSet) {
-			next, err := nextSet(ctx, g, m, producer, st, used, alg, lambda, len(p.Rounds) == 0, pl)
+			next, err := nextSet(ctx, m, producer, st, used, alg, lambda, len(p.Rounds) == 0, pl)
 			if err != nil {
 				return nil, err
 			}
@@ -389,18 +357,17 @@ func hasVacancy(st *cache.State, set []int) bool {
 }
 
 // nextSet selects the next caching set. The first round runs on the whole
-// graph with the producer as a free facility (using the warm model's
-// metric when one was supplied); later rounds run on the largest connected
-// component of the unchosen remainder.
-func nextSet(ctx context.Context, g *graph.Graph, m *costmodel.Model, producer int, st *cache.State, used []bool, alg Algorithm, lambda float64, firstRound bool, pl *pool.Pool) ([]int, error) {
+// graph with the producer as a free facility, under the model's metric;
+// later rounds run on the largest connected component of the unchosen
+// remainder.
+func nextSet(ctx context.Context, m *costmodel.Model, producer int, st *cache.State, used []bool, alg Algorithm, lambda float64, firstRound bool, pl *pool.Pool) ([]int, error) {
+	g := m.Graph()
 	if firstRound {
-		var sel []int
-		var err error
-		if m != nil {
-			sel, err = SelectNodesModelCtx(ctx, m, producer, alg, lambda, pl)
-		} else {
-			sel, err = SelectNodesCtx(ctx, g, producer, alg, lambda, pl)
+		dist, err := distanceMatrixModelCtx(ctx, m, alg, pl)
+		if err != nil {
+			return nil, err
 		}
+		sel, err := selectFromMatrix(ctx, g, dist, producer, lambda, pl)
 		if err != nil {
 			return nil, err
 		}

@@ -1,14 +1,34 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/cache"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 )
+
+// topoModel returns an empty-state cost model of g, the baselines'
+// topology-only metric oracle.
+func topoModel(t *testing.T, g *graph.Graph) *costmodel.Model {
+	t.Helper()
+	m, err := costmodel.New(g, nil, cache.NewState(g.NumNodes(), 1), costmodel.Options{FairnessWeight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// placeChunks runs PlaceChunksModelCtx on the sequential path over a fresh
+// model of g.
+func placeChunks(t *testing.T, g *graph.Graph, producer, chunks int, st *cache.State, alg Algorithm, lambda float64) (*Placement, error) {
+	t.Helper()
+	return PlaceChunksModelCtx(context.Background(), topoModel(t, g), producer, chunks, st, alg, lambda, nil)
+}
 
 func TestAlgorithmString(t *testing.T) {
 	if HopCount.String() != "Hopc" || Contention.String() != "Cont" {
@@ -21,7 +41,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestSelectNodesUnknownAlgorithm(t *testing.T) {
 	g := graph.NewGrid(2, 2)
-	if _, err := SelectNodes(g, 0, Algorithm(0), 1); !errors.Is(err, ErrBadAlgorithm) {
+	if _, err := SelectNodesCtx(context.Background(), g, 0, Algorithm(0), 1, nil); !errors.Is(err, ErrBadAlgorithm) {
 		t.Errorf("err = %v, want ErrBadAlgorithm", err)
 	}
 }
@@ -29,7 +49,7 @@ func TestSelectNodesUnknownAlgorithm(t *testing.T) {
 func TestSelectNodesNeverPicksProducer(t *testing.T) {
 	g := graph.NewGrid(5, 5)
 	for _, alg := range []Algorithm{HopCount, Contention} {
-		sel, err := SelectNodes(g, 12, alg, DefaultLambda)
+		sel, err := SelectNodesCtx(context.Background(), g, 12, alg, DefaultLambda, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", alg, err)
 		}
@@ -49,7 +69,7 @@ func TestSelectNodesImprovesOnLongLine(t *testing.T) {
 	for i := 1; i < n; i++ {
 		mustEdge(t, g, i-1, i)
 	}
-	sel, err := SelectNodes(g, 0, HopCount, DefaultLambda)
+	sel, err := SelectNodesCtx(context.Background(), g, 0, HopCount, DefaultLambda, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +90,7 @@ func TestSelectNodesImprovesOnLongLine(t *testing.T) {
 
 func TestSelectNodesHighLambdaSelectsNothing(t *testing.T) {
 	g := graph.NewGrid(3, 3)
-	sel, err := SelectNodes(g, 4, HopCount, 1e9)
+	sel, err := SelectNodesCtx(context.Background(), g, 4, HopCount, 1e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +101,7 @@ func TestSelectNodesHighLambdaSelectsNothing(t *testing.T) {
 
 func TestSelectNodesNoProducerForcesOneMedian(t *testing.T) {
 	g := graph.NewGrid(3, 3)
-	sel, err := SelectNodes(g, -1, HopCount, 1e9)
+	sel, err := SelectNodesCtx(context.Background(), g, -1, HopCount, 1e9, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +115,11 @@ func TestSelectNodesDeterministicSameSetEachCall(t *testing.T) {
 	// identical set (this is precisely why they are unfair).
 	g := graph.NewGrid(4, 4)
 	for _, alg := range []Algorithm{HopCount, Contention} {
-		a, err := SelectNodes(g, 5, alg, DefaultLambda)
+		a, err := SelectNodesCtx(context.Background(), g, 5, alg, DefaultLambda, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := SelectNodes(g, 5, alg, DefaultLambda)
+		b, err := SelectNodesCtx(context.Background(), g, 5, alg, DefaultLambda, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,16 +137,16 @@ func TestSelectNodesDeterministicSameSetEachCall(t *testing.T) {
 func TestPlaceChunksValidation(t *testing.T) {
 	g := graph.NewGrid(2, 2)
 	st := cache.NewState(4, 5)
-	if _, err := PlaceChunks(g, -1, 1, st, HopCount, 1); err == nil {
+	if _, err := placeChunks(t, g, -1, 1, st, HopCount, 1); err == nil {
 		t.Error("bad producer: want error")
 	}
-	if _, err := PlaceChunks(g, 0, 0, st, HopCount, 1); err == nil {
+	if _, err := placeChunks(t, g, 0, 0, st, HopCount, 1); err == nil {
 		t.Error("zero chunks: want error")
 	}
-	if _, err := PlaceChunks(g, 0, 1, cache.NewState(3, 5), HopCount, 1); err == nil {
+	if _, err := placeChunks(t, g, 0, 1, cache.NewState(3, 5), HopCount, 1); err == nil {
 		t.Error("state mismatch: want error")
 	}
-	if _, err := PlaceChunks(g, 0, 1, nil, HopCount, 1); err == nil {
+	if _, err := placeChunks(t, g, 0, 1, nil, HopCount, 1); err == nil {
 		t.Error("nil state: want error")
 	}
 }
@@ -134,7 +154,7 @@ func TestPlaceChunksValidation(t *testing.T) {
 func TestPlaceChunksReplicatesOnSameSetUntilFull(t *testing.T) {
 	g := graph.NewGrid(6, 6)
 	st := cache.NewState(36, 5)
-	p, err := PlaceChunks(g, 9, 5, st, Contention, DefaultLambda)
+	p, err := placeChunks(t, g, 9, 5, st, Contention, DefaultLambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +187,7 @@ func TestPlaceChunksMovesToSecondSetWhenFull(t *testing.T) {
 	// Fig. 8 when chunks go from 5 to 6.
 	g := graph.NewGrid(4, 4)
 	st := cache.NewState(16, 5)
-	p, err := PlaceChunks(g, 5, 6, st, HopCount, DefaultLambda)
+	p, err := placeChunks(t, g, 5, 6, st, HopCount, DefaultLambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +220,7 @@ func TestPlaceChunksExhaustsAllStorage(t *testing.T) {
 	// some chunks end up uncached.
 	g := graph.NewGrid(2, 2)
 	st := cache.NewState(4, 1)
-	p, err := PlaceChunks(g, 0, 5, st, HopCount, DefaultLambda)
+	p, err := placeChunks(t, g, 0, 5, st, HopCount, DefaultLambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +239,7 @@ func TestPlaceChunksExhaustsAllStorage(t *testing.T) {
 	}
 }
 
-// Property: PlaceChunks never exceeds capacity, never caches on the
+// Property: PlaceChunksModelCtx never exceeds capacity, never caches on the
 // producer, and every holder list refers to nodes that really store the
 // chunk.
 func TestPlaceChunksInvariants(t *testing.T) {
@@ -235,7 +255,7 @@ func TestPlaceChunksInvariants(t *testing.T) {
 		if seed%2 == 0 {
 			alg = Contention
 		}
-		p, err := PlaceChunks(g, producer, q, st, alg, DefaultLambda)
+		p, err := placeChunks(t, g, producer, q, st, alg, DefaultLambda)
 		if err != nil {
 			return false
 		}

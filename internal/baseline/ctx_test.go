@@ -16,7 +16,7 @@ func TestSelectNodesCtxMatchesSequential(t *testing.T) {
 	defer p.Close()
 	for _, alg := range []Algorithm{HopCount, Contention} {
 		lambda := RecommendedLambda(alg, g.NumNodes())
-		want, err := SelectNodes(g, 0, alg, lambda)
+		want, err := SelectNodesCtx(context.Background(), g, 0, alg, lambda, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,12 +42,12 @@ func TestPlaceChunksCtxParallelMatchesSequential(t *testing.T) {
 	for _, alg := range []Algorithm{HopCount, Contention} {
 		lambda := RecommendedLambda(alg, g.NumNodes())
 		stA := cache.NewState(g.NumNodes(), 3)
-		want, err := PlaceChunks(g, 0, 9, stA, alg, lambda)
+		want, err := placeChunks(t, g, 0, 9, stA, alg, lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stB := cache.NewState(g.NumNodes(), 3)
-		got, err := PlaceChunksCtx(context.Background(), g, 0, 9, stB, alg, lambda, p)
+		got, err := PlaceChunksModelCtx(context.Background(), topoModel(t, g), 0, 9, stB, alg, lambda, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,8 +69,8 @@ func TestPlaceChunksCtxCancelled(t *testing.T) {
 	st := cache.NewState(g.NumNodes(), 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := PlaceChunksCtx(ctx, g, 0, 4, st, HopCount, 1, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PlaceChunksCtx: err = %v, want context.Canceled", err)
+	if _, err := PlaceChunksModelCtx(ctx, topoModel(t, g), 0, 4, st, HopCount, 1, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlaceChunksModelCtx: err = %v, want context.Canceled", err)
 	}
 	if _, err := SelectNodesCtx(ctx, g, 0, Contention, 1, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SelectNodesCtx: err = %v, want context.Canceled", err)

@@ -1,6 +1,7 @@
 package confl
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -24,7 +25,7 @@ func BenchmarkSolvePrimalDual6x6(b *testing.B) {
 	inst := benchInstance(6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(inst, DefaultOptions()); err != nil {
+		if _, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,7 +35,7 @@ func BenchmarkSolvePrimalDual10x10(b *testing.B) {
 	inst := benchInstance(10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(inst, DefaultOptions()); err != nil {
+		if _, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +45,7 @@ func BenchmarkSolveGreedy6x6(b *testing.B) {
 	inst := benchInstance(6)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveGreedy(inst, DefaultOptions()); err != nil {
+		if _, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -106,7 +106,7 @@ type Solution struct {
 	Iterations int
 }
 
-// Errors returned by Solve.
+// Errors returned by the solvers.
 var (
 	ErrBadInstance = errors.New("confl: invalid instance")
 	ErrNoProgress  = errors.New("confl: dual growth exceeded iteration bound")
@@ -152,23 +152,13 @@ type Scratch struct {
 	s solver
 }
 
-// Solve runs the dual-growth process until every demand is frozen.
-func Solve(inst Instance, opts Options) (*Solution, error) {
-	return SolveCtx(context.Background(), inst, opts)
-}
-
-// SolveCtx runs the dual-growth process until every demand is frozen,
-// checking ctx between ticks (and inside the parallel tick phases when
-// opts.Pool is set). On cancellation it returns ctx.Err() wrapped so that
-// errors.Is(err, context.Canceled/DeadlineExceeded) holds.
-func SolveCtx(ctx context.Context, inst Instance, opts Options) (*Solution, error) {
-	return SolveScratchCtx(ctx, inst, opts, nil)
-}
-
-// SolveScratchCtx is SolveCtx with the dual-growth state carved out of scr
-// (nil allocates a transient scratch): a warm scratch makes a steady-state
-// solve allocate only its Solution. The result is byte-identical to
-// SolveCtx at any pool width.
+// SolveScratchCtx runs the dual-growth process until every demand is
+// frozen, checking ctx between ticks (and inside the parallel tick phases
+// when opts.Pool is set); on cancellation it returns ctx.Err() wrapped so
+// that errors.Is(err, context.Canceled/DeadlineExceeded) holds. The
+// dual-growth state is carved out of scr (nil allocates a transient
+// scratch): a warm scratch makes a steady-state solve allocate only its
+// Solution. The result is byte-identical at any pool width.
 func SolveScratchCtx(ctx context.Context, inst Instance, opts Options, scr *Scratch) (*Solution, error) {
 	if err := validate(inst); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package confl
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -55,18 +56,18 @@ func TestSolveValidation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		inst := tt.mutate(lineInstance(t, 4, 0))
-		if _, err := Solve(inst, DefaultOptions()); !errors.Is(err, ErrBadInstance) {
+		if _, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil); !errors.Is(err, ErrBadInstance) {
 			t.Errorf("%s: err = %v, want ErrBadInstance", tt.name, err)
 		}
 	}
-	if _, err := Solve(valid, DefaultOptions()); err != nil {
+	if _, err := SolveScratchCtx(context.Background(), valid, DefaultOptions(), nil); err != nil {
 		t.Errorf("valid instance: %v", err)
 	}
 }
 
 func TestSolveAllFrozenAndAssigned(t *testing.T) {
 	inst := lineInstance(t, 8, 0)
-	sol, err := Solve(inst, DefaultOptions())
+	sol, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestSolveAllFrozenAndAssigned(t *testing.T) {
 
 func TestSolveAssignsToOpenFacilitiesOnly(t *testing.T) {
 	inst := lineInstance(t, 10, 0)
-	sol, err := Solve(inst, DefaultOptions())
+	sol, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestSolveFullNodesNeverChosen(t *testing.T) {
 		}
 	}
 	inst := instanceFrom(g, st, 4)
-	sol, err := Solve(inst, DefaultOptions())
+	sol, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestSolveHighQuorumFallsBackToProducer(t *testing.T) {
 	inst := lineInstance(t, 6, 0)
 	opts := DefaultOptions()
 	opts.SpanQuorum = 100 // unreachable quorum: nobody volunteers
-	sol, err := Solve(inst, opts)
+	sol, err := SolveScratchCtx(context.Background(), inst, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestSolveOpensFacilityOnLongLine(t *testing.T) {
 	inst := lineInstance(t, 20, 0)
 	opts := DefaultOptions()
 	opts.SpanQuorum = 2
-	sol, err := Solve(inst, opts)
+	sol, err := SolveScratchCtx(context.Background(), inst, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestSolveOpensFacilityOnLongLine(t *testing.T) {
 func TestSolvePreOpenServesNeighbors(t *testing.T) {
 	inst := lineInstance(t, 10, 0)
 	inst.PreOpen = []int{9}
-	sol, err := Solve(inst, DefaultOptions())
+	sol, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestSolveIterationBoundError(t *testing.T) {
 	inst := lineInstance(t, 12, 0)
 	opts := DefaultOptions()
 	opts.MaxIterations = 1
-	if _, err := Solve(inst, opts); !errors.Is(err, ErrNoProgress) {
+	if _, err := SolveScratchCtx(context.Background(), inst, opts, nil); !errors.Is(err, ErrNoProgress) {
 		t.Errorf("err = %v, want ErrNoProgress", err)
 	}
 }
@@ -193,11 +194,11 @@ func TestSolveSmallerAlphaStepNoWorse(t *testing.T) {
 	// mostly we check both terminate and produce valid solutions, and the
 	// finer step takes more iterations (Sec. IV-B trade-off).
 	inst := lineInstance(t, 15, 7)
-	coarse, err := Solve(inst, Options{AlphaStep: 4, GammaStep: 4, SpanQuorum: 2})
+	coarse, err := SolveScratchCtx(context.Background(), inst, Options{AlphaStep: 4, GammaStep: 4, SpanQuorum: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := Solve(lineInstance(t, 15, 7), Options{AlphaStep: 0.25, GammaStep: 0.25, SpanQuorum: 2})
+	fine, err := SolveScratchCtx(context.Background(), lineInstance(t, 15, 7), Options{AlphaStep: 0.25, GammaStep: 0.25, SpanQuorum: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +210,11 @@ func TestSolveSmallerAlphaStepNoWorse(t *testing.T) {
 func TestSolveDeterministic(t *testing.T) {
 	g := graph.NewGrid(4, 4)
 	st := cache.NewState(16, 5)
-	a, err := Solve(instanceFrom(g, st, 5), DefaultOptions())
+	a, err := SolveScratchCtx(context.Background(), instanceFrom(g, st, 5), DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Solve(instanceFrom(g, st, 5), DefaultOptions())
+	b, err := SolveScratchCtx(context.Background(), instanceFrom(g, st, 5), DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func TestSolveDeterministic(t *testing.T) {
 	}
 }
 
-// Property: on random connected graphs with random producers, Solve
+// Property: on random connected graphs with random producers, SolveScratchCtx
 // terminates with every node assigned to an open facility, never selects
 // the producer as a facility, and dual values are bounded by the cost of
 // connecting to the producer plus one step.
@@ -249,7 +250,7 @@ func TestSolveProperties(t *testing.T) {
 		inst := instanceFrom(g, st, producer)
 		opts := DefaultOptions()
 		opts.SpanQuorum = 1 + rng.Intn(3)
-		sol, err := Solve(inst, opts)
+		sol, err := SolveScratchCtx(context.Background(), inst, opts, nil)
 		if err != nil {
 			return false
 		}

@@ -64,13 +64,13 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 	defer p.Close()
 	for seed := int64(0); seed < 8; seed++ {
 		inst := randomInstance(seed, 40)
-		seq, err := Solve(inst, DefaultOptions())
+		seq, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
 		opts := DefaultOptions()
 		opts.Pool = p
-		par, err := SolveCtx(context.Background(), inst, opts)
+		par, err := SolveScratchCtx(context.Background(), inst, opts, nil)
 		if err != nil {
 			t.Fatalf("seed %d: parallel: %v", seed, err)
 		}
@@ -83,7 +83,7 @@ func TestSolveGreedyParallelMatchesSequential(t *testing.T) {
 	defer p.Close()
 	for seed := int64(100); seed < 108; seed++ {
 		inst := randomInstance(seed, 40)
-		seq, err := SolveGreedy(inst, DefaultOptions())
+		seq, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions())
 		if err != nil {
 			t.Fatalf("seed %d: sequential: %v", seed, err)
 		}
@@ -101,8 +101,8 @@ func TestSolveCtxCancelled(t *testing.T) {
 	inst := randomInstance(1, 30)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveCtx(ctx, inst, DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveCtx: err = %v, want context.Canceled", err)
+	if _, err := SolveScratchCtx(ctx, inst, DefaultOptions(), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SolveScratchCtx: err = %v, want context.Canceled", err)
 	}
 	if _, err := SolveGreedyCtx(ctx, inst, DefaultOptions()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("SolveGreedyCtx: err = %v, want context.Canceled", err)

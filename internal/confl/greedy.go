@@ -7,7 +7,7 @@ import (
 	"slices"
 )
 
-// SolveGreedy solves the same per-chunk ConFL instance with a greedy
+// SolveGreedyCtx solves the same per-chunk ConFL instance with a greedy
 // heuristic instead of the primal-dual dual growth. The paper's related
 // work (Sec. II) notes that greedy ConFL solutions [23] lack approximation
 // guarantees but can perform well in practice; this implementation exists
@@ -20,15 +20,11 @@ import (
 //
 // where the connection increment is i's cheapest contention path to an
 // already open facility (a proxy for the Steiner growth), and stop when no
-// facility has positive gain. The returned Solution mirrors Solve's.
-func SolveGreedy(inst Instance, opts Options) (*Solution, error) {
-	return SolveGreedyCtx(context.Background(), inst, opts)
-}
-
-// SolveGreedyCtx is SolveGreedy with cancellation: the marginal-gain scan
-// over candidates fans out over opts.Pool (deterministically — gains land
-// in per-candidate slots and the arg-max scan stays sequential), and ctx is
-// checked once per opened facility.
+// facility has positive gain. The returned Solution mirrors
+// SolveScratchCtx's. The marginal-gain scan over candidates fans out over
+// opts.Pool (deterministically — gains land in per-candidate slots and the
+// arg-max scan stays sequential), and ctx is checked once per opened
+// facility.
 func SolveGreedyCtx(ctx context.Context, inst Instance, opts Options) (*Solution, error) {
 	if err := validate(inst); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package confl
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,14 +13,14 @@ import (
 func TestSolveGreedyValidation(t *testing.T) {
 	inst := lineInstance(t, 4, 0)
 	inst.Producer = 9
-	if _, err := SolveGreedy(inst, DefaultOptions()); err == nil {
+	if _, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions()); err == nil {
 		t.Error("bad producer: want error")
 	}
 }
 
 func TestSolveGreedyAssignsEveryone(t *testing.T) {
 	inst := lineInstance(t, 12, 0)
-	sol, err := SolveGreedy(inst, DefaultOptions())
+	sol, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestSolveGreedyAssignsEveryone(t *testing.T) {
 func TestSolveGreedyOpensOnLongLine(t *testing.T) {
 	// Far demands on a long line make a cache clearly profitable.
 	inst := lineInstance(t, 20, 0)
-	sol, err := SolveGreedy(inst, DefaultOptions())
+	sol, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestSolveGreedySkipsFullNodes(t *testing.T) {
 		}
 	}
 	inst := instanceFrom(g, st, 4)
-	sol, err := SolveGreedy(inst, DefaultOptions())
+	sol, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +106,11 @@ func TestGreedyVersusPrimalDualObjective(t *testing.T) {
 			return total
 		}
 
-		greedy, err := SolveGreedy(inst, DefaultOptions())
+		greedy, err := SolveGreedyCtx(context.Background(), inst, DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d greedy: %v", trial, err)
 		}
-		pd, err := Solve(inst, DefaultOptions())
+		pd, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d primal-dual: %v", trial, err)
 		}

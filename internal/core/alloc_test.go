@@ -9,29 +9,26 @@ import (
 	"repro/internal/graph"
 )
 
-// placeOneAllocs measures the steady-state allocation rate of
-// PlaceOneModelCtx under a given strategy: one warm-up call pays the cold
-// model build, then each measured call places a fresh chunk against the
-// same long-lived model (the online-system shape).
+// placeOneAllocs measures the steady-state allocation rate of PlaceOneCtx
+// under a given strategy: one warm-up call pays the cold model build, then
+// each measured call places a fresh chunk against the same long-lived
+// model (the online-system shape).
 func placeOneAllocs(t *testing.T, strategy Strategy, runs int) float64 {
 	t.Helper()
 	g := graph.NewGrid(6, 6)
 	opts := DefaultOptions()
 	opts.Strategy = strategy
-	opts.Workers = -1 // sequential reference path; pool overhead measured separately
-	s, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Capacity far above what the runs commit, so every placement succeeds.
 	st := cache.NewState(36, 4*(runs+2))
-	m, err := costmodel.New(g, s.PathCache(), st, costmodel.Options{FairnessWeight: 1})
+	m, err := costmodel.New(g, nil, st, costmodel.Options{FairnessWeight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	chunk := 0
 	place := func() {
-		if _, err := s.PlaceOneModelCtx(context.Background(), 9, chunk, m); err != nil {
+		// A nil pool is the sequential reference path; pool overhead is
+		// the caller's and measured separately.
+		if _, err := PlaceOneCtx(context.Background(), m, 9, chunk, opts, nil); err != nil {
 			t.Fatal(err)
 		}
 		chunk++
@@ -53,7 +50,7 @@ func TestPlaceOneModelCtxAllocBudget(t *testing.T) {
 		ceiling  float64
 	}{
 		// PrimalDual is the paper path: everything transient lives in the
-		// arena, so only result construction and pool setup remain.
+		// arena, so only result construction remains.
 		{"primal-dual", PrimalDual, 30},
 		// Greedy re-derives facility sets per call and keeps its own
 		// small working maps; it is off the hot path but still bounded.
@@ -61,9 +58,9 @@ func TestPlaceOneModelCtxAllocBudget(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got := placeOneAllocs(t, tc.strategy, 20)
-			t.Logf("PlaceOneModelCtx(%s): %.1f allocs/run", tc.name, got)
+			t.Logf("PlaceOneCtx(%s): %.1f allocs/run", tc.name, got)
 			if got > tc.ceiling {
-				t.Errorf("PlaceOneModelCtx allocates %.1f times per run, want <= %g", got, tc.ceiling)
+				t.Errorf("PlaceOneCtx allocates %.1f times per run, want <= %g", got, tc.ceiling)
 			}
 		})
 	}

@@ -12,60 +12,51 @@ import (
 	"repro/internal/graph"
 )
 
-func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, DefaultOptions()); !errors.Is(err, ErrBadTopology) {
-		t.Errorf("nil graph: err = %v, want ErrBadTopology", err)
+// newModel returns a cold cost model over g and st at the paper's
+// weights (fairness 1, battery ignored).
+func newModel(t *testing.T, g *graph.Graph, st *cache.State) *costmodel.Model {
+	t.Helper()
+	m, err := costmodel.New(g, nil, st, costmodel.Options{FairnessWeight: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := New(graph.New(1), DefaultOptions()); !errors.Is(err, ErrBadTopology) {
-		t.Errorf("1 node: err = %v, want ErrBadTopology", err)
+	return m
+}
+
+// place runs PlaceCtx on the sequential path over a fresh model.
+func place(t *testing.T, g *graph.Graph, st *cache.State, producer, chunks int, opts Options) *Placement {
+	t.Helper()
+	p, err := PlaceCtx(context.Background(), newModel(t, g, st), producer, chunks, opts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	disc := graph.New(4)
-	mustEdge(t, disc, 0, 1)
-	if _, err := New(disc, DefaultOptions()); !errors.Is(err, ErrBadTopology) {
-		t.Errorf("disconnected: err = %v, want ErrBadTopology", err)
-	}
-	opts := DefaultOptions()
-	opts.FairnessWeight = -1
-	if _, err := New(graph.NewGrid(2, 2), opts); err == nil {
-		t.Error("negative fairness weight: want error")
-	}
-	if _, err := New(graph.NewGrid(2, 2), DefaultOptions()); err != nil {
-		t.Errorf("valid topology: %v", err)
-	}
+	return p
 }
 
 func TestPlaceValidation(t *testing.T) {
 	g := graph.NewGrid(3, 3)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := cache.NewState(9, 5)
-	if _, err := s.Place(-1, 1, st); !errors.Is(err, ErrBadProducer) {
+	m := newModel(t, g, cache.NewState(9, 5))
+	ctx := context.Background()
+	if _, err := PlaceCtx(ctx, m, -1, 1, DefaultOptions(), nil); !errors.Is(err, ErrBadProducer) {
 		t.Errorf("bad producer: err = %v", err)
 	}
-	if _, err := s.Place(0, 0, st); !errors.Is(err, ErrBadChunks) {
+	if _, err := PlaceCtx(ctx, m, 0, 0, DefaultOptions(), nil); !errors.Is(err, ErrBadChunks) {
 		t.Errorf("zero chunks: err = %v", err)
 	}
-	if _, err := s.Place(0, 1, cache.NewState(4, 5)); !errors.Is(err, ErrBadState) {
+	// The state is the model's own, so its size is checked where the
+	// model is built.
+	if _, err := costmodel.New(g, nil, cache.NewState(4, 5), costmodel.Options{}); !errors.Is(err, costmodel.ErrMismatch) {
 		t.Errorf("state size mismatch: err = %v", err)
 	}
-	if _, err := s.Place(0, 1, nil); !errors.Is(err, ErrBadState) {
+	if _, err := costmodel.New(g, nil, nil, costmodel.Options{}); !errors.Is(err, costmodel.ErrMismatch) {
 		t.Errorf("nil state: err = %v", err)
 	}
 }
 
 func TestPlaceSingleChunkGrid(t *testing.T) {
 	g := graph.NewGrid(6, 6)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := cache.NewState(36, 5)
-	p, err := s.Place(9, 1, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := place(t, g, st, 9, 1, DefaultOptions())
 	if len(p.Chunks) != 1 {
 		t.Fatalf("len(Chunks) = %d, want 1", len(p.Chunks))
 	}
@@ -107,15 +98,8 @@ func TestPlaceSingleChunkGrid(t *testing.T) {
 
 func TestPlaceMultiChunkSpreadsLoad(t *testing.T) {
 	g := graph.NewGrid(6, 6)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := cache.NewState(36, 5)
-	p, err := s.Place(9, 5, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := place(t, g, st, 9, 5, DefaultOptions())
 	if len(p.Chunks) != 5 {
 		t.Fatalf("len(Chunks) = %d, want 5", len(p.Chunks))
 	}
@@ -149,15 +133,8 @@ func TestPlaceNeverExceedsCapacityUnderPressure(t *testing.T) {
 	// Tiny caches force heavy reuse pressure; fairness must steer away
 	// from full nodes rather than erroring.
 	g := graph.NewGrid(4, 4)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := cache.NewState(16, 2)
-	p, err := s.Place(5, 6, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := place(t, g, st, 5, 6, DefaultOptions())
 	for i := 0; i < 16; i++ {
 		if st.Stored(i) > 2 {
 			t.Errorf("node %d stored %d > capacity 2", i, st.Stored(i))
@@ -170,15 +147,8 @@ func TestPlaceNeverExceedsCapacityUnderPressure(t *testing.T) {
 
 func TestPlaceObjectiveAccounting(t *testing.T) {
 	g := graph.NewGrid(4, 4)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := cache.NewState(16, 5)
-	p, err := s.Place(0, 3, st)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := place(t, g, st, 0, 3, DefaultOptions())
 	sum := 0.0
 	for _, c := range p.Chunks {
 		if c.Total() != c.Fairness+c.Access+c.Dissemination {
@@ -204,14 +174,13 @@ func TestPlaceObjectiveAccounting(t *testing.T) {
 
 func TestPlaceZeroFairnessWeightStillRespectsCapacity(t *testing.T) {
 	g := graph.NewGrid(4, 4)
-	opts := DefaultOptions()
-	opts.FairnessWeight = 0 // ablation: contention-only objective
-	s, err := New(g, opts)
+	st := cache.NewState(16, 1)
+	// Ablation: contention-only objective.
+	m, err := costmodel.New(g, nil, st, costmodel.Options{FairnessWeight: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := cache.NewState(16, 1)
-	if _, err := s.Place(0, 3, st); err != nil {
+	if _, err := PlaceCtx(context.Background(), m, 0, 3, DefaultOptions(), nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
@@ -224,15 +193,7 @@ func TestPlaceZeroFairnessWeightStillRespectsCapacity(t *testing.T) {
 func TestPlaceDeterministic(t *testing.T) {
 	g := graph.NewGrid(5, 5)
 	run := func() *Placement {
-		s, err := New(g, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := s.Place(12, 4, cache.NewState(25, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+		return place(t, g, cache.NewState(25, 5), 12, 4, DefaultOptions())
 	}
 	a, b := run(), run()
 	for n := range a.Chunks {
@@ -258,12 +219,12 @@ func TestPlaceFeasibilityProperty(t *testing.T) {
 		q := 1 + int(qRaw)%4
 		g := randomConnectedGraph(rng, n)
 		producer := rng.Intn(n)
-		s, err := New(g, DefaultOptions())
+		st := cache.NewState(n, 3)
+		m, err := costmodel.New(g, nil, st, costmodel.Options{FairnessWeight: 1})
 		if err != nil {
 			return false
 		}
-		st := cache.NewState(n, 3)
-		p, err := s.Place(producer, q, st)
+		p, err := PlaceCtx(context.Background(), m, producer, q, DefaultOptions(), nil)
 		if err != nil {
 			return false
 		}
@@ -301,13 +262,6 @@ func TestPlaceFeasibilityProperty(t *testing.T) {
 	}
 }
 
-func mustEdge(t *testing.T, g *graph.Graph, u, v int) {
-	t.Helper()
-	if err := g.AddEdge(u, v); err != nil {
-		t.Fatalf("AddEdge(%d,%d): %v", u, v, err)
-	}
-}
-
 func randomConnectedGraph(rng *rand.Rand, n int) *graph.Graph {
 	g := graph.New(n)
 	perm := rng.Perm(n)
@@ -322,17 +276,10 @@ func randomConnectedGraph(rng *rand.Rand, n int) *graph.Graph {
 
 func TestPlaceOneArbitraryChunkID(t *testing.T) {
 	g := graph.NewGrid(4, 4)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := cache.NewState(16, 5)
-	m, err := costmodel.New(g, s.PathCache(), st, s.modelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newModel(t, g, st)
 	ctx := context.Background()
-	res, err := s.PlaceOneModelCtx(ctx, 5, 42, m)
+	res, err := PlaceOneCtx(ctx, m, 5, 42, DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,11 +291,8 @@ func TestPlaceOneArbitraryChunkID(t *testing.T) {
 			t.Errorf("node %d missing chunk 42", v)
 		}
 	}
-	if _, err := s.PlaceOneModelCtx(ctx, -1, 0, m); err == nil {
-		t.Error("bad producer: want error")
-	}
-	if _, err := s.PlaceOneModelCtx(ctx, 5, 0, nil); !errors.Is(err, ErrBadState) {
-		t.Errorf("nil model: err = %v, want ErrBadState", err)
+	if _, err := PlaceOneCtx(ctx, m, -1, 0, DefaultOptions(), nil); !errors.Is(err, ErrBadProducer) {
+		t.Errorf("bad producer: err = %v, want ErrBadProducer", err)
 	}
 }
 
@@ -356,14 +300,7 @@ func TestGreedyStrategyInCore(t *testing.T) {
 	g := graph.NewGrid(5, 5)
 	opts := DefaultOptions()
 	opts.Strategy = Greedy
-	s, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := s.Place(12, 3, cache.NewState(25, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := place(t, g, cache.NewState(25, 5), 12, 3, opts)
 	total := 0
 	for _, c := range p.Chunks {
 		total += len(c.CacheNodes)
@@ -375,24 +312,10 @@ func TestGreedyStrategyInCore(t *testing.T) {
 
 func TestImproveSteinerNeverRaisesDissemination(t *testing.T) {
 	g := graph.NewGrid(6, 6)
-	plain, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	optsI := DefaultOptions()
 	optsI.ImproveSteiner = true
-	improved, err := New(g, optsI)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pPlain, err := plain.Place(9, 5, cache.NewState(36, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pImproved, err := improved.Place(9, 5, cache.NewState(36, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pPlain := place(t, g, cache.NewState(36, 5), 9, 5, DefaultOptions())
+	pImproved := place(t, g, cache.NewState(36, 5), 9, 5, optsI)
 	for n := range pPlain.Chunks {
 		if pImproved.Chunks[n].Dissemination > pPlain.Chunks[n].Dissemination+1e-9 {
 			t.Errorf("chunk %d: improvement raised dissemination %g -> %g",

@@ -9,16 +9,15 @@ import (
 	"repro/internal/cache"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
+	"repro/internal/pool"
 )
 
-func placeOn(t *testing.T, g *graph.Graph, opts Options, producer, chunks int) *Placement {
+func placeOn(t *testing.T, g *graph.Graph, opts Options, workers, producer, chunks int) *Placement {
 	t.Helper()
-	s, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := pool.New(workers)
+	defer pl.Close()
 	st := cache.NewState(g.NumNodes(), chunks)
-	p, err := s.Place(producer, chunks, st)
+	p, err := PlaceCtx(context.Background(), newModel(t, g, st), producer, chunks, opts, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,22 +30,17 @@ func placeOn(t *testing.T, g *graph.Graph, opts Options, producer, chunks int) *
 func TestParallelPlacementIsByteIdentical(t *testing.T) {
 	g := graph.NewGrid(8, 8)
 	const chunks = 6
-	seqOpts := DefaultOptions()
-	seqOpts.Workers = 1
-	want := placeOn(t, g, seqOpts, 0, chunks)
+	want := placeOn(t, g, DefaultOptions(), 1, 0, chunks)
 
 	for _, workers := range []int{0, 2, 4, 8} {
 		for _, strategy := range []Strategy{PrimalDual, Greedy} {
 			opts := DefaultOptions()
-			opts.Workers = workers
 			opts.Strategy = strategy
-			ref := seqOpts
-			ref.Strategy = strategy
 			wantS := want
 			if strategy != PrimalDual {
-				wantS = placeOn(t, g, ref, 0, chunks)
+				wantS = placeOn(t, g, opts, 1, 0, chunks)
 			}
-			got := placeOn(t, g, opts, 0, chunks)
+			got := placeOn(t, g, opts, workers, 0, chunks)
 			if len(got.Chunks) != len(wantS.Chunks) {
 				t.Fatalf("workers=%d strategy=%d: %d chunks, want %d", workers, strategy, len(got.Chunks), len(wantS.Chunks))
 			}
@@ -99,12 +93,8 @@ func TestCancelStopsMidSolve(t *testing.T) {
 			cancel()
 		}
 	}
-	s, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st := cache.NewState(g.NumNodes(), chunks)
-	_, err = s.PlaceCtx(ctx, 0, chunks, st)
+	_, err := PlaceCtx(ctx, newModel(t, g, st), 0, chunks, opts, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceCtx: err = %v, want context.Canceled", err)
 	}
@@ -118,36 +108,29 @@ func TestCancelStopsMidSolve(t *testing.T) {
 
 func TestPlaceCtxPreCancelled(t *testing.T) {
 	g := graph.NewGrid(4, 4)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st := cache.NewState(g.NumNodes(), 2)
-	if _, err := s.PlaceCtx(ctx, 0, 2, st); !errors.Is(err, context.Canceled) {
+	m := newModel(t, g, cache.NewState(g.NumNodes(), 2))
+	if _, err := PlaceCtx(ctx, m, 0, 2, DefaultOptions(), nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceCtx: err = %v, want context.Canceled", err)
 	}
-	m, err := costmodel.New(g, s.PathCache(), st, s.modelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.PlaceOneModelCtx(ctx, 0, 0, m); !errors.Is(err, context.Canceled) {
-		t.Fatalf("PlaceOneModelCtx: err = %v, want context.Canceled", err)
+	if _, err := PlaceOneCtx(ctx, m, 0, 0, DefaultOptions(), nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlaceOneCtx: err = %v, want context.Canceled", err)
 	}
 }
 
-// TestPathCacheReuseAcrossSolves runs the same solve twice on one Solver
-// (warm cache the second time) and expects identical results.
+// TestPathCacheReuseAcrossSolves runs the same solve twice on models that
+// share one path cache (warm cache the second time) and expects identical
+// results.
 func TestPathCacheReuseAcrossSolves(t *testing.T) {
 	g := graph.NewGrid(5, 5)
-	s, err := New(g, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := graph.NewPathCache(g)
 	run := func() *Placement {
-		st := cache.NewState(g.NumNodes(), 4)
-		p, err := s.Place(3, 4, st)
+		m, err := costmodel.New(g, pc, cache.NewState(g.NumNodes(), 4), costmodel.Options{FairnessWeight: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := PlaceCtx(context.Background(), m, 3, 4, DefaultOptions(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

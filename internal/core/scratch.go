@@ -33,7 +33,7 @@ type ScratchPool struct {
 func NewScratchPool() *ScratchPool { return &ScratchPool{} }
 
 // defaultScratchPool serves callers that do not wire their own pool
-// (Options.Scratch == nil), so one-shot Solvers still recycle arenas
+// (Options.Scratch == nil), so one-shot solves still recycle arenas
 // across the chunks of a single solve and across solves.
 var defaultScratchPool ScratchPool
 

@@ -116,10 +116,13 @@ type Model struct {
 
 // New returns a model over the given topology, shared path cache (nil for
 // a private one) and cache state. The matrices build lazily on the first
-// refresh; construction is cheap.
+// refresh; construction is cheap. Negative weights are rejected.
 func New(g *graph.Graph, pc *graph.PathCache, st *cache.State, opts Options) (*Model, error) {
 	if g == nil || st == nil || g.NumNodes() != st.NumNodes() {
 		return nil, ErrMismatch
+	}
+	if opts.FairnessWeight < 0 || opts.BatteryWeight < 0 {
+		return nil, fmt.Errorf("costmodel: weights (%g, %g) must be >= 0", opts.FairnessWeight, opts.BatteryWeight)
 	}
 	if pc == nil {
 		pc = graph.NewPathCache(g)
@@ -151,9 +154,6 @@ func (m *Model) State() *cache.State { return m.st }
 
 // PathCache returns the shared shortest-path memo.
 func (m *Model) PathCache() *graph.PathCache { return m.pc }
-
-// Options returns the weighting the model was built with.
-func (m *Model) Options() Options { return m.opts }
 
 // MatrixCells returns the size of the model's contention matrices in
 // cells: N² once they are built, 0 before the first refresh. It is the

@@ -22,6 +22,29 @@ func topologies(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
+// TestNewValidation: the model is where a solve's topology, cache state
+// and weights meet, so it is the one place their pairing and the weights'
+// signs are checked.
+func TestNewValidation(t *testing.T) {
+	g := graph.NewGrid(2, 2)
+	st := cache.NewState(4, 1)
+	if _, err := New(nil, nil, st, Options{}); !errors.Is(err, ErrMismatch) {
+		t.Errorf("nil graph: err = %v, want ErrMismatch", err)
+	}
+	if _, err := New(g, nil, cache.NewState(3, 1), Options{}); !errors.Is(err, ErrMismatch) {
+		t.Errorf("state size mismatch: err = %v, want ErrMismatch", err)
+	}
+	if _, err := New(g, nil, st, Options{FairnessWeight: -1}); err == nil {
+		t.Error("negative fairness weight: want error")
+	}
+	if _, err := New(g, nil, st, Options{FairnessWeight: 1, BatteryWeight: -1}); err == nil {
+		t.Error("negative battery weight: want error")
+	}
+	if _, err := New(g, nil, st, Options{FairnessWeight: 1}); err != nil {
+		t.Errorf("valid model: %v", err)
+	}
+}
+
 // TestIncrementalMatchesFullRecompute drives randomized commit/evict
 // batches through the model and verifies after every refresh that the
 // delta-updated costs are byte-identical to a from-scratch recompute —

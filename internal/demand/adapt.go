@@ -7,6 +7,8 @@ import (
 	"slices"
 
 	"repro/internal/cache"
+	"repro/internal/core"
+	"repro/internal/pool"
 	"repro/internal/trace"
 )
 
@@ -91,8 +93,10 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 	sp.SetInt("evicted", int64(len(report.Evicted)))
 	sp.End()
 
+	pl := s.newPool()
+	defer pl.Close()
 	sp = parent.Child("adapt.replace")
-	if err := s.replaceLost(ctx, top, report); err != nil {
+	if err := s.replaceLost(ctx, top, report, pl); err != nil {
 		return nil, err
 	}
 	sp.SetInt("replaced", int64(len(report.Replaced)))
@@ -120,8 +124,6 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 	// Leave the matrices repaired: the pass batched its deltas, one
 	// refresh settles them so the next request burst and Verify calls
 	// start from a clean model.
-	pl := s.newPool()
-	defer pl.Close()
 	sp = parent.Child("adapt.refresh")
 	if err := s.model.RefreshCtx(ctx, pl); err != nil {
 		return nil, err
@@ -260,12 +262,12 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 // replaceLost runs one full fair-caching iteration for every examined
 // chunk that no longer has any copy — the situation TTL expiry and
 // aggressive eviction create, where only the producer serves the chunk.
-func (s *System) replaceLost(ctx context.Context, top []int, report *AdaptReport) error {
+func (s *System) replaceLost(ctx context.Context, top []int, report *AdaptReport, pl *pool.Pool) error {
 	for _, k := range top {
 		if len(s.holders[k]) > 0 {
 			continue
 		}
-		res, err := s.solver.PlaceOneModelCtx(ctx, s.producer, k, s.model)
+		res, err := core.PlaceOneCtx(ctx, s.model, s.producer, k, core.DefaultOptions(), pl)
 		if err != nil {
 			return fmt.Errorf("demand: re-place chunk %d: %w", k, err)
 		}

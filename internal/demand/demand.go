@@ -33,17 +33,9 @@ import (
 var ErrBadInput = errors.New("demand: invalid input")
 
 // Options configures the adaptive caching system. Zero values select the
-// documented defaults.
+// documented defaults. The topology, capacities and cost weights are not
+// options: they belong to the cost model the system runs on.
 type Options struct {
-	// Capacity is the per-node cache capacity in chunks (default 5, the
-	// paper's evaluation value). Ignored when Model is set — the model's
-	// state fixes the capacities.
-	Capacity int
-	// FairnessWeight and BatteryWeight mirror the core solver options and
-	// must match Model's weights when one is injected. FairnessWeight
-	// defaults to 1.
-	FairnessWeight float64
-	BatteryWeight  float64
 	// Workers sizes the solver pool for seeding and adaptation placements.
 	Workers int
 	// Eviction selects the replacement strategy consulted when the
@@ -72,20 +64,9 @@ type Options struct {
 	WindowBuckets int
 	BucketSize    int
 	Alpha         float64
-	// Model, when non-nil, supplies a caller-owned cost model to adopt —
-	// the warm-fork hook the root Solver uses so adaptive systems skip
-	// the cold all-pairs build. The model's graph must be the system's
-	// graph and its state must be empty.
-	Model *costmodel.Model
 }
 
 func (o Options) withDefaults() Options {
-	if o.Capacity == 0 {
-		o.Capacity = 5
-	}
-	if o.FairnessWeight == 0 {
-		o.FairnessWeight = 1
-	}
 	if o.HitRadius == 0 {
 		o.HitRadius = 2
 	}
@@ -163,7 +144,6 @@ type System struct {
 	chunks   int
 	opts     Options
 
-	solver  *core.Solver
 	model   *costmodel.Model
 	st      *cache.State
 	strat   cache.EvictionStrategy
@@ -183,66 +163,31 @@ type System struct {
 	hist    []int64 // request count by retrieval hop distance
 }
 
-// New builds an adaptive system over a connected topology. The producer
-// holds every chunk locally and never caches; chunk ids are [0, chunks).
-func New(g *graph.Graph, producer, chunks int, opts Options) (*System, error) {
+// New builds an adaptive system on the cost model m, which it adopts: the
+// model's graph is the topology, its cache state (which must be empty)
+// fixes the capacities, and its weights the fairness costs. The root
+// Solver passes a warm fork of its topology model, so adaptive systems
+// skip the cold all-pairs build. The producer holds every chunk locally
+// and never caches; chunk ids are [0, chunks).
+func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error) {
 	opts = opts.withDefaults()
-	if g == nil || g.NumNodes() < 2 {
-		return nil, fmt.Errorf("%w: nil or trivial topology", ErrBadInput)
+	if m == nil || m.Graph().NumNodes() < 2 {
+		return nil, fmt.Errorf("%w: nil model or trivial topology", ErrBadInput)
 	}
+	g, st := m.Graph(), m.State()
 	if producer < 0 || producer >= g.NumNodes() {
 		return nil, fmt.Errorf("%w: producer %d", ErrBadInput, producer)
 	}
 	if chunks < 1 {
 		return nil, fmt.Errorf("%w: chunks %d", ErrBadInput, chunks)
 	}
-	var (
-		model *costmodel.Model
-		st    *cache.State
-		pc    *graph.PathCache
-	)
-	if opts.Model != nil {
-		model = opts.Model
-		if model.Graph() != g {
-			return nil, fmt.Errorf("%w: injected model bound to another topology", ErrBadInput)
-		}
-		if mo := model.Options(); mo.FairnessWeight != opts.FairnessWeight || mo.BatteryWeight != opts.BatteryWeight {
-			return nil, fmt.Errorf("%w: injected model weights (%g, %g) differ from options (%g, %g)",
-				ErrBadInput, mo.FairnessWeight, mo.BatteryWeight, opts.FairnessWeight, opts.BatteryWeight)
-		}
-		st = model.State()
-		if st.TotalStored() != 0 {
-			return nil, fmt.Errorf("%w: injected model state is not empty", ErrBadInput)
-		}
-		pc = model.PathCache()
-	} else {
-		if opts.Capacity < 1 {
-			return nil, fmt.Errorf("%w: capacity %d", ErrBadInput, opts.Capacity)
-		}
-		pc = graph.NewPathCache(g)
-		st = cache.NewState(g.NumNodes(), opts.Capacity)
-		var err error
-		model, err = costmodel.New(g, pc, st, costmodel.Options{
-			FairnessWeight: opts.FairnessWeight,
-			BatteryWeight:  opts.BatteryWeight,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-		}
-	}
-	coreOpts := core.DefaultOptions()
-	coreOpts.FairnessWeight = opts.FairnessWeight
-	coreOpts.BatteryWeight = opts.BatteryWeight
-	coreOpts.Workers = opts.Workers
-	coreOpts.PathCache = pc
-	solver, err := core.New(g, coreOpts)
-	if err != nil {
-		return nil, err
+	if st.TotalStored() != 0 {
+		return nil, fmt.Errorf("%w: model state is not empty", ErrBadInput)
 	}
 	n := g.NumNodes()
 	hop := make([][]int, n)
 	for i := 0; i < n; i++ {
-		hop[i] = append([]int(nil), pc.HopDistances(i)...)
+		hop[i] = append([]int(nil), m.PathCache().HopDistances(i)...)
 	}
 	strat := opts.Eviction
 	s := &System{
@@ -250,8 +195,7 @@ func New(g *graph.Graph, producer, chunks int, opts Options) (*System, error) {
 		producer: producer,
 		chunks:   chunks,
 		opts:     opts,
-		solver:   solver,
-		model:    model,
+		model:    m,
 		st:       st,
 		tracker:  NewTracker(chunks, n, opts.WindowBuckets, opts.BucketSize, opts.Alpha),
 		hop:      hop,
@@ -291,7 +235,9 @@ func (s *System) SeedCtx(ctx context.Context) error {
 	if s.clock != 0 || s.st.TotalStored() != 0 {
 		return fmt.Errorf("%w: seed on a non-empty system", ErrBadInput)
 	}
-	p, err := s.solver.PlaceModelCtx(ctx, s.producer, s.chunks, s.model)
+	pl := s.newPool()
+	defer pl.Close()
+	p, err := core.PlaceCtx(ctx, s.model, s.producer, s.chunks, core.DefaultOptions(), pl)
 	if err != nil {
 		return err
 	}

@@ -2,13 +2,26 @@ package demand
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/sim"
 )
+
+// newModel returns an empty cost model over g with uniform capacity, at
+// the paper's weights.
+func newModel(t *testing.T, g *graph.Graph, capacity int) *costmodel.Model {
+	t.Helper()
+	m, err := costmodel.New(g, nil, cache.NewState(g.NumNodes(), capacity), costmodel.Options{FairnessWeight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestTrackerWindowAndShares(t *testing.T) {
 	tr := NewTracker(4, 3, 2, 10, 0.5)
@@ -56,10 +69,9 @@ func TestTrackerShiftsUnderDrift(t *testing.T) {
 	}
 }
 
-func newTestSystem(t *testing.T, opts Options) *System {
+func newTestSystem(t *testing.T, capacity int, opts Options) *System {
 	t.Helper()
-	g := graph.NewGrid(5, 5)
-	s, err := New(g, 0, 12, opts)
+	s, err := New(newModel(t, graph.NewGrid(5, 5), capacity), 0, 12, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +82,7 @@ func newTestSystem(t *testing.T, opts Options) *System {
 }
 
 func TestSeedMatchesStateAndHolders(t *testing.T) {
-	s := newTestSystem(t, Options{Capacity: 3})
+	s := newTestSystem(t, 3, Options{})
 	total := 0
 	for k := 0; k < s.Chunks(); k++ {
 		hs := s.Holders(k)
@@ -93,7 +105,7 @@ func TestSeedMatchesStateAndHolders(t *testing.T) {
 }
 
 func TestObserveAccounting(t *testing.T) {
-	s := newTestSystem(t, Options{Capacity: 3, HitRadius: 2})
+	s := newTestSystem(t, 3, Options{HitRadius: 2})
 	// Request every chunk from every non-producer node once.
 	n := s.State().NumNodes()
 	for j := 1; j < n; j++ {
@@ -137,7 +149,7 @@ func TestObserveAccounting(t *testing.T) {
 
 func TestObserveServesNearestCopy(t *testing.T) {
 	g := graph.NewLine(6)
-	s, err := New(g, 0, 1, Options{Capacity: 1})
+	s, err := New(newModel(t, g, 1), 0, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +176,7 @@ func TestObserveServesNearestCopy(t *testing.T) {
 }
 
 func TestAdaptConcentratesOnHotChunk(t *testing.T) {
-	s := newTestSystem(t, Options{Capacity: 3, TopDelta: 4, CopyBudget: 8})
+	s := newTestSystem(t, 3, Options{TopDelta: 4, CopyBudget: 8})
 	tr, err := sim.NewTrace(sim.TraceSpec{Nodes: 25, Chunks: 12, Seed: 11, ZipfS: 1.2, Exclude: 0})
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +232,7 @@ func TestAdaptConcentratesOnHotChunk(t *testing.T) {
 func TestAdaptDeterministic(t *testing.T) {
 	run := func(workers int) ([][]int, Stats) {
 		g := graph.NewGrid(5, 5)
-		s, err := New(g, 0, 12, Options{Capacity: 3, Workers: workers, TopDelta: 4, CopyBudget: 8})
+		s, err := New(newModel(t, g, 3), 0, 12, Options{Workers: workers, TopDelta: 4, CopyBudget: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +277,7 @@ func TestAdaptWithLRUAndLFU(t *testing.T) {
 	for _, strat := range []cache.EvictionStrategy{cache.NewLRU(), cache.NewLFU()} {
 		// CopyBudget near the network's total capacity forces the pass to
 		// pressure-evict regardless of how many slots seeding left free.
-		s := newTestSystem(t, Options{Capacity: 2, Eviction: strat, TopDelta: 3, CopyBudget: 45})
+		s := newTestSystem(t, 2, Options{Eviction: strat, TopDelta: 3, CopyBudget: 45})
 		tr, err := sim.NewTrace(sim.TraceSpec{Nodes: 25, Chunks: 12, Seed: 3, Exclude: 0})
 		if err != nil {
 			t.Fatal(err)
@@ -289,17 +301,24 @@ func TestAdaptWithLRUAndLFU(t *testing.T) {
 
 func TestNewRejectsBadInput(t *testing.T) {
 	g := graph.NewGrid(3, 3)
-	if _, err := New(nil, 0, 4, Options{}); err == nil {
-		t.Error("nil graph: want error")
+	if _, err := New(nil, 0, 4, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("nil model: err = %v, want ErrBadInput", err)
 	}
-	if _, err := New(g, 9, 4, Options{}); err == nil {
-		t.Error("producer out of range: want error")
+	if _, err := New(newModel(t, graph.NewLine(1), 5), 0, 4, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("trivial topology: err = %v, want ErrBadInput", err)
 	}
-	if _, err := New(g, 0, 0, Options{}); err == nil {
-		t.Error("zero chunks: want error")
+	if _, err := New(newModel(t, g, 5), 9, 4, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("producer out of range: err = %v, want ErrBadInput", err)
 	}
-	if _, err := New(g, 0, 4, Options{Capacity: -1}); err == nil {
-		t.Error("negative capacity: want error")
+	if _, err := New(newModel(t, g, 5), 0, 0, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("zero chunks: err = %v, want ErrBadInput", err)
+	}
+	m := newModel(t, g, 5)
+	if err := m.Commit(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(m, 0, 4, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("non-empty model state: err = %v, want ErrBadInput", err)
 	}
 }
 

@@ -55,8 +55,7 @@ func TestAdaptationPropertyInvariants(t *testing.T) {
 func runPropertyWalk(t *testing.T, g *graph.Graph, workers, steps int) {
 	t.Helper()
 	const chunks = 10
-	s, err := New(g, 0, chunks, Options{
-		Capacity:   2,
+	s, err := New(newModel(t, g, 2), 0, chunks, Options{
 		Workers:    workers,
 		TopDelta:   4,
 		CopyBudget: 6,

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
@@ -15,7 +16,7 @@ func BenchmarkProtocolOneChunk6x6(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pr.PlaceChunks(9, 1, cache.NewState(36, 5)); err != nil {
+		if _, err := pr.PlaceChunksCtx(context.Background(), 9, 1, cache.NewState(36, 5)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -29,7 +30,7 @@ func BenchmarkProtocolFiveChunks8x8(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := pr.PlaceChunks(9, 5, cache.NewState(64, 5)); err != nil {
+		if _, err := pr.PlaceChunksCtx(context.Background(), 9, 5, cache.NewState(64, 5)); err != nil {
 			b.Fatal(err)
 		}
 	}

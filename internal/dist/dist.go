@@ -150,17 +150,12 @@ func New(g *graph.Graph, opts Options) (*Protocol, error) {
 	return &Protocol{g: g, opts: opts}, nil
 }
 
-// PlaceChunks runs the protocol once per chunk (0..chunks-1), committing
-// each chunk's ADMIN set into st before the next chunk starts, so the
-// fairness and contention feedback matches the centralized algorithm.
-func (pr *Protocol) PlaceChunks(producer, chunks int, st *cache.State) (*Placement, error) {
-	return pr.PlaceChunksCtx(context.Background(), producer, chunks, st)
-}
-
-// PlaceChunksCtx is PlaceChunks with cancellation checked before each
-// chunk's protocol run (one run is a bounded round simulation, so the
-// per-chunk granularity keeps aborts prompt without touching the
-// simulator's determinism).
+// PlaceChunksCtx runs the protocol once per chunk (0..chunks-1),
+// committing each chunk's ADMIN set into st before the next chunk starts,
+// so the fairness and contention feedback matches the centralized
+// algorithm. Cancellation is checked before each chunk's protocol run (one
+// run is a bounded round simulation, so the per-chunk granularity keeps
+// aborts prompt without touching the simulator's determinism).
 func (pr *Protocol) PlaceChunksCtx(ctx context.Context, producer, chunks int, st *cache.State) (*Placement, error) {
 	if producer < 0 || producer >= pr.g.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadProducer, producer)
@@ -212,7 +207,7 @@ func (pr *Protocol) runChunk(producer, chunkID int, st *cache.State) (*ChunkRun,
 
 	maxRounds := pr.opts.MaxRounds
 	if maxRounds == 0 {
-		maxRounds = pr.roundBound(producer, st)
+		maxRounds = pr.roundBound(producer, weights)
 	}
 	rounds, err := network.Run(maxRounds)
 	if err != nil {
@@ -237,10 +232,12 @@ func (pr *Protocol) runChunk(producer, chunkID int, st *cache.State) (*ChunkRun,
 // roundBound derives a safe termination bound: every node freezes onto the
 // producer once its bid covers the producer path cost, so the protocol
 // needs at most max c(producer, ·)/U_α rounds plus flood propagation slack.
-func (pr *Protocol) roundBound(producer int, st *cache.State) int {
-	costs := contention.ComputeCosts(pr.g, st)
+// Only the producer's row of the contention matrix is needed, swept over
+// the chunk's node weights.
+func (pr *Protocol) roundBound(producer int, weights []float64) int {
+	row, _ := pr.g.NodeCostPaths(producer, weights)
 	maxC := 0.0
-	for j, c := range costs.Row(producer) {
+	for j, c := range row {
 		if j != producer && c > maxC {
 			maxC = c
 		}

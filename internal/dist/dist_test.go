@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -37,13 +38,13 @@ func TestPlaceChunksValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(9, 5)
-	if _, err := pr.PlaceChunks(-1, 1, st); !errors.Is(err, ErrBadProducer) {
+	if _, err := pr.PlaceChunksCtx(context.Background(), -1, 1, st); !errors.Is(err, ErrBadProducer) {
 		t.Errorf("bad producer: err = %v", err)
 	}
-	if _, err := pr.PlaceChunks(0, 0, st); !errors.Is(err, ErrBadChunks) {
+	if _, err := pr.PlaceChunksCtx(context.Background(), 0, 0, st); !errors.Is(err, ErrBadChunks) {
 		t.Errorf("zero chunks: err = %v", err)
 	}
-	if _, err := pr.PlaceChunks(0, 1, cache.NewState(4, 5)); !errors.Is(err, ErrBadState) {
+	if _, err := pr.PlaceChunksCtx(context.Background(), 0, 1, cache.NewState(4, 5)); !errors.Is(err, ErrBadState) {
 		t.Errorf("state mismatch: err = %v", err)
 	}
 }
@@ -55,7 +56,7 @@ func TestProtocolTerminatesAndAssignsEveryone(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(36, 5)
-	p, err := pr.PlaceChunks(9, 1, st)
+	p, err := pr.PlaceChunksCtx(context.Background(), 9, 1, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestProtocolElectsAdminsOnGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(36, 5)
-	p, err := pr.PlaceChunks(9, 1, st)
+	p, err := pr.PlaceChunksCtx(context.Background(), 9, 1, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestProtocolSpreadsLoadAcrossChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(36, 5)
-	p, err := pr.PlaceChunks(9, 5, st)
+	p, err := pr.PlaceChunksCtx(context.Background(), 9, 5, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestProtocolRespectsCapacityUnderPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(16, 1)
-	p, err := pr.PlaceChunks(0, 4, st)
+	p, err := pr.PlaceChunksCtx(context.Background(), 0, 4, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestProtocolMessageComplexityBound(t *testing.T) {
 		}
 		st := cache.NewState(n, 5)
 		const q = 3
-		p, err := pr.PlaceChunks(0, q, st)
+		p, err := pr.PlaceChunksCtx(context.Background(), 0, q, st)
 		if err != nil {
 			t.Fatalf("size %d: %v", size, err)
 		}
@@ -197,7 +198,7 @@ func TestProtocolHopLimitShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := cache.NewState(36, 5)
-		p, err := pr.PlaceChunks(9, 5, st)
+		p, err := pr.PlaceChunksCtx(context.Background(), 9, 5, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +242,7 @@ func TestProtocolSurvivesMessageLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := cache.NewState(25, 5)
-	p, err := pr.PlaceChunks(12, 2, st)
+	p, err := pr.PlaceChunksCtx(context.Background(), 12, 2, st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func TestProtocolDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := pr.PlaceChunks(12, 3, cache.NewState(25, 5))
+		p, err := pr.PlaceChunksCtx(context.Background(), 12, 3, cache.NewState(25, 5))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,7 +296,7 @@ func TestProtocolInvariants(t *testing.T) {
 			return false
 		}
 		st := cache.NewState(n, 2)
-		p, err := pr.PlaceChunks(producer, q, st)
+		p, err := pr.PlaceChunksCtx(context.Background(), producer, q, st)
 		if err != nil {
 			return false
 		}
@@ -350,7 +351,7 @@ func TestProtocolTraceHook(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pr.PlaceChunks(5, 1, cache.NewState(16, 5)); err != nil {
+	if _, err := pr.PlaceChunksCtx(context.Background(), 5, 1, cache.NewState(16, 5)); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []string{KindNPI, KindCC, KindCCResp} {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/graph"
+	"repro/internal/pool"
 )
 
 func TestSolveChunkCtxCancelled(t *testing.T) {
@@ -14,10 +15,10 @@ func TestSolveChunkCtxCancelled(t *testing.T) {
 	st := cache.NewState(g.NumNodes(), 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SolveChunkCtx(ctx, g, st, 0, DefaultOptions()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("SolveChunkCtx: err = %v, want context.Canceled", err)
+	if _, err := solveChunkModel(ctx, newModel(t, g, st, 1), 0, Options{}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("single-chunk search: err = %v, want context.Canceled", err)
 	}
-	if _, err := PlaceChunksCtx(ctx, g, 0, 2, st, DefaultOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := PlaceChunksCtx(ctx, newModel(t, g, st, 1), 0, 2, Options{}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("PlaceChunksCtx: err = %v, want context.Canceled", err)
 	}
 }
@@ -27,11 +28,10 @@ func TestSolveChunkCtxCancelled(t *testing.T) {
 func TestSolveChunkWorkersIdentical(t *testing.T) {
 	g := graph.NewGrid(3, 3)
 	solve := func(workers int) *Solution {
+		pl := pool.New(workers)
+		defer pl.Close()
 		st := cache.NewState(g.NumNodes(), 2)
-		opts := DefaultOptions()
-		opts.Workers = workers
-		opts.MaxSubsetSize = 3
-		sol, err := SolveChunk(g, st, 0, opts)
+		sol, err := solveChunkModel(context.Background(), newModel(t, g, st, 1), 0, Options{MaxSubsetSize: 3}, pl)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,7 +22,9 @@ import (
 	"repro/internal/steiner"
 )
 
-// Options tunes the branch-and-bound search.
+// Options tunes the branch-and-bound search. The zero value searches
+// exhaustively; the fairness weight and the topology come from the cost
+// model a search runs on.
 type Options struct {
 	// MaxSubsetSize caps the caching-set size. 0 means the largest the
 	// exact Steiner routine supports (steiner.MaxExactTerminals − 1,
@@ -32,25 +34,6 @@ type Options struct {
 	// means unlimited. When exceeded the search returns the best solution
 	// found with Optimal = false.
 	NodeBudget int
-	// FairnessWeight scales the fairness term, mirroring core.Options.
-	// Zero disables the term (the default used by DefaultOptions is 1).
-	FairnessWeight float64
-	// Workers sizes the pool the search's precomputation (contention
-	// matrix, all-pairs Dijkstra) fans out over. 0 means GOMAXPROCS, 1 or
-	// less the sequential path. The branch-and-bound itself is sequential,
-	// so results are identical at any width.
-	Workers int
-	// PathCache, when non-nil, supplies a shared shortest-path memo for
-	// the topology (it must have been built over the same graph). nil
-	// creates a private cache.
-	PathCache *graph.PathCache
-}
-
-// DefaultOptions returns the configuration matching the paper's objective.
-func DefaultOptions() Options {
-	return Options{
-		FairnessWeight: 1,
-	}
 }
 
 // Solution is the optimal (or budget-limited best) single-chunk placement.
@@ -78,50 +61,15 @@ var (
 	ErrBadInput = errors.New("exact: invalid input")
 )
 
-// SolveChunk finds the optimal caching set for one chunk under the current
-// cache state: min over A of Σ_{i∈A} f_i + Σ_j min_{i∈A∪{v}} c_ij +
-// SteinerOpt(A ∪ {v}).
-func SolveChunk(g *graph.Graph, st *cache.State, producer int, opts Options) (*Solution, error) {
-	return SolveChunkCtx(context.Background(), g, st, producer, opts)
-}
-
-// SolveChunkCtx is SolveChunk with cancellation: ctx is checked inside the
-// branch-and-bound every few hundred explored nodes (and throughout the
-// parallel precomputation), so a cancelled context aborts the search
-// instead of letting it run to completion.
-func SolveChunkCtx(ctx context.Context, g *graph.Graph, st *cache.State, producer int, opts Options) (*Solution, error) {
-	m, err := validateModel(g, st, producer, opts)
-	if err != nil {
-		return nil, err
-	}
-	pl := pool.New(pool.Normalize(opts.Workers))
-	defer pl.Close()
-	return solveChunkModel(ctx, m, producer, opts, pl)
-}
-
-// validateModel checks the instance and builds a throwaway cost model over
-// it for a single-chunk solve.
-func validateModel(g *graph.Graph, st *cache.State, producer int, opts Options) (*costmodel.Model, error) {
-	if g == nil || st == nil || g.NumNodes() != st.NumNodes() {
-		return nil, fmt.Errorf("%w: graph/state mismatch", ErrBadInput)
-	}
-	if producer < 0 || producer >= g.NumNodes() {
-		return nil, fmt.Errorf("%w: producer %d", ErrBadInput, producer)
-	}
-	if !g.Connected() {
-		return nil, fmt.Errorf("%w: graph not connected", ErrBadInput)
-	}
-	m, err := costmodel.New(g, opts.PathCache, st, costmodel.Options{FairnessWeight: opts.FairnessWeight})
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadInput, err)
-	}
-	return m, nil
-}
-
-// solveChunkModel runs the branch-and-bound for one chunk against the
-// model's current state. The model supplies the (incrementally maintained)
-// fairness and contention costs; the caller commits the result back
-// through it.
+// solveChunkModel finds the optimal caching set for one chunk under the
+// model's current state:
+// min over A of Σ_{i∈A} f_i + Σ_j min_{i∈A∪{v}} c_ij + SteinerOpt(A ∪ {v}).
+// The model supplies the (incrementally maintained) fairness and
+// contention costs; the caller commits the result back through it. ctx is
+// checked inside the branch-and-bound every few hundred explored nodes and
+// throughout the precomputation (contention matrix, all-pairs Dijkstra),
+// which fans out over pl; the search itself is sequential, so results are
+// identical at any width.
 func solveChunkModel(ctx context.Context, m *costmodel.Model, producer int, opts Options, pl *pool.Pool) (*Solution, error) {
 	maxSize := opts.MaxSubsetSize
 	if maxSize <= 0 || maxSize > steiner.MaxExactTerminals-1 {
@@ -439,28 +387,21 @@ func (p *Placement) Optimal() bool {
 	return true
 }
 
-// PlaceChunks runs the iterative exact solver: for each chunk the optimal
-// ConFL solution under the current state is computed and committed, just
-// like the paper's brute-force baseline solves Eq. (8) chunk by chunk.
-func PlaceChunks(g *graph.Graph, producer, chunks int, st *cache.State, opts Options) (*Placement, error) {
-	return PlaceChunksCtx(context.Background(), g, producer, chunks, st, opts)
-}
-
-// PlaceChunksCtx is PlaceChunks with cancellation checked before and
-// during every per-chunk search. One cost model spans all chunks, so each
-// chunk after the first pays a delta repair for the previous commits
-// instead of a fresh contention matrix build.
-func PlaceChunksCtx(ctx context.Context, g *graph.Graph, producer, chunks int, st *cache.State, opts Options) (*Placement, error) {
+// PlaceChunksCtx runs the iterative exact solver on the cost model m: for
+// each chunk the optimal ConFL solution under the current state is
+// computed and committed through m, just like the paper's brute-force
+// baseline solves Eq. (8) chunk by chunk, so each chunk after the first
+// pays a delta repair for the previous commits instead of a fresh
+// contention matrix build. Cancellation is checked before and during every
+// per-chunk search.
+func PlaceChunksCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, opts Options, pl *pool.Pool) (*Placement, error) {
+	if producer < 0 || producer >= m.Graph().NumNodes() {
+		return nil, fmt.Errorf("%w: producer %d", ErrBadInput, producer)
+	}
 	if chunks <= 0 {
 		return nil, fmt.Errorf("%w: chunks %d", ErrBadInput, chunks)
 	}
-	m, err := validateModel(g, st, producer, opts)
-	if err != nil {
-		return nil, err
-	}
-	pl := pool.New(pool.Normalize(opts.Workers))
-	defer pl.Close()
-	p := &Placement{Producer: producer, State: st}
+	p := &Placement{Producer: producer, State: m.State()}
 	for n := 0; n < chunks; n++ {
 		sol, err := solveChunkModel(ctx, m, producer, opts, pl)
 		if err != nil {

@@ -1,6 +1,8 @@
 package exact
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,34 +10,50 @@ import (
 	"repro/internal/cache"
 	"repro/internal/contention"
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/steiner"
 )
 
+// newModel returns a cold cost model over g and st at the given fairness
+// weight.
+func newModel(t *testing.T, g *graph.Graph, st *cache.State, fairness float64) *costmodel.Model {
+	t.Helper()
+	m, err := costmodel.New(g, nil, st, costmodel.Options{FairnessWeight: fairness})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// solveChunk runs one chunk's search under st without committing it, the
+// step PlaceChunksCtx repeats per chunk.
+func solveChunk(t *testing.T, g *graph.Graph, st *cache.State, producer int, fairness float64, opts Options) *Solution {
+	t.Helper()
+	sol, err := solveChunkModel(context.Background(), newModel(t, g, st, fairness), producer, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol
+}
+
 func TestSolveChunkValidation(t *testing.T) {
 	g := graph.NewGrid(2, 2)
 	st := cache.NewState(4, 5)
-	if _, err := SolveChunk(nil, st, 0, DefaultOptions()); err == nil {
-		t.Error("nil graph: want error")
+	// The graph/state pairing is checked where the model is built.
+	if _, err := costmodel.New(nil, nil, st, costmodel.Options{}); !errors.Is(err, costmodel.ErrMismatch) {
+		t.Errorf("nil graph: err = %v, want costmodel.ErrMismatch", err)
 	}
-	if _, err := SolveChunk(g, cache.NewState(3, 5), 0, DefaultOptions()); err == nil {
-		t.Error("state mismatch: want error")
+	if _, err := costmodel.New(g, nil, cache.NewState(3, 5), costmodel.Options{}); !errors.Is(err, costmodel.ErrMismatch) {
+		t.Errorf("state mismatch: err = %v, want costmodel.ErrMismatch", err)
 	}
-	if _, err := SolveChunk(g, st, 9, DefaultOptions()); err == nil {
-		t.Error("bad producer: want error")
+	m := newModel(t, g, st, 1)
+	ctx := context.Background()
+	if _, err := PlaceChunksCtx(ctx, m, 9, 1, Options{}, nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("bad producer: err = %v, want ErrBadInput", err)
 	}
-	disc := graph.New(4)
-	if err := disc.AddEdge(0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := disc.AddEdge(2, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SolveChunk(disc, st, 0, DefaultOptions()); err == nil {
-		t.Error("disconnected graph: want error")
-	}
-	if _, err := PlaceChunks(g, 0, 0, st, DefaultOptions()); err == nil {
-		t.Error("zero chunks: want error")
+	if _, err := PlaceChunksCtx(ctx, m, 0, 0, Options{}, nil); !errors.Is(err, ErrBadInput) {
+		t.Errorf("zero chunks: err = %v, want ErrBadInput", err)
 	}
 }
 
@@ -112,15 +130,12 @@ func TestSolveChunkMatchesNaiveEnumeration(t *testing.T) {
 		producer := rng.Intn(n)
 
 		want := naiveOptimal(t, g, st, producer, 1)
-		sol, err := SolveChunk(g, st, producer, DefaultOptions())
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
+		sol := solveChunk(t, g, st, producer, 1, Options{})
 		if !sol.Optimal {
 			t.Fatalf("trial %d: search did not complete", trial)
 		}
 		if math.Abs(sol.Total()-want) > 1e-6 {
-			t.Errorf("trial %d: SolveChunk = %g, oracle = %g (set %v)", trial, sol.Total(), want, sol.Facilities)
+			t.Errorf("trial %d: exact search = %g, oracle = %g (set %v)", trial, sol.Total(), want, sol.Facilities)
 		}
 	}
 }
@@ -128,10 +143,7 @@ func TestSolveChunkMatchesNaiveEnumeration(t *testing.T) {
 func TestSolveChunkProducerNeverSelected(t *testing.T) {
 	g := graph.NewGrid(3, 3)
 	st := cache.NewState(9, 5)
-	sol, err := SolveChunk(g, st, 4, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveChunk(t, g, st, 4, 1, Options{})
 	for _, f := range sol.Facilities {
 		if f == 4 {
 			t.Error("producer in optimal caching set")
@@ -142,12 +154,7 @@ func TestSolveChunkProducerNeverSelected(t *testing.T) {
 func TestSolveChunkRespectsBudget(t *testing.T) {
 	g := graph.NewGrid(4, 4)
 	st := cache.NewState(16, 5)
-	opts := DefaultOptions()
-	opts.NodeBudget = 3
-	sol, err := SolveChunk(g, st, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveChunk(t, g, st, 0, 1, Options{NodeBudget: 3})
 	if sol.Optimal {
 		t.Error("budget 3 on 4x4 grid reported Optimal = true")
 	}
@@ -164,10 +171,7 @@ func TestSolveChunkFullNodesExcluded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sol, err := SolveChunk(g, st, 4, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveChunk(t, g, st, 4, 1, Options{})
 	for _, f := range sol.Facilities {
 		if f != 8 {
 			t.Errorf("full node %d selected", f)
@@ -178,7 +182,7 @@ func TestSolveChunkFullNodesExcluded(t *testing.T) {
 func TestPlaceChunksCommitsAndRespectsCapacity(t *testing.T) {
 	g := graph.NewGrid(3, 3)
 	st := cache.NewState(9, 2)
-	p, err := PlaceChunks(g, 4, 3, st, DefaultOptions())
+	p, err := PlaceChunksCtx(context.Background(), newModel(t, g, st, 1), 4, 3, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,18 +225,11 @@ func TestApproximationRatioBound(t *testing.T) {
 		g := randomConnectedGraph(rng, n)
 		producer := rng.Intn(n)
 
-		solver, err := core.New(g, core.DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		appx, err := solver.Place(producer, 1, cache.NewState(n, 5))
+		appx, err := core.PlaceCtx(context.Background(), newModel(t, g, cache.NewState(n, 5), 1), producer, 1, core.DefaultOptions(), nil)
 		if err != nil {
 			t.Fatalf("trial %d approx: %v", trial, err)
 		}
-		opt, err := SolveChunk(g, cache.NewState(n, 5), producer, DefaultOptions())
-		if err != nil {
-			t.Fatalf("trial %d exact: %v", trial, err)
-		}
+		opt := solveChunk(t, g, cache.NewState(n, 5), producer, 1, Options{})
 		if !opt.Optimal {
 			t.Fatalf("trial %d: exact search incomplete", trial)
 		}
@@ -269,12 +266,7 @@ func TestSolveChunkWidthCapReportsNotProven(t *testing.T) {
 	// 4x4 grid has 15 candidates; a width cap of 2 cannot be exhaustive.
 	g := graph.NewGrid(4, 4)
 	st := cache.NewState(16, 5)
-	opts := DefaultOptions()
-	opts.MaxSubsetSize = 2
-	sol, err := SolveChunk(g, st, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveChunk(t, g, st, 0, 1, Options{MaxSubsetSize: 2})
 	if sol.Optimal {
 		t.Error("width-capped search claimed proven optimality")
 	}
@@ -289,12 +281,7 @@ func TestSolveChunkZeroFairnessWeight(t *testing.T) {
 	if err := st.Store(8, 7); err != nil { // pre-load a node
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.FairnessWeight = 0
-	sol, err := SolveChunk(g, st, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sol := solveChunk(t, g, st, 4, 0, Options{})
 	if sol.Fairness != 0 {
 		t.Errorf("fairness term = %g with weight 0", sol.Fairness)
 	}

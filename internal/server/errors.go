@@ -8,8 +8,6 @@ import (
 	"net/http"
 
 	faircache "repro"
-
-	"repro/internal/demand"
 )
 
 // Error is the typed JSON error every endpoint returns on failure. The
@@ -65,7 +63,7 @@ func asError(err error) *Error {
 	if errors.As(err, &e) {
 		return e
 	}
-	if errors.Is(err, faircache.ErrBadArgument) || errors.Is(err, faircache.ErrNotConnected) || errors.Is(err, demand.ErrBadInput) {
+	if errors.Is(err, faircache.ErrBadArgument) {
 		return badRequestf("%v", err)
 	}
 	if errors.Is(err, context.DeadlineExceeded) {

@@ -14,7 +14,9 @@ import (
 // lookup observed a consistent snapshot: each answer names a node that
 // actually cached the chunk in the committed state of the exact version
 // the lookup reports (or the producer, which serves any known chunk).
-// Run with -race to also exercise the memory model.
+// Readers start once the first publication has committed, so every
+// chunk they ask for is known and none may 404. Run with -race to also
+// exercise the memory model.
 func TestConcurrentLookupPublishStress(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	producer := 5
@@ -36,10 +38,17 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 	var committedMu sync.Mutex
 	var published atomic.Int64
 
+	// firstCommit closes once the first publication has committed, or
+	// when the publisher exits early, so a failed publisher cannot leave
+	// the readers waiting.
+	firstCommit := make(chan struct{})
+	signalFirst := sync.OnceFunc(func() { close(firstCommit) })
+
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() { // the single publisher
 		defer wg.Done()
+		defer signalFirst()
 		for i := 0; i < publications; i++ {
 			var pub PublishResponse
 			c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, &pub, http.StatusOK)
@@ -47,6 +56,7 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 			committed[pub.Version] = pub.Holders
 			committedMu.Unlock()
 			published.Store(int64(pub.Published))
+			signalFirst()
 		}
 	}()
 
@@ -60,6 +70,7 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
+			<-firstCommit
 			for i := 0; i < lookupsEach; i++ {
 				known := int(published.Load())
 				chunk := 0
@@ -69,9 +80,6 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 				node := (r*7 + i*3) % 16
 				resp, raw := c.do("GET",
 					fmt.Sprintf("/v1/topologies/%s/lookup?chunk=%d&node=%d", reg.ID, chunk, node), nil)
-				if resp.StatusCode == http.StatusNotFound {
-					continue // raced ahead of the first publication
-				}
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("lookup status %d: %s", resp.StatusCode, raw)
 					continue

@@ -8,8 +8,8 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/pool"
 )
 
 // Publication records one online chunk placement.
@@ -38,10 +38,9 @@ type Publication struct {
 type OnlineSystem struct {
 	producer int
 	// ttl is a chunk's lifetime in publications; <= 0 never expires.
-	ttl    int
-	opts   core.Options
-	solver *core.Solver
-	model  *costmodel.Model
+	ttl   int
+	opts  Options
+	model *costmodel.Model
 
 	clock int
 	// live holds the ids of committed, unexpired chunks in publication
@@ -63,7 +62,7 @@ func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) 
 		return nil, fmt.Errorf("%w: producer %d out of range [0,%d)", ErrBadArgument, producer, n)
 	}
 	o := opts.withDefaults()
-	sys := &OnlineSystem{producer: producer, ttl: o.Capacity, opts: coreOptions(o)}
+	sys := &OnlineSystem{producer: producer, ttl: o.Capacity, opts: o}
 	if o.ChunkTTL != 0 {
 		sys.ttl = o.ChunkTTL
 	}
@@ -74,23 +73,20 @@ func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) 
 }
 
 // bind points later publications at topology t over cache state st with a
-// fresh path cache, solver and cost model. On error the system is
-// unchanged.
+// fresh cost model (and so a fresh path cache). The topology must be
+// connected with at least 2 nodes. On error the system is unchanged.
 func (o *OnlineSystem) bind(t *Topology, st *cache.State) error {
-	opts := o.opts
-	opts.PathCache = graph.NewPathCache(t.g)
-	solver, err := core.New(t.g, opts)
+	if err := checkPlaceable(t); err != nil {
+		return err
+	}
+	if !t.g.Connected() {
+		return ErrNotConnected
+	}
+	model, err := costmodel.New(t.g, nil, st, modelOptions(o.opts))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
-	model, err := costmodel.New(t.g, opts.PathCache, st, costmodel.Options{
-		FairnessWeight: opts.FairnessWeight,
-		BatteryWeight:  opts.BatteryWeight,
-	})
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadArgument, err)
-	}
-	o.solver, o.model = solver, model
+	o.model = model
 	return nil
 }
 
@@ -131,7 +127,9 @@ func (o *OnlineSystem) PublishCtx(ctx context.Context) (*Publication, error) {
 		}
 	}
 
-	res, err := o.solver.PlaceOneModelCtx(ctx, o.producer, pub.Chunk, o.model)
+	pl := pool.New(pool.Normalize(o.opts.Workers))
+	defer pl.Close()
+	res, err := core.PlaceOneCtx(ctx, o.model, o.producer, pub.Chunk, coreOptions(o.opts), pl)
 	if err != nil {
 		return nil, fmt.Errorf("faircache: publish chunk %d: %w", pub.Chunk, err)
 	}
@@ -200,8 +198,8 @@ func (o *OnlineSystem) Clock() int { return o.clock }
 // publications place against the new connectivity while cached chunks and
 // their expiry clocks carry over. The node count must stay the same, and
 // a rejected topology leaves the system unchanged. Every cached path is
-// invalid after a move, so the solver and cost model are rebuilt over the
-// live cache state rather than repaired.
+// invalid after a move, so the cost model is rebuilt over the live cache
+// state rather than repaired.
 func (o *OnlineSystem) SetTopology(t *Topology) error {
 	if got, want := t.NumNodes(), o.model.State().NumNodes(); got != want {
 		return fmt.Errorf("%w: topology has %d nodes, system has %d", ErrBadArgument, got, want)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/dist"
 	"repro/internal/exact"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/pool"
 	"repro/internal/trace"
@@ -36,16 +35,15 @@ type Request struct {
 // Solver is the context-first entry point of the library: it binds a
 // topology once and then answers placement requests for any algorithm,
 // producer and option set via Solve. Construction is cheap; the solver
-// additionally memoises the topology's shortest-path structure across
-// solves and keeps a fully built topology cost model alive, so a
-// long-lived Solver (a placement service holds one per topology) answers
-// repeat requests from a warm start: the approximation forks the base
+// additionally keeps a fully built topology cost model alive (with the
+// topology's memoised shortest-path structure), so a long-lived Solver (a
+// placement service holds one per topology) answers repeat requests from a
+// warm start: the approximation and the exact solver fork the base
 // model's matrices instead of paying the cold all-pairs rebuild, and the
 // baselines read its topology metric directly. A Solver is safe for
 // concurrent use.
 type Solver struct {
 	topo *Topology
-	pc   *graph.PathCache
 	// scratch is the solver-owned arena pool: every approximation solve
 	// (whole-topology and per-region sharded) borrows its per-chunk scratch
 	// buffers here, so steady-state request traffic recycles arenas instead
@@ -70,10 +68,12 @@ type Solver struct {
 type SolverStats struct {
 	// ColdBuilds counts solves that had to build the topology cost
 	// matrices from scratch (at most one per topology lifetime for the
-	// approximation path).
+	// approximation, exact and baseline paths, which share one base
+	// model).
 	ColdBuilds int `json:"coldBuilds"`
 	// WarmSolves counts solves served from the pre-built base model (a
-	// fork for the approximation, a read-only borrow for the baselines).
+	// fork for the approximation and the exact solver, a read-only borrow
+	// for the baselines).
 	WarmSolves int `json:"warmSolves"`
 	// PartitionedSolves counts solves served by the sharded
 	// (partition-and-stitch) engine.
@@ -95,7 +95,7 @@ func NewSolver(t *Topology) (*Solver, error) {
 	if !t.g.Connected() {
 		return nil, ErrNotConnected
 	}
-	return &Solver{topo: t, pc: graph.NewPathCache(t.g), scratch: core.NewScratchPool(), tracer: trace.New(0)}, nil
+	return &Solver{topo: t, scratch: core.NewScratchPool(), tracer: trace.New(0)}, nil
 }
 
 // Topology returns the topology the solver is bound to.
@@ -124,7 +124,7 @@ func (s *Solver) baseModel(ctx context.Context, pl *pool.Pool, sp *trace.Span) (
 	// options, only the O(N²) matrices are shared.
 	bsp := sp.Child("costmodel.build")
 	st := cache.NewState(s.topo.g.NumNodes(), 1)
-	m, err := costmodel.New(s.topo.g, s.pc, st, costmodel.Options{FairnessWeight: 1})
+	m, err := costmodel.New(s.topo.g, nil, st, costmodel.Options{FairnessWeight: 1})
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
@@ -202,11 +202,10 @@ func (s *Solver) dispatch(ctx context.Context, req Request, o Options, alg Algor
 	}
 }
 
-// coreOptions maps public approximation options onto the engine's.
+// coreOptions maps public approximation options onto the engine's; the
+// weights go to the cost model instead (see modelOptions).
 func coreOptions(o Options) core.Options {
 	coreOpts := core.DefaultOptions()
-	coreOpts.FairnessWeight = o.FairnessWeight
-	coreOpts.BatteryWeight = o.BatteryWeight
 	if o.GreedyConFL {
 		coreOpts.Strategy = core.Greedy
 	}
@@ -220,29 +219,29 @@ func coreOptions(o Options) core.Options {
 	if o.SpanQuorum > 0 {
 		coreOpts.ConFL.SpanQuorum = o.SpanQuorum
 	}
-	coreOpts.Workers = o.Workers
 	coreOpts.ChunkStarted = o.ChunkStarted
 	return coreOpts
 }
 
-// solveApprox runs the paper's centralized approximation (Algorithm 1).
-func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
-	coreOpts := coreOptions(o)
-	coreOpts.PathCache = s.pc
-	coreOpts.Scratch = s.scratch
-	coreOpts.Parent = *sp
-	solver, err := core.New(s.topo.g, coreOpts)
-	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
-	}
-	st := newState(s.topo, o)
-	base := st.Clone()
+// modelOptions maps public options onto the cost model's weights.
+func modelOptions(o Options) costmodel.Options {
+	return costmodel.Options{FairnessWeight: o.FairnessWeight, BatteryWeight: o.BatteryWeight}
+}
 
-	// Fork the solver's warm topology model for this solve: fresh states
-	// are empty, so the fork reuses the shared contention matrices and
-	// the cold all-pairs build is paid once per topology, not per solve.
-	pl := pool.New(pool.Normalize(o.Workers))
-	defer pl.Close()
+// checkPlaceable rejects topologies too small for Algorithm 1, which needs
+// a producer and at least one other node.
+func checkPlaceable(t *Topology) error {
+	if n := t.NumNodes(); n < 2 {
+		return fmt.Errorf("%w: topology has %d node(s), placement needs at least 2", ErrBadArgument, n)
+	}
+	return nil
+}
+
+// forkBase forks the solver's warm topology model over st for one solve:
+// fresh states are empty, so the fork reuses the shared contention
+// matrices and the cold all-pairs build is paid once per topology, not per
+// solve.
+func (s *Solver) forkBase(ctx context.Context, pl *pool.Pool, st *cache.State, mo costmodel.Options, sp *trace.Span) (*costmodel.Model, error) {
 	bm, err := s.baseModel(ctx, pl, sp)
 	if err != nil {
 		return nil, err
@@ -252,10 +251,7 @@ func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *tr
 	if fsp.Live() {
 		fst0 = bm.Stats()
 	}
-	m, err := bm.ForkCtx(ctx, pl, st, costmodel.Options{
-		FairnessWeight: coreOpts.FairnessWeight,
-		BatteryWeight:  coreOpts.BatteryWeight,
-	})
+	m, err := bm.ForkCtx(ctx, pl, st, mo)
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
@@ -265,7 +261,26 @@ func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *tr
 		fsp.SetInt("cold", int64(fst1.ColdForks-fst0.ColdForks))
 	}
 	fsp.End()
-	p, err := solver.PlaceModelCtx(ctx, req.Producer, req.Chunks, m)
+	return m, nil
+}
+
+// solveApprox runs the paper's centralized approximation (Algorithm 1).
+func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
+	if err := checkPlaceable(s.topo); err != nil {
+		return nil, err
+	}
+	st := newState(s.topo, o)
+	base := st.Clone()
+	pl := pool.New(pool.Normalize(o.Workers))
+	defer pl.Close()
+	m, err := s.forkBase(ctx, pl, st, modelOptions(o), sp)
+	if err != nil {
+		return nil, err
+	}
+	coreOpts := coreOptions(o)
+	coreOpts.Scratch = s.scratch
+	coreOpts.Parent = *sp
+	p, err := core.PlaceCtx(ctx, m, req.Producer, req.Chunks, coreOpts, pl)
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
@@ -331,16 +346,21 @@ func (s *Solver) solveBaseline(ctx context.Context, req Request, o Options, alg 
 
 // solveOptimal runs the exact per-chunk branch-and-bound reference.
 func (s *Solver) solveOptimal(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
-	exOpts := exact.DefaultOptions()
-	exOpts.FairnessWeight = o.FairnessWeight
-	exOpts.NodeBudget = o.SearchBudget
-	exOpts.MaxSubsetSize = o.SearchWidth
-	exOpts.Workers = o.Workers
-	exOpts.PathCache = s.pc
 	st := newState(s.topo, o)
 	base := st.Clone()
+	pl := pool.New(pool.Normalize(o.Workers))
+	defer pl.Close()
+	// The reference objective has no battery term, so the fork carries the
+	// fairness weight only.
+	m, err := s.forkBase(ctx, pl, st, costmodel.Options{FairnessWeight: o.FairnessWeight}, sp)
+	if err != nil {
+		return nil, err
+	}
 	psp := sp.Child("exact.place")
-	p, err := exact.PlaceChunksCtx(ctx, s.topo.g, req.Producer, req.Chunks, st, exOpts)
+	p, err := exact.PlaceChunksCtx(ctx, m, req.Producer, req.Chunks, exact.Options{
+		MaxSubsetSize: o.SearchWidth,
+		NodeBudget:    o.SearchBudget,
+	}, pl)
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}

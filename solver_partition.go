@@ -17,13 +17,12 @@ import (
 )
 
 // partitionPlan is one memoised decomposition of the solver's topology:
-// the cut itself plus, per region, a canonical engine (owning the region's
-// path cache) and a lazily built empty-state base cost model. Plans live
-// for the solver's lifetime, so repeated sharded solves at the same region
-// count skip both the cut and the per-region matrix builds.
+// the cut itself plus, per region, a lazily built empty-state base cost
+// model that owns the region's path cache. Plans live for the solver's
+// lifetime, so repeated sharded solves at the same region count skip both
+// the cut and the per-region matrix builds.
 type partitionPlan struct {
-	part    *partition.Partition
-	solvers []*core.Solver
+	part *partition.Partition
 
 	// mu guards bases' one-time construction; after that the models are
 	// read-only (solves fork them) and may be read without the lock.
@@ -48,15 +47,6 @@ func (s *Solver) partitionPlan(regions int) (*partitionPlan, error) {
 		return nil, fmt.Errorf("%w: %v", ErrBadArgument, err)
 	}
 	plan := &partitionPlan{part: part}
-	for r, reg := range part.Regions {
-		copts := core.DefaultOptions()
-		copts.Workers = -1
-		engine, err := core.New(reg.Sub, copts)
-		if err != nil {
-			return nil, fmt.Errorf("faircache: region %d: %w", r, err)
-		}
-		plan.solvers = append(plan.solvers, engine)
-	}
 	if s.plans == nil {
 		s.plans = make(map[int]*partitionPlan)
 	}
@@ -82,7 +72,7 @@ func (p *partitionPlan) ensureBases(ctx context.Context, pl *pool.Pool) (bool, e
 	err := pl.ForEachErr(ctx, len(bases), func(r int) error {
 		reg := p.part.Regions[r]
 		st := cache.NewState(reg.Sub.NumNodes(), 1)
-		m, err := costmodel.New(reg.Sub, p.solvers[r].PathCache(), st, costmodel.Options{FairnessWeight: 1})
+		m, err := costmodel.New(reg.Sub, nil, st, costmodel.Options{FairnessWeight: 1})
 		if err != nil {
 			return err
 		}
@@ -177,14 +167,14 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 	bsp.End()
 
 	// The fan-out is across regions; inside each region the engine runs
-	// its sequential reference path (nesting a ForEach on the same pool
-	// would deadlock, and the region fan-out is where the parallelism
-	// is). Slot writes keep the outcome byte-identical at any width.
+	// its sequential reference path on a nil pool (nesting a ForEach on
+	// the same pool would deadlock, and the region fan-out is where the
+	// parallelism is). Slot writes keep the outcome byte-identical at any
+	// width.
 	coreOpts := coreOptions(o)
-	coreOpts.Workers = -1
 	coreOpts.ChunkStarted = nil // regions run concurrently; see Options
 	// Concurrent region solves each check an arena out of the solver-owned
-	// pool (PlaceModelCtx gets/puts one per call), so sharing it is safe.
+	// pool (PlaceCtx gets/puts one per call), so sharing it is safe.
 	coreOpts.Scratch = s.scratch
 	producers := regionProducers(s.topo.g, part, req.Producer)
 	placements := make([]*core.Placement, len(part.Regions))
@@ -195,18 +185,11 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 		defer rsp.End()
 		ropts := coreOpts
 		ropts.Parent = rsp
-		engine, err := plan.solvers[r].Reconfigure(ropts)
+		m, err := plan.bases[r].ForkCtx(ctx, nil, regionState(part.Regions[r], o), modelOptions(o))
 		if err != nil {
 			return err
 		}
-		m, err := plan.bases[r].ForkCtx(ctx, nil, regionState(part.Regions[r], o), costmodel.Options{
-			FairnessWeight: coreOpts.FairnessWeight,
-			BatteryWeight:  coreOpts.BatteryWeight,
-		})
-		if err != nil {
-			return err
-		}
-		p, err := engine.PlaceModelCtx(ctx, producers[r], req.Chunks, m)
+		p, err := core.PlaceCtx(ctx, m, producers[r], req.Chunks, ropts, nil)
 		if err != nil {
 			return fmt.Errorf("region %d: %w", r, err)
 		}
