@@ -221,7 +221,7 @@ type Options struct {
 	// algorithm's dissemination trees after the MST 2-approximation.
 	ImproveSteiner bool
 	// Workers sizes the worker pool the engine fans independent inner
-	// work out over (contention matrix rows, dual-growth tick phases,
+	// work out over (contention matrix rows, the greedy ConFL gain scan,
 	// per-terminal shortest-path trees). 0 uses GOMAXPROCS; 1 or less
 	// runs the sequential reference path. Placements are byte-identical
 	// at any worker count.

@@ -25,37 +25,36 @@ func allocInstance(n int) Instance {
 	return Instance{N: n, Producer: 0, FacilityCost: fc, ConnCost: conn}
 }
 
-// TestSteadyStateTickAllocFree pins the tentpole contract at its core: one
-// dual-growth tick on a warm scratch performs zero heap allocations. Any
-// regression here multiplies across every tick of every chunk of every
-// solve, so the ceiling is exactly 0.
+// TestSteadyStateTickAllocFree pins the dual growth's allocation contract:
+// on a warm scratch, reset plus every tick until all demands are frozen
+// performs zero heap allocations. Any regression here multiplies across
+// every tick of every chunk of every solve, so the ceiling is exactly 0.
 func TestSteadyStateTickAllocFree(t *testing.T) {
 	inst := allocInstance(48)
 	opts := Options{AlphaStep: 1, GammaStep: 1, SpanQuorum: 1}
-	ctx := context.Background()
 
-	// Warm the scratch with one full solve, then rebind and drive the
-	// dual growth to convergence so the measured tick is steady-state.
+	// Warm the scratch with one full solve so every buffer has its size.
 	var scr Scratch
-	if _, err := SolveScratchCtx(ctx, inst, opts, &scr); err != nil {
+	sol, err := SolveScratchCtx(context.Background(), inst, opts, &scr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := scr.s.reset(inst, opts)
-	for i := 0; s.anyActive(); i++ {
-		if i > 10*inst.N {
-			t.Fatal("dual growth failed to converge")
-		}
-		if err := s.tick(ctx); err != nil {
-			t.Fatal(err)
-		}
+	if len(sol.Facilities) == 0 {
+		t.Fatal("the instance opens no facility; the growth would not be exercised")
 	}
 
-	if got := testing.AllocsPerRun(50, func() {
-		if err := s.tick(ctx); err != nil {
-			t.Fatal(err)
+	ticks := 0
+	got := testing.AllocsPerRun(50, func() {
+		s := scr.s.reset(inst, opts)
+		for ticks = 0; s.anyActive(); ticks++ {
+			s.tick()
 		}
-	}); got != 0 {
-		t.Errorf("steady-state tick allocates %.1f times per run, want 0", got)
+	})
+	if ticks != sol.Iterations {
+		t.Fatalf("dual growth ran %d ticks, want %d", ticks, sol.Iterations)
+	}
+	if got != 0 {
+		t.Errorf("warm dual growth allocates %.1f times per run, want 0", got)
 	}
 }
 

@@ -5,6 +5,16 @@
 // support (γ, the SPAN mechanism); a candidate whose opening cost is fully
 // paid and that gathered a SPAN quorum becomes an ADMIN caching node.
 //
+// The dual growth is event-driven: a tick works only on the pairs the bids
+// have reached. A demand's cost column is read again only once its bid
+// reaches the cheapest cost it left uncovered, relay bids exist only for
+// the pairs a bid has reached, SPAN supporters are counted as relay bids
+// cover their costs and as demands freeze, and β totals are summed only
+// for candidates that already hold a quorum. A tick costs O(N), plus O(N)
+// per column read, β total and opening, plus O(1) per rising relay bid;
+// the dense O(N²) tick survives only as the test oracle in
+// reference_test.go.
+//
 // The scheme mirrors the structure of the 6.55-approximation primal-dual
 // ConFL algorithm the paper builds on [20]; the iterative per-chunk use
 // preserves the ratio (paper, Theorem 1). Phase 2 (connecting the ADMIN
@@ -69,10 +79,10 @@ type Options struct {
 	// MaxIterations caps the dual-growth loop as a safety net; 0 derives
 	// the paper's bound max(c_ij)/U_α (plus slack) automatically.
 	MaxIterations int
-	// Pool fans the per-demand and per-candidate tick phases out over its
-	// workers. nil (or a single-worker pool) runs the sequential reference
-	// path; results are byte-identical either way because every parallel
-	// item writes only its own row or slot.
+	// Pool fans SolveGreedyCtx's marginal-gain scan out over its workers.
+	// nil (or a single-worker pool) runs the scan sequentially; results
+	// are byte-identical either way because every item writes only its own
+	// slot. The primal-dual dual growth runs sequentially and ignores it.
 	Pool *pool.Pool
 }
 
@@ -113,34 +123,45 @@ var (
 )
 
 // solver carries the mutable dual-growth state. Its buffers live inside a
-// Scratch and recycle across chunks and solves; the per-solve reset is a
-// handful of memclr sweeps. The solver address is stable for the lifetime
-// of its Scratch, so the tick-phase closures bind once and never reallocate.
+// Scratch and recycle across chunks and solves; every buffer is O(N²) at
+// most, whatever the step or iteration bound, and the per-solve reset is a
+// handful of clearing sweeps.
+//
+// The state is event-driven. A pair (i, j) starts its relay bid on the
+// first tick α_j ≥ c_ij and raises it every tick while j is active and i a
+// candidate, so only those rising pairs carry a γ. A SPAN count changes
+// only when a rising bid first covers its cost or a supporter freezes, so
+// it is kept as a counter.
 type solver struct {
 	inst Instance
 	opts Options
-	// open and admin are mutated only in the sequential opening scan, so
-	// they pack into bitsets; frozen (the TIGHT set) is written by the
-	// parallel freeze phase — distinct demands may share a bitset word, so
-	// it must stay byte-addressed.
+	// open and admin pack the OPEN and ADMIN sets; frozen is the TIGHT set.
 	open   bitset.Set
 	admin  bitset.Set
 	frozen []bool
 	assign []int32
 	alpha  []float64
-	// gamma holds demand j's relay (SPAN) bid toward candidate i at
-	// gamma[i*N+j] — flat with stride N, cleared per solve.
-	gamma []float64
-	// paidBuf caches Σ_j β_ij per candidate for one tick (α is fixed once
-	// the raise phase ends, so the totals can be precomputed in parallel).
-	paidBuf []float64
+	// next[j] is the smallest cost in demand j's column that α_j did not
+	// cover at the column's last read. Until α_j reaches it, the read
+	// would neither freeze j nor reach a new candidate, so it is skipped.
+	next []float64
+	// span[i] counts candidate i's SPAN supporters: active demands j ≠ i
+	// with c_ij > 0 whose relay bid covers c_ij.
+	span []int32
+	// supports marks each counted pair at bit j*words*64+i, so a freezing
+	// demand withdraws exactly its own support by walking its row of
+	// words (the row is padded to whole words).
+	supports bitset.Set
+	words    int
+	// rising holds the relay bids that have started but do not yet cover
+	// their connection cost.
+	rising []relayBid
+}
 
-	// Hoisted tick-phase closures (allocated once per Scratch, not per
-	// tick): the ForEach fan-outs would otherwise allocate a capture per
-	// tick per phase.
-	freezeFn func(j int)
-	spanFn   func(i int)
-	paidFn   func(i int)
+// relayBid is demand j's growing relay bid γ toward candidate i.
+type relayBid struct {
+	i, j  int32
+	gamma float64
 }
 
 // Scratch owns the reusable dual-growth state of one ConFL solver. A zero
@@ -153,12 +174,12 @@ type Scratch struct {
 }
 
 // SolveScratchCtx runs the dual-growth process until every demand is
-// frozen, checking ctx between ticks (and inside the parallel tick phases
-// when opts.Pool is set); on cancellation it returns ctx.Err() wrapped so
-// that errors.Is(err, context.Canceled/DeadlineExceeded) holds. The
-// dual-growth state is carved out of scr (nil allocates a transient
+// frozen, checking ctx between ticks; on cancellation it returns ctx.Err()
+// wrapped so that errors.Is(err, context.Canceled/DeadlineExceeded)
+// holds. The dual growth runs on the calling goroutine (opts.Pool is not
+// used). Its state is carved out of scr (nil allocates a transient
 // scratch): a warm scratch makes a steady-state solve allocate only its
-// Solution. The result is byte-identical at any pool width.
+// Solution.
 func SolveScratchCtx(ctx context.Context, inst Instance, opts Options, scr *Scratch) (*Solution, error) {
 	if err := validate(inst); err != nil {
 		return nil, err
@@ -193,9 +214,10 @@ func SolveScratchCtx(ctx context.Context, inst Instance, opts Options, scr *Scra
 		if iter >= maxIter {
 			return nil, fmt.Errorf("%w after %d iterations", ErrNoProgress, iter)
 		}
-		if err := s.tick(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("confl: dual growth interrupted: %w", err)
 		}
+		s.tick()
 	}
 
 	sol := &Solution{
@@ -228,10 +250,16 @@ func (s *solver) reset(inst Instance, opts Options) *solver {
 	s.frozen = growBools(s.frozen, n)
 	s.assign = growInt32(s.assign, n)
 	s.alpha = growFloats(s.alpha, n)
-	s.gamma = growFloats(s.gamma, n*n)
-	s.paidBuf = growFloats(s.paidBuf, n)
+	s.next = growFloats(s.next, n)
+	s.span = growInt32(s.span, n)
+	s.words = (n + 63) / 64
+	s.supports = s.supports.Grow(n * s.words * 64)
+	s.rising = s.rising[:0]
 	for j := range s.assign {
 		s.assign[j] = -1
+		s.span[j] = 0
+		// -Inf: the first tick reads every active demand's column.
+		s.next[j] = math.Inf(-1)
 	}
 	s.open.Add(inst.Producer)
 	s.frozen[inst.Producer] = true
@@ -241,82 +269,94 @@ func (s *solver) reset(inst Instance, opts Options) *solver {
 		s.frozen[v] = true
 		s.assign[v] = int32(v)
 	}
-	if s.freezeFn == nil {
-		s.freezeFn = func(j int) { s.freezeDemand(j) }
-		s.spanFn = func(i int) { s.raiseSpan(i) }
-		s.paidFn = func(i int) {
-			if s.isCandidate(i) {
-				s.paidBuf[i] = s.paid(i)
-			}
-		}
-	}
 	return s
 }
 
-// tick advances the dual-growth process by one step U_α.
-//
-// Three of its four phases are embarrassingly parallel once the preceding
-// phase has completed — each work item reads only state the earlier phases
-// fixed and writes only its own slot or row — so they fan out over
-// opts.Pool. The opening phase stays sequential: each opening freezes
-// supporters, which changes the SPAN counts of later candidates.
-func (s *solver) tick(ctx context.Context) error {
+// tick advances the dual-growth process by one step U_α: raise the active
+// bids (freezing demands that now cover an open facility), raise the relay
+// bids, then open the candidates that are fully paid and hold a SPAN
+// quorum. The opening scan is ascending and sequential: each opening
+// freezes supporters, which changes the SPAN counts of later candidates.
+func (s *solver) tick() {
 	inst, n := s.inst, s.inst.N
-	p := s.opts.Pool
 
-	// Raise connection bids of active demands.
+	// Raise connection bids of active demands; read a column only once
+	// its bid reaches the cheapest cost it left uncovered.
 	for j := 0; j < n; j++ {
-		if !s.frozen[j] {
-			s.alpha[j] += s.opts.AlphaStep
-		}
-	}
-
-	// TIGHT: freeze demands whose bid covers an open facility. Because a
-	// frozen demand's α stops growing, its contribution max(0, α_j − c_ij)
-	// to still-unopened candidates is automatically snapshotted. Each
-	// demand j reads the fixed open set and writes frozen[j]/assign[j].
-	if err := p.ForEach(ctx, n, s.freezeFn); err != nil {
-		return err
-	}
-
-	// Raise relay (SPAN) bids toward candidates the demand is tight with.
-	// Per-candidate row i of γ; frozen[] is fixed for the rest of the tick.
-	if err := p.ForEach(ctx, n, s.spanFn); err != nil {
-		return err
-	}
-
-	// β totals depend only on α, which no longer moves this tick, so they
-	// can be precomputed in parallel before the sequential opening scan.
-	if err := p.ForEach(ctx, n, s.paidFn); err != nil {
-		return err
-	}
-
-	// Open candidates that are fully paid and hold a SPAN quorum.
-	for i := 0; i < n; i++ {
-		if !s.isCandidate(i) {
+		if s.frozen[j] {
 			continue
 		}
-		if s.paidBuf[i] < inst.FacilityCost[i] || s.spanCount(i) < s.opts.SpanQuorum {
+		s.alpha[j] += s.opts.AlphaStep
+		if s.alpha[j] >= s.next[j] {
+			s.readColumn(j)
+		}
+	}
+
+	s.raiseRelays()
+
+	// Open candidates that hold a SPAN quorum and are fully paid. β totals
+	// are computed only for quorum holders; α does not move in this scan.
+	for i := 0; i < n; i++ {
+		if !s.isCandidate(i) || int(s.span[i]) < s.opts.SpanQuorum {
+			continue
+		}
+		if s.paid(i) < inst.FacilityCost[i] {
 			continue
 		}
 		s.openAdmin(i)
 	}
-	return nil
 }
 
-// raiseSpan advances candidate i's relay-bid row for the demands tight with
-// it (the SPAN phase of one tick). It writes only row i of γ.
-func (s *solver) raiseSpan(i int) {
-	if !s.isCandidate(i) {
-		return
-	}
-	conn := s.inst.connRow(i)
-	gamma := s.gamma[i*s.inst.N : (i+1)*s.inst.N]
-	for j := 0; j < s.inst.N; j++ {
-		if !s.frozen[j] && s.alpha[j] >= conn[j] {
-			gamma[j] += s.opts.GammaStep
+// readColumn reads demand j's column after its bid reached next[j]. When
+// the bid covers an open facility, j freezes (TIGHT) on the cheapest one,
+// the lowest index on ties. Otherwise every candidate the bid reached since
+// the last read starts a relay bid from j, and next[j] becomes the
+// cheapest cost still uncovered.
+func (s *solver) readColumn(j int) {
+	n := s.inst.N
+	aj, from := s.alpha[j], s.next[j]
+	best, bestC, next := -1, math.Inf(1), math.Inf(1)
+	for i := 0; i < n; i++ {
+		c := s.inst.ConnCost[i*n+j]
+		if aj < c {
+			next = min(next, c)
+			continue
+		}
+		if s.open.Has(i) {
+			if c < bestC {
+				best, bestC = i, c
+			}
+		} else if c >= from && c > 0 && i != j && s.isCandidate(i) {
+			s.rising = append(s.rising, relayBid{i: int32(i), j: int32(j)})
 		}
 	}
+	if best >= 0 {
+		s.freeze(j, best) // raiseRelays drops the bids this read started
+		return
+	}
+	s.next[j] = next
+}
+
+// raiseRelays adds U_γ to every relay bid whose demand is still active and
+// whose candidate is still a candidate, and drops the others for good. A
+// bid that covers its connection cost makes its demand a SPAN supporter.
+func (s *solver) raiseRelays() {
+	n := s.inst.N
+	live := s.rising[:0]
+	for _, r := range s.rising {
+		i, j := int(r.i), int(r.j)
+		if s.frozen[j] || !s.isCandidate(i) {
+			continue
+		}
+		r.gamma += s.opts.GammaStep
+		if r.gamma >= s.inst.ConnCost[i*n+j] {
+			s.span[i]++
+			s.supports.Add(j*s.words*64 + i)
+			continue
+		}
+		live = append(live, r)
+	}
+	s.rising = live
 }
 
 // isCandidate reports whether node i can still become a caching facility.
@@ -339,73 +379,34 @@ func (s *solver) paid(i int) float64 {
 	return total
 }
 
-// spanCount returns the number of active demands whose relay bid covers
-// the connection cost to candidate i (SPAN supporters). The candidate's
-// own zero-cost entry does not count: support must come from peers.
-func (s *solver) spanCount(i int) int {
-	count := 0
-	conn := s.inst.connRow(i)
-	gamma := s.gamma[i*s.inst.N : (i+1)*s.inst.N]
-	for j := 0; j < s.inst.N; j++ {
-		if s.frozen[j] || j == i {
-			continue
-		}
-		if c := conn[j]; gamma[j] >= c && c > 0 {
-			count++
-		}
-	}
-	return count
-}
-
-// openAdmin promotes candidate i to an ADMIN caching node and freezes its
-// supporters onto it.
+// openAdmin promotes candidate i to an ADMIN caching node and freezes onto
+// it every active demand whose bid covers c_ij. (A supporter's relay bid
+// never covers c_ij before its bid does: γ_ij starts only once α_j ≥ c_ij.)
 func (s *solver) openAdmin(i int) {
 	s.open.Add(i)
 	s.admin.Add(i)
 	if !s.frozen[i] {
-		s.frozen[i] = true
-		s.assign[i] = int32(i)
+		s.freeze(i, i)
 	}
 	conn := s.inst.connRow(i)
-	gamma := s.gamma[i*s.inst.N : (i+1)*s.inst.N]
 	for j := 0; j < s.inst.N; j++ {
-		if s.frozen[j] {
-			continue
-		}
-		if s.alpha[j] >= conn[j] || gamma[j] >= conn[j] {
-			s.frozen[j] = true
-			s.assign[j] = int32(i)
+		if !s.frozen[j] && s.alpha[j] >= conn[j] {
+			s.freeze(j, i)
 		}
 	}
 }
 
-// freezeDemand connects demand j to the cheapest open facility its α
-// covers, if any. It touches only j's slots, so distinct demands can be
-// frozen concurrently against a fixed open set. The scan walks the set
-// bits of the open bitset in ascending node order (the open set is a
-// handful of nodes, so this replaces n strided matrix loads with |open|),
-// with the same strict < tie-break as a full ascending sweep.
-func (s *solver) freezeDemand(j int) {
-	if s.frozen[j] {
-		return
-	}
-	best := int32(-1)
-	bestC := math.Inf(1)
-	aj := s.alpha[j]
-	n := s.inst.N
-	for wi, word := range s.open {
-		base := wi * 64
+// freeze makes demand j TIGHT on facility to and withdraws its SPAN
+// support from every candidate it counted toward.
+func (s *solver) freeze(j, to int) {
+	s.frozen[j] = true
+	s.assign[j] = int32(to)
+	row := s.supports[j*s.words : (j+1)*s.words]
+	for wi, word := range row {
 		for word != 0 {
-			i := base + bits.TrailingZeros64(word)
+			s.span[wi*64+bits.TrailingZeros64(word)]--
 			word &= word - 1
-			if c := s.inst.ConnCost[i*n+j]; aj >= c && c < bestC {
-				best, bestC = int32(i), c
-			}
 		}
-	}
-	if best >= 0 {
-		s.frozen[j] = true
-		s.assign[j] = best
 	}
 }
 

@@ -82,14 +82,6 @@ func (p *Pool) Close() {
 	})
 }
 
-// ForEach runs fn(i) for every i in [0, n), spread over the pool's workers.
-// fn must write only to state owned by index i; under that contract the
-// result is identical to the sequential loop `for i := 0; i < n; i++`.
-//
-// Cancelling ctx stops workers from picking up further indexes and makes
-// ForEach return ctx.Err(); indexes already started still finish, but the
-// full range may not have run — callers must discard partial output on a
-// non-nil return.
 // ForEachErr is ForEach for fallible work: fn may return an error, and the
 // first one (by lowest index, so the choice is deterministic) is returned
 // after all started indexes finish. A failing index cancels the derived
@@ -121,6 +113,14 @@ func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(i int) error) erro
 	return nil
 }
 
+// ForEach runs fn(i) for every i in [0, n), spread over the pool's workers.
+// fn must write only to state owned by index i; under that contract the
+// result is identical to the sequential loop `for i := 0; i < n; i++`.
+//
+// Cancelling ctx stops workers from picking up further indexes and makes
+// ForEach return ctx.Err(); indexes already started still finish, but the
+// full range may not have run — callers must discard partial output on a
+// non-nil return.
 func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()

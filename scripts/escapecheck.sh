@@ -23,10 +23,10 @@ cd "$(dirname "$0")/.."
 # error-path fmt args — all per-chunk at worst, never per-tick.
 CHECKS="
 internal/confl/confl.go:tick:0
-internal/confl/confl.go:freezeDemand:0
-internal/confl/confl.go:raiseSpan:0
+internal/confl/confl.go:readColumn:0
+internal/confl/confl.go:raiseRelays:0
+internal/confl/confl.go:freeze:0
 internal/confl/confl.go:paid:0
-internal/confl/confl.go:spanCount:0
 internal/confl/confl.go:openAdmin:0
 internal/steiner/steiner.go:subgraphMST:1
 internal/steiner/steiner.go:pruneLeaves:2
