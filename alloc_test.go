@@ -60,3 +60,52 @@ func TestSolveAllocBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestSolveAndCostAllocBudget pins allocs per warm solve plus its
+// ContentionCost evaluation, on TestSolveAllocBudget's fixture. The
+// evaluation replays the placement on a fork of the solver's warm cost
+// model (reusing Appx's own dissemination trees), so it adds about a
+// hundred allocations to a solve; the from-scratch replay it replaced
+// added thousands, and fails these ceilings.
+func TestSolveAndCostAllocBudget(t *testing.T) {
+	for _, tc := range []struct {
+		alg     faircache.Algorithm
+		ceiling float64
+	}{
+		{faircache.AlgorithmApprox, 800},
+		{faircache.AlgorithmHopCount, 3500},
+		{faircache.AlgorithmContention, 3500},
+	} {
+		t.Run(string(tc.alg), func(t *testing.T) {
+			topo, err := faircache.Grid(6, 6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solver, err := faircache.NewSolver(topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := faircache.Request{
+				Producer:  9,
+				Chunks:    8,
+				Algorithm: tc.alg,
+				Options:   &faircache.Options{Capacity: 3, Workers: 1},
+			}
+			solveAndCost := func() {
+				res, err := solver.Solve(context.Background(), req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := res.ContentionCost(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			solveAndCost() // cold: path cache, base model and hop matrix build
+			got := testing.AllocsPerRun(10, solveAndCost)
+			t.Logf("Solve(%s)+ContentionCost: %.0f allocs/run", tc.alg, got)
+			if got > tc.ceiling {
+				t.Errorf("Solve(%s)+ContentionCost allocates %.0f times per run, want <= %g", tc.alg, got, tc.ceiling)
+			}
+		})
+	}
+}

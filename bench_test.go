@@ -89,6 +89,54 @@ func BenchmarkSolvePartitioned(b *testing.B) {
 	}
 }
 
+// BenchmarkContentionCost measures Result.ContentionCost alone on warm
+// 15×15 results: the evaluation a placement daemon runs after every
+// solve. The Appx case charges its 16 chunks the solve's own
+// dissemination trees; the Hopc case builds every tree and reads the hop
+// metric from the base model.
+func BenchmarkContentionCost(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		alg  faircache.Algorithm
+	}{
+		{"Appx15x15", faircache.AlgorithmApprox},
+		{"Hopc15x15", faircache.AlgorithmHopCount},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			topo, err := faircache.Grid(15, 15)
+			if err != nil {
+				b.Fatal(err)
+			}
+			solver, err := faircache.NewSolver(topo)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := solver.Solve(context.Background(), faircache.Request{
+				Producer:  9,
+				Chunks:    16,
+				Algorithm: tc.alg,
+				Options:   &faircache.Options{Capacity: 3, Workers: 1},
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := res.ContentionCost(); err != nil { // warm the hop matrix
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			var total float64
+			for i := 0; i < b.N; i++ {
+				report, err := res.ContentionCost()
+				if err != nil {
+					b.Fatal(err)
+				}
+				total = report.Total()
+			}
+			b.ReportMetric(total, "contention")
+		})
+	}
+}
+
 // benchScenario mirrors the paper's defaults with a budgeted exact search
 // so Brtf-dependent figures stay tractable inside a benchmark loop.
 func benchScenario() eval.Scenario {

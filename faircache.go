@@ -31,9 +31,11 @@
 package faircache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -318,9 +320,20 @@ type Result struct {
 	// request set Options.Explain.
 	Trace *ExplainReport
 
-	topo     *Topology
+	solver   *Solver
 	strategy metrics.AccessStrategy
 	base     *cache.State // pre-placement state (capacities, batteries)
+	// trees holds the solve's own per-chunk dissemination trees when they
+	// are the ones the evaluation replay would build (global Appx without
+	// ImproveSteiner; nil otherwise).
+	trees []solvedTree
+}
+
+// solvedTree is one chunk's dissemination tree as the solve built it: the
+// holders it connects to the producer, and its cost.
+type solvedTree struct {
+	holders []int
+	cost    float64
 }
 
 func (o *Options) withDefaults() Options {
@@ -391,7 +404,7 @@ func newState(t *Topology, o Options) *cache.State {
 	return st
 }
 
-func newResult(t *Topology, alg Algorithm, producer, chunks, capacity int, holders [][]int, st, base *cache.State, strategy metrics.AccessStrategy) *Result {
+func newResult(s *Solver, alg Algorithm, producer, chunks, capacity int, holders [][]int, st, base *cache.State, strategy metrics.AccessStrategy) *Result {
 	return &Result{
 		Algorithm: alg,
 		Producer:  producer,
@@ -399,7 +412,7 @@ func newResult(t *Topology, alg Algorithm, producer, chunks, capacity int, holde
 		Capacity:  capacity,
 		Holders:   holders,
 		Counts:    st.Counts(),
-		topo:      t,
+		solver:    s,
 		strategy:  strategy,
 		base:      base,
 	}
@@ -425,9 +438,11 @@ type CostReport struct {
 func (c *CostReport) Total() float64 { return c.Access + c.Dissemination }
 
 // ContentionCost evaluates the placement under the paper's uniform replay
-// metric, using the algorithm's own accessing strategy.
+// metric, using the algorithm's own accessing strategy. The replay runs on
+// a fork of the solver's warm cost model (DESIGN.md §5) and matches
+// metrics.Evaluate bit for bit.
 func (r *Result) ContentionCost() (*CostReport, error) {
-	ev, err := metrics.Evaluate(r.topo.g, r.base, r.Producer, r.Holders, r.strategy)
+	ev, err := r.evaluate(context.Background())
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
@@ -441,6 +456,30 @@ func (r *Result) ContentionCost() (*CostReport, error) {
 		report.PerChunk[i] = pc.Total()
 	}
 	return report, nil
+}
+
+// evaluate replays the placement on the solver's warm cost model,
+// charging the solve's own dissemination trees when it kept them and
+// Holders still names the placement they were built for (a caller may
+// have edited it; any edit changes the replay's states, so no tree is
+// reused then).
+func (r *Result) evaluate(ctx context.Context) (*metrics.Eval, error) {
+	bm, err := r.solver.evalBase(ctx)
+	if err != nil {
+		return nil, err
+	}
+	var trees []float64
+	if len(r.trees) == len(r.Holders) {
+		trees = make([]float64, len(r.trees))
+		for n, t := range r.trees {
+			if !slices.Equal(t.holders, r.Holders[n]) {
+				trees = nil
+				break
+			}
+			trees[n] = t.cost
+		}
+	}
+	return metrics.EvaluateModel(ctx, bm, r.base, r.Producer, r.Holders, r.strategy, trees)
 }
 
 // Gini returns the Gini coefficient of the per-node caching load

@@ -25,8 +25,16 @@ type SolveScratch struct {
 // recycles them afterwards. The root solver owns one pool for its whole
 // lifetime, so steady-state request traffic stops paying per-chunk arena
 // construction entirely. The zero value is ready for use.
+//
+// The pool is a mutex-guarded free list rather than a sync.Pool: an arena
+// returned here is always handed out again (sync.Pool drops items at
+// random under the race detector and on garbage collection, so a warm
+// solve's allocation count would depend on both). Arenas are created only
+// when the free list is empty, so the pool never holds more arenas than
+// it has ever lent out at once: the peak number of concurrent solves.
 type ScratchPool struct {
-	p sync.Pool
+	mu   sync.Mutex
+	free []*SolveScratch
 }
 
 // NewScratchPool returns an empty arena pool.
@@ -41,15 +49,23 @@ func (sp *ScratchPool) get() *SolveScratch {
 	if sp == nil {
 		sp = &defaultScratchPool
 	}
-	if s, ok := sp.p.Get().(*SolveScratch); ok {
-		return s
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	n := len(sp.free)
+	if n == 0 {
+		return &SolveScratch{}
 	}
-	return &SolveScratch{}
+	s := sp.free[n-1]
+	sp.free[n-1] = nil
+	sp.free = sp.free[:n-1]
+	return s
 }
 
 func (sp *ScratchPool) put(s *SolveScratch) {
 	if sp == nil {
 		sp = &defaultScratchPool
 	}
-	sp.p.Put(s)
+	sp.mu.Lock()
+	sp.free = append(sp.free, s)
+	sp.mu.Unlock()
 }

@@ -103,7 +103,10 @@ type Model struct {
 	queued  []bool
 	delta   []float64
 
-	scratch sync.Pool // *graph.RepairScratch per repair worker
+	// repair holds one repair scratch per pool worker, chosen by the
+	// worker slot of pool.ForEachW, so concurrent row repairs never share
+	// one and a warm model's repairs allocate no bookkeeping.
+	repair []*graph.RepairScratch
 
 	hopMu   sync.Mutex
 	hopDist [][]float64
@@ -138,7 +141,6 @@ func New(g *graph.Graph, pc *graph.PathCache, st *cache.State, opts Options) (*M
 		queued: make([]bool, n),
 		delta:  make([]float64, n),
 	}
-	m.scratch.New = func() any { return graph.NewRepairScratch(n) }
 	for k := 0; k < n; k++ {
 		m.w[k] = contention.NodeCost(g, k) * float64(1+st.Stored(k))
 		m.fair[k] = m.fairnessAt(k)
@@ -263,11 +265,12 @@ func (m *Model) RefreshCtx(ctx context.Context, p *pool.Pool) error {
 		return m.rebuild(ctx, p)
 	}
 	n := m.g.NumNodes()
+	for len(m.repair) < p.Workers() {
+		m.repair = append(m.repair, graph.NewRepairScratch(n))
+	}
 	touched := make([]int, n)
-	err := p.ForEach(ctx, n, func(i int) {
-		s := m.scratch.Get().(*graph.RepairScratch)
-		touched[i] = m.pc.RepairNodeCostPaths(i, m.w, changed, m.delta, m.c[i*n:(i+1)*n], m.pred[i*n:(i+1)*n], s)
-		m.scratch.Put(s)
+	err := p.ForEachW(ctx, n, func(wk, i int) {
+		touched[i] = m.pc.RepairNodeCostPaths(i, m.w, changed, m.delta, m.c[i*n:(i+1)*n], m.pred[i*n:(i+1)*n], m.repair[wk])
 	})
 	if err != nil {
 		// Rows repaired before the cancellation have already shifted

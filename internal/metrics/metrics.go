@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/contention"
+	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/steiner"
 )
@@ -241,6 +243,126 @@ func Evaluate(g *graph.Graph, base *cache.State, producer int, holders [][]int, 
 				// DIFS per hop node plus T_d times the contention
 				// weight sum — the linearised d(k,c) of Sec. III-C.
 				delay += dcf.DIFS*float64(len(costs.Path(src, j))) + dcf.TData*costs.At(src, j)
+			}
+		}
+		ev.PerChunk[n].Access = access
+		ev.PerChunk[n].AccessDelay = delay
+		ev.Access += access
+		ev.AccessDelay += delay
+	}
+	return ev, nil
+}
+
+// EvaluateModel is Evaluate replayed on the cost model instead of on
+// private from-scratch code. base must be a model of the topology over an
+// empty cache state with its matrices built. The replay never mutates it
+// (only its synchronised fork counter and hop-matrix memo move), so a
+// long-lived base shared by concurrent solves is safe to pass. The replay
+// forks base over a clone of st and then, per chunk, charges the
+// dissemination tree at the fork's current state and commits the chunk's
+// holders through it. The tree is built with steiner.MSTApproxScratchCtx
+// under Model.EdgeCostFunc. The access term reads the fork's repaired
+// final matrix, and the DCF delay takes a path's node count as its hop
+// distance plus one, since every path is min-hop. The strategy metrics
+// come from base: its matrix is the empty-state topology metric of
+// AccessTopologyNearest, and its memoised hop matrix is
+// AccessHopNearest's metric. The model's byte-identity invariant makes
+// every field of the result equal Evaluate's bit for bit, errors
+// included.
+//
+// trees, when non-nil, holds every chunk's dissemination tree cost as the
+// placing solve built it, and the replay charges those costs instead of
+// building the trees. Pass it only when each tree was built by the
+// replay's construction, at the replay's state before that chunk, over
+// that chunk's holders and the producer: then it is the tree the replay
+// would build.
+func EvaluateModel(ctx context.Context, base *costmodel.Model, st *cache.State, producer int, holders [][]int, strategy AccessStrategy, trees []float64) (*Eval, error) {
+	g := base.Graph()
+	if g.NumNodes() != st.NumNodes() {
+		return nil, fmt.Errorf("metrics: graph has %d nodes, state %d", g.NumNodes(), st.NumNodes())
+	}
+	if producer < 0 || producer >= g.NumNodes() {
+		return nil, fmt.Errorf("metrics: producer %d out of range", producer)
+	}
+	m, err := base.ForkCtx(ctx, nil, st.Clone(), costmodel.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	ev := &Eval{PerChunk: make([]ChunkEval, len(holders))}
+
+	// Dissemination phase: replay placements in chunk order.
+	var (
+		scr     steiner.Scratch
+		sources []int
+	)
+	edgeCost := m.EdgeCostFunc()
+	for n, hs := range holders {
+		if len(hs) == 0 {
+			continue
+		}
+		sources = append(append(sources[:0], hs...), producer)
+		var cost float64
+		if trees != nil {
+			cost = trees[n]
+		} else {
+			tree, err := steiner.MSTApproxScratchCtx(ctx, g, edgeCost, sources, nil, &scr)
+			if err != nil {
+				return nil, fmt.Errorf("metrics: dissemination tree for chunk %d: %w", n, err)
+			}
+			cost = tree.Cost
+		}
+		ev.PerChunk[n].Dissemination = cost
+		ev.Dissemination += cost
+		for _, i := range hs {
+			if m.State().Has(i, n) {
+				continue
+			}
+			if err := m.Commit(i, n); err != nil {
+				return nil, fmt.Errorf("metrics: replay chunk %d on node %d: %w", n, i, err)
+			}
+		}
+	}
+
+	// Accessing phase, as in Evaluate.
+	costs, err := m.CostsCtx(ctx, nil)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	final := costs.Rows()
+	sel := &selector{metric: final}
+	switch strategy {
+	case AccessHopNearest:
+		hops, err := base.HopMatrixCtx(ctx, nil)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: %w", err)
+		}
+		sel.metric, sel.tiebreak = hops, final
+	case AccessTopologyNearest:
+		empty, err := base.CostsCtx(ctx, nil)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: %w", err)
+		}
+		sel.metric, sel.tiebreak = empty.Rows(), final
+	case AccessCostNearest:
+	default:
+		return nil, fmt.Errorf("metrics: unknown access strategy %d", int(strategy))
+	}
+	dcf := contention.DefaultDCF()
+	pc := m.PathCache()
+	for n, hs := range holders {
+		sources = append(append(sources[:0], hs...), producer)
+		access, delay := 0.0, 0.0
+		for j := 0; j < g.NumNodes(); j++ {
+			if j == producer {
+				continue
+			}
+			src := sel.pick(sources, j)
+			if src < 0 || math.IsInf(costs.At(src, j), 1) {
+				return nil, fmt.Errorf("metrics: node %d cannot reach chunk %d", j, n)
+			}
+			access += costs.At(src, j)
+			if src != j {
+				delay += dcf.DIFS*float64(pc.HopDistances(src)[j]+1) + dcf.TData*costs.At(src, j)
 			}
 		}
 		ev.PerChunk[n].Access = access

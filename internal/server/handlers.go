@@ -519,7 +519,9 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 		if cctx.Err() != nil {
 			return nil, timeoutf("solve finished after the request deadline; result discarded")
 		}
+		esp := trace.FromContext(cctx).Start("metrics.evaluate")
 		cost, err := res.ContentionCost()
+		esp.End()
 		if err != nil {
 			return nil, err
 		}

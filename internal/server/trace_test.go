@@ -110,7 +110,8 @@ func TestSolveTraceparentPropagation(t *testing.T) {
 
 // TestDebugTraceEndpoint checks GET /debug/trace returns the spans of an
 // explain'd solve — the solver-layer phases and the server-layer flight
-// span — and that the slowerThanMs filter and input validation work.
+// and evaluation spans — and that the slowerThanMs filter and input
+// validation work.
 func TestDebugTraceEndpoint(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 5)
@@ -139,7 +140,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		}
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"coalesce.flight", "solve", "confl"} {
+	for _, want := range []string{"coalesce.flight", "metrics.evaluate", "solve", "confl"} {
 		if !names[want] {
 			t.Errorf("dump missing span %q (have %v)", want, names)
 		}

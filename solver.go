@@ -118,11 +118,25 @@ func (s *Solver) baseModel(ctx context.Context, pl *pool.Pool, sp *trace.Span) (
 		s.stats.WarmSolves++
 		return s.base, nil
 	}
-	// Weights of an empty state depend only on node degrees, so one base
-	// model serves every capacity/battery/weight configuration: forks
-	// re-derive the cheap fairness vector from their own state and
-	// options, only the O(N²) matrices are shared.
 	bsp := sp.Child("costmodel.build")
+	m, err := s.newBaseModel(ctx, pl)
+	if err != nil {
+		return nil, err
+	}
+	bsp.SetInt("cold", 1)
+	bsp.SetInt("cells", int64(m.MatrixCells()))
+	bsp.End()
+	s.base = m
+	s.stats.ColdBuilds++
+	return m, nil
+}
+
+// newBaseModel builds a fully refreshed empty-state model of the topology.
+// Weights of an empty state depend only on node degrees, so one base model
+// serves every capacity/battery/weight configuration: forks re-derive the
+// cheap fairness vector from their own state and options, only the O(N²)
+// matrices are shared.
+func (s *Solver) newBaseModel(ctx context.Context, pl *pool.Pool) (*costmodel.Model, error) {
 	st := cache.NewState(s.topo.g.NumNodes(), 1)
 	m, err := costmodel.New(s.topo.g, nil, st, costmodel.Options{FairnessWeight: 1})
 	if err != nil {
@@ -131,12 +145,22 @@ func (s *Solver) baseModel(ctx context.Context, pl *pool.Pool, sp *trace.Span) (
 	if err := m.RefreshCtx(ctx, pl); err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	bsp.SetInt("cold", 1)
-	bsp.SetInt("cells", int64(m.MatrixCells()))
-	bsp.End()
-	s.base = m
-	s.stats.ColdBuilds++
 	return m, nil
+}
+
+// evalBase returns the empty-state model a result's evaluation forks: the
+// solver's base model once a global solve has built it, otherwise a
+// transient one the caller drops, so a solver that has run only
+// partitioned or distributed solves keeps no O(N²) model for evaluations.
+// Unlike baseModel it counts no solve: an evaluation is not one.
+func (s *Solver) evalBase(ctx context.Context) (*costmodel.Model, error) {
+	s.mu.Lock()
+	bm := s.base
+	s.mu.Unlock()
+	if bm != nil {
+		return bm, nil
+	}
+	return s.newBaseModel(ctx, nil)
 }
 
 // Solve runs one placement request. The context governs the whole solve:
@@ -284,7 +308,19 @@ func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *tr
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	return newResult(s.topo, AlgorithmApprox, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest), nil
+	res := newResult(s, AlgorithmApprox, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest)
+	if !o.ImproveSteiner {
+		// Each chunk's tree is the one the evaluation replay would build:
+		// the same steiner.MSTApproxScratchCtx under the same edge costs
+		// w_u + w_v, at the same state before the chunk, over the same
+		// terminals. Key-path improvement reshapes the tree, so an
+		// improved solve keeps none.
+		res.trees = make([]solvedTree, len(p.Chunks))
+		for n, c := range p.Chunks {
+			res.trees[n] = solvedTree{holders: c.CacheNodes, cost: c.Dissemination}
+		}
+	}
+	return res, nil
 }
 
 // solveDistributed runs the distributed protocol (Algorithm 2) on the
@@ -315,7 +351,7 @@ func (s *Solver) solveDistributed(ctx context.Context, req Request, o Options, s
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
 	psp.End()
-	res := newResult(s.topo, AlgorithmDistributed, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest)
+	res := newResult(s, AlgorithmDistributed, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest)
 	res.Messages = p.MessagesByKind()
 	return res, nil
 }
@@ -341,7 +377,7 @@ func (s *Solver) solveBaseline(ctx context.Context, req Request, o Options, alg 
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
 	psp.End()
-	return newResult(s.topo, name, req.Producer, req.Chunks, o.Capacity, p.Holders, st, base, strategy), nil
+	return newResult(s, name, req.Producer, req.Chunks, o.Capacity, p.Holders, st, base, strategy), nil
 }
 
 // solveOptimal runs the exact per-chunk branch-and-bound reference.
@@ -365,7 +401,7 @@ func (s *Solver) solveOptimal(ctx context.Context, req Request, o Options, sp *t
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
 	psp.End()
-	res := newResult(s.topo, AlgorithmOptimal, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest)
+	res := newResult(s, AlgorithmOptimal, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest)
 	res.ProvenOptimal = p.Optimal()
 	return res, nil
 }

@@ -259,7 +259,7 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 		}
 		matrixCells += plan.bases[r].MatrixCells()
 	}
-	res := newResult(s.topo, AlgorithmApprox, req.Producer, req.Chunks, o.Capacity, stitched, st, base, metrics.AccessCostNearest)
+	res := newResult(s, AlgorithmApprox, req.Producer, req.Chunks, o.Capacity, stitched, st, base, metrics.AccessCostNearest)
 	res.Partition = &PartitionReport{
 		Regions:         len(part.Regions),
 		MinRegionNodes:  minNodes,

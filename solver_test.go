@@ -112,18 +112,29 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 }
 
 // TestSolverConcurrentStress hammers one Solver from many goroutines (run
-// with -race): every solve must match the single-threaded reference.
+// with -race): every solve, and every evaluation of it on the solver's
+// shared base model (fork counters, the lazily built hop matrix), must
+// match the single-threaded reference.
 func TestSolverConcurrentStress(t *testing.T) {
 	topo, err := faircache.Grid(6, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver, err := faircache.NewSolver(topo)
+	reqs := []faircache.Request{
+		{Producer: 9, Chunks: 5},
+		{Producer: 9, Chunks: 5, Algorithm: faircache.AlgorithmHopCount},
+	}
+	refSolver, err := faircache.NewSolver(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := faircache.Request{Producer: 9, Chunks: 5}
-	ref, err := solver.Solve(context.Background(), req)
+	refs := make([]*faircache.Result, len(reqs))
+	for i, req := range reqs {
+		if refs[i], err = refSolver.Solve(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solver, err := faircache.NewSolver(topo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +143,15 @@ func TestSolverConcurrentStress(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
 	results := make([]*faircache.Result, goroutines)
+	costs := make([]*faircache.CostReport, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = solver.Solve(context.Background(), req)
+			results[i], errs[i] = solver.Solve(context.Background(), reqs[i%len(reqs)])
+			if errs[i] == nil {
+				costs[i], errs[i] = results[i].ContentionCost()
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -144,7 +159,15 @@ func TestSolverConcurrentStress(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("goroutine %d: %v", i, errs[i])
 		}
+		ref := refs[i%len(reqs)]
 		sameResult(t, "concurrent", ref, results[i])
+		want, err := ref.ContentionCost()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(costs[i].Total()) != math.Float64bits(want.Total()) {
+			t.Fatalf("goroutine %d: concurrent cost %v != %v", i, costs[i].Total(), want.Total())
+		}
 	}
 }
 
