@@ -15,6 +15,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,11 +42,11 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("faircached: %s: %s", e.Code, e.Message)
 }
 
-// IsNotFound reports whether err is an APIError with the service's
-// not_found code (unknown topology, unknown chunk).
+// IsNotFound reports whether err is, or wraps, an APIError with the
+// service's not_found code (unknown topology, unknown chunk).
 func IsNotFound(err error) bool {
-	e, ok := err.(*APIError)
-	return ok && e.Code == server.CodeNotFound
+	var e *APIError
+	return errors.As(err, &e) && e.Code == server.CodeNotFound
 }
 
 // Client talks to one faircached service.

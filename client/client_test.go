@@ -1,0 +1,58 @@
+package client
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"repro/internal/server"
+)
+
+// TestAPIError decodes error responses from a stub service: the typed
+// envelope fills Code and Message, a body that is not an envelope gives
+// an empty Code, and IsNotFound sees a not_found error through wrapping.
+func TestAPIError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/v1/topologies/gone/report":
+			w.WriteHeader(http.StatusNotFound)
+			fmt.Fprint(w, `{"error":{"code":"not_found","message":"unknown topology \"gone\""}}`)
+		default:
+			http.Error(w, "upstream unavailable", http.StatusBadGateway)
+		}
+	}))
+	defer ts.Close()
+	cl := New(ts.URL)
+	ctx := context.Background()
+
+	_, err := cl.Report(ctx, "gone")
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("report of unknown topology: err %v, want *APIError", err)
+	}
+	want := APIError{Status: http.StatusNotFound, Code: server.CodeNotFound, Message: `unknown topology "gone"`}
+	if *apiErr != want {
+		t.Errorf("decoded %+v, want %+v", *apiErr, want)
+	}
+	if !IsNotFound(err) {
+		t.Errorf("IsNotFound(%v) = false, want true", err)
+	}
+	if wrapped := fmt.Errorf("refresh: %w", err); !IsNotFound(wrapped) {
+		t.Errorf("IsNotFound(%v) = false for a wrapped not_found error, want true", wrapped)
+	}
+
+	_, err = cl.Healthz(ctx)
+	if !errors.As(err, &apiErr) {
+		t.Fatalf("healthz against a failing proxy: err %v, want *APIError", err)
+	}
+	want = APIError{Status: http.StatusBadGateway, Message: "upstream unavailable"}
+	if *apiErr != want {
+		t.Errorf("decoded %+v, want %+v (no envelope, so no code)", *apiErr, want)
+	}
+	if IsNotFound(err) {
+		t.Errorf("IsNotFound(%v) = true for a non-envelope error", err)
+	}
+}

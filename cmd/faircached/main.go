@@ -13,9 +13,6 @@
 //	faircached -data-dir d -fsync never # trade durability for speed
 //	faircached -data-dir d -inspect     # print a redacted record listing
 //	                                    # of an existing data dir and exit
-//	faircached -load                    # self-driving load-test mode:
-//	                                    # registers a grid, hammers it,
-//	                                    # prints throughput, exits
 //	faircached -pprof                   # also serve net/http/pprof
 //	                                    # profiles under /debug/pprof/
 //
@@ -36,14 +33,11 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/client"
 	"repro/internal/server"
-	"repro/internal/server/loadgen"
 	"repro/internal/wal"
 )
 
@@ -62,12 +56,6 @@ func main() {
 		logFormat     = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 		traceSample   = flag.Int("trace-sample", 0, "record solve-phase spans for 1 in N solve/adapt requests on GET /debug/trace (0 disables; explain requests always record)")
-		load          = flag.Bool("load", false, "self-driving load mode: register a grid, run the load generator, print stats, exit")
-		loadMode      = flag.String("load-mode", "mixed", "-load workload: mixed (lookups/publishes/reports) or solve-burst (identical solves, reports coalescing hit rate)")
-		loadGrid      = flag.String("load-grid", "6x6", "grid for -load mode, ROWSxCOLS")
-		loadRequests  = flag.Int("load-requests", 500, "total operations in -load mode")
-		loadWorkers   = flag.Int("load-workers", 4, "concurrent clients in -load mode")
-		loadChunks    = flag.Int("load-chunks", 20, "chunks per identical solve in solve-burst mode (heavier solves widen the coalescing window)")
 	)
 	flag.Parse()
 
@@ -95,8 +83,7 @@ func main() {
 		Logger:            logger,
 		TraceSample:       *traceSample,
 	}
-	lc := loadConfig{mode: *loadMode, grid: *loadGrid, requests: *loadRequests, workers: *loadWorkers, chunks: *loadChunks}
-	if err := run(*addr, opts, *drainTimeout, *pprofOn, *load, lc); err != nil {
+	if err := run(*addr, opts, *drainTimeout, *pprofOn); err != nil {
 		logger.Error("daemon exited with error", "err", err)
 		os.Exit(1)
 	}
@@ -129,16 +116,7 @@ func buildLogger(w io.Writer, format, level string) (*slog.Logger, error) {
 	}
 }
 
-// loadConfig carries the -load* flags into the self-driving load modes.
-type loadConfig struct {
-	mode     string
-	grid     string
-	requests int
-	workers  int
-	chunks   int
-}
-
-func run(addr string, opts server.Options, drainTimeout time.Duration, pprofOn, load bool, lc loadConfig) error {
+func run(addr string, opts server.Options, drainTimeout time.Duration, pprofOn bool) error {
 	svc, err := server.New(opts)
 	if err != nil {
 		return err
@@ -184,12 +162,6 @@ func run(addr string, opts server.Options, drainTimeout time.Duration, pprofOn, 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	var loadErr error
-	if load {
-		loadErr = runLoad(ctx, "http://"+ln.Addr().String(), lc)
-		stop() // load run finished (or failed): begin shutdown
-	}
-
 	select {
 	case <-ctx.Done():
 		log.Info("shutting down, draining in-flight requests", "drainTimeout", drainTimeout.String())
@@ -206,7 +178,7 @@ func run(addr string, opts server.Options, drainTimeout time.Duration, pprofOn, 
 	svc.Close()
 	log.Info("shutdown complete")
 	fmt.Printf("faircached: shutdown complete\n")
-	return loadErr
+	return nil
 }
 
 // runInspect prints one line per WAL record in a data dir — file, offset,
@@ -272,73 +244,4 @@ func describePayload(kind string, payload []byte) string {
 	default:
 		return fmt.Sprintf("unknown type %q", rec.Type)
 	}
-}
-
-// runLoad self-drives the daemon: register a grid topology against the
-// live socket via the typed client, run the selected load-generator
-// workload, and print its stats.
-func runLoad(ctx context.Context, baseURL string, lc loadConfig) error {
-	rows, cols, err := parseGrid(lc.grid)
-	if err != nil {
-		return err
-	}
-	cl := client.New(baseURL)
-	reg, err := cl.Register(ctx, &server.RegisterRequest{Kind: "grid", Rows: rows, Cols: cols})
-	if err != nil {
-		return fmt.Errorf("load register: %w", err)
-	}
-	switch lc.mode {
-	case "mixed":
-		fmt.Printf("faircached: load mode: %d ops over %dx%d grid %s with %d workers\n",
-			lc.requests, rows, cols, reg.ID, lc.workers)
-		stats, err := loadgen.Run(ctx, loadgen.Config{
-			BaseURL:    baseURL,
-			TopologyID: reg.ID,
-			Requests:   lc.requests,
-			Workers:    lc.workers,
-		})
-		if err != nil {
-			return fmt.Errorf("load run: %w", err)
-		}
-		fmt.Printf("faircached: load done: %d ops in %v (%.0f ops/s) — %d lookups, %d publishes, %d reports, %d errors\n",
-			stats.Total(), stats.Elapsed.Round(time.Millisecond), stats.Throughput(),
-			stats.Lookups, stats.Publishes, stats.Reports, stats.Errors)
-		return nil
-	case "solve-burst":
-		fmt.Printf("faircached: solve-burst load mode: %d identical solves over %dx%d grid %s with %d workers\n",
-			lc.requests, rows, cols, reg.ID, lc.workers)
-		stats, err := loadgen.RunSolveBurst(ctx, loadgen.SolveBurstConfig{
-			BaseURL:    baseURL,
-			TopologyID: reg.ID,
-			Requests:   lc.requests,
-			Workers:    lc.workers,
-			Chunks:     lc.chunks,
-		})
-		if err != nil {
-			return fmt.Errorf("load run: %w", err)
-		}
-		fmt.Printf("faircached: burst done: %d requests in %v (%.0f req/s) — %d underlying solves, %d coalesced (hit rate %.1f%%), p50 %v, p99 %v, %d errors\n",
-			stats.Requests, stats.Elapsed.Round(time.Millisecond), stats.Throughput(),
-			stats.Solves, stats.Coalesced, 100*stats.HitRate(),
-			stats.P50.Round(10*time.Microsecond), stats.P99.Round(10*time.Microsecond), stats.Errors)
-		return nil
-	default:
-		return fmt.Errorf("unknown -load-mode %q (want mixed or solve-burst)", lc.mode)
-	}
-}
-
-func parseGrid(spec string) (rows, cols int, err error) {
-	parts := strings.SplitN(strings.ToLower(spec), "x", 2)
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("bad grid spec %q, want ROWSxCOLS", spec)
-	}
-	rows, err = strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad grid rows %q", parts[0])
-	}
-	cols, err = strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad grid cols %q", parts[1])
-	}
-	return rows, cols, nil
 }

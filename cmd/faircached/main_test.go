@@ -8,23 +8,27 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"regexp"
-	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/client"
 	"repro/internal/server"
-	"repro/internal/server/loadgen"
 )
 
 // buildDaemon compiles the faircached binary into a temp dir once per
-// test run.
+// test run. A race-built test binary builds a race-built daemon, so the
+// race detector also watches the processes these tests start.
 func buildDaemon(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "faircached")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
+	args := []string{"build", "-o", bin}
+	if raceEnabled {
+		args = append(args, "-race")
+	}
+	cmd := exec.Command("go", append(args, ".")...)
 	out, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
@@ -196,60 +200,13 @@ func TestPprofFlag(t *testing.T) {
 	}
 }
 
-// TestLoadMode runs the self-driving load mode end to end: the daemon
-// registers its own grid, drives traffic, prints throughput and exits 0.
-func TestLoadMode(t *testing.T) {
-	bin := buildDaemon(t)
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-load", "-load-grid", "4x4", "-load-requests", "60", "-load-workers", "2")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("load mode: %v\n%s", err, out)
-	}
-	text := string(out)
-	for _, want := range []string{"load mode:", "load done:", "ops/s", "shutdown complete"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("load-mode output missing %q:\n%s", want, text)
-		}
-	}
-}
-
-// TestSolveBurstLoadMode runs the identical-solve burst end to end and
-// asserts the coalescing acceptance bar: the burst's requests collapse
-// onto at least 5x fewer underlying solves, so the reported hit rate is
-// positive.
-func TestSolveBurstLoadMode(t *testing.T) {
-	bin := buildDaemon(t)
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-load", "-load-mode", "solve-burst",
-		"-load-grid", "10x10", "-load-requests", "200", "-load-workers", "16", "-load-chunks", "20")
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("solve-burst mode: %v\n%s", err, out)
-	}
-	text := string(out)
-	for _, want := range []string{"solve-burst load mode:", "burst done:", "hit rate", "shutdown complete"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("solve-burst output missing %q:\n%s", want, text)
-		}
-	}
-	m := regexp.MustCompile(`burst done: (\d+) requests in .* — (\d+) underlying solves`).FindStringSubmatch(text)
-	if m == nil {
-		t.Fatalf("cannot parse burst summary:\n%s", text)
-	}
-	requests, _ := strconv.Atoi(m[1])
-	solves, _ := strconv.Atoi(m[2])
-	if solves == 0 || requests/solves < 5 {
-		t.Errorf("burst ran %d underlying solves for %d requests, want >= 5x coalescing:\n%s", solves, requests, text)
-	}
-}
-
 // TestCrashRecovery is the durability end-to-end test: a daemon with
 // -data-dir takes a register, a solve and 20+ publications (the last
-// stretch from the concurrent load generator), dies on SIGKILL
-// mid-stream, and a restart on the same dir must answer /report and
-// /lookup exactly as the write-ahead log says the last fsynced commit
-// did. The expected state is derived from the WAL through
-// server.LoadWALState — an independent decode path, not the server's
-// own recovery code.
+// stretch from four concurrent writers), dies on SIGKILL mid-stream,
+// and a restart on the same dir must answer /report and /lookup exactly
+// as the write-ahead log says the last fsynced commit did. The expected
+// state is derived from the WAL through server.LoadWALState — an
+// independent decode path, not the server's own recovery code.
 func TestCrashRecovery(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := t.TempDir()
@@ -271,27 +228,47 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("solve: %v", err)
 	}
 
-	// 20 acknowledged publications, then the load generator keeps the
-	// mutation stream hot so SIGKILL lands mid-traffic.
+	// 20 acknowledged publications, then four writers keep the mutation
+	// stream hot so SIGKILL lands mid-traffic. Each writer stops at its
+	// first error; one before the kill fails the test.
 	for i := 0; i < 20; i++ {
 		if _, err := cl.Publish(ctx, reg.ID, 1); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
 	}
-	loadDone := make(chan struct{})
-	go func() {
-		defer close(loadDone)
-		// The generator dies with the daemon; any error is expected.
-		_, _ = loadgen.Run(context.Background(), loadgen.Config{
-			BaseURL: baseURL, TopologyID: reg.ID, Requests: 100000, Workers: 4,
-		})
-	}()
-	time.Sleep(150 * time.Millisecond)
+	const writers, ackedBeforeKill = 4, 8
+	var (
+		acked  atomic.Int64
+		killed atomic.Bool
+		wg     sync.WaitGroup
+	)
+	hot := make(chan struct{})
+	signalHot := sync.OnceFunc(func() { close(hot) })
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer signalHot() // a writer that fails early must not leave the test waiting
+			for {
+				if _, err := cl.Publish(ctx, reg.ID, 1); err != nil {
+					if !killed.Load() {
+						t.Errorf("publish before SIGKILL: %v", err)
+					}
+					return
+				}
+				if acked.Add(1) == ackedBeforeKill {
+					signalHot()
+				}
+			}
+		}()
+	}
+	<-hot
+	killed.Store(true)
 	if err := cmd.Process.Kill(); err != nil {
 		t.Fatalf("SIGKILL: %v", err)
 	}
 	_ = cmd.Wait()
-	<-loadDone
+	wg.Wait()
 
 	// What does the log say survived? Every acknowledged response was
 	// fsynced first, so this is at least the state the client saw.
@@ -406,17 +383,5 @@ func TestInspectMode(t *testing.T) {
 
 	if out, err := exec.Command(bin, "-inspect").CombinedOutput(); err == nil {
 		t.Errorf("-inspect without -data-dir should fail, got:\n%s", out)
-	}
-}
-
-func TestParseGrid(t *testing.T) {
-	rows, cols, err := parseGrid("4x6")
-	if err != nil || rows != 4 || cols != 6 {
-		t.Fatalf("parseGrid(4x6) = %d,%d,%v", rows, cols, err)
-	}
-	for _, bad := range []string{"", "4", "x", "ax2", "2xb"} {
-		if _, _, err := parseGrid(bad); err == nil {
-			t.Errorf("parseGrid(%q) should fail", bad)
-		}
 	}
 }

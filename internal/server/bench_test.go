@@ -45,7 +45,7 @@ func benchmarkSolveBurst(b *testing.B, disable bool) {
 	}
 
 	// One keep-alive connection per parallel client so redials don't
-	// stagger the burst (mirrors loadgen.SolveBurstConfig).
+	// stagger the burst (as in TestSolveBurstCollapses).
 	transport := http.DefaultTransport.(*http.Transport).Clone()
 	transport.MaxIdleConns = 64
 	transport.MaxIdleConnsPerHost = 64

@@ -74,7 +74,9 @@ func TestSolveCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", req, &responses[i], http.StatusOK)
+			if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", "", req, &responses[i], http.StatusOK); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	// With the worker parked, all 8 requests pile onto one flight before
@@ -133,7 +135,9 @@ func TestSolveCoalesceCancelledCaller(t *testing.T) {
 	followerDone := make(chan struct{})
 	go func() {
 		defer close(followerDone)
-		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3}, &follower, http.StatusOK)
+		if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", "", SolveRequest{Chunks: 3}, &follower, http.StatusOK); err != nil {
+			t.Error(err)
+		}
 	}()
 	waitSolveFlights(t, s, reg.ID, 1, 1)
 	cancel()
@@ -190,7 +194,9 @@ func TestSolveCoalesceDistinctRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int, req SolveRequest) {
 			defer wg.Done()
-			c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", req, &responses[i], http.StatusOK)
+			if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", "", req, &responses[i], http.StatusOK); err != nil {
+				t.Error(err)
+			}
 		}(i, req)
 	}
 	waitSolveFlights(t, s, reg.ID, 4, 1)
@@ -226,7 +232,10 @@ func TestDisableCoalescing(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out SolveResponse
-			c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3}, &out, http.StatusOK)
+			if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", "", SolveRequest{Chunks: 3}, &out, http.StatusOK); err != nil {
+				t.Error(err)
+				return
+			}
 			if out.Coalesced {
 				t.Error("response marked coalesced with coalescing disabled")
 			}

@@ -80,13 +80,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	topo, kind, err := buildTopology(&req)
-	if err != nil {
+	if err := checkSpecSize(&req, s.opts.MaxNodes); err != nil {
 		s.writeError(w, err)
 		return
 	}
-	if topo.NumNodes() > s.opts.MaxNodes {
-		s.writeError(w, badRequestf("topology has %d nodes, limit is %d", topo.NumNodes(), s.opts.MaxNodes))
+	topo, kind, err := buildTopology(&req)
+	if err != nil {
+		s.writeError(w, err)
 		return
 	}
 	producer := topo.CentralNode()
@@ -163,6 +163,27 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Capacity: capacity,
 		Version:  tp.snap.Load().Version,
 	})
+}
+
+// checkSpecSize refuses a spec that asks for more than limit nodes
+// before buildTopology allocates any of them. A grid has rows·cols
+// nodes, a clustered topology clusters·size, every other kind nodes, and
+// each generator builds exactly that count. Comparing b against limit/a
+// keeps the product from overflowing. Recovery does not call it, so
+// lowering the limit never drops a topology the log already holds.
+func checkSpecSize(req *RegisterRequest, limit int) *Error {
+	kind := strings.ToLower(strings.TrimSpace(req.Kind))
+	a, b := req.Nodes, 1
+	switch kind {
+	case "grid":
+		a, b = req.Rows, req.Cols
+	case "clustered":
+		a, b = req.Clusters, req.Size
+	}
+	if a > limit || (a > 0 && b > limit/a) {
+		return badRequestf("%s topology asks for more than the limit of %d nodes", kind, limit)
+	}
+	return nil
 }
 
 func buildTopology(req *RegisterRequest) (*faircache.Topology, string, error) {

@@ -61,8 +61,8 @@ type Options struct {
 	MaxPublishBatch int
 	// DisableCoalescing turns off singleflight coalescing of identical
 	// solve and report requests. Coalescing is on by default; disabling
-	// it makes every request run its own computation (the before/after
-	// baseline for the loadgen comparison).
+	// it makes every request run its own computation, the baseline
+	// BenchmarkSolveUncoalesced measures.
 	DisableCoalescing bool
 
 	// DataDir enables durability: the write-ahead log and full-state

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -31,42 +32,69 @@ func newTestClient(t *testing.T, opts Options) (*testClient, *Server) {
 	return &testClient{t: t, srv: ts}, s
 }
 
-func (c *testClient) do(method, path string, body any) (*http.Response, []byte) {
-	c.t.Helper()
+// send issues one request, with a traceparent header unless it is
+// empty, and returns the response and its body. It returns failures
+// instead of failing the test, so a worker goroutine can call it and
+// report with t.Errorf: t.Fatal may only run on the test goroutine.
+func (c *testClient) send(method, path, traceparent string, body any) (*http.Response, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			c.t.Fatalf("marshal body: %v", err)
+			return nil, nil, fmt.Errorf("marshal body: %w", err)
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequest(method, c.srv.URL+path, rd)
 	if err != nil {
-		c.t.Fatalf("new request: %v", err)
+		return nil, nil, fmt.Errorf("new request: %w", err)
+	}
+	if traceparent != "" {
+		req.Header.Set("traceparent", traceparent)
 	}
 	resp, err := c.srv.Client().Do(req)
 	if err != nil {
-		c.t.Fatalf("%s %s: %v", method, path, err)
+		return nil, nil, fmt.Errorf("%s %s: %w", method, path, err)
 	}
 	defer resp.Body.Close()
 	out, err := io.ReadAll(resp.Body)
 	if err != nil {
-		c.t.Fatalf("read body: %v", err)
+		return nil, nil, fmt.Errorf("%s %s: read body: %w", method, path, err)
 	}
-	return resp, out
+	return resp, out, nil
+}
+
+func (c *testClient) do(method, path string, body any) (*http.Response, []byte) {
+	c.t.Helper()
+	resp, raw, err := c.send(method, path, "", body)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	return resp, raw
+}
+
+// sendJSON is send plus a status check and a decode of the body into
+// out (unless out is nil). Like send, it returns its failures.
+func (c *testClient) sendJSON(method, path, traceparent string, body, out any, wantStatus int) error {
+	resp, raw, err := c.send(method, path, traceparent, body)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode != wantStatus {
+		return fmt.Errorf("%s %s: status %d, want %d; body %s", method, path, resp.StatusCode, wantStatus, raw)
+	}
+	if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
+			return fmt.Errorf("%s %s: unmarshal %q: %w", method, path, raw, err)
+		}
+	}
+	return nil
 }
 
 func (c *testClient) doJSON(method, path string, body, out any, wantStatus int) {
 	c.t.Helper()
-	resp, raw := c.do(method, path, body)
-	if resp.StatusCode != wantStatus {
-		c.t.Fatalf("%s %s: status %d, want %d; body %s", method, path, resp.StatusCode, wantStatus, raw)
-	}
-	if out != nil {
-		if err := json.Unmarshal(raw, out); err != nil {
-			c.t.Fatalf("%s %s: unmarshal %q: %v", method, path, raw, err)
-		}
+	if err := c.sendJSON(method, path, "", body, out, wantStatus); err != nil {
+		c.t.Fatal(err)
 	}
 }
 
@@ -160,6 +188,32 @@ func TestRegisterValidation(t *testing.T) {
 	resp, _ := c.do("POST", "/v1/topologies", map[string]any{"kind": "grid", "rows": 3, "cols": 3, "bogus": true})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: status %d", resp.StatusCode)
+	}
+}
+
+// TestRegisterSizeLimit posts one oversize spec per kind, plus two whose
+// factors overflow int when multiplied, and checks each is refused with
+// bad_request before any of its nodes is built.
+func TestRegisterSizeLimit(t *testing.T) {
+	c, _ := newTestClient(t, Options{})
+	specs := []RegisterRequest{
+		{Kind: "grid", Rows: 1000, Cols: 1000},
+		{Kind: "random", Nodes: 20000},
+		{Kind: "clustered", Clusters: 100, Size: 100},
+		{Kind: "line", Nodes: 1 << 20},
+		{Kind: "ring", Nodes: 1 << 20},
+		{Kind: "links", Nodes: 1 << 20},
+		{Kind: "grid", Rows: 1 << 32, Cols: 1 << 32},
+		{Kind: "clustered", Clusters: 1 << 32, Size: 1 << 32},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, spec := range specs {
+		c.wantError("POST", "/v1/topologies", spec, http.StatusBadRequest, CodeBadRequest)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing %d oversize specs allocated %d bytes, want < 1 MiB", len(specs), grew)
 	}
 }
 

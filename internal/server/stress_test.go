@@ -51,7 +51,10 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 		defer signalFirst()
 		for i := 0; i < publications; i++ {
 			var pub PublishResponse
-			c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, &pub, http.StatusOK)
+			if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/publish", "", nil, &pub, http.StatusOK); err != nil {
+				t.Error(err)
+				return
+			}
 			committedMu.Lock()
 			committed[pub.Version] = pub.Holders
 			committedMu.Unlock()
@@ -78,8 +81,12 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 					chunk = (r*lookupsEach + i) % known
 				}
 				node := (r*7 + i*3) % 16
-				resp, raw := c.do("GET",
-					fmt.Sprintf("/v1/topologies/%s/lookup?chunk=%d&node=%d", reg.ID, chunk, node), nil)
+				resp, raw, err := c.send("GET",
+					fmt.Sprintf("/v1/topologies/%s/lookup?chunk=%d&node=%d", reg.ID, chunk, node), "", nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
 				if resp.StatusCode != http.StatusOK {
 					t.Errorf("lookup status %d: %s", resp.StatusCode, raw)
 					continue
@@ -129,30 +136,74 @@ func TestConcurrentLookupPublishStress(t *testing.T) {
 
 // TestConcurrentMixedWorkload hammers one topology with concurrent
 // solves, publishes, lookups and reports to shake out data races in the
-// registry / worker / snapshot machinery (meaningful under -race).
+// registry / worker / snapshot machinery (meaningful under -race). While
+// the traffic runs, the test goroutine keeps scraping /metrics; the
+// metrics_counters_never_fall subtest then checks that the request,
+// publication and lookup counters never fell between two samples and
+// rose by the end.
 func TestConcurrentMixedWorkload(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 9)
+	counters := func() []float64 {
+		s := c.scrape()
+		return []float64{
+			familySum(s, "faircached_requests_total"),
+			s["faircached_publications_total"],
+			s[`faircached_requests_total{endpoint="lookup"}`],
+		}
+	}
+	samples := [][]float64{counters()}
+
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
+				var err error
 				switch (w + i) % 3 {
 				case 0:
-					c.do("POST", "/v1/topologies/"+reg.ID+"/solve",
+					_, _, err = c.send("POST", "/v1/topologies/"+reg.ID+"/solve", "",
 						SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "hopc"}})
 				case 1:
-					c.do("POST", "/v1/topologies/"+reg.ID+"/publish", nil)
+					_, _, err = c.send("POST", "/v1/topologies/"+reg.ID+"/publish", "", nil)
 				default:
-					c.do("GET", "/v1/topologies/"+reg.ID+"/report", nil)
-					c.do("GET", "/v1/topologies/"+reg.ID+"/lookup?chunk=0&node=3", nil)
+					if _, _, err = c.send("GET", "/v1/topologies/"+reg.ID+"/report", "", nil); err == nil {
+						_, _, err = c.send("GET", "/v1/topologies/"+reg.ID+"/lookup?chunk=0&node=3", "", nil)
+					}
+				}
+				if err != nil {
+					t.Error(err)
+					return
 				}
 			}
 		}(w)
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	// The last sample is taken after every worker has finished.
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		samples = append(samples, counters())
+	}
+	t.Run("metrics_counters_never_fall", func(t *testing.T) {
+		for k, name := range []string{"requests", "publications", "lookups"} {
+			for i := 1; i < len(samples); i++ {
+				if samples[i][k] < samples[i-1][k] {
+					t.Errorf("counter %s fell between samples %d and %d: %v -> %v",
+						name, i-1, i, samples[i-1][k], samples[i][k])
+				}
+			}
+			if first, last := samples[0][k], samples[len(samples)-1][k]; last <= first {
+				t.Errorf("counter %s did not rise across the run: %v -> %v", name, first, last)
+			}
+		}
+	})
+
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version < 2 {

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -43,33 +41,11 @@ func TestGenTraceID(t *testing.T) {
 	}
 }
 
-// doTraced issues a request with a traceparent header and decodes the
-// JSON response.
+// doTraced is doJSON with a traceparent header.
 func (c *testClient) doTraced(method, path, traceparent string, body, out any, wantStatus int) {
 	c.t.Helper()
-	var rd *strings.Reader
-	buf, err := json.Marshal(body)
-	if err != nil {
-		c.t.Fatalf("marshal body: %v", err)
-	}
-	rd = strings.NewReader(string(buf))
-	req, err := http.NewRequest(method, c.srv.URL+path, rd)
-	if err != nil {
-		c.t.Fatalf("new request: %v", err)
-	}
-	req.Header.Set("traceparent", traceparent)
-	resp, err := c.srv.Client().Do(req)
-	if err != nil {
-		c.t.Fatalf("%s %s: %v", method, path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != wantStatus {
-		c.t.Fatalf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
-	}
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			c.t.Fatalf("%s %s: decode: %v", method, path, err)
-		}
+	if err := c.sendJSON(method, path, traceparent, body, out, wantStatus); err != nil {
+		c.t.Fatal(err)
 	}
 }
 
@@ -188,8 +164,10 @@ func TestCoalescedFlightSharesTraceID(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c.doTraced("POST", "/v1/topologies/"+reg.ID+"/solve", headers[i],
-				SolveRequest{Chunks: 3}, &responses[i], http.StatusOK)
+			if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", headers[i],
+				SolveRequest{Chunks: 3}, &responses[i], http.StatusOK); err != nil {
+				t.Error(err)
+			}
 		}(i)
 	}
 	waitSolveFlights(t, s, reg.ID, 1, callers-1)

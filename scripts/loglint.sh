@@ -13,8 +13,8 @@
 #     the same bypass one call later)
 #   - unstructured stdout writes: fmt.Println and bare fmt.Print
 #
-# fmt.Printf / fmt.Fprintf / fmt.Fprintln remain allowed: CLI subcommands
-# (load, inspect) print user-facing reports, and errors format with
+# fmt.Printf / fmt.Fprintf / fmt.Fprintln remain allowed: the lifecycle
+# banners and -inspect print user-facing reports, and errors format with
 # fmt.Errorf. Test files are exempt — t.Log is the right tool there.
 #
 # Run from the repository root: ./scripts/loglint.sh
