@@ -100,8 +100,8 @@ type AdaptRunOptions struct {
 // AdaptiveSystem is the request-driven adaptive caching variant: a static
 // fair placement is seeded once, then a live request stream drives
 // popularity estimates and periodic adaptation passes that re-place the
-// most mispositioned chunks through delta updates to the solver's shared
-// cost model. Unlike the Solver that created it, an AdaptiveSystem is a
+// most mispositioned chunks through Commit/Evict on a fork of the solver's
+// shared cost model. Unlike the Solver that created it, an AdaptiveSystem is a
 // mutable stream consumer and is NOT safe for concurrent use; callers
 // (the server's per-topology worker) serialize access.
 type AdaptiveSystem struct {

@@ -243,7 +243,7 @@ type Options struct {
 	// Explain asks the solve to record phase spans regardless of the
 	// solver's trace sampling and return a per-phase summary in
 	// Result.Trace (durations plus counters: dual-growth ticks, admitted
-	// facilities, repaired cost rows, stitch re-bids). Placements are
+	// facilities, cost-matrix sweeps, stitch re-bids). Placements are
 	// byte-identical with and without Explain.
 	Explain bool
 	// TraceID labels this request's trace spans (ring buffer, explain

@@ -195,7 +195,7 @@ func distanceMatrixCtx(ctx context.Context, g *graph.Graph, alg Algorithm, p *po
 	case Contention:
 		// Empty state: the baseline's contention metric is topology-only.
 		st := cache.NewState(g.NumNodes(), 1)
-		costs, err := contention.ComputeCostsCtx(ctx, g, st, nil, p)
+		costs, err := contention.ComputeCostsCtx(ctx, g, st, p)
 		if err != nil {
 			return nil, err
 		}
@@ -207,7 +207,7 @@ func distanceMatrixCtx(ctx context.Context, g *graph.Graph, alg Algorithm, p *po
 
 // distanceMatrixModelCtx serves the delay metric from a warm cost model:
 // the hop matrix is memoised inside the model and the contention matrix is
-// the model's incrementally maintained one (read-only borrow). The model's
+// the model's own (read-only borrow). The model's
 // state must be empty so the contention metric stays topology-only.
 func distanceMatrixModelCtx(ctx context.Context, m *costmodel.Model, alg Algorithm, p *pool.Pool) ([][]float64, error) {
 	switch alg {

@@ -104,7 +104,7 @@ func (l *LFU) Score(node, chunk int) float64 { return float64(l.freq[copyKey(nod
 // CostAware evicts the copy whose removal raises total retrieval cost
 // least. It owns no state of its own; the cost oracle (typically the
 // demand subsystem's demand-weighted marginal-cost estimate, backed by
-// the incremental cost model's current holder sets) is consulted at
+// the cost model's current holder sets) is consulted at
 // selection time.
 type CostAware struct {
 	cost func(node, chunk int) float64

@@ -44,7 +44,7 @@ type Instance struct {
 	// FacilityCost holds the opening cost f_i per node (the Fairness
 	// Degree Cost). +Inf marks nodes that must not cache (full storage).
 	// The producer's entry is ignored. The slice is borrowed, not copied:
-	// Algorithm 1 hands in views owned by its incremental cost model, so
+	// Algorithm 1 hands in views owned by its cost model, so
 	// the dual growth must treat it as read-only (it does — both cost
 	// inputs are only ever read) and must not retain it past the solve.
 	FacilityCost []float64

@@ -44,7 +44,9 @@ type Costs struct {
 	// (symmetric; 0 on the diagonal; +Inf for disconnected pairs).
 	C []float64
 	// Pred holds j's predecessor on the chosen path from i at Pred[i*N+j]
-	// (-1 when j == i or j is unreachable from i).
+	// (-1 when j == i or j is unreachable from i). It is nil in the cost
+	// model's borrowed view, which keeps no paths; Path and PredRow need
+	// a matrix from ComputeCosts.
 	Pred []int32
 }
 
@@ -89,22 +91,17 @@ func ComputeCosts(g *graph.Graph, st *cache.State) *Costs {
 }
 
 // ComputeCostsCtx is the engine variant of ComputeCosts: the per-source
-// sweeps fan out over p, per-source BFS layer structure comes from pc when
-// non-nil (only the weight sweep is recomputed as S(i) moves), and ctx
-// cancellation aborts the matrix build. Rows are written only by their own
-// index, so the matrix is byte-identical to ComputeCosts.
-func ComputeCostsCtx(ctx context.Context, g *graph.Graph, st *cache.State, pc *graph.PathCache, p *pool.Pool) (*Costs, error) {
+// sweeps fan out over p and ctx cancellation aborts the matrix build. Rows
+// are written only by their own index, so the matrix is byte-identical to
+// ComputeCosts.
+func ComputeCostsCtx(ctx context.Context, g *graph.Graph, st *cache.State, p *pool.Pool) (*Costs, error) {
 	n := g.NumNodes()
 	w := Weights(g, st)
 	c := NewCosts(n)
 	err := p.ForEach(ctx, n, func(i int) {
-		if pc != nil {
-			pc.NodeCostPathsInto(i, w, c.Row(i), c.PredRow(i))
-		} else {
-			cost, pred := g.NodeCostPaths(i, w)
-			copy(c.Row(i), cost)
-			copy(c.PredRow(i), pred)
-		}
+		cost, pred := g.NodeCostPaths(i, w)
+		copy(c.Row(i), cost)
+		copy(c.PredRow(i), pred)
 	})
 	if err != nil {
 		return nil, err

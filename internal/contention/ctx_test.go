@@ -23,22 +23,19 @@ func TestComputeCostsCtxMatchesSequential(t *testing.T) {
 	}
 	want := ComputeCosts(g, st)
 
-	pc := graph.NewPathCache(g)
 	p := pool.New(4)
 	defer p.Close()
-	for _, cached := range []*graph.PathCache{nil, pc} {
-		got, err := ComputeCostsCtx(context.Background(), g, st, cached, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < want.N; i++ {
-			for j := 0; j < want.N; j++ {
-				if math.Float64bits(want.At(i, j)) != math.Float64bits(got.At(i, j)) {
-					t.Fatalf("cached=%v C[%d][%d] = %v, want %v", cached != nil, i, j, got.At(i, j), want.At(i, j))
-				}
-				if want.PredRow(i)[j] != got.PredRow(i)[j] {
-					t.Fatalf("cached=%v Pred[%d][%d] = %d, want %d", cached != nil, i, j, got.PredRow(i)[j], want.PredRow(i)[j])
-				}
+	got, err := ComputeCostsCtx(context.Background(), g, st, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < want.N; i++ {
+		for j := 0; j < want.N; j++ {
+			if math.Float64bits(want.At(i, j)) != math.Float64bits(got.At(i, j)) {
+				t.Fatalf("C[%d][%d] = %v, want %v", i, j, got.At(i, j), want.At(i, j))
+			}
+			if want.PredRow(i)[j] != got.PredRow(i)[j] {
+				t.Fatalf("Pred[%d][%d] = %d, want %d", i, j, got.PredRow(i)[j], want.PredRow(i)[j])
 			}
 		}
 	}
@@ -49,7 +46,7 @@ func TestComputeCostsCtxCancelled(t *testing.T) {
 	st := cache.NewState(g.NumNodes(), 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ComputeCostsCtx(ctx, g, st, nil, nil); !errors.Is(err, context.Canceled) {
+	if _, err := ComputeCostsCtx(ctx, g, st, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -132,7 +132,7 @@ var (
 // PlaceCtx runs Algorithm 1 on the cost model m: it places chunk ids
 // 0..chunks-1 sequentially, committing each caching set through m, so the
 // cache state placed into is the model's own and every chunk after the
-// first pays a delta repair instead of a full cost rebuild. A warm solve
+// first pays one matrix sweep over the memoised BFS layers. A warm solve
 // passes a fork of a pre-built topology model. ctx is checked before every
 // chunk and throughout each per-chunk iteration (contention matrix build,
 // dual-growth ticks, Steiner fan-out), and the independent inner loops
@@ -171,8 +171,8 @@ func PlaceCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, opt
 // it. It is the per-chunk entry point for chunks that arrive over time
 // rather than as a batch: the online system keeps one model alive across
 // publications and TTL evictions, and the adaptive engine re-places lost
-// chunks on its warm fork, so each call pays only the delta repair instead
-// of a full cost rebuild. The context is checked throughout the iteration.
+// chunks on its warm fork, so each call pays one matrix sweep instead of a
+// cold model build. The context is checked throughout the iteration.
 func PlaceOneCtx(ctx context.Context, m *costmodel.Model, producer, chunkID int, opts Options, pl *pool.Pool) (*ChunkResult, error) {
 	if err := checkProducer(m, producer); err != nil {
 		return nil, err
@@ -202,8 +202,8 @@ func placeChunk(ctx context.Context, m *costmodel.Model, producer, n int, opts *
 	defer csp.End()
 
 	// Lines 5-16: refresh fairness and contention costs from the state.
-	// The model repairs only the entries the previous chunk's commits
-	// dirtied; the first call on a cold model pays the one full build.
+	// The model sweeps its matrix once when the previous chunk's commits
+	// moved a weight, over the path cache's memoised BFS layers.
 	rsp := csp.Child("costmodel.refresh")
 	var st0 costmodel.Stats
 	if rsp.Live() {
@@ -217,9 +217,8 @@ func placeChunk(ctx context.Context, m *costmodel.Model, producer, n int, opts *
 	}
 	if rsp.Live() {
 		st1 := m.Stats()
-		rsp.SetInt("fullBuilds", int64(st1.FullBuilds-st0.FullBuilds))
-		rsp.SetInt("repairs", int64(st1.Repairs-st0.Repairs))
-		rsp.SetInt("cellsRepaired", int64(st1.CellsRecomputed-st0.CellsRecomputed))
+		rsp.SetInt("sweeps", int64(st1.Sweeps-st0.Sweeps))
+		rsp.SetInt("cells", int64(st1.CellsRecomputed-st0.CellsRecomputed))
 	}
 	rsp.End()
 
@@ -299,7 +298,7 @@ func placeChunk(ctx context.Context, m *costmodel.Model, producer, n int, opts *
 	}
 
 	// Commit: L(n) ← A (line 48) — through the model, so the next chunk's
-	// refresh is a delta repair, not a rebuild.
+	// refresh sees the moved weights.
 	for _, i := range sol.Facilities {
 		if err := m.Commit(i, n); err != nil {
 			return nil, fmt.Errorf("store on node %d: %w", i, err)

@@ -39,7 +39,7 @@ func TestReproCancelMidRepairThenRetry(t *testing.T) {
 	if err := m.Commit(0, 7); err != nil {
 		t.Fatal(err)
 	}
-	// Cancel after 3 rows of the repair have run.
+	// Cancel after 3 rows of the sweep have run.
 	cc := &countingCtx{allow: 3}
 	if err := m.RefreshCtx(cc, nil); err == nil {
 		t.Fatal("expected cancellation error")

@@ -2,29 +2,26 @@
 // owns the fairness degree costs of Eq. (1), the node contention weights
 // w_k·(1+S(k)) and the memoised all-pairs path contention cost matrix of
 // Eq. (2), and keeps them consistent under an explicit mutation API
-// (Commit, Evict) with *delta updates*. Committing one chunk changes S(k)
-// at a handful of nodes; instead of the O(N·(N+E)) full refresh
-// Algorithm 1 used to pay before every chunk, the model recomputes f_i for
-// the touched nodes only and repairs just the c_ij entries whose cached
-// shortest paths run through nodes with changed weights
-// (graph.PathCache.RepairNodeCostPaths does the dirty-cone tracking). A
-// model is bound to one graph for life: a topology change builds a new
-// model over the same cache state.
+// (Commit, Evict). A mutation refreshes the touched node's weight and
+// fairness cost at once; the next read whose weights differ from those of
+// the last sweep sweeps every row once over the shared path cache's
+// per-source layer DAG (graph.PathCache.NodeCostsInto), so the refresh
+// Algorithm 1 pays before every chunk skips the BFS and ordering work
+// entirely. A model is bound to one graph for life: a topology change
+// builds a new model over the same cache state.
 //
 // Invariants:
 //
-//   - Incremental results are byte-identical to a from-scratch recompute.
-//     This holds because the contention weights are integer-valued
-//     (deg·(1+S)), so float64 path sums are exact and analytic ±Δ endpoint
-//     shifts equal fresh additions bit for bit. The equivalence tests
-//     assert it across grid/random/clustered topologies.
-//   - A correctness fallback to full recompute always exists: repairs
-//     revert to full row sweeps when too many nodes changed at once (the
-//     repair would not be cheaper) or when Options.DisableIncremental is
-//     set (the oracle the equivalence tests compare against).
+//   - The matrix is byte-identical to contention.ComputeCosts over the
+//     current state after every refresh. The sweep is NodeCostPaths with
+//     the BFS memoised, and Verify and the randomized mutation tests
+//     compare them bit for bit across grid/random/clustered topologies.
+//   - A refresh either completes or leaves the matrix stale: a cancelled
+//     sweep returns its error and the next refresh sweeps every row again,
+//     even if the weights have moved back to those of the last sweep.
 //   - All state mutations must flow through the model. Mutating the
 //     underlying cache.State (or battery levels) directly leaves the
-//     matrices stale.
+//     matrix stale.
 //
 // A Model is not safe for concurrent mutation. A fully refreshed model
 // that is no longer mutated (the placement service's per-topology base
@@ -37,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/cache"
@@ -45,32 +43,24 @@ import (
 	"repro/internal/pool"
 )
 
-// Options fixes how the model weighs the fairness terms and whether the
-// delta-update machinery is active.
+// Options fixes how the model weighs the fairness terms.
 type Options struct {
 	// FairnessWeight scales the storage Fairness Degree Cost (Eq. 1).
 	FairnessWeight float64
 	// BatteryWeight scales the battery fairness term (footnote 1); 0
 	// ignores battery levels.
 	BatteryWeight float64
-	// DisableIncremental forces every refresh through the full-recompute
-	// fallback. It exists as the correctness oracle for the equivalence
-	// tests and as an escape hatch; the delta path is the default.
-	DisableIncremental bool
 }
 
 // Stats counts the work the model has done, for benchmarks and the
 // service's warm/cold accounting.
 type Stats struct {
-	// FullBuilds counts complete matrix builds (cold refreshes and
-	// fallback refreshes).
-	FullBuilds int
-	// Repairs counts incremental refresh passes.
-	Repairs int
-	// CellsRecomputed totals the matrix cells revisited by repairs — the
-	// number a full build would count as N² per refresh.
+	// Sweeps counts completed matrix sweeps: the first refresh and every
+	// refresh that found the weights moved since the last sweep.
+	Sweeps int
+	// CellsRecomputed totals the matrix cells the sweeps wrote, N² each.
 	CellsRecomputed int
-	// WarmForks counts forks that reused this model's matrices.
+	// WarmForks counts forks that reused this model's matrix.
 	WarmForks int
 	// ColdForks counts forks that had to fall back to a cold model.
 	ColdForks int
@@ -92,21 +82,12 @@ type Model struct {
 	w    []float64 // current node weights w_k·(1+S(k))
 	fair []float64 // weighted combined fairness cost; +Inf when full
 
-	// Matrix state: flat row-major matrices (stride N) valid for the
-	// weights at the last refresh, plus the per-node weight deltas
-	// accumulated since then. Flat storage keeps a warm fork to two copy
-	// calls and row views stride-indexed borrows.
-	c       []float64
-	pred    []int32
-	built   bool
-	pending []int // nodes with accumulated deltas, in first-touch order
-	queued  []bool
-	delta   []float64
-
-	// repair holds one repair scratch per pool worker, chosen by the
-	// worker slot of pool.ForEachW, so concurrent row repairs never share
-	// one and a warm model's repairs allocate no bookkeeping.
-	repair []*graph.RepairScratch
+	// c is the flat row-major matrix (stride N), allocated by the first
+	// refresh. Flat storage keeps a warm fork to one copy and row views
+	// stride-indexed borrows. swept holds the weights of the last
+	// completed sweep: c is current exactly when they equal w.
+	c     []float64
+	swept []float64
 
 	hopMu   sync.Mutex
 	hopDist [][]float64
@@ -118,7 +99,7 @@ type Model struct {
 }
 
 // New returns a model over the given topology, shared path cache (nil for
-// a private one) and cache state. The matrices build lazily on the first
+// a private one) and cache state. The matrix builds lazily on the first
 // refresh; construction is cheap. Negative weights are rejected.
 func New(g *graph.Graph, pc *graph.PathCache, st *cache.State, opts Options) (*Model, error) {
 	if g == nil || st == nil || g.NumNodes() != st.NumNodes() {
@@ -132,14 +113,12 @@ func New(g *graph.Graph, pc *graph.PathCache, st *cache.State, opts Options) (*M
 	}
 	n := g.NumNodes()
 	m := &Model{
-		g:      g,
-		pc:     pc,
-		st:     st,
-		opts:   opts,
-		w:      make([]float64, n),
-		fair:   make([]float64, n),
-		queued: make([]bool, n),
-		delta:  make([]float64, n),
+		g:    g,
+		pc:   pc,
+		st:   st,
+		opts: opts,
+		w:    make([]float64, n),
+		fair: make([]float64, n),
 	}
 	for k := 0; k < n; k++ {
 		m.w[k] = contention.NodeCost(g, k) * float64(1+st.Stored(k))
@@ -157,16 +136,11 @@ func (m *Model) State() *cache.State { return m.st }
 // PathCache returns the shared shortest-path memo.
 func (m *Model) PathCache() *graph.PathCache { return m.pc }
 
-// MatrixCells returns the size of the model's contention matrices in
-// cells: N² once they are built, 0 before the first refresh. It is the
+// MatrixCells returns the size of the model's contention matrix in cells:
+// N² once the first refresh has allocated it, 0 before. It is the
 // peak-memory accounting hook of the sharded solve path, which reports
 // Σ nᵢ² over region models against the N² a global model would hold.
-func (m *Model) MatrixCells() int {
-	if !m.built {
-		return 0
-	}
-	return m.g.NumNodes() * m.g.NumNodes()
-}
+func (m *Model) MatrixCells() int { return len(m.c) }
 
 // Stats returns the work counters accumulated so far.
 func (m *Model) Stats() Stats {
@@ -192,27 +166,15 @@ func (m *Model) fairnessAt(i int) float64 {
 }
 
 // touch records that node k's stored count changed: its weight and
-// fairness cost refresh immediately (O(1)), the matrix repair is deferred
-// and batched until the next refresh.
+// fairness cost refresh immediately (O(1)), the matrix on the next read.
 func (m *Model) touch(k int) {
-	w := contention.NodeCost(m.g, k) * float64(1+m.st.Stored(k))
-	if w != m.w[k] {
-		if m.built {
-			if !m.queued[k] {
-				m.queued[k] = true
-				m.pending = append(m.pending, k)
-			}
-			m.delta[k] += w - m.w[k]
-		}
-		m.w[k] = w
-	}
+	m.w[k] = contention.NodeCost(m.g, k) * float64(1+m.st.Stored(k))
 	m.fair[k] = m.fairnessAt(k)
 }
 
-// Commit stores chunk on node and applies the delta update: node's
-// fairness degree and contention weight refresh immediately, the affected
-// c_ij entries are repaired lazily on the next cost read. Store errors
-// (full, duplicate, out of range) pass through untouched.
+// Commit stores chunk on node: node's fairness degree and contention
+// weight refresh immediately, the matrix on the next cost read. Store
+// errors (full, duplicate, out of range) pass through untouched.
 func (m *Model) Commit(node, chunk int) error {
 	if err := m.st.Store(node, chunk); err != nil {
 		return err
@@ -233,101 +195,45 @@ func (m *Model) Evict(node, chunk int) bool {
 	return true
 }
 
-// RefreshCtx brings the matrices up to date: a cold build when none exist,
-// a batched repair of the pending deltas otherwise. Independent rows fan
-// out over p; rows land in their own slots, so the result is
-// byte-identical at any pool width. A repair cancelled mid-flight leaves
-// some rows shifted and some not, so it invalidates the matrices; the next
-// refresh recovers through the full rebuild path.
+// RefreshCtx brings the matrix up to date with the weights. When they
+// differ from the weights of the last completed sweep (or none has run
+// yet), it sweeps every row over the path cache's layer DAG, fanned out
+// over p; rows land in their own slots, so the result is byte-identical
+// at any pool width. A sweep cancelled mid-flight returns the error and
+// leaves the model stale, so the next refresh sweeps again.
 func (m *Model) RefreshCtx(ctx context.Context, p *pool.Pool) error {
-	if !m.built || m.opts.DisableIncremental {
-		return m.rebuild(ctx, p)
-	}
-	if len(m.pending) == 0 {
+	if m.c != nil && slices.Equal(m.swept, m.w) {
 		return nil
 	}
-	changed := m.pending[:0]
-	for _, k := range m.pending {
-		if m.delta[k] != 0 {
-			changed = append(changed, k)
-		} else {
-			m.queued[k] = false
-		}
-	}
-	m.pending = changed
-	if len(changed) == 0 {
-		return nil
-	}
-	// Fallback: when a large fraction of the nodes moved at once, the
-	// repair cones cover most of the matrix anyway — the full sweep is
-	// the cheaper (and trivially correct) path.
-	if len(changed) > m.g.NumNodes()/4 {
-		return m.rebuild(ctx, p)
-	}
-	n := m.g.NumNodes()
-	for len(m.repair) < p.Workers() {
-		m.repair = append(m.repair, graph.NewRepairScratch(n))
-	}
-	touched := make([]int, n)
-	err := p.ForEachW(ctx, n, func(wk, i int) {
-		touched[i] = m.pc.RepairNodeCostPaths(i, m.w, changed, m.delta, m.c[i*n:(i+1)*n], m.pred[i*n:(i+1)*n], m.repair[wk])
-	})
-	if err != nil {
-		// Rows repaired before the cancellation have already shifted
-		// their cells in place; repairing again with the still-queued
-		// deltas would double-apply them. Invalidate the matrices so the
-		// next refresh takes the full rebuild, which only reads the
-		// (already current) weights.
-		m.built = false
-		return err
-	}
-	m.clearPending()
-	m.bumpStats(func(st *Stats) {
-		st.Repairs++
-		for _, t := range touched {
-			st.CellsRecomputed += t
-		}
-	})
-	return nil
-}
-
-// rebuild is the full-recompute path: one weighted sweep per source over
-// the cached BFS layer structure, identical to contention.ComputeCostsCtx.
-func (m *Model) rebuild(ctx context.Context, p *pool.Pool) error {
 	n := m.g.NumNodes()
 	if m.c == nil {
 		m.c = make([]float64, n*n)
-		m.pred = make([]int32, n*n)
 	}
-	err := p.ForEach(ctx, n, func(i int) {
-		m.pc.NodeCostPathsInto(i, m.w, m.c[i*n:(i+1)*n], m.pred[i*n:(i+1)*n])
-	})
-	if err != nil {
+	m.swept = m.swept[:0]
+	if err := p.ForEach(ctx, n, func(i int) {
+		m.pc.NodeCostsInto(i, m.w, m.c[i*n:(i+1)*n])
+	}); err != nil {
 		return err
 	}
-	m.built = true
-	m.clearPending()
-	m.bumpStats(func(st *Stats) { st.FullBuilds++ })
+	m.swept = append(m.swept, m.w...)
+	m.bumpStats(func(st *Stats) {
+		st.Sweeps++
+		st.CellsRecomputed += n * n
+	})
 	return nil
-}
-
-func (m *Model) clearPending() {
-	for _, k := range m.pending {
-		m.queued[k] = false
-		m.delta[k] = 0
-	}
-	m.pending = m.pending[:0]
 }
 
 // CostsCtx refreshes and returns the Path Contention Cost matrix. The
 // returned view is owned by the model and borrowed by the caller: it must
 // be treated as read-only and becomes stale after the next mutation —
-// exactly the lifetime of one per-chunk ConFL phase.
+// exactly the lifetime of one per-chunk ConFL phase. The view carries no
+// predecessor matrix (Pred is nil): paths come from
+// contention.ComputeCosts, and hop counts from PathCache.HopDistances.
 func (m *Model) CostsCtx(ctx context.Context, p *pool.Pool) (*contention.Costs, error) {
 	if err := m.RefreshCtx(ctx, p); err != nil {
 		return nil, err
 	}
-	return &contention.Costs{N: m.g.NumNodes(), C: m.c, Pred: m.pred}, nil
+	return &contention.Costs{N: m.g.NumNodes(), C: m.c}, nil
 }
 
 // FacilityCosts returns a fresh slice of the weighted fairness costs with
@@ -403,10 +309,10 @@ func (m *Model) HopMatrixCtx(ctx context.Context, p *pool.Pool) ([][]float64, er
 // cache) primed for a new solve. When st induces the same node weights as
 // the receiver's state — every empty state does, regardless of capacities
 // or battery levels, since weights depend only on degrees and stored
-// counts — the fork copies the receiver's repaired matrices instead of
-// rebuilding them, turning a warm-topology solve's cold start into an
-// O(N²) copy. Otherwise it falls back to a cold model. The fork mutates
-// independently of the receiver.
+// counts — the fork copies the receiver's matrix instead of sweeping it,
+// turning a warm-topology solve's cold start into an O(N²) copy.
+// Otherwise it falls back to a cold model. The fork mutates independently
+// of the receiver.
 func (m *Model) ForkCtx(ctx context.Context, p *pool.Pool, st *cache.State, opts Options) (*Model, error) {
 	child, err := New(m.g, m.pc, st, opts)
 	if err != nil {
@@ -415,25 +321,22 @@ func (m *Model) ForkCtx(ctx context.Context, p *pool.Pool, st *cache.State, opts
 	if err := m.RefreshCtx(ctx, p); err != nil {
 		return nil, err
 	}
-	for i := range m.w {
-		if child.w[i] != m.w[i] {
-			m.bumpStats(func(st *Stats) { st.ColdForks++ })
-			return child, nil
-		}
+	if !slices.Equal(child.w, m.w) {
+		m.bumpStats(func(st *Stats) { st.ColdForks++ })
+		return child, nil
 	}
-	// Flat matrices make the warm fork two bulk copies — a pair of
-	// allocations and memmoves instead of 2N row builds.
+	// The flat matrix makes the warm fork one allocation and memmove
+	// instead of N row sweeps.
 	child.c = append([]float64(nil), m.c...)
-	child.pred = append([]int32(nil), m.pred...)
-	child.built = true
+	child.swept = append([]float64(nil), m.swept...)
 	m.bumpStats(func(st *Stats) { st.WarmForks++ })
 	return child, nil
 }
 
-// Verify recomputes every cost from scratch and compares it against the
-// incremental state, returning an error naming the first divergence. It is
-// the debugging hook behind the fallback contract; tests use it after
-// randomized mutation sequences.
+// Verify recomputes every cost from scratch with contention.ComputeCosts
+// and compares it bit for bit against the refreshed model, returning an
+// error naming the first divergence. Tests use it after randomized
+// mutation sequences.
 func (m *Model) Verify(ctx context.Context, p *pool.Pool) error {
 	if err := m.RefreshCtx(ctx, p); err != nil {
 		return err
@@ -442,11 +345,8 @@ func (m *Model) Verify(ctx context.Context, p *pool.Pool) error {
 	n := m.g.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
-			if m.c[i*n+j] != fresh.At(i, j) {
-				return fmt.Errorf("costmodel: C[%d][%d] drifted: incremental %v, fresh %v", i, j, m.c[i*n+j], fresh.At(i, j))
-			}
-			if m.pred[i*n+j] != fresh.Pred[i*n+j] {
-				return fmt.Errorf("costmodel: Pred[%d][%d] drifted: incremental %d, fresh %d", i, j, m.pred[i*n+j], fresh.Pred[i*n+j])
+			if math.Float64bits(m.c[i*n+j]) != math.Float64bits(fresh.At(i, j)) {
+				return fmt.Errorf("costmodel: C[%d][%d] drifted: model %v, fresh %v", i, j, m.c[i*n+j], fresh.At(i, j))
 			}
 		}
 	}

@@ -52,14 +52,14 @@ type chunkScore struct {
 //  2. Pressure-evict the lowest-value copies (per the eviction strategy)
 //     until at least CopyBudget slots are free network-wide.
 //  3. Re-place any examined chunk that lost all copies with a full
-//     fair-caching iteration (delta updates through the shared model).
+//     fair-caching iteration (committed through the shared model).
 //  4. Spend the remaining budget on redundancy copies: round-robin over
 //     the examined chunks, each round adding the copy with the highest
 //     demand-weighted hop saving net of a storage-fairness penalty.
 //
-// Every mutation flows through the incremental cost model, so the pass
-// costs delta repairs, not rebuilds. The pass is deterministic for a
-// fixed request history.
+// Every mutation flows through the cost model, whose next read sweeps the
+// matrix once over the memoised BFS layers. The pass is deterministic for
+// a fixed request history.
 func (s *System) AdaptCtx(ctx context.Context) (*AdaptReport, error) {
 	return s.AdaptTraceCtx(ctx, nil)
 }
@@ -121,9 +121,8 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 	sp.SetInt("placed", int64(len(report.Placed)-placedBefore))
 	sp.End()
 
-	// Leave the matrices repaired: the pass batched its deltas, one
-	// refresh settles them so the next request burst and Verify calls
-	// start from a clean model.
+	// Leave the matrix fresh: one refresh after the pass's mutations lets
+	// the next request burst and Verify calls start from a clean model.
 	sp = parent.Child("adapt.refresh")
 	if err := s.model.RefreshCtx(ctx, pl); err != nil {
 		return nil, err

@@ -2,8 +2,8 @@
 // serves a live stream of chunk requests against the current placement,
 // maintains online popularity estimates (sliding window + EWMA, package
 // Tracker), and periodically re-places the most mispositioned chunks
-// through delta updates to the shared incremental cost model — warm
-// mutations via Commit/Evict, never a full rebuild. It generalizes
+// through Commit/Evict on the shared cost model, which keeps its warm path
+// cache, so a pass never pays a cold model build. It generalizes
 // package online from publication-driven to request-driven operation,
 // following the adaptation-loop design of Ioannidis & Yeh (Adaptive
 // Caching Networks with Optimality Guarantees) and the demand-weighted
@@ -187,7 +187,10 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 	n := g.NumNodes()
 	hop := make([][]int, n)
 	for i := 0; i < n; i++ {
-		hop[i] = append([]int(nil), m.PathCache().HopDistances(i)...)
+		hop[i] = make([]int, n)
+		for j, h := range m.PathCache().HopDistances(i) {
+			hop[i][j] = int(h)
+		}
 	}
 	strat := opts.Eviction
 	s := &System{

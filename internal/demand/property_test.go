@@ -15,7 +15,7 @@ import (
 //
 //   - no node ever exceeds its capacity,
 //   - the holder bookkeeping mirrors the cache state exactly,
-//   - the incremental cost model stays byte-identical to its
+//   - the cost model stays byte-identical to its
 //     full-recompute Verify oracle.
 //
 // Across the matrix the walk takes >10k randomized steps in total.

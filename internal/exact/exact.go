@@ -64,12 +64,11 @@ var (
 // solveChunkModel finds the optimal caching set for one chunk under the
 // model's current state:
 // min over A of Σ_{i∈A} f_i + Σ_j min_{i∈A∪{v}} c_ij + SteinerOpt(A ∪ {v}).
-// The model supplies the (incrementally maintained) fairness and
-// contention costs; the caller commits the result back through it. ctx is
-// checked inside the branch-and-bound every few hundred explored nodes and
-// throughout the precomputation (contention matrix, all-pairs Dijkstra),
-// which fans out over pl; the search itself is sequential, so results are
-// identical at any width.
+// The model supplies the fairness and contention costs; the caller commits
+// the result back through it. ctx is checked inside the branch-and-bound
+// every few hundred explored nodes and throughout the precomputation
+// (contention matrix, all-pairs Dijkstra), which fans out over pl; the
+// search itself is sequential, so results are identical at any width.
 func solveChunkModel(ctx context.Context, m *costmodel.Model, producer int, opts Options, pl *pool.Pool) (*Solution, error) {
 	maxSize := opts.MaxSubsetSize
 	if maxSize <= 0 || maxSize > steiner.MaxExactTerminals-1 {
@@ -103,7 +102,6 @@ func solveChunkModel(ctx context.Context, m *costmodel.Model, producer int, opts
 
 // search carries the branch-and-bound state.
 type search struct {
-	g        *graph.Graph
 	producer int
 	opts     Options
 	maxSize  int
@@ -115,6 +113,8 @@ type search struct {
 	spDist     [][]float64 // all-pairs shortest path dist under edgeCost
 	// suffixMin[k][j]: min connection cost from candidates[k:] to j.
 	suffixMin [][]float64
+	// dw is the Dreyfus–Wagner table every exact Steiner cost reuses.
+	dw steiner.ExactScratch
 
 	demands []int // all nodes except the producer
 
@@ -141,7 +141,6 @@ func newSearch(ctx context.Context, m *costmodel.Model, producer int, opts Optio
 		return nil, err
 	}
 	s := &search{
-		g:        g,
 		producer: producer,
 		opts:     opts,
 		maxSize:  maxSize,
@@ -193,8 +192,8 @@ func newSearch(ctx context.Context, m *costmodel.Model, producer int, opts Optio
 	}
 
 	// All-pairs shortest-path distances under the edge costs (for the
-	// metric-closure MST Steiner lower bound), one Dijkstra per source
-	// fanned out over the pool.
+	// metric-closure MST Steiner lower bound and the exact Steiner cost),
+	// one Dijkstra per source fanned out over the pool.
 	s.spDist = make([][]float64, n)
 	if err := pl.ForEach(ctx, n, func(v int) {
 		s.spDist[v], _ = g.Dijkstra(v, s.edgeCost)
@@ -303,7 +302,7 @@ func (s *search) evaluate(set []int) {
 	if fairness+access+s.closureMST(terminals)/2 >= s.bestCost-1e-9 {
 		return
 	}
-	stCost, err := steiner.ExactCost(s.g, s.edgeCost, terminals)
+	stCost, err := steiner.ExactCostDist(s.spDist, terminals, &s.dw)
 	if err != nil {
 		return // oversized terminal set; subset-size cap prevents this
 	}
@@ -391,8 +390,8 @@ func (p *Placement) Optimal() bool {
 // each chunk the optimal ConFL solution under the current state is
 // computed and committed through m, just like the paper's brute-force
 // baseline solves Eq. (8) chunk by chunk, so each chunk after the first
-// pays a delta repair for the previous commits instead of a fresh
-// contention matrix build. Cancellation is checked before and during every
+// pays one matrix sweep over the model's memoised BFS layers for the
+// previous commits. Cancellation is checked before and during every
 // per-chunk search.
 func PlaceChunksCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, opts Options, pl *pool.Pool) (*Placement, error) {
 	if producer < 0 || producer >= m.Graph().NumNodes() {

@@ -8,15 +8,18 @@ import (
 )
 
 // PathCache memoises the topology-dependent half of NodeCostPaths: the BFS
-// hop distances from each source and the layered visitation order derived
-// from them. Those depend only on the graph, while the node weights change
-// on every chunk (the fairness feedback S(i) moves), so the per-chunk work
-// drops to a single cost sweep over the cached order.
+// hop distances from each source and the layer DAG derived from them. Those
+// depend only on the graph, while the node weights change on every chunk
+// (the fairness feedback S(i) moves), so the per-chunk work drops to one
+// predecessor-free cost sweep per source over the cached DAG.
 //
-// The replayed sweep visits nodes in exactly the order the counting sort in
-// NodeCostPaths produces (ascending hop layer, ascending node id within a
-// layer) and scans adjacency lists in the same order, so cached results are
-// byte-identical to the uncached routine.
+// The DAG lists every node reachable from the source in the order the
+// counting sort in NodeCostPaths visits them (ascending hop layer,
+// ascending node id within a layer), each with its previous-layer
+// neighbours in adjacency order. The sweep takes cost[v] = w[v] + min over
+// those neighbours, which equals NodeCostPaths' min over cost[u] + w[v]
+// bit for bit: rounded float addition is monotone, so adding w[v] after
+// the minimum picks the same sum.
 //
 // A PathCache must only be used with the graph it was created for, and that
 // graph must not gain edges afterwards. Entries build lazily and are safe
@@ -28,12 +31,18 @@ type PathCache struct {
 	entries []*pathEntry
 }
 
+// pathEntry is the layer DAG of one source in CSR form, with the hop
+// distances it came from. int32 values keep a topology's cache at 4 bytes
+// per node and per DAG arc.
 type pathEntry struct {
-	hop []int
+	hop []int32
 	// order lists every node reachable from src except src itself, in
-	// ascending hop order with ascending node id inside each layer — the
-	// flattening of the counting-sort buckets in NodeCostPaths.
-	order []int
+	// ascending hop order with ascending node id inside each layer.
+	order []int32
+	// preds[start[k]:start[k+1]] are order[k]'s neighbours one layer
+	// closer to src, in adjacency order.
+	start []int32
+	preds []int32
 }
 
 // NewPathCache returns an empty cache over g. Entries are built on demand.
@@ -95,183 +104,91 @@ func (pc *PathCache) entry(src int) *pathEntry {
 }
 
 func (pc *PathCache) build(src int) *pathEntry {
-	hop := pc.g.HopDistances(src)
-	buckets := make([][]int, pc.g.n+1)
-	total := 0
-	for v := 0; v < pc.g.n; v++ {
-		if h := hop[v]; h != Unreachable && h > 0 {
-			buckets[h] = append(buckets[h], v)
-			total++
+	hop := make([]int32, pc.g.n)
+	for v, h := range pc.g.HopDistances(src) {
+		hop[v] = int32(h)
+	}
+	// Counting sort by hop layer, ascending node id within a layer:
+	// first[h] becomes the position of layer h's next node in order.
+	first := make([]int32, pc.g.n+1)
+	nodes, arcs := 0, 0
+	for v, h := range hop {
+		if h <= 0 { // the source itself, or unreachable
+			continue
+		}
+		first[h]++
+		nodes++
+		for _, u := range pc.g.adj[v] {
+			if hop[u] == h-1 {
+				arcs++
+			}
 		}
 	}
-	order := make([]int, 0, total)
-	for h := 1; h <= pc.g.n; h++ {
-		order = append(order, buckets[h]...)
+	pos := int32(0)
+	for h, c := range first {
+		first[h] = pos
+		pos += c
 	}
-	return &pathEntry{hop: hop, order: order}
+	e := &pathEntry{
+		hop:   hop,
+		order: make([]int32, nodes),
+		start: make([]int32, 1, nodes+1),
+		preds: make([]int32, 0, arcs),
+	}
+	for v, h := range hop {
+		if h > 0 {
+			e.order[first[h]] = int32(v)
+			first[h]++
+		}
+	}
+	for _, v := range e.order {
+		h := hop[v]
+		for _, u := range pc.g.adj[v] {
+			if hop[u] == h-1 {
+				e.preds = append(e.preds, int32(u))
+			}
+		}
+		e.start = append(e.start, int32(len(e.preds)))
+	}
+	return e
 }
 
-// NodeCostPaths is the cached equivalent of Graph.NodeCostPaths: same
-// inputs, byte-identical outputs, but the BFS and ordering work is done at
-// most once per source.
-func (pc *PathCache) NodeCostPaths(src int, weight []float64) (cost []float64, pred []int32) {
-	n := pc.g.n
-	cost = make([]float64, n)
-	pred = make([]int32, n)
-	pc.NodeCostPathsInto(src, weight, cost, pred)
-	return cost, pred
-}
-
-// NodeCostPathsInto is NodeCostPaths writing into caller-owned slices (both
-// of length NumNodes), so row storage can be reused across refreshes instead
-// of reallocated — the costmodel passes stride-indexed views into its flat
-// matrices. The results are byte-identical to NodeCostPaths.
-func (pc *PathCache) NodeCostPathsInto(src int, weight []float64, cost []float64, pred []int32) {
-	n := pc.g.n
-	for i := 0; i < n; i++ {
-		cost[i] = Infinite
-		pred[i] = -1
-	}
-	if src < 0 || src >= n {
+// NodeCostsInto writes the cost row of NodeCostPaths(src, weight) into
+// cost (length NumNodes), bit for bit, for finite or +Inf weights other
+// than −0. It computes no predecessors: the one sweep walks the cached
+// layer DAG in order and takes each node's cheapest previous-layer
+// neighbour with the branch-free builtin min. Callers reuse row storage
+// across refreshes; the costmodel passes stride-indexed views into its
+// flat matrix.
+func (pc *PathCache) NodeCostsInto(src int, weight []float64, cost []float64) {
+	if src < 0 || src >= pc.g.n {
+		fillInfinite(cost)
 		return
 	}
 	e := pc.entry(src)
+	order, start, preds := e.order, e.start, e.preds
+	if len(order)+1 < len(cost) {
+		fillInfinite(cost) // only unreachable cells keep it
+	}
 	cost[src] = weight[src]
-	for _, v := range e.order {
-		hv := e.hop[v]
-		for _, u := range pc.g.adj[v] {
-			if e.hop[u] != hv-1 || cost[u] == Infinite {
-				continue
-			}
-			if c := cost[u] + weight[v]; c < cost[v] {
-				cost[v] = c
-				pred[v] = int32(u)
-			}
+	lo := start[0]
+	for k, v := range order {
+		hi := start[k+1]
+		// Every node past the source has its BFS parent among its preds.
+		best := cost[preds[lo]]
+		for j := lo + 1; j < hi; j++ {
+			best = min(best, cost[preds[j]])
 		}
+		cost[v] = weight[v] + best
+		lo = hi
 	}
 	cost[src] = 0
 }
 
-// RepairScratch carries the reusable dirty-frontier bookkeeping of
-// RepairNodeCostPaths: per-layer pending buckets and an epoch-stamped
-// membership mark. One scratch serves any number of sequential repairs over
-// the same graph size; concurrent repairs need one scratch each.
-type RepairScratch struct {
-	buckets [][]int
-	mark    []int
-	epoch   int
-}
-
-// NewRepairScratch returns a scratch for repairs over an n-node graph.
-func NewRepairScratch(n int) *RepairScratch {
-	return &RepairScratch{
-		buckets: make([][]int, n+1),
-		mark:    make([]int, n),
+func fillInfinite(row []float64) {
+	for i := range row {
+		row[i] = Infinite
 	}
-}
-
-// RepairNodeCostPaths incrementally updates a (cost, pred) row previously
-// produced by NodeCostPaths(src, old weights) so it matches
-// NodeCostPaths(src, weight), where the weights differ from the old ones
-// only at the nodes listed in changed and delta[k] holds each changed
-// node's weight difference (new − old). Only the dirty cone is revisited:
-// the changed nodes themselves and, layer by layer, the nodes whose cheapest
-// value actually moved — unchanged subtrees are never touched. It returns
-// the number of cells recomputed.
-//
-// A weight change at the source shifts every finite cell by the same
-// amount, which is applied analytically. With integer-valued weights (the
-// contention model's deg·(1+S) always is) every partial sum is exactly
-// representable, so the repaired row is byte-identical to a from-scratch
-// sweep — the costmodel equivalence tests assert exactly that. The caller
-// is responsible for falling back to NodeCostPathsInto when it cannot
-// guarantee that precondition.
-func (pc *PathCache) RepairNodeCostPaths(src int, weight []float64, changed []int, delta []float64, cost []float64, pred []int32, s *RepairScratch) int {
-	n := pc.g.n
-	if src < 0 || src >= n {
-		return 0
-	}
-	e := pc.entry(src)
-
-	// Source-weight shift: every path from src starts with w_src, so all
-	// reachable cells move in lockstep and path choices are unaffected.
-	for _, k := range changed {
-		if k != src || delta[k] == 0 {
-			continue
-		}
-		for _, v := range e.order {
-			if cost[v] != Infinite {
-				cost[v] += delta[k]
-			}
-		}
-	}
-
-	// Seed the frontier with the changed nodes (their own cell definitely
-	// moved); the loop below carries the disturbance to deeper layers only
-	// where a cell's value actually changed.
-	s.epoch++
-	maxLayer := 0
-	touched := 0
-	for _, k := range changed {
-		if k == src {
-			continue
-		}
-		h := e.hop[k]
-		if h <= 0 || s.mark[k] == s.epoch {
-			continue
-		}
-		s.mark[k] = s.epoch
-		s.buckets[h] = append(s.buckets[h], k)
-		if h > maxLayer {
-			maxLayer = h
-		}
-	}
-	for h := 1; h <= maxLayer; h++ {
-		for idx := 0; idx < len(s.buckets[h]); idx++ {
-			v := s.buckets[h][idx]
-			oldCost := cost[v]
-			// Recompute exactly as the full sweep would: scan previous-layer
-			// neighbors in adjacency order, strict improvement wins — so
-			// tie-breaks (and therefore pred) match byte for byte.
-			newCost, newPred := Infinite, int32(-1)
-			wv := weight[v]
-			for _, u := range pc.g.adj[v] {
-				if e.hop[u] != h-1 {
-					continue
-				}
-				cu := cost[u]
-				if u == src {
-					// The stored row holds 0 for the source; the sweep's
-					// internal base value is its weight.
-					cu = weight[src]
-				}
-				if cu == Infinite {
-					continue
-				}
-				if c := cu + wv; c < newCost {
-					newCost, newPred = c, int32(u)
-				}
-			}
-			touched++
-			cost[v], pred[v] = newCost, newPred
-			if newCost == oldCost {
-				continue
-			}
-			for _, d := range pc.g.adj[v] {
-				hd := e.hop[d]
-				if hd != h+1 || s.mark[d] == s.epoch {
-					continue
-				}
-				s.mark[d] = s.epoch
-				s.buckets[hd] = append(s.buckets[hd], d)
-				if hd > maxLayer {
-					maxLayer = hd
-				}
-			}
-		}
-		s.buckets[h] = s.buckets[h][:0]
-	}
-	return touched
 }
 
 // Cached returns the number of per-source entries currently built — the
@@ -289,11 +206,15 @@ func (pc *PathCache) Cached() int {
 }
 
 // HopDistances returns the cached BFS hop distances from src (building the
-// entry if needed). The returned slice is shared with the cache and must
-// not be modified.
-func (pc *PathCache) HopDistances(src int) []int {
+// entry if needed), Graph.HopDistances in int32. The returned slice is
+// shared with the cache and must not be modified.
+func (pc *PathCache) HopDistances(src int) []int32 {
 	if src < 0 || src >= pc.g.n {
-		return pc.g.HopDistances(src)
+		hop := make([]int32, pc.g.n)
+		for i := range hop {
+			hop[i] = Unreachable
+		}
+		return hop
 	}
 	return pc.entry(src).hop
 }

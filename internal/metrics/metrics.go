@@ -261,7 +261,7 @@ func Evaluate(g *graph.Graph, base *cache.State, producer int, holders [][]int, 
 // forks base over a clone of st and then, per chunk, charges the
 // dissemination tree at the fork's current state and commits the chunk's
 // holders through it. The tree is built with steiner.MSTApproxScratchCtx
-// under Model.EdgeCostFunc. The access term reads the fork's repaired
+// under Model.EdgeCostFunc. The access term reads the fork's refreshed
 // final matrix, and the DCF delay takes a path's node count as its hop
 // distance plus one, since every path is min-hop. The strategy metrics
 // come from base: its matrix is the empty-state topology metric of

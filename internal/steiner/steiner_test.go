@@ -155,8 +155,11 @@ func TestExactCostTrivialAndErrors(t *testing.T) {
 }
 
 // Property: the MST approximation is feasible (spans all terminals, is
-// acyclic and connected) and within 2x of the exact optimum.
+// acyclic and connected) and within 2x of the exact optimum. The optimum
+// is also recomputed on one ExactScratch shared by every instance, whose
+// table keeps the previous instance's cells, and must match bit for bit.
 func TestMSTApproxWithinTwiceOptimal(t *testing.T) {
+	var shared ExactScratch
 	f := func(seed int64, nRaw, kRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + int(nRaw)%10
@@ -175,6 +178,13 @@ func TestMSTApproxWithinTwiceOptimal(t *testing.T) {
 		}
 		opt, err := ExactCost(g, w, terms)
 		if err != nil {
+			return false
+		}
+		dist := make([][]float64, n)
+		for v := range dist {
+			dist[v], _ = g.Dijkstra(v, w)
+		}
+		if reused, err := ExactCostDist(dist, terms, &shared); err != nil || math.Float64bits(reused) != math.Float64bits(opt) {
 			return false
 		}
 		if tree.Cost < opt-1e-9 {

@@ -29,7 +29,7 @@ const MaxAttrs = 6
 const DefaultCapacity = 2048
 
 // Attr is one integer annotation on a span (tick counts, admitted
-// facilities, repaired rows, byte sizes — the pipeline's counters are
+// facilities, cost-matrix sweeps, byte sizes — the pipeline's counters are
 // all integral).
 type Attr struct {
 	Key string

@@ -33,8 +33,8 @@ type Publication struct {
 // fairly over unbounded horizons.
 //
 // One cost model lives across publications: arrivals and TTL evictions
-// mutate it through Commit and Evict, so each arrival pays a delta repair
-// instead of a full cost rebuild.
+// mutate it through Commit and Evict, so each arrival pays one matrix
+// sweep over the memoised BFS layers instead of a cold model build.
 type OnlineSystem struct {
 	producer int
 	// ttl is a chunk's lifetime in publications; <= 0 never expires.
@@ -198,8 +198,8 @@ func (o *OnlineSystem) Clock() int { return o.clock }
 // publications place against the new connectivity while cached chunks and
 // their expiry clocks carry over. The node count must stay the same, and
 // a rejected topology leaves the system unchanged. Every cached path is
-// invalid after a move, so the cost model is rebuilt over the live cache
-// state rather than repaired.
+// invalid after a move, so a fresh cost model with its own path cache is
+// bound over the live cache state.
 func (o *OnlineSystem) SetTopology(t *Topology) error {
 	if got, want := t.NumNodes(), o.model.State().NumNodes(); got != want {
 		return fmt.Errorf("%w: topology has %d nodes, system has %d", ErrBadArgument, got, want)

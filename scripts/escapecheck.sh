@@ -17,10 +17,11 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # file:function:allowed — keep this list small and genuinely hot: the
-# dual-growth tick phases, the Steiner scan/compaction kernels, and the
-# per-chunk driver. Non-zero budgets cover lazy scratch-growth `make`
-# sites, the returned ChunkResult, the per-chunk edge-cost closure, and
-# error-path fmt args — all per-chunk at worst, never per-tick.
+# dual-growth tick phases, the Steiner scan/compaction kernels, the
+# cost-model row sweep, and the per-chunk driver. Non-zero budgets cover
+# lazy scratch-growth `make` sites, the returned ChunkResult, the
+# per-chunk edge-cost closure, and error-path fmt args — all per-chunk at
+# worst, never per-tick.
 CHECKS="
 internal/confl/confl.go:tick:0
 internal/confl/confl.go:readColumn:0
@@ -31,6 +32,7 @@ internal/confl/confl.go:openAdmin:0
 internal/steiner/steiner.go:subgraphMST:1
 internal/steiner/steiner.go:pruneLeaves:2
 internal/graph/paths.go:DijkstraInto:0
+internal/graph/pathcache.go:NodeCostsInto:0
 internal/core/core.go:placeChunk:4
 "
 

@@ -32,7 +32,7 @@ type ExplainPhase struct {
 	// so phase totals do not sum to TotalMs of the report.
 	TotalMs float64 `json:"totalMs"`
 	// Counters sums the phase's integer span attributes (ticks, admitted
-	// facilities, repaired rows, stitch re-bids, ...).
+	// facilities, cost-matrix sweeps, stitch re-bids, ...).
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
