@@ -220,7 +220,12 @@ type Options struct {
 	// ablation against the default primal-dual algorithm.
 	GreedyConFL bool
 	// ImproveSteiner applies key-path local search to the centralized
-	// algorithm's dissemination trees after the MST 2-approximation.
+	// algorithm's dissemination trees after the MST 2-approximation. The
+	// holders stay the same and Result.ContentionCost replays MST trees
+	// over them, so a global solve reports the same cost with or without
+	// it; the cheaper trees reach a result only through a partitioned
+	// solve's per-copy charge, which averages the regions' own
+	// decision-time tree costs.
 	ImproveSteiner bool
 	// Workers sizes the worker pool the engine fans independent inner
 	// work out over (contention matrix rows, the greedy ConFL gain scan,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -524,5 +525,20 @@ func TestImproveSteinerOptionNeverWorsensDecisionCost(t *testing.T) {
 				t.Fatalf("chunk %d holder sets diverged", n)
 			}
 		}
+	}
+	// ContentionCost replays MST trees over the holders and keeps none of
+	// the improved ones, so a global improve solve reports the plain
+	// solve's objective exactly (the trees it bought are pinned in
+	// internal/core's TestImproveSteinerNeverRaisesDissemination).
+	want, err := plain.ContentionCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := improved.ContentionCost()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("improve solve ContentionCost = %+v, want the plain solve's %+v", *got, *want)
 	}
 }

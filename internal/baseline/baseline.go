@@ -21,7 +21,6 @@ import (
 	"math"
 
 	"repro/internal/cache"
-	"repro/internal/contention"
 	"repro/internal/costmodel"
 	"repro/internal/graph"
 	"repro/internal/pool"
@@ -93,7 +92,13 @@ var (
 // arg-min scan stays sequential, so the selection is identical at any pool
 // width.
 func SelectNodesCtx(ctx context.Context, g *graph.Graph, producer int, alg Algorithm, lambda float64, p *pool.Pool) ([]int, error) {
-	dist, err := distanceMatrixCtx(ctx, g, alg, p)
+	// The metric is topology-only, so an empty-state model over g serves
+	// it through the same path as the first round's shared model.
+	m, err := costmodel.New(g, nil, cache.NewState(g.NumNodes(), 1), costmodel.Options{})
+	if err != nil {
+		return nil, fmt.Errorf("baseline: %w", err)
+	}
+	dist, err := distanceMatrixModelCtx(ctx, m, alg, p)
 	if err != nil {
 		return nil, err
 	}
@@ -169,46 +174,10 @@ func selectFromMatrix(ctx context.Context, g *graph.Graph, dist [][]float64, pro
 	return selected, nil
 }
 
-// distanceMatrixCtx evaluates the algorithm's delay metric on the
-// topology, with the per-source passes spread over p. The subgraph rounds
-// use it: each induced subgraph is a topology no cost model covers, and
-// building a throwaway model would cost more than this direct sweep.
-func distanceMatrixCtx(ctx context.Context, g *graph.Graph, alg Algorithm, p *pool.Pool) ([][]float64, error) {
-	switch alg {
-	case HopCount:
-		hops, err := g.AllPairsHopsCtx(ctx, p)
-		if err != nil {
-			return nil, err
-		}
-		dist := make([][]float64, len(hops))
-		for i, row := range hops {
-			dist[i] = make([]float64, len(row))
-			for j, h := range row {
-				if h == graph.Unreachable {
-					dist[i][j] = math.Inf(1)
-				} else {
-					dist[i][j] = float64(h)
-				}
-			}
-		}
-		return dist, nil
-	case Contention:
-		// Empty state: the baseline's contention metric is topology-only.
-		st := cache.NewState(g.NumNodes(), 1)
-		costs, err := contention.ComputeCostsCtx(ctx, g, st, p)
-		if err != nil {
-			return nil, err
-		}
-		return costs.Rows(), nil
-	default:
-		return nil, fmt.Errorf("%w: %d", ErrBadAlgorithm, int(alg))
-	}
-}
-
-// distanceMatrixModelCtx serves the delay metric from a warm cost model:
-// the hop matrix is memoised inside the model and the contention matrix is
-// the model's own (read-only borrow). The model's
-// state must be empty so the contention metric stays topology-only.
+// distanceMatrixModelCtx serves the delay metric from a cost model: the
+// hop matrix is memoised inside the model and the contention matrix is
+// the model's own (read-only borrow). The model's state must be empty so
+// the contention metric stays topology-only.
 func distanceMatrixModelCtx(ctx context.Context, m *costmodel.Model, alg Algorithm, p *pool.Pool) ([][]float64, error) {
 	switch alg {
 	case HopCount:
@@ -281,10 +250,10 @@ type Placement struct {
 // already-cached data by design, so their metrics are topology-only and the
 // placement service's per-topology base model is exactly the right
 // oracle); it is only read, never mutated. Later rounds run on induced
-// subgraphs the model does not cover, so they compute their (much smaller)
-// matrices directly. Cancellation is checked before every chunk and inside
-// each set-selection round; pl parallelises the rounds' distance matrices
-// and candidate scans.
+// subgraphs the model does not cover, so each builds a transient
+// empty-state model over its (much smaller) component. Cancellation is
+// checked before every chunk and inside each set-selection round; pl
+// parallelises the rounds' distance matrices and candidate scans.
 func PlaceChunksModelCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, st *cache.State, alg Algorithm, lambda float64, pl *pool.Pool) (*Placement, error) {
 	g := m.Graph()
 	if producer < 0 || producer >= g.NumNodes() {

@@ -5,11 +5,8 @@
 package contention
 
 import (
-	"context"
-
 	"repro/internal/cache"
 	"repro/internal/graph"
-	"repro/internal/pool"
 )
 
 // NodeCost returns w_k, the Node Contention Cost of node k: its degree.
@@ -88,25 +85,6 @@ func ComputeCosts(g *graph.Graph, st *cache.State) *Costs {
 		copy(c.PredRow(i), pred)
 	}
 	return c
-}
-
-// ComputeCostsCtx is the engine variant of ComputeCosts: the per-source
-// sweeps fan out over p and ctx cancellation aborts the matrix build. Rows
-// are written only by their own index, so the matrix is byte-identical to
-// ComputeCosts.
-func ComputeCostsCtx(ctx context.Context, g *graph.Graph, st *cache.State, p *pool.Pool) (*Costs, error) {
-	n := g.NumNodes()
-	w := Weights(g, st)
-	c := NewCosts(n)
-	err := p.ForEach(ctx, n, func(i int) {
-		cost, pred := g.NodeCostPaths(i, w)
-		copy(c.Row(i), cost)
-		copy(c.PredRow(i), pred)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Path returns the node sequence of the path underlying c_ij, including

@@ -44,7 +44,8 @@ type Options struct {
 	Strategy Strategy
 	// ImproveSteiner applies key-path local search to each dissemination
 	// tree after the MST 2-approximation (toward the stronger ratios the
-	// paper cites for phase 2).
+	// paper cites for phase 2). It changes each chunk's Tree and
+	// Dissemination, never its holders.
 	ImproveSteiner bool
 	// ChunkStarted, when non-nil, is invoked at the start of each per-chunk
 	// iteration with the chunk id, before any work for that chunk runs. It

@@ -275,9 +275,11 @@ func (m *Model) EdgeCostFunc() graph.EdgeWeightFunc {
 }
 
 // HopMatrixCtx returns the all-pairs hop-distance matrix as float64s
-// (+Inf for unreachable pairs), built from the cached per-source BFS and
-// memoised — the hop-count baseline's metric is topology-only, so one
-// build serves every solve. Safe for concurrent use.
+// (+Inf for unreachable pairs), memoised — the hop-count baseline's metric
+// is topology-only, so one build serves every solve. Its rows come
+// straight from graph.BFS, one traversal per source fanned out over p with
+// per-worker scratch, so a hop metric never builds the path cache's layer
+// DAGs. Safe for concurrent use.
 func (m *Model) HopMatrixCtx(ctx context.Context, p *pool.Pool) ([][]float64, error) {
 	m.hopMu.Lock()
 	defer m.hopMu.Unlock()
@@ -285,18 +287,25 @@ func (m *Model) HopMatrixCtx(ctx context.Context, p *pool.Pool) ([][]float64, er
 		return m.hopDist, nil
 	}
 	n := m.g.NumNodes()
+	flat := make([]float64, n*n)
 	dist := make([][]float64, n)
-	err := p.ForEach(ctx, n, func(i int) {
-		hops := m.pc.HopDistances(i)
-		row := make([]float64, n)
-		for j, h := range hops {
+	for i := range dist {
+		dist[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
+	hops := make([][]int32, p.Workers())
+	queues := make([][]int32, p.Workers())
+	err := p.ForEachW(ctx, n, func(w, i int) {
+		if hops[w] == nil {
+			hops[w] = make([]int32, n)
+		}
+		queues[w] = graph.BFS(m.g, []int{i}, -1, hops[w], queues[w])
+		for j, h := range hops[w] {
 			if h == graph.Unreachable {
-				row[j] = math.Inf(1)
+				dist[i][j] = math.Inf(1)
 			} else {
-				row[j] = float64(h)
+				dist[i][j] = float64(h)
 			}
 		}
-		dist[i] = row
 	})
 	if err != nil {
 		return nil, err

@@ -286,7 +286,7 @@ func (s *System) replaceLost(ctx context.Context, top []int, report *AdaptReport
 //
 //	share(k) · Σ_j w(j) · max(0, d_now(j,k) − hop(j,v))
 //
-// minus FairnessBias · FairnessCost(v), skipping full nodes, existing
+// minus fairnessBias · FairnessCost(v), skipping full nodes, existing
 // holders and the producer, and stopping when no candidate nets a
 // positive gain. Ties break toward the lowest node id.
 func (s *System) addRedundancy(top []int, shares, weights []float64, budget int, report *AdaptReport) {
@@ -334,7 +334,7 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 					}
 					gain += weights[j] * save
 				}
-				gain = shares[k]*gain - s.opts.FairnessBias*s.st.FairnessCost(v)
+				gain = shares[k]*gain - fairnessBias*s.st.FairnessCost(v)
 				if gain > bestGain || (gain == bestGain && bestGain > 0 && v < bestV) {
 					bestV, bestGain = v, gain
 				}

@@ -54,17 +54,19 @@ type Options struct {
 	// — the redundancy phase places into every free slot with a positive
 	// demand-weighted gain, so the network's storage is actually used.
 	CopyBudget int
-	// FairnessBias scales the storage-fairness penalty inside the
-	// redundancy greedy, trading hit-rate against Gini (default 0.02).
-	// Negative disables the penalty.
-	FairnessBias float64
-	// WindowBuckets and BucketSize shape the popularity tracker's sliding
-	// window (defaults 8 buckets × 2048 requests); Alpha is its EWMA
-	// weight (default 0.3).
-	WindowBuckets int
-	BucketSize    int
-	Alpha         float64
 }
+
+// Fixed tuning of the adaptation loop and the popularity tracker.
+const (
+	// fairnessBias scales the storage-fairness penalty inside the
+	// redundancy greedy, trading hit-rate against Gini.
+	fairnessBias = 0.02
+	// windowBuckets × bucketSize requests make the popularity tracker's
+	// sliding window; trackerAlpha is its EWMA weight.
+	windowBuckets = 8
+	bucketSize    = 2048
+	trackerAlpha  = 0.3
+)
 
 func (o Options) withDefaults() Options {
 	if o.HitRadius == 0 {
@@ -75,20 +77,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CopyBudget == 0 {
 		o.CopyBudget = 3 * o.TopDelta
-	}
-	if o.FairnessBias == 0 {
-		o.FairnessBias = 0.02
-	} else if o.FairnessBias < 0 {
-		o.FairnessBias = 0
-	}
-	if o.WindowBuckets == 0 {
-		o.WindowBuckets = 8
-	}
-	if o.BucketSize == 0 {
-		o.BucketSize = 2048
-	}
-	if o.Alpha == 0 {
-		o.Alpha = 0.3
 	}
 	return o
 }
@@ -149,8 +137,8 @@ type System struct {
 	strat   cache.EvictionStrategy
 	tracker *Tracker
 
-	hop     [][]int // all-pairs hop distances
-	holders [][]int // per-chunk holder lists, sorted
+	hop     [][]int32 // hop[j]: the path cache's hop row from j
+	holders [][]int   // per-chunk holder lists, sorted
 
 	clock int64
 
@@ -185,12 +173,11 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 		return nil, fmt.Errorf("%w: model state is not empty", ErrBadInput)
 	}
 	n := g.NumNodes()
-	hop := make([][]int, n)
-	for i := 0; i < n; i++ {
-		hop[i] = make([]int, n)
-		for j, h := range m.PathCache().HopDistances(i) {
-			hop[i][j] = int(h)
-		}
+	hop := make([][]int32, n)
+	maxHop := int32(0)
+	for i := range hop {
+		hop[i] = m.PathCache().HopDistances(i)
+		maxHop = max(maxHop, slices.Max(hop[i]))
 	}
 	strat := opts.Eviction
 	s := &System{
@@ -200,10 +187,10 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 		opts:     opts,
 		model:    m,
 		st:       st,
-		tracker:  NewTracker(chunks, n, opts.WindowBuckets, opts.BucketSize, opts.Alpha),
+		tracker:  NewTracker(chunks, n, windowBuckets, bucketSize, trackerAlpha),
 		hop:      hop,
 		holders:  make([][]int, chunks),
-		hist:     make([]int64, maxHop(hop)+2),
+		hist:     make([]int64, maxHop+2),
 	}
 	if strat == nil {
 		s.costOracle = make(map[int64]float64)
@@ -214,18 +201,6 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 	}
 	s.strat = strat
 	return s, nil
-}
-
-func maxHop(hop [][]int) int {
-	m := 0
-	for _, row := range hop {
-		for _, h := range row {
-			if h > m {
-				m = h
-			}
-		}
-	}
-	return m
 }
 
 // copyID packs a (node, chunk) pair into one map key.
@@ -330,13 +305,13 @@ func (s *System) PercentileCost(q float64) float64 {
 // Ties prefer a cache copy over the producer, then the lowest node id
 // (holder lists are sorted), so serving is deterministic.
 func (s *System) nearestServer(j, k int) (server, hops int) {
-	best, bestD := s.producer, s.hop[j][s.producer]
+	best, bestD := s.producer, int(s.hop[j][s.producer])
 	if bestD == graph.Unreachable {
 		bestD = int(^uint(0) >> 1) // unreachable producer: any holder wins
 	}
 	fromCache := false
 	for _, v := range s.holders[k] {
-		if d := s.hop[j][v]; d != graph.Unreachable && (d < bestD || (d == bestD && !fromCache)) {
+		if d := int(s.hop[j][v]); d != graph.Unreachable && (d < bestD || (d == bestD && !fromCache)) {
 			best, bestD, fromCache = v, d, true
 		}
 	}

@@ -59,7 +59,6 @@ func runPropertyWalk(t *testing.T, g *graph.Graph, workers, steps int) {
 		Workers:    workers,
 		TopDelta:   4,
 		CopyBudget: 6,
-		BucketSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,14 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	faircache "repro"
 
 	"repro/internal/metrics"
+	"repro/internal/pool"
 )
 
 // Fig1 reproduces Fig. 1: the per-node difference in stored-chunk counts
@@ -169,10 +171,15 @@ func RunFig4(sizes []int, sc Scenario) ([]CostRow, error) {
 	if len(sc.Seeds) == 0 {
 		return nil, fmt.Errorf("fig4: no seeds")
 	}
+	// Each seed runs on its own topology and state; results merge by
+	// seed index, so the rows do not depend on completion order.
+	pl := pool.New(0)
+	defer pl.Close()
 	var rows []CostRow
 	for _, n := range sizes {
 		perSeed := make([]map[faircache.Algorithm]float64, len(sc.Seeds))
-		err := forEachSeed(sc.Seeds, func(idx int, seed int64) error {
+		err := pl.ForEachErr(context.Background(), len(sc.Seeds), func(idx int) error {
+			seed := sc.Seeds[idx]
 			topo, err := faircache.Random(n, seed)
 			if err != nil {
 				return err
@@ -313,10 +320,15 @@ func RunFig7Random(sizes []int, sc Scenario) ([]GiniRow, error) {
 	if len(sc.Seeds) == 0 {
 		return nil, fmt.Errorf("fig7: no seeds")
 	}
+	// Each seed runs on its own topology and state; results merge by
+	// seed index, so the rows do not depend on completion order.
+	pl := pool.New(0)
+	defer pl.Close()
 	var rows []GiniRow
 	for _, n := range sizes {
 		perSeed := make([]map[faircache.Algorithm]float64, len(sc.Seeds))
-		err := forEachSeed(sc.Seeds, func(idx int, seed int64) error {
+		err := pl.ForEachErr(context.Background(), len(sc.Seeds), func(idx int) error {
+			seed := sc.Seeds[idx]
 			topo, err := faircache.Random(n, seed)
 			if err != nil {
 				return err

@@ -115,6 +115,11 @@ type search struct {
 	suffixMin [][]float64
 	// dw is the Dreyfus–Wagner table every exact Steiner cost reuses.
 	dw steiner.ExactScratch
+	// terminals, inTree and mstDist are the per-node bound buffers:
+	// the producer plus the set under test, and closureMST's Prim state.
+	terminals []int
+	inTree    []bool
+	mstDist   []float64
 
 	demands []int // all nodes except the producer
 
@@ -193,10 +198,20 @@ func newSearch(ctx context.Context, m *costmodel.Model, producer int, opts Optio
 
 	// All-pairs shortest-path distances under the edge costs (for the
 	// metric-closure MST Steiner lower bound and the exact Steiner cost),
-	// one Dijkstra per source fanned out over the pool.
+	// one Dijkstra per source into rows of one flat matrix, fanned out over
+	// the pool with a predecessor row and heap per worker.
+	spFlat := make([]float64, n*n)
 	s.spDist = make([][]float64, n)
-	if err := pl.ForEach(ctx, n, func(v int) {
-		s.spDist[v], _ = g.Dijkstra(v, s.edgeCost)
+	for v := range s.spDist {
+		s.spDist[v] = spFlat[v*n : (v+1)*n : (v+1)*n]
+	}
+	preds := make([][]int32, pl.Workers())
+	heaps := make([]graph.DijkstraScratch, pl.Workers())
+	if err := pl.ForEachW(ctx, n, func(w, v int) {
+		if preds[w] == nil {
+			preds[w] = make([]int32, n)
+		}
+		g.DijkstraInto(v, s.edgeCost, s.spDist[v], preds[w], &heaps[w])
 	}); err != nil {
 		return nil, err
 	}
@@ -266,7 +281,7 @@ func (s *search) lowerBound(k int) float64 {
 	}
 	steinerLB := 0.0
 	if len(s.cur) > 0 {
-		steinerLB = s.closureMST(append([]int{s.producer}, s.cur...)) / 2
+		steinerLB = s.closureMST(s.withProducer(s.cur)) / 2
 	}
 	return fairness + access + steinerLB
 }
@@ -297,7 +312,7 @@ func (s *search) evaluate(set []int) {
 		return
 	}
 
-	terminals := append([]int{s.producer}, set...)
+	terminals := s.withProducer(set)
 	// Cheap admissible screen before the exponential exact Steiner.
 	if fairness+access+s.closureMST(terminals)/2 >= s.bestCost-1e-9 {
 		return
@@ -313,6 +328,13 @@ func (s *search) evaluate(set []int) {
 	}
 }
 
+// withProducer returns the producer followed by set, in the search's
+// terminal buffer (valid until the next call).
+func (s *search) withProducer(set []int) []int {
+	s.terminals = append(append(s.terminals[:0], s.producer), set...)
+	return s.terminals
+}
+
 // closureMST returns the MST weight of the metric closure of the terminal
 // set under shortest-path distances (a 2-approximation upper bound on the
 // Steiner optimum, hence /2 is a lower bound).
@@ -321,11 +343,12 @@ func (s *search) closureMST(terminals []int) float64 {
 	if k <= 1 {
 		return 0
 	}
-	inTree := make([]bool, k)
-	dist := make([]float64, k)
-	for i := range dist {
-		dist[i] = math.Inf(1)
+	if len(s.inTree) < k {
+		s.inTree = make([]bool, k)
+		s.mstDist = make([]float64, k)
 	}
+	inTree, dist := s.inTree[:k], s.mstDist[:k]
+	clear(inTree)
 	inTree[0] = true
 	for i := 1; i < k; i++ {
 		dist[i] = s.spDist[terminals[0]][terminals[i]]

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // NewGrid returns a rows×cols grid network: node r*cols+c connects to its
@@ -157,29 +156,20 @@ func sqDist(a, b Point) float64 {
 // ties toward the smaller id.
 func CentralNode(g *Graph) int {
 	best, bestSum := 0, math.MaxInt64
-	for v := 0; v < g.NumNodes(); v++ {
+	dist := make([]int32, g.n)
+	var queue []int32
+	for v := 0; v < g.n; v++ {
+		queue = BFS(g, []int{v}, -1, dist, queue)
+		if len(queue) < g.n {
+			continue // some node is unreachable from v
+		}
 		sum := 0
-		for _, d := range g.HopDistances(v) {
-			if d == Unreachable {
-				sum = math.MaxInt64
-				break
-			}
-			sum += d
+		for _, d := range dist {
+			sum += int(d)
 		}
 		if sum < bestSum {
 			best, bestSum = v, sum
 		}
 	}
 	return best
-}
-
-// DegreeSequence returns the sorted (ascending) degree sequence, useful for
-// characterising generated topologies in tests and experiments.
-func DegreeSequence(g *Graph) []int {
-	deg := make([]int, g.NumNodes())
-	for v := range deg {
-		deg[v] = g.Degree(v)
-	}
-	slices.Sort(deg)
-	return deg
 }

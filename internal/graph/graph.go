@@ -1,7 +1,10 @@
 // Package graph provides the undirected network-topology substrate used by
 // every layer of the fair-caching system: grid and random-geometric
 // generators, hop-count and weighted shortest paths, connectivity queries
-// and k-hop neighborhoods.
+// and k-hop neighborhoods. Every hop-count query — HopDistances,
+// AllPairsHops, KHopNeighbors, Connected, Components, CentralNode and the
+// PathCache's layer DAGs — runs on the one traversal kernel BFS;
+// FloydWarshallHops shares no code with it and is its test reference.
 //
 // Nodes are dense integers in [0, N). The graph is simple (no self loops,
 // no parallel edges) and undirected.
@@ -155,26 +158,70 @@ func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
 	return sub, orig
 }
 
+// Unreachable marks an unreachable node in hop-distance results.
+const Unreachable = -1
+
+// BFS is the package's one breadth-first traversal. It writes into dist
+// (length NumNodes, caller-owned) every node's hop distance from the
+// nearest of srcs, or Unreachable when no source reaches it within maxHops
+// hops (maxHops < 0: no bound). Out-of-range and repeated sources are
+// skipped. It returns the visit order, reusing queue's storage (grown to
+// NumNodes when shorter): every reached node exactly once, nondecreasing
+// in distance, starting with the sources in the order given.
+func BFS[T ~int | ~int32](g *Graph, srcs []int, maxHops int, dist []T, queue []T) []T {
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	if cap(queue) < g.n {
+		queue = make([]T, 0, g.n)
+	}
+	queue = queue[:0]
+	for _, s := range srcs {
+		if s >= 0 && s < g.n && dist[s] != 0 {
+			dist[s] = 0
+			queue = append(queue, T(s))
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		next := dist[v] + 1
+		if maxHops >= 0 && int(next) > maxHops {
+			break // the rest of the queue is at least as far
+		}
+		for _, w := range g.adj[v] {
+			if dist[w] == Unreachable {
+				dist[w] = next
+				queue = append(queue, T(w))
+			}
+		}
+	}
+	return queue
+}
+
 // Connected reports whether the graph is connected. The empty graph and the
 // single-node graph are connected.
 func (g *Graph) Connected() bool {
 	if g.n <= 1 {
 		return true
 	}
-	return len(g.componentOf(0)) == g.n
+	return len(BFS(g, []int{0}, -1, make([]int32, g.n), nil)) == g.n
 }
 
 // Components returns the connected components as slices of node ids, each
 // sorted, ordered by their smallest node id.
 func (g *Graph) Components() [][]int {
 	seen := make([]bool, g.n)
+	dist := make([]int32, g.n)
+	var queue []int32
 	var comps [][]int
 	for v := 0; v < g.n; v++ {
 		if seen[v] {
 			continue
 		}
-		comp := g.componentOf(v)
-		for _, u := range comp {
+		queue = BFS(g, []int{v}, -1, dist, queue)
+		comp := make([]int, len(queue))
+		for i, u := range queue {
+			comp[i] = int(u)
 			seen[u] = true
 		}
 		slices.Sort(comp)
@@ -195,83 +242,11 @@ func (g *Graph) LargestComponent() []int {
 	return best
 }
 
-func (g *Graph) componentOf(start int) []int {
-	seen := make([]bool, g.n)
-	queue := []int{start}
-	seen[start] = true
-	var comp []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		comp = append(comp, v)
-		for _, w := range g.adj[v] {
-			if !seen[w] {
-				seen[w] = true
-				queue = append(queue, w)
-			}
-		}
-	}
-	return comp
-}
-
-// Unreachable marks an unreachable node in hop-distance results.
-const Unreachable = -1
-
 // HopDistances returns the BFS hop distance from src to every node.
 // Unreachable nodes get Unreachable (-1).
 func (g *Graph) HopDistances(src int) []int {
 	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	if src < 0 || src >= g.n {
-		return dist
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// MultiSourceHopDistances returns, for every node, the BFS hop distance to
-// the nearest of srcs (0 for the sources themselves). Out-of-range sources
-// are ignored; nodes unreachable from every source — and every node when no
-// valid source is given — get Unreachable (-1). Sources are seeded in
-// ascending id order, so ties in the BFS frontier resolve deterministically.
-func (g *Graph) MultiSourceHopDistances(srcs []int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	seeds := append([]int(nil), srcs...)
-	slices.Sort(seeds)
-	queue := make([]int, 0, len(seeds))
-	for _, s := range seeds {
-		if s < 0 || s >= g.n || dist[s] == 0 {
-			continue
-		}
-		dist[s] = 0
-		queue = append(queue, s)
-	}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.adj[v] {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
+	BFS(g, []int{src}, -1, dist, nil)
 	return dist
 }
 
@@ -280,8 +255,10 @@ func (g *Graph) MultiSourceHopDistances(srcs []int) []int {
 // Unreachable pairs get Unreachable (-1).
 func (g *Graph) AllPairsHops() [][]int {
 	all := make([][]int, g.n)
-	for v := 0; v < g.n; v++ {
-		all[v] = g.HopDistances(v)
+	var queue []int
+	for v := range all {
+		all[v] = make([]int, g.n)
+		queue = BFS(g, []int{v}, -1, all[v], queue)
 	}
 	return all
 }
@@ -292,7 +269,8 @@ func (g *Graph) KHopNeighbors(v, k int) []int {
 	if k <= 0 || v < 0 || v >= g.n {
 		return nil
 	}
-	dist := g.boundedHopDistances(v, k)
+	dist := make([]int32, g.n)
+	BFS(g, []int{v}, k, dist, nil)
 	var out []int
 	for u, d := range dist {
 		if u != v && d != Unreachable {
@@ -300,30 +278,6 @@ func (g *Graph) KHopNeighbors(v, k int) []int {
 		}
 	}
 	return out
-}
-
-// boundedHopDistances is BFS from src truncated at maxHops.
-func (g *Graph) boundedHopDistances(src, maxHops int) []int {
-	dist := make([]int, g.n)
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if dist[v] == maxHops {
-			continue
-		}
-		for _, w := range g.adj[v] {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
 }
 
 func dedupSortedInts(xs []int) []int {

@@ -1,11 +1,6 @@
 package graph
 
-import (
-	"context"
-	"sync"
-
-	"repro/internal/pool"
-)
+import "sync"
 
 // PathCache memoises the topology-dependent half of NodeCostPaths: the BFS
 // hop distances from each source and the layer DAG derived from them. Those
@@ -13,13 +8,14 @@ import (
 // (the fairness feedback S(i) moves), so the per-chunk work drops to one
 // predecessor-free cost sweep per source over the cached DAG.
 //
-// The DAG lists every node reachable from the source in the order the
-// counting sort in NodeCostPaths visits them (ascending hop layer,
-// ascending node id within a layer), each with its previous-layer
-// neighbours in adjacency order. The sweep takes cost[v] = w[v] + min over
-// those neighbours, which equals NodeCostPaths' min over cost[u] + w[v]
-// bit for bit: rounded float addition is monotone, so adding w[v] after
-// the minimum picks the same sum.
+// The DAG lists every node reachable from the source in BFS visit order,
+// which is nondecreasing in hops, each with its previous-layer neighbours
+// in adjacency order. A node's cost depends only on the layer before it,
+// so any order that finishes a layer before starting the next gives the
+// same costs. The sweep takes cost[v] = w[v] + min over those neighbours,
+// which equals NodeCostPaths' min over cost[u] + w[v] bit for bit: rounded
+// float addition is monotone, so adding w[v] after the minimum picks the
+// same sum.
 //
 // A PathCache must only be used with the graph it was created for, and that
 // graph must not gain edges afterwards. Entries build lazily and are safe
@@ -37,7 +33,7 @@ type PathCache struct {
 type pathEntry struct {
 	hop []int32
 	// order lists every node reachable from src except src itself, in
-	// ascending hop order with ascending node id inside each layer.
+	// BFS visit order.
 	order []int32
 	// preds[start[k]:start[k+1]] are order[k]'s neighbours one layer
 	// closer to src, in adjacency order.
@@ -48,37 +44,6 @@ type pathEntry struct {
 // NewPathCache returns an empty cache over g. Entries are built on demand.
 func NewPathCache(g *Graph) *PathCache {
 	return &PathCache{g: g, entries: make([]*pathEntry, g.n)}
-}
-
-// Warm prebuilds the entries for the given sources (all nodes when srcs is
-// nil), fanning the per-source BFS out over p. It returns early with
-// ctx.Err() if the context is cancelled; already-built entries stay valid.
-func (pc *PathCache) Warm(ctx context.Context, p *pool.Pool, srcs []int) error {
-	if srcs == nil {
-		srcs = make([]int, pc.g.n)
-		for i := range srcs {
-			srcs[i] = i
-		}
-	}
-	built := make([]*pathEntry, len(srcs))
-	err := p.ForEach(ctx, len(srcs), func(i int) {
-		src := srcs[i]
-		if src < 0 || src >= pc.g.n || pc.peek(src) != nil {
-			return
-		}
-		built[i] = pc.build(src)
-	})
-	if err != nil {
-		return err
-	}
-	pc.mu.Lock()
-	for i, e := range built {
-		if e != nil && pc.entries[srcs[i]] == nil {
-			pc.entries[srcs[i]] = e
-		}
-	}
-	pc.mu.Unlock()
-	return nil
 }
 
 func (pc *PathCache) peek(src int) *pathEntry {
@@ -105,46 +70,21 @@ func (pc *PathCache) entry(src int) *pathEntry {
 
 func (pc *PathCache) build(src int) *pathEntry {
 	hop := make([]int32, pc.g.n)
-	for v, h := range pc.g.HopDistances(src) {
-		hop[v] = int32(h)
-	}
-	// Counting sort by hop layer, ascending node id within a layer:
-	// first[h] becomes the position of layer h's next node in order.
-	first := make([]int32, pc.g.n+1)
-	nodes, arcs := 0, 0
-	for v, h := range hop {
-		if h <= 0 { // the source itself, or unreachable
-			continue
-		}
-		first[h]++
-		nodes++
+	visit := BFS(pc.g, []int{src}, -1, hop, nil)
+	e := &pathEntry{hop: hop, order: visit[1:]}
+	arcs := 0
+	for _, v := range e.order {
 		for _, u := range pc.g.adj[v] {
-			if hop[u] == h-1 {
+			if hop[u] == hop[v]-1 {
 				arcs++
 			}
 		}
 	}
-	pos := int32(0)
-	for h, c := range first {
-		first[h] = pos
-		pos += c
-	}
-	e := &pathEntry{
-		hop:   hop,
-		order: make([]int32, nodes),
-		start: make([]int32, 1, nodes+1),
-		preds: make([]int32, 0, arcs),
-	}
-	for v, h := range hop {
-		if h > 0 {
-			e.order[first[h]] = int32(v)
-			first[h]++
-		}
-	}
+	e.start = make([]int32, 1, len(e.order)+1)
+	e.preds = make([]int32, 0, arcs)
 	for _, v := range e.order {
-		h := hop[v]
 		for _, u := range pc.g.adj[v] {
-			if hop[u] == h-1 {
+			if hop[u] == hop[v]-1 {
 				e.preds = append(e.preds, int32(u))
 			}
 		}
@@ -217,17 +157,4 @@ func (pc *PathCache) HopDistances(src int) []int32 {
 		return hop
 	}
 	return pc.entry(src).hop
-}
-
-// AllPairsHopsCtx is AllPairsHops with the per-source BFS fanned out over p
-// and cancellation via ctx. The matrix is identical to AllPairsHops; on a
-// cancelled context it returns nil and ctx.Err().
-func (g *Graph) AllPairsHopsCtx(ctx context.Context, p *pool.Pool) ([][]int, error) {
-	all := make([][]int, g.n)
-	if err := p.ForEach(ctx, g.n, func(v int) {
-		all[v] = g.HopDistances(v)
-	}); err != nil {
-		return nil, err
-	}
-	return all, nil
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -107,31 +106,6 @@ func TestPathCacheResweepDisconnected(t *testing.T) {
 	}
 }
 
-func TestPathCacheWarm(t *testing.T) {
-	g := pcTestGraph(t, 40, 40, 3)
-	pc := NewPathCache(g)
-	p := pool.New(4)
-	defer p.Close()
-	if err := pc.Warm(context.Background(), p, nil); err != nil {
-		t.Fatal(err)
-	}
-	for src := 0; src < g.NumNodes(); src++ {
-		if pc.peek(src) == nil {
-			t.Fatalf("Warm left source %d unbuilt", src)
-		}
-	}
-	// Warming again (and with explicit sources) is a no-op.
-	if err := pc.Warm(context.Background(), p, []int{0, 1, 2}); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	pc2 := NewPathCache(g)
-	if err := pc2.Warm(ctx, p, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Warm with cancelled ctx: %v, want context.Canceled", err)
-	}
-}
-
 func TestPathCacheHopDistances(t *testing.T) {
 	g := pcTestGraph(t, 30, 20, 9)
 	pc := NewPathCache(g)
@@ -143,29 +117,6 @@ func TestPathCacheHopDistances(t *testing.T) {
 				t.Fatalf("src=%d v=%d: hop %d != %d", src, v, got[v], want[v])
 			}
 		}
-	}
-}
-
-func TestAllPairsHopsCtx(t *testing.T) {
-	g := pcTestGraph(t, 50, 60, 11)
-	p := pool.New(4)
-	defer p.Close()
-	got, err := g.AllPairsHopsCtx(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := g.AllPairsHops()
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("[%d][%d] = %d, want %d", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := g.AllPairsHopsCtx(ctx, p); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled AllPairsHopsCtx: %v", err)
 	}
 }
 

@@ -201,7 +201,8 @@ func heapDown(h []distItem, i int) {
 // FloydWarshallHops computes the all-pairs hop-distance matrix with the
 // classic O(N^3) dynamic program. It exists alongside AllPairsHops (which
 // is faster on sparse graphs) because the paper's complexity analysis
-// references Floyd–Warshall; tests assert the two agree.
+// references Floyd–Warshall, and it is the independent reference the
+// tests and FuzzBFS check the BFS kernel against.
 func (g *Graph) FloydWarshallHops() [][]int {
 	const inf = math.MaxInt32 / 4
 	d := make([][]int, g.n)

@@ -148,40 +148,34 @@ func bandIndex(extent, bands int) []int {
 // growthLabels cuts an arbitrary connected graph: k seeds are picked by
 // farthest-point sampling, then the regions claim unassigned nodes one BFS
 // layer per round, in region order — a deterministic label propagation
-// that keeps every region connected and roughly balanced.
+// that keeps every region connected and roughly balanced. That is one
+// multi-source BFS seeded in region order, where each node joins the
+// region of the node that reached it: its earliest-visited neighbour one
+// layer closer to the seeds.
 func growthLabels(g *graph.Graph, k int) []int {
 	n := g.NumNodes()
 	seeds := farthestSeeds(g, k)
+	hops := make([]int, n)
+	order := graph.BFS(g, seeds, -1, hops, nil)
+	visited := make([]int, n)
+	for i, v := range order {
+		visited[v] = i
+	}
 	labels := make([]int, n)
 	for i := range labels {
 		labels[i] = -1
 	}
-	frontiers := make([][]int, k)
-	remaining := n
 	for r, s := range seeds {
 		labels[s] = r
-		frontiers[r] = []int{s}
-		remaining--
 	}
-	for remaining > 0 {
-		progressed := false
-		for r := 0; r < k; r++ {
-			var next []int
-			for _, v := range frontiers[r] {
-				for _, u := range g.Neighbors(v) {
-					if labels[u] == -1 {
-						labels[u] = r
-						next = append(next, u)
-						remaining--
-					}
-				}
+	for _, v := range order[len(seeds):] {
+		from := -1
+		for _, u := range g.Neighbors(v) {
+			if hops[u] == hops[v]-1 && (from == -1 || visited[u] < visited[from]) {
+				from = u
 			}
-			frontiers[r] = next
-			progressed = progressed || len(next) > 0
 		}
-		if !progressed {
-			break // unreachable on a connected graph; guards the loop
-		}
+		labels[v] = labels[from]
 	}
 	return labels
 }

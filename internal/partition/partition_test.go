@@ -251,15 +251,15 @@ func TestStitchHaloZeroIsIdentity(t *testing.T) {
 
 func TestMultiSourceHopDistances(t *testing.T) {
 	g := graph.NewLine(7)
-	got := g.MultiSourceHopDistances([]int{1, 5})
-	want := []int{1, 0, 1, 2, 1, 0, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("MultiSourceHopDistances = %v, want %v", got, want)
+	dist := make([]int, g.NumNodes())
+	graph.BFS(g, []int{5, 1}, -1, dist, nil)
+	if want := []int{1, 0, 1, 2, 1, 0, 1}; !reflect.DeepEqual(dist, want) {
+		t.Fatalf("BFS from {5,1} = %v, want %v", dist, want)
 	}
-	if d := g.MultiSourceHopDistances(nil); d[0] != graph.Unreachable {
-		t.Fatalf("no sources: dist[0] = %d, want Unreachable", d[0])
+	if order := graph.BFS(g, nil, -1, dist, nil); len(order) != 0 || dist[0] != graph.Unreachable {
+		t.Fatalf("no sources: order %v, dist %v", order, dist)
 	}
-	if d := g.MultiSourceHopDistances([]int{-3, 99, 2}); d[2] != 0 || d[6] != 4 {
-		t.Fatalf("invalid sources not ignored: %v", d)
+	if graph.BFS(g, []int{-3, 99, 2, 2}, -1, dist, nil); dist[2] != 0 || dist[6] != 4 {
+		t.Fatalf("invalid sources not ignored: %v", dist)
 	}
 }

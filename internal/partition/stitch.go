@@ -54,12 +54,9 @@ func (p *Partition) Stitch(holders [][]int, opts StitchOptions) ([][]int, Stitch
 	if opts.Halo <= 0 || len(p.Boundary) == 0 {
 		return out, stats
 	}
-	boundaryHops := p.g.MultiSourceHopDistances(p.Boundary)
-	for _, d := range boundaryHops {
-		if d != graph.Unreachable && d <= opts.Halo {
-			stats.HaloNodes++
-		}
-	}
+	// Hops to the nearest boundary node, Unreachable beyond the halo.
+	boundaryHops := make([]int, p.g.NumNodes())
+	stats.HaloNodes = len(graph.BFS(p.g, p.Boundary, opts.Halo, boundaryHops, nil))
 	for n := range out {
 		out[n] = p.rebidChunk(out[n], boundaryHops, opts, &stats)
 	}
@@ -74,7 +71,7 @@ func (p *Partition) rebidChunk(holders []int, boundaryHops []int, opts StitchOpt
 		if len(holders) <= 1 {
 			break
 		}
-		if boundaryHops[h] == graph.Unreachable || boundaryHops[h] > opts.Halo {
+		if boundaryHops[h] == graph.Unreachable {
 			continue
 		}
 		stats.Candidates++
@@ -119,17 +116,13 @@ func without(xs []int, v int) []int {
 // assignment, computed with one multi-source layered-BFS DP. Mirroring
 // graph.NodeCostPaths, a path's cost sums the weights of its nodes with
 // the serving endpoint excluded, and among equal-hop paths the cheapest
-// is taken — layer by layer, so the result is deterministic.
+// is taken — over the BFS visit order, which finishes each layer before
+// the next, so the result is deterministic.
 func (p *Partition) accessCost(servers []int, w []float64) float64 {
 	g := p.g
 	n := g.NumNodes()
-	hops := g.MultiSourceHopDistances(servers)
-	maxHop := 0
-	for _, d := range hops {
-		if d > maxHop {
-			maxHop = d
-		}
-	}
+	hops := make([]int, n)
+	order := graph.BFS(g, servers, -1, hops, nil)
 	// cost[v] is the cheapest weight sum over v's layer-decreasing paths
 	// to any server; during the DP it includes the server's own weight so
 	// intermediate sums compose, and rootW[v] remembers that weight so it
@@ -137,30 +130,23 @@ func (p *Partition) accessCost(servers []int, w []float64) float64 {
 	// lowest id on ties, keeping rootW deterministic too).
 	cost := make([]float64, n)
 	rootW := make([]float64, n)
-	byLayer := make([][]int, maxHop+1)
-	for v := 0; v < n; v++ {
-		if hops[v] != graph.Unreachable {
-			byLayer[hops[v]] = append(byLayer[hops[v]], v)
+	for _, v := range order {
+		if hops[v] == 0 {
+			cost[v] = w[v]
+			rootW[v] = w[v]
+			continue
 		}
-	}
-	for _, s := range byLayer[0] {
-		cost[s] = w[s]
-		rootW[s] = w[s]
-	}
-	for layer := 1; layer <= maxHop; layer++ {
-		for _, v := range byLayer[layer] {
-			parent := -1
-			for _, u := range g.Neighbors(v) {
-				if hops[u] != layer-1 {
-					continue
-				}
-				if parent == -1 || cost[u] < cost[parent] || (cost[u] == cost[parent] && u < parent) {
-					parent = u
-				}
+		parent := -1
+		for _, u := range g.Neighbors(v) {
+			if hops[u] != hops[v]-1 {
+				continue
 			}
-			cost[v] = cost[parent] + w[v]
-			rootW[v] = rootW[parent]
+			if parent == -1 || cost[u] < cost[parent] || (cost[u] == cost[parent] && u < parent) {
+				parent = u
+			}
 		}
+		cost[v] = cost[parent] + w[v]
+		rootW[v] = rootW[parent]
 	}
 	total := 0.0
 	for v := 0; v < n; v++ {

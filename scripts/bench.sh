@@ -82,7 +82,9 @@ echo "wrote $OUT"
 # allocs/op (and ns/op) are only comparable between runs of the same
 # benchtime; files predating the benchtime field count as "default".
 # Benchmark names are compared with their -GOMAXPROCS suffix stripped so
-# runs from machines with different core counts still line up.
+# runs from machines with different core counts still line up, but the
+# pooled benchmarks allocate per worker: an allocs/op comparison holds
+# only at the baseline's GOMAXPROCS (BENCH_smoke1x.json: 1, as CI runs it).
 WANT_BTIME="${BENCH_TIME:-default}"
 BASE=""
 BASE_T=-1 # staged-but-uncommitted baselines have no commit time (0)
