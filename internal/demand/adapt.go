@@ -4,10 +4,12 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -45,17 +47,24 @@ type chunkScore struct {
 }
 
 // AdaptCtx runs one adaptation pass against the current popularity
-// estimates:
+// estimates, in five phases, each noted with what it scans:
 //
 //  1. Score every chunk by demand-weighted retrieval cost and pick the
-//     top TopDelta.
+//     top TopDelta. One multi-source BFS per chunk, from its holders and
+//     the producer, gives every requester's retrieval distance.
 //  2. Pressure-evict the lowest-value copies (per the eviction strategy)
-//     until at least CopyBudget slots are free network-wide.
+//     until at least CopyBudget slots are free network-wide. The
+//     cost-aware oracle scans every (chunk, requester) pair's holders once;
+//     after an eviction it rescans only the requesters of the victim's
+//     chunk that the victim served or that it tied for second-nearest.
 //  3. Re-place any examined chunk that lost all copies with a full
 //     fair-caching iteration (committed through the shared model).
 //  4. Spend the remaining budget on redundancy copies: round-robin over
 //     the examined chunks, each round adding the copy with the highest
-//     demand-weighted hop saving net of a storage-fairness penalty.
+//     demand-weighted hop saving net of a storage-fairness penalty. Each
+//     attempt runs one BFS for the retrieval distances and walks each
+//     requester's hop ball: the nodes closer to it than its server.
+//  5. Fill the capacity left idle, scanning every chunk per free slot.
 //
 // Every mutation flows through the cost model, whose next read sweeps the
 // matrix once over the memoised BFS layers. The pass is deterministic for
@@ -140,13 +149,13 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 func (s *System) topChunks(shares, weights []float64) []int {
 	scores := make([]chunkScore, s.chunks)
 	for k := 0; k < s.chunks; k++ {
+		row := s.retrievalRow(k)
 		cost := 0.0
 		for j := range weights {
 			if weights[j] == 0 || j == s.producer {
 				continue
 			}
-			_, d := s.nearestServer(j, k)
-			cost += weights[j] * float64(d)
+			cost += weights[j] * float64(serveHops(row[j]))
 		}
 		scores[k] = chunkScore{chunk: k, score: shares[k] * cost}
 	}
@@ -169,45 +178,96 @@ func (s *System) topChunks(shares, weights []float64) []int {
 	return top
 }
 
-// marginalEvictCost returns, for every current copy of chunk k, the
-// demand-weighted retrieval-cost increase its removal would cause:
-// requesters whose nearest server is that copy fall back to their
-// second-nearest (other holders or the producer). It writes the values
-// into the cost-aware oracle map.
-func (s *System) marginalEvictCost(k int, shares, weights []float64, oracle map[int64]float64) {
-	holders := s.holders[k]
-	for _, v := range holders {
-		oracle[copyID(v, k)] = 0
+// retrievalRow returns every node's hop distance to its nearest server of
+// chunk k (a holder or the producer): one multi-source BFS into the
+// system's scratch row, valid until the next call.
+func (s *System) retrievalRow(k int) []int32 {
+	s.srcs = append(append(s.srcs[:0], s.holders[k]...), s.producer)
+	s.queue = graph.BFS(s.g, s.srcs, -1, s.dist, s.queue)
+	return s.dist
+}
+
+// serveHops maps a retrieval-row distance to nearestServer's: a requester
+// no server reaches is infinitely far.
+func serveHops(d int32) int {
+	if d == graph.Unreachable {
+		return int(^uint(0) >> 1)
 	}
-	if len(holders) == 0 {
-		return
+	return int(d)
+}
+
+// evictRecord is one requester's view of one chunk for the eviction
+// oracle: the copy serving it (-1 when the producer does, or when the
+// requester carries no demand) and the hop distances to that copy and to
+// the nearest other server, producer included.
+type evictRecord struct {
+	server, best, second int32
+}
+
+// nearestTwo scans chunk k's holders once for requester j's record.
+// The serving copy follows nearestServer's rule: the lowest id at the
+// least distance, a copy winning a tie with the producer.
+func (s *System) nearestTwo(j, k int) evictRecord {
+	row := s.hop[j]
+	r := evictRecord{server: -1, best: row[s.producer], second: math.MaxInt32}
+	for _, v := range s.holders[k] {
+		if d := row[v]; d < r.best || (d == r.best && r.server < 0) {
+			r.second = min(r.second, r.best)
+			r.server, r.best = int32(v), d
+		} else {
+			r.second = min(r.second, d)
+		}
 	}
-	for j := range weights {
+	return r
+}
+
+// marginalEvictCost builds the records of every requester of chunk k and
+// sums them into the oracle.
+func (s *System) marginalEvictCost(k int, shares, weights []float64) {
+	n := len(weights)
+	recs := s.records[k*n : (k+1)*n]
+	for j := range recs {
 		if weights[j] == 0 || j == s.producer {
+			recs[j] = evictRecord{server: -1}
 			continue
 		}
-		// Nearest and second-nearest servers of chunk k from j, producer
-		// included; ties resolve exactly as nearestServer's serving rule.
-		best, bestD := s.producer, s.hop[j][s.producer]
-		fromCache := false
-		for _, v := range holders {
-			if d := s.hop[j][v]; d < bestD || (d == bestD && !fromCache) {
-				best, bestD, fromCache = v, d, true
-			}
+		recs[j] = s.nearestTwo(j, k)
+	}
+	s.sumEvictCost(k, shares, weights)
+}
+
+// evictedCopy updates chunk k's records after its copy on node v was
+// evicted. Only two kinds of requester can see a change: those v served,
+// and those whose second-nearest distance equals their distance to v
+// (v may have been that second server). The rest keep their server and
+// both distances.
+func (s *System) evictedCopy(v, k int, shares, weights []float64) {
+	n := len(weights)
+	recs := s.records[k*n : (k+1)*n]
+	for j := range recs {
+		r := &recs[j]
+		if r.server >= 0 && (int(r.server) == v || r.second == s.hop[j][v]) {
+			*r = s.nearestTwo(j, k)
 		}
-		if !fromCache {
-			continue // served by the producer; no copy is load-bearing here
+	}
+	s.sumEvictCost(k, shares, weights)
+}
+
+// sumEvictCost writes chunk k's oracle entries: for every copy, the
+// demand-weighted retrieval-cost increase its removal would cause, as its
+// requesters fall back to their second-nearest server. Each entry sums
+// its terms in requester order, so a re-sum after an eviction gives the
+// same floats as a full rebuild.
+func (s *System) sumEvictCost(k int, shares, weights []float64) {
+	n := len(weights)
+	oracle := s.costOracle[k*n : (k+1)*n]
+	for _, v := range s.holders[k] {
+		oracle[v] = 0
+	}
+	for j, r := range s.records[k*n : (k+1)*n] {
+		if r.server >= 0 {
+			oracle[r.server] += shares[k] * weights[j] * float64(r.second-r.best)
 		}
-		secondD := s.hop[j][s.producer]
-		for _, v := range holders {
-			if v == best {
-				continue
-			}
-			if d := s.hop[j][v]; d < secondD {
-				secondD = d
-			}
-		}
-		oracle[copyID(best, k)] += shares[k] * weights[j] * float64(secondD-bestD)
 	}
 }
 
@@ -230,7 +290,7 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 	if s.costOracle != nil {
 		clear(s.costOracle)
 		for k := 0; k < s.chunks; k++ {
-			s.marginalEvictCost(k, shares, weights, s.costOracle)
+			s.marginalEvictCost(k, shares, weights)
 		}
 	}
 	for free < s.opts.CopyBudget && len(candidates) > 0 {
@@ -252,7 +312,7 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 		if s.costOracle != nil {
 			// The victim's chunk lost a copy: its survivors' marginal
 			// costs changed (some requesters re-homed onto them).
-			s.marginalEvictCost(victim.Chunk, shares, weights, s.costOracle)
+			s.evictedCopy(victim.Node, victim.Chunk, shares, weights)
 		}
 	}
 	return nil
@@ -294,7 +354,8 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 		return
 	}
 	n := s.st.NumNodes()
-	// d1[j] per chunk is recomputed on each placement attempt; chunks cycle
+	gain := s.gain
+	// The sums are recomputed on each placement attempt; chunks cycle
 	// until the budget runs out or a full round places nothing.
 	exhausted := make(map[int]bool, len(top))
 	for budget > 0 && len(exhausted) < len(top) {
@@ -306,37 +367,25 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 			if exhausted[k] {
 				continue
 			}
-			d1 := make([]float64, n)
+			// Requester-major: every candidate receives its terms in
+			// ascending requester order, as a per-candidate sum over
+			// requesters would add them, so the floats are the same.
+			row := s.retrievalRow(k)
+			clear(gain)
 			for j := 0; j < n; j++ {
-				_, d := s.nearestServer(j, k)
-				d1[j] = float64(d)
+				if weights[j] == 0 || j == s.producer {
+					continue
+				}
+				s.ballGains(j, float64(serveHops(row[j])), weights[j], gain)
 			}
 			bestV, bestGain := -1, 0.0
 			for v := 0; v < n; v++ {
 				if v == s.producer || s.st.Free(v) <= 0 || s.st.Has(v, k) {
 					continue
 				}
-				gain := 0.0
-				for j := 0; j < n; j++ {
-					if weights[j] == 0 || j == s.producer {
-						continue
-					}
-					dv := float64(s.hop[j][v])
-					save := d1[j] - dv
-					if save <= 0 {
-						continue
-					}
-					// A copy that pulls a requester inside HitRadius turns
-					// misses into hits — worth more than the same hop count
-					// saved far from the radius.
-					if d1[j] > float64(s.opts.HitRadius) && dv <= float64(s.opts.HitRadius) {
-						save += hitBonus
-					}
-					gain += weights[j] * save
-				}
-				gain = shares[k]*gain - fairnessBias*s.st.FairnessCost(v)
-				if gain > bestGain || (gain == bestGain && bestGain > 0 && v < bestV) {
-					bestV, bestGain = v, gain
+				g := shares[k]*gain[v] - fairnessBias*s.st.FairnessCost(v)
+				if g > bestGain || (g == bestGain && bestGain > 0 && v < bestV) {
+					bestV, bestGain = v, g
 				}
 			}
 			if bestV < 0 || bestGain <= 0 {
@@ -356,6 +405,29 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 		if !progressed {
 			break
 		}
+	}
+}
+
+// ballGains adds requester j's term w·save to gain[v] for every node v
+// closer to j than its retrieval distance dNow: j's BFS visit order (j
+// first) up to the first node at dNow hops. Only those nodes would save
+// j a hop; the rest of the network adds nothing.
+func (s *System) ballGains(j int, dNow, w float64, gain []float64) {
+	radius := float64(s.opts.HitRadius)
+	hop := s.hop[j]
+	for _, v := range s.order[j] {
+		dv := float64(hop[v])
+		save := dNow - dv
+		if save <= 0 {
+			return // the visit order never comes closer again
+		}
+		// A copy that pulls a requester inside HitRadius turns misses
+		// into hits — worth more than the same hop count saved far from
+		// the radius.
+		if dNow > radius && dv <= radius {
+			save += hitBonus
+		}
+		gain[v] += w * save
 	}
 }
 

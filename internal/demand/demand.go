@@ -3,10 +3,11 @@
 // maintains online popularity estimates (sliding window + EWMA, package
 // Tracker), and periodically re-places the most mispositioned chunks
 // through Commit/Evict on the shared cost model, which keeps its warm path
-// cache, so a pass never pays a cold model build. It generalizes
-// package online from publication-driven to request-driven operation,
-// following the adaptation-loop design of Ioannidis & Yeh (Adaptive
-// Caching Networks with Optimality Guarantees) and the demand-weighted
+// cache, so a pass never pays a cold model build. Where
+// faircache.OnlineSystem places chunks as they are published, this
+// engine moves copies as the demand for them shifts, following the
+// adaptation-loop design of Ioannidis & Yeh (Adaptive Caching Networks
+// with Optimality Guarantees) and the demand-weighted
 // diversity/redundancy tradeoff of Wang et al.
 //
 // A System is not safe for concurrent use; callers (the server's
@@ -138,13 +139,23 @@ type System struct {
 	tracker *Tracker
 
 	hop     [][]int32 // hop[j]: the path cache's hop row from j
+	order   [][]int32 // order[j]: the path cache's BFS visit order from j, j first
 	holders [][]int   // per-chunk holder lists, sorted
 
 	clock int64
 
-	// oracle state for the built-in cost-aware strategy: per-copy
-	// demand-weighted marginal retrieval costs, rebuilt each eviction pass.
-	costOracle map[int64]float64
+	// oracle state for the built-in cost-aware strategy, rebuilt each
+	// eviction pass: costOracle[k*n+v] is copy (v, k)'s demand-weighted
+	// marginal retrieval cost, summed from the per-requester records
+	// records[k*n+j].
+	costOracle []float64
+	records    []evictRecord
+
+	// Scratch of the adaptation scans: a multi-source BFS row and queue,
+	// its sources, and the redundancy gains.
+	dist, queue []int32
+	srcs        []int
+	gain        []float64
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -152,11 +163,11 @@ type System struct {
 }
 
 // New builds an adaptive system on the cost model m, which it adopts: the
-// model's graph is the topology, its cache state (which must be empty)
-// fixes the capacities, and its weights the fairness costs. The root
-// Solver passes a warm fork of its topology model, so adaptive systems
-// skip the cold all-pairs build. The producer holds every chunk locally
-// and never caches; chunk ids are [0, chunks).
+// model's graph is the topology (which must be connected), its cache
+// state (which must be empty) fixes the capacities, and its weights the
+// fairness costs. The root Solver passes a warm fork of its topology
+// model, so adaptive systems skip the cold all-pairs build. The producer
+// holds every chunk locally and never caches; chunk ids are [0, chunks).
 func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error) {
 	opts = opts.withDefaults()
 	if m == nil || m.Graph().NumNodes() < 2 {
@@ -172,11 +183,16 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 	if st.TotalStored() != 0 {
 		return nil, fmt.Errorf("%w: model state is not empty", ErrBadInput)
 	}
+	if !g.Connected() {
+		return nil, fmt.Errorf("%w: topology is not connected", ErrBadInput)
+	}
 	n := g.NumNodes()
 	hop := make([][]int32, n)
+	order := make([][]int32, n)
 	maxHop := int32(0)
 	for i := range hop {
 		hop[i] = m.PathCache().HopDistances(i)
+		order[i] = m.PathCache().VisitOrder(i)
 		maxHop = max(maxHop, slices.Max(hop[i]))
 	}
 	strat := opts.Eviction
@@ -189,22 +205,26 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 		st:       st,
 		tracker:  NewTracker(chunks, n, windowBuckets, bucketSize, trackerAlpha),
 		hop:      hop,
+		order:    order,
 		holders:  make([][]int, chunks),
 		hist:     make([]int64, maxHop+2),
+		dist:     make([]int32, n),
+		queue:    make([]int32, 0, n),
+		gain:     make([]float64, n),
 	}
 	if strat == nil {
-		s.costOracle = make(map[int64]float64)
-		ca := cache.NewCostAware(func(node, chunk int) float64 {
-			return s.costOracle[copyID(node, chunk)]
+		s.costOracle = make([]float64, chunks*n)
+		s.records = make([]evictRecord, chunks*n)
+		strat = cache.NewCostAware(func(node, chunk int) float64 {
+			if node < 0 || node >= n || chunk < 0 || chunk >= chunks {
+				return 0
+			}
+			return s.costOracle[chunk*n+node]
 		})
-		strat = ca
 	}
 	s.strat = strat
 	return s, nil
 }
-
-// copyID packs a (node, chunk) pair into one map key.
-func copyID(node, chunk int) int64 { return int64(node)<<32 | int64(uint32(chunk)) }
 
 // SeedCtx runs the fair-caching approximation once over all chunks
 // against the empty state — the static initial placement the adaptation

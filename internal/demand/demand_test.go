@@ -14,7 +14,7 @@ import (
 
 // newModel returns an empty cost model over g with uniform capacity, at
 // the paper's weights.
-func newModel(t *testing.T, g *graph.Graph, capacity int) *costmodel.Model {
+func newModel(t testing.TB, g *graph.Graph, capacity int) *costmodel.Model {
 	t.Helper()
 	m, err := costmodel.New(g, nil, cache.NewState(g.NumNodes(), capacity), costmodel.Options{FairnessWeight: 1})
 	if err != nil {
@@ -312,6 +312,12 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 	if _, err := New(newModel(t, g, 5), 0, 0, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("zero chunks: err = %v, want ErrBadInput", err)
+	}
+	split := graph.New(4)
+	_ = split.AddEdge(0, 1)
+	_ = split.AddEdge(2, 3)
+	if _, err := New(newModel(t, split, 5), 0, 4, Options{}); !errors.Is(err, ErrBadInput) {
+		t.Errorf("disconnected topology: err = %v, want ErrBadInput", err)
 	}
 	m := newModel(t, g, 5)
 	if err := m.Commit(1, 0); err != nil {

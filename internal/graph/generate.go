@@ -114,35 +114,56 @@ func connectWithin(pts []Point, radius float64) *Graph {
 	return g
 }
 
-// bridgeComponents adds the geometrically shortest inter-component edge
-// until g is connected.
+// bridgeComponents connects g by growing node 0's component Prim-style:
+// each step adds the geometrically shortest edge from it to another
+// component, ties broken toward the smaller inside node and then the
+// smaller outside node, and absorbs that outside node's whole component.
+// Every outside node keeps its nearest inside node (the smallest id on
+// ties), so the whole growth costs O(N²) distance evaluations instead of
+// a fresh component labelling and pair scan per added edge.
 func bridgeComponents(g *Graph, pts []Point) {
-	for {
-		comps := g.Components()
-		if len(comps) <= 1 {
-			return
+	n := g.NumNodes()
+	comps := g.Components()
+	compID := make([]int, n)
+	for id, comp := range comps {
+		for _, v := range comp {
+			compID[v] = id
 		}
-		// Components are ordered by smallest node; connect the first to its
-		// geometrically nearest other component.
-		compID := make([]int, g.NumNodes())
-		for id, comp := range comps {
-			for _, v := range comp {
-				compID[v] = id
-			}
+	}
+	inside := make([]bool, n)
+	near := make([]int, n)
+	nearD := make([]float64, n)
+	for v := range nearD {
+		nearD[v] = math.Inf(1)
+	}
+	absorb := func(id int) {
+		for _, u := range comps[id] {
+			inside[u] = true
 		}
-		bestU, bestV := -1, -1
-		bestD := math.Inf(1)
-		for _, u := range comps[0] {
-			for v := 0; v < g.NumNodes(); v++ {
-				if compID[v] == 0 {
+		for _, u := range comps[id] {
+			for v := 0; v < n; v++ {
+				if inside[v] {
 					continue
 				}
-				if d := sqDist(pts[u], pts[v]); d < bestD {
-					bestD, bestU, bestV = d, u, v
+				if d := sqDist(pts[u], pts[v]); d < nearD[v] || (d == nearD[v] && u < near[v]) {
+					near[v], nearD[v] = u, d
 				}
 			}
 		}
-		_ = g.AddEdge(bestU, bestV) // endpoints valid: picked from node range
+	}
+	absorb(0)
+	for left := len(comps) - 1; left > 0; left-- {
+		best := -1
+		for v := 0; v < n; v++ {
+			if inside[v] {
+				continue
+			}
+			if best < 0 || nearD[v] < nearD[best] || (nearD[v] == nearD[best] && near[v] < near[best]) {
+				best = v
+			}
+		}
+		_ = g.AddEdge(near[best], best) // endpoints valid: picked from node range
+		absorb(compID[best])
 	}
 }
 

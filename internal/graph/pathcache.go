@@ -32,10 +32,10 @@ type PathCache struct {
 // per node and per DAG arc.
 type pathEntry struct {
 	hop []int32
-	// order lists every node reachable from src except src itself, in
-	// BFS visit order.
-	order []int32
-	// preds[start[k]:start[k+1]] are order[k]'s neighbours one layer
+	// visit lists every node reachable from src in BFS visit order, src
+	// first.
+	visit []int32
+	// preds[start[k]:start[k+1]] are visit[k+1]'s neighbours one layer
 	// closer to src, in adjacency order.
 	start []int32
 	preds []int32
@@ -70,19 +70,19 @@ func (pc *PathCache) entry(src int) *pathEntry {
 
 func (pc *PathCache) build(src int) *pathEntry {
 	hop := make([]int32, pc.g.n)
-	visit := BFS(pc.g, []int{src}, -1, hop, nil)
-	e := &pathEntry{hop: hop, order: visit[1:]}
+	e := &pathEntry{hop: hop, visit: BFS(pc.g, []int{src}, -1, hop, nil)}
+	order := e.visit[1:]
 	arcs := 0
-	for _, v := range e.order {
+	for _, v := range order {
 		for _, u := range pc.g.adj[v] {
 			if hop[u] == hop[v]-1 {
 				arcs++
 			}
 		}
 	}
-	e.start = make([]int32, 1, len(e.order)+1)
+	e.start = make([]int32, 1, len(order)+1)
 	e.preds = make([]int32, 0, arcs)
-	for _, v := range e.order {
+	for _, v := range order {
 		for _, u := range pc.g.adj[v] {
 			if hop[u] == hop[v]-1 {
 				e.preds = append(e.preds, int32(u))
@@ -106,7 +106,7 @@ func (pc *PathCache) NodeCostsInto(src int, weight []float64, cost []float64) {
 		return
 	}
 	e := pc.entry(src)
-	order, start, preds := e.order, e.start, e.preds
+	order, start, preds := e.visit[1:], e.start, e.preds
 	if len(order)+1 < len(cost) {
 		fillInfinite(cost) // only unreachable cells keep it
 	}
@@ -143,6 +143,17 @@ func (pc *PathCache) Cached() int {
 		}
 	}
 	return count
+}
+
+// VisitOrder returns every node reachable from src, src first, in the BFS
+// visit order of its cached entry (building it if needed), so hop
+// distances never decrease along it. An out-of-range src reaches nothing.
+// The returned slice is shared with the cache and must not be modified.
+func (pc *PathCache) VisitOrder(src int) []int32 {
+	if src < 0 || src >= pc.g.n {
+		return nil
+	}
+	return pc.entry(src).visit
 }
 
 // HopDistances returns the cached BFS hop distances from src (building the

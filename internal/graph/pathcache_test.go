@@ -120,6 +120,44 @@ func TestPathCacheHopDistances(t *testing.T) {
 	}
 }
 
+// TestPathCacheVisitOrder checks that each source's visit order holds
+// exactly the nodes it reaches, the source first and hops never
+// decreasing, on a graph with an unreachable component.
+func TestPathCacheVisitOrder(t *testing.T) {
+	g := New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}, {4, 5}} {
+		_ = g.AddEdge(e[0], e[1])
+	}
+	pc := NewPathCache(g)
+	for src := -1; src <= 6; src++ {
+		order := pc.VisitOrder(src)
+		if src < 0 || src >= 6 {
+			if order != nil {
+				t.Fatalf("src=%d: order %v, want nil", src, order)
+			}
+			continue
+		}
+		hop := g.HopDistances(src)
+		reached := 0
+		for _, h := range hop {
+			if h != Unreachable {
+				reached++
+			}
+		}
+		if len(order) != reached || order[0] != int32(src) {
+			t.Fatalf("src=%d: order %v, want the %d reachable nodes from src", src, order, reached)
+		}
+		last := 0
+		for _, v := range order {
+			if h := hop[v]; h < last {
+				t.Fatalf("src=%d: order %v is not in nondecreasing hops %v", src, order, hop)
+			} else {
+				last = h
+			}
+		}
+	}
+}
+
 func TestPathCacheConcurrentReads(t *testing.T) {
 	g := pcTestGraph(t, 40, 50, 5)
 	pc := NewPathCache(g)

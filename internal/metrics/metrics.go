@@ -347,28 +347,39 @@ func EvaluateModel(ctx context.Context, base *costmodel.Model, st *cache.State, 
 	default:
 		return nil, fmt.Errorf("metrics: unknown access strategy %d", int(strategy))
 	}
+	// Requester-major, so each requester's hop row is taken from the path
+	// cache once; hop counts are symmetric, so row j at src is the
+	// distance from src to j. Every chunk still sums its requesters in
+	// ascending order, into its PerChunk entry, and the first failure in
+	// (chunk, requester) order is the one reported.
 	dcf := contention.DefaultDCF()
 	pc := m.PathCache()
-	for n, hs := range holders {
-		sources = append(append(sources[:0], hs...), producer)
-		access, delay := 0.0, 0.0
-		for j := 0; j < g.NumNodes(); j++ {
-			if j == producer {
-				continue
-			}
+	failN, failJ := len(holders), 0
+	for j := 0; j < g.NumNodes(); j++ {
+		if j == producer {
+			continue
+		}
+		hop := pc.HopDistances(j)
+		for n, hs := range holders[:failN] {
+			sources = append(append(sources[:0], hs...), producer)
 			src := sel.pick(sources, j)
 			if src < 0 || math.IsInf(costs.At(src, j), 1) {
-				return nil, fmt.Errorf("metrics: node %d cannot reach chunk %d", j, n)
+				failN, failJ = n, j
+				break
 			}
-			access += costs.At(src, j)
+			ce := &ev.PerChunk[n]
+			ce.Access += costs.At(src, j)
 			if src != j {
-				delay += dcf.DIFS*float64(pc.HopDistances(src)[j]+1) + dcf.TData*costs.At(src, j)
+				ce.AccessDelay += dcf.DIFS*float64(hop[src]+1) + dcf.TData*costs.At(src, j)
 			}
 		}
-		ev.PerChunk[n].Access = access
-		ev.PerChunk[n].AccessDelay = delay
-		ev.Access += access
-		ev.AccessDelay += delay
+	}
+	if failN < len(holders) {
+		return nil, fmt.Errorf("metrics: node %d cannot reach chunk %d", failJ, failN)
+	}
+	for _, ce := range ev.PerChunk {
+		ev.Access += ce.Access
+		ev.AccessDelay += ce.AccessDelay
 	}
 	return ev, nil
 }

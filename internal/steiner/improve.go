@@ -19,8 +19,8 @@ func Improve(g *graph.Graph, w graph.EdgeWeightFunc, tree Tree, terminals []int)
 	return ImproveScratch(g, w, tree, terminals, nil)
 }
 
-// ImproveScratch is Improve with the key-path search's per-node scan
-// buffers (multi-source Dijkstra rows, side membership, degree counts and
+// ImproveScratch is Improve with the key-path search's per-node buffers
+// (multi-source Dijkstra rows and heap, side membership, degree counts and
 // the union-find) carved out of scr — the same arena the MST construction
 // uses, so the per-chunk loop threads one scratch through both phases. nil
 // allocates a transient scratch; results are identical either way.
@@ -123,7 +123,7 @@ const (
 	sideB    = int8(2)
 )
 
-// growImprove sizes the per-node scan buffers of tryExchange.
+// growImprove sizes the per-node buffers of tryExchange.
 func (scr *Scratch) growImprove(n int) {
 	if cap(scr.idist) < n {
 		scr.idist = make([]float64, n)
@@ -192,37 +192,8 @@ func tryExchange(g *graph.Graph, w graph.EdgeWeightFunc, edges []graph.Edge, kp 
 		mark(e.V)
 	}
 
-	// Multi-source Dijkstra from every side-A node over the full graph.
-	// The linear-scan extraction (not a heap) is intentional: its
-	// tie-breaking differs from the heap Dijkstra, and the exchange
-	// decisions are replayed byte-for-byte in the determinism suites.
-	dist, pred, visited := scr.idist, scr.ipred, scr.visited
-	for v := 0; v < n; v++ {
-		dist[v] = graph.Infinite
-		pred[v] = -1
-		visited[v] = false
-		if side[v] == sideA {
-			dist[v] = 0
-		}
-	}
-	for {
-		u, best := -1, graph.Infinite
-		for v := 0; v < n; v++ {
-			if !visited[v] && dist[v] < best {
-				u, best = v, dist[v]
-			}
-		}
-		if u < 0 {
-			break
-		}
-		visited[u] = true
-		for _, v := range g.Neighbors(u) {
-			if d := dist[u] + w(u, v); d < dist[v] {
-				dist[v] = d
-				pred[v] = int32(u)
-			}
-		}
-	}
+	exchangeSearch(g, w, side, scr)
+	dist, pred := scr.idist, scr.ipred
 
 	// Cheapest reconnection into side B. Scan in node order so ties break
 	// toward the smallest node id.
@@ -245,6 +216,93 @@ func tryExchange(g *graph.Graph, w graph.EdgeWeightFunc, edges []graph.Edge, kp 
 		}
 	}
 	return result, oldCost - bestCost
+}
+
+// exchangeItem is one entry of the exchange search's heap.
+type exchangeItem struct {
+	dist float64
+	node int32
+}
+
+// less orders heap entries by distance, then node id.
+func (a exchangeItem) less(b exchangeItem) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.node < b.node)
+}
+
+// exchangeSearch is the key-path exchange's multi-source Dijkstra from
+// every side-A node over the full graph, into scr.idist and scr.ipred. It
+// settles nodes in (distance, node id) order: the node a linear scan for
+// the least distance would pick, the lowest id on ties. Exchange decisions
+// are replayed byte for byte in the determinism suites, so that order is
+// fixed. A binary heap keyed on the pair yields it with lazy deletion: a
+// node whose distance drops is pushed again, and entries for settled
+// nodes or above the node's current distance are skipped when popped.
+// graph.DijkstraInto keeps container/heap's distance-only order instead,
+// which the MST construction's trees depend on.
+func exchangeSearch(g *graph.Graph, w graph.EdgeWeightFunc, side []int8, scr *Scratch) {
+	dist, pred, visited := scr.idist, scr.ipred, scr.visited
+	h := scr.iheap[:0]
+	for v := range dist {
+		dist[v] = graph.Infinite
+		pred[v] = -1
+		visited[v] = false
+		if side[v] == sideA {
+			dist[v] = 0
+			// Ascending ids at one distance already form a heap.
+			h = append(h, exchangeItem{node: int32(v)})
+		}
+	}
+	for len(h) > 0 {
+		it := h[0]
+		last := len(h) - 1
+		h[0] = h[last]
+		h = h[:last]
+		exchangeDown(h)
+		u := int(it.node)
+		if visited[u] || it.dist > dist[u] {
+			continue
+		}
+		visited[u] = true
+		for _, v := range g.Neighbors(u) {
+			if d := dist[u] + w(u, v); d < dist[v] {
+				dist[v] = d
+				pred[v] = int32(u)
+				h = append(h, exchangeItem{dist: d, node: int32(v)})
+				exchangeUp(h)
+			}
+		}
+	}
+	scr.iheap = h[:0]
+}
+
+// exchangeUp restores the heap order after an append.
+func exchangeUp(h []exchangeItem) {
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h[j].less(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// exchangeDown restores the heap order after the root was replaced.
+func exchangeDown(h []exchangeItem) {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(h) {
+			return
+		}
+		if j+1 < len(h) && h[j+1].less(h[j]) {
+			j++
+		}
+		if !h[j].less(h[i]) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // pathEndpoints returns the two degree-1 endpoints of an edge path (for a

@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -103,4 +104,92 @@ func TestImproveHelpsOnAverage(t *testing.T) {
 		t.Error("local search never improved any instance")
 	}
 	t.Logf("local search improved %d/%d instances", improvedCount, trials)
+}
+
+// scanExchangeSearch is the exchange search as a linear scan for the
+// unsettled node of least distance, lowest id on ties: the reference
+// exchangeSearch's heap must reproduce.
+func scanExchangeSearch(g *graph.Graph, w graph.EdgeWeightFunc, side []int8) ([]float64, []int32) {
+	n := g.NumNodes()
+	dist, pred, visited := make([]float64, n), make([]int32, n), make([]bool, n)
+	for v := 0; v < n; v++ {
+		dist[v] = graph.Infinite
+		pred[v] = -1
+		visited[v] = false
+		if side[v] == sideA {
+			dist[v] = 0
+		}
+	}
+	for {
+		u, best := -1, graph.Infinite
+		for v := 0; v < n; v++ {
+			if !visited[v] && dist[v] < best {
+				u, best = v, dist[v]
+			}
+		}
+		if u < 0 {
+			break
+		}
+		visited[u] = true
+		for _, v := range g.Neighbors(u) {
+			if d := dist[u] + w(u, v); d < dist[v] {
+				dist[v] = d
+				pred[v] = int32(u)
+			}
+		}
+	}
+	return dist, pred
+}
+
+// TestExchangeSearchMatchesScan pins the heap search to the linear scan
+// on 3,000 seeded instances: grids, random and clustered graphs (some
+// disconnected), integer weights full of ties and fractional ones, and
+// random side-A source sets. Distances must match bit for bit and every
+// predecessor exactly, which fixes every exchange decision.
+func TestExchangeSearchMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	scr := &Scratch{}
+	for trial := 0; trial < 3000; trial++ {
+		var g *graph.Graph
+		switch trial % 3 {
+		case 0:
+			g = graph.NewGrid(1+rng.Intn(9), 1+rng.Intn(9))
+		case 1:
+			g = randomConnectedGraph(rng, 2+rng.Intn(40))
+			if rng.Intn(4) == 0 { // an isolated extra node
+				h := graph.New(g.NumNodes() + 1)
+				for _, e := range g.Edges() {
+					_ = h.AddEdge(e.U, e.V)
+				}
+				g = h
+			}
+		case 2:
+			c := graph.Clustered{Clusters: 1 + rng.Intn(4), Size: 1 + rng.Intn(10), IntraProb: 0.2 + 0.6*rng.Float64(), Bridges: 1 + rng.Intn(2)}
+			var err error
+			if g, err = c.Generate(rng); err != nil {
+				t.Fatal(err)
+			}
+		}
+		weights := randomEdgeWeights(g, rng)
+		if trial%2 == 1 {
+			for e := range weights {
+				weights[e] = rng.Float64() * 3
+			}
+		}
+		w := func(u, v int) float64 { return weights[graph.Edge{U: u, V: v}.Canonical()] }
+		n := g.NumNodes()
+		side := make([]int8, n)
+		for v := range side {
+			side[v] = int8(rng.Intn(3))
+		}
+		side[rng.Intn(n)] = sideA
+		scr.growImprove(n)
+		exchangeSearch(g, w, side, scr)
+		wantDist, wantPred := scanExchangeSearch(g, w, side)
+		for v := 0; v < n; v++ {
+			if math.Float64bits(scr.idist[v]) != math.Float64bits(wantDist[v]) || scr.ipred[v] != wantPred[v] {
+				t.Fatalf("trial %d node %d: dist %v pred %d, scan %v pred %d", trial, v, scr.idist[v], scr.ipred[v], wantDist[v], wantPred[v])
+			}
+		}
+	}
 }

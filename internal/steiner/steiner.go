@@ -73,6 +73,7 @@ type Scratch struct {
 	ipred   []int32
 	visited []bool
 	side    []int8
+	iheap   []exchangeItem
 }
 
 // uniqueTerminals fills scr.ts with the sorted, deduplicated terminals.

@@ -17,11 +17,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # file:function:allowed — keep this list small and genuinely hot: the
-# dual-growth tick phases, the Steiner scan/compaction kernels, the
-# cost-model row sweep, and the per-chunk driver. Non-zero budgets cover
-# lazy scratch-growth `make` sites, the returned ChunkResult, the
-# per-chunk edge-cost closure, and error-path fmt args — all per-chunk at
-# worst, never per-tick.
+# dual-growth tick phases, the Steiner scan/compaction kernels and the
+# key-path exchange search, the cost-model row sweep, the per-chunk
+# placement step, and the adaptation pass's per-requester kernels (the
+# redundancy ball walk and the eviction oracle's nearest/second scan).
+# Non-zero budgets cover lazy scratch-growth `make` sites, the returned
+# ChunkResult, the per-chunk edge-cost closure, and error-path fmt args —
+# all per-chunk at worst, never per-tick.
 CHECKS="
 internal/confl/confl.go:tick:0
 internal/confl/confl.go:readColumn:0
@@ -34,6 +36,9 @@ internal/steiner/steiner.go:pruneLeaves:2
 internal/graph/paths.go:DijkstraInto:0
 internal/graph/pathcache.go:NodeCostsInto:0
 internal/core/core.go:placeChunk:4
+internal/steiner/improve.go:exchangeSearch:0
+internal/demand/adapt.go:ballGains:0
+internal/demand/adapt.go:nearestTwo:0
 "
 
 fail=0
