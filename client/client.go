@@ -159,9 +159,15 @@ func (c *Client) Report(ctx context.Context, id string) (*server.ReportResponse,
 }
 
 // Requests reports a demand batch to the topology's demand subsystem.
+// The body is server.AppendRequests' encoding, the bytes json.Marshal
+// would write, which the service parses without reflection.
 func (c *Client) Requests(ctx context.Context, id string, req *server.RequestsRequest) (*server.RequestsResponse, error) {
+	body, err := server.AppendRequests(nil, req)
+	if err != nil {
+		return nil, err
+	}
 	var out server.RequestsResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/topologies/"+id+"/requests", req, &out); err != nil {
+	if err := c.send(ctx, http.MethodPost, "/v1/topologies/"+id+"/requests", body, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -216,23 +222,33 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 	return string(body), nil
 }
 
-// do issues one request and decodes the response into out (out may be
-// nil to discard a success body). Non-2xx statuses decode the error
-// envelope into an *APIError.
+// do issues one request with in, unless nil, as its JSON body and
+// decodes the response into out, as send does.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var rd io.Reader
+	var body []byte
 	if in != nil {
 		buf, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		rd = bytes.NewReader(buf)
+		body = buf
+	}
+	return c.send(ctx, method, path, body, out)
+}
+
+// send issues one request with body, unless nil, and decodes the
+// response into out (out may be nil to discard a success body). Non-2xx
+// statuses decode the error envelope into an *APIError.
+func (c *Client) send(ctx context.Context, method, path string, body []byte, out any) error {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return err
 	}
-	if in != nil {
+	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if tp := newTraceparent(); tp != "" {
@@ -243,7 +259,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	raw, err := io.ReadAll(resp.Body)
 	if err != nil {
 		return err
 	}
@@ -251,15 +267,15 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		var envelope struct {
 			Error *server.Error `json:"error"`
 		}
-		if jerr := json.Unmarshal(body, &envelope); jerr == nil && envelope.Error != nil {
+		if jerr := json.Unmarshal(raw, &envelope); jerr == nil && envelope.Error != nil {
 			return &APIError{Status: resp.StatusCode, Code: envelope.Error.Code, Message: envelope.Error.Message}
 		}
-		return &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(body))}
+		return &APIError{Status: resp.StatusCode, Message: strings.TrimSpace(string(raw))}
 	}
 	if out == nil {
 		return nil
 	}
-	return json.Unmarshal(body, out)
+	return json.Unmarshal(raw, out)
 }
 
 // newTraceparent mints a W3C trace-context header

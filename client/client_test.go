@@ -1,12 +1,18 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	faircache "repro"
 
 	"repro/internal/server"
 )
@@ -54,5 +60,40 @@ func TestAPIError(t *testing.T) {
 	}
 	if IsNotFound(err) {
 		t.Errorf("IsNotFound(%v) = true for a non-envelope error", err)
+	}
+}
+
+// TestRequestsBodyMatchesMarshal checks that Requests, which posts the
+// batch through server.AppendRequests, sends the bytes json.Marshal
+// would: the wire body is unchanged for the service and any proxy.
+func TestRequestsBodyMatchesMarshal(t *testing.T) {
+	bodies := make(chan []byte, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		bodies <- body
+		if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("Content-Type %q, want application/json", ct)
+		}
+		fmt.Fprint(w, `{"batch":{"requests":1}}`)
+	}))
+	defer ts.Close()
+	cl := New(ts.URL)
+	for _, req := range []*server.RequestsRequest{
+		nil,
+		{},
+		{Events: []faircache.RequestEvent{}},
+		{Events: []faircache.RequestEvent{{Node: 0, Chunk: 0}, {Node: -4, Chunk: math.MaxInt}, {Node: math.MinInt, Chunk: 63}}},
+		{Events: []faircache.RequestEvent{{Node: 224, Chunk: 7}}, Init: &server.DemandInit{Chunks: 64, Capacity: 3, Eviction: "lru"}},
+	} {
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Requests(context.Background(), "t1", req); err != nil {
+			t.Fatal(err)
+		}
+		if got := <-bodies; !bytes.Equal(got, want) {
+			t.Errorf("Requests(%+v) sent %s, json.Marshal gives %s", req, got, want)
+		}
 	}
 }

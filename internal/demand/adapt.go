@@ -56,7 +56,8 @@ type chunkScore struct {
 //     until at least CopyBudget slots are free network-wide. The
 //     cost-aware oracle scans every (chunk, requester) pair's holders once;
 //     after an eviction it rescans only the requesters of the victim's
-//     chunk that the victim served or that it tied for second-nearest.
+//     chunk that the victim served or that it tied for second-nearest,
+//     and only that chunk's copies are rescored.
 //  3. Re-place any examined chunk that lost all copies with a full
 //     fair-caching iteration (committed through the shared model).
 //  4. Spend the remaining budget on redundancy copies: round-robin over
@@ -273,19 +274,17 @@ func (s *System) sumEvictCost(k int, shares, weights []float64) {
 
 // pressureEvict frees capacity for the placement phases: while fewer
 // than CopyBudget slots are free network-wide, the eviction strategy's
-// lowest-scoring copy is removed. With the built-in cost-aware strategy
-// the score is the marginal retrieval-cost increase, recomputed for the
-// victim's chunk after each removal.
+// lowest-scoring copy is removed, ties broken toward the lower
+// (node, chunk) pair as in cache.SelectVictim. With the built-in
+// cost-aware strategy the score is the marginal retrieval-cost increase.
+// Each chunk keeps its lowest-scoring copy, and an eviction rescores only
+// the victim's chunk, the one chunk whose scores can move: the cost-aware
+// oracle is rewritten for that chunk alone, and LRU and LFU score each
+// copy on its own history.
 func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) error {
 	free := 0
 	for v := 0; v < s.st.NumNodes(); v++ {
 		free += s.st.Free(v)
-	}
-	var candidates []cache.Copy
-	for k := 0; k < s.chunks; k++ {
-		for _, v := range s.holders[k] {
-			candidates = append(candidates, cache.Copy{Node: v, Chunk: k})
-		}
 	}
 	if s.costOracle != nil {
 		clear(s.costOracle)
@@ -293,29 +292,54 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 			s.marginalEvictCost(k, shares, weights)
 		}
 	}
-	for free < s.opts.CopyBudget && len(candidates) > 0 {
-		victim, ok := cache.SelectVictim(s.strat, candidates)
-		if !ok {
+	lowest := make([]chunkVictim, s.chunks)
+	for k := range lowest {
+		lowest[k] = s.lowestCopy(k)
+	}
+	for free < s.opts.CopyBudget {
+		k := -1
+		for c, cv := range lowest {
+			if cv.node >= 0 && (k < 0 || cv.score < lowest[k].score ||
+				(cv.score == lowest[k].score && cv.node < lowest[k].node)) {
+				k = c
+			}
+		}
+		if k < 0 {
 			break
 		}
+		victim := cache.Copy{Node: lowest[k].node, Chunk: k}
 		if !s.evict(victim.Node, victim.Chunk) {
 			return fmt.Errorf("demand: evict lost track of copy (%d, %d)", victim.Node, victim.Chunk)
 		}
 		report.Evicted = append(report.Evicted, victim)
 		free++
-		for i, c := range candidates {
-			if c == victim {
-				candidates = append(candidates[:i], candidates[i+1:]...)
-				break
-			}
-		}
 		if s.costOracle != nil {
 			// The victim's chunk lost a copy: its survivors' marginal
 			// costs changed (some requesters re-homed onto them).
 			s.evictedCopy(victim.Node, victim.Chunk, shares, weights)
 		}
+		lowest[k] = s.lowestCopy(k)
 	}
 	return nil
+}
+
+// chunkVictim is a chunk's lowest-scoring copy; node is -1 when the
+// chunk has none.
+type chunkVictim struct {
+	node  int
+	score float64
+}
+
+// lowestCopy scores chunk k's copies and returns the lowest; the holder
+// list is sorted, so a tie keeps the lower node.
+func (s *System) lowestCopy(k int) chunkVictim {
+	best := chunkVictim{node: -1}
+	for _, v := range s.holders[k] {
+		if score := s.strat.Score(v, k); best.node < 0 || score < best.score {
+			best = chunkVictim{node: v, score: score}
+		}
+	}
+	return best
 }
 
 // replaceLost runs one full fair-caching iteration for every examined

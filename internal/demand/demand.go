@@ -41,7 +41,10 @@ type Options struct {
 	Workers int
 	// Eviction selects the replacement strategy consulted when the
 	// adaptation loop frees capacity; nil selects the cost-aware strategy
-	// backed by the system's demand-weighted marginal-cost estimate.
+	// backed by the system's demand-weighted marginal-cost estimate. An
+	// eviction rescores only the victim's chunk, so a strategy's score
+	// for a copy must not move when a copy of another chunk is evicted,
+	// as LRU's and LFU's do not.
 	Eviction cache.EvictionStrategy
 	// HitRadius is the hop distance within which a cache copy counts as a
 	// local hit (default 2, the paper's K-hop neighborhood).

@@ -86,3 +86,40 @@ func benchmarkSolveBurst(b *testing.B, disable bool) {
 
 func BenchmarkSolveCoalesced(b *testing.B)   { benchmarkSolveBurst(b, false) }
 func BenchmarkSolveUncoalesced(b *testing.B) { benchmarkSolveBurst(b, true) }
+
+// BenchmarkRequestsBody times the requests codec on a canonical
+// 2,000-event batch, the size the demand benchmark sends: decode is the
+// handler's read and parse of the body, encode the client's appender.
+func BenchmarkRequestsBody(b *testing.B) {
+	body := canonicalBatch(b, 2000)
+	b.Run("decode", func(b *testing.B) {
+		rd := bytes.NewReader(body)
+		r := httptest.NewRequest(http.MethodPost, "/", rd)
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if req, err := rereadRequests(r, rd, body); err != nil || len(req.Events) != 2000 {
+				b.Fatalf("decoded %d events, error %v", len(req.Events), err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		var req RequestsRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if encodedSink, err = AppendRequests(nil, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// encodedSink keeps BenchmarkRequestsBody's encoded bodies live.
+var encodedSink []byte

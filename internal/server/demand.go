@@ -108,9 +108,9 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, terr)
 		return
 	}
-	var req RequestsRequest
-	if err := decodeJSON(r, &req); err != nil {
-		s.writeError(w, err)
+	req, rerr := readRequests(r)
+	if rerr != nil {
+		s.writeError(w, rerr)
 		return
 	}
 	if len(req.Events) == 0 {

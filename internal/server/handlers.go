@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,10 +21,46 @@ import (
 // maxBodyBytes bounds every request body read by the service.
 const maxBodyBytes = 1 << 20
 
-// decodeJSON strictly decodes a request body into v, returning a typed
-// bad_request error on malformed input, unknown fields or trailing data.
+// decodeJSON reads a request body and strictly decodes it into v.
 func decodeJSON(r *http.Request, v any) *Error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
+	body, err := readBody(r)
+	if err != nil {
+		return err
+	}
+	return decodeStrict(body, v)
+}
+
+// readBody reads a request body of at most maxBodyBytes into one buffer
+// sized from Content-Length (io.ReadAll's 512 bytes when it is unknown),
+// returning a typed bad_request error when the body is longer or the
+// read fails.
+func readBody(r *http.Request) ([]byte, *Error) {
+	size := int64(512)
+	if r.ContentLength > 0 {
+		size = min(r.ContentLength, maxBodyBytes)
+	}
+	// One spare byte lets the read that reports EOF land without growing.
+	body := make([]byte, 0, size+1)
+	rd := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
+	for {
+		n, err := rd.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return nil, badRequestf("invalid JSON body: %v", err)
+		}
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+	}
+}
+
+// decodeStrict decodes body into v, returning a typed bad_request error
+// on malformed input, unknown fields or trailing data.
+func decodeStrict(body []byte, v any) *Error {
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequestf("invalid JSON body: %v", err)

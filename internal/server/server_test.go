@@ -33,12 +33,16 @@ func newTestClient(t *testing.T, opts Options) (*testClient, *Server) {
 }
 
 // send issues one request, with a traceparent header unless it is
-// empty, and returns the response and its body. It returns failures
-// instead of failing the test, so a worker goroutine can call it and
-// report with t.Errorf: t.Fatal may only run on the test goroutine.
+// empty, and returns the response and its body. A []byte body is sent
+// verbatim, any other non-nil body as its JSON encoding. It returns
+// failures instead of failing the test, so a worker goroutine can call
+// it and report with t.Errorf: t.Fatal may only run on the test
+// goroutine.
 func (c *testClient) send(method, path, traceparent string, body any) (*http.Response, []byte, error) {
 	var rd io.Reader
-	if body != nil {
+	if raw, ok := body.([]byte); ok {
+		rd = bytes.NewReader(raw)
+	} else if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
 			return nil, nil, fmt.Errorf("marshal body: %w", err)

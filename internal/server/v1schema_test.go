@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"strings"
@@ -105,5 +106,71 @@ func TestSolveSchemaErrors(t *testing.T) {
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version != 1 {
 		t.Errorf("snapshot version = %d after rejected solves, want 1", rep.Snapshot.Version)
+	}
+}
+
+// TestRequestsSchemaErrors is the contract test for the requests batch
+// schema: malformed batches answer the typed error envelope and leave
+// the demand subsystem untouched, and bodies that differ from the
+// canonical encoding only in key case, key order or whitespace decode
+// to the same batch.
+func TestRequestsSchemaErrors(t *testing.T) {
+	c, _ := newTestClient(t, Options{})
+	reg := c.registerGrid(4, 4, 5)
+	path := "/v1/topologies/" + reg.ID + "/requests"
+	var first RequestsResponse
+	c.doJSON("POST", path, []byte(`{"events":[{"node":1,"chunk":0}],"init":{"chunks":4}}`), &first, http.StatusOK)
+
+	over := bytes.Repeat([]byte(`{"node":1,"chunk":2},`), maxRequestBatch+1)
+	cases := []struct {
+		name, body string
+		// want is a substring the error message must contain.
+		want string
+	}{
+		{"unknown top-level field", `{"events":[{"node":1,"chunk":0}],"weight":2}`, `unknown field "weight"`},
+		{"unknown event field", `{"events":[{"node":1,"chunk":0,"weight":2}]}`, `unknown field "weight"`},
+		{"events as a string", `{"events":"1,0"}`, "cannot unmarshal string"},
+		{"events null", `{"events":null}`, "empty events batch"},
+		{"events empty", `{"events":[]}`, "empty events batch"},
+		{"float id", `{"events":[{"node":1.5,"chunk":0}]}`, "cannot unmarshal number 1.5"},
+		{"exponent id", `{"events":[{"node":1e2,"chunk":0}]}`, "cannot unmarshal number 1e2"},
+		{"quoted id", `{"events":[{"node":"1","chunk":0}]}`, "cannot unmarshal string"},
+		{"leading zero", `{"events":[{"node":01,"chunk":0}]}`, "invalid character '1'"},
+		{"int64 overflow", `{"events":[{"node":9223372036854775808,"chunk":0}]}`, "cannot unmarshal number 9223372036854775808"},
+		{"truncated", `{"events":[{"node":1,"chunk":0}`, "unexpected EOF"},
+		{"trailing data", `{"events":[{"node":1,"chunk":0}]} {}`, "trailing data after JSON body"},
+		{"8,193 events", `{"events":[` + strings.TrimSuffix(string(over), ",") + `]}`, "batch has 8193 events, limit is 8192"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			msg := c.wantError("POST", path, []byte(tc.body), http.StatusBadRequest, CodeBadRequest)
+			if !strings.Contains(msg, tc.want) {
+				t.Errorf("message %q does not contain %q", msg, tc.want)
+			}
+		})
+	}
+	// No rejected batch reached the demand subsystem.
+	var info TopologyInfo
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
+	if info.Demand == nil || info.Demand.Requests != first.Demand.Requests {
+		t.Fatalf("demand after rejected batches = %+v, want %d requests", info.Demand, first.Demand.Requests)
+	}
+
+	// Twins of a canonical batch count the same batch: reordered and
+	// capitalised keys through the strict decoder, extra whitespace
+	// through the hand parser.
+	canonical := `{"events":[{"node":3,"chunk":1},{"node":15,"chunk":2},{"node":0,"chunk":3}]}`
+	var want RequestsResponse
+	c.doJSON("POST", path, []byte(canonical), &want, http.StatusOK)
+	for name, body := range map[string]string{
+		"reordered keys":   `{"events":[{"chunk":1,"node":3},{"chunk":2,"node":15},{"chunk":3,"node":0}]}`,
+		"capitalised key":  `{"events":[{"Node":3,"chunk":1},{"node":15,"Chunk":2},{"NODE":0,"chunk":3}]}`,
+		"extra whitespace": " {\n\t\"events\" : [ {\"node\": 3, \"chunk\": 1},\r\n{ \"node\":15 ,\"chunk\":2 } , {\"node\":0,\"chunk\":3}\t] }\n",
+	} {
+		var got RequestsResponse
+		c.doJSON("POST", path, []byte(body), &got, http.StatusOK)
+		if got.Batch != want.Batch {
+			t.Errorf("%s: batch %+v, canonical twin %+v", name, got.Batch, want.Batch)
+		}
 	}
 }

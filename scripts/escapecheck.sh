@@ -19,11 +19,12 @@ cd "$(dirname "$0")/.."
 # file:function:allowed — keep this list small and genuinely hot: the
 # dual-growth tick phases, the Steiner scan/compaction kernels and the
 # key-path exchange search, the cost-model row sweep, the per-chunk
-# placement step, and the adaptation pass's per-requester kernels (the
-# redundancy ball walk and the eviction oracle's nearest/second scan).
-# Non-zero budgets cover lazy scratch-growth `make` sites, the returned
-# ChunkResult, the per-chunk edge-cost closure, and error-path fmt args —
-# all per-chunk at worst, never per-tick.
+# placement step, the adaptation pass's per-requester kernels (the
+# redundancy ball walk and the eviction oracle's nearest/second scan), and
+# the requests body parser with its per-token steps. Non-zero budgets
+# cover lazy scratch-growth `make` sites, the returned ChunkResult, the
+# per-chunk edge-cost closure, the parser's one events slice per batch,
+# and error-path fmt args — all per-chunk at worst, never per-tick.
 CHECKS="
 internal/confl/confl.go:tick:0
 internal/confl/confl.go:readColumn:0
@@ -39,6 +40,9 @@ internal/core/core.go:placeChunk:4
 internal/steiner/improve.go:exchangeSearch:0
 internal/demand/adapt.go:ballGains:0
 internal/demand/adapt.go:nearestTwo:0
+internal/server/eventcodec.go:parseEvents:1
+internal/server/eventcodec.go:tokens:0
+internal/server/eventcodec.go:integer:0
 "
 
 fail=0
