@@ -190,13 +190,18 @@ func demandError(err error) error {
 // Report ingests a batch of request events: each is served by its
 // nearest current copy (or the producer), feeding the hit/miss
 // accounting and the popularity estimates the next Adapt call uses. An
-// out-of-range node or chunk fails with an error satisfying
-// errors.Is(err, ErrBadArgument).
+// out-of-range node or chunk fails the whole batch, before any event is
+// served, with an error satisfying errors.Is(err, ErrBadArgument).
 func (a *AdaptiveSystem) Report(events []RequestEvent) (BatchResult, error) {
-	before := a.sys.Stats()
 	for i, e := range events {
-		if _, _, err := a.sys.Observe(e.Node, e.Chunk); err != nil {
+		if err := a.sys.CheckEvent(e.Node, e.Chunk); err != nil {
 			return BatchResult{}, demandError(fmt.Errorf("event %d: %w", i, err))
+		}
+	}
+	before := a.sys.Stats()
+	for _, e := range events {
+		if _, _, err := a.sys.Observe(e.Node, e.Chunk); err != nil {
+			return BatchResult{}, demandError(err)
 		}
 	}
 	after := a.sys.Stats()

@@ -3,6 +3,8 @@ package faircache_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	faircache "repro"
@@ -141,17 +143,24 @@ func TestAdaptiveEvictionSelection(t *testing.T) {
 
 // TestAdaptiveReportBadEventIsBadArgument: an out-of-range event is the
 // caller's mistake, so Report marks it ErrBadArgument (a daemon 400) the
-// way every other public entry point does, while a cancelled seed stays a
-// context error (a 499/504), not a bad argument.
+// way every other public entry point does and serves none of its batch,
+// while a cancelled seed stays a context error (a 499/504), not a bad
+// argument.
 func TestAdaptiveReportBadEventIsBadArgument(t *testing.T) {
 	a := newAdaptive(t, &faircache.AdaptiveOptions{Capacity: 3})
-	for _, e := range []faircache.RequestEvent{
-		{Node: 99, Chunk: 0}, // node out of range
-		{Node: 1, Chunk: 16}, // chunk out of range
+	before := a.Stats()
+	for _, batch := range [][]faircache.RequestEvent{
+		{{Node: 99, Chunk: 0}}, // node out of range
+		{{Node: 1, Chunk: 16}}, // chunk out of range
+		{{Node: 1, Chunk: 0}, {Node: 2, Chunk: 3}, {Node: 99, Chunk: 0}}, // good events first
 	} {
-		if _, err := a.Report([]faircache.RequestEvent{e}); !errors.Is(err, faircache.ErrBadArgument) {
-			t.Errorf("Report(%+v): err = %v, want ErrBadArgument", e, err)
+		_, err := a.Report(batch)
+		if !errors.Is(err, faircache.ErrBadArgument) || !strings.Contains(err.Error(), fmt.Sprintf("event %d", len(batch)-1)) {
+			t.Errorf("Report(%+v): err = %v, want ErrBadArgument naming its last event", batch, err)
 		}
+	}
+	if after := a.Stats(); after != before {
+		t.Fatalf("stats after rejected batches = %+v, want %+v", after, before)
 	}
 	topo, err := faircache.Grid(4, 4)
 	if err != nil {

@@ -117,10 +117,6 @@ func NewCostAware(cost func(node, chunk int) float64) *CostAware {
 	return &CostAware{cost: cost}
 }
 
-// SetOracle swaps the marginal-cost oracle, the hook for owners whose
-// cost estimates are recomputed per eviction pass.
-func (c *CostAware) SetOracle(cost func(node, chunk int) float64) { c.cost = cost }
-
 // Name implements EvictionStrategy.
 func (c *CostAware) Name() string { return "cost" }
 

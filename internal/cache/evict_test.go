@@ -47,8 +47,7 @@ func TestCostAwareUsesOracle(t *testing.T) {
 	if !ok || v != (Copy{1, 0}) {
 		t.Fatalf("victim = %v ok=%v, want {1 0}", v, ok)
 	}
-	c.SetOracle(nil)
-	if got := c.Score(5, 5); got != 0 {
+	if got := NewCostAware(nil).Score(5, 5); got != 0 {
 		t.Fatalf("nil oracle score = %v, want 0", got)
 	}
 }

@@ -236,16 +236,11 @@ func (m *Model) CostsCtx(ctx context.Context, p *pool.Pool) (*contention.Costs, 
 	return &contention.Costs{N: m.g.NumNodes(), C: m.c}, nil
 }
 
-// FacilityCosts returns a fresh slice of the weighted fairness costs with
-// the producer excluded (+Inf), the facility-cost vector of Algorithm 1's
-// per-chunk ConFL instance.
-func (m *Model) FacilityCosts(producer int) []float64 {
-	return m.FacilityCostsInto(producer, nil)
-}
-
-// FacilityCostsInto is FacilityCosts writing into dst when it has the right
-// length (allocating otherwise), so the per-chunk loop reuses one scratch
-// vector instead of allocating per chunk. It returns the filled slice.
+// FacilityCostsInto writes the weighted fairness costs with the producer
+// excluded (+Inf), the facility-cost vector of Algorithm 1's per-chunk
+// ConFL instance, into dst when it has the right length (allocating
+// otherwise), so the per-chunk loop reuses one scratch vector instead of
+// allocating per chunk. It returns the filled slice.
 func (m *Model) FacilityCostsInto(producer int, dst []float64) []float64 {
 	if len(dst) != len(m.fair) {
 		dst = make([]float64, len(m.fair))

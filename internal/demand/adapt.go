@@ -4,12 +4,10 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
-	"repro/internal/graph"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -50,26 +48,26 @@ type chunkScore struct {
 // estimates, in five phases, each noted with what it scans:
 //
 //  1. Score every chunk by demand-weighted retrieval cost and pick the
-//     top TopDelta. One multi-source BFS per chunk, from its holders and
-//     the producer, gives every requester's retrieval distance.
+//     top TopDelta, reading each requester's distance from the retrieval
+//     table.
 //  2. Pressure-evict the lowest-value copies (per the eviction strategy)
 //     until at least CopyBudget slots are free network-wide. The
-//     cost-aware oracle scans every (chunk, requester) pair's holders once;
-//     after an eviction it rescans only the requesters of the victim's
-//     chunk that the victim served or that it tied for second-nearest,
-//     and only that chunk's copies are rescored.
+//     cost-aware oracle is summed from the table's (server, nearest,
+//     second-nearest) records; after an eviction only the victim's chunk
+//     is re-summed and rescored.
 //  3. Re-place any examined chunk that lost all copies with a full
 //     fair-caching iteration (committed through the shared model).
 //  4. Spend the remaining budget on redundancy copies: round-robin over
 //     the examined chunks, each round adding the copy with the highest
 //     demand-weighted hop saving net of a storage-fairness penalty. Each
-//     attempt runs one BFS for the retrieval distances and walks each
-//     requester's hop ball: the nodes closer to it than its server.
+//     attempt walks each requester's hop ball: the nodes closer to it
+//     than its server.
 //  5. Fill the capacity left idle, scanning every chunk per free slot.
 //
 // Every mutation flows through the cost model, whose next read sweeps the
-// matrix once over the memoised BFS layers. The pass is deterministic for
-// a fixed request history.
+// matrix once over the memoised BFS layers, and through holdersAdd or
+// holdersRemove, which keep the table current. The pass is deterministic
+// for a fixed request history.
 func (s *System) AdaptCtx(ctx context.Context) (*AdaptReport, error) {
 	return s.AdaptTraceCtx(ctx, nil)
 }
@@ -148,15 +146,15 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 // topChunks ranks chunks by demand-weighted retrieval cost and returns
 // the TopDelta highest, ties broken toward the lower chunk id.
 func (s *System) topChunks(shares, weights []float64) []int {
+	n := len(weights)
 	scores := make([]chunkScore, s.chunks)
-	for k := 0; k < s.chunks; k++ {
-		row := s.retrievalRow(k)
+	for k := range scores {
 		cost := 0.0
-		for j := range weights {
+		for j, r := range s.records[k*n : (k+1)*n] {
 			if weights[j] == 0 || j == s.producer {
 				continue
 			}
-			cost += weights[j] * float64(serveHops(row[j]))
+			cost += weights[j] * float64(r.best)
 		}
 		scores[k] = chunkScore{chunk: k, score: shares[k] * cost}
 	}
@@ -168,95 +166,17 @@ func (s *System) topChunks(shares, weights []float64) []int {
 		}
 		return cmp.Compare(a.chunk, b.chunk)
 	})
-	n := s.opts.TopDelta
-	if n > len(scores) {
-		n = len(scores)
-	}
-	top := make([]int, n)
-	for i := 0; i < n; i++ {
+	top := make([]int, min(s.opts.TopDelta, len(scores)))
+	for i := range top {
 		top[i] = scores[i].chunk
 	}
 	return top
 }
 
-// retrievalRow returns every node's hop distance to its nearest server of
-// chunk k (a holder or the producer): one multi-source BFS into the
-// system's scratch row, valid until the next call.
-func (s *System) retrievalRow(k int) []int32 {
-	s.srcs = append(append(s.srcs[:0], s.holders[k]...), s.producer)
-	s.queue = graph.BFS(s.g, s.srcs, -1, s.dist, s.queue)
-	return s.dist
-}
-
-// serveHops maps a retrieval-row distance to nearestServer's: a requester
-// no server reaches is infinitely far.
-func serveHops(d int32) int {
-	if d == graph.Unreachable {
-		return int(^uint(0) >> 1)
-	}
-	return int(d)
-}
-
-// evictRecord is one requester's view of one chunk for the eviction
-// oracle: the copy serving it (-1 when the producer does, or when the
-// requester carries no demand) and the hop distances to that copy and to
-// the nearest other server, producer included.
-type evictRecord struct {
-	server, best, second int32
-}
-
-// nearestTwo scans chunk k's holders once for requester j's record.
-// The serving copy follows nearestServer's rule: the lowest id at the
-// least distance, a copy winning a tie with the producer.
-func (s *System) nearestTwo(j, k int) evictRecord {
-	row := s.hop[j]
-	r := evictRecord{server: -1, best: row[s.producer], second: math.MaxInt32}
-	for _, v := range s.holders[k] {
-		if d := row[v]; d < r.best || (d == r.best && r.server < 0) {
-			r.second = min(r.second, r.best)
-			r.server, r.best = int32(v), d
-		} else {
-			r.second = min(r.second, d)
-		}
-	}
-	return r
-}
-
-// marginalEvictCost builds the records of every requester of chunk k and
-// sums them into the oracle.
-func (s *System) marginalEvictCost(k int, shares, weights []float64) {
-	n := len(weights)
-	recs := s.records[k*n : (k+1)*n]
-	for j := range recs {
-		if weights[j] == 0 || j == s.producer {
-			recs[j] = evictRecord{server: -1}
-			continue
-		}
-		recs[j] = s.nearestTwo(j, k)
-	}
-	s.sumEvictCost(k, shares, weights)
-}
-
-// evictedCopy updates chunk k's records after its copy on node v was
-// evicted. Only two kinds of requester can see a change: those v served,
-// and those whose second-nearest distance equals their distance to v
-// (v may have been that second server). The rest keep their server and
-// both distances.
-func (s *System) evictedCopy(v, k int, shares, weights []float64) {
-	n := len(weights)
-	recs := s.records[k*n : (k+1)*n]
-	for j := range recs {
-		r := &recs[j]
-		if r.server >= 0 && (int(r.server) == v || r.second == s.hop[j][v]) {
-			*r = s.nearestTwo(j, k)
-		}
-	}
-	s.sumEvictCost(k, shares, weights)
-}
-
 // sumEvictCost writes chunk k's oracle entries: for every copy, the
-// demand-weighted retrieval-cost increase its removal would cause, as its
-// requesters fall back to their second-nearest server. Each entry sums
+// demand-weighted retrieval-cost increase its removal would cause, as the
+// requesters it serves fall back to their second-nearest server.
+// Demand-free requesters and the producer add nothing. Each entry sums
 // its terms in requester order, so a re-sum after an eviction gives the
 // same floats as a full rebuild.
 func (s *System) sumEvictCost(k int, shares, weights []float64) {
@@ -266,7 +186,7 @@ func (s *System) sumEvictCost(k int, shares, weights []float64) {
 		oracle[v] = 0
 	}
 	for j, r := range s.records[k*n : (k+1)*n] {
-		if r.server >= 0 {
+		if r.server >= 0 && weights[j] != 0 && j != s.producer {
 			oracle[r.server] += shares[k] * weights[j] * float64(r.second-r.best)
 		}
 	}
@@ -276,10 +196,11 @@ func (s *System) sumEvictCost(k int, shares, weights []float64) {
 // than CopyBudget slots are free network-wide, the eviction strategy's
 // lowest-scoring copy is removed, ties broken toward the lower
 // (node, chunk) pair as in cache.SelectVictim. With the built-in
-// cost-aware strategy the score is the marginal retrieval-cost increase.
+// cost-aware strategy the score is the marginal retrieval-cost increase,
+// summed from the retrieval table with this pass's shares and weights.
 // Each chunk keeps its lowest-scoring copy, and an eviction rescores only
 // the victim's chunk, the one chunk whose scores can move: the cost-aware
-// oracle is rewritten for that chunk alone, and LRU and LFU score each
+// oracle is re-summed for that chunk alone, and LRU and LFU score each
 // copy on its own history.
 func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) error {
 	free := 0
@@ -289,7 +210,7 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 	if s.costOracle != nil {
 		clear(s.costOracle)
 		for k := 0; k < s.chunks; k++ {
-			s.marginalEvictCost(k, shares, weights)
+			s.sumEvictCost(k, shares, weights)
 		}
 	}
 	lowest := make([]chunkVictim, s.chunks)
@@ -316,7 +237,7 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 		if s.costOracle != nil {
 			// The victim's chunk lost a copy: its survivors' marginal
 			// costs changed (some requesters re-homed onto them).
-			s.evictedCopy(victim.Node, victim.Chunk, shares, weights)
+			s.sumEvictCost(victim.Chunk, shares, weights)
 		}
 		lowest[k] = s.lowestCopy(k)
 	}
@@ -394,13 +315,12 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 			// Requester-major: every candidate receives its terms in
 			// ascending requester order, as a per-candidate sum over
 			// requesters would add them, so the floats are the same.
-			row := s.retrievalRow(k)
 			clear(gain)
-			for j := 0; j < n; j++ {
+			for j, r := range s.records[k*n : (k+1)*n] {
 				if weights[j] == 0 || j == s.producer {
 					continue
 				}
-				s.ballGains(j, float64(serveHops(row[j])), weights[j], gain)
+				s.ballGains(j, float64(r.best), weights[j], gain)
 			}
 			bestV, bestGain := -1, 0.0
 			for v := 0; v < n; v++ {
@@ -473,8 +393,7 @@ func (s *System) fillFree(shares []float64, report *AdaptReport) {
 				if s.st.Has(v, k) {
 					continue
 				}
-				_, d := s.nearestServer(v, k)
-				dist := float64(d)
+				dist := float64(s.records[k*n+v].best)
 				if dist > float64(s.opts.HitRadius) {
 					dist += hitBonus // out-of-radius chunks are misses here
 				}

@@ -19,13 +19,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
-	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/pool"
 )
@@ -131,7 +131,6 @@ func (s Stats) MeanCost() float64 {
 // System is one adaptive caching instance: a live cost model, the current
 // placement, a popularity tracker, and an eviction strategy.
 type System struct {
-	g        *graph.Graph
 	producer int
 	chunks   int
 	opts     Options
@@ -145,20 +144,19 @@ type System struct {
 	order   [][]int32 // order[j]: the path cache's BFS visit order from j, j first
 	holders [][]int   // per-chunk holder lists, sorted
 
+	// records[k*n+j] == nearestTwo(j, k) for every chunk k and requester
+	// j at all times: the one retrieval table that serving, ranking,
+	// placement and eviction read. New fills it for the empty placement;
+	// after that only holdersAdd and holdersRemove write it.
+	records []record
+
 	clock int64
 
-	// oracle state for the built-in cost-aware strategy, rebuilt each
-	// eviction pass: costOracle[k*n+v] is copy (v, k)'s demand-weighted
-	// marginal retrieval cost, summed from the per-requester records
-	// records[k*n+j].
+	// costOracle[k*n+v] is copy (v, k)'s demand-weighted marginal
+	// retrieval cost for the built-in cost-aware strategy, re-summed from
+	// the records each eviction pass; nil under any other strategy.
 	costOracle []float64
-	records    []evictRecord
-
-	// Scratch of the adaptation scans: a multi-source BFS row and queue,
-	// its sources, and the redundancy gains.
-	dist, queue []int32
-	srcs        []int
-	gain        []float64
+	gain       []float64 // the redundancy phase's per-candidate gains
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -200,7 +198,6 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 	}
 	strat := opts.Eviction
 	s := &System{
-		g:        g,
 		producer: producer,
 		chunks:   chunks,
 		opts:     opts,
@@ -210,14 +207,15 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 		hop:      hop,
 		order:    order,
 		holders:  make([][]int, chunks),
+		records:  make([]record, chunks*n),
 		hist:     make([]int64, maxHop+2),
-		dist:     make([]int32, n),
-		queue:    make([]int32, 0, n),
 		gain:     make([]float64, n),
+	}
+	for i := range s.records {
+		s.records[i] = s.nearestTwo(i%n, i/n)
 	}
 	if strat == nil {
 		s.costOracle = make([]float64, chunks*n)
-		s.records = make([]evictRecord, chunks*n)
 		strat = cache.NewCostAware(func(node, chunk int) float64 {
 			if node < 0 || node >= n || chunk < 0 || chunk >= chunks {
 				return 0
@@ -243,8 +241,9 @@ func (s *System) SeedCtx(ctx context.Context) error {
 		return err
 	}
 	for _, cr := range p.Chunks {
-		s.holders[cr.Chunk] = append([]int(nil), cr.CacheNodes...)
+		s.holders[cr.Chunk] = make([]int, 0, len(cr.CacheNodes))
 		for _, v := range cr.CacheNodes {
+			s.holdersAdd(cr.Chunk, v)
 			s.strat.OnStore(v, cr.Chunk, s.clock)
 		}
 	}
@@ -323,38 +322,32 @@ func (s *System) PercentileCost(q float64) float64 {
 	return float64(len(s.hist) - 1)
 }
 
-// nearestServer returns the serving node and hop distance for a request
-// (j, k): the closest current holder of k, falling back to the producer.
-// Ties prefer a cache copy over the producer, then the lowest node id
-// (holder lists are sorted), so serving is deterministic.
-func (s *System) nearestServer(j, k int) (server, hops int) {
-	best, bestD := s.producer, int(s.hop[j][s.producer])
-	if bestD == graph.Unreachable {
-		bestD = int(^uint(0) >> 1) // unreachable producer: any holder wins
+// CheckEvent reports an out-of-range node or chunk as ErrBadInput: the
+// check Observe makes, for callers that validate a batch before serving
+// any of it.
+func (s *System) CheckEvent(node, chunk int) error {
+	if node < 0 || node >= len(s.hop) {
+		return fmt.Errorf("%w: node %d", ErrBadInput, node)
 	}
-	fromCache := false
-	for _, v := range s.holders[k] {
-		if d := int(s.hop[j][v]); d != graph.Unreachable && (d < bestD || (d == bestD && !fromCache)) {
-			best, bestD, fromCache = v, d, true
-		}
+	if chunk < 0 || chunk >= s.chunks {
+		return fmt.Errorf("%w: chunk %d", ErrBadInput, chunk)
 	}
-	return best, bestD
+	return nil
 }
 
 // Observe serves one request event: node asks for chunk. It updates the
 // popularity tracker, the hit/miss accounting and the eviction
 // strategy's recency/frequency state, and returns the serving node and
-// its hop distance.
+// its hop distance, read from the retrieval table.
 func (s *System) Observe(node, chunk int) (server, hops int, err error) {
-	if node < 0 || node >= s.g.NumNodes() {
-		return 0, 0, fmt.Errorf("%w: node %d", ErrBadInput, node)
+	if err := s.CheckEvent(node, chunk); err != nil {
+		return 0, 0, err
 	}
-	if chunk < 0 || chunk >= s.chunks {
-		return 0, 0, fmt.Errorf("%w: chunk %d", ErrBadInput, chunk)
-	}
-	server, hops = s.nearestServer(node, chunk)
+	r := s.records[chunk*len(s.hop)+node]
+	server, hops = s.producer, int(r.best)
 	s.clock++
-	if server != s.producer {
+	if r.server >= 0 {
+		server = int(r.server)
 		s.strat.OnAccess(server, chunk, s.clock)
 	}
 	s.tracker.Observe(node, chunk)
@@ -362,7 +355,7 @@ func (s *System) Observe(node, chunk int) (server, hops int, err error) {
 	s.statsMu.Lock()
 	s.stats.Requests++
 	s.stats.CostSum += float64(hops)
-	if server != s.producer {
+	if r.server >= 0 {
 		s.stats.CacheHits++
 		if hops <= s.opts.HitRadius {
 			s.stats.LocalHits++
@@ -379,7 +372,36 @@ func (s *System) Observe(node, chunk int) (server, hops int, err error) {
 	return server, hops, nil
 }
 
-// holdersAdd inserts v into chunk k's sorted holder list.
+// record is requester j's view of chunk k: the copy serving it (-1 when
+// the producer does) and the hop distances to that server and to the
+// nearest other server, producer included (MaxInt32 when there is none).
+type record struct {
+	server, best, second int32
+}
+
+// nearestTwo scans chunk k's holders once for requester j's record. It
+// is the one statement of the serving rule: the nearest server, a copy
+// winning a tie with the producer, then the lowest id (holder lists are
+// sorted).
+func (s *System) nearestTwo(j, k int) record {
+	row := s.hop[j]
+	r := record{server: -1, best: row[s.producer], second: math.MaxInt32}
+	for _, v := range s.holders[k] {
+		if d := row[v]; d < r.best || (d == r.best && r.server < 0) {
+			r.second = min(r.second, r.best)
+			r.server, r.best = int32(v), d
+		} else {
+			r.second = min(r.second, d)
+		}
+	}
+	return r
+}
+
+// holdersAdd inserts v into chunk k's sorted holder list and rescans the
+// records the new copy can move: those of the requesters no farther from
+// v than from their second-nearest server. A farther copy is neither a
+// requester's server nor its second. Hop counts are symmetric, so v's
+// own row gives every requester's distance to v.
 func (s *System) holdersAdd(k, v int) {
 	h := s.holders[k]
 	i, _ := slices.BinarySearch(h, v)
@@ -390,14 +412,33 @@ func (s *System) holdersAdd(k, v int) {
 	copy(h[i+1:], h[i:])
 	h[i] = v
 	s.holders[k] = h
+	n := len(s.hop)
+	recs := s.records[k*n : (k+1)*n]
+	for j, d := range s.hop[v] {
+		if d <= recs[j].second {
+			recs[j] = s.nearestTwo(j, k)
+		}
+	}
 }
 
-// holdersRemove deletes v from chunk k's holder list.
+// holdersRemove deletes v from chunk k's holder list and rescans the
+// records it can move: those of the requesters v served, and of those
+// whose second-nearest distance equals their distance to v (v may have
+// been that second server). The rest keep their server and both
+// distances.
 func (s *System) holdersRemove(k, v int) {
 	h := s.holders[k]
 	i, _ := slices.BinarySearch(h, v)
-	if i < len(h) && h[i] == v {
-		s.holders[k] = append(h[:i], h[i+1:]...)
+	if i == len(h) || h[i] != v {
+		return
+	}
+	s.holders[k] = append(h[:i], h[i+1:]...)
+	n := len(s.hop)
+	recs := s.records[k*n : (k+1)*n]
+	for j, d := range s.hop[v] {
+		if r := recs[j]; int(r.server) == v || r.second == d {
+			recs[j] = s.nearestTwo(j, k)
+		}
 	}
 }
 

@@ -328,7 +328,8 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 }
 
-// checkHoldersSync asserts the holder lists exactly mirror the state.
+// checkHoldersSync asserts the holder lists exactly mirror the state and
+// every retrieval record equals a fresh scan of them.
 func checkHoldersSync(t *testing.T, s *System) {
 	t.Helper()
 	for k := 0; k < s.Chunks(); k++ {
@@ -343,4 +344,5 @@ func checkHoldersSync(t *testing.T, s *System) {
 			}
 		}
 	}
+	checkRecords(t, s, "holder sync")
 }

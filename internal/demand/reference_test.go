@@ -17,13 +17,61 @@ import (
 )
 
 // This file keeps the adaptation pass's original scans as the reference
-// the production pass must reproduce bit for bit: the chunk ranking read
-// N nearest-server scans per chunk, the eviction oracle re-derived every
-// requester's nearest and second-nearest copy after each eviction into a
-// map, and the redundancy greedy priced every candidate as an N-term sum
-// over requesters. The bodies are the pre-rewrite code, renamed.
+// the production pass must reproduce bit for bit: serving and the chunk
+// ranking read N nearest-server scans per chunk, the eviction oracle
+// re-derived every requester's nearest and second-nearest copy after each
+// eviction into a map, the redundancy greedy priced every candidate as an
+// N-term sum over requesters, and the fill scanned the holders for every
+// (node, chunk) pair. The bodies are the pre-rewrite code, renamed.
 
 func refCopyID(node, chunk int) int64 { return int64(node)<<32 | int64(uint32(chunk)) }
+
+// nearestServer returns the serving node and hop distance for a request
+// (j, k): the closest current holder of k, falling back to the producer.
+// Ties prefer a cache copy over the producer, then the lowest node id
+// (holder lists are sorted), so serving is deterministic.
+func (s *System) nearestServer(j, k int) (server, hops int) {
+	best, bestD := s.producer, int(s.hop[j][s.producer])
+	if bestD == graph.Unreachable {
+		bestD = int(^uint(0) >> 1) // unreachable producer: any holder wins
+	}
+	fromCache := false
+	for _, v := range s.holders[k] {
+		if d := int(s.hop[j][v]); d != graph.Unreachable && (d < bestD || (d == bestD && !fromCache)) {
+			best, bestD, fromCache = v, d, true
+		}
+	}
+	return best, bestD
+}
+
+// refRecord is requester j's retrieval record for chunk k from a fresh
+// scan: nearestServer's answer and the nearest other server.
+func (s *System) refRecord(j, k int) record {
+	server, hops := s.nearestServer(j, k)
+	r := record{server: -1, best: int32(hops), second: math.MaxInt32}
+	if server != s.producer {
+		r.server, r.second = int32(server), s.hop[j][s.producer]
+	}
+	for _, v := range s.holders[k] {
+		if v != server {
+			r.second = min(r.second, s.hop[j][v])
+		}
+	}
+	return r
+}
+
+// checkRecords asserts that every retrieval record equals a fresh scan.
+func checkRecords(t *testing.T, s *System, where string) {
+	t.Helper()
+	n := len(s.hop)
+	for k := 0; k < s.chunks; k++ {
+		for j := 0; j < n; j++ {
+			if got, want := s.records[k*n+j], s.refRecord(j, k); got != want {
+				t.Fatalf("%s: record (chunk %d, requester %d) = %+v, fresh scan %+v (holders %v)", where, k, j, got, want, s.holders[k])
+			}
+		}
+	}
+}
 
 func (s *System) refTopChunks(shares, weights []float64) []int {
 	scores := make([]chunkScore, s.chunks)
@@ -193,6 +241,39 @@ func (s *System) refAddRedundancy(top []int, shares, weights []float64, budget i
 	}
 }
 
+func (s *System) refFillFree(shares []float64, report *AdaptReport) {
+	n := s.st.NumNodes()
+	for v := 0; v < n; v++ {
+		if v == s.producer {
+			continue
+		}
+		for s.st.Free(v) > 0 {
+			bestK, bestScore := -1, 0.0
+			for k := 0; k < s.chunks; k++ {
+				if s.st.Has(v, k) {
+					continue
+				}
+				_, d := s.nearestServer(v, k)
+				dist := float64(d)
+				if dist > float64(s.opts.HitRadius) {
+					dist += hitBonus
+				}
+				score := shares[k] * dist
+				if score > bestScore {
+					bestK, bestScore = k, score
+				}
+			}
+			if bestK < 0 || bestScore <= 0 {
+				break
+			}
+			if err := s.commit(v, bestK); err != nil {
+				break
+			}
+			report.Placed = append(report.Placed, cache.Copy{Node: v, Chunk: bestK})
+		}
+	}
+}
+
 // refAdapt is AdaptCtx's phase sequence over the reference scans, with
 // oracle (nil for LRU and LFU) as the cost-aware strategy's map. It also
 // returns how many copies the redundancy phase placed.
@@ -217,7 +298,7 @@ func (s *System) refAdapt(ctx context.Context, oracle map[int64]float64) (*Adapt
 	placedBefore := len(report.Placed)
 	s.refAddRedundancy(top, shares, weights, budget, report)
 	redundancy := len(report.Placed) - placedBefore
-	s.fillFree(shares, report)
+	s.refFillFree(shares, report)
 	if err := s.model.RefreshCtx(ctx, pl); err != nil {
 		return nil, 0, err
 	}
@@ -295,9 +376,15 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 	for pass := 0; pass < in.passes; pass++ {
 		for i := 0; i < in.period; i++ {
 			r := tr.Next()
+			wantServer, wantHops := prod.nearestServer(r.Node, r.Chunk)
 			for _, s := range []*System{prod, ref} {
-				if _, _, err := s.Observe(r.Node, r.Chunk); err != nil {
+				server, hops, err := s.Observe(r.Node, r.Chunk)
+				if err != nil {
 					t.Fatal(err)
+				}
+				if server != wantServer || hops != wantHops {
+					t.Fatalf("%s pass %d: Observe(%d, %d) = (%d, %d), reference scan (%d, %d)",
+						in.name, pass, r.Node, r.Chunk, server, hops, wantServer, wantHops)
 				}
 			}
 		}
@@ -331,6 +418,7 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 		if err := prod.Model().Verify(ctx, pl); err != nil {
 			t.Fatalf("%s pass %d: %v", in.name, pass, err)
 		}
+		checkRecords(t, prod, fmt.Sprintf("%s pass %d", in.name, pass))
 		tally.passes++
 		if len(got.Evicted) >= 50 {
 			tally.bigEvictions++
@@ -341,11 +429,13 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 	}
 }
 
-// TestAdaptMatchesReference pins every adaptation pass to the reference
-// scans: reports, placements, stats and the eviction oracle must match
-// bit for bit, and the cost model must pass Verify, on the daemon's
-// settings and on randomized grids, random geometric and clustered
-// graphs under each eviction strategy.
+// TestAdaptMatchesReference pins serving and every adaptation pass to the
+// reference scans: each event's server and distance, reports,
+// placements, stats and the eviction oracle must match bit for bit,
+// every retrieval record must equal a fresh scan after each pass, and the
+// cost model must pass Verify, on the daemon's settings and on randomized
+// grids, random geometric and clustered graphs under each eviction
+// strategy.
 func TestAdaptMatchesReference(t *testing.T) {
 	// The full set runs in tier-1 tests; -short and -race run a reduced
 	// one, with the daemon's settings under the cost-aware strategy only

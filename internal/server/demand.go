@@ -14,6 +14,12 @@ import (
 // streams are reported in consecutive calls.
 const maxRequestBatch = 8192
 
+// maxDemandCells caps chunks × nodes for one demand subsystem. Its
+// per-(chunk, node) retrieval table and cost oracle take about 20 bytes
+// a cell, so the largest subsystem a batch can build holds about 84 MB
+// of them.
+const maxDemandCells = 1 << 22
+
 // DemandInit configures a topology's demand subsystem on first use. It
 // may only accompany the first requests batch; later batches must omit
 // it. The subsystem is in-memory only: a restart drops it, and the next
@@ -58,9 +64,10 @@ type RequestsResponse struct {
 	Demand *DemandInfo           `json:"demand"`
 }
 
-// initAdaptive builds the topology's demand subsystem. Worker goroutine
-// only.
-func (tp *topology) initAdaptive(ctx context.Context, init *DemandInit) error {
+// newAdaptive builds a demand subsystem for the topology and returns it
+// with its per-node capacity; the caller keeps it only once the batch
+// that built it is accepted. Worker goroutine only.
+func (tp *topology) newAdaptive(ctx context.Context, init *DemandInit) (*faircache.AdaptiveSystem, int, error) {
 	cfg := DemandInit{}
 	if init != nil {
 		cfg = *init
@@ -69,7 +76,10 @@ func (tp *topology) initAdaptive(ctx context.Context, init *DemandInit) error {
 		cfg.Chunks = tp.snap.Load().Chunks
 	}
 	if cfg.Chunks < 1 {
-		return badRequestf("no chunks known: solve or publish first, or set init.chunks")
+		return nil, 0, badRequestf("no chunks known: solve or publish first, or set init.chunks")
+	}
+	if n := tp.topo.NumNodes(); cfg.Chunks > maxDemandCells/n {
+		return nil, 0, badRequestf("%d chunks on %d nodes exceeds the demand subsystem's %d (chunk, node) cells", cfg.Chunks, n, maxDemandCells)
 	}
 	if cfg.Capacity == 0 {
 		cfg.Capacity = tp.capacity
@@ -81,12 +91,7 @@ func (tp *topology) initAdaptive(ctx context.Context, init *DemandInit) error {
 		TopDelta:   cfg.TopDelta,
 		CopyBudget: cfg.CopyBudget,
 	})
-	if err != nil {
-		return err
-	}
-	tp.adaptive = adaptive
-	tp.demandCapacity = cfg.Capacity
-	return nil
+	return adaptive, cfg.Capacity, err
 }
 
 // demandInfo snapshots the subsystem's cumulative state for readers.
@@ -122,17 +127,22 @@ func (s *Server) handleRequests(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, err := tp.do(r.Context(), func(cctx context.Context) (any, error) {
-		if tp.adaptive == nil {
-			if err := tp.initAdaptive(cctx, req.Init); err != nil {
+		adaptive, capacity := tp.adaptive, tp.demandCapacity
+		if adaptive == nil {
+			var err error
+			if adaptive, capacity, err = tp.newAdaptive(cctx, req.Init); err != nil {
 				return nil, err
 			}
 		} else if req.Init != nil {
 			return nil, badRequestf("demand subsystem already initialized; omit init")
 		}
-		batch, err := tp.adaptive.Report(req.Events)
+		// Report refuses a bad batch before serving any event, and a
+		// subsystem this batch built is kept only if the batch is accepted.
+		batch, err := adaptive.Report(req.Events)
 		if err != nil {
 			return nil, err
 		}
+		tp.adaptive, tp.demandCapacity = adaptive, capacity
 		s.metrics.demandEvents.Add(float64(batch.Requests))
 		s.metrics.demandLocalHits.Add(float64(batch.LocalHits))
 		s.metrics.demandMisses.Add(float64(batch.Requests - batch.CacheHits))

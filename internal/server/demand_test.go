@@ -2,6 +2,7 @@ package server
 
 import (
 	"net/http"
+	"strings"
 	"testing"
 
 	faircache "repro"
@@ -36,6 +37,22 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 		Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}},
 	}, &e, http.StatusBadRequest)
 
+	// An init past the cell budget is refused before anything is built
+	// (2^50 chunks cannot even be allocated), and so is a first batch
+	// with a bad event, which leaves no subsystem behind.
+	for _, req := range []RequestsRequest{
+		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}}, Init: &DemandInit{Chunks: 1 << 50}},
+		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}}, Init: &DemandInit{Chunks: maxDemandCells/25 + 1}},
+		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}, {Node: 99, Chunk: 0}}, Init: &DemandInit{Chunks: 8, Capacity: 3}},
+	} {
+		c.wantError("POST", "/v1/topologies/"+reg.ID+"/requests", req, http.StatusBadRequest, CodeBadRequest)
+	}
+	var info TopologyInfo
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
+	if info.Demand != nil {
+		t.Fatalf("refused first batches left demand state %+v", info.Demand)
+	}
+
 	// With init the subsystem seeds and serves.
 	var out RequestsResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/requests", RequestsRequest{
@@ -64,8 +81,15 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 		t.Fatalf("cumulative requests = %d, want 501", out.Demand.Requests)
 	}
 
+	// A batch with a bad event serves none of its good ones.
+	msg := c.wantError("POST", "/v1/topologies/"+reg.ID+"/requests", RequestsRequest{
+		Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}, {Node: 1, Chunk: 0}, {Node: 99, Chunk: 0}},
+	}, http.StatusBadRequest, CodeBadRequest)
+	if !strings.Contains(msg, "event 2") {
+		t.Fatalf("message %q does not name event 2", msg)
+	}
+
 	// The demand state shows up in GET /v1/topologies/{id}.
-	var info TopologyInfo
 	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
 	if info.Demand == nil || info.Demand.Requests != 501 {
 		t.Fatalf("topology info demand = %+v", info.Demand)

@@ -19,10 +19,11 @@ cd "$(dirname "$0")/.."
 # file:function:allowed — keep this list small and genuinely hot: the
 # dual-growth tick phases, the Steiner scan/compaction kernels and the
 # key-path exchange search, the cost-model row sweep, the per-chunk
-# placement step, the adaptation pass's per-requester kernels (the
-# redundancy ball walk and the eviction oracle's nearest/second scan), and
-# the requests body parser with its per-token steps. Non-zero budgets
-# cover lazy scratch-growth `make` sites, the returned ChunkResult, the
+# placement step, the demand engine's per-event and per-requester kernels
+# (serving an event, the retrieval table's nearest/second scan and its
+# two holder-change updates, and the redundancy ball walk), and the
+# requests body parser with its per-token steps. Non-zero budgets cover
+# lazy scratch-growth `make` sites, the returned ChunkResult, the
 # per-chunk edge-cost closure, the parser's one events slice per batch,
 # and error-path fmt args — all per-chunk at worst, never per-tick.
 CHECKS="
@@ -39,7 +40,11 @@ internal/graph/pathcache.go:NodeCostsInto:0
 internal/core/core.go:placeChunk:4
 internal/steiner/improve.go:exchangeSearch:0
 internal/demand/adapt.go:ballGains:0
-internal/demand/adapt.go:nearestTwo:0
+internal/demand/demand.go:CheckEvent:2
+internal/demand/demand.go:Observe:0
+internal/demand/demand.go:nearestTwo:0
+internal/demand/demand.go:holdersAdd:0
+internal/demand/demand.go:holdersRemove:0
 internal/server/eventcodec.go:parseEvents:1
 internal/server/eventcodec.go:tokens:0
 internal/server/eventcodec.go:integer:0
