@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	faircache "repro"
+	"repro/internal/demand"
 	"repro/internal/sim"
 )
 
@@ -138,6 +139,14 @@ func TestAdaptiveEvictionSelection(t *testing.T) {
 	}
 	if _, err := s.NewAdaptive(context.Background(), 0, 4, &faircache.AdaptiveOptions{Capacity: -1}); !errors.Is(err, faircache.ErrBadArgument) {
 		t.Fatalf("negative capacity: err = %v, want ErrBadArgument", err)
+	}
+	// The engine's (chunk, node) cell budget bounds the chunk count: 2^50
+	// chunks cannot even be allocated, and one chunk over the budget on
+	// these 16 nodes is refused the same way.
+	for _, chunks := range []int{1 << 50, demand.MaxCells/16 + 1} {
+		if _, err := s.NewAdaptive(context.Background(), 0, chunks, nil); !errors.Is(err, faircache.ErrBadArgument) {
+			t.Fatalf("%d chunks: err = %v, want ErrBadArgument", chunks, err)
+		}
 	}
 }
 

@@ -313,13 +313,15 @@ func (s *solver) tick() {
 // the last read starts a relay bid from j, and next[j] becomes the
 // cheapest cost still uncovered.
 func (s *solver) readColumn(j int) {
-	n := s.inst.N
+	n, conn := s.inst.N, s.inst.ConnCost
 	aj, from := s.alpha[j], s.next[j]
 	best, bestC, next := -1, math.Inf(1), math.Inf(1)
 	for i := 0; i < n; i++ {
-		c := s.inst.ConnCost[i*n+j]
+		c := conn[i*n+j]
 		if aj < c {
-			next = min(next, c)
+			if c < next {
+				next = c
+			}
 			continue
 		}
 		if s.open.Has(i) {

@@ -136,10 +136,11 @@ var (
 // first pays one matrix sweep over the memoised BFS layers. A warm solve
 // passes a fork of a pre-built topology model. ctx is checked before every
 // chunk and throughout each per-chunk iteration (contention matrix build,
-// dual-growth ticks, Steiner fan-out), and the independent inner loops
-// spread over pl (nil runs the sequential path; results are byte-identical
-// at any width). Cancellation surfaces as an error satisfying errors.Is
-// with ctx.Err(); the model may hold already-committed chunks.
+// dual-growth ticks, each terminal joining the Steiner closure tree), and
+// the independent inner loops spread over pl (nil runs the sequential
+// path; results are byte-identical at any width). Cancellation surfaces
+// as an error satisfying errors.Is with ctx.Err(); the model may hold
+// already-committed chunks.
 func PlaceCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, opts Options, pl *pool.Pool) (*Placement, error) {
 	if err := checkProducer(m, producer); err != nil {
 		return nil, err

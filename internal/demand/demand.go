@@ -33,6 +33,11 @@ import (
 // Errors returned by the demand system.
 var ErrBadInput = errors.New("demand: invalid input")
 
+// MaxCells caps chunks × nodes for one System. Its per-(chunk, node)
+// retrieval table and cost oracle take about 20 bytes a cell, so the
+// largest System holds about 84 MB of them; New refuses a larger one.
+const MaxCells = 1 << 22
+
 // Options configures the adaptive caching system. Zero values select the
 // documented defaults. The topology, capacities and cost weights are not
 // options: they belong to the cost model the system runs on.
@@ -180,6 +185,9 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 	}
 	if chunks < 1 {
 		return nil, fmt.Errorf("%w: chunks %d", ErrBadInput, chunks)
+	}
+	if chunks > MaxCells/g.NumNodes() {
+		return nil, fmt.Errorf("%w: %d chunks on %d nodes exceeds %d (chunk, node) cells", ErrBadInput, chunks, g.NumNodes(), MaxCells)
 	}
 	if st.TotalStored() != 0 {
 		return nil, fmt.Errorf("%w: model state is not empty", ErrBadInput)

@@ -198,20 +198,24 @@ func newSearch(ctx context.Context, m *costmodel.Model, producer int, opts Optio
 
 	// All-pairs shortest-path distances under the edge costs (for the
 	// metric-closure MST Steiner lower bound and the exact Steiner cost),
-	// one Dijkstra per source into rows of one flat matrix, fanned out over
-	// the pool with a predecessor row and heap per worker.
+	// one Dijkstra per source into rows of one flat matrix over arc weights
+	// evaluated once, fanned out over the pool with a predecessor row and
+	// heap per worker.
 	spFlat := make([]float64, n*n)
 	s.spDist = make([][]float64, n)
 	for v := range s.spDist {
 		s.spDist[v] = spFlat[v*n : (v+1)*n : (v+1)*n]
 	}
+	var arcs graph.Arcs
+	arcs.Fill(g, s.edgeCost)
 	preds := make([][]int32, pl.Workers())
 	heaps := make([]graph.DijkstraScratch, pl.Workers())
 	if err := pl.ForEachW(ctx, n, func(w, v int) {
 		if preds[w] == nil {
 			preds[w] = make([]int32, n)
+			heaps[w].Grow(n)
 		}
-		g.DijkstraInto(v, s.edgeCost, s.spDist[v], preds[w], &heaps[w])
+		arcs.ShortestPaths(v, s.spDist[v], preds[w], &heaps[w], nil)
 	}); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math"
+
+	"repro/internal/bitset"
 )
 
 // Infinite is the distance reported for unreachable pairs by the weighted
@@ -100,6 +102,68 @@ func PathTo[T ~int | ~int32](pred []T, src, dst int) []int {
 // It must be symmetric and non-negative.
 type EdgeWeightFunc func(u, v int) float64
 
+// Arcs is a graph's adjacency in compressed rows with an EdgeWeightFunc
+// evaluated once per arc: u's arcs, in Neighbors(u) order, are
+// arcs[off[u]:off[u+1]]. A search over Arcs reads its weights from memory
+// instead of calling the closure on every relaxation, so callers that
+// search one weighting from many sources pay for it once. A filled Arcs
+// is read-only and may back concurrent searches.
+type Arcs struct {
+	off  []int32
+	arcs []arc
+}
+
+type arc struct {
+	to int32
+	w  float64
+}
+
+// Fill snapshots g's adjacency and evaluates w(u, v) on every arc u → v
+// (2·NumEdges calls), reusing a's storage.
+func (a *Arcs) Fill(g *Graph, w EdgeWeightFunc) {
+	if cap(a.off) < g.n+1 {
+		a.off = make([]int32, g.n+1)
+	}
+	if cap(a.arcs) < 2*len(g.edges) {
+		a.arcs = make([]arc, 0, 2*len(g.edges))
+	}
+	a.off = a.off[:g.n+1]
+	out := a.arcs[:0]
+	for u, nbrs := range g.adj {
+		a.off[u] = int32(len(out))
+		for _, v := range nbrs {
+			out = append(out, arc{to: int32(v), w: w(u, v)})
+		}
+	}
+	a.off[g.n] = int32(len(out))
+	a.arcs = out
+}
+
+// Weight returns the weight Fill evaluated for the arc u → v, or Infinite
+// when v is not a neighbor of u.
+func (a *Arcs) Weight(u, v int) float64 {
+	for _, e := range a.arcs[a.off[u]:a.off[u+1]] {
+		if int(e.to) == v {
+			return e.w
+		}
+	}
+	return Infinite
+}
+
+// DijkstraStop ends a search early. Nodes settle in nondecreasing
+// distance and a settled node's entries never change again, so every node
+// a stopped search settles has exactly the distance and predecessor a
+// full search gives it; the entries of the nodes it did not settle hold
+// tentative values, each above Bound when the bound stopped the search.
+type DijkstraStop struct {
+	// Bound ends the search before it settles a node farther than Bound.
+	Bound float64
+	// Waiting > 0 ends the search once it has settled Waiting members of
+	// Wait (a set over node ids).
+	Wait    bitset.Set
+	Waiting int
+}
+
 // Dijkstra computes edge-weighted shortest-path distances and predecessors
 // from src using the supplied edge weights. Unreachable nodes get Infinite
 // distance and predecessor -1.
@@ -114,32 +178,58 @@ func (g *Graph) Dijkstra(src int, w EdgeWeightFunc) (dist []float64, pred []int)
 	return dist, pred
 }
 
-// DijkstraScratch is the reusable priority-queue storage of DijkstraInto.
-// One scratch serves any number of sequential runs; concurrent runs need
-// one scratch each (the steiner fan-out keeps one per pool worker).
+// DijkstraScratch is the reusable storage of a search: its priority
+// queue, and the arc weights DijkstraInto fills. One scratch serves any
+// number of sequential runs; concurrent runs need one scratch each.
 type DijkstraScratch struct {
 	items []distItem
+	arcs  Arcs
+}
+
+// Grow makes room in s for a search over n nodes, so that a cold search
+// does not grow its queue one doubling at a time.
+func (s *DijkstraScratch) Grow(n int) {
+	if cap(s.items) < n {
+		s.items = make([]distItem, 0, n)
+	}
 }
 
 // DijkstraInto is Dijkstra writing into caller-owned rows (both of length
-// NumNodes) with the priority queue borrowed from s (nil allocates a
-// transient one). The heap replicates container/heap's sift order exactly,
-// so distances, predecessors and tie-breaks are byte-identical to Dijkstra
-// — the determinism suites replay placements bit for bit.
+// NumNodes) with its storage borrowed from s (nil allocates a transient
+// one): Arcs.ShortestPaths over w's arc weights.
 func (g *Graph) DijkstraInto(src int, w EdgeWeightFunc, dist []float64, pred []int32, s *DijkstraScratch) {
+	if s == nil {
+		s = &DijkstraScratch{}
+		s.Grow(g.n)
+	}
+	s.arcs.Fill(g, w)
+	s.arcs.ShortestPaths(src, dist, pred, s, nil)
+}
+
+// ShortestPaths is the package's one Dijkstra loop: shortest-path distances
+// and predecessors from src over a's arc weights, written into
+// caller-owned rows of length NumNodes, with the priority queue borrowed
+// from s. Unreachable nodes get Infinite distance and predecessor -1; a
+// non-nil stop may end the search early. The heap replicates
+// container/heap's sift order exactly and relaxation uses a strict <, so
+// distances, predecessors and tie-breaks are byte-identical to a
+// container/heap search calling the weight function per relaxation — the
+// determinism suites replay placements bit for bit.
+func (a *Arcs) ShortestPaths(src int, dist []float64, pred []int32, s *DijkstraScratch, stop *DijkstraStop) {
 	for i := range dist {
 		dist[i] = Infinite
 		pred[i] = -1
 	}
-	if src < 0 || src >= g.n {
+	if src < 0 || src >= len(a.off)-1 {
 		return
 	}
-	if s == nil {
-		s = &DijkstraScratch{}
+	bound, waiting := Infinite, 0
+	var wait bitset.Set
+	if stop != nil {
+		bound, wait, waiting = stop.Bound, stop.Wait, stop.Waiting
 	}
 	dist[src] = 0
-	h := s.items[:0]
-	h = append(h, distItem{node: int32(src), dist: 0})
+	h := append(s.items[:0], distItem{node: int32(src), dist: 0})
 	for len(h) > 0 {
 		// Pop: swap root with last, sift down over the shrunk heap, take
 		// the detached last element — container/heap.Pop verbatim.
@@ -148,14 +238,23 @@ func (g *Graph) DijkstraInto(src int, w EdgeWeightFunc, dist []float64, pred []i
 		heapDown(h[:n], 0)
 		it := h[n]
 		h = h[:n]
-		if it.dist > dist[it.node] {
+		u := it.node
+		if it.dist > dist[u] {
 			continue
 		}
-		for _, v := range g.adj[it.node] {
-			if d := it.dist + w(int(it.node), v); d < dist[v] {
-				dist[v] = d
-				pred[v] = it.node
-				h = append(h, distItem{node: int32(v), dist: d})
+		if it.dist > bound {
+			break
+		}
+		if waiting > 0 && wait.Has(int(u)) {
+			if waiting--; waiting == 0 {
+				break
+			}
+		}
+		for _, e := range a.arcs[a.off[u]:a.off[u+1]] {
+			if d := it.dist + e.w; d < dist[e.to] {
+				dist[e.to] = d
+				pred[e.to] = u
+				h = append(h, distItem{node: e.to, dist: d})
 				heapUp(h, len(h)-1)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 
 	faircache "repro"
 
+	"repro/internal/demand"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -13,12 +14,6 @@ import (
 // maxRequestBatch caps the event count of one requests batch; larger
 // streams are reported in consecutive calls.
 const maxRequestBatch = 8192
-
-// maxDemandCells caps chunks × nodes for one demand subsystem. Its
-// per-(chunk, node) retrieval table and cost oracle take about 20 bytes
-// a cell, so the largest subsystem a batch can build holds about 84 MB
-// of them.
-const maxDemandCells = 1 << 22
 
 // DemandInit configures a topology's demand subsystem on first use. It
 // may only accompany the first requests batch; later batches must omit
@@ -78,8 +73,8 @@ func (tp *topology) newAdaptive(ctx context.Context, init *DemandInit) (*faircac
 	if cfg.Chunks < 1 {
 		return nil, 0, badRequestf("no chunks known: solve or publish first, or set init.chunks")
 	}
-	if n := tp.topo.NumNodes(); cfg.Chunks > maxDemandCells/n {
-		return nil, 0, badRequestf("%d chunks on %d nodes exceeds the demand subsystem's %d (chunk, node) cells", cfg.Chunks, n, maxDemandCells)
+	if n := tp.topo.NumNodes(); cfg.Chunks > demand.MaxCells/n {
+		return nil, 0, badRequestf("%d chunks on %d nodes exceeds the demand subsystem's %d (chunk, node) cells", cfg.Chunks, n, demand.MaxCells)
 	}
 	if cfg.Capacity == 0 {
 		cfg.Capacity = tp.capacity

@@ -7,6 +7,7 @@ import (
 
 	faircache "repro"
 
+	"repro/internal/demand"
 	"repro/internal/sim"
 )
 
@@ -42,7 +43,7 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 	// with a bad event, which leaves no subsystem behind.
 	for _, req := range []RequestsRequest{
 		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}}, Init: &DemandInit{Chunks: 1 << 50}},
-		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}}, Init: &DemandInit{Chunks: maxDemandCells/25 + 1}},
+		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}}, Init: &DemandInit{Chunks: demand.MaxCells/25 + 1}},
 		{Events: []faircache.RequestEvent{{Node: 1, Chunk: 0}, {Node: 99, Chunk: 0}}, Init: &DemandInit{Chunks: 8, Capacity: 3}},
 	} {
 		c.wantError("POST", "/v1/topologies/"+reg.ID+"/requests", req, http.StatusBadRequest, CodeBadRequest)

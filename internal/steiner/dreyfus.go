@@ -15,12 +15,20 @@ const MaxExactTerminals = 14
 // ExactCost returns the optimal Steiner tree cost connecting terminals
 // under edge weights w, using the Dreyfus–Wagner dynamic program. It is
 // exponential in len(terminals) (capped at MaxExactTerminals). It runs one
-// Dijkstra per node and allocates its own table on every call; a caller
-// that already holds the all-pairs distances uses ExactCostDist.
+// Dijkstra per node over w read once per arc, and allocates its own table
+// on every call; a caller that already holds the all-pairs distances uses
+// ExactCostDist.
 func ExactCost(g *graph.Graph, w graph.EdgeWeightFunc, terminals []int) (float64, error) {
-	dist := make([][]float64, g.NumNodes())
+	n := g.NumNodes()
+	var arcs graph.Arcs
+	arcs.Fill(g, w)
+	var heap graph.DijkstraScratch
+	heap.Grow(n)
+	pred := make([]int32, n)
+	dist := make([][]float64, n)
 	for v := range dist {
-		dist[v], _ = g.Dijkstra(v, w)
+		dist[v] = make([]float64, n)
+		arcs.ShortestPaths(v, dist[v], pred, &heap, nil)
 	}
 	return ExactCostDist(dist, terminals, nil)
 }

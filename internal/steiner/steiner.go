@@ -9,6 +9,14 @@
 //     used inside the approximation algorithm; the paper cites the 1.55-ratio
 //     algorithm of Robins–Zelikovsky [25], which refines the same MST
 //     skeleton — the skeleton is what matters for the evaluation's shape).
+//     It runs Prim over the closure in Prim's own order: the edge weights
+//     are read once per arc, and only the terminal joining the tree gets a
+//     distance row, from a Dijkstra bounded by the keys of the terminals
+//     still outside. The trees are bit for bit those of a full Dijkstra row
+//     per terminal and an ascending scan of the closure. The construction
+//     is sequential, so the pool parameter of MSTApproxCtx and
+//     MSTApproxScratchCtx is unused; it stays for the callers that pass
+//     their solve's pool to every phase.
 //   - ExactCost: the Dreyfus–Wagner dynamic program, exponential in the
 //     number of terminals, used by the exact ("Brtf") baseline on small
 //     instances.
@@ -49,19 +57,21 @@ func (t Tree) Nodes() []int {
 type closureEdge struct{ from, to int32 }
 
 // Scratch owns the reusable buffers of the metric-closure construction and
-// the key-path improvement: per-terminal distance/predecessor rows, one
-// Dijkstra arena per pool worker, Prim and Kruskal state, edge-set scan
+// the key-path improvement: the arc weights, one Dijkstra distance row and
+// heap, per-terminal predecessor rows, the Prim keys, edge-set scan
 // buffers and the dense union-find. A zero Scratch is ready for use; one
 // Scratch serves any number of sequential constructions (the per-chunk
 // solve loop reuses one across all chunks), growing to the largest
-// (terminals × nodes, workers) shape seen. Concurrent constructions need
-// one Scratch each.
+// (terminals × nodes) shape seen. Concurrent constructions need one
+// Scratch each.
 type Scratch struct {
 	ts     []int
-	dist   []float64 // terminal i's distance row at dist[i*n : (i+1)*n]
-	pred   []int32
-	dj     []graph.DijkstraScratch // one per pool worker
-	inTree []bool                  // per terminal index
+	arcs   graph.Arcs
+	dj     graph.DijkstraScratch
+	dist   []float64  // the joining terminal's distance row
+	pred   []int32    // terminal i's predecessor row at pred[i*n : (i+1)*n]
+	keys   []primKey  // per terminal index
+	wait   bitset.Set // the terminals outside the tree, by node id
 	mst    []closureEdge
 	edges  []graph.Edge
 	kept   []graph.Edge
@@ -76,6 +86,15 @@ type Scratch struct {
 	iheap   []exchangeItem
 }
 
+// primKey is one terminal's Prim state: whether it is in the tree and,
+// while it is outside, its least distance from a tree terminal and that
+// terminal's index (-1 while none reaches it).
+type primKey struct {
+	d    float64
+	from int32
+	in   bool
+}
+
 // uniqueTerminals fills scr.ts with the sorted, deduplicated terminals.
 func (scr *Scratch) uniqueTerminals(terminals []int) []int {
 	scr.ts = append(scr.ts[:0], terminals...)
@@ -84,16 +103,31 @@ func (scr *Scratch) uniqueTerminals(terminals []int) []int {
 	return scr.ts
 }
 
-// growPaths sizes the per-terminal path rows and per-worker Dijkstra arenas.
-func (scr *Scratch) growPaths(k, n, workers int) {
-	if cap(scr.dist) < k*n {
-		scr.dist = make([]float64, k*n)
+// startPrim sizes the closure construction's buffers for terminals ts on
+// n nodes and resets them to the empty tree: every key +Inf from no
+// terminal, every terminal outside and waited for.
+func (scr *Scratch) startPrim(ts []int, n int) {
+	k := len(ts)
+	if cap(scr.pred) < k*n {
 		scr.pred = make([]int32, k*n)
 	}
-	scr.dist = scr.dist[:k*n]
 	scr.pred = scr.pred[:k*n]
-	for len(scr.dj) < workers {
-		scr.dj = append(scr.dj, graph.DijkstraScratch{})
+	if cap(scr.dist) < n {
+		scr.dist = make([]float64, n)
+	}
+	scr.dist = scr.dist[:n]
+	scr.dj.Grow(n)
+	if cap(scr.keys) < k {
+		scr.keys = make([]primKey, k)
+	}
+	scr.keys = scr.keys[:k]
+	for i := range scr.keys {
+		scr.keys[i] = primKey{d: graph.Infinite, from: -1}
+	}
+	scr.mst = slices.Grow(scr.mst[:0], k-1)
+	scr.wait = scr.wait.Grow(n)
+	for _, t := range ts {
+		scr.wait.Add(t)
 	}
 }
 
@@ -140,18 +174,33 @@ func MSTApprox(g *graph.Graph, w graph.EdgeWeightFunc, terminals []int) (Tree, e
 	return MSTApproxCtx(context.Background(), g, w, terminals, nil)
 }
 
-// MSTApproxCtx is MSTApprox with the per-terminal Dijkstra fan-out spread
-// over p and cancellation via ctx. Each terminal's distance and predecessor
-// vectors land in that terminal's own slot, so the tree is identical to the
-// sequential construction.
+// MSTApproxCtx is MSTApprox with cancellation via ctx, checked before
+// each terminal joins the closure tree. The construction is sequential:
+// each joining terminal's bounded search depends on the keys the previous
+// ones left, so p is unused. It stays in the signature for the callers
+// that thread their solve's pool through every phase.
 func MSTApproxCtx(ctx context.Context, g *graph.Graph, w graph.EdgeWeightFunc, terminals []int, p *pool.Pool) (Tree, error) {
 	return MSTApproxScratchCtx(ctx, g, w, terminals, p, nil)
 }
 
 // MSTApproxScratchCtx is MSTApproxCtx with every intermediate buffer carved
 // out of scr (nil allocates a transient scratch): a warm scratch makes the
-// construction allocate only the returned Tree.Edges. The tree is
-// byte-identical to MSTApproxCtx at any pool width.
+// construction allocate only the returned Tree.Edges. p is unused, as in
+// MSTApproxCtx.
+//
+// It evaluates w once per arc (2·NumEdges calls) and runs Prim over the
+// terminal metric closure in Prim's own order. Terminal 0 (the smallest)
+// starts the tree. Each terminal outside keeps one key: its least
+// distance from a tree terminal, ties going to the lowest from-index —
+// the pair an ascending (from, to) scan of full closure rows picks with a
+// strict <. The terminal with the least (key, from, index) joins next, and
+// only the joining terminal's distance row is computed, by a Dijkstra
+// that stops once every terminal outside has settled or once the
+// distance it would settle exceeds the largest key outside. A settled
+// node's distance and predecessor never change (strict < relaxation,
+// weights ≥ 0), and a node past the bound can neither lower a key nor tie
+// it, so every key, closure edge, expanded path and returned tree is bit
+// for bit the one k full Dijkstra rows and the O(k³) scan give.
 func MSTApproxScratchCtx(ctx context.Context, g *graph.Graph, w graph.EdgeWeightFunc, terminals []int, p *pool.Pool, scr *Scratch) (Tree, error) {
 	if scr == nil {
 		scr = &Scratch{}
@@ -167,50 +216,27 @@ func MSTApproxScratchCtx(ctx context.Context, g *graph.Graph, w graph.EdgeWeight
 		}
 	}
 
-	// Shortest paths from every terminal; each worker relaxes over its own
-	// heap arena, each terminal writes only its own rows.
-	scr.growPaths(len(ts), n, p.Workers())
-	err := p.ForEachW(ctx, len(ts), func(wk, i int) {
-		g.DijkstraInto(ts[i], w, scr.dist[i*n:(i+1)*n], scr.pred[i*n:(i+1)*n], &scr.dj[wk])
-	})
-	if err != nil {
-		return Tree{}, err
-	}
-
-	// Prim's MST over the terminal metric closure. Candidates scan in
-	// ascending terminal order with a strict < so ties break toward the
-	// smallest (from, to) pair — the construction must be deterministic
-	// because placements are replayed byte-for-byte in WAL recovery and
-	// compared against the sequential engine in determinism tests.
-	inTree := growBools(scr.inTree, len(ts))
-	scr.inTree = inTree
-	inTree[0] = true
+	// Prim's MST over the terminal metric closure. The construction must
+	// be deterministic because placements are replayed byte-for-byte in
+	// WAL recovery and compared against the sequential engine in
+	// determinism tests.
+	scr.arcs.Fill(g, w)
+	scr.startPrim(ts, n)
 	mst := scr.mst[:0]
-	for count := 1; count < len(ts); count++ {
-		bestFrom, bestTo := -1, -1
-		bestD := graph.Infinite
-		for ai := range ts {
-			if !inTree[ai] {
-				continue
-			}
-			row := scr.dist[ai*n : (ai+1)*n]
-			for bi := range ts {
-				if inTree[bi] {
-					continue
-				}
-				if d := row[ts[bi]]; d < bestD {
-					bestD, bestFrom, bestTo = d, ai, bi
-				}
-			}
-		}
-		if bestTo == -1 {
+	for c := 0; c >= 0; {
+		if err := ctx.Err(); err != nil {
 			scr.mst = mst
-			return Tree{}, fmt.Errorf("%w: %v", ErrDisconnected, ts)
+			return Tree{}, err
 		}
-		mst = append(mst, closureEdge{from: int32(bestFrom), to: int32(bestTo)})
-		inTree[bestTo] = true
+		c = scr.join(c, ts, len(ts)-1-len(mst))
+		if c >= 0 {
+			mst = append(mst, closureEdge{from: scr.keys[c].from, to: int32(c)})
+		}
 	}
 	scr.mst = mst
+	if len(mst) < len(ts)-1 {
+		return Tree{}, fmt.Errorf("%w: %v", ErrDisconnected, ts)
+	}
 
 	// Expand closure edges into graph edges by walking the predecessor rows
 	// backward; canonical sort + adjacent dedup replaces the old edge set
@@ -241,24 +267,65 @@ func MSTApproxScratchCtx(ctx context.Context, g *graph.Graph, w graph.EdgeWeight
 	// paths), then prune non-terminal leaves. The (weight, U, V) Kruskal
 	// order is total over the unique edge set, so the result does not
 	// depend on the pre-sort permutation.
-	edges = scr.subgraphMST(edges, w, n)
+	edges = scr.subgraphMST(edges, n)
 	edges = scr.pruneLeaves(edges, ts, n)
 
 	cost := 0.0
 	for _, e := range edges {
-		cost += w(e.U, e.V)
+		cost += scr.arcs.Weight(e.U, e.V)
 	}
 	return Tree{Edges: append([]graph.Edge(nil), edges...), Cost: cost}, nil
+}
+
+// join is one Prim step over the terminal metric closure: terminal c
+// joins the tree, the distances its bounded Dijkstra row settles update
+// the keys of the `outside` terminals not in the tree (a lower distance,
+// or an equal one from a lower index, replaces the key), and the next
+// terminal to join is returned: the least (key, from, index), or -1 when
+// no terminal outside is reachable.
+func (scr *Scratch) join(c int, ts []int, outside int) int {
+	keys := scr.keys
+	keys[c].in = true
+	scr.wait.Remove(ts[c])
+	if outside == 0 {
+		return -1
+	}
+	bound := 0.0
+	for _, k := range keys {
+		if !k.in && k.d > bound {
+			bound = k.d
+		}
+	}
+	n := len(scr.dist)
+	scr.arcs.ShortestPaths(ts[c], scr.dist, scr.pred[c*n:(c+1)*n], &scr.dj,
+		&graph.DijkstraStop{Bound: bound, Wait: scr.wait, Waiting: outside})
+	next, best := -1, primKey{d: graph.Infinite}
+	for i := range keys {
+		k := &keys[i]
+		if k.in {
+			continue
+		}
+		// An outside terminal the search did not settle is farther than
+		// bound ≥ k.d, so it changes nothing here.
+		if d := scr.dist[ts[i]]; d < k.d || d == k.d && int32(c) < k.from {
+			k.d, k.from = d, int32(c)
+		}
+		if k.d < best.d || next >= 0 && k.d == best.d && k.from < best.from {
+			next, best = i, *k
+		}
+	}
+	return next
 }
 
 // subgraphMST returns the minimum spanning forest of the given edge set
 // (Kruskal over the dense union-find), written into scr.kept. The input
 // order is preserved in scr.edges; the result is ordered by ascending
-// (weight, U, V) — the order Kruskal accepts edges in.
-func (scr *Scratch) subgraphMST(edges []graph.Edge, w graph.EdgeWeightFunc, n int) []graph.Edge {
+// (weight, U, V) — the order Kruskal accepts edges in — with the weights
+// read from scr.arcs.
+func (scr *Scratch) subgraphMST(edges []graph.Edge, n int) []graph.Edge {
 	sorted := append(scr.kept[:0], edges...)
 	slices.SortFunc(sorted, func(a, b graph.Edge) int {
-		wa, wb := w(a.U, a.V), w(b.U, b.V)
+		wa, wb := scr.arcs.Weight(a.U, a.V), scr.arcs.Weight(b.U, b.V)
 		if wa != wb {
 			if wa < wb {
 				return -1
@@ -314,19 +381,6 @@ func (scr *Scratch) pruneLeaves(edges []graph.Edge, terminals []int, n int) []gr
 			return edges
 		}
 	}
-}
-
-// growBools returns a cleared bool slice of length n, reusing b's storage
-// when possible.
-func growBools(b []bool, n int) []bool {
-	if cap(b) < n {
-		return make([]bool, n)
-	}
-	b = b[:n]
-	for i := range b {
-		b[i] = false
-	}
-	return b
 }
 
 func uniqueSorted(xs []int) []int {

@@ -17,12 +17,13 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # file:function:allowed — keep this list small and genuinely hot: the
-# dual-growth tick phases, the Steiner scan/compaction kernels and the
-# key-path exchange search, the cost-model row sweep, the per-chunk
-# placement step, the demand engine's per-event and per-requester kernels
-# (serving an event, the retrieval table's nearest/second scan and its
-# two holder-change updates, and the redundancy ball walk), and the
-# requests body parser with its per-token steps. Non-zero budgets cover
+# dual-growth tick phases, the one Dijkstra loop, the Steiner Prim step,
+# scan/compaction kernels and key-path exchange search, the cost-model
+# row sweep, the per-chunk placement step, the demand engine's per-event
+# and per-requester kernels (serving an event, the retrieval table's
+# nearest/second scan and its two holder-change updates, and the
+# redundancy ball walk), and the requests body parser with its per-token
+# steps. Non-zero budgets cover
 # lazy scratch-growth `make` sites, the returned ChunkResult, the
 # per-chunk edge-cost closure, the parser's one events slice per batch,
 # and error-path fmt args — all per-chunk at worst, never per-tick.
@@ -33,9 +34,10 @@ internal/confl/confl.go:raiseRelays:0
 internal/confl/confl.go:freeze:0
 internal/confl/confl.go:paid:0
 internal/confl/confl.go:openAdmin:0
+internal/steiner/steiner.go:join:0
 internal/steiner/steiner.go:subgraphMST:1
 internal/steiner/steiner.go:pruneLeaves:2
-internal/graph/paths.go:DijkstraInto:0
+internal/graph/paths.go:ShortestPaths:0
 internal/graph/pathcache.go:NodeCostsInto:0
 internal/core/core.go:placeChunk:4
 internal/steiner/improve.go:exchangeSearch:0
