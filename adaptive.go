@@ -20,7 +20,8 @@ type RequestEvent struct {
 }
 
 // AdaptiveOptions tunes an adaptive caching system. Zero values select
-// the documented defaults.
+// the documented defaults; a negative Capacity, HitRadius, TopDelta or
+// CopyBudget is ErrBadArgument.
 type AdaptiveOptions struct {
 	// Capacity is the per-node cache capacity in chunks (default 5).
 	Capacity int
@@ -28,9 +29,11 @@ type AdaptiveOptions struct {
 	FairnessWeight float64
 	// Workers sizes the solver pool (0 = GOMAXPROCS).
 	Workers int
-	// Eviction names the replacement strategy consulted by adaptation
-	// passes: "cost" (default — evict the copy whose removal raises total
-	// retrieval cost least), "lru" or "lfu".
+	// Eviction names the score adaptation passes evict copies by, lowest
+	// first: "cost" (default — the demand-weighted retrieval-cost increase
+	// the copy's removal would cause), "lru" (the tick of the copy's last
+	// store or serve) or "lfu" (its serves since it was stored). Any
+	// other name is ErrBadArgument.
 	Eviction string
 	// HitRadius is the hop distance within which a cache copy counts as a
 	// local hit (default 2).
@@ -137,14 +140,14 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 	} else if o.FairnessWeight < 0 {
 		o.FairnessWeight = 0
 	}
-	var strat cache.EvictionStrategy
+	var eviction demand.Eviction
 	switch o.Eviction {
 	case "", "cost":
 		o.Eviction = "cost"
 	case "lru":
-		strat = cache.NewLRU()
+		eviction = demand.EvictLRU
 	case "lfu":
-		strat = cache.NewLFU()
+		eviction = demand.EvictLFU
 	default:
 		return nil, fmt.Errorf("%w: unknown eviction strategy %q", ErrBadArgument, o.Eviction)
 	}
@@ -163,7 +166,7 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 	}
 	sys, err := demand.New(m, producer, chunks, demand.Options{
 		Workers:    o.Workers,
-		Eviction:   strat,
+		Eviction:   eviction,
 		HitRadius:  o.HitRadius,
 		TopDelta:   o.TopDelta,
 		CopyBudget: o.CopyBudget,

@@ -140,6 +140,11 @@ func TestAdaptiveEvictionSelection(t *testing.T) {
 	if _, err := s.NewAdaptive(context.Background(), 0, 4, &faircache.AdaptiveOptions{Capacity: -1}); !errors.Is(err, faircache.ErrBadArgument) {
 		t.Fatalf("negative capacity: err = %v, want ErrBadArgument", err)
 	}
+	for _, o := range []faircache.AdaptiveOptions{{TopDelta: -1}, {CopyBudget: -1}, {HitRadius: -1}} {
+		if _, err := s.NewAdaptive(context.Background(), 0, 4, &o); !errors.Is(err, faircache.ErrBadArgument) {
+			t.Fatalf("options %+v: err = %v, want ErrBadArgument", o, err)
+		}
+	}
 	// The engine's (chunk, node) cell budget bounds the chunk count: 2^50
 	// chunks cannot even be allocated, and one chunk over the budget on
 	// these 16 nodes is refused the same way.

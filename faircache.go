@@ -81,7 +81,7 @@ func RandomWithRadius(n int, radius float64, seed int64) (*Topology, error) {
 	rg := graph.RandomGeometric{N: n, Radius: radius}
 	g, _, err := rg.Generate(rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadArgument, err)
 	}
 	return &Topology{g: g}, nil
 }
@@ -114,7 +114,7 @@ func Clustered(clusters, size int, seed int64) (*Topology, error) {
 	}
 	g, err := c.Generate(rand.New(rand.NewSource(seed)))
 	if err != nil {
-		return nil, fmt.Errorf("faircache: %w", err)
+		return nil, fmt.Errorf("%w: %w", ErrBadArgument, err)
 	}
 	return &Topology{g: g}, nil
 }
@@ -124,7 +124,7 @@ func FromLinks(n int, links [][2]int) (*Topology, error) {
 	g := graph.New(n)
 	for _, l := range links {
 		if err := g.AddEdge(l[0], l[1]); err != nil {
-			return nil, fmt.Errorf("faircache: %w", err)
+			return nil, fmt.Errorf("%w: %w", ErrBadArgument, err)
 		}
 	}
 	if !g.Connected() {

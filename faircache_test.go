@@ -52,8 +52,8 @@ func TestFromLinks(t *testing.T) {
 	if _, err := FromLinks(3, [][2]int{{0, 1}}); !errors.Is(err, ErrNotConnected) {
 		t.Errorf("disconnected: err = %v", err)
 	}
-	if _, err := FromLinks(2, [][2]int{{0, 5}}); err == nil {
-		t.Error("out-of-range link: want error")
+	if _, err := FromLinks(2, [][2]int{{0, 5}}); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("out-of-range link: err = %v, want ErrBadArgument", err)
 	}
 	topo, err := FromLinks(3, [][2]int{{0, 1}, {1, 2}})
 	if err != nil {
@@ -108,6 +108,13 @@ func TestRandomTopologyDeterministic(t *testing.T) {
 	}
 	if a.CentralNode() != b.CentralNode() {
 		t.Error("same seed, different central node")
+	}
+	// A size or radius the generator refuses is the caller's mistake.
+	if _, err := Random(0, 7); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("Random(0): err = %v, want ErrBadArgument", err)
+	}
+	if _, err := RandomWithRadius(40, -1, 7); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("RandomWithRadius(radius -1): err = %v, want ErrBadArgument", err)
 	}
 }
 
@@ -471,8 +478,8 @@ func TestLineRingClusteredTopologies(t *testing.T) {
 	if _, err := Ring(2); err == nil {
 		t.Error("Ring(2): want error")
 	}
-	if _, err := Clustered(0, 5, 1); err == nil {
-		t.Error("Clustered(0,..): want error")
+	if _, err := Clustered(0, 5, 1); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("Clustered(0,..): err = %v, want ErrBadArgument", err)
 	}
 	line, err := Line(12)
 	if err != nil {

@@ -6,11 +6,16 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
+
+// Copy identifies one cached chunk copy: chunk Chunk stored on node Node.
+type Copy struct {
+	Node  int
+	Chunk int
+}
 
 // AdaptReport records what one adaptation pass did.
 type AdaptReport struct {
@@ -18,10 +23,10 @@ type AdaptReport struct {
 	// order (highest first).
 	TopChunks []int
 	// Evicted lists the copies pressure-eviction removed.
-	Evicted []cache.Copy
+	Evicted []Copy
 	// Placed lists the copies the pass added (re-placements and
 	// redundancy copies).
-	Placed []cache.Copy
+	Placed []Copy
 	// Replaced lists chunks that had lost every copy and were re-placed
 	// by a full fair-caching iteration.
 	Replaced []int
@@ -50,11 +55,10 @@ type chunkScore struct {
 //  1. Score every chunk by demand-weighted retrieval cost and pick the
 //     top TopDelta, reading each requester's distance from the retrieval
 //     table.
-//  2. Pressure-evict the lowest-value copies (per the eviction strategy)
-//     until at least CopyBudget slots are free network-wide. The
-//     cost-aware oracle is summed from the table's (server, nearest,
-//     second-nearest) records; after an eviction only the victim's chunk
-//     is re-summed and rescored.
+//  2. Pressure-evict the lowest-scoring copies until at least
+//     CopyBudget slots are free network-wide. EvictCost scores are summed
+//     from the table's (server, nearest, second-nearest) records; after
+//     an eviction only the victim's chunk is re-summed and rescored.
 //  3. Re-place any examined chunk that lost all copies with a full
 //     fair-caching iteration (committed through the shared model).
 //  4. Spend the remaining budget on redundancy copies: round-robin over
@@ -173,7 +177,7 @@ func (s *System) topChunks(shares, weights []float64) []int {
 	return top
 }
 
-// sumEvictCost writes chunk k's oracle entries: for every copy, the
+// sumEvictCost writes chunk k's EvictCost scores: for every copy, the
 // demand-weighted retrieval-cost increase its removal would cause, as the
 // requesters it serves fall back to their second-nearest server.
 // Demand-free requesters and the producer add nothing. Each entry sums
@@ -181,34 +185,32 @@ func (s *System) topChunks(shares, weights []float64) []int {
 // same floats as a full rebuild.
 func (s *System) sumEvictCost(k int, shares, weights []float64) {
 	n := len(weights)
-	oracle := s.costOracle[k*n : (k+1)*n]
+	row := s.scores[k*n : (k+1)*n]
 	for _, v := range s.holders[k] {
-		oracle[v] = 0
+		row[v] = 0
 	}
 	for j, r := range s.records[k*n : (k+1)*n] {
 		if r.server >= 0 && weights[j] != 0 && j != s.producer {
-			oracle[r.server] += shares[k] * weights[j] * float64(r.second-r.best)
+			row[r.server] += shares[k] * weights[j] * float64(r.second-r.best)
 		}
 	}
 }
 
 // pressureEvict frees capacity for the placement phases: while fewer
-// than CopyBudget slots are free network-wide, the eviction strategy's
-// lowest-scoring copy is removed, ties broken toward the lower
-// (node, chunk) pair as in cache.SelectVictim. With the built-in
-// cost-aware strategy the score is the marginal retrieval-cost increase,
-// summed from the retrieval table with this pass's shares and weights.
-// Each chunk keeps its lowest-scoring copy, and an eviction rescores only
-// the victim's chunk, the one chunk whose scores can move: the cost-aware
-// oracle is re-summed for that chunk alone, and LRU and LFU score each
-// copy on its own history.
+// than CopyBudget slots are free network-wide, the lowest-scoring copy
+// is removed, ties broken toward the lower (node, chunk) pair. Under
+// EvictCost the scores are first re-summed from the retrieval table with
+// this pass's shares and weights. Each chunk keeps its lowest-scoring
+// copy, and an eviction rescores only the victim's chunk, the one chunk
+// whose scores can move: EvictCost re-sums that chunk's row alone, and
+// LRU and LFU rows change only on their own chunk's stores and serves.
 func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) error {
 	free := 0
 	for v := 0; v < s.st.NumNodes(); v++ {
 		free += s.st.Free(v)
 	}
-	if s.costOracle != nil {
-		clear(s.costOracle)
+	if s.opts.Eviction == EvictCost {
+		clear(s.scores)
 		for k := 0; k < s.chunks; k++ {
 			s.sumEvictCost(k, shares, weights)
 		}
@@ -228,13 +230,13 @@ func (s *System) pressureEvict(shares, weights []float64, report *AdaptReport) e
 		if k < 0 {
 			break
 		}
-		victim := cache.Copy{Node: lowest[k].node, Chunk: k}
+		victim := Copy{Node: lowest[k].node, Chunk: k}
 		if !s.evict(victim.Node, victim.Chunk) {
 			return fmt.Errorf("demand: evict lost track of copy (%d, %d)", victim.Node, victim.Chunk)
 		}
 		report.Evicted = append(report.Evicted, victim)
 		free++
-		if s.costOracle != nil {
+		if s.opts.Eviction == EvictCost {
 			// The victim's chunk lost a copy: its survivors' marginal
 			// costs changed (some requesters re-homed onto them).
 			s.sumEvictCost(victim.Chunk, shares, weights)
@@ -251,13 +253,14 @@ type chunkVictim struct {
 	score float64
 }
 
-// lowestCopy scores chunk k's copies and returns the lowest; the holder
-// list is sorted, so a tie keeps the lower node.
+// lowestCopy returns chunk k's lowest-scoring copy; the holder list is
+// sorted, so a tie keeps the lower node.
 func (s *System) lowestCopy(k int) chunkVictim {
 	best := chunkVictim{node: -1}
+	row := s.scores[k*len(s.hop) : (k+1)*len(s.hop)]
 	for _, v := range s.holders[k] {
-		if score := s.strat.Score(v, k); best.node < 0 || score < best.score {
-			best = chunkVictim{node: v, score: score}
+		if best.node < 0 || row[v] < best.score {
+			best = chunkVictim{node: v, score: row[v]}
 		}
 	}
 	return best
@@ -277,8 +280,7 @@ func (s *System) replaceLost(ctx context.Context, top []int, report *AdaptReport
 		}
 		for _, v := range res.CacheNodes {
 			s.holdersAdd(k, v)
-			s.strat.OnStore(v, k, s.clock)
-			report.Placed = append(report.Placed, cache.Copy{Node: v, Chunk: k})
+			report.Placed = append(report.Placed, Copy{Node: v, Chunk: k})
 		}
 		report.Replaced = append(report.Replaced, k)
 	}
@@ -342,7 +344,7 @@ func (s *System) addRedundancy(top []int, shares, weights []float64, budget int,
 				exhausted[k] = true
 				continue
 			}
-			report.Placed = append(report.Placed, cache.Copy{Node: bestV, Chunk: k})
+			report.Placed = append(report.Placed, Copy{Node: bestV, Chunk: k})
 			budget--
 			progressed = true
 		}
@@ -408,7 +410,7 @@ func (s *System) fillFree(shares []float64, report *AdaptReport) {
 			if err := s.commit(v, bestK); err != nil {
 				break
 			}
-			report.Placed = append(report.Placed, cache.Copy{Node: v, Chunk: bestK})
+			report.Placed = append(report.Placed, Copy{Node: v, Chunk: bestK})
 		}
 	}
 }

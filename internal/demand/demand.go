@@ -34,9 +34,24 @@ import (
 var ErrBadInput = errors.New("demand: invalid input")
 
 // MaxCells caps chunks × nodes for one System. Its per-(chunk, node)
-// retrieval table and cost oracle take about 20 bytes a cell, so the
-// largest System holds about 84 MB of them; New refuses a larger one.
+// retrieval table and eviction score table take about 20 bytes a cell,
+// so the largest System holds about 84 MB of them; New refuses a larger
+// one.
 const MaxCells = 1 << 22
+
+// Eviction selects how an adaptation pass scores copies for pressure
+// eviction; the copy with the lowest score is evicted first.
+type Eviction int
+
+const (
+	// EvictCost scores a copy by the demand-weighted retrieval-cost
+	// increase its removal would cause (the default).
+	EvictCost Eviction = iota
+	// EvictLRU scores a copy by the tick of its last store or serve.
+	EvictLRU
+	// EvictLFU scores a copy by its serves since it was last stored.
+	EvictLFU
+)
 
 // Options configures the adaptive caching system. Zero values select the
 // documented defaults. The topology, capacities and cost weights are not
@@ -44,13 +59,9 @@ const MaxCells = 1 << 22
 type Options struct {
 	// Workers sizes the solver pool for seeding and adaptation placements.
 	Workers int
-	// Eviction selects the replacement strategy consulted when the
-	// adaptation loop frees capacity; nil selects the cost-aware strategy
-	// backed by the system's demand-weighted marginal-cost estimate. An
-	// eviction rescores only the victim's chunk, so a strategy's score
-	// for a copy must not move when a copy of another chunk is evicted,
-	// as LRU's and LFU's do not.
-	Eviction cache.EvictionStrategy
+	// Eviction selects the score pressure eviction ranks copies by when
+	// the adaptation loop frees capacity (default EvictCost).
+	Eviction Eviction
 	// HitRadius is the hop distance within which a cache copy counts as a
 	// local hit (default 2, the paper's K-hop neighborhood).
 	HitRadius int
@@ -134,7 +145,7 @@ func (s Stats) MeanCost() float64 {
 }
 
 // System is one adaptive caching instance: a live cost model, the current
-// placement, a popularity tracker, and an eviction strategy.
+// placement, a popularity tracker, and the copies' eviction scores.
 type System struct {
 	producer int
 	chunks   int
@@ -142,7 +153,6 @@ type System struct {
 
 	model   *costmodel.Model
 	st      *cache.State
-	strat   cache.EvictionStrategy
 	tracker *Tracker
 
 	hop     [][]int32 // hop[j]: the path cache's hop row from j
@@ -157,11 +167,12 @@ type System struct {
 
 	clock int64
 
-	// costOracle[k*n+v] is copy (v, k)'s demand-weighted marginal
-	// retrieval cost for the built-in cost-aware strategy, re-summed from
-	// the records each eviction pass; nil under any other strategy.
-	costOracle []float64
-	gain       []float64 // the redundancy phase's per-candidate gains
+	// scores[k*n+v] is copy (v, k)'s eviction score; only chunk k's own
+	// stores, serves and evictions write row k. EvictCost re-sums the
+	// table from the records at each pass (sumEvictCost); EvictLRU and
+	// EvictLFU keep it current as copies are stored and serve (touch).
+	scores []float64
+	gain   []float64 // the redundancy phase's per-candidate gains
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -186,6 +197,9 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 	if chunks < 1 {
 		return nil, fmt.Errorf("%w: chunks %d", ErrBadInput, chunks)
 	}
+	if opts.HitRadius < 0 || opts.TopDelta < 0 || opts.CopyBudget < 0 {
+		return nil, fmt.Errorf("%w: negative HitRadius %d, TopDelta %d or CopyBudget %d", ErrBadInput, opts.HitRadius, opts.TopDelta, opts.CopyBudget)
+	}
 	if chunks > MaxCells/g.NumNodes() {
 		return nil, fmt.Errorf("%w: %d chunks on %d nodes exceeds %d (chunk, node) cells", ErrBadInput, chunks, g.NumNodes(), MaxCells)
 	}
@@ -204,7 +218,6 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 		order[i] = m.PathCache().VisitOrder(i)
 		maxHop = max(maxHop, slices.Max(hop[i]))
 	}
-	strat := opts.Eviction
 	s := &System{
 		producer: producer,
 		chunks:   chunks,
@@ -216,22 +229,13 @@ func New(m *costmodel.Model, producer, chunks int, opts Options) (*System, error
 		order:    order,
 		holders:  make([][]int, chunks),
 		records:  make([]record, chunks*n),
+		scores:   make([]float64, chunks*n),
 		hist:     make([]int64, maxHop+2),
 		gain:     make([]float64, n),
 	}
 	for i := range s.records {
 		s.records[i] = s.nearestTwo(i%n, i/n)
 	}
-	if strat == nil {
-		s.costOracle = make([]float64, chunks*n)
-		strat = cache.NewCostAware(func(node, chunk int) float64 {
-			if node < 0 || node >= n || chunk < 0 || chunk >= chunks {
-				return 0
-			}
-			return s.costOracle[chunk*n+node]
-		})
-	}
-	s.strat = strat
 	return s, nil
 }
 
@@ -252,7 +256,6 @@ func (s *System) SeedCtx(ctx context.Context) error {
 		s.holders[cr.Chunk] = make([]int, 0, len(cr.CacheNodes))
 		for _, v := range cr.CacheNodes {
 			s.holdersAdd(cr.Chunk, v)
-			s.strat.OnStore(v, cr.Chunk, s.clock)
 		}
 	}
 	return nil
@@ -269,9 +272,6 @@ func (s *System) State() *cache.State { return s.st }
 
 // Model returns the live cost model, the hook for verification tests.
 func (s *System) Model() *costmodel.Model { return s.model }
-
-// Strategy returns the eviction strategy in use.
-func (s *System) Strategy() cache.EvictionStrategy { return s.strat }
 
 // Tracker returns the popularity tracker.
 func (s *System) Tracker() *Tracker { return s.tracker }
@@ -344,9 +344,9 @@ func (s *System) CheckEvent(node, chunk int) error {
 }
 
 // Observe serves one request event: node asks for chunk. It updates the
-// popularity tracker, the hit/miss accounting and the eviction
-// strategy's recency/frequency state, and returns the serving node and
-// its hop distance, read from the retrieval table.
+// popularity tracker, the hit/miss accounting and the serving copy's
+// LRU or LFU score, and returns the serving node and its hop distance,
+// read from the retrieval table.
 func (s *System) Observe(node, chunk int) (server, hops int, err error) {
 	if err := s.CheckEvent(node, chunk); err != nil {
 		return 0, 0, err
@@ -356,7 +356,7 @@ func (s *System) Observe(node, chunk int) (server, hops int, err error) {
 	s.clock++
 	if r.server >= 0 {
 		server = int(r.server)
-		s.strat.OnAccess(server, chunk, s.clock)
+		s.touch(server, chunk, true)
 	}
 	s.tracker.Observe(node, chunk)
 
@@ -405,11 +405,30 @@ func (s *System) nearestTwo(j, k int) record {
 	return r
 }
 
-// holdersAdd inserts v into chunk k's sorted holder list and rescans the
-// records the new copy can move: those of the requesters no farther from
-// v than from their second-nearest server. A farther copy is neither a
-// requester's server nor its second. Hop counts are symmetric, so v's
-// own row gives every requester's distance to v.
+// touch writes copy (v, k)'s LRU or LFU score for a store (served
+// false) or a serve: LRU takes the current tick, LFU restarts its count
+// at 0 on a store and adds 1 per serve. EvictCost scores are summed at
+// each pass instead, so touch leaves them alone.
+func (s *System) touch(v, k int, served bool) {
+	i := k*len(s.hop) + v
+	switch s.opts.Eviction {
+	case EvictLRU:
+		s.scores[i] = float64(s.clock)
+	case EvictLFU:
+		if served {
+			s.scores[i]++
+		} else {
+			s.scores[i] = 0
+		}
+	}
+}
+
+// holdersAdd records a new copy of chunk k on node v: it inserts v into
+// the chunk's sorted holder list, touches the copy's score as a store,
+// and rescans the records the copy can move: those of the requesters no
+// farther from v than from their second-nearest server. A farther copy
+// is neither a requester's server nor its second. Hop counts are
+// symmetric, so v's own row gives every requester's distance to v.
 func (s *System) holdersAdd(k, v int) {
 	h := s.holders[k]
 	i, _ := slices.BinarySearch(h, v)
@@ -420,6 +439,7 @@ func (s *System) holdersAdd(k, v int) {
 	copy(h[i+1:], h[i:])
 	h[i] = v
 	s.holders[k] = h
+	s.touch(v, k, false)
 	n := len(s.hop)
 	recs := s.records[k*n : (k+1)*n]
 	for j, d := range s.hop[v] {
@@ -451,24 +471,22 @@ func (s *System) holdersRemove(k, v int) {
 }
 
 // commit stores chunk k on node v through the model and syncs the holder
-// list and strategy.
+// list.
 func (s *System) commit(v, k int) error {
 	if err := s.model.Commit(v, k); err != nil {
 		return err
 	}
 	s.holdersAdd(k, v)
-	s.strat.OnStore(v, k, s.clock)
 	return nil
 }
 
 // evict removes chunk k from node v through the model and syncs the
-// holder list and strategy, reporting whether a copy was removed.
+// holder list, reporting whether a copy was removed.
 func (s *System) evict(v, k int) bool {
 	if !s.model.Evict(v, k) {
 		return false
 	}
 	s.holdersRemove(k, v)
-	s.strat.OnEvict(v, k)
 	s.statsMu.Lock()
 	s.stats.Evictions++
 	s.statsMu.Unlock()

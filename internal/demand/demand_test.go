@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -274,10 +275,13 @@ func TestAdaptDeterministic(t *testing.T) {
 }
 
 func TestAdaptWithLRUAndLFU(t *testing.T) {
-	for _, strat := range []cache.EvictionStrategy{cache.NewLRU(), cache.NewLFU()} {
+	for _, tc := range []struct {
+		name string
+		ev   Eviction
+	}{{"lru", EvictLRU}, {"lfu", EvictLFU}} {
 		// CopyBudget near the network's total capacity forces the pass to
 		// pressure-evict regardless of how many slots seeding left free.
-		s := newTestSystem(t, 2, Options{Eviction: strat, TopDelta: 3, CopyBudget: 45})
+		s := newTestSystem(t, 2, Options{Eviction: tc.ev, TopDelta: 3, CopyBudget: 45})
 		tr, err := sim.NewTrace(sim.TraceSpec{Nodes: 25, Chunks: 12, Seed: 3, Exclude: 0})
 		if err != nil {
 			t.Fatal(err)
@@ -290,12 +294,87 @@ func TestAdaptWithLRUAndLFU(t *testing.T) {
 		}
 		rep, err := s.AdaptCtx(context.Background())
 		if err != nil {
-			t.Fatalf("%s: %v", strat.Name(), err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(rep.Evicted) == 0 {
-			t.Fatalf("%s: expected pressure evictions on a tight cache", strat.Name())
+			t.Fatalf("%s: expected pressure evictions on a tight cache", tc.name)
 		}
 		checkHoldersSync(t, s)
+	}
+}
+
+// TestEvictionScores scripts stores and serves on a 6-node line with the
+// producer at node 0 and checks the LRU and LFU scores they write, then
+// the order a pass evicts in. An LRU score is the tick of the copy's
+// last store or serve (a serve is ticked after the clock advances), an
+// LFU score counts serves since the copy's last store, and the pass
+// evicts the lowest score first, ties going to the lower (node, chunk).
+func TestEvictionScores(t *testing.T) {
+	stores := []Copy{{1, 0}, {1, 1}, {3, 0}, {5, 0}, {2, 1}, {4, 1}}
+	// Each request is served by the copy on its own node: ticks 1 to 5.
+	serves := []Copy{{3, 0}, {4, 1}, {5, 0}, {3, 0}, {2, 1}}
+	for _, tc := range []struct {
+		name string
+		ev   Eviction
+		// served: the scores after the serves; restored: after copy
+		// (5, 0) is evicted and stored again at tick 5.
+		served, restored map[Copy]float64
+		evicted          []Copy
+	}{
+		{
+			name:     "lru",
+			ev:       EvictLRU,
+			served:   map[Copy]float64{{1, 0}: 0, {1, 1}: 0, {3, 0}: 4, {5, 0}: 3, {2, 1}: 5, {4, 1}: 2},
+			restored: map[Copy]float64{{1, 0}: 0, {1, 1}: 0, {3, 0}: 4, {5, 0}: 5, {2, 1}: 5, {4, 1}: 2},
+			evicted:  []Copy{{1, 0}, {1, 1}, {4, 1}, {3, 0}, {2, 1}},
+		},
+		{
+			name:     "lfu",
+			ev:       EvictLFU,
+			served:   map[Copy]float64{{1, 0}: 0, {1, 1}: 0, {3, 0}: 2, {5, 0}: 1, {2, 1}: 1, {4, 1}: 1},
+			restored: map[Copy]float64{{1, 0}: 0, {1, 1}: 0, {3, 0}: 2, {5, 0}: 0, {2, 1}: 1, {4, 1}: 1},
+			evicted:  []Copy{{1, 0}, {1, 1}, {5, 0}, {2, 1}, {4, 1}},
+		},
+	} {
+		// Capacity 2 on 6 nodes with 6 copies stored leaves 6 slots free,
+		// so a CopyBudget of 11 evicts 5 copies.
+		s, err := New(newModel(t, graph.NewLine(6), 2), 0, 2, Options{Eviction: tc.ev, CopyBudget: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range stores {
+			if err := s.commit(c.Node, c.Chunk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		checkScores := func(when string, want map[Copy]float64) {
+			t.Helper()
+			for c, w := range want {
+				if got := s.scores[c.Chunk*len(s.hop)+c.Node]; got != w {
+					t.Errorf("%s %s: score of copy %v = %v, want %v", tc.name, when, c, got, w)
+				}
+			}
+		}
+		for _, c := range serves {
+			if server, _, err := s.Observe(c.Node, c.Chunk); err != nil || server != c.Node {
+				t.Fatalf("%s: Observe(%d, %d) served by %d (%v), want the local copy", tc.name, c.Node, c.Chunk, server, err)
+			}
+		}
+		checkScores("after serves", tc.served)
+		if !s.evict(5, 0) {
+			t.Fatal("copy (5, 0) not evicted")
+		}
+		if err := s.commit(5, 0); err != nil {
+			t.Fatal(err)
+		}
+		checkScores("after the store of (5, 0)", tc.restored)
+		rep, err := s.AdaptCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rep.Evicted, tc.evicted) {
+			t.Errorf("%s: pass evicted %v, want %v", tc.name, rep.Evicted, tc.evicted)
+		}
 	}
 }
 
@@ -312,6 +391,11 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 	if _, err := New(newModel(t, g, 5), 0, 0, Options{}); !errors.Is(err, ErrBadInput) {
 		t.Errorf("zero chunks: err = %v, want ErrBadInput", err)
+	}
+	for _, opts := range []Options{{HitRadius: -1}, {TopDelta: -1}, {CopyBudget: -1}} {
+		if _, err := New(newModel(t, g, 5), 0, 4, opts); !errors.Is(err, ErrBadInput) {
+			t.Errorf("options %+v: err = %v, want ErrBadInput", opts, err)
+		}
 	}
 	split := graph.New(4)
 	_ = split.AddEdge(0, 1)

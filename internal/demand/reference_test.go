@@ -10,7 +10,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/graph"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -138,25 +137,44 @@ func (s *System) refMarginalEvictCost(k int, shares, weights []float64, oracle m
 	}
 }
 
+// refSelectVictim returns the candidate with the lowest score, breaking
+// ties toward the lowest (node, chunk) pair. ok is false when candidates
+// is empty.
+func refSelectVictim(score func(Copy) float64, candidates []Copy) (victim Copy, ok bool) {
+	best := math.Inf(1)
+	for _, c := range candidates {
+		sc := score(c)
+		if !ok || sc < best ||
+			(sc == best && (c.Node < victim.Node || (c.Node == victim.Node && c.Chunk < victim.Chunk))) {
+			victim, best, ok = c, sc, true
+		}
+	}
+	return victim, ok
+}
+
+// refPressureEvict scores copies from oracle under EvictCost and from
+// the system's own LRU or LFU table otherwise.
 func (s *System) refPressureEvict(shares, weights []float64, report *AdaptReport, oracle map[int64]float64) error {
 	free := 0
 	for v := 0; v < s.st.NumNodes(); v++ {
 		free += s.st.Free(v)
 	}
-	var candidates []cache.Copy
+	var candidates []Copy
 	for k := 0; k < s.chunks; k++ {
 		for _, v := range s.holders[k] {
-			candidates = append(candidates, cache.Copy{Node: v, Chunk: k})
+			candidates = append(candidates, Copy{Node: v, Chunk: k})
 		}
 	}
+	score := func(c Copy) float64 { return s.scores[c.Chunk*len(s.hop)+c.Node] }
 	if oracle != nil {
+		score = func(c Copy) float64 { return oracle[refCopyID(c.Node, c.Chunk)] }
 		clear(oracle)
 		for k := 0; k < s.chunks; k++ {
 			s.refMarginalEvictCost(k, shares, weights, oracle)
 		}
 	}
 	for free < s.opts.CopyBudget && len(candidates) > 0 {
-		victim, ok := cache.SelectVictim(s.strat, candidates)
+		victim, ok := refSelectVictim(score, candidates)
 		if !ok {
 			break
 		}
@@ -231,7 +249,7 @@ func (s *System) refAddRedundancy(top []int, shares, weights []float64, budget i
 				exhausted[k] = true
 				continue
 			}
-			report.Placed = append(report.Placed, cache.Copy{Node: bestV, Chunk: k})
+			report.Placed = append(report.Placed, Copy{Node: bestV, Chunk: k})
 			budget--
 			progressed = true
 		}
@@ -269,13 +287,13 @@ func (s *System) refFillFree(shares []float64, report *AdaptReport) {
 			if err := s.commit(v, bestK); err != nil {
 				break
 			}
-			report.Placed = append(report.Placed, cache.Copy{Node: v, Chunk: bestK})
+			report.Placed = append(report.Placed, Copy{Node: v, Chunk: bestK})
 		}
 	}
 }
 
 // refAdapt is AdaptCtx's phase sequence over the reference scans, with
-// oracle (nil for LRU and LFU) as the cost-aware strategy's map. It also
+// oracle (nil for LRU and LFU) as the EvictCost scores' map. It also
 // returns how many copies the redundancy phase placed.
 func (s *System) refAdapt(ctx context.Context, oracle map[int64]float64) (*AdaptReport, int, error) {
 	shares := s.tracker.Shares()
@@ -323,15 +341,7 @@ type refInstance struct {
 	passes, period int
 }
 
-func newStrategy(name string) cache.EvictionStrategy {
-	switch name {
-	case "lru":
-		return cache.NewLRU()
-	case "lfu":
-		return cache.NewLFU()
-	}
-	return nil
-}
+var evictions = map[string]Eviction{"cost": EvictCost, "lru": EvictLRU, "lfu": EvictLFU}
 
 // refTally counts what the differential passes exercised.
 type refTally struct {
@@ -345,7 +355,7 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 	ctx := context.Background()
 	build := func() *System {
 		opts := in.opts
-		opts.Eviction = newStrategy(in.strategy)
+		opts.Eviction = evictions[in.strategy]
 		s, err := New(newModel(t, in.g, in.capacity), in.producer, in.chunks, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -356,7 +366,6 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 	var oracle map[int64]float64
 	if in.strategy == "cost" {
 		oracle = make(map[int64]float64)
-		ref.strat = cache.NewCostAware(func(node, chunk int) float64 { return oracle[refCopyID(node, chunk)] })
 	}
 	if err := prod.SeedCtx(ctx); err != nil {
 		t.Fatal(err)
@@ -405,14 +414,14 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 		if a, b := prod.Stats(), ref.Stats(); a != b {
 			t.Fatalf("%s pass %d: stats %+v, reference %+v", in.name, pass, a, b)
 		}
-		if oracle != nil {
-			for v := 0; v < in.g.NumNodes(); v++ {
-				for k := 0; k < in.chunks; k++ {
-					a, b := prod.strat.Score(v, k), ref.strat.Score(v, k)
-					if math.Float64bits(a) != math.Float64bits(b) {
-						t.Fatalf("%s pass %d: oracle(%d, %d) = %v, reference %v", in.name, pass, v, k, a, b)
-					}
-				}
+		n := in.g.NumNodes()
+		for i, a := range prod.scores {
+			b := ref.scores[i]
+			if oracle != nil {
+				b = oracle[refCopyID(i%n, i/n)]
+			}
+			if math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s pass %d: score of copy (%d, %d) = %v, reference %v", in.name, pass, i%n, i/n, a, b)
 			}
 		}
 		if err := prod.Model().Verify(ctx, pl); err != nil {
@@ -431,15 +440,15 @@ func runReference(t *testing.T, in refInstance, tally *refTally) {
 
 // TestAdaptMatchesReference pins serving and every adaptation pass to the
 // reference scans: each event's server and distance, reports,
-// placements, stats and the eviction oracle must match bit for bit,
+// placements, stats and every eviction score must match bit for bit,
 // every retrieval record must equal a fresh scan after each pass, and the
 // cost model must pass Verify, on the daemon's settings and on randomized
 // grids, random geometric and clustered graphs under each eviction
 // strategy.
 func TestAdaptMatchesReference(t *testing.T) {
 	// The full set runs in tier-1 tests; -short and -race run a reduced
-	// one, with the daemon's settings under the cost-aware strategy only
-	// and proportionally lower floors on what it must exercise.
+	// one, with the daemon's settings under EvictCost only and
+	// proportionally lower floors on what it must exercise.
 	strategies, daemonPasses, instances, minBig, minRedundancy := []string{"cost", "lru", "lfu"}, 12, 60, 150, 220
 	if testing.Short() || raceEnabled {
 		strategies, daemonPasses, instances, minBig, minRedundancy = strategies[:1], 3, 8, 14, 25

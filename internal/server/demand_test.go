@@ -54,6 +54,16 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 		t.Fatalf("refused first batches left demand state %+v", info.Demand)
 	}
 
+	// A negative topDelta is refused too and leaves no demand state, so
+	// the next pass answers 400 instead of panicking on the worker. The
+	// first check does not stop the test, so the second still runs.
+	resp, raw := c.do("POST", "/v1/topologies/"+reg.ID+"/requests",
+		[]byte(`{"events":[{"node":1,"chunk":0}],"init":{"chunks":8,"topDelta":-1}}`))
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), CodeBadRequest) {
+		t.Errorf("init with topDelta -1: status %d, body %s; want 400 bad_request", resp.StatusCode, raw)
+	}
+	c.wantError("POST", "/v1/topologies/"+reg.ID+"/adapt", nil, http.StatusBadRequest, CodeBadRequest)
+
 	// With init the subsystem seeds and serves.
 	var out RequestsResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/requests", RequestsRequest{

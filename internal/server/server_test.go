@@ -8,8 +8,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/graph"
 )
 
 // testClient wraps an httptest server with JSON helpers.
@@ -188,6 +191,14 @@ func TestRegisterValidation(t *testing.T) {
 	bad := 99
 	c.wantError("POST", "/v1/topologies", RegisterRequest{Kind: "grid", Rows: 3, Cols: 3, Producer: &bad}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies", RegisterRequest{Kind: "links", Nodes: 4, Links: [][2]int{{0, 1}}}, http.StatusBadRequest, CodeBadRequest) // disconnected
+	// Specs the generators or AddEdge refuse are bad requests too.
+	for _, body := range []string{
+		`{"kind":"random","nodes":0}`,
+		`{"kind":"clustered","clusters":0,"size":3}`,
+		`{"kind":"links","nodes":3,"links":[[0,5]]}`,
+	} {
+		c.wantError("POST", "/v1/topologies", []byte(body), http.StatusBadRequest, CodeBadRequest)
+	}
 	// Unknown JSON fields are rejected by the strict decoder.
 	resp, _ := c.do("POST", "/v1/topologies", map[string]any{"kind": "grid", "rows": 3, "cols": 3, "bogus": true})
 	if resp.StatusCode != http.StatusBadRequest {
@@ -219,6 +230,56 @@ func TestRegisterSizeLimit(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Errorf("refusing %d oversize specs allocated %d bytes, want < 1 MiB", len(specs), grew)
 	}
+}
+
+// FuzzRegisterBody posts fuzzed bodies through the registration path of
+// a server capped at 64 nodes. Every body must answer 201 or a typed 4xx,
+// never a 5xx or a panic, and every topology it registers must be
+// connected with between 2 and 64 nodes. The seed corpus holds one body
+// per kind, specs the generators refuse, and TestRegisterSizeLimit's
+// oversize and overflowing specs.
+func FuzzRegisterBody(f *testing.F) {
+	const maxNodes = 64
+	s, err := New(Options{MaxNodes: maxNodes})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serve(http.MethodPost, "/v1/topologies", body)
+		if rec.Code != http.StatusCreated {
+			var env errorEnvelope
+			if rec.Code < 400 || rec.Code >= 500 || json.Unmarshal(rec.Body.Bytes(), &env) != nil || env.Error == nil || env.Error.Code == "" {
+				t.Fatalf("body %q: status %d, %s; want 201 or a typed 4xx", body, rec.Code, rec.Body)
+			}
+			return
+		}
+		var out RegisterResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("body %q: registration response %s: %v", body, rec.Body, err)
+		}
+		s.mu.RLock()
+		tp := s.topos[out.ID]
+		s.mu.RUnlock()
+		if n := tp.topo.NumNodes(); n < 2 || n > maxNodes || n != out.Nodes {
+			t.Fatalf("body %q: registered %d nodes (response says %d), want 2 to %d", body, n, out.Nodes, maxNodes)
+		}
+		dist, err := tp.topo.HopDistances(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(dist, graph.Unreachable) {
+			t.Fatalf("body %q: registered a disconnected topology", body)
+		}
+		if rec := serve(http.MethodDelete, "/v1/topologies/"+out.ID, nil); rec.Code != http.StatusOK {
+			t.Fatalf("delete %s: status %d, %s", out.ID, rec.Code, rec.Body)
+		}
+	})
 }
 
 func TestSolveEveryAlgorithm(t *testing.T) {

@@ -20,13 +20,14 @@ cd "$(dirname "$0")/.."
 # dual-growth tick phases, the one Dijkstra loop, the Steiner Prim step,
 # scan/compaction kernels and key-path exchange search, the cost-model
 # row sweep, the per-chunk placement step, the demand engine's per-event
-# and per-requester kernels (serving an event, the retrieval table's
-# nearest/second scan and its two holder-change updates, and the
-# redundancy ball walk), and the requests body parser with its per-token
-# steps. Non-zero budgets cover
-# lazy scratch-growth `make` sites, the returned ChunkResult, the
-# per-chunk edge-cost closure, the parser's one events slice per batch,
-# and error-path fmt args — all per-chunk at worst, never per-tick.
+# and per-requester kernels (serving an event, the eviction score writer
+# and the per-chunk victim scan, the retrieval table's nearest/second
+# scan and its two holder-change updates, and the redundancy ball walk),
+# and the requests body parser with its per-token steps. Non-zero
+# budgets cover lazy scratch-growth `make` sites, the returned
+# ChunkResult, the per-chunk edge-cost closure, the parser's one events
+# slice per batch, and error-path fmt args — all per-chunk at worst,
+# never per-tick.
 CHECKS="
 internal/confl/confl.go:tick:0
 internal/confl/confl.go:readColumn:0
@@ -42,8 +43,10 @@ internal/graph/pathcache.go:NodeCostsInto:0
 internal/core/core.go:placeChunk:4
 internal/steiner/improve.go:exchangeSearch:0
 internal/demand/adapt.go:ballGains:0
+internal/demand/adapt.go:lowestCopy:0
 internal/demand/demand.go:CheckEvent:2
 internal/demand/demand.go:Observe:0
+internal/demand/demand.go:touch:0
 internal/demand/demand.go:nearestTwo:0
 internal/demand/demand.go:holdersAdd:0
 internal/demand/demand.go:holdersRemove:0
