@@ -91,13 +91,11 @@ type AdaptationResult struct {
 }
 
 // AdaptRunOptions tunes one adaptation pass's observability; see the
-// same-named Options fields on solve requests.
+// same-named Options field on solve requests.
 type AdaptRunOptions struct {
 	// Explain records the pass's phase spans and returns the summary in
 	// AdaptationResult.Trace.
 	Explain bool
-	// TraceID labels the pass's trace spans; empty means a generated id.
-	TraceID string
 }
 
 // AdaptiveSystem is the request-driven adaptive caching variant: a static
@@ -112,7 +110,8 @@ type AdaptiveSystem struct {
 	topo *Topology
 	name string
 	// tracer is the creating Solver's span ring, shared so adaptation
-	// passes land next to solve spans under one sampling knob.
+	// passes whose context carries no trace land next to solve spans
+	// under one sampling knob.
 	tracer *trace.Tracer
 }
 
@@ -223,9 +222,11 @@ func (a *AdaptiveSystem) Adapt(ctx context.Context) (*AdaptationResult, error) {
 
 // AdaptWith is Adapt with per-pass observability options: an Explain
 // pass records the five phases' spans (score, evict, replace,
-// redundancy, fill, plus the settling refresh) into the owning solver's
-// trace ring and returns the summary in AdaptationResult.Trace. nil opts
-// behaves exactly like Adapt.
+// redundancy, fill, plus the settling refresh) and returns the summary
+// in AdaptationResult.Trace. The spans record into the request trace the
+// context carries, if any (the daemon's); otherwise into the owning
+// solver's trace ring under its sampling knob. nil opts behaves exactly
+// like Adapt.
 func (a *AdaptiveSystem) AdaptWith(ctx context.Context, opts *AdaptRunOptions) (*AdaptationResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -234,7 +235,10 @@ func (a *AdaptiveSystem) AdaptWith(ctx context.Context, opts *AdaptRunOptions) (
 	if opts != nil {
 		o = *opts
 	}
-	tr := a.tracer.StartTrace(o.TraceID, o.Explain)
+	tr := trace.FromContext(ctx)
+	if tr == nil {
+		tr = a.tracer.StartTrace("", o.Explain)
+	}
 	sp := tr.Start("adapt")
 	rep, err := a.sys.AdaptTraceCtx(ctx, &sp)
 	sp.End()

@@ -69,8 +69,8 @@ func Grid(rows, cols int) (*Topology, error) {
 	return &Topology{g: graph.NewGrid(rows, cols), gridRows: rows, gridCols: cols}, nil
 }
 
-// Random returns a connected random geometric topology of n nodes in the
-// unit square with the standard connectivity radius, seeded
+// Random returns a connected random geometric topology of n >= 2 nodes in
+// the unit square with the standard connectivity radius, seeded
 // deterministically — the paper's "random network" model.
 func Random(n int, seed int64) (*Topology, error) {
 	return RandomWithRadius(n, graph.DefaultRadius(n), seed)
@@ -78,6 +78,9 @@ func Random(n int, seed int64) (*Topology, error) {
 
 // RandomWithRadius is Random with an explicit connectivity radius.
 func RandomWithRadius(n int, radius float64, seed int64) (*Topology, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("%w: random topology needs at least 2 nodes, got %d", ErrBadArgument, n)
+	}
 	rg := graph.RandomGeometric{N: n, Radius: radius}
 	g, _, err := rg.Generate(rand.New(rand.NewSource(seed)))
 	if err != nil {
@@ -103,9 +106,13 @@ func Ring(n int) (*Topology, error) {
 }
 
 // Clustered returns a crowd topology: `clusters` dense groups of `size`
-// devices each, joined by sparse bridges — the structure of the paper's
-// outdoor-event scenario (groups around stages and food stands).
+// devices each (at least 2 devices in all), joined by sparse bridges —
+// the structure of the paper's outdoor-event scenario (groups around
+// stages and food stands).
 func Clustered(clusters, size int, seed int64) (*Topology, error) {
+	if clusters < 1 || size < 1 || clusters*size < 2 {
+		return nil, fmt.Errorf("%w: clustered topology of %d clusters of %d nodes too small", ErrBadArgument, clusters, size)
+	}
 	c := graph.Clustered{
 		Clusters:  clusters,
 		Size:      size,
@@ -119,8 +126,11 @@ func Clustered(clusters, size int, seed int64) (*Topology, error) {
 	return &Topology{g: g}, nil
 }
 
-// FromLinks builds a topology from an explicit link list.
+// FromLinks builds a topology of n >= 2 nodes from an explicit link list.
 func FromLinks(n int, links [][2]int) (*Topology, error) {
+	if n < 2 {
+		return nil, fmt.Errorf("%w: topology needs at least 2 nodes, got %d", ErrBadArgument, n)
+	}
 	g := graph.New(n)
 	for _, l := range links {
 		if err := g.AddEdge(l[0], l[1]); err != nil {
@@ -251,10 +261,6 @@ type Options struct {
 	// facilities, cost-matrix sweeps, stitch re-bids). Placements are
 	// byte-identical with and without Explain.
 	Explain bool
-	// TraceID labels this request's trace spans (ring buffer, explain
-	// report, logs). Empty means a generated id. The daemon threads the
-	// W3C traceparent id from the client through here.
-	TraceID string
 }
 
 // Algorithm identifies a placement algorithm in results and reports.
@@ -380,7 +386,6 @@ func (o *Options) withDefaults() Options {
 	out.ChunkStarted = o.ChunkStarted
 	out.Partition = o.Partition
 	out.Explain = o.Explain
-	out.TraceID = o.TraceID
 	return out
 }
 

@@ -64,6 +64,35 @@ func TestFromLinks(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectUnderTwoNodes checks every topology constructor
+// that takes a node count refuses fewer than 2 nodes with ErrBadArgument,
+// as Grid, Line and Ring do: Algorithm 1 needs a producer and at least
+// one other node, and no solver sees a smaller topology.
+func TestConstructorsRejectUnderTwoNodes(t *testing.T) {
+	build := map[string]func(n int) (*Topology, error){
+		"Random":           func(n int) (*Topology, error) { return Random(n, 1) },
+		"RandomWithRadius": func(n int) (*Topology, error) { return RandomWithRadius(n, 0.5, 1) },
+		"Clustered":        func(n int) (*Topology, error) { return Clustered(1, n, 1) },
+		"FromLinks": func(n int) (*Topology, error) {
+			var path [][2]int // nil below 2 nodes
+			for v := 1; v < n; v++ {
+				path = append(path, [2]int{v - 1, v})
+			}
+			return FromLinks(n, path)
+		},
+	}
+	for name, fn := range build {
+		for _, n := range []int{-3, 0, 1} {
+			if topo, err := fn(n); !errors.Is(err, ErrBadArgument) {
+				t.Errorf("%s(%d) = %v, %v; want ErrBadArgument", name, n, topo, err)
+			}
+		}
+		if topo, err := fn(2); err != nil || topo.NumNodes() != 2 {
+			t.Errorf("%s(2) = %v, %v; want a 2-node topology", name, topo, err)
+		}
+	}
+}
+
 // TestDisconnectedRejectedUpFront pins the typed rejection of
 // disconnected topologies: ErrNotConnected wraps ErrBadArgument, so
 // callers can match either, and both the constructor and the solver

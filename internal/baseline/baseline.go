@@ -131,7 +131,7 @@ func selectFromMatrix(ctx context.Context, g *graph.Graph, dist [][]float64, pro
 	costs := make([]float64, n)
 	current := total(best) + lambda*float64(len(selected))
 	for {
-		err := p.ForEach(ctx, n, func(v int) {
+		err := p.ForEach(ctx, n, func(_, v int) {
 			costs[v] = math.Inf(1)
 			if chosen[v] {
 				return

@@ -57,7 +57,7 @@ func SolveGreedyCtx(ctx context.Context, inst Instance, opts Options) (*Solution
 		// Each candidate's marginal gain depends only on the fixed open
 		// set and service costs, so the scan parallelises into per-slot
 		// writes; the arg-max below keeps the sequential tie-breaking.
-		err := opts.Pool.ForEach(ctx, n, func(i int) {
+		err := opts.Pool.ForEach(ctx, n, func(_, i int) {
 			gains[i] = math.Inf(-1)
 			if open[i] || i == inst.Producer || math.IsInf(inst.FacilityCost[i], 1) {
 				return

@@ -43,9 +43,9 @@ type refSolver struct {
 	// Hoisted tick-phase closures (allocated once per refScratch, not per
 	// tick): the ForEach fan-outs would otherwise allocate a capture per
 	// tick per phase.
-	freezeFn func(j int)
-	spanFn   func(i int)
-	paidFn   func(i int)
+	freezeFn func(_, j int)
+	spanFn   func(_, i int)
+	paidFn   func(_, i int)
 }
 
 // refScratch owns the reusable dual-growth state of one ConFL solver. A zero
@@ -147,9 +147,9 @@ func (s *refSolver) reset(inst Instance, opts Options) *refSolver {
 		s.assign[v] = int32(v)
 	}
 	if s.freezeFn == nil {
-		s.freezeFn = func(j int) { s.freezeDemand(j) }
-		s.spanFn = func(i int) { s.raiseSpan(i) }
-		s.paidFn = func(i int) {
+		s.freezeFn = func(_, j int) { s.freezeDemand(j) }
+		s.spanFn = func(_, i int) { s.raiseSpan(i) }
+		s.paidFn = func(_, i int) {
 			if s.isCandidate(i) {
 				s.paidBuf[i] = s.paid(i)
 			}

@@ -210,7 +210,7 @@ func (m *Model) RefreshCtx(ctx context.Context, p *pool.Pool) error {
 		m.c = make([]float64, n*n)
 	}
 	m.swept = m.swept[:0]
-	if err := p.ForEach(ctx, n, func(i int) {
+	if err := p.ForEach(ctx, n, func(_, i int) {
 		m.pc.NodeCostsInto(i, m.w, m.c[i*n:(i+1)*n])
 	}); err != nil {
 		return err
@@ -289,7 +289,7 @@ func (m *Model) HopMatrixCtx(ctx context.Context, p *pool.Pool) ([][]float64, er
 	}
 	hops := make([][]int32, p.Workers())
 	queues := make([][]int32, p.Workers())
-	err := p.ForEachW(ctx, n, func(w, i int) {
+	err := p.ForEach(ctx, n, func(w, i int) {
 		if hops[w] == nil {
 			hops[w] = make([]int32, n)
 		}

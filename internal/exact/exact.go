@@ -210,7 +210,7 @@ func newSearch(ctx context.Context, m *costmodel.Model, producer int, opts Optio
 	arcs.Fill(g, s.edgeCost)
 	preds := make([][]int32, pl.Workers())
 	heaps := make([]graph.DijkstraScratch, pl.Workers())
-	if err := pl.ForEachW(ctx, n, func(w, v int) {
+	if err := pl.ForEach(ctx, n, func(w, v int) {
 		if preds[w] == nil {
 			preds[w] = make([]int32, n)
 			heaps[w].Grow(n)

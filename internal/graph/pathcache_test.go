@@ -168,7 +168,7 @@ func TestPathCacheConcurrentReads(t *testing.T) {
 	p := pool.New(8)
 	defer p.Close()
 	// Hammer the lazy-build path from many goroutines at once.
-	if err := p.ForEach(context.Background(), 200, func(i int) {
+	if err := p.ForEach(context.Background(), 200, func(_, i int) {
 		src := i % g.NumNodes()
 		c := make([]float64, g.NumNodes())
 		pc.NodeCostsInto(src, w, c)

@@ -95,7 +95,7 @@ func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(i int) error) erro
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()
 	errs := make([]error, n)
-	ferr := p.ForEach(inner, n, func(i int) {
+	ferr := p.ForEach(inner, n, func(_, i int) {
 		if errs[i] = fn(i); errs[i] != nil {
 			cancel()
 		}
@@ -113,58 +113,23 @@ func (p *Pool) ForEachErr(ctx context.Context, n int, fn func(i int) error) erro
 	return nil
 }
 
-// ForEach runs fn(i) for every i in [0, n), spread over the pool's workers.
-// fn must write only to state owned by index i; under that contract the
-// result is identical to the sequential loop `for i := 0; i < n; i++`.
+// ForEach runs fn(w, i) for every i in [0, n), spread over the pool's
+// workers. fn must write only to state owned by index i; under that
+// contract the result is identical to the sequential loop
+// `for i := 0; i < n; i++`.
+//
+// w is the executing worker's slot index (0 ≤ w < Workers()); within one
+// call each concurrently running fn sees a distinct w, so callers can
+// route a per-worker scratch arena through it without locking. The
+// index-to-worker assignment is scheduling-dependent: fn must use w only
+// to pick reusable storage, never to influence results. Callers with no
+// per-worker storage ignore it.
 //
 // Cancelling ctx stops workers from picking up further indexes and makes
 // ForEach return ctx.Err(); indexes already started still finish, but the
 // full range may not have run — callers must discard partial output on a
 // non-nil return.
-func (p *Pool) ForEach(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	if p == nil || p.workers <= 1 || n == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-
-	var next atomic.Int64
-	var done sync.WaitGroup
-	spawn := p.workers
-	if spawn > n {
-		spawn = n
-	}
-	done.Add(spawn)
-	for w := 0; w < spawn; w++ {
-		p.tasks <- func() {
-			defer done.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}
-	}
-	done.Wait()
-	return ctx.Err()
-}
-
-// ForEachW is ForEach with the executing worker's slot index passed to fn
-// (0 ≤ w < Workers()); within one call each concurrently running fn sees a
-// distinct w, so callers can route a per-worker scratch arena through it
-// without locking. The index-to-worker assignment is scheduling-dependent:
-// fn must use w only to pick reusable storage, never to influence results —
-// under that contract output remains byte-identical to the sequential loop.
-func (p *Pool) ForEachW(ctx context.Context, n int, fn func(w, i int)) error {
+func (p *Pool) ForEach(ctx context.Context, n int, fn func(w, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}

@@ -24,7 +24,10 @@ func TestForEachCoversRange(t *testing.T) {
 		p := New(workers)
 		const n = 1000
 		hits := make([]int32, n)
-		if err := p.ForEach(context.Background(), n, func(i int) {
+		if err := p.ForEach(context.Background(), n, func(w, i int) {
+			if w < 0 || w >= p.Workers() {
+				t.Errorf("workers=%d: index %d ran on worker slot %d", workers, i, w)
+			}
 			atomic.AddInt32(&hits[i], 1)
 		}); err != nil {
 			t.Fatalf("workers=%d: ForEach: %v", workers, err)
@@ -44,7 +47,7 @@ func TestForEachNilPoolRunsInline(t *testing.T) {
 		t.Fatalf("nil pool Workers() = %d, want 1", p.Workers())
 	}
 	sum := 0
-	if err := p.ForEach(context.Background(), 5, func(i int) { sum += i }); err != nil {
+	if err := p.ForEach(context.Background(), 5, func(_, i int) { sum += i }); err != nil {
 		t.Fatalf("ForEach on nil pool: %v", err)
 	}
 	if sum != 10 {
@@ -62,7 +65,7 @@ func TestForEachDeterministicSlots(t *testing.T) {
 	p := New(8)
 	defer p.Close()
 	got := make([]int, n)
-	if err := p.ForEach(context.Background(), n, func(i int) { got[i] = i * i }); err != nil {
+	if err := p.ForEach(context.Background(), n, func(_, i int) { got[i] = i * i }); err != nil {
 		t.Fatal(err)
 	}
 	for i := range want {
@@ -78,14 +81,14 @@ func TestForEachCancelled(t *testing.T) {
 	p := New(4)
 	defer p.Close()
 	ran := atomic.Int32{}
-	err := p.ForEach(ctx, 100, func(i int) { ran.Add(1) })
+	err := p.ForEach(ctx, 100, func(_, i int) { ran.Add(1) })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("ForEach with cancelled ctx: err = %v, want context.Canceled", err)
 	}
 	// Inline path with a pre-cancelled ctx must not run anything.
 	var inline *Pool
 	inRan := 0
-	if err := inline.ForEach(ctx, 100, func(i int) { inRan++ }); !errors.Is(err, context.Canceled) {
+	if err := inline.ForEach(ctx, 100, func(_, i int) { inRan++ }); !errors.Is(err, context.Canceled) {
 		t.Fatalf("inline ForEach: err = %v, want context.Canceled", err)
 	}
 	if inRan != 0 {
@@ -98,7 +101,7 @@ func TestForEachCancelMidway(t *testing.T) {
 	p := New(2)
 	defer p.Close()
 	ran := atomic.Int32{}
-	err := p.ForEach(ctx, 10000, func(i int) {
+	err := p.ForEach(ctx, 10000, func(_, i int) {
 		if ran.Add(1) == 50 {
 			cancel()
 		}
@@ -122,7 +125,7 @@ func TestCloseIdempotent(t *testing.T) {
 func TestForEachZeroItems(t *testing.T) {
 	p := New(4)
 	defer p.Close()
-	if err := p.ForEach(context.Background(), 0, func(i int) { t.Fatal("ran") }); err != nil {
+	if err := p.ForEach(context.Background(), 0, func(_, i int) { t.Fatal("ran") }); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/demand"
 	"repro/internal/metrics"
-	"repro/internal/trace"
 )
 
 // maxRequestBatch caps the event count of one requests batch; larger
@@ -184,17 +183,12 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	traceID := requestTraceID(r)
-	ctx := withTraceID(r.Context(), traceID)
-	ctx = trace.NewContext(ctx, s.tracer.StartTrace(traceID, req.Explain))
+	ctx := s.startTrace(r.Context(), r, req.Explain)
 	v, err := tp.do(ctx, func(cctx context.Context) (any, error) {
 		if tp.adaptive == nil {
 			return nil, badRequestf("no demand state: report requests before adapting")
 		}
-		res, err := tp.adaptive.AdaptWith(cctx, &faircache.AdaptRunOptions{
-			Explain: req.Explain,
-			TraceID: traceID,
-		})
+		res, err := tp.adaptive.AdaptWith(cctx, &faircache.AdaptRunOptions{Explain: req.Explain})
 		if err != nil {
 			return nil, err
 		}
@@ -234,7 +228,7 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 			Counts:     snap.Counts,
 			Gini:       metrics.Gini(snap.Counts),
 			Demand:     tp.demandInfo(),
-			TraceID:    traceID,
+			TraceID:    traceIDFrom(cctx),
 		}, nil
 	})
 	if err != nil {

@@ -507,14 +507,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// Resolve the request's trace id (traceparent header or generated)
-	// and thread it — plus the server-layer trace, live only for sampled
-	// or explain'd requests — through the context. A coalesced flight
-	// inherits the leader's values, so the whole flight shares one id.
-	traceID := requestTraceID(r)
-	ctx = withTraceID(ctx, traceID)
-	str := s.tracer.StartTrace(traceID, opts.Explain)
-	ctx = trace.NewContext(ctx, str)
+	ctx = s.startTrace(ctx, r, opts.Explain)
 
 	var (
 		v      any
@@ -560,13 +553,11 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 	traceID := traceIDFrom(ctx)
 	v, err := tp.do(ctx, func(cctx context.Context) (any, error) {
 		start := time.Now()
-		eopts := opts.toOptions(tp.capacity)
-		eopts.TraceID = traceID
 		res, err := tp.solver.Solve(cctx, faircache.Request{
 			Producer:  tp.producer,
 			Chunks:    chunks,
 			Algorithm: alg,
-			Options:   eopts,
+			Options:   opts.toOptions(tp.capacity),
 		})
 		s.metrics.solveDuration.Observe(time.Since(start).Seconds())
 		if err != nil {

@@ -86,9 +86,9 @@ type Options struct {
 	// (registrations, deletions, WAL recovery, abandoned flights),
 	// tagged with trace ids where one is in scope. Nil discards them.
 	Logger *slog.Logger
-	// TraceSample records solve-phase spans for 1 in every N solve and
-	// adapt requests into the per-topology and server span rings served
-	// on GET /debug/trace (0 = off, the default; requests with
+	// TraceSample records the spans of 1 in every N solve and adapt
+	// requests, server and solver layers together, into the span ring
+	// served on GET /debug/trace (0 = off, the default; requests with
 	// options.explain record regardless).
 	TraceSample int
 }
@@ -139,9 +139,11 @@ type Server struct {
 	metrics *serverMetrics // Prometheus instruments served on GET /metrics
 	journal *journal       // nil in in-memory mode
 
-	// tracer records server-layer spans (coalesce flights, WAL appends,
-	// startup recovery); per-topology solve spans live in each solver's
-	// own ring. GET /debug/trace merges both.
+	// tracer is the daemon's one span ring and sampling decision: a
+	// sampled or explain'd request's trace rides its context, so the
+	// server layer (coalesce flights, evaluation, WAL appends, startup
+	// recovery) and the solver and adaptation phases record into it
+	// together. GET /debug/trace reads it.
 	tracer *trace.Tracer
 	// walRecovery is the startup recovery duration, written once in New
 	// before the server is shared and read by the metrics gauge.
@@ -171,8 +173,7 @@ func New(opts Options) (*Server, error) {
 	s.log = s.opts.logger()
 	s.tracer.SetSampling(s.opts.TraceSample)
 	s.metrics = newServerMetrics(s)
-	// Server-layer spans feed the same phase histogram the per-solver
-	// observers do; only sampled and explain requests reach here.
+	// Only sampled and explain requests reach the phase histogram.
 	s.tracer.Observe(func(r *trace.Record) {
 		s.metrics.phaseDuration.WithLabelValues(r.Name).Observe(r.Duration().Seconds())
 	})
@@ -351,15 +352,10 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// wireObservability connects a fresh topology's solver tracing and
-// coalesce hooks to the server's metrics and logger. Must run before the
-// topology is published to the registry (observer and hook installation
-// is not synchronized with traffic).
+// wireObservability connects a fresh topology's coalesce hooks to the
+// server's metrics and logger. Must run before the topology is published
+// to the registry (hook installation is not synchronized with traffic).
 func (s *Server) wireObservability(tp *topology) {
-	tp.solver.SetTraceSampling(s.opts.TraceSample)
-	tp.solver.OnTraceSpan(func(sp faircache.TraceSpan) {
-		s.metrics.phaseDuration.WithLabelValues(sp.Name).Observe(sp.DurationMs / 1e3)
-	})
 	tp.solveG.OnDetach = s.detachHook("solve", tp.id)
 	tp.reportG.OnDetach = s.detachHook("report", tp.id)
 }

@@ -31,6 +31,16 @@ func traceIDFrom(ctx context.Context) string {
 	return id
 }
 
+// startTrace resolves r's trace id and threads it through ctx together
+// with the request's trace, which the server layer and the solver both
+// record into (nil, so recording nothing, unless the request is sampled
+// or explain'd). A coalesced flight inherits the leader's values, so the
+// whole flight shares one id.
+func (s *Server) startTrace(ctx context.Context, r *http.Request, explain bool) context.Context {
+	id := requestTraceID(r)
+	return trace.NewContext(withTraceID(ctx, id), s.tracer.StartTrace(id, explain))
+}
+
 // requestTraceID resolves a request's trace id: a valid W3C traceparent
 // header wins, otherwise a fresh random id is generated — every request
 // has an id, whether or not its spans are recorded.
@@ -81,9 +91,8 @@ func genTraceID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// TraceDump is the body of GET /debug/trace: the merged recent-span rings
-// of the server layer and every registered topology's solver, oldest
-// span first.
+// TraceDump is the body of GET /debug/trace: the daemon's recent-span
+// ring, ordered by span start.
 type TraceDump struct {
 	// Count is len(Spans); SlowerThanMs echoes the filter applied.
 	Count        int                   `json:"count"`
@@ -93,7 +102,7 @@ type TraceDump struct {
 
 // handleDebugTrace serves GET /debug/trace?slowerThanMs=N. Spans appear
 // only for sampled (Options.TraceSample) or explain'd requests — the
-// rings are empty on a server that has never traced.
+// ring is empty on a server that has never traced.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	slower := time.Duration(0)
 	if raw := r.URL.Query().Get("slowerThanMs"); raw != "" {
@@ -104,40 +113,13 @@ func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		}
 		slower = time.Duration(ms * float64(time.Millisecond))
 	}
-	spans := []faircache.TraceSpan{}
-	recs := s.tracer.Snapshot()
-	epoch := s.tracer.Epoch()
-	for i := range recs {
-		if recs[i].Duration() < slower {
-			continue
-		}
-		spans = append(spans, serverSpan(&recs[i], epoch))
-	}
-	for _, id := range s.ids() {
-		tp, err := s.lookupTopology(id)
-		if err != nil {
-			continue // deleted between ids() and here
-		}
-		spans = append(spans, tp.solver.TraceSpans(slower)...)
-	}
+	// The ring holds spans in the order they ended; a parent ends after
+	// its children, so sort by start.
+	spans := s.tracer.Views(slower)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].Start.Before(spans[j].Start) })
 	writeJSON(w, http.StatusOK, TraceDump{
 		Count:        len(spans),
 		SlowerThanMs: float64(slower) / float64(time.Millisecond),
 		Spans:        spans,
 	})
-}
-
-// serverSpan projects a server-layer trace record into the same public
-// span shape the solver rings use, so the dump is one homogeneous list.
-func serverSpan(r *trace.Record, epoch time.Time) faircache.TraceSpan {
-	return faircache.TraceSpan{
-		TraceID:    r.TraceID,
-		SpanID:     r.SpanID,
-		ParentID:   r.Parent,
-		Name:       r.Name,
-		Start:      epoch.Add(r.Start),
-		DurationMs: float64(r.Duration()) / float64(time.Millisecond),
-		Attrs:      r.AttrMap(),
-	}
 }

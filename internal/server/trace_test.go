@@ -1,9 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"sync"
 	"testing"
+
+	faircache "repro"
 )
 
 func TestParseTraceparent(t *testing.T) {
@@ -236,5 +239,69 @@ func TestAdaptExplain(t *testing.T) {
 	}
 	if plain.Adaptation != nil && plain.Adaptation.Trace != nil {
 		t.Error("non-explain adapt returned a trace report")
+	}
+}
+
+// TestSampledRequestRecordsEveryLayer runs alternating solves and adapt
+// passes on two topologies of a durable server that samples 1 in 2
+// requests, each request with its own traceparent. Every trace id in
+// GET /debug/trace must hold the server and the solver layers of one
+// request together, and exactly every second request must be sampled,
+// although the startup recovery trace is recorded before any request.
+func TestSampledRequestRecordsEveryLayer(t *testing.T) {
+	c, _ := newTestClient(t, Options{DataDir: t.TempDir(), TraceSample: 2})
+	regs := []RegisterResponse{c.registerGrid(4, 4, 5), c.registerGrid(3, 3, 4)}
+	for _, reg := range regs {
+		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/requests", RequestsRequest{
+			Events: []faircache.RequestEvent{{Node: 0, Chunk: 1}, {Node: 2, Chunk: 0}, {Node: 3, Chunk: 1}},
+			Init:   &DemandInit{Chunks: 4},
+		}, nil, http.StatusOK)
+	}
+
+	const requests = 8
+	ids := make([]string, requests)
+	layers := make([][]string, requests)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%032x", i+1)
+		header := "00-" + ids[i] + "-00f067aa0ba902b7-01"
+		path := "/v1/topologies/" + regs[i%2].ID
+		if i/2%2 == 0 {
+			layers[i] = []string{"solve", "confl", "metrics.evaluate", "wal.append"}
+			c.doTraced("POST", path+"/solve", header, SolveRequest{Chunks: 3}, nil, http.StatusOK)
+		} else {
+			layers[i] = []string{"adapt", "wal.append"}
+			c.doTraced("POST", path+"/adapt", header, nil, nil, http.StatusOK)
+		}
+	}
+
+	var dump TraceDump
+	c.doJSON("GET", "/debug/trace", nil, &dump, http.StatusOK)
+	names := map[string]map[string]bool{}
+	for _, sp := range dump.Spans {
+		if names[sp.TraceID] == nil {
+			names[sp.TraceID] = map[string]bool{}
+		}
+		names[sp.TraceID][sp.Name] = true
+	}
+	if !names["startup"]["wal.recover"] {
+		t.Errorf("dump holds no startup wal.recover span (trace ids %v)", names)
+	}
+	delete(names, "startup")
+	sampled := make([]bool, requests)
+	for i, id := range ids {
+		got := names[id]
+		delete(names, id)
+		sampled[i] = got != nil
+		for _, want := range layers[i] {
+			if sampled[i] && !got[want] {
+				t.Errorf("request %d (%s) recorded %v, missing %q", i, layers[i][0], got, want)
+			}
+		}
+		if i > 0 && sampled[i] == sampled[i-1] {
+			t.Errorf("requests %d and %d both sampled = %v, want every second request sampled", i-1, i, sampled[i])
+		}
+	}
+	if len(names) != 0 {
+		t.Errorf("dump holds spans of trace ids no request sent: %v", names)
 	}
 }

@@ -3,12 +3,16 @@
 // finished spans and a head-sampling knob; each traced request gets a
 // Trace handle whose spans record into the ring (and, for explain
 // requests, into a per-request collection that summaries are built from).
+// Every layer a request passes through records into the one Trace its
+// context carries, so one sampling decision covers all of them.
 //
 // The design point is "free when off": a nil *Trace is the disabled
 // state, every method on the zero Span and the nil Trace is a no-op, and
 // Span is a value type with a fixed-size attribute array, so threading
 // spans through the per-chunk solve loop adds zero heap allocations when
-// tracing is disabled and only the ring-slot copy when sampled.
+// tracing is disabled and only the ring-slot copy when sampled. The ring
+// itself is allocated on the first recorded span, so a Tracer that never
+// records costs no ring.
 package trace
 
 import (
@@ -76,18 +80,20 @@ type Tracer struct {
 
 	obs func(*Record) // optional span observer (metrics export)
 
-	mu   sync.Mutex
-	ring []Record
-	n    uint64 // total records ever written
+	mu       sync.Mutex
+	capacity int
+	ring     []Record // allocated by the first record
+	n        uint64   // total records ever written
 }
 
-// New builds a Tracer with a preallocated ring of the given capacity
-// (DefaultCapacity when non-positive) and sampling off.
+// New builds a Tracer whose ring holds capacity records (DefaultCapacity
+// when non-positive), with sampling off. The ring is allocated by the
+// first recorded span, not here.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{epoch: time.Now(), ring: make([]Record, capacity)}
+	return &Tracer{epoch: time.Now(), capacity: capacity}
 }
 
 // Epoch is the wall-clock instant record offsets are measured from.
@@ -150,6 +156,9 @@ func (t *Tracer) StartTrace(id string, collect bool) *Trace {
 
 func (t *Tracer) record(rec Record) {
 	t.mu.Lock()
+	if t.ring == nil {
+		t.ring = make([]Record, t.capacity)
+	}
 	t.ring[t.n%uint64(len(t.ring))] = rec
 	t.n++
 	t.mu.Unlock()
@@ -175,6 +184,46 @@ func (t *Tracer) Snapshot() []Record {
 	out := make([]Record, 0, size)
 	for i := uint64(0); i < size; i++ {
 		out = append(out, t.ring[(t.n-size+i)%uint64(len(t.ring))])
+	}
+	return out
+}
+
+// SpanView is a Record projected for export: its start on the wall clock,
+// its duration in milliseconds and its attributes as a map. It is the
+// shape of faircache.TraceSpan and of the daemon's GET /debug/trace.
+type SpanView struct {
+	TraceID    string           `json:"traceId"`
+	SpanID     uint64           `json:"spanId"`
+	ParentID   uint64           `json:"parentId,omitempty"`
+	Name       string           `json:"name"`
+	Start      time.Time        `json:"start"`
+	DurationMs float64          `json:"durationMs"`
+	Attrs      map[string]int64 `json:"attrs,omitempty"`
+}
+
+// View projects one of t's records (allocates the attribute map).
+func (t *Tracer) View(r *Record) SpanView {
+	return SpanView{
+		TraceID:    r.TraceID,
+		SpanID:     r.SpanID,
+		ParentID:   r.Parent,
+		Name:       r.Name,
+		Start:      t.Epoch().Add(r.Start),
+		DurationMs: float64(r.Duration()) / float64(time.Millisecond),
+		Attrs:      r.AttrMap(),
+	}
+}
+
+// Views projects the ring's finished spans in the order they ended,
+// oldest first, keeping only spans at least slowerThan long (0 keeps
+// all). The result is never nil.
+func (t *Tracer) Views(slowerThan time.Duration) []SpanView {
+	recs := t.Snapshot()
+	out := make([]SpanView, 0, len(recs))
+	for i := range recs {
+		if recs[i].Duration() >= slowerThan {
+			out = append(out, t.View(&recs[i]))
+		}
 	}
 	return out
 }

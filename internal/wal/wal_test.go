@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -304,5 +306,167 @@ func TestListEnumeratesRecords(t *testing.T) {
 		if kinds[i] != want[i] {
 			t.Fatalf("entry %d = %q, want %q", i, kinds[i], want[i])
 		}
+	}
+}
+
+// TestRecoverTruncatedAtEveryOffset cuts a copy of a log at every byte
+// offset of its segments, read as one stream, the way a crash can leave
+// it: the segments after the offset are gone and the one holding it ends
+// there. At a segment boundary the cut is taken both without and with an
+// empty next segment file (a crash right after rotation created it). One
+// log spans several segments; the other is a snapshot followed by
+// segments. Open must recover exactly the records written wholly before
+// the offset, Scan must agree with it, and the log must take an append
+// that a reopen returns after that prefix.
+func TestRecoverTruncatedAtEveryOffset(t *testing.T) {
+	for _, withSnapshot := range []bool{false, true} {
+		t.Run(fmt.Sprintf("snapshot=%v", withSnapshot), func(t *testing.T) {
+			src := t.TempDir()
+			l, _ := openTest(t, src, Options{MaxSegmentBytes: 128, Policy: SyncNever})
+			var snapshot string
+			if withSnapshot {
+				appendAll(t, l, "superseded-1", "superseded-2")
+				snapshot = "state-after-2"
+				if err := l.WriteSnapshot([]byte(snapshot)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var written []string
+			var ends []int // ends[k]: stream offset where record k's frame ends
+			stream := 0
+			for k := 0; k < 25; k++ {
+				p := fmt.Sprintf("record-%02d-%s", k, strings.Repeat("x", 3*(k%5)))
+				appendAll(t, l, p)
+				written = append(written, p)
+				stream += headerSize + len(p)
+				ends = append(ends, stream)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			type segment struct {
+				seq  uint64
+				data []byte
+			}
+			var segs []segment
+			var snapFiles []string
+			entries, err := os.ReadDir(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries { // sorted by name, so by seq
+				var seq uint64
+				if n, _ := fmt.Sscanf(e.Name(), "seg-%d.wal", &seq); n == 1 {
+					data, err := os.ReadFile(filepath.Join(src, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					segs = append(segs, segment{seq, data})
+				} else {
+					snapFiles = append(snapFiles, e.Name())
+				}
+			}
+			// A cut at a segment boundary may also leave the next file.
+			boundary := map[int]bool{}
+			total := 0
+			for _, sg := range segs {
+				boundary[total] = true
+				total += len(sg.data)
+			}
+			boundary[total] = true
+			wantSnaps := 0
+			if withSnapshot {
+				wantSnaps = 1
+			}
+			if len(segs) < 4 || total != stream || len(snapFiles) != wantSnaps {
+				t.Fatalf("built %d segments of %d bytes (want %d) and other files %v", len(segs), total, stream, snapFiles)
+			}
+
+			dir := filepath.Join(t.TempDir(), "cut")
+			for off := 0; off <= total; off++ {
+				variants := []bool{false}
+				if boundary[off] {
+					variants = append(variants, true)
+				}
+				for _, emptyNext := range variants {
+					if err := os.RemoveAll(dir); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.MkdirAll(dir, 0o755); err != nil {
+						t.Fatal(err)
+					}
+					for _, name := range snapFiles {
+						data, err := os.ReadFile(filepath.Join(src, name))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// Keep every segment that starts before off, the one
+					// holding off only up to it.
+					start, next := 0, segs[0].seq
+					for _, sg := range segs {
+						if start >= off {
+							break
+						}
+						keep := min(len(sg.data), off-start)
+						if err := os.WriteFile(filepath.Join(dir, segName(sg.seq)), sg.data[:keep], 0o644); err != nil {
+							t.Fatal(err)
+						}
+						start += len(sg.data)
+						next = sg.seq + 1
+					}
+					if emptyNext {
+						if err := os.WriteFile(filepath.Join(dir, segName(next)), nil, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					where := fmt.Sprintf("offset %d/%d, empty next segment %v", off, total, emptyNext)
+
+					var want []string
+					for k, end := range ends {
+						if end <= off {
+							want = append(want, written[k])
+						}
+					}
+					check := func(what string, rec *Recovery, want []string) {
+						t.Helper()
+						if got := payloads(rec); !slices.Equal(got, want) {
+							t.Fatalf("%s: %s recovered %q, want %q", where, what, got, want)
+						}
+						if string(rec.Snapshot) != snapshot {
+							t.Fatalf("%s: %s recovered snapshot %q, want %q", where, what, rec.Snapshot, snapshot)
+						}
+					}
+					scanned, err := Scan(dir)
+					if err != nil {
+						t.Fatalf("%s: Scan: %v", where, err)
+					}
+					check("Scan", scanned, want)
+					l, rec, err := Open(Options{Dir: dir, MaxSegmentBytes: 128, Policy: SyncNever})
+					if err != nil {
+						t.Fatalf("%s: Open: %v", where, err)
+					}
+					check("Open", rec, want)
+					if err := l.Append([]byte("appended")); err != nil {
+						t.Fatalf("%s: Append: %v", where, err)
+					}
+					if err := l.Close(); err != nil {
+						t.Fatalf("%s: Close: %v", where, err)
+					}
+					l, rec, err = Open(Options{Dir: dir})
+					if err != nil {
+						t.Fatalf("%s: reopen: %v", where, err)
+					}
+					check("reopen", rec, append(want, "appended"))
+					if err := l.Close(); err != nil {
+						t.Fatalf("%s: Close after reopen: %v", where, err)
+					}
+				}
+			}
+		})
 	}
 }

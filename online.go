@@ -52,7 +52,7 @@ type OnlineSystem struct {
 // NewOnline builds an online system on a topology. Each publication is
 // placed under the options Solve honours for AlgorithmApprox — capacities,
 // battery levels, weights, dual steps, GreedyConFL, ImproveSteiner,
-// Workers and ChunkStarted; Partition, Explain and TraceID do not apply.
+// Workers and ChunkStarted; Partition and Explain do not apply.
 // ChunkTTL sets the chunk lifetime (see Options.ChunkTTL).
 func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) {
 	if opts != nil && opts.Capacity < 0 {
@@ -74,11 +74,8 @@ func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) 
 
 // bind points later publications at topology t over cache state st with a
 // fresh cost model (and so a fresh path cache). The topology must be
-// connected with at least 2 nodes. On error the system is unchanged.
+// connected. On error the system is unchanged.
 func (o *OnlineSystem) bind(t *Topology, st *cache.State) error {
-	if err := checkPlaceable(t); err != nil {
-		return err
-	}
 	if !t.g.Connected() {
 		return ErrNotConnected
 	}

@@ -87,11 +87,8 @@ func TestNewOnlineValidation(t *testing.T) {
 	if _, err := NewOnline(disconnected(t, 4), 0, nil); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("disconnected topology: err = %v, want ErrBadArgument", err)
 	}
-	single, err := FromLinks(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewOnline(single, 0, nil); !errors.Is(err, ErrBadArgument) {
+	// A 1-node topology is refused when it is built.
+	if _, err := FromLinks(1, nil); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("1-node topology: err = %v, want ErrBadArgument", err)
 	}
 }

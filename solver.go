@@ -60,7 +60,8 @@ type Solver struct {
 	plans  map[int]*partitionPlan
 
 	// tracer owns the solver's recent-span ring buffer and sampling knob
-	// (SetTraceSampling / TraceSpans). Off by default and free when off.
+	// (SetTraceSampling / TraceSpans) for solves whose context carries no
+	// trace. Off by default and free when off.
 	tracer *trace.Tracer
 }
 
@@ -169,7 +170,9 @@ func (s *Solver) evalBase(ctx context.Context) (*costmodel.Model, error) {
 // surfaces as an error satisfying errors.Is with ctx.Err(). Invalid
 // requests fail with an error satisfying errors.Is(err, ErrBadArgument).
 // Independent inner work fans out over Options.Workers; the result is
-// byte-identical at any worker count.
+// byte-identical at any worker count. The solve's spans record into the
+// request trace the context carries, if any (the daemon's); otherwise
+// the solver's own tracer decides whether to trace it.
 func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -185,7 +188,10 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 		return nil, fmt.Errorf("%w: chunk count %d must be positive", ErrBadArgument, req.Chunks)
 	}
 	o := req.Options.withDefaults()
-	tr := s.tracer.StartTrace(o.TraceID, o.Explain)
+	tr := trace.FromContext(ctx)
+	if tr == nil {
+		tr = s.tracer.StartTrace("", o.Explain)
+	}
 	sp := tr.Start("solve")
 	sp.SetInt("chunks", int64(req.Chunks))
 	sp.SetInt("producer", int64(req.Producer))
@@ -252,15 +258,6 @@ func modelOptions(o Options) costmodel.Options {
 	return costmodel.Options{FairnessWeight: o.FairnessWeight, BatteryWeight: o.BatteryWeight}
 }
 
-// checkPlaceable rejects topologies too small for Algorithm 1, which needs
-// a producer and at least one other node.
-func checkPlaceable(t *Topology) error {
-	if n := t.NumNodes(); n < 2 {
-		return fmt.Errorf("%w: topology has %d node(s), placement needs at least 2", ErrBadArgument, n)
-	}
-	return nil
-}
-
 // forkBase forks the solver's warm topology model over st for one solve:
 // fresh states are empty, so the fork reuses the shared contention
 // matrices and the cold all-pairs build is paid once per topology, not per
@@ -290,9 +287,6 @@ func (s *Solver) forkBase(ctx context.Context, pl *pool.Pool, st *cache.State, m
 
 // solveApprox runs the paper's centralized approximation (Algorithm 1).
 func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
-	if err := checkPlaceable(s.topo); err != nil {
-		return nil, err
-	}
 	st := newState(s.topo, o)
 	base := st.Clone()
 	pl := pool.New(pool.Normalize(o.Workers))

@@ -199,17 +199,10 @@ func TestSolveBadArguments(t *testing.T) {
 	if _, err := faircache.NewSolver(nil); !errors.Is(err, faircache.ErrBadArgument) {
 		t.Errorf("NewSolver(nil): err = %v, want errors.Is(ErrBadArgument)", err)
 	}
-	// Algorithm 1 needs a producer and at least one other node.
-	single, err := faircache.FromLinks(1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lone, err := faircache.NewSolver(single)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := lone.Solve(context.Background(), faircache.Request{Producer: 0, Chunks: 1}); !errors.Is(err, faircache.ErrBadArgument) {
-		t.Errorf("Appx on a 1-node topology: err = %v, want errors.Is(ErrBadArgument)", err)
+	// Algorithm 1 needs a producer and at least one other node, so a
+	// 1-node topology is refused when it is built.
+	if _, err := faircache.FromLinks(1, nil); !errors.Is(err, faircache.ErrBadArgument) {
+		t.Errorf("FromLinks(1, nil): err = %v, want errors.Is(ErrBadArgument)", err)
 	}
 }
 

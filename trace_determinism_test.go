@@ -72,7 +72,6 @@ func TestTracingDoesNotChangePlacements(t *testing.T) {
 							Capacity: 4,
 							Workers:  workers,
 							Explain:  explain,
-							TraceID:  "determinism-test",
 						},
 					}
 				}
@@ -114,7 +113,7 @@ func TestExplainReportShape(t *testing.T) {
 	res, err := solver.Solve(context.Background(), faircache.Request{
 		Producer: 9,
 		Chunks:   5,
-		Options:  &faircache.Options{Explain: true, TraceID: "explain-shape"},
+		Options:  &faircache.Options{Explain: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +122,8 @@ func TestExplainReportShape(t *testing.T) {
 	if rep == nil {
 		t.Fatal("Explain set but Result.Trace is nil")
 	}
-	if rep.TraceID != "explain-shape" {
-		t.Errorf("TraceID = %q, want explain-shape", rep.TraceID)
+	if !strings.HasPrefix(rep.TraceID, "local-") {
+		t.Errorf("TraceID = %q, want a generated local- id", rep.TraceID)
 	}
 	if rep.Spans < 1+5 { // root + one span per chunk at minimum
 		t.Errorf("Spans = %d, want at least 6", rep.Spans)
@@ -154,8 +153,8 @@ func TestExplainReportShape(t *testing.T) {
 	}
 }
 
-// TestTraceSpansRing checks sampled spans land in the solver ring with
-// the request's trace id and that the slowerThan filter excludes fast
+// TestTraceSpansRing checks sampled spans land in the solver ring under
+// one generated trace id and that the slowerThan filter excludes fast
 // spans.
 func TestTraceSpansRing(t *testing.T) {
 	topo, err := faircache.Grid(4, 4)
@@ -176,7 +175,6 @@ func TestTraceSpansRing(t *testing.T) {
 	if _, err := solver.Solve(context.Background(), faircache.Request{
 		Producer: 0,
 		Chunks:   3,
-		Options:  &faircache.Options{TraceID: "ring-test"},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +184,8 @@ func TestTraceSpansRing(t *testing.T) {
 	}
 	sawRoot := false
 	for _, sp := range spans {
-		if sp.TraceID != "ring-test" {
-			t.Errorf("span %s has trace id %q, want ring-test", sp.Name, sp.TraceID)
+		if sp.TraceID != spans[0].TraceID || !strings.HasPrefix(sp.TraceID, "local-") {
+			t.Errorf("span %s has trace id %q, want the solve's generated local- id", sp.Name, sp.TraceID)
 		}
 		if sp.Name == "solve" {
 			sawRoot = true

@@ -7,18 +7,12 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceSpan is the public projection of one recorded solve span: what ran,
-// when, for how long, under which trace, with its integer counters. The
-// daemon's GET /debug/trace dumps these as JSON.
-type TraceSpan struct {
-	TraceID    string           `json:"traceId"`
-	SpanID     uint64           `json:"spanId"`
-	ParentID   uint64           `json:"parentId,omitempty"`
-	Name       string           `json:"name"`
-	Start      time.Time        `json:"start"`
-	DurationMs float64          `json:"durationMs"`
-	Attrs      map[string]int64 `json:"attrs,omitempty"`
-}
+// TraceSpan is the public projection of one recorded span: what ran,
+// when, for how long, under which trace, with its integer counters. Its
+// fields are TraceID, SpanID, ParentID (0 on a root span), Name, Start
+// (wall clock), DurationMs and Attrs. The daemon's GET /debug/trace dumps
+// these as JSON.
+type TraceSpan = trace.SpanView
 
 // ExplainPhase summarises one pipeline phase of an explain trace.
 type ExplainPhase struct {
@@ -58,41 +52,19 @@ func (s *Solver) TraceSampling() int { return s.tracer.Sampling() }
 // TraceSpans copies the solver's recent-span ring buffer, oldest first,
 // keeping only spans at least slowerThan long (0 keeps all).
 func (s *Solver) TraceSpans(slowerThan time.Duration) []TraceSpan {
-	recs := s.tracer.Snapshot()
-	epoch := s.tracer.Epoch()
-	out := make([]TraceSpan, 0, len(recs))
-	for i := range recs {
-		if recs[i].Duration() < slowerThan {
-			continue
-		}
-		out = append(out, publicSpan(&recs[i], epoch))
-	}
-	return out
+	return s.tracer.Views(slowerThan)
 }
 
 // OnTraceSpan installs fn as the solver's span observer, invoked once per
-// recorded span (sampled or explain traces only). The daemon uses it to
-// feed per-phase latency histograms. Install before the solver sees
-// concurrent traffic; fn runs on the solving goroutine, keep it fast.
+// recorded span (sampled or explain traces only). Install before the
+// solver sees concurrent traffic; fn runs on the solving goroutine, keep
+// it fast.
 func (s *Solver) OnTraceSpan(fn func(TraceSpan)) {
 	if fn == nil {
 		s.tracer.Observe(nil)
 		return
 	}
-	epoch := s.tracer.Epoch()
-	s.tracer.Observe(func(r *trace.Record) { fn(publicSpan(r, epoch)) })
-}
-
-func publicSpan(r *trace.Record, epoch time.Time) TraceSpan {
-	return TraceSpan{
-		TraceID:    r.TraceID,
-		SpanID:     r.SpanID,
-		ParentID:   r.Parent,
-		Name:       r.Name,
-		Start:      epoch.Add(r.Start),
-		DurationMs: float64(r.Duration()) / float64(time.Millisecond),
-		Attrs:      r.AttrMap(),
-	}
+	s.tracer.Observe(func(r *trace.Record) { fn(s.tracer.View(r)) })
 }
 
 // buildExplain turns a collected explain trace into the public report.
