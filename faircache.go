@@ -229,13 +229,15 @@ type Options struct {
 	// to the guarantee-free greedy heuristic (related work [23]) — an
 	// ablation against the default primal-dual algorithm.
 	GreedyConFL bool
-	// ImproveSteiner applies key-path local search to the centralized
-	// algorithm's dissemination trees after the MST 2-approximation. The
-	// holders stay the same and Result.ContentionCost replays MST trees
-	// over them, so a global solve reports the same cost with or without
-	// it; the cheaper trees reach a result only through a partitioned
-	// solve's per-copy charge, which averages the regions' own
-	// decision-time tree costs.
+	// ImproveSteiner runs key-path local search on a partitioned solve's
+	// regional dissemination trees after the MST 2-approximation. Those
+	// trees price the stitch's per-copy charge (the regions' average
+	// decision-time fairness plus tree cost per copy), so the search can
+	// change which boundary copies the stitch keeps. Nothing else reads a
+	// tree it could improve: holders come from the dual growth and
+	// Result.ContentionCost replays MST trees, so a global solve or an
+	// online publication does not run the search and places and reports
+	// exactly as without the option.
 	ImproveSteiner bool
 	// Workers sizes the worker pool the engine fans independent inner
 	// work out over (contention matrix rows, the greedy ConFL gain scan,
@@ -334,9 +336,8 @@ type Result struct {
 	solver   *Solver
 	strategy metrics.AccessStrategy
 	base     *cache.State // pre-placement state (capacities, batteries)
-	// trees holds the solve's own per-chunk dissemination trees when they
-	// are the ones the evaluation replay would build (global Appx without
-	// ImproveSteiner; nil otherwise).
+	// trees holds the solve's own per-chunk dissemination trees, the ones
+	// the evaluation replay would build (global Appx; nil otherwise).
 	trees []solvedTree
 }
 
@@ -389,27 +390,34 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// newState builds the initial cache state for a run, applying battery
-// levels when the battery-fairness extension is enabled.
-func newState(t *Topology, o Options) *cache.State {
-	var st *cache.State
-	if len(o.Capacities) > 0 {
-		caps := make([]int, t.NumNodes())
-		for i := range caps {
-			caps[i] = o.Capacity
-			if i < len(o.Capacities) {
-				caps[i] = o.Capacities[i]
-			}
-		}
-		st = cache.NewStateWithCapacities(caps)
-	} else {
-		st = cache.NewState(t.NumNodes(), o.Capacity)
+// newState builds a run's initial cache state over nodes, nil meaning
+// every node of t (a partitioned solve passes a region's members): local
+// node i stands for nodes[i] and takes its capacity from Capacities, or
+// Capacity where that list does not reach, and its battery level from
+// BatteryLevels where that list reaches.
+func newState(t *Topology, nodes []int, o Options) *cache.State {
+	n := len(nodes)
+	if nodes == nil {
+		n = t.NumNodes()
 	}
-	for i, level := range o.BatteryLevels {
-		if i >= t.NumNodes() {
-			break
+	id := func(i int) int {
+		if nodes == nil {
+			return i
 		}
-		st.SetBattery(i, level)
+		return nodes[i]
+	}
+	caps := make([]int, n)
+	for i := range caps {
+		caps[i] = o.Capacity
+		if v := id(i); v < len(o.Capacities) {
+			caps[i] = o.Capacities[v]
+		}
+	}
+	st := cache.NewStateWithCapacities(caps)
+	for i := range caps {
+		if v := id(i); v < len(o.BatteryLevels) {
+			st.SetBattery(i, o.BatteryLevels[v])
+		}
 	}
 	return st
 }

@@ -252,8 +252,8 @@ func TestDisableCoalescing(t *testing.T) {
 	}
 }
 
-// TestReportCoalescing checks reports carry the dedup counters and that
-// a lone report never claims to be coalesced.
+// TestReportCoalescing checks a report carries the solve group's dedup
+// counters: one flight for the one solve, no hits.
 func TestReportCoalescing(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(3, 3, 4)
@@ -262,14 +262,7 @@ func TestReportCoalescing(t *testing.T) {
 
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
-	if rep.Coalesced {
-		t.Error("lone report marked coalesced")
-	}
-	if rep.Coalesce.Solve.Flights != 1 {
-		t.Errorf("report solve-flight counter = %+v, want 1 flight", rep.Coalesce.Solve)
-	}
-	// The report flight that served this response is itself counted.
-	if rep.Coalesce.Report.Flights != 1 {
-		t.Errorf("report report-flight counter = %+v, want 1 flight", rep.Coalesce.Report)
+	if rep.Coalesce.Solve.Flights != 1 || rep.Coalesce.Solve.Hits != 0 {
+		t.Errorf("report solve counters = %+v, want 1 flight and no hits", rep.Coalesce.Solve)
 	}
 }

@@ -358,7 +358,11 @@ type SolveOptions struct {
 	SearchBudget   int     `json:"searchBudget,omitempty"`
 	SearchWidth    int     `json:"searchWidth,omitempty"`
 	GreedyConFL    bool    `json:"greedyConFL,omitempty"`
-	ImproveSteiner bool    `json:"improveSteiner,omitempty"`
+	// ImproveSteiner runs the key-path tree search inside a partitioned
+	// solve's regions, where the trees price the stitch's per-copy charge
+	// (see faircache.Options.ImproveSteiner). A global solve accepts it
+	// and places and reports exactly as without it.
+	ImproveSteiner bool `json:"improveSteiner,omitempty"`
 	// Workers sizes the engine's worker pool for this solve (0 =
 	// GOMAXPROCS, 1 = sequential).
 	Workers int `json:"workers,omitempty"`
@@ -810,11 +814,9 @@ func queryInt(r *http.Request, key string) (int, *Error) {
 	return v, nil
 }
 
-// CoalesceInfo is one topology's cumulative request-dedup counters, per
-// coalescing endpoint.
+// CoalesceInfo is one topology's cumulative solve-dedup counters.
 type CoalesceInfo struct {
-	Solve  coalesce.Stats `json:"solve"`
-	Report coalesce.Stats `json:"report"`
+	Solve coalesce.Stats `json:"solve"`
 }
 
 // ReportResponse is the body of GET /v1/topologies/{id}/report: the full
@@ -835,11 +837,8 @@ type ReportResponse struct {
 	// Solver exposes the warm/cold cost-model counters: after the first
 	// solve on a topology every later one should be warm.
 	Solver faircache.SolverStats `json:"solver"`
-	// Coalesce exposes this topology's request-dedup counters.
+	// Coalesce exposes this topology's solve-dedup counters.
 	Coalesce CoalesceInfo `json:"coalesce"`
-	// Coalesced reports that this response was served by attaching to
-	// another request's in-progress report computation.
-	Coalesced bool `json:"coalesced,omitempty"`
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -848,39 +847,12 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, terr)
 		return
 	}
-	build := func(context.Context) (any, error) { return s.buildReport(tp), nil }
-	var (
-		v      any
-		shared bool
-		err    error
-	)
-	if s.opts.DisableCoalescing {
-		v, err = build(r.Context())
-	} else {
-		// Concurrent reports of the same committed version share one
-		// metrics computation. The key is the snapshot version, so a
-		// commit landing mid-flight starts a fresh flight for later
-		// callers instead of serving them the pre-commit report.
-		key := strconv.Itoa(tp.snap.Load().Version)
-		v, shared, err = tp.reportG.Do(r.Context(), key, build)
-		if shared {
-			s.metrics.coalesceHits.WithLabelValues("report").Inc()
-		} else {
-			s.metrics.coalesceFlights.WithLabelValues("report").Inc()
-		}
-	}
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	resp := *(v.(*ReportResponse))
-	resp.Coalesced = shared
-	writeJSON(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, buildReport(tp))
 }
 
 // buildReport computes the full report from the current committed
-// snapshot — the computation concurrent identical reports share.
-func (s *Server) buildReport(tp *topology) *ReportResponse {
+// snapshot, which is immutable, so concurrent reports need no lock.
+func buildReport(tp *topology) *ReportResponse {
 	snap := tp.snap.Load()
 	copies, distinct := 0, 0
 	for _, c := range snap.Counts {
@@ -907,10 +879,7 @@ func (s *Server) buildReport(tp *topology) *ReportResponse {
 		Fairness75:     fairness75,
 		StorageCurve:   metrics.StorageCurve(snap.Counts),
 		Solver:         tp.solver.Stats(),
-		Coalesce: CoalesceInfo{
-			Solve:  tp.solveG.Stats(),
-			Report: tp.reportG.Stats(),
-		},
+		Coalesce:       CoalesceInfo{Solve: tp.solveG.Stats()},
 	}
 }
 

@@ -60,8 +60,8 @@ type Options struct {
 	// MaxPublishBatch caps the count of one publish request (default 64).
 	MaxPublishBatch int
 	// DisableCoalescing turns off singleflight coalescing of identical
-	// solve and report requests. Coalescing is on by default; disabling
-	// it makes every request run its own computation, the baseline
+	// solve requests. Coalescing is on by default; disabling it makes
+	// every solve run its own computation, the baseline
 	// BenchmarkSolveUncoalesced measures.
 	DisableCoalescing bool
 
@@ -352,25 +352,19 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// wireObservability connects a fresh topology's coalesce hooks to the
-// server's metrics and logger. Must run before the topology is published
-// to the registry (hook installation is not synchronized with traffic).
+// wireObservability connects a fresh topology's solve-coalescing group
+// to the server's metrics and logger: a caller detaching from a flight is
+// counted (with the flight abort when it was the last caller) and logged
+// with its trace id. Must run before the topology is published to the
+// registry (hook installation is not synchronized with traffic).
 func (s *Server) wireObservability(tp *topology) {
-	tp.solveG.OnDetach = s.detachHook("solve", tp.id)
-	tp.reportG.OnDetach = s.detachHook("report", tp.id)
-}
-
-// detachHook builds the coalesce-group detach callback for one endpoint:
-// it counts the detach (and the flight abort when the caller was the
-// last one) and logs a warning tagged with the caller's trace id.
-func (s *Server) detachHook(endpoint, id string) func(ctx context.Context, key string, alone bool) {
-	return func(ctx context.Context, key string, alone bool) {
-		s.metrics.coalesceDetached.WithLabelValues(endpoint).Inc()
+	tp.solveG.OnDetach = func(ctx context.Context, key string, alone bool) {
+		s.metrics.coalesceDetached.WithLabelValues("solve").Inc()
 		if alone {
-			s.metrics.coalesceAborted.WithLabelValues(endpoint).Inc()
+			s.metrics.coalesceAborted.WithLabelValues("solve").Inc()
 		}
 		s.log.Warn("caller detached from coalesced flight",
-			"endpoint", endpoint, "topology", id, "key", key,
+			"endpoint", "solve", "topology", tp.id, "key", key,
 			"flightAborted", alone, "traceId", traceIDFrom(ctx))
 	}
 }

@@ -74,11 +74,10 @@ type topology struct {
 	// answered — the worker queue depth the metrics gauge sums.
 	queued atomic.Int64
 
-	// solveG and reportG coalesce concurrent identical solve and report
-	// requests onto shared flights; their per-topology dedup counters are
-	// exposed in the report response.
-	solveG  coalesce.Group
-	reportG coalesce.Group
+	// solveG coalesces concurrent identical solve requests onto shared
+	// flights; its per-topology dedup counters are exposed in the report
+	// response.
+	solveG coalesce.Group
 
 	// demand is the last demand-subsystem snapshot, stored by the worker
 	// after each requests/adapt mutation and read lock-free by the list

@@ -51,12 +51,16 @@ type OnlineSystem struct {
 
 // NewOnline builds an online system on a topology. Each publication is
 // placed under the options Solve honours for AlgorithmApprox — capacities,
-// battery levels, weights, dual steps, GreedyConFL, ImproveSteiner,
-// Workers and ChunkStarted; Partition and Explain do not apply.
-// ChunkTTL sets the chunk lifetime (see Options.ChunkTTL).
+// battery levels, weights, dual steps, GreedyConFL, Workers and
+// ChunkStarted; ImproveSteiner (a publication keeps no tree), Partition
+// and Explain do not apply. ChunkTTL sets the chunk lifetime (see
+// Options.ChunkTTL). A nil or disconnected topology is an ErrBadArgument.
 func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) {
 	if opts != nil && opts.Capacity < 0 {
 		return nil, fmt.Errorf("%w: negative capacity %d", ErrBadArgument, opts.Capacity)
+	}
+	if err := checkTopology(t); err != nil {
+		return nil, err
 	}
 	if n := t.NumNodes(); producer < 0 || producer >= n {
 		return nil, fmt.Errorf("%w: producer %d out of range [0,%d)", ErrBadArgument, producer, n)
@@ -66,19 +70,16 @@ func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) 
 	if o.ChunkTTL != 0 {
 		sys.ttl = o.ChunkTTL
 	}
-	if err := sys.bind(t, newState(t, o)); err != nil {
+	if err := sys.bind(t, newState(t, nil, o)); err != nil {
 		return nil, err
 	}
 	return sys, nil
 }
 
 // bind points later publications at topology t over cache state st with a
-// fresh cost model (and so a fresh path cache). The topology must be
-// connected. On error the system is unchanged.
+// fresh cost model (and so a fresh path cache). The caller has checked t
+// with checkTopology. On error the system is unchanged.
 func (o *OnlineSystem) bind(t *Topology, st *cache.State) error {
-	if !t.g.Connected() {
-		return ErrNotConnected
-	}
 	model, err := costmodel.New(t.g, nil, st, modelOptions(o.opts))
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadArgument, err)
@@ -198,6 +199,9 @@ func (o *OnlineSystem) Clock() int { return o.clock }
 // invalid after a move, so a fresh cost model with its own path cache is
 // bound over the live cache state.
 func (o *OnlineSystem) SetTopology(t *Topology) error {
+	if err := checkTopology(t); err != nil {
+		return err
+	}
 	if got, want := t.NumNodes(), o.model.State().NumNodes(); got != want {
 		return fmt.Errorf("%w: topology has %d nodes, system has %d", ErrBadArgument, got, want)
 	}

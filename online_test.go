@@ -74,9 +74,10 @@ func TestNewOnlineValidatesCapacity(t *testing.T) {
 	}
 }
 
-// TestNewOnlineValidation: a producer outside the topology or a topology
-// the solver cannot span is rejected with the library's typed argument
-// error before any state is built.
+// TestNewOnlineValidation: a producer outside the topology, a nil
+// topology or one the solver cannot span is rejected with the library's
+// typed argument error before any state is built, and SetTopology(nil)
+// is refused the same way.
 func TestNewOnlineValidation(t *testing.T) {
 	topo := mustGrid(t, 3, 3)
 	for _, producer := range []int{-1, 99} {
@@ -86,6 +87,12 @@ func TestNewOnlineValidation(t *testing.T) {
 	}
 	if _, err := NewOnline(disconnected(t, 4), 0, nil); !errors.Is(err, ErrBadArgument) {
 		t.Errorf("disconnected topology: err = %v, want ErrBadArgument", err)
+	}
+	if _, err := NewOnline(nil, 0, nil); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("nil topology: err = %v, want ErrBadArgument", err)
+	}
+	if err := mustOnline(t, topo, 0, nil).SetTopology(nil); !errors.Is(err, ErrBadArgument) {
+		t.Errorf("SetTopology(nil): err = %v, want ErrBadArgument", err)
 	}
 	// A 1-node topology is refused when it is built.
 	if _, err := FromLinks(1, nil); !errors.Is(err, ErrBadArgument) {
@@ -447,8 +454,8 @@ func TestOnlineHonoursCapacities(t *testing.T) {
 // TestOnlineMatchesBatchSolve: with chunks that never expire, Q online
 // publications run exactly Solve's Q chunk iterations, so the caching
 // sets must match under every placement option the two share.
-// ImproveSteiner reshapes only the dissemination trees, which a
-// Publication does not expose, so its case pins the caching sets alone.
+// ImproveSteiner applies to neither (a global solve and a Publication
+// read no tree), so its case pins that the option moves no copy.
 func TestOnlineMatchesBatchSolve(t *testing.T) {
 	topo := mustGrid(t, 5, 5)
 	solver, err := NewSolver(topo)

@@ -90,13 +90,22 @@ type SolverStats struct {
 // ErrBadArgument): unreachable nodes would silently never be assigned a
 // nearby copy, and the partitioner could not cover them at all.
 func NewSolver(t *Topology) (*Solver, error) {
-	if t == nil || t.g == nil {
-		return nil, fmt.Errorf("%w: nil topology", ErrBadArgument)
-	}
-	if !t.g.Connected() {
-		return nil, ErrNotConnected
+	if err := checkTopology(t); err != nil {
+		return nil, err
 	}
 	return &Solver{topo: t, scratch: core.NewScratchPool(), tracer: trace.New(0)}, nil
+}
+
+// checkTopology rejects a nil topology with ErrBadArgument and a
+// disconnected one with ErrNotConnected.
+func checkTopology(t *Topology) error {
+	if t == nil || t.g == nil {
+		return fmt.Errorf("%w: nil topology", ErrBadArgument)
+	}
+	if !t.g.Connected() {
+		return ErrNotConnected
+	}
+	return nil
 }
 
 // Topology returns the topology the solver is bound to.
@@ -233,13 +242,14 @@ func (s *Solver) dispatch(ctx context.Context, req Request, o Options, alg Algor
 }
 
 // coreOptions maps public approximation options onto the engine's; the
-// weights go to the cost model instead (see modelOptions).
+// weights go to the cost model instead (see modelOptions). ImproveSteiner
+// is not forwarded: only a partitioned solve reads an improved tree, and
+// it sets the engine option itself.
 func coreOptions(o Options) core.Options {
 	coreOpts := core.DefaultOptions()
 	if o.GreedyConFL {
 		coreOpts.Strategy = core.Greedy
 	}
-	coreOpts.ImproveSteiner = o.ImproveSteiner
 	if o.AlphaStep > 0 {
 		coreOpts.ConFL.AlphaStep = o.AlphaStep
 	}
@@ -287,7 +297,7 @@ func (s *Solver) forkBase(ctx context.Context, pl *pool.Pool, st *cache.State, m
 
 // solveApprox runs the paper's centralized approximation (Algorithm 1).
 func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
-	st := newState(s.topo, o)
+	st := newState(s.topo, nil, o)
 	base := st.Clone()
 	pl := pool.New(pool.Normalize(o.Workers))
 	defer pl.Close()
@@ -303,16 +313,12 @@ func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *tr
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
 	res := newResult(s, AlgorithmApprox, req.Producer, req.Chunks, o.Capacity, p.CacheNodes(), st, base, metrics.AccessCostNearest)
-	if !o.ImproveSteiner {
-		// Each chunk's tree is the one the evaluation replay would build:
-		// the same steiner.MSTApproxScratchCtx under the same edge costs
-		// w_u + w_v, at the same state before the chunk, over the same
-		// terminals. Key-path improvement reshapes the tree, so an
-		// improved solve keeps none.
-		res.trees = make([]solvedTree, len(p.Chunks))
-		for n, c := range p.Chunks {
-			res.trees[n] = solvedTree{holders: c.CacheNodes, cost: c.Dissemination}
-		}
+	// Each chunk's tree is the one the evaluation replay would build: the
+	// same steiner.MSTApproxScratchCtx under the same edge costs w_u + w_v,
+	// at the same state before the chunk, over the same terminals.
+	res.trees = make([]solvedTree, len(p.Chunks))
+	for n, c := range p.Chunks {
+		res.trees[n] = solvedTree{holders: c.CacheNodes, cost: c.Dissemination}
 	}
 	return res, nil
 }
@@ -337,7 +343,7 @@ func (s *Solver) solveDistributed(ctx context.Context, req Request, o Options, s
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
-	st := newState(s.topo, o)
+	st := newState(s.topo, nil, o)
 	base := st.Clone()
 	psp := sp.Child("dist.place")
 	p, err := protocol.PlaceChunksCtx(ctx, req.Producer, req.Chunks, st)
@@ -357,7 +363,7 @@ func (s *Solver) solveBaseline(ctx context.Context, req Request, o Options, alg 
 	if lambda <= 0 {
 		lambda = baseline.RecommendedLambda(alg, s.topo.NumNodes())
 	}
-	st := newState(s.topo, o)
+	st := newState(s.topo, nil, o)
 	base := st.Clone()
 	pl := pool.New(pool.Normalize(o.Workers))
 	defer pl.Close()
@@ -376,7 +382,7 @@ func (s *Solver) solveBaseline(ctx context.Context, req Request, o Options, alg 
 
 // solveOptimal runs the exact per-chunk branch-and-bound reference.
 func (s *Solver) solveOptimal(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
-	st := newState(s.topo, o)
+	st := newState(s.topo, nil, o)
 	base := st.Clone()
 	pl := pool.New(pool.Normalize(o.Workers))
 	defer pl.Close()

@@ -109,31 +109,6 @@ func regionProducers(g *graph.Graph, part *partition.Partition, producer int) []
 	return out
 }
 
-// regionState slices a request's capacities and battery levels down to
-// one region's members.
-func regionState(reg partition.Region, o Options) *cache.State {
-	n := len(reg.Nodes)
-	var st *cache.State
-	if len(o.Capacities) > 0 {
-		caps := make([]int, n)
-		for i, v := range reg.Nodes {
-			caps[i] = o.Capacity
-			if v < len(o.Capacities) {
-				caps[i] = o.Capacities[v]
-			}
-		}
-		st = cache.NewStateWithCapacities(caps)
-	} else {
-		st = cache.NewState(n, o.Capacity)
-	}
-	for i, v := range reg.Nodes {
-		if v < len(o.BatteryLevels) {
-			st.SetBattery(i, o.BatteryLevels[v])
-		}
-	}
-	return st
-}
-
 // solvePartitioned runs the sharded variant of the centralized
 // approximation: cut (memoised) → per-region Algorithm 1 in parallel →
 // boundary stitch. Regions solve against their own warm-forked cost
@@ -173,6 +148,9 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 	// width.
 	coreOpts := coreOptions(o)
 	coreOpts.ChunkStarted = nil // regions run concurrently; see Options
+	// The per-copy charge below sums the regions' decision-time tree
+	// costs, so this is the one solve path that reads an improved tree.
+	coreOpts.ImproveSteiner = o.ImproveSteiner
 	// Concurrent region solves each check an arena out of the solver-owned
 	// pool (PlaceCtx gets/puts one per call), so sharing it is safe.
 	coreOpts.Scratch = s.scratch
@@ -185,7 +163,7 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 		defer rsp.End()
 		ropts := coreOpts
 		ropts.Parent = rsp
-		m, err := plan.bases[r].ForkCtx(ctx, nil, regionState(part.Regions[r], o), modelOptions(o))
+		m, err := plan.bases[r].ForkCtx(ctx, nil, newState(s.topo, part.Regions[r].Nodes, o), modelOptions(o))
 		if err != nil {
 			return err
 		}
@@ -239,7 +217,7 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 	ssp.SetInt("dropped", int64(stitchStats.Dropped))
 	ssp.End()
 
-	st := newState(s.topo, o)
+	st := newState(s.topo, nil, o)
 	base := st.Clone()
 	for n, holders := range stitched {
 		for _, v := range holders {

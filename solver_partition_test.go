@@ -3,6 +3,7 @@ package faircache_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -23,33 +24,51 @@ func partitionedRequest(regions int) faircache.Request {
 // TestSolvePartitionedDeterministicAcrossWorkers pins the sharded path to
 // the repository's determinism contract: the stitched placement is
 // byte-identical no matter how many workers fan out over the regions.
+// The ImproveSteiner input covers the one solve path that runs the
+// key-path search (its trees price the stitch's per-copy charge), so
+// its explain report must hold steiner.improve phases and the plain
+// one's none.
 func TestSolvePartitionedDeterministicAcrossWorkers(t *testing.T) {
 	for name, topo := range testTopologies(t) {
 		solver, err := faircache.NewSolver(topo)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := partitionedRequest(4)
-		seqOpts := *req.Options
-		seqOpts.Workers = 1
-		seqReq := req
-		seqReq.Options = &seqOpts
-		want, err := solver.Solve(context.Background(), seqReq)
-		if err != nil {
-			t.Fatalf("%s: sequential partitioned solve: %v", name, err)
-		}
-		for _, workers := range []int{0, 2, 4} {
-			parOpts := *req.Options
-			parOpts.Workers = workers
-			parReq := req
-			parReq.Options = &parOpts
-			got, err := solver.Solve(context.Background(), parReq)
+		for _, improve := range []bool{false, true} {
+			label := fmt.Sprintf("%s improve=%v", name, improve)
+			req := partitionedRequest(4)
+			req.Options.ImproveSteiner = improve
+			req.Options.Explain = true
+			seqOpts := *req.Options
+			seqOpts.Workers = 1
+			seqReq := req
+			seqReq.Options = &seqOpts
+			want, err := solver.Solve(context.Background(), seqReq)
 			if err != nil {
-				t.Fatalf("%s workers=%d: %v", name, workers, err)
+				t.Fatalf("%s: sequential partitioned solve: %v", label, err)
 			}
-			sameResult(t, name, want, got)
-			if *got.Partition != *want.Partition {
-				t.Fatalf("%s workers=%d: partition report %+v != %+v", name, workers, *got.Partition, *want.Partition)
+			improves := 0
+			for _, ph := range want.Trace.Phases {
+				if ph.Phase == "steiner.improve" {
+					improves = ph.Count
+				}
+			}
+			if (improves > 0) != improve {
+				t.Fatalf("%s: %d steiner.improve spans in the explain report", label, improves)
+			}
+			for _, workers := range []int{0, 2, 4} {
+				parOpts := *req.Options
+				parOpts.Workers = workers
+				parReq := req
+				parReq.Options = &parOpts
+				got, err := solver.Solve(context.Background(), parReq)
+				if err != nil {
+					t.Fatalf("%s workers=%d: %v", label, workers, err)
+				}
+				sameResult(t, label, want, got)
+				if *got.Partition != *want.Partition {
+					t.Fatalf("%s workers=%d: partition report %+v != %+v", label, workers, *got.Partition, *want.Partition)
+				}
 			}
 		}
 	}
