@@ -153,9 +153,11 @@ func New(g *graph.Graph, opts Options) (*Protocol, error) {
 // PlaceChunksCtx runs the protocol once per chunk (0..chunks-1),
 // committing each chunk's ADMIN set into st before the next chunk starts,
 // so the fairness and contention feedback matches the centralized
-// algorithm. Cancellation is checked before each chunk's protocol run (one
-// run is a bounded round simulation, so the per-chunk granularity keeps
-// aborts prompt without touching the simulator's determinism).
+// algorithm. The chunks share one simulated network and one set of
+// per-node tables, reset between chunks. ctx is checked before every
+// simulated round: a chunk's run is bounded by its round limit, but a
+// tiny AlphaStep makes that limit astronomically large, so only the
+// deadline keeps such a solve from running on.
 func (pr *Protocol) PlaceChunksCtx(ctx context.Context, producer, chunks int, st *cache.State) (*Placement, error) {
 	if producer < 0 || producer >= pr.g.NumNodes() {
 		return nil, fmt.Errorf("%w: %d", ErrBadProducer, producer)
@@ -166,37 +168,13 @@ func (pr *Protocol) PlaceChunksCtx(ctx context.Context, producer, chunks int, st
 	if st == nil || st.NumNodes() != pr.g.NumNodes() {
 		return nil, ErrBadState
 	}
-	placement := &Placement{Producer: producer, State: st}
-	for n := 0; n < chunks; n++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", n, err)
-		}
-		run, err := pr.runChunk(producer, n, st)
-		if err != nil {
-			return nil, fmt.Errorf("chunk %d: %w", n, err)
-		}
-		for _, v := range run.CacheNodes {
-			if err := st.Store(v, n); err != nil {
-				return nil, fmt.Errorf("chunk %d store on %d: %w", n, v, err)
-			}
-		}
-		placement.Chunks = append(placement.Chunks, *run)
-	}
-	return placement, nil
-}
-
-// runChunk executes one chunk's protocol round-trip.
-func (pr *Protocol) runChunk(producer, chunkID int, st *cache.State) (*ChunkRun, error) {
 	numNodes := pr.g.NumNodes()
-	weights := contention.Weights(pr.g, st)
-
-	nodes := make([]*node, numNodes)
+	scr := newPathScratch(numNodes)
+	nodes := make([]node, numNodes)
 	simNodes := make([]sim.Node, numNodes)
-	for i := 0; i < numNodes; i++ {
-		fairness := st.CombinedFairnessCost(i, pr.opts.FairnessWeight, pr.opts.BatteryWeight)
-		hasStorage := st.Free(i) > 0 && !math.IsInf(fairness, 1)
-		nodes[i] = newNode(i, producer, weights[i], fairness, hasStorage, pr.opts)
-		simNodes[i] = nodes[i]
+	for i := range nodes {
+		nodes[i] = node{id: i, producer: producer, opts: &pr.opts, scr: scr}
+		simNodes[i] = &nodes[i]
 	}
 	network, err := sim.NewNetwork(pr.g, simNodes)
 	if err != nil {
@@ -205,24 +183,47 @@ func (pr *Protocol) runChunk(producer, chunkID int, st *cache.State) (*ChunkRun,
 	network.Drop = pr.opts.Drop
 	network.Trace = pr.opts.Trace
 
+	placement := &Placement{Producer: producer, State: st}
+	for n := 0; n < chunks; n++ {
+		run, err := pr.runChunk(ctx, network, nodes, producer, n, st)
+		if err != nil {
+			return nil, fmt.Errorf("chunk %d: %w", n, err)
+		}
+		for _, v := range run.CacheNodes {
+			if err := st.Store(v, n); err != nil {
+				return nil, fmt.Errorf("chunk %d store on %d: %w", n, v, err)
+			}
+		}
+		placement.Chunks = append(placement.Chunks, run)
+	}
+	return placement, nil
+}
+
+// runChunk executes one chunk's protocol round-trip on the call's network.
+func (pr *Protocol) runChunk(ctx context.Context, network *sim.Network, nodes []node, producer, chunkID int, st *cache.State) (ChunkRun, error) {
+	weights := contention.Weights(pr.g, st)
+	for i := range nodes {
+		fairness := st.CombinedFairnessCost(i, pr.opts.FairnessWeight, pr.opts.BatteryWeight)
+		nodes[i].reset(weights[i], fairness, st.Free(i) > 0 && !math.IsInf(fairness, 1))
+	}
 	maxRounds := pr.opts.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = pr.roundBound(producer, weights)
 	}
-	rounds, err := network.Run(maxRounds)
+	rounds, err := network.Run(ctx, maxRounds)
 	if err != nil {
-		return nil, err
+		return ChunkRun{}, err
 	}
 
-	run := &ChunkRun{
+	run := ChunkRun{
 		Chunk:    chunkID,
-		Assign:   make([]int, numNodes),
+		Assign:   make([]int, len(nodes)),
 		Rounds:   rounds,
 		Messages: network.Counts(),
 	}
-	for i, nd := range nodes {
-		run.Assign[i] = nd.assigned
-		if nd.state == stateAdmin {
+	for i := range nodes {
+		run.Assign[i] = nodes[i].assigned
+		if nodes[i].state == stateAdmin {
 			run.CacheNodes = append(run.CacheNodes, i)
 		}
 	}
@@ -233,7 +234,9 @@ func (pr *Protocol) runChunk(producer, chunkID int, st *cache.State) (*ChunkRun,
 // producer once its bid covers the producer path cost, so the protocol
 // needs at most max c(producer, ·)/U_α rounds plus flood propagation slack.
 // Only the producer's row of the contention matrix is needed, swept over
-// the chunk's node weights.
+// the chunk's node weights. A step so small that the quotient leaves the
+// int range saturates to math.MaxInt instead of wrapping negative; such a
+// run ends at its context's deadline.
 func (pr *Protocol) roundBound(producer int, weights []float64) int {
 	row, _ := pr.g.NodeCostPaths(producer, weights)
 	maxC := 0.0
@@ -242,5 +245,9 @@ func (pr *Protocol) roundBound(producer int, weights []float64) int {
 			maxC = c
 		}
 	}
-	return int(maxC/pr.opts.AlphaStep) + 4*pr.g.NumNodes() + 32
+	bids := maxC / pr.opts.AlphaStep
+	if bids >= 1<<62 {
+		return math.MaxInt
+	}
+	return int(bids) + 4*pr.g.NumNodes() + 32
 }

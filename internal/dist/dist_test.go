@@ -3,10 +3,13 @@ package dist
 import (
 	"context"
 	"errors"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/graph"
@@ -256,27 +259,37 @@ func TestProtocolSurvivesMessageLoss(t *testing.T) {
 }
 
 func TestProtocolDeterministic(t *testing.T) {
-	g := graph.NewGrid(5, 5)
-	run := func() *Placement {
-		pr, err := New(g, DefaultOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := pr.PlaceChunksCtx(context.Background(), 12, 3, cache.NewState(25, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
+	// The second instance meets equal-cost ADMINs and sums several SPAN
+	// payments: picking among covered ADMINs or summing payments in map
+	// order gave it two or three distinct outcomes in ten runs.
+	cases := []struct {
+		producer, capacity, chunks, repeats int
+	}{
+		{producer: 12, capacity: 5, chunks: 3, repeats: 2},
+		{producer: 2, capacity: 1, chunks: 6, repeats: 10},
 	}
-	a, b := run(), run()
-	for n := range a.Chunks {
-		ca, cb := a.Chunks[n].CacheNodes, b.Chunks[n].CacheNodes
-		if len(ca) != len(cb) {
-			t.Fatalf("chunk %d: nondeterministic admins %v vs %v", n, ca, cb)
-		}
-		for i := range ca {
-			if ca[i] != cb[i] {
-				t.Fatalf("chunk %d: nondeterministic admins %v vs %v", n, ca, cb)
+	g := graph.NewGrid(5, 5)
+	for _, tc := range cases {
+		var first *Placement
+		for r := 0; r < tc.repeats; r++ {
+			pr, err := New(g, DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := pr.PlaceChunksCtx(context.Background(), tc.producer, tc.chunks, cache.NewState(25, tc.capacity))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = p
+				continue
+			}
+			for n := range first.Chunks {
+				a, b := first.Chunks[n], p.Chunks[n]
+				if !slices.Equal(a.CacheNodes, b.CacheNodes) || !slices.Equal(a.Assign, b.Assign) ||
+					a.Rounds != b.Rounds || !maps.Equal(a.Messages, b.Messages) {
+					t.Fatalf("producer %d capacity %d chunk %d, run %d: nondeterministic\n%+v\nvs\n%+v", tc.producer, tc.capacity, n, r, a, b)
+				}
 			}
 		}
 	}
@@ -357,6 +370,56 @@ func TestProtocolTraceHook(t *testing.T) {
 	for _, kind := range []string{KindNPI, KindCC, KindCCResp} {
 		if seen[kind] == 0 {
 			t.Errorf("trace never saw %s", kind)
+		}
+	}
+}
+
+func TestPlaceChunksStopsAtDeadline(t *testing.T) {
+	// A bid step of 1e-9 asks for 9e9 rounds on a 3×3 grid; 1e-300
+	// leaves the int range, and the bound saturates. Either way only the
+	// deadline ends the solve, and it must end it promptly.
+	for _, step := range []float64{1e-9, 1e-300} {
+		opts := DefaultOptions()
+		opts.AlphaStep = step
+		pr, err := New(graph.NewGrid(3, 3), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		start := time.Now()
+		_, err = pr.PlaceChunksCtx(ctx, 4, 2, cache.NewState(9, 5))
+		took := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("AlphaStep %g: err = %v, want context.DeadlineExceeded", step, err)
+		}
+		if took > 2*time.Second {
+			t.Errorf("AlphaStep %g: solve stopped %v after a 100ms deadline", step, took)
+		}
+	}
+}
+
+func TestRoundBoundSaturates(t *testing.T) {
+	g := graph.NewGrid(3, 3)
+	weights := make([]float64, 9)
+	for i := range weights {
+		weights[i] = 1
+	}
+	for _, tc := range []struct {
+		step float64
+		want int
+	}{
+		{step: 1, want: 3 + 4*9 + 32}, // a corner is 3 unit-weight nodes from the center
+		{step: 1e-18, want: 3e18 + 4*9 + 32},
+		{step: 1e-19, want: math.MaxInt},
+		{step: 1e-300, want: math.MaxInt},
+	} {
+		pr, err := New(g, Options{AlphaStep: tc.step})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pr.roundBound(4, weights); got != tc.want {
+			t.Errorf("AlphaStep %g: roundBound = %d, want %d", tc.step, got, tc.want)
 		}
 	}
 }

@@ -41,7 +41,8 @@ type cc struct{}
 func (cc) Kind() string { return KindCC }
 
 // ccResp reports the responder's contention weight, storage availability
-// and adjacency so the collector can evaluate local path costs.
+// and adjacency so the collector can evaluate local path costs. Neighbors
+// is the graph's own adjacency row, shared by every receiver: read-only.
 type ccResp struct {
 	Weight     float64
 	HasStorage bool

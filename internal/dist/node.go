@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"math"
 	"slices"
 
@@ -18,18 +19,48 @@ const (
 	stateAdmin
 )
 
-// peerInfo is the contention knowledge gathered about a k-hop neighbor.
-type peerInfo struct {
+// peer is what a CC response taught the collector about one k-hop
+// neighbor.
+type peer struct {
+	id         int
 	weight     float64
 	hasStorage bool
-	neighbors  []int
+	neighbors  []int // the graph's adjacency row: read-only
+}
+
+// candidate is a storage-bearing k-hop neighbor the node bids on: its
+// contention cost from the bidder, the relay bid γ raised toward it, and
+// whether TIGHT and SPAN went out to it.
+type candidate struct {
+	id        int
+	cost      float64
+	gamma     float64
+	sentTight bool
+	sentSpan  bool
+}
+
+// knownAdmin is an ADMIN learned from a BADMIN flood, with the cheapest
+// path cost announced for it.
+type knownAdmin struct {
+	id   int
+	cost float64
+}
+
+// requester is a member of the paper's set T (a node that sent TIGHT or
+// SPAN) with its SPAN payment, 0 until it pays.
+type requester struct {
+	id   int
+	paid float64
 }
 
 // node implements the per-device protocol of Algorithm 2 for one chunk.
+// Its tables are slices: PlaceChunksCtx resets a node between chunks and
+// keeps their storage.
 type node struct {
 	id       int
 	producer int
-	opts     Options
+	opts     *Options
+	scr      *pathScratch
 
 	weight     float64 // own w_i·(1+S(i))
 	fairness   float64 // own Fairness Degree Cost f_i (weighted)
@@ -37,6 +68,9 @@ type node struct {
 
 	state    nodeState
 	assigned int
+
+	// ccAnswer is the node's CC response for this chunk, once asked.
+	ccAnswer sim.Payload
 
 	// Producer reachability learned from the NPI flood.
 	prodCost float64
@@ -46,54 +80,39 @@ type node struct {
 	// race on equal information rather than on message latency.
 	ccRound int
 
-	// ADMIN reachability learned from BADMIN floods.
-	adminCost map[int]float64
+	// admins holds the ADMINs learned from BADMIN floods, in the order
+	// their first announcement arrived.
+	admins []knownAdmin
 
-	// k-hop contention knowledge from CC responses.
-	peers    map[int]peerInfo
-	conTo    map[int]float64
+	// peers holds the CC responses in arrival order; cands is built from
+	// them (see refreshCon) and ordered by id.
+	peers    []peer
+	cands    []candidate
 	conDirty bool
 
-	// Bidding state.
-	alpha     float64
-	gamma     map[int]float64
-	sentTight map[int]bool
-	sentSpan  map[int]bool
+	alpha float64
 
-	// Requester bookkeeping (the paper's set T and SPAN quorum count).
-	requesters []int
-	inT        map[int]bool
-	spanPaid   map[int]float64
+	// requesters is the set T in first-contact order; spanners counts
+	// those with a positive payment (the SPAN quorum).
+	requesters []requester
+	spanners   int
 }
 
 var _ sim.Node = (*node)(nil)
 
-func newNode(id, producer int, weight, fairness float64, hasStorage bool, opts Options) *node {
-	n := &node{
-		id:         id,
-		producer:   producer,
-		opts:       opts,
-		weight:     weight,
-		fairness:   fairness,
-		hasStorage: hasStorage,
-		state:      stateActive,
-		assigned:   -1,
-		prodCost:   math.Inf(1),
-		adminCost:  make(map[int]float64),
-		peers:      make(map[int]peerInfo),
-		conTo:      make(map[int]float64),
-		gamma:      make(map[int]float64),
-		sentTight:  make(map[int]bool),
-		sentSpan:   make(map[int]bool),
-		inT:        make(map[int]bool),
-		spanPaid:   make(map[int]float64),
-		ccRound:    -1,
+// reset starts a chunk: the node's own contention weight, fairness cost
+// and free storage, and empty protocol tables that keep their storage.
+func (n *node) reset(weight, fairness float64, hasStorage bool) {
+	*n = node{
+		id: n.id, producer: n.producer, opts: n.opts, scr: n.scr,
+		weight: weight, fairness: fairness, hasStorage: hasStorage,
+		state: stateActive, assigned: -1, prodCost: math.Inf(1), ccRound: -1,
+		admins: n.admins[:0], peers: n.peers[:0], cands: n.cands[:0],
+		requesters: n.requesters[:0],
 	}
-	if id == producer {
-		n.state = stateFrozen
-		n.assigned = id
+	if n.id == n.producer {
+		n.state, n.assigned = stateFrozen, n.id
 	}
-	return n
 }
 
 // Init: the producer floods the NPI announcement (its accumulated cost is
@@ -109,13 +128,13 @@ func (n *node) OnReceive(ctx *sim.Context, from int, p sim.Payload) {
 	case npi:
 		n.onNPI(ctx, m)
 	case cc:
-		ctx.Send(from, ccResp{
-			Weight:     n.weight,
-			HasStorage: n.hasStorage,
-			Neighbors:  append([]int(nil), ctx.Neighbors()...),
-		})
+		// Every collector of a chunk gets the same answer: box it once.
+		if n.ccAnswer == nil {
+			n.ccAnswer = ccResp{Weight: n.weight, HasStorage: n.hasStorage, Neighbors: ctx.Neighbors()}
+		}
+		ctx.Send(from, n.ccAnswer)
 	case ccResp:
-		n.peers[from] = peerInfo{weight: m.Weight, hasStorage: m.HasStorage, neighbors: m.Neighbors}
+		n.peers = append(n.peers, peer{id: from, weight: m.Weight, hasStorage: m.HasStorage, neighbors: m.Neighbors})
 		n.conDirty = true
 	case tight:
 		n.onRequest(ctx, from, 0, false)
@@ -152,10 +171,7 @@ func (n *node) onNPI(ctx *sim.Context, m npi) {
 // ADMIN nodes answer immediately; active candidates accumulate SPAN
 // support and volunteer once the quorum and the fairness payment are met.
 func (n *node) onRequest(ctx *sim.Context, from int, paid float64, isSpan bool) {
-	if !n.inT[from] {
-		n.inT[from] = true
-		n.requesters = append(n.requesters, from)
-	}
+	r := n.requester(from)
 	switch n.state {
 	case stateFrozen:
 		target := n.assigned
@@ -171,38 +187,64 @@ func (n *node) onRequest(ctx *sim.Context, from int, paid float64, isSpan bool) 
 	if !isSpan {
 		return
 	}
-	if paid > n.spanPaid[from] {
-		n.spanPaid[from] = paid
+	if paid > r.paid {
+		if r.paid == 0 {
+			n.spanners++
+		}
+		r.paid = paid
 	}
 	n.maybeBecomeAdmin(ctx)
 }
 
+// requester returns from's entry in the set T, adding it on first
+// contact.
+func (n *node) requester(from int) *requester {
+	for i := range n.requesters {
+		if n.requesters[i].id == from {
+			return &n.requesters[i]
+		}
+	}
+	n.requesters = append(n.requesters, requester{id: from})
+	return &n.requesters[len(n.requesters)-1]
+}
+
 // maybeBecomeAdmin applies the ADMIN condition: enough SPAN supporters
 // (the quorum M) and enough surplus payment to cover the node's own
-// fairness cost.
+// fairness cost. Payments are summed in the order their senders first
+// contacted the node, so a sum of three or more payments rounds the same
+// way on every run.
 func (n *node) maybeBecomeAdmin(ctx *sim.Context) {
-	if n.state != stateActive || !n.hasStorage {
-		return
-	}
-	if len(n.spanPaid) < n.opts.SpanQuorum {
+	if n.state != stateActive || !n.hasStorage || n.spanners < n.opts.SpanQuorum {
 		return
 	}
 	total := 0.0
-	for _, paid := range n.spanPaid {
-		total += paid
+	for _, r := range n.requesters {
+		total += r.paid
 	}
 	if total < n.fairness {
 		return
 	}
 	n.state = stateAdmin
 	n.assigned = n.id
-	for _, j := range n.requesters {
-		ctx.Send(j, nadmin{})
+	for _, r := range n.requesters {
+		ctx.Send(r.id, nadmin{})
 	}
 	ctx.SendNeighbors(badmin{Admin: n.id, Accum: n.weight})
 	// The data chunk itself is then proactively requested from the
 	// producer; the dissemination cost is evaluated by the Steiner-tree
 	// metric, not by protocol messages.
+}
+
+// admin returns the known ADMIN id, or nil. A BADMIN flood is a wave,
+// so the newest announcement is the likeliest match: the scan starts
+// there.
+func (n *node) admin(id int) *knownAdmin {
+	for i := len(n.admins) - 1; i >= 0; i-- {
+		if n.admins[i].id == id {
+			return &n.admins[i]
+		}
+	}
+	return nil
 }
 
 // onFreeze handles a redirect toward data holder m.Admin. Mirroring the
@@ -215,13 +257,10 @@ func (n *node) onFreeze(m freeze) {
 		return
 	}
 	cost := math.Inf(1)
-	switch {
-	case m.Admin == n.producer:
+	if m.Admin == n.producer {
 		cost = n.prodCost
-	default:
-		if c, ok := n.adminCost[m.Admin]; ok {
-			cost = c
-		}
+	} else if a := n.admin(m.Admin); a != nil {
+		cost = a.cost
 	}
 	if n.alpha >= cost {
 		n.state = stateFrozen
@@ -237,8 +276,8 @@ func (n *node) onNAdmin(ctx *sim.Context, from int) {
 	}
 	n.state = stateFrozen
 	n.assigned = from
-	for _, j := range n.requesters {
-		ctx.Send(j, freeze{Admin: from})
+	for _, r := range n.requesters {
+		ctx.Send(r.id, freeze{Admin: from})
 	}
 }
 
@@ -247,12 +286,16 @@ func (n *node) onBAdmin(ctx *sim.Context, m badmin) {
 	if m.Admin == n.id {
 		return
 	}
-	cost := m.Accum + n.weight
-	if old, ok := n.adminCost[m.Admin]; !ok || cost < old {
-		n.adminCost[m.Admin] = cost
-		ctx.SendNeighbors(badmin{Admin: m.Admin, Accum: m.Accum + n.weight})
+	a := n.admin(m.Admin)
+	if a == nil {
+		n.admins = append(n.admins, knownAdmin{id: m.Admin, cost: math.Inf(1)})
+		a = &n.admins[len(n.admins)-1]
 	}
-	if n.state == stateActive && n.alpha >= n.adminCost[m.Admin] {
+	if cost := m.Accum + n.weight; cost < a.cost {
+		a.cost = cost
+		ctx.SendNeighbors(badmin{Admin: m.Admin, Accum: cost})
+	}
+	if n.state == stateActive && n.alpha >= a.cost {
 		n.state = stateFrozen
 		n.assigned = m.Admin
 	}
@@ -271,13 +314,15 @@ func (n *node) OnTick(ctx *sim.Context) {
 
 	// Connect to the producer or a known ADMIN when the bid covers it —
 	// the TIGHT-with-an-open-facility case of the centralized algorithm.
+	// Among covered holders the producer comes first, then the lowest
+	// cost, then the lowest id.
 	bestOpen, bestCost := -1, math.Inf(1)
 	if n.alpha >= n.prodCost {
 		bestOpen, bestCost = n.producer, n.prodCost
 	}
-	for a, c := range n.adminCost {
-		if n.alpha >= c && c < bestCost {
-			bestOpen, bestCost = a, c
+	for _, a := range n.admins {
+		if n.alpha >= a.cost && (a.cost < bestCost || a.cost == bestCost && bestOpen != n.producer && a.id < bestOpen) {
+			bestOpen, bestCost = a.id, a.cost
 		}
 	}
 	if bestOpen >= 0 {
@@ -286,102 +331,127 @@ func (n *node) OnTick(ctx *sim.Context) {
 		return
 	}
 
-	n.refreshCon()
-	for _, j := range n.candidateOrder() {
-		c := n.conTo[j]
-		if n.alpha >= c && !n.sentTight[j] {
-			n.sentTight[j] = true
-			ctx.Send(j, tight{})
+	n.refreshCon(ctx.Neighbors())
+	for i := range n.cands {
+		c := &n.cands[i]
+		if c.sentSpan {
+			continue // its bids no longer send anything
 		}
-		if n.sentTight[j] {
-			n.gamma[j] += n.opts.GammaStep
-			if n.gamma[j] >= c && !n.sentSpan[j] {
-				n.sentSpan[j] = true
-				ctx.Send(j, span{Paid: n.alpha - c})
+		if n.alpha >= c.cost && !c.sentTight {
+			c.sentTight = true
+			ctx.Send(c.id, tight{})
+		}
+		if c.sentTight {
+			c.gamma += n.opts.GammaStep
+			if c.gamma >= c.cost {
+				c.sentSpan = true
+				ctx.Send(c.id, span{Paid: n.alpha - c.cost})
 			}
 		}
 	}
 }
 
-// refreshCon recomputes contention costs to k-hop candidates from the
-// collected neighborhood information (a local node-weighted shortest-path
-// computation over the known subgraph).
-func (n *node) refreshCon() {
+// refreshCon builds the candidate table from the CC responses: the
+// storage-bearing peers other than the producer that the known subgraph
+// reaches, with their contention costs, in id order. nbrs is the node's
+// own adjacency. Every CC response reaches the collector in round
+// ccRound+2, before its first bid, so the table is built once and no bid
+// is lost to a rebuild.
+func (n *node) refreshCon(nbrs []int) {
 	if !n.conDirty {
 		return
 	}
 	n.conDirty = false
-	n.conTo = localPathCosts(n.id, n.weight, n.peers)
-	// Only candidates with storage can serve as caching nodes.
-	for j := range n.conTo {
-		info, ok := n.peers[j]
-		if !ok || !info.hasStorage || j == n.producer {
-			delete(n.conTo, j)
+	dist := localPathCosts(n.id, n.weight, nbrs, n.peers, n.scr)
+	n.cands = n.cands[:0]
+	for i, p := range n.peers {
+		if p.hasStorage && p.id != n.producer && dist[i] < math.Inf(1) {
+			n.cands = append(n.cands, candidate{id: p.id, cost: dist[i]})
 		}
 	}
-}
-
-// candidateOrder returns known candidates in deterministic id order.
-func (n *node) candidateOrder() []int {
-	out := make([]int, 0, len(n.conTo))
-	for j := range n.conTo {
-		out = append(out, j)
-	}
-	slices.Sort(out)
-	return out
+	slices.SortFunc(n.cands, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
 }
 
 func (n *node) Done() bool { return n.state != stateActive }
 
-// localPathCosts runs a node-weighted Dijkstra over the locally known
-// subgraph (self + peers, edges limited to known nodes), returning the
-// contention cost from self to each known peer including both endpoints.
-func localPathCosts(self int, selfWeight float64, peers map[int]peerInfo) map[int]float64 {
-	weight := map[int]float64{self: selfWeight}
-	adj := map[int][]int{}
-	known := map[int]bool{self: true}
-	for id, info := range peers {
-		weight[id] = info.weight
-		known[id] = true
-	}
-	addEdge := func(u, v int) {
-		if known[u] && known[v] {
-			adj[u] = append(adj[u], v)
-			adj[v] = append(adj[v], u)
-		}
-	}
-	for id, info := range peers {
-		for _, nb := range info.neighbors {
-			addEdge(id, nb)
-		}
-	}
-
-	dist := map[int]float64{self: selfWeight}
-	done := map[int]bool{}
-	for {
-		u, best := -1, math.Inf(1)
-		for id, d := range dist {
-			if !done[id] && d < best {
-				u, best = id, d
-			}
-		}
-		if u == -1 {
-			break
-		}
-		done[u] = true
-		for _, v := range adj[u] {
-			if nd := best + weight[v]; nd < distOrInf(dist, v) {
-				dist[v] = nd
-			}
-		}
-	}
-	delete(dist, self)
-	return dist
+// pathScratch is localPathCosts' workspace. The nodes of one
+// PlaceChunksCtx call share one: the simulator runs them one at a time.
+type pathScratch struct {
+	local []int32   // node id → local index; -1 outside a call
+	dist  []float64 // by local index
+	open  []int32   // reached, unsettled local indices
 }
 
-func distOrInf(dist map[int]float64, v int) float64 {
-	if d, ok := dist[v]; ok {
-		return d
+// newPathScratch sizes a scratch for an n-node graph: a node knows at
+// most n nodes, itself included.
+func newPathScratch(n int) *pathScratch {
+	scr := &pathScratch{
+		local: make([]int32, n),
+		dist:  make([]float64, n),
+		open:  make([]int32, 0, n),
 	}
-	return math.Inf(1)
+	for i := range scr.local {
+		scr.local[i] = -1
+	}
+	return scr
+}
+
+// localPathCosts runs a node-weighted Dijkstra over the locally known
+// subgraph: self (local index 0, adjacency nbrs) and peers (local index
+// i+1 for peers[i]), with edges between known nodes only. It returns the
+// contention cost from self to each peer, both endpoints included, by
+// peer index (+Inf when unreached); the slice is scr's and valid until
+// the next call. The search scans its open list for the nearest node.
+// Weights are non-negative, so a settled node is never improved again,
+// and node-weighted distances do not depend on which of two equally near
+// nodes settles first.
+func localPathCosts(self int, selfWeight float64, nbrs []int, peers []peer, scr *pathScratch) []float64 {
+	m := len(peers) + 1
+	local, dist, open := scr.local, scr.dist[:m], scr.open[:0]
+	local[self] = 0
+	for i, p := range peers {
+		local[p.id] = int32(i + 1)
+	}
+	for i := range dist {
+		dist[i] = math.Inf(1)
+	}
+	dist[0] = selfWeight
+	open = append(open, 0)
+	for len(open) > 0 {
+		k := 0
+		for i := 1; i < len(open); i++ {
+			if dist[open[i]] < dist[open[k]] {
+				k = i
+			}
+		}
+		u := open[k]
+		open[k] = open[len(open)-1]
+		open = open[:len(open)-1]
+		adj := nbrs
+		if u > 0 {
+			adj = peers[u-1].neighbors
+		}
+		for _, v := range adj {
+			l := local[v]
+			if l < 0 {
+				continue
+			}
+			w := selfWeight
+			if l > 0 {
+				w = peers[l-1].weight
+			}
+			if nd := dist[u] + w; nd < dist[l] {
+				if math.IsInf(dist[l], 1) {
+					open = append(open, l)
+				}
+				dist[l] = nd
+			}
+		}
+	}
+	scr.open = open
+	local[self] = -1
+	for _, p := range peers {
+		local[p.id] = -1
+	}
+	return dist[1:]
 }

@@ -5,56 +5,77 @@ import (
 	"testing"
 )
 
+// testNode returns node id of a producer-rooted run, reset for a chunk.
+func testNode(id, producer int, weight, fairness float64, hasStorage bool, opts Options) *node {
+	n := &node{id: id, producer: producer, opts: &opts, scr: newPathScratch(16)}
+	n.reset(weight, fairness, hasStorage)
+	return n
+}
+
 func TestLocalPathCostsDirectAndTwoHop(t *testing.T) {
-	// Self 0 with peers 1 (weight 2, neighbor of 0 and 2) and 2 (weight
-	// 3, neighbor of 1). Self weight 1.
-	peers := map[int]peerInfo{
-		1: {weight: 2, neighbors: []int{0, 2}},
-		2: {weight: 3, neighbors: []int{1}},
+	// Self 0 (weight 1, neighbor 1) with peers 1 (weight 2, neighbor of
+	// 0 and 2) and 2 (weight 3, neighbor of 1).
+	peers := []peer{
+		{id: 1, weight: 2, neighbors: []int{0, 2}},
+		{id: 2, weight: 3, neighbors: []int{1}},
 	}
-	costs := localPathCosts(0, 1, peers)
-	if got := costs[1]; got != 3 { // 1 + 2
+	costs := localPathCosts(0, 1, []int{1}, peers, newPathScratch(3))
+	if got := costs[0]; got != 3 { // 1 + 2
 		t.Errorf("cost to 1 = %g, want 3", got)
 	}
-	if got := costs[2]; got != 6 { // 1 + 2 + 3
+	if got := costs[1]; got != 6 { // 1 + 2 + 3
 		t.Errorf("cost to 2 = %g, want 6", got)
 	}
-	if _, ok := costs[0]; ok {
-		t.Error("self appears in its own cost map")
+	if len(costs) != len(peers) {
+		t.Errorf("%d costs for %d peers", len(costs), len(peers))
 	}
 }
 
 func TestLocalPathCostsUnknownNodesIgnored(t *testing.T) {
 	// Peer 1 reports neighbor 99, which self knows nothing about: no
-	// edge (and no entry) may be created for it.
-	peers := map[int]peerInfo{
-		1: {weight: 2, neighbors: []int{0, 99}},
+	// edge (and no entry) may be created for it, and the scratch is
+	// clean for the next call.
+	peers := []peer{{id: 1, weight: 2, neighbors: []int{0, 99}}}
+	scr := newPathScratch(100)
+	costs := localPathCosts(0, 1, []int{1, 99}, peers, scr)
+	if len(costs) != 1 || costs[0] != 3 {
+		t.Errorf("costs = %v, want [3]", costs)
 	}
-	costs := localPathCosts(0, 1, peers)
-	if _, ok := costs[99]; ok {
-		t.Error("unknown node 99 got a cost entry")
-	}
-	if costs[1] != 3 {
-		t.Errorf("cost to 1 = %g, want 3", costs[1])
+	for v, l := range scr.local {
+		if l != -1 {
+			t.Fatalf("scratch maps node %d to %d after the call", v, l)
+		}
 	}
 }
 
 func TestLocalPathCostsPrefersCheapRelay(t *testing.T) {
 	// Two routes from 0 to 3: via heavy node 1 (weight 10) or light
 	// node 2 (weight 1).
-	peers := map[int]peerInfo{
-		1: {weight: 10, neighbors: []int{0, 3}},
-		2: {weight: 1, neighbors: []int{0, 3}},
-		3: {weight: 2, neighbors: []int{1, 2}},
+	peers := []peer{
+		{id: 1, weight: 10, neighbors: []int{0, 3}},
+		{id: 2, weight: 1, neighbors: []int{0, 3}},
+		{id: 3, weight: 2, neighbors: []int{1, 2}},
 	}
-	costs := localPathCosts(0, 1, peers)
-	if costs[3] != 4 { // 1 + 1 + 2 via node 2
-		t.Errorf("cost to 3 = %g, want 4 via the light relay", costs[3])
+	costs := localPathCosts(0, 1, []int{1, 2}, peers, newPathScratch(4))
+	if costs[2] != 4 { // 1 + 1 + 2 via node 2
+		t.Errorf("cost to 3 = %g, want 4 via the light relay", costs[2])
+	}
+}
+
+func TestLocalPathCostsUnreachedPeerIsInfinite(t *testing.T) {
+	// Peer 2's only link runs through node 5, which never answered.
+	peers := []peer{
+		{id: 1, weight: 2, neighbors: []int{0}},
+		{id: 2, weight: 3, neighbors: []int{5}},
+	}
+	costs := localPathCosts(0, 1, []int{1}, peers, newPathScratch(6))
+	if costs[0] != 3 || !math.IsInf(costs[1], 1) {
+		t.Errorf("costs = %v, want [3 +Inf]", costs)
 	}
 }
 
 func TestOnFreezeGatedByBid(t *testing.T) {
-	n := newNode(3, 0, 1, 0, true, DefaultOptions())
+	n := testNode(3, 0, 1, 0, true, DefaultOptions())
 	n.prodCost = 10
 
 	// Redirect toward the producer with an insufficient bid: ignored.
@@ -72,7 +93,7 @@ func TestOnFreezeGatedByBid(t *testing.T) {
 	}
 
 	// Known admin whose cost the bid covers: accepted.
-	n.adminCost[7] = 50
+	n.admins = append(n.admins, knownAdmin{id: 7, cost: 50})
 	n.onFreeze(freeze{Admin: 7})
 	if n.state != stateFrozen || n.assigned != 7 {
 		t.Fatalf("state = %v assigned = %d, want frozen onto 7", n.state, n.assigned)
@@ -88,22 +109,24 @@ func TestOnFreezeGatedByBid(t *testing.T) {
 func TestMaybeBecomeAdminConditions(t *testing.T) {
 	opts := DefaultOptions()
 	opts.SpanQuorum = 2
-	n := newNode(1, 0, 1, 30 /* fairness */, true, opts)
+	n := testNode(1, 0, 1, 30 /* fairness */, true, opts)
 
 	// One supporter with enough payment: quorum unmet.
-	n.spanPaid[5] = 10
+	n.requesters = append(n.requesters, requester{id: 5, paid: 10})
+	n.spanners = 1
 	n.maybeBecomeAdmin(nil)
 	if n.state == stateAdmin {
 		t.Fatal("became admin below the SPAN quorum")
 	}
 	// Two supporters but insufficient total payment vs fairness cost 30.
-	n.spanPaid[6] = 10
+	n.requesters = append(n.requesters, requester{id: 6, paid: 10})
+	n.spanners = 2
 	n.maybeBecomeAdmin(nil)
 	if n.state == stateAdmin {
 		t.Fatal("became admin with unpaid fairness cost")
 	}
 	// Without storage: never, even with quorum and payment satisfied.
-	n.spanPaid[6] = 40
+	n.requesters[1].paid = 40
 	n.hasStorage = false
 	n.maybeBecomeAdmin(nil)
 	if n.state == stateAdmin {
@@ -111,47 +134,48 @@ func TestMaybeBecomeAdminConditions(t *testing.T) {
 	}
 }
 
+func TestZeroSpanPaymentMissesQuorum(t *testing.T) {
+	// A SPAN paying nothing makes its sender a requester but no
+	// supporter: with a quorum of one, the candidate stays active.
+	opts := DefaultOptions()
+	opts.SpanQuorum = 1
+	n := testNode(1, 0, 1, 0, true, opts)
+	n.onRequest(nil, 4, 0, true)
+	if n.state != stateActive || n.spanners != 0 || len(n.requesters) != 1 {
+		t.Fatalf("state %v, spanners %d, requesters %v after a zero SPAN", n.state, n.spanners, n.requesters)
+	}
+}
+
 func TestCandidateOrderDeterministic(t *testing.T) {
-	n := newNode(0, 9, 1, 0, true, DefaultOptions())
-	n.conTo = map[int]float64{7: 1, 2: 3, 5: 2}
-	got := n.candidateOrder()
+	// CC responses arrive in any order; the candidate table (the bid
+	// order) is by id.
+	n := testNode(0, 9, 1, 0, true, DefaultOptions())
+	for _, id := range []int{7, 2, 5} {
+		n.peers = append(n.peers, peer{id: id, weight: 1, hasStorage: true, neighbors: []int{0}})
+	}
+	n.conDirty = true
+	n.refreshCon([]int{2, 5, 7})
 	want := []int{2, 5, 7}
-	if len(got) != len(want) {
-		t.Fatalf("candidateOrder = %v", got)
+	if len(n.cands) != len(want) {
+		t.Fatalf("candidates = %v", n.cands)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("candidateOrder[%d] = %d, want %d", i, got[i], want[i])
+		if n.cands[i].id != want[i] {
+			t.Errorf("candidate %d = %d, want %d", i, n.cands[i].id, want[i])
 		}
 	}
 }
 
 func TestRefreshConFiltersNonCandidates(t *testing.T) {
-	n := newNode(0, 9, 1, 0, true, DefaultOptions())
-	n.peers = map[int]peerInfo{
-		1: {weight: 2, hasStorage: true, neighbors: []int{0}},
-		2: {weight: 2, hasStorage: false, neighbors: []int{0}}, // full
-		9: {weight: 2, hasStorage: true, neighbors: []int{0}},  // producer
+	n := testNode(0, 9, 1, 0, true, DefaultOptions())
+	n.peers = []peer{
+		{id: 1, weight: 2, hasStorage: true, neighbors: []int{0}},
+		{id: 2, weight: 2, hasStorage: false, neighbors: []int{0}}, // full
+		{id: 9, weight: 2, hasStorage: true, neighbors: []int{0}},  // producer
 	}
 	n.conDirty = true
-	n.refreshCon()
-	if _, ok := n.conTo[1]; !ok {
-		t.Error("storage-bearing peer missing from candidates")
-	}
-	if _, ok := n.conTo[2]; ok {
-		t.Error("full peer kept as candidate")
-	}
-	if _, ok := n.conTo[9]; ok {
-		t.Error("producer kept as candidate")
-	}
-}
-
-func TestDistOrInf(t *testing.T) {
-	d := map[int]float64{1: 2}
-	if distOrInf(d, 1) != 2 {
-		t.Error("existing entry wrong")
-	}
-	if !math.IsInf(distOrInf(d, 5), 1) {
-		t.Error("missing entry should be +Inf")
+	n.refreshCon([]int{1, 2, 9})
+	if len(n.cands) != 1 || n.cands[0].id != 1 || n.cands[0].cost != 3 {
+		t.Errorf("candidates = %v, want only peer 1 at cost 3", n.cands)
 	}
 }

@@ -150,6 +150,10 @@ func (a *Arcs) Weight(u, v int) float64 {
 	return Infinite
 }
 
+// WeightAt returns the weight Fill evaluated for u's i-th arc, the one to
+// Neighbors(u)[i].
+func (a *Arcs) WeightAt(u, i int) float64 { return a.arcs[int(a.off[u])+i].w }
+
 // DijkstraStop ends a search early. Nodes settle in nondecreasing
 // distance and a settled node's entries never change again, so every node
 // a stopped search settles has exactly the distance and predecessor a

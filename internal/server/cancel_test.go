@@ -79,3 +79,27 @@ func TestSolveTimeoutDoesNotCommit(t *testing.T) {
 		t.Fatalf("aborted solve committed: version %d, solves %d", rep.Snapshot.Version, rep.Snapshot.Solves)
 	}
 }
+
+// TestDistTinyStepStopsAtDeadline: a Dist solve whose bid step asks for
+// more rounds than any deadline allows (1e-9), or more than an int holds
+// (1e-300), answers a typed 504 when the server's solve budget runs out,
+// and frees the topology's worker: an Appx solve right after succeeds.
+func TestDistTinyStepStopsAtDeadline(t *testing.T) {
+	c, _ := newTestClient(t, Options{SolveTimeout: 150 * time.Millisecond})
+	reg := c.registerGrid(3, 3, 4)
+	for _, step := range []float64{1e-9, 1e-300} {
+		start := time.Now()
+		c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
+			SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "dist", AlphaStep: step}},
+			http.StatusGatewayTimeout, CodeTimeout)
+		if took := time.Since(start); took > 5*time.Second {
+			t.Errorf("alphaStep %g: answered after %v with a 150ms budget", step, took)
+		}
+	}
+	var out SolveResponse
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
+		SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, &out, http.StatusOK)
+	if out.Version != 2 {
+		t.Fatalf("follow-up solve version = %d, want 2 (the timed-out solves commit nothing)", out.Version)
+	}
+}

@@ -8,6 +8,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -45,6 +46,8 @@ type DropFunc func(from, to int, p Payload) bool
 type TraceFunc func(round, from, to int, p Payload)
 
 // Network couples a topology with node behaviours and runs the protocol.
+// A network may run many times; each run starts empty and reuses the
+// previous run's queues and per-node contexts.
 type Network struct {
 	g     *graph.Graph
 	nodes []Node
@@ -53,10 +56,17 @@ type Network struct {
 	// Trace, when non-nil, observes every delivered message.
 	Trace TraceFunc
 
+	ctxs   []Context  // ctxs[i] is node i's handle in every callback
 	inbox  []delivery // messages to deliver this round
 	outbox []delivery // messages sent this round, delivered next round
-	counts map[string]int
+	kinds  []string   // message kinds in first-send order
+	counts []int      // counts[k] messages of kinds[k] sent this run
+	last   int        // the kinds index count matched last
 	round  int
+
+	src  [1]int  // SendKHop's BFS source
+	hops []int32 // SendKHop's BFS distances
+	bfsq []int32 // SendKHop's BFS queue
 }
 
 type delivery struct {
@@ -72,27 +82,42 @@ func NewNetwork(g *graph.Graph, nodes []Node) (*Network, error) {
 	if g.NumNodes() != len(nodes) {
 		return nil, fmt.Errorf("sim: %d nodes for a %d-node graph", len(nodes), g.NumNodes())
 	}
-	return &Network{
-		g:      g,
-		nodes:  nodes,
-		counts: make(map[string]int),
-	}, nil
+	n := &Network{
+		g:     g,
+		nodes: nodes,
+		ctxs:  make([]Context, len(nodes)),
+		hops:  make([]int32, len(nodes)),
+	}
+	for i := range n.ctxs {
+		n.ctxs[i] = Context{net: n, self: i}
+	}
+	return n, nil
 }
 
 // Run executes rounds until every node is done and no messages are in
-// flight, or maxRounds is exceeded. It returns the number of rounds run.
-func (n *Network) Run(maxRounds int) (int, error) {
+// flight, or maxRounds is exceeded, or ctx ends. It returns the number of
+// rounds run. Each run starts from an empty network: the messages and
+// counters of an earlier run are discarded, and the nodes are whatever
+// state the caller left them in. ctx is checked before every round, so a
+// cancelled or expired run stops within one round and returns ctx.Err().
+func (n *Network) Run(ctx context.Context, maxRounds int) (int, error) {
+	n.inbox, n.outbox = n.inbox[:0], n.outbox[:0]
+	n.kinds, n.counts = n.kinds[:0], n.counts[:0]
+	n.round = 0
 	for i, node := range n.nodes {
-		node.Init(&Context{net: n, self: i})
+		node.Init(&n.ctxs[i])
 	}
 	n.promoteOutbox()
 	for n.round = 0; n.round < maxRounds; n.round++ {
+		if err := ctx.Err(); err != nil {
+			return n.round, err
+		}
 		for _, d := range n.inbox {
-			n.nodes[d.to].OnReceive(&Context{net: n, self: d.to}, d.from, d.payload)
+			n.nodes[d.to].OnReceive(&n.ctxs[d.to], d.from, d.payload)
 		}
 		n.inbox = n.inbox[:0]
 		for i, node := range n.nodes {
-			node.OnTick(&Context{net: n, self: i})
+			node.OnTick(&n.ctxs[i])
 		}
 		n.promoteOutbox()
 		if len(n.inbox) == 0 && n.allDone() {
@@ -106,7 +131,7 @@ func (n *Network) Run(maxRounds int) (int, error) {
 // drop hook and counting every attempted send.
 func (n *Network) promoteOutbox() {
 	for _, d := range n.outbox {
-		n.counts[d.payload.Kind()]++
+		n.count(d.payload.Kind())
 		if n.Drop != nil && n.Drop(d.from, d.to, d.payload) {
 			continue
 		}
@@ -118,6 +143,27 @@ func (n *Network) promoteOutbox() {
 	n.outbox = n.outbox[:0]
 }
 
+// count adds one message of the given kind. A protocol has a handful of
+// kinds and sends them in runs (a flood, a k-hop collection), so the
+// last kind counted is tried first, then the kinds seen so far: no
+// message hashes its kind.
+func (n *Network) count(kind string) {
+	if k := n.last; k < len(n.kinds) && n.kinds[k] == kind {
+		n.counts[k]++
+		return
+	}
+	for k, seen := range n.kinds {
+		if seen == kind {
+			n.last = k
+			n.counts[k]++
+			return
+		}
+	}
+	n.last = len(n.kinds)
+	n.kinds = append(n.kinds, kind)
+	n.counts = append(n.counts, 1)
+}
+
 func (n *Network) allDone() bool {
 	for _, node := range n.nodes {
 		if !node.Done() {
@@ -127,17 +173,17 @@ func (n *Network) allDone() bool {
 	return true
 }
 
-// Counts returns a copy of the per-kind message counters (attempted sends,
-// including dropped ones).
+// Counts returns the per-kind message counters of the last run (attempted
+// sends, including dropped ones) in a new map.
 func (n *Network) Counts() map[string]int {
-	out := make(map[string]int, len(n.counts))
-	for k, v := range n.counts {
-		out[k] = v
+	out := make(map[string]int, len(n.kinds))
+	for k, kind := range n.kinds {
+		out[kind] = n.counts[k]
 	}
 	return out
 }
 
-// TotalMessages returns the total number of messages sent.
+// TotalMessages returns the total number of messages sent in the last run.
 func (n *Network) TotalMessages() int {
 	total := 0
 	for _, v := range n.counts {
@@ -146,12 +192,9 @@ func (n *Network) TotalMessages() int {
 	return total
 }
 
-// Kinds returns the message kinds seen so far, sorted.
+// Kinds returns the message kinds sent in the last run, sorted.
 func (n *Network) Kinds() []string {
-	out := make([]string, 0, len(n.counts))
-	for k := range n.counts {
-		out = append(out, k)
-	}
+	out := slices.Clone(n.kinds)
 	slices.Sort(out)
 	return out
 }
@@ -195,9 +238,18 @@ func (c *Context) SendNeighbors(p Payload) {
 	}
 }
 
-// SendKHop queues the payload to every node within k hops.
+// SendKHop queues the payload to every node within k hops, in id order
+// (the order of KHop).
 func (c *Context) SendKHop(k int, p Payload) {
-	for _, v := range c.net.g.KHopNeighbors(c.self, k) {
-		c.Send(v, p)
+	if k <= 0 {
+		return
+	}
+	net := c.net
+	net.src[0] = c.self
+	net.bfsq = graph.BFS(net.g, net.src[:], k, net.hops, net.bfsq)
+	for v, d := range net.hops {
+		if v != c.self && d != graph.Unreachable {
+			c.Send(v, p)
+		}
 	}
 }

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -60,7 +63,7 @@ func TestFloodReachesEveryNodeWithinTTL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := net.Run(50)
+	rounds, err := net.Run(context.Background(), 50)
 	if err != nil {
 		t.Fatalf("Run: %v (rounds %d)", err, rounds)
 	}
@@ -94,8 +97,71 @@ func TestRunStopsWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Run(5); !errors.Is(err, ErrMaxRounds) {
+	if _, err := net.Run(context.Background(), 5); !errors.Is(err, ErrMaxRounds) {
 		t.Errorf("err = %v, want ErrMaxRounds", err)
+	}
+}
+
+func TestRunStopsOnContext(t *testing.T) {
+	// Idle nodes never finish, so only the context can end an unbounded
+	// run: a cancelled one before its first round, an expiring one soon
+	// after its deadline.
+	g := graph.NewGrid(2, 2)
+	nodes := make([]Node, 4)
+	for i := range nodes {
+		nodes[i] = &floodNode{}
+	}
+	net, err := NewNetwork(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if rounds, err := net.Run(cancelled, 5); !errors.Is(err, context.Canceled) || rounds != 0 {
+		t.Errorf("cancelled run: rounds %d, err %v; want 0, context.Canceled", rounds, err)
+	}
+	ctx, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer stop()
+	start := time.Now()
+	if _, err := net.Run(ctx, math.MaxInt); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("run stopped %v after a 20ms deadline", took)
+	}
+}
+
+func TestRunRestartsEmpty(t *testing.T) {
+	// A second run of the same network starts with no messages in flight
+	// and fresh counters, so it repeats the first run exactly.
+	g := graph.NewGrid(3, 3)
+	floods := make([]*floodNode, 9)
+	nodes := make([]Node, 9)
+	for i := range nodes {
+		floods[i] = &floodNode{origin: i == 0}
+		nodes[i] = floods[i]
+	}
+	net, err := NewNetwork(g, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stop the first run mid-flood so messages are left in flight.
+	if _, err := net.Run(context.Background(), 1); !errors.Is(err, ErrMaxRounds) {
+		t.Fatalf("short run: err = %v, want ErrMaxRounds", err)
+	}
+	var rounds [2]int
+	var counts [2]map[string]int
+	for r := range rounds {
+		for i, f := range floods {
+			*f = floodNode{origin: i == 0}
+		}
+		if rounds[r], err = net.Run(context.Background(), 50); err != nil {
+			t.Fatal(err)
+		}
+		counts[r] = net.Counts()
+	}
+	if rounds[0] != rounds[1] || counts[0]["PING"] != counts[1]["PING"] || len(counts[1]) != 1 {
+		t.Errorf("runs differ: rounds %v, counts %v", rounds, counts)
 	}
 }
 
@@ -115,7 +181,7 @@ func TestDropInjection(t *testing.T) {
 	// so the run cannot finish (receivers stay not-done) — but counts
 	// still record the attempted sends.
 	net.Drop = func(from, to int, p Payload) bool { return true }
-	if _, err := net.Run(5); !errors.Is(err, ErrMaxRounds) {
+	if _, err := net.Run(context.Background(), 5); !errors.Is(err, ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds under total loss", err)
 	}
 	if net.Counts()["PING"] == 0 {
@@ -141,7 +207,7 @@ func TestPartialDropStillCompletes(t *testing.T) {
 	// Deterministically drop one of node 8's two incoming links (from 5);
 	// the flood must still reach it via node 7.
 	net.Drop = func(from, to int, p Payload) bool { return to == 8 && from == 5 }
-	if _, err := net.Run(50); err != nil {
+	if _, err := net.Run(context.Background(), 50); err != nil {
 		t.Fatalf("Run with partial loss: %v", err)
 	}
 }
@@ -189,6 +255,19 @@ func TestSendKHopCountsPerReceiver(t *testing.T) {
 	if len(net.outbox) != 4 {
 		t.Errorf("SendKHop(1) from center queued %d, want 4", len(net.outbox))
 	}
+	// Receivers are queued in KHop's id order.
+	net.outbox = net.outbox[:0]
+	ctx = &Context{net: net, self: 1}
+	ctx.SendKHop(2, pingPayload{})
+	want := ctx.KHop(2)
+	if len(net.outbox) != len(want) {
+		t.Fatalf("SendKHop(2) queued %d, want %d", len(net.outbox), len(want))
+	}
+	for i, d := range net.outbox {
+		if d.to != want[i] {
+			t.Errorf("SendKHop(2) receiver %d = %d, want %d (KHop order %v)", i, d.to, want[i], want)
+		}
+	}
 }
 
 func TestTraceObservesDeliveredMessages(t *testing.T) {
@@ -214,7 +293,7 @@ func TestTraceObservesDeliveredMessages(t *testing.T) {
 	}
 	// Node 4 never hears anything, so the run times out — that's fine,
 	// the trace contract is what is under test.
-	_, _ = net.Run(30)
+	_, _ = net.Run(context.Background(), 30)
 	delivered := net.Counts()["PING"]
 	if traced == 0 || traced >= delivered {
 		t.Errorf("traced %d of %d attempted messages; want >0 and < attempted (drops excluded)", traced, delivered)

@@ -20,10 +20,11 @@ func Improve(g *graph.Graph, w graph.EdgeWeightFunc, tree Tree, terminals []int)
 }
 
 // ImproveScratch is Improve with the key-path search's per-node buffers
-// (multi-source Dijkstra rows and heap, side membership, degree counts and
-// the union-find) carved out of scr — the same arena the MST construction
-// uses, so the per-chunk loop threads one scratch through both phases. nil
-// allocates a transient scratch; results are identical either way.
+// (the arc weights, multi-source Dijkstra rows and heap, side membership,
+// degree counts and the union-find) carved out of scr — the same arena
+// the MST construction uses, so the per-chunk loop threads one scratch
+// through both phases. nil allocates a transient scratch; results are
+// identical either way.
 func ImproveScratch(g *graph.Graph, w graph.EdgeWeightFunc, tree Tree, terminals []int, scr *Scratch) Tree {
 	if scr == nil {
 		scr = &Scratch{}
@@ -36,6 +37,8 @@ func ImproveScratch(g *graph.Graph, w graph.EdgeWeightFunc, tree Tree, terminals
 	for _, t := range ts {
 		isTerminal[t] = true
 	}
+	// Every key-path search of every pass reads the same weights.
+	scr.arcs.Fill(g, w)
 
 	current := append([]graph.Edge(nil), tree.Edges...)
 	for pass := 0; pass < len(ts)+2; pass++ {
@@ -192,7 +195,7 @@ func tryExchange(g *graph.Graph, w graph.EdgeWeightFunc, edges []graph.Edge, kp 
 		mark(e.V)
 	}
 
-	exchangeSearch(g, w, side, scr)
+	exchangeSearch(g, side, scr)
 	dist, pred := scr.idist, scr.ipred
 
 	// Cheapest reconnection into side B. Scan in node order so ties break
@@ -230,7 +233,8 @@ func (a exchangeItem) less(b exchangeItem) bool {
 }
 
 // exchangeSearch is the key-path exchange's multi-source Dijkstra from
-// every side-A node over the full graph, into scr.idist and scr.ipred. It
+// every side-A node over the full graph, into scr.idist and scr.ipred,
+// with the edge weights ImproveScratch filled into scr.arcs. It
 // settles nodes in (distance, node id) order: the node a linear scan for
 // the least distance would pick, the lowest id on ties. Exchange decisions
 // are replayed byte for byte in the determinism suites, so that order is
@@ -239,7 +243,7 @@ func (a exchangeItem) less(b exchangeItem) bool {
 // nodes or above the node's current distance are skipped when popped.
 // graph.DijkstraInto keeps container/heap's distance-only order instead,
 // which the MST construction's trees depend on.
-func exchangeSearch(g *graph.Graph, w graph.EdgeWeightFunc, side []int8, scr *Scratch) {
+func exchangeSearch(g *graph.Graph, side []int8, scr *Scratch) {
 	dist, pred, visited := scr.idist, scr.ipred, scr.visited
 	h := scr.iheap[:0]
 	for v := range dist {
@@ -263,8 +267,8 @@ func exchangeSearch(g *graph.Graph, w graph.EdgeWeightFunc, side []int8, scr *Sc
 			continue
 		}
 		visited[u] = true
-		for _, v := range g.Neighbors(u) {
-			if d := dist[u] + w(u, v); d < dist[v] {
+		for i, v := range g.Neighbors(u) {
+			if d := dist[u] + scr.arcs.WeightAt(u, i); d < dist[v] {
 				dist[v] = d
 				pred[v] = int32(u)
 				h = append(h, exchangeItem{dist: d, node: int32(v)})

@@ -184,7 +184,8 @@ func TestExchangeSearchMatchesScan(t *testing.T) {
 		}
 		side[rng.Intn(n)] = sideA
 		scr.growImprove(n)
-		exchangeSearch(g, w, side, scr)
+		scr.arcs.Fill(g, w)
+		exchangeSearch(g, side, scr)
 		wantDist, wantPred := scanExchangeSearch(g, w, side)
 		for v := 0; v < n; v++ {
 			if math.Float64bits(scr.idist[v]) != math.Float64bits(wantDist[v]) || scr.ipred[v] != wantPred[v] {

@@ -23,11 +23,15 @@ cd "$(dirname "$0")/.."
 # and per-requester kernels (serving an event, the eviction score writer
 # and the per-chunk victim scan, the retrieval table's nearest/second
 # scan and its two holder-change updates, and the redundancy ball walk),
-# and the requests body parser with its per-token steps. Non-zero
-# budgets cover lazy scratch-growth `make` sites, the returned
-# ChunkResult, the per-chunk edge-cost closure, the parser's one events
-# slice per batch, and error-path fmt args — all per-chunk at worst,
-# never per-tick.
+# the requests body parser with its per-token steps, and Algorithm 2's
+# simulation (a device's bid tick, its k-hop path search and the
+# simulator's round loop). Non-zero budgets cover lazy scratch-growth
+# `make` sites, the returned ChunkResult, the per-chunk edge-cost
+# closure, the parser's one events slice per batch, error-path fmt args
+# — all per-chunk at worst, never per-tick — and OnTick's two protocol
+# messages: the TIGHT and SPAN payloads are boxed into sim.Payload, TIGHT
+# is zero-size (no allocation) and SPAN carries the bidder's surplus, at
+# most one per candidate per chunk.
 CHECKS="
 internal/confl/confl.go:tick:0
 internal/confl/confl.go:readColumn:0
@@ -53,6 +57,9 @@ internal/demand/demand.go:holdersRemove:0
 internal/server/eventcodec.go:parseEvents:1
 internal/server/eventcodec.go:tokens:0
 internal/server/eventcodec.go:integer:0
+internal/dist/node.go:OnTick:2
+internal/dist/node.go:localPathCosts:0
+internal/sim/sim.go:Run:0
 "
 
 fail=0
