@@ -27,8 +27,6 @@ type AdaptiveOptions struct {
 	Capacity int
 	// FairnessWeight scales the fairness cost term (default 1).
 	FairnessWeight float64
-	// Workers sizes the solver pool (0 = GOMAXPROCS).
-	Workers int
 	// Eviction names the score adaptation passes evict copies by, lowest
 	// first: "cost" (default — the demand-weighted retrieval-cost increase
 	// the copy's removal would cause), "lru" (the tick of the copy's last
@@ -109,10 +107,6 @@ type AdaptiveSystem struct {
 	sys  *demand.System
 	topo *Topology
 	name string
-	// tracer is the creating Solver's span ring, shared so adaptation
-	// passes whose context carries no trace land next to solve spans
-	// under one sampling knob.
-	tracer *trace.Tracer
 }
 
 // NewAdaptive builds and seeds an adaptive caching system on the
@@ -151,7 +145,7 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 		return nil, fmt.Errorf("%w: unknown eviction strategy %q", ErrBadArgument, o.Eviction)
 	}
 
-	pl := pool.New(pool.Normalize(o.Workers))
+	pl := pool.New(0)
 	defer pl.Close()
 	var dead trace.Span
 	bm, err := s.baseModel(ctx, pl, &dead)
@@ -164,7 +158,6 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
 	sys, err := demand.New(m, producer, chunks, demand.Options{
-		Workers:    o.Workers,
 		Eviction:   eviction,
 		HitRadius:  o.HitRadius,
 		TopDelta:   o.TopDelta,
@@ -176,7 +169,7 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 	if err := sys.SeedCtx(ctx); err != nil {
 		return nil, demandError(err)
 	}
-	return &AdaptiveSystem{sys: sys, topo: s.topo, name: o.Eviction, tracer: s.tracer}, nil
+	return &AdaptiveSystem{sys: sys, topo: s.topo, name: o.Eviction}, nil
 }
 
 // demandError wraps an error from the adaptive engine for the public API:
@@ -223,10 +216,10 @@ func (a *AdaptiveSystem) Adapt(ctx context.Context) (*AdaptationResult, error) {
 // AdaptWith is Adapt with per-pass observability options: an Explain
 // pass records the five phases' spans (score, evict, replace,
 // redundancy, fill, plus the settling refresh) and returns the summary
-// in AdaptationResult.Trace. The spans record into the request trace the
-// context carries, if any (the daemon's); otherwise into the owning
-// solver's trace ring under its sampling knob. nil opts behaves exactly
-// like Adapt.
+// in AdaptationResult.Trace. The spans record into the trace the context
+// carries, if any (the daemon's); an Explain pass whose context carries
+// none keeps its spans for its report only. nil opts behaves exactly like
+// Adapt.
 func (a *AdaptiveSystem) AdaptWith(ctx context.Context, opts *AdaptRunOptions) (*AdaptationResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -236,8 +229,8 @@ func (a *AdaptiveSystem) AdaptWith(ctx context.Context, opts *AdaptRunOptions) (
 		o = *opts
 	}
 	tr := trace.FromContext(ctx)
-	if tr == nil {
-		tr = a.tracer.StartTrace("", o.Explain)
+	if tr == nil && o.Explain {
+		tr = trace.Collect()
 	}
 	sp := tr.Start("adapt")
 	rep, err := a.sys.AdaptTraceCtx(ctx, &sp)

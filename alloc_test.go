@@ -32,6 +32,7 @@ func TestSolveAllocBudget(t *testing.T) {
 		{faircache.AlgorithmContention, 3000},
 	} {
 		t.Run(string(tc.alg), func(t *testing.T) {
+			setWidth(t, 1)
 			topo, err := faircache.Grid(6, 6)
 			if err != nil {
 				t.Fatal(err)
@@ -44,7 +45,7 @@ func TestSolveAllocBudget(t *testing.T) {
 				Producer:  9,
 				Chunks:    8,
 				Algorithm: tc.alg,
-				Options:   &faircache.Options{Capacity: 3, Workers: 1},
+				Options:   &faircache.Options{Capacity: 3},
 			}
 			solve := func() {
 				if _, err := solver.Solve(context.Background(), req); err != nil {
@@ -77,6 +78,7 @@ func TestSolveAndCostAllocBudget(t *testing.T) {
 		{faircache.AlgorithmContention, 3500},
 	} {
 		t.Run(string(tc.alg), func(t *testing.T) {
+			setWidth(t, 1)
 			topo, err := faircache.Grid(6, 6)
 			if err != nil {
 				t.Fatal(err)
@@ -89,7 +91,7 @@ func TestSolveAndCostAllocBudget(t *testing.T) {
 				Producer:  9,
 				Chunks:    8,
 				Algorithm: tc.alg,
-				Options:   &faircache.Options{Capacity: 3, Workers: 1},
+				Options:   &faircache.Options{Capacity: 3},
 			}
 			solveAndCost := func() {
 				res, err := solver.Solve(context.Background(), req)

@@ -20,11 +20,14 @@ import (
 )
 
 // benchSolve runs the engine on the paper's large-grid regime (15×15
-// nodes, 64 chunks) at a fixed worker count. Workers=1 is the sequential
-// reference path; Workers=0 sizes the pool to GOMAXPROCS. Comparing the
+// nodes, 64 chunks). width 1 runs it at GOMAXPROCS 1, the sequential
+// reference path; width 0 keeps the process's GOMAXPROCS. Comparing the
 // two benchmarks measures the parallel engine's speedup on multi-core
 // hosts (they coincide on a single-core runner).
-func benchSolve(b *testing.B, workers int) {
+func benchSolve(b *testing.B, width int) {
+	if width > 0 {
+		setWidth(b, width)
+	}
 	topo, err := faircache.Grid(15, 15)
 	if err != nil {
 		b.Fatal(err)
@@ -36,7 +39,7 @@ func benchSolve(b *testing.B, workers int) {
 	req := faircache.Request{
 		Producer: 9,
 		Chunks:   64,
-		Options:  &faircache.Options{Capacity: 3, Workers: workers},
+		Options:  &faircache.Options{Capacity: 3},
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -115,7 +118,7 @@ func BenchmarkContentionCost(b *testing.B) {
 				Producer:  9,
 				Chunks:    16,
 				Algorithm: tc.alg,
-				Options:   &faircache.Options{Capacity: 3, Workers: 1},
+				Options:   &faircache.Options{Capacity: 3},
 			})
 			if err != nil {
 				b.Fatal(err)

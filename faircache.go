@@ -239,12 +239,6 @@ type Options struct {
 	// online publication does not run the search and places and reports
 	// exactly as without the option.
 	ImproveSteiner bool
-	// Workers sizes the worker pool the engine fans independent inner
-	// work out over (contention matrix rows, the greedy ConFL gain scan,
-	// per-terminal shortest-path trees). 0 uses GOMAXPROCS; 1 or less
-	// runs the sequential reference path. Placements are byte-identical
-	// at any worker count.
-	Workers int
 	// ChunkStarted, when non-nil, is invoked with the chunk id at the
 	// start of each per-chunk iteration of the centralized algorithm —
 	// an observability hook for progress reporting and cancellation
@@ -257,10 +251,11 @@ type Options struct {
 	// engine over region-local cost matrices, and the placements are
 	// stitched with a boundary-reconciliation pass. See PartitionOptions.
 	Partition *PartitionOptions
-	// Explain asks the solve to record phase spans regardless of the
-	// solver's trace sampling and return a per-phase summary in
-	// Result.Trace (durations plus counters: dual-growth ticks, admitted
-	// facilities, cost-matrix sweeps, stitch re-bids). Placements are
+	// Explain asks the solve to record its phase spans and return a
+	// per-phase summary in Result.Trace (durations plus counters:
+	// dual-growth ticks, admitted facilities, cost-matrix sweeps, stitch
+	// re-bids). The spans go into the trace the solve's context carries;
+	// without one they are kept for the report only. Placements are
 	// byte-identical with and without Explain.
 	Explain bool
 }
@@ -383,7 +378,6 @@ func (o *Options) withDefaults() Options {
 	out.ChunkTTL = o.ChunkTTL
 	out.GreedyConFL = o.GreedyConFL
 	out.ImproveSteiner = o.ImproveSteiner
-	out.Workers = o.Workers
 	out.ChunkStarted = o.ChunkStarted
 	out.Partition = o.Partition
 	out.Explain = o.Explain

@@ -2,6 +2,8 @@ package faircache_test
 
 import (
 	"context"
+	"runtime"
+	"testing"
 
 	faircache "repro"
 )
@@ -21,4 +23,13 @@ func runAlg(alg faircache.Algorithm, t *faircache.Topology, producer, chunks int
 		Algorithm: alg,
 		Options:   opts,
 	})
+}
+
+// setWidth runs the rest of the test at GOMAXPROCS n, the width every
+// solve, publication and adaptation sizes its worker pool from, and
+// restores the previous value when the test ends.
+func setWidth(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -206,7 +206,7 @@ func SolveScratchCtx(ctx context.Context, inst Instance, opts Options, scr *Scra
 				maxC = c
 			}
 		}
-		maxIter = int(maxC/opts.AlphaStep) + inst.N + 2
+		maxIter = TickBound(maxC, opts.AlphaStep, inst.N+2)
 	}
 
 	iter := 0
@@ -237,6 +237,20 @@ func SolveScratchCtx(ctx context.Context, inst Instance, opts Options, scr *Scra
 	// as a guard (and documents the ordered contract).
 	slices.Sort(sol.Facilities)
 	return sol, nil
+}
+
+// TickBound is a dual growth's termination bound: every demand freezes
+// once its bid, raised by step per tick, covers the largest connection
+// cost maxC, so ⌊maxC/step⌋ ticks plus slack suffice. A step so small
+// that the quotient leaves the int range saturates to math.MaxInt
+// instead of wrapping negative; such a run ends at its context's
+// deadline.
+func TickBound(maxC, step float64, slack int) int {
+	ticks := maxC / step
+	if ticks >= 1<<62 {
+		return math.MaxInt
+	}
+	return int(ticks) + slack
 }
 
 // reset binds the solver to a new instance, growing and clearing its

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/contention"
@@ -289,4 +290,37 @@ func randomConnectedGraph(rng *rand.Rand, n int) *graph.Graph {
 		_ = g.AddEdge(rng.Intn(n), rng.Intn(n))
 	}
 	return g
+}
+
+// TestTinyAlphaStepRunsToDeadline checks the tick bound saturates instead
+// of wrapping negative for a step so small that maxC/step leaves the int
+// range, so such a dual growth runs until its context's deadline rather
+// than failing with ErrNoProgress before its first tick.
+func TestTinyAlphaStepRunsToDeadline(t *testing.T) {
+	for _, tc := range []struct {
+		maxC, step float64
+		want       int
+	}{
+		{maxC: 3, step: 1, want: 3 + 11},
+		{maxC: 3, step: 1e-18, want: 3e18 + 11},
+		{maxC: 3, step: 1e-19, want: math.MaxInt},
+		{maxC: 3, step: 1e-300, want: math.MaxInt},
+	} {
+		if got := TickBound(tc.maxC, tc.step, 11); got != tc.want {
+			t.Errorf("TickBound(%g, %g, 11) = %d, want %d", tc.maxC, tc.step, got, tc.want)
+		}
+	}
+
+	opts := DefaultOptions()
+	opts.AlphaStep = 1e-300
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := SolveScratchCtx(ctx, lineInstance(t, 9, 4), opts, nil)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("dual growth stopped %v after a 50ms deadline", took)
+	}
 }

@@ -51,13 +51,6 @@ type Options struct {
 	// iteration with the chunk id, before any work for that chunk runs. It
 	// exists so callers (and cancellation tests) can observe solve progress.
 	ChunkStarted func(chunk int)
-	// Scratch, when non-nil, supplies the arena pool the solve borrows its
-	// per-chunk scratch buffers from (ConFL dual-growth state, Steiner path
-	// rows, staging slices). The root solver passes its own long-lived pool
-	// so arenas recycle across requests; nil falls back to a process-wide
-	// default pool. Either way a steady-state chunk placement performs
-	// near-zero heap allocations.
-	Scratch *ScratchPool
 	// Parent is the trace span per-chunk placement spans attach under
 	// (cost refresh, ConFL dual growth, Steiner connect/improve). The
 	// zero Span disables tracing at zero cost.
@@ -148,8 +141,8 @@ func PlaceCtx(ctx context.Context, m *costmodel.Model, producer, chunks int, opt
 	if chunks <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadChunks, chunks)
 	}
-	scr := opts.Scratch.get()
-	defer opts.Scratch.put(scr)
+	scr := getScratch()
+	defer putScratch(scr)
 
 	placement := &Placement{
 		Producer: producer,
@@ -179,8 +172,8 @@ func PlaceOneCtx(ctx context.Context, m *costmodel.Model, producer, chunkID int,
 	if err := checkProducer(m, producer); err != nil {
 		return nil, err
 	}
-	scr := opts.Scratch.get()
-	defer opts.Scratch.put(scr)
+	scr := getScratch()
+	defer putScratch(scr)
 	return placeChunk(ctx, m, producer, chunkID, &opts, pl, scr)
 }
 

@@ -11,9 +11,8 @@ import (
 // buffer of Algorithm 1's inner loop — the ConFL dual-growth state, the
 // Steiner construction's path rows and scan buffers, the facility-cost and
 // terminal staging slices — lives here and recycles across chunks and
-// solves. A zero SolveScratch is ready for use; it grows to the largest
-// topology seen and must not be shared between concurrent solves (route
-// concurrent solves through a ScratchPool).
+// solves. It grows to the largest topology seen and is lent to one
+// placement at a time by the arena free list.
 type SolveScratch struct {
 	confl     confl.Scratch
 	steiner   steiner.Scratch
@@ -21,51 +20,36 @@ type SolveScratch struct {
 	terminals []int
 }
 
-// ScratchPool hands out SolveScratch arenas to concurrent solves and
-// recycles them afterwards. The root solver owns one pool for its whole
-// lifetime, so steady-state request traffic stops paying per-chunk arena
-// construction entirely. The zero value is ready for use.
+// arenas is the process-wide free list every placement borrows its
+// SolveScratch from, so steady-state traffic (solves, publications,
+// adaptation passes) stops paying per-chunk arena construction.
 //
-// The pool is a mutex-guarded free list rather than a sync.Pool: an arena
+// It is a mutex-guarded free list rather than a sync.Pool: an arena
 // returned here is always handed out again (sync.Pool drops items at
 // random under the race detector and on garbage collection, so a warm
 // solve's allocation count would depend on both). Arenas are created only
-// when the free list is empty, so the pool never holds more arenas than
-// it has ever lent out at once: the peak number of concurrent solves.
-type ScratchPool struct {
+// when the list is empty, so it never holds more arenas than have ever
+// been lent out at once: the peak number of concurrent placements.
+var arenas struct {
 	mu   sync.Mutex
 	free []*SolveScratch
 }
 
-// NewScratchPool returns an empty arena pool.
-func NewScratchPool() *ScratchPool { return &ScratchPool{} }
-
-// defaultScratchPool serves callers that do not wire their own pool
-// (Options.Scratch == nil), so one-shot solves still recycle arenas
-// across the chunks of a single solve and across solves.
-var defaultScratchPool ScratchPool
-
-func (sp *ScratchPool) get() *SolveScratch {
-	if sp == nil {
-		sp = &defaultScratchPool
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	n := len(sp.free)
+func getScratch() *SolveScratch {
+	arenas.mu.Lock()
+	defer arenas.mu.Unlock()
+	n := len(arenas.free)
 	if n == 0 {
 		return &SolveScratch{}
 	}
-	s := sp.free[n-1]
-	sp.free[n-1] = nil
-	sp.free = sp.free[:n-1]
+	s := arenas.free[n-1]
+	arenas.free[n-1] = nil
+	arenas.free = arenas.free[:n-1]
 	return s
 }
 
-func (sp *ScratchPool) put(s *SolveScratch) {
-	if sp == nil {
-		sp = &defaultScratchPool
-	}
-	sp.mu.Lock()
-	sp.free = append(sp.free, s)
-	sp.mu.Unlock()
+func putScratch(s *SolveScratch) {
+	arenas.mu.Lock()
+	arenas.free = append(arenas.free, s)
+	arenas.mu.Unlock()
 }

@@ -105,7 +105,7 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 	sp.SetInt("evicted", int64(len(report.Evicted)))
 	sp.End()
 
-	pl := s.newPool()
+	pl := pool.New(0)
 	defer pl.Close()
 	sp = parent.Child("adapt.replace")
 	if err := s.replaceLost(ctx, top, report, pl); err != nil {

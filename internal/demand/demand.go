@@ -57,8 +57,6 @@ const (
 // documented defaults. The topology, capacities and cost weights are not
 // options: they belong to the cost model the system runs on.
 type Options struct {
-	// Workers sizes the solver pool for seeding and adaptation placements.
-	Workers int
 	// Eviction selects the score pressure eviction ranks copies by when
 	// the adaptation loop frees capacity (default EvictCost).
 	Eviction Eviction
@@ -246,7 +244,7 @@ func (s *System) SeedCtx(ctx context.Context) error {
 	if s.clock != 0 || s.st.TotalStored() != 0 {
 		return fmt.Errorf("%w: seed on a non-empty system", ErrBadInput)
 	}
-	pl := s.newPool()
+	pl := pool.New(0)
 	defer pl.Close()
 	p, err := core.PlaceCtx(ctx, s.model, s.producer, s.chunks, core.DefaultOptions(), pl)
 	if err != nil {
@@ -492,6 +490,3 @@ func (s *System) evict(v, k int) bool {
 	s.statsMu.Unlock()
 	return true
 }
-
-// newPool returns the worker pool adaptation passes fan out over.
-func (s *System) newPool() *pool.Pool { return pool.New(pool.Normalize(s.opts.Workers)) }

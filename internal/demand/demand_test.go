@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -233,7 +234,8 @@ func TestAdaptConcentratesOnHotChunk(t *testing.T) {
 func TestAdaptDeterministic(t *testing.T) {
 	run := func(workers int) ([][]int, Stats) {
 		g := graph.NewGrid(5, 5)
-		s, err := New(newModel(t, g, 3), 0, 12, Options{Workers: workers, TopDelta: 4, CopyBudget: 8})
+		setWidth(t, workers)
+		s, err := New(newModel(t, g, 3), 0, 12, Options{TopDelta: 4, CopyBudget: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,4 +431,13 @@ func checkHoldersSync(t *testing.T, s *System) {
 		}
 	}
 	checkRecords(t, s, "holder sync")
+}
+
+// setWidth runs the rest of the test at GOMAXPROCS n, the width seeding
+// and adaptation size their worker pools from, and restores the previous
+// value when the test ends.
+func setWidth(tb testing.TB, n int) {
+	tb.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	tb.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }

@@ -54,9 +54,9 @@ func TestAdaptationPropertyInvariants(t *testing.T) {
 
 func runPropertyWalk(t *testing.T, g *graph.Graph, workers, steps int) {
 	t.Helper()
+	setWidth(t, workers)
 	const chunks = 10
 	s, err := New(newModel(t, g, 2), 0, chunks, Options{
-		Workers:    workers,
 		TopDelta:   4,
 		CopyBudget: 6,
 	})
@@ -69,7 +69,7 @@ func runPropertyWalk(t *testing.T, g *graph.Graph, workers, steps int) {
 	}
 	rng := rand.New(rand.NewSource(int64(workers)*1000 + int64(g.NumNodes())))
 	n := g.NumNodes()
-	pl := pool.New(pool.Normalize(workers))
+	pl := pool.New(0)
 	defer pl.Close()
 
 	checkInvariants := func(step int) {

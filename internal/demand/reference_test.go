@@ -304,7 +304,7 @@ func (s *System) refAdapt(ctx context.Context, oracle map[int64]float64) (*Adapt
 	if err := s.refPressureEvict(shares, weights, report, oracle); err != nil {
 		return nil, 0, err
 	}
-	pl := s.newPool()
+	pl := pool.New(0)
 	defer pl.Close()
 	if err := s.replaceLost(ctx, top, report, pl); err != nil {
 		return nil, 0, err

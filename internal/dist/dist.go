@@ -16,6 +16,7 @@ import (
 	"math"
 
 	"repro/internal/cache"
+	"repro/internal/confl"
 	"repro/internal/contention"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -232,11 +233,10 @@ func (pr *Protocol) runChunk(ctx context.Context, network *sim.Network, nodes []
 
 // roundBound derives a safe termination bound: every node freezes onto the
 // producer once its bid covers the producer path cost, so the protocol
-// needs at most max c(producer, ·)/U_α rounds plus flood propagation slack.
-// Only the producer's row of the contention matrix is needed, swept over
-// the chunk's node weights. A step so small that the quotient leaves the
-// int range saturates to math.MaxInt instead of wrapping negative; such a
-// run ends at its context's deadline.
+// needs at most max c(producer, ·)/U_α rounds plus flood propagation slack
+// (saturating, as the centralized dual growth's bound does). Only the
+// producer's row of the contention matrix is needed, swept over the
+// chunk's node weights.
 func (pr *Protocol) roundBound(producer int, weights []float64) int {
 	row, _ := pr.g.NodeCostPaths(producer, weights)
 	maxC := 0.0
@@ -245,9 +245,5 @@ func (pr *Protocol) roundBound(producer int, weights []float64) int {
 			maxC = c
 		}
 	}
-	bids := maxC / pr.opts.AlphaStep
-	if bids >= 1<<62 {
-		return math.MaxInt
-	}
-	return int(bids) + 4*pr.g.NumNodes() + 32
+	return confl.TickBound(maxC, pr.opts.AlphaStep, 4*pr.g.NumNodes()+32)
 }

@@ -42,8 +42,6 @@ type AdaptiveScenario struct {
 	// SampleEvery is the Gini sampling period in requests (default
 	// AdaptEvery).
 	SampleEvery int
-	// Workers sizes the solver pool.
-	Workers int
 }
 
 func (sc AdaptiveScenario) withDefaults() AdaptiveScenario {
@@ -201,7 +199,6 @@ func (sc AdaptiveScenario) runPolicy(topo *faircache.Topology, producer int, pol
 	}
 	sys, err := solver.NewAdaptive(context.Background(), producer, sc.Chunks, &faircache.AdaptiveOptions{
 		Capacity:   sc.Capacity,
-		Workers:    sc.Workers,
 		HitRadius:  sc.HitRadius,
 		TopDelta:   sc.TopDelta,
 		CopyBudget: sc.CopyBudget,

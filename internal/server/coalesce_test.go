@@ -180,13 +180,13 @@ func TestSolveCoalesceDistinctRequests(t *testing.T) {
 	release := blockWorker(t, s, reg.ID)
 
 	// Same chunks, one with a caller timeout: one flight. Different
-	// chunks, algorithm or workers: three more flights.
+	// chunks, algorithm or SPAN quorum: three more flights.
 	reqs := []SolveRequest{
 		{Chunks: 3},
 		{Chunks: 3, TimeoutMs: 60000},
 		{Chunks: 4},
 		{Chunks: 3, Options: &SolveOptions{Algorithm: "dist"}},
-		{Chunks: 3, Options: &SolveOptions{Workers: 1}},
+		{Chunks: 3, Options: &SolveOptions{SpanQuorum: 3}},
 	}
 	var wg sync.WaitGroup
 	responses := make([]SolveResponse, len(reqs))

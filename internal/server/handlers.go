@@ -14,6 +14,7 @@ import (
 	faircache "repro"
 
 	"repro/internal/coalesce"
+	"repro/internal/demand"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
@@ -341,7 +342,10 @@ type PartitionSpec struct {
 
 // SolveOptions is the JSON projection of faircache.Options accepted by
 // solve requests. As of v1's consolidated schema it is the canonical
-// home of every per-solve knob, including the algorithm selection.
+// home of every per-solve knob, including the algorithm selection. The
+// engine's worker pool is not one: every solve sizes it from the
+// daemon's GOMAXPROCS, and a body that names "workers" answers
+// bad_request like any unknown field.
 type SolveOptions struct {
 	// Algorithm is Appx, Dist, Hopc, Cont or Brtf (the paper's five);
 	// legacy aliases such as "approximate" parse, and responses echo the
@@ -363,9 +367,6 @@ type SolveOptions struct {
 	// (see faircache.Options.ImproveSteiner). A global solve accepts it
 	// and places and reports exactly as without it.
 	ImproveSteiner bool `json:"improveSteiner,omitempty"`
-	// Workers sizes the engine's worker pool for this solve (0 =
-	// GOMAXPROCS, 1 = sequential).
-	Workers int `json:"workers,omitempty"`
 	// Partition routes the solve through the geographic sharding path.
 	Partition *PartitionSpec `json:"partition,omitempty"`
 	// Explain records the solve's phase spans regardless of the server's
@@ -394,7 +395,6 @@ func (o *SolveOptions) toOptions(capacity int) *faircache.Options {
 	out.SearchWidth = o.SearchWidth
 	out.GreedyConFL = o.GreedyConFL
 	out.ImproveSteiner = o.ImproveSteiner
-	out.Workers = o.Workers
 	out.Explain = o.Explain
 	if o.Partition != nil && o.Partition.Regions != 0 {
 		out.Partition = &faircache.PartitionOptions{
@@ -499,6 +499,13 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("chunks must be >= 1, got %d", req.Chunks))
 		return
 	}
+	// The engines allocate per (chunk, node) before their first context
+	// check, so the count is capped by the same cell budget as a demand
+	// subsystem's init.chunks.
+	if n := tp.topo.NumNodes(); req.Chunks > demand.MaxCells/n {
+		s.writeError(w, badRequestf("%d chunks on %d nodes exceeds the limit of %d (chunk, node) cells", req.Chunks, n, demand.MaxCells))
+		return
+	}
 	alg, opts, aerr := req.normalize()
 	if aerr != nil {
 		s.writeError(w, aerr)
@@ -579,9 +586,14 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 			return nil, err
 		}
 		prev := tp.snap.Load()
+		// Like publish and adapt commits, the snapshot lists only chunks
+		// that hold a copy; a lookup of any other known chunk falls
+		// through to the producer.
 		holders := make(map[int][]int, len(res.Holders))
 		for chunk, nodes := range res.Holders {
-			holders[chunk] = append([]int(nil), nodes...)
+			if len(nodes) > 0 {
+				holders[chunk] = append([]int(nil), nodes...)
+			}
 		}
 		snap := &Snapshot{
 			Version:      tp.version + 1,
@@ -631,7 +643,10 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 }
 
 // PublishRequest is the body of POST /v1/topologies/{id}/publish. An
-// empty body publishes one chunk.
+// empty body publishes one chunk. Once the topology's worker starts a
+// batch, the batch runs to its commit whatever happens to the request: a
+// caller whose deadline passes or who disconnects mid-batch gets 504
+// while the batch still commits, and the next report shows it.
 type PublishRequest struct {
 	// Count is the number of chunks to publish in one serialized batch
 	// (default 1).
@@ -681,6 +696,13 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 	}
 
 	v, err := tp.do(r.Context(), func(cctx context.Context) (any, error) {
+		// A publication cancelled inside its placement would keep its
+		// clock tick and TTL evictions with no WAL record, and recovery,
+		// which replays Clock publications, would then diverge from the
+		// logged snapshot. So a started batch ignores cancellation: it is
+		// at most MaxPublishBatch single-chunk placements, and a request
+		// whose context ended while queued never starts.
+		cctx = context.WithoutCancel(cctx)
 		pubs := make([]PublicationInfo, 0, req.Count)
 		for i := 0; i < req.Count; i++ {
 			pub, err := tp.online.PublishCtx(cctx)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -9,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -317,5 +319,61 @@ func TestNoWorkerGoroutineLeaks(t *testing.T) {
 			t.Fatalf("goroutines leaked: baseline %d, now %d\n%s", baseline, n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// errAfter is a request context whose n-th and later Err calls report
+// context.Canceled while Done never closes, so a cancellation lands at a
+// chosen context check inside the engine rather than at a select.
+type errAfter struct {
+	context.Context
+	n     int64
+	calls atomic.Int64
+}
+
+func (c *errAfter) Err() error {
+	if c.calls.Add(1) >= c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRecoveryAfterCancelledPublish restarts a durable daemon after a
+// publish whose request was cancelled inside its placement. A started
+// batch commits whatever happens to its request; otherwise the
+// cancelled publication's clock tick and TTL evictions would stand with
+// no WAL record, and recovery, which replays the logged clock's
+// publications, would diverge from the logged snapshot and refuse to
+// start.
+func TestRecoveryAfterCancelledPublish(t *testing.T) {
+	opts := durableOpts(t, "always")
+	c1, s1 := newTestClient(t, opts)
+	var reg RegisterResponse
+	c1.doJSON("POST", "/v1/topologies", RegisterRequest{Kind: "grid", Rows: 6, Cols: 6, ChunkTTL: 4}, &reg, http.StatusCreated)
+	path := "/v1/topologies/" + reg.ID + "/publish"
+	for i := 0; i < 3; i++ {
+		c1.doJSON("POST", path, nil, nil, http.StatusOK)
+	}
+	// The worker's queue check and PublishCtx's entry check are the first
+	// two Err calls; the fifth falls inside the placement's cost refresh.
+	ctx := &errAfter{Context: context.Background(), n: 5}
+	rec := httptest.NewRecorder()
+	s1.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil).WithContext(ctx))
+	if rec.Code != http.StatusOK && rec.Code != StatusClientClosedRequest {
+		t.Fatalf("cancelled publish: status %d, %s; want 200 or 499", rec.Code, rec.Body)
+	}
+	for i := 0; i < 3; i++ {
+		c1.doJSON("POST", path, nil, nil, http.StatusOK)
+	}
+	before := reportOf(c1, reg.ID)
+	before.Solver, before.Coalesce = faircache.SolverStats{}, CoalesceInfo{}
+	c1.srv.Close()
+	s1.Close()
+
+	c2, _ := newTestClient(t, opts)
+	after := reportOf(c2, reg.ID)
+	after.Coalesce = CoalesceInfo{}
+	if !reflect.DeepEqual(before, after) {
+		t.Errorf("recovered report diverges:\n before %+v\n after  %+v", before, after)
 	}
 }

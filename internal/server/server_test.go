@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/demand"
 	"repro/internal/graph"
 )
 
@@ -282,6 +283,53 @@ func FuzzRegisterBody(f *testing.F) {
 	})
 }
 
+// FuzzSolveBody posts fuzzed bodies to the solve endpoint of a 4×4 grid
+// on a server with a 100 ms solve timeout. Every body must answer 200, a
+// typed 4xx or a typed 504, never a 5xx otherwise or a panic, and a
+// committed solve's snapshot must list only chunks that hold a copy. The
+// seed corpus holds chunk counts past the (chunk, node) cell budget, a
+// dual step so small that the tick bound saturates, a placement that
+// stores no copy, the removed workers knob, and one valid body per solve
+// path.
+func FuzzSolveBody(f *testing.F) {
+	s, err := New(Options{SolveTimeout: 100 * time.Millisecond})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	rec := serve(http.MethodPost, "/v1/topologies", []byte(`{"kind":"grid","rows":4,"cols":4}`))
+	var reg RegisterResponse
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &reg) != nil {
+		f.Fatalf("register: status %d, %s", rec.Code, rec.Body)
+	}
+	tp, terr := s.lookupTopology(reg.ID)
+	if terr != nil {
+		f.Fatal(terr)
+	}
+	path := "/v1/topologies/" + reg.ID + "/solve"
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := serve(http.MethodPost, path, body)
+		if rec.Code != http.StatusOK {
+			var env errorEnvelope
+			typed := json.Unmarshal(rec.Body.Bytes(), &env) == nil && env.Error != nil && env.Error.Code != ""
+			if !typed || (rec.Code != http.StatusGatewayTimeout && (rec.Code < 400 || rec.Code >= 500)) {
+				t.Fatalf("body %q: status %d, %s; want 200, a typed 4xx or a typed 504", body, rec.Code, rec.Body)
+			}
+			return
+		}
+		for chunk, holders := range tp.snap.Load().Holders {
+			if len(holders) == 0 {
+				t.Fatalf("body %q: committed snapshot lists chunk %d with no copy", body, chunk)
+			}
+		}
+	})
+}
+
 func TestSolveEveryAlgorithm(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 9)
@@ -367,6 +415,28 @@ func TestSolveValidation(t *testing.T) {
 		SolveRequest{Chunks: -2, Options: &SolveOptions{Algorithm: "appx"}}, http.StatusBadRequest, CodeBadRequest)
 	c.wantError("POST", "/v1/topologies/nope/solve",
 		SolveRequest{Options: &SolveOptions{Algorithm: "appx"}}, http.StatusNotFound, CodeNotFound)
+	// Chunk counts past the (chunk, node) cell budget are refused before
+	// any engine allocates per chunk.
+	for _, chunks := range []int{demand.MaxCells/9 + 1, 20_000_000_000_000} {
+		c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
+			SolveRequest{Chunks: chunks, Options: &SolveOptions{Algorithm: "Hopc"}}, http.StatusBadRequest, CodeBadRequest)
+	}
+}
+
+// TestSolveTinyAlphaStep checks a dual step so small that the dual
+// growth's tick bound saturates runs to the solve deadline and answers
+// 504, and that the topology's worker is free for the next solve.
+func TestSolveTinyAlphaStep(t *testing.T) {
+	c, _ := newTestClient(t, Options{SolveTimeout: 200 * time.Millisecond})
+	reg := c.registerGrid(3, 3, 4)
+	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
+		SolveRequest{Chunks: 1, Options: &SolveOptions{Algorithm: "appx", AlphaStep: 1e-300}}, http.StatusGatewayTimeout, CodeTimeout)
+	var out SolveResponse
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
+		SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, &out, http.StatusOK)
+	if out.Version != 2 {
+		t.Errorf("version after the timed-out solve = %d, want 2", out.Version)
+	}
 }
 
 func TestSolveTimeout(t *testing.T) {
@@ -474,6 +544,30 @@ func TestReport(t *testing.T) {
 	}
 	if rep.LiveChunks != 4 {
 		t.Fatalf("liveChunks = %d, want 4", rep.LiveChunks)
+	}
+}
+
+// TestReportSkipsChunksWithoutCopies checks a solve's snapshot lists only
+// chunks that hold a copy, as publish and adapt commits do: a solve that
+// places nothing leaves no live chunk, and its chunks are still served
+// by the producer.
+func TestReportSkipsChunksWithoutCopies(t *testing.T) {
+	c, _ := newTestClient(t, Options{})
+	var reg RegisterResponse
+	c.doJSON("POST", "/v1/topologies", RegisterRequest{Kind: "line", Nodes: 3, Capacity: 1}, &reg, http.StatusCreated)
+	var solve SolveResponse
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 5}, &solve, http.StatusOK)
+	if solve.Copies != 0 {
+		t.Fatalf("solve placed %d copies, want a placement with none", solve.Copies)
+	}
+	rep := reportOf(c, reg.ID)
+	if rep.LiveChunks != 0 || len(rep.Snapshot.Holders) != 0 {
+		t.Errorf("liveChunks = %d, holders %v, want no live chunk", rep.LiveChunks, rep.Snapshot.Holders)
+	}
+	var lk LookupResponse
+	c.doJSON("GET", fmt.Sprintf("/v1/topologies/%s/lookup?chunk=4&node=0", reg.ID), nil, &lk, http.StatusOK)
+	if !lk.FromProducer || lk.ServedBy != reg.Producer {
+		t.Errorf("chunk 4 served by %d (fromProducer=%v), want producer %d", lk.ServedBy, lk.FromProducer, reg.Producer)
 	}
 }
 

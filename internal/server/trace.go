@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	faircache "repro"
-
 	"repro/internal/trace"
 )
 
@@ -95,9 +93,9 @@ func genTraceID() string {
 // ring, ordered by span start.
 type TraceDump struct {
 	// Count is len(Spans); SlowerThanMs echoes the filter applied.
-	Count        int                   `json:"count"`
-	SlowerThanMs float64               `json:"slowerThanMs,omitempty"`
-	Spans        []faircache.TraceSpan `json:"spans"`
+	Count        int              `json:"count"`
+	SlowerThanMs float64          `json:"slowerThanMs,omitempty"`
+	Spans        []trace.SpanView `json:"spans"`
 }
 
 // handleDebugTrace serves GET /debug/trace?slowerThanMs=N. Spans appear

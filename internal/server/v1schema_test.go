@@ -20,7 +20,7 @@ func TestSolveSchemaV1(t *testing.T) {
 	}{
 		{
 			name:          "canonical nested options",
-			req:           SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "Dist", Workers: 1}},
+			req:           SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "Dist"}},
 			wantAlgorithm: "Dist",
 		},
 		{
@@ -61,7 +61,7 @@ func TestSolveSchemaV1(t *testing.T) {
 
 // TestSolveSchemaErrors checks schema violations answer the typed error
 // envelope. Top-level algorithm/workers/partitionRegions/partitionHalo
-// and options.partitionRegions/partitionHalo are unknown fields.
+// and options.workers/partitionRegions/partitionHalo are unknown fields.
 func TestSolveSchemaErrors(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 5)
@@ -86,6 +86,9 @@ func TestSolveSchemaErrors(t *testing.T) {
 		}, CodeBadRequest, "algorithm"},
 		{"flat partitionRegions removed", map[string]any{"chunks": 3, "partitionRegions": 2}, CodeBadRequest, "partitionRegions"},
 		{"flat partitionHalo removed", map[string]any{"chunks": 3, "partitionHalo": 1}, CodeBadRequest, "partitionHalo"},
+		{"options.workers removed", map[string]any{
+			"chunks": 3, "options": map[string]any{"workers": 4},
+		}, CodeBadRequest, "workers"},
 		{"options.partitionRegions removed", map[string]any{
 			"chunks": 3, "options": map[string]any{"partitionRegions": 2},
 		}, CodeBadRequest, "partitionRegions"},

@@ -4,7 +4,9 @@
 // Trace handle whose spans record into the ring (and, for explain
 // requests, into a per-request collection that summaries are built from).
 // Every layer a request passes through records into the one Trace its
-// context carries, so one sampling decision covers all of them.
+// context carries, so one sampling decision covers all of them. A caller
+// with no Tracer that wants one request's summary uses Collect, whose
+// spans reach no ring.
 //
 // The design point is "free when off": a nil *Trace is the disabled
 // state, every method on the zero Span and the nil Trace is a no-op, and
@@ -41,13 +43,13 @@ type Attr struct {
 }
 
 // Record is one finished span as stored in the ring: identifiers, name,
-// and start/end offsets on the owning Tracer's monotonic epoch.
+// and start/end offsets on the process's monotonic trace epoch.
 type Record struct {
 	TraceID string
 	SpanID  uint64
 	Parent  uint64
 	Name    string
-	Start   time.Duration // offset from Tracer epoch, monotonic
+	Start   time.Duration // offset from the trace epoch, monotonic
 	End     time.Duration
 	Attrs   [MaxAttrs]Attr
 	NAttrs  uint8
@@ -69,14 +71,22 @@ func (r *Record) AttrMap() map[string]int64 {
 	return m
 }
 
+// epoch is the wall-clock instant every record's offsets count from, and
+// ids the process-wide sequence of span ids and generated trace ids.
+var (
+	epoch = time.Now()
+	ids   atomic.Uint64
+)
+
+// localID generates a trace id for a trace started without one.
+func localID() string { return "local-" + strconv.FormatUint(ids.Add(1), 16) }
+
 // Tracer owns the span ring and sampling state. One Tracer serves one
-// Solver (or one server); all methods are safe for concurrent use. The
-// observer, when set, must be installed before concurrent use begins.
+// server; all methods are safe for concurrent use. The observer, when set,
+// must be installed before concurrent use begins.
 type Tracer struct {
-	epoch time.Time
 	every atomic.Int64  // sample 1 in N traces; 0 = off
 	ctr   atomic.Uint64 // head-sampling counter
-	ids   atomic.Uint64 // span-id sequence
 
 	obs func(*Record) // optional span observer (metrics export)
 
@@ -93,15 +103,7 @@ func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Tracer{epoch: time.Now(), capacity: capacity}
-}
-
-// Epoch is the wall-clock instant record offsets are measured from.
-func (t *Tracer) Epoch() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.epoch
+	return &Tracer{capacity: capacity}
 }
 
 // SetSampling records 1 in every traces (1 = all, 0 or negative = off).
@@ -149,10 +151,15 @@ func (t *Tracer) StartTrace(id string, collect bool) *Trace {
 		return nil
 	}
 	if id == "" {
-		id = "local-" + strconv.FormatUint(t.ids.Add(1), 16)
+		id = localID()
 	}
 	return &Trace{t: t, id: id, collect: collect}
 }
+
+// Collect begins a trace with a generated id that records into its own
+// collection only: no ring holds its spans and no observer sees them, so
+// one request's phase summary costs no Tracer.
+func Collect() *Trace { return &Trace{id: localID(), collect: true} }
 
 func (t *Tracer) record(rec Record) {
 	t.mu.Lock()
@@ -190,7 +197,7 @@ func (t *Tracer) Snapshot() []Record {
 
 // SpanView is a Record projected for export: its start on the wall clock,
 // its duration in milliseconds and its attributes as a map. It is the
-// shape of faircache.TraceSpan and of the daemon's GET /debug/trace.
+// shape of the daemon's GET /debug/trace spans.
 type SpanView struct {
 	TraceID    string           `json:"traceId"`
 	SpanID     uint64           `json:"spanId"`
@@ -201,14 +208,14 @@ type SpanView struct {
 	Attrs      map[string]int64 `json:"attrs,omitempty"`
 }
 
-// View projects one of t's records (allocates the attribute map).
-func (t *Tracer) View(r *Record) SpanView {
+// view projects one record (allocates the attribute map).
+func view(r *Record) SpanView {
 	return SpanView{
 		TraceID:    r.TraceID,
 		SpanID:     r.SpanID,
 		ParentID:   r.Parent,
 		Name:       r.Name,
-		Start:      t.Epoch().Add(r.Start),
+		Start:      epoch.Add(r.Start),
 		DurationMs: float64(r.Duration()) / float64(time.Millisecond),
 		Attrs:      r.AttrMap(),
 	}
@@ -222,7 +229,7 @@ func (t *Tracer) Views(slowerThan time.Duration) []SpanView {
 	out := make([]SpanView, 0, len(recs))
 	for i := range recs {
 		if recs[i].Duration() >= slowerThan {
-			out = append(out, t.View(&recs[i]))
+			out = append(out, view(&recs[i]))
 		}
 	}
 	return out
@@ -232,7 +239,7 @@ func (t *Tracer) Views(slowerThan time.Duration) []SpanView {
 // context. The nil Trace is the disabled state: Start returns a dead
 // Span and everything downstream no-ops.
 type Trace struct {
-	t       *Tracer
+	t       *Tracer // the ring its spans land in; nil for Collect
 	id      string
 	collect bool
 
@@ -253,7 +260,7 @@ func (tr *Trace) Start(name string) Span {
 	if tr == nil {
 		return Span{}
 	}
-	return Span{tr: tr, id: tr.t.ids.Add(1), name: name, start: time.Since(tr.t.epoch)}
+	return Span{tr: tr, id: ids.Add(1), name: name, start: time.Since(epoch)}
 }
 
 // Collected copies the spans recorded so far for this trace (explain
@@ -306,9 +313,9 @@ func (s *Span) SetInt(key string, v int64) {
 	s.n++
 }
 
-// End finishes the span, copying it into the ring (and the per-request
-// collection on explain traces). End is idempotent: the second call on
-// the same value is a no-op.
+// End finishes the span, copying it into the ring (if its trace has one)
+// and the per-request collection on explain traces. End is idempotent:
+// the second call on the same value is a no-op.
 func (s *Span) End() {
 	if s.tr == nil {
 		return
@@ -321,11 +328,13 @@ func (s *Span) End() {
 		Parent:  s.parent,
 		Name:    s.name,
 		Start:   s.start,
-		End:     time.Since(tr.t.epoch),
+		End:     time.Since(epoch),
 		Attrs:   s.attrs,
 		NAttrs:  s.n,
 	}
-	tr.t.record(rec)
+	if tr.t != nil {
+		tr.t.record(rec)
+	}
 	if tr.collect {
 		tr.mu.Lock()
 		tr.recs = append(tr.recs, rec)

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -131,7 +132,7 @@ func TestRingWrap(t *testing.T) {
 
 // TestRingAllocatedOnFirstRecord checks New allocates no ring and the
 // first recorded span allocates it, so a Tracer that never records (a
-// Solver whose solves all record into a caller's trace) holds no ring.
+// daemon that samples nothing) holds no ring.
 func TestRingAllocatedOnFirstRecord(t *testing.T) {
 	tc := New(0)
 	if tc.ring != nil {
@@ -263,7 +264,7 @@ func TestSampledSpanRingOnlyAllocBound(t *testing.T) {
 
 func TestEpochMonotonic(t *testing.T) {
 	tc := New(4)
-	if tc.Epoch().IsZero() {
+	if epoch.IsZero() {
 		t.Fatal("epoch not set")
 	}
 	tr := tc.StartTrace("", true)
@@ -273,5 +274,23 @@ func TestEpochMonotonic(t *testing.T) {
 	r := tr.Collected()[0]
 	if r.Duration() < time.Millisecond/2 {
 		t.Fatalf("duration %v too small", r.Duration())
+	}
+}
+
+// TestCollectKeepsSpansForItsReport checks a Collect trace gets a
+// generated id and keeps its spans in its own collection, with no Tracer
+// behind it.
+func TestCollectKeepsSpansForItsReport(t *testing.T) {
+	tr := Collect()
+	if !strings.HasPrefix(tr.ID(), "local-") {
+		t.Fatalf("Collect id = %q, want a generated local- id", tr.ID())
+	}
+	root := tr.Start("solve")
+	c := root.Child("chunk")
+	c.End()
+	root.End()
+	recs := tr.Collected()
+	if len(recs) != 2 || recs[0].Name != "chunk" || recs[1].Name != "solve" || recs[0].Parent != recs[1].SpanID {
+		t.Fatalf("collected %+v, want chunk under solve", recs)
 	}
 }

@@ -51,10 +51,11 @@ type OnlineSystem struct {
 
 // NewOnline builds an online system on a topology. Each publication is
 // placed under the options Solve honours for AlgorithmApprox — capacities,
-// battery levels, weights, dual steps, GreedyConFL, Workers and
-// ChunkStarted; ImproveSteiner (a publication keeps no tree), Partition
-// and Explain do not apply. ChunkTTL sets the chunk lifetime (see
-// Options.ChunkTTL). A nil or disconnected topology is an ErrBadArgument.
+// battery levels, weights, dual steps, GreedyConFL and ChunkStarted;
+// ImproveSteiner (a publication keeps no tree), Partition and Explain do
+// not apply. Like a solve, a publication sizes its worker pool from
+// GOMAXPROCS. ChunkTTL sets the chunk lifetime (see Options.ChunkTTL). A
+// nil or disconnected topology is an ErrBadArgument.
 func NewOnline(t *Topology, producer int, opts *Options) (*OnlineSystem, error) {
 	if opts != nil && opts.Capacity < 0 {
 		return nil, fmt.Errorf("%w: negative capacity %d", ErrBadArgument, opts.Capacity)
@@ -125,7 +126,7 @@ func (o *OnlineSystem) PublishCtx(ctx context.Context) (*Publication, error) {
 		}
 	}
 
-	pl := pool.New(pool.Normalize(o.opts.Workers))
+	pl := pool.New(0)
 	defer pl.Close()
 	res, err := core.PlaceOneCtx(ctx, o.model, o.producer, pub.Chunk, coreOptions(o.opts), pl)
 	if err != nil {

@@ -44,11 +44,6 @@ type Request struct {
 // concurrent use.
 type Solver struct {
 	topo *Topology
-	// scratch is the solver-owned arena pool: every approximation solve
-	// (whole-topology and per-region sharded) borrows its per-chunk scratch
-	// buffers here, so steady-state request traffic recycles arenas instead
-	// of reallocating the inner solve state on every chunk.
-	scratch *core.ScratchPool
 
 	mu    sync.Mutex
 	base  *costmodel.Model // empty-state topology model; read-only once built
@@ -58,11 +53,6 @@ type Solver struct {
 	// solve path, keyed by requested region count.
 	planMu sync.Mutex
 	plans  map[int]*partitionPlan
-
-	// tracer owns the solver's recent-span ring buffer and sampling knob
-	// (SetTraceSampling / TraceSpans) for solves whose context carries no
-	// trace. Off by default and free when off.
-	tracer *trace.Tracer
 }
 
 // SolverStats counts how solves obtained their cost matrices.
@@ -93,7 +83,7 @@ func NewSolver(t *Topology) (*Solver, error) {
 	if err := checkTopology(t); err != nil {
 		return nil, err
 	}
-	return &Solver{topo: t, scratch: core.NewScratchPool(), tracer: trace.New(0)}, nil
+	return &Solver{topo: t}, nil
 }
 
 // checkTopology rejects a nil topology with ErrBadArgument and a
@@ -178,10 +168,10 @@ func (s *Solver) evalBase(ctx context.Context) (*costmodel.Model, error) {
 // chunks and inside each chunk's dual-growth, search and tree phases) and
 // surfaces as an error satisfying errors.Is with ctx.Err(). Invalid
 // requests fail with an error satisfying errors.Is(err, ErrBadArgument).
-// Independent inner work fans out over Options.Workers; the result is
-// byte-identical at any worker count. The solve's spans record into the
-// request trace the context carries, if any (the daemon's); otherwise
-// the solver's own tracer decides whether to trace it.
+// Independent inner work fans out over a pool of GOMAXPROCS workers; the
+// result is byte-identical at any width. The solve's spans record into
+// the trace the context carries, if any (the daemon's); an Explain solve
+// whose context carries none keeps its spans for its report only.
 func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -198,8 +188,8 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	}
 	o := req.Options.withDefaults()
 	tr := trace.FromContext(ctx)
-	if tr == nil {
-		tr = s.tracer.StartTrace("", o.Explain)
+	if tr == nil && o.Explain {
+		tr = trace.Collect()
 	}
 	sp := tr.Start("solve")
 	sp.SetInt("chunks", int64(req.Chunks))
@@ -299,14 +289,13 @@ func (s *Solver) forkBase(ctx context.Context, pl *pool.Pool, st *cache.State, m
 func (s *Solver) solveApprox(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
 	st := newState(s.topo, nil, o)
 	base := st.Clone()
-	pl := pool.New(pool.Normalize(o.Workers))
+	pl := pool.New(0)
 	defer pl.Close()
 	m, err := s.forkBase(ctx, pl, st, modelOptions(o), sp)
 	if err != nil {
 		return nil, err
 	}
 	coreOpts := coreOptions(o)
-	coreOpts.Scratch = s.scratch
 	coreOpts.Parent = *sp
 	p, err := core.PlaceCtx(ctx, m, req.Producer, req.Chunks, coreOpts, pl)
 	if err != nil {
@@ -365,7 +354,7 @@ func (s *Solver) solveBaseline(ctx context.Context, req Request, o Options, alg 
 	}
 	st := newState(s.topo, nil, o)
 	base := st.Clone()
-	pl := pool.New(pool.Normalize(o.Workers))
+	pl := pool.New(0)
 	defer pl.Close()
 	bm, err := s.baseModel(ctx, pl, sp)
 	if err != nil {
@@ -384,7 +373,7 @@ func (s *Solver) solveBaseline(ctx context.Context, req Request, o Options, alg 
 func (s *Solver) solveOptimal(ctx context.Context, req Request, o Options, sp *trace.Span) (*Result, error) {
 	st := newState(s.topo, nil, o)
 	base := st.Clone()
-	pl := pool.New(pool.Normalize(o.Workers))
+	pl := pool.New(0)
 	defer pl.Close()
 	// The reference objective has no battery term, so the fork carries the
 	// fairness weight only.

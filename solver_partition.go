@@ -128,7 +128,7 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 	}
 	part := plan.part
 
-	pl := pool.New(pool.Normalize(o.Workers))
+	pl := pool.New(0)
 	defer pl.Close()
 	bsp := sp.Child("partition.bases")
 	built, err := plan.ensureBases(ctx, pl)
@@ -151,9 +151,6 @@ func (s *Solver) solvePartitioned(ctx context.Context, req Request, o Options, s
 	// The per-copy charge below sums the regions' decision-time tree
 	// costs, so this is the one solve path that reads an improved tree.
 	coreOpts.ImproveSteiner = o.ImproveSteiner
-	// Concurrent region solves each check an arena out of the solver-owned
-	// pool (PlaceCtx gets/puts one per call), so sharing it is safe.
-	coreOpts.Scratch = s.scratch
 	producers := regionProducers(s.topo.g, part, req.Producer)
 	placements := make([]*core.Placement, len(part.Regions))
 	err = pl.ForEachErr(ctx, len(part.Regions), func(r int) error {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -23,12 +24,14 @@ func partitionedRequest(regions int) faircache.Request {
 
 // TestSolvePartitionedDeterministicAcrossWorkers pins the sharded path to
 // the repository's determinism contract: the stitched placement is
-// byte-identical no matter how many workers fan out over the regions.
+// byte-identical at GOMAXPROCS 1, 2, 4 and the process's own, the widths
+// of the worker pool that fans out over the regions.
 // The ImproveSteiner input covers the one solve path that runs the
 // key-path search (its trees price the stitch's per-copy charge), so
 // its explain report must hold steiner.improve phases and the plain
 // one's none.
 func TestSolvePartitionedDeterministicAcrossWorkers(t *testing.T) {
+	widths := []int{2, 4, runtime.GOMAXPROCS(0)}
 	for name, topo := range testTopologies(t) {
 		solver, err := faircache.NewSolver(topo)
 		if err != nil {
@@ -39,11 +42,8 @@ func TestSolvePartitionedDeterministicAcrossWorkers(t *testing.T) {
 			req := partitionedRequest(4)
 			req.Options.ImproveSteiner = improve
 			req.Options.Explain = true
-			seqOpts := *req.Options
-			seqOpts.Workers = 1
-			seqReq := req
-			seqReq.Options = &seqOpts
-			want, err := solver.Solve(context.Background(), seqReq)
+			setWidth(t, 1)
+			want, err := solver.Solve(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%s: sequential partitioned solve: %v", label, err)
 			}
@@ -56,18 +56,15 @@ func TestSolvePartitionedDeterministicAcrossWorkers(t *testing.T) {
 			if (improves > 0) != improve {
 				t.Fatalf("%s: %d steiner.improve spans in the explain report", label, improves)
 			}
-			for _, workers := range []int{0, 2, 4} {
-				parOpts := *req.Options
-				parOpts.Workers = workers
-				parReq := req
-				parReq.Options = &parOpts
-				got, err := solver.Solve(context.Background(), parReq)
+			for _, width := range widths {
+				setWidth(t, width)
+				got, err := solver.Solve(context.Background(), req)
 				if err != nil {
-					t.Fatalf("%s workers=%d: %v", label, workers, err)
+					t.Fatalf("%s width=%d: %v", label, width, err)
 				}
 				sameResult(t, label, want, got)
 				if *got.Partition != *want.Partition {
-					t.Fatalf("%s workers=%d: partition report %+v != %+v", label, workers, *got.Partition, *want.Partition)
+					t.Fatalf("%s width=%d: partition report %+v != %+v", label, width, *got.Partition, *want.Partition)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -79,6 +80,7 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 		faircache.AlgorithmHopCount,
 		faircache.AlgorithmContention,
 	}
+	widths := []int{2, 4, runtime.GOMAXPROCS(0)}
 	for name, topo := range testTopologies(t) {
 		solver, err := faircache.NewSolver(topo)
 		if err != nil {
@@ -86,24 +88,17 @@ func TestSolveParallelMatchesSequential(t *testing.T) {
 		}
 		producer := topo.CentralNode()
 		for _, alg := range algorithms {
-			seq, err := solver.Solve(context.Background(), faircache.Request{
-				Producer:  producer,
-				Chunks:    6,
-				Algorithm: alg,
-				Options:   &faircache.Options{Workers: 1},
-			})
+			req := faircache.Request{Producer: producer, Chunks: 6, Algorithm: alg}
+			setWidth(t, 1)
+			seq, err := solver.Solve(context.Background(), req)
 			if err != nil {
 				t.Fatalf("%s/%s sequential: %v", name, alg, err)
 			}
-			for _, workers := range []int{0, 2, 4} {
-				par, err := solver.Solve(context.Background(), faircache.Request{
-					Producer:  producer,
-					Chunks:    6,
-					Algorithm: alg,
-					Options:   &faircache.Options{Workers: workers},
-				})
+			for _, width := range widths {
+				setWidth(t, width)
+				par, err := solver.Solve(context.Background(), req)
 				if err != nil {
-					t.Fatalf("%s/%s workers=%d: %v", name, alg, workers, err)
+					t.Fatalf("%s/%s width=%d: %v", name, alg, width, err)
 				}
 				sameResult(t, name+"/"+string(alg), seq, par)
 			}

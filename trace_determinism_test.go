@@ -1,7 +1,7 @@
 // Determinism and cost tests for the tracing layer: the explain/span
 // machinery must be a pure observer. A traced solve and an untraced
 // solve of the same request must produce byte-identical placements on
-// every topology family and worker count, and tracing must be free when
+// every topology family and pool width, and tracing must be free when
 // off — the disabled path may not add a single allocation to the warm
 // solve loop.
 package faircache_test
@@ -13,7 +13,15 @@ import (
 	"testing"
 
 	faircache "repro"
+
+	"repro/internal/trace"
 )
+
+// sampledContext returns a context carrying a trace of tracer, the way
+// the daemon hands a sampled request's trace to the solver.
+func sampledContext(tracer *trace.Tracer, collect bool) context.Context {
+	return trace.NewContext(context.Background(), tracer.StartTrace("", collect))
+}
 
 // traceTopologies builds the three topology families the evaluation
 // uses; each is paired with a valid producer.
@@ -47,14 +55,15 @@ func traceTopologies(t *testing.T) []struct {
 }
 
 // TestTracingDoesNotChangePlacements solves the same request with
-// tracing fully off, then with sampling on plus Explain, and requires
+// tracing fully off, then in a sampled trace plus Explain, and requires
 // identical Holders and Counts — on grid, random and clustered
-// topologies, sequential and with a worker pool. Run under -race this
-// also exercises the span ring's locking against the solve path.
+// topologies, at GOMAXPROCS 1 and 4. Run under -race this also exercises
+// the span ring's locking against the solve path.
 func TestTracingDoesNotChangePlacements(t *testing.T) {
 	for _, tc := range traceTopologies(t) {
 		for _, workers := range []int{1, 4} {
 			t.Run(tc.name+"/workers="+string(rune('0'+workers)), func(t *testing.T) {
+				setWidth(t, workers)
 				base, err := faircache.NewSolver(tc.topo)
 				if err != nil {
 					t.Fatal(err)
@@ -63,14 +72,14 @@ func TestTracingDoesNotChangePlacements(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				traced.SetTraceSampling(1) // every solve lands in the ring
+				tracer := trace.New(0)
+				tracer.SetSampling(1) // every solve lands in the ring
 				req := func(explain bool) faircache.Request {
 					return faircache.Request{
 						Producer: tc.producer,
 						Chunks:   6,
 						Options: &faircache.Options{
 							Capacity: 4,
-							Workers:  workers,
 							Explain:  explain,
 						},
 					}
@@ -80,7 +89,7 @@ func TestTracingDoesNotChangePlacements(t *testing.T) {
 					t.Fatal(err)
 				}
 				for i := 0; i < 3; i++ {
-					got, err := traced.Solve(context.Background(), req(true))
+					got, err := traced.Solve(sampledContext(tracer, true), req(true))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -93,6 +102,9 @@ func TestTracingDoesNotChangePlacements(t *testing.T) {
 					if got.Trace == nil {
 						t.Fatal("explain solve returned no trace report")
 					}
+				}
+				if len(tracer.Views(0)) == 0 {
+					t.Fatal("sampled solves left no spans in the ring")
 				}
 			})
 		}
@@ -153,90 +165,16 @@ func TestExplainReportShape(t *testing.T) {
 	}
 }
 
-// TestTraceSpansRing checks sampled spans land in the solver ring under
-// one generated trace id and that the slowerThan filter excludes fast
-// spans.
-func TestTraceSpansRing(t *testing.T) {
-	topo, err := faircache.Grid(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver, err := faircache.NewSolver(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := solver.TraceSpans(0); len(got) != 0 {
-		t.Fatalf("fresh solver has %d spans, want 0", len(got))
-	}
-	solver.SetTraceSampling(1)
-	if got := solver.TraceSampling(); got != 1 {
-		t.Fatalf("TraceSampling = %d, want 1", got)
-	}
-	if _, err := solver.Solve(context.Background(), faircache.Request{
-		Producer: 0,
-		Chunks:   3,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	spans := solver.TraceSpans(0)
-	if len(spans) == 0 {
-		t.Fatal("sampled solve left no spans in the ring")
-	}
-	sawRoot := false
-	for _, sp := range spans {
-		if sp.TraceID != spans[0].TraceID || !strings.HasPrefix(sp.TraceID, "local-") {
-			t.Errorf("span %s has trace id %q, want the solve's generated local- id", sp.Name, sp.TraceID)
-		}
-		if sp.Name == "solve" {
-			sawRoot = true
-			if sp.ParentID != 0 {
-				t.Errorf("root span has parent %d", sp.ParentID)
-			}
-		} else if sp.ParentID == 0 {
-			t.Errorf("span %s has no parent", sp.Name)
-		}
-	}
-	if !sawRoot {
-		t.Errorf("ring holds no root solve span: %v", spans)
-	}
-	// A filter far above any real duration excludes everything.
-	if got := solver.TraceSpans(3600 * 1000); len(got) != 0 {
-		t.Errorf("slowerThan filter kept %d spans, want 0", len(got))
-	}
-}
-
-// TestOnTraceSpanObserver checks the streaming hook fires once per
-// sampled span (the server's phase histograms hang off this).
-func TestOnTraceSpanObserver(t *testing.T) {
-	topo, err := faircache.Grid(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solver, err := faircache.NewSolver(topo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	solver.OnTraceSpan(func(sp faircache.TraceSpan) { names = append(names, sp.Name) })
-	solver.SetTraceSampling(1)
-	if _, err := solver.Solve(context.Background(), faircache.Request{Producer: 0, Chunks: 2}); err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(names, ",")
-	if !strings.Contains(joined, "solve") || !strings.Contains(joined, "confl") {
-		t.Errorf("observer saw %q, want solve and confl spans", joined)
-	}
-}
-
 // TestTracingOffAllocFree pins the disabled-path cost to zero: a warm
-// solve with sampling off and no Explain allocates exactly as many times
-// as the pre-tracing baseline, measured as a delta between two identical
-// loops on the same solver. Sampled solves may allocate, but only a
-// bounded amount (ring copy + id).
+// solve whose context carries no trace and with no Explain allocates
+// exactly as many times as the pre-tracing baseline, measured as a delta
+// between two identical loops on the same solver. Solves in a sampled
+// trace may allocate, but only a bounded amount (ring copy + id).
 func TestTracingOffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts jitter under the race detector; run without -race")
 	}
+	setWidth(t, 1)
 	topo, err := faircache.Grid(6, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +186,7 @@ func TestTracingOffAllocFree(t *testing.T) {
 	req := faircache.Request{
 		Producer: 9,
 		Chunks:   8,
-		Options:  &faircache.Options{Capacity: 3, Workers: 1},
+		Options:  &faircache.Options{Capacity: 3},
 	}
 	solve := func() {
 		if _, err := solver.Solve(context.Background(), req); err != nil {
@@ -263,13 +201,17 @@ func TestTracingOffAllocFree(t *testing.T) {
 		t.Errorf("disabled tracing path not steady: %.0f allocs/run after %.0f", after, before)
 	}
 
-	solver.SetTraceSampling(1)
-	sampled := testing.AllocsPerRun(10, solve)
+	tracer := trace.New(0)
+	tracer.SetSampling(1)
+	sampled := testing.AllocsPerRun(10, func() {
+		if _, err := solver.Solve(sampledContext(tracer, false), req); err != nil {
+			t.Fatal(err)
+		}
+	})
 	t.Logf("tracing sampled: %.0f allocs/run", sampled)
 	if sampled > before+200 {
 		t.Errorf("sampled tracing adds %.0f allocs/run over %.0f, want <= 200 extra", sampled-before, before)
 	}
-	solver.SetTraceSampling(0)
 	off := testing.AllocsPerRun(10, solve)
 	t.Logf("tracing re-disabled: %.0f allocs/run", off)
 	if off > before {

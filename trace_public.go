@@ -7,13 +7,6 @@ import (
 	"repro/internal/trace"
 )
 
-// TraceSpan is the public projection of one recorded span: what ran,
-// when, for how long, under which trace, with its integer counters. Its
-// fields are TraceID, SpanID, ParentID (0 on a root span), Name, Start
-// (wall clock), DurationMs and Attrs. The daemon's GET /debug/trace dumps
-// these as JSON.
-type TraceSpan = trace.SpanView
-
 // ExplainPhase summarises one pipeline phase of an explain trace.
 type ExplainPhase struct {
 	// Phase is the span name ("chunk", "confl", "steiner.connect",
@@ -37,34 +30,6 @@ type ExplainReport struct {
 	TotalMs float64        `json:"totalMs"`
 	Spans   int            `json:"spans"`
 	Phases  []ExplainPhase `json:"phases"`
-}
-
-// SetTraceSampling turns span recording on for 1 in every solves
-// (1 = every solve, 0 = off, the default). Sampled spans land in the
-// solver's fixed-size ring buffer (TraceSpans); requests with
-// Options.Explain record regardless of this knob. Tracing is free when
-// off: the disabled path adds zero allocations to a solve.
-func (s *Solver) SetTraceSampling(every int) { s.tracer.SetSampling(every) }
-
-// TraceSampling returns the current 1-in-N sampling knob (0 = off).
-func (s *Solver) TraceSampling() int { return s.tracer.Sampling() }
-
-// TraceSpans copies the solver's recent-span ring buffer, oldest first,
-// keeping only spans at least slowerThan long (0 keeps all).
-func (s *Solver) TraceSpans(slowerThan time.Duration) []TraceSpan {
-	return s.tracer.Views(slowerThan)
-}
-
-// OnTraceSpan installs fn as the solver's span observer, invoked once per
-// recorded span (sampled or explain traces only). Install before the
-// solver sees concurrent traffic; fn runs on the solving goroutine, keep
-// it fast.
-func (s *Solver) OnTraceSpan(fn func(TraceSpan)) {
-	if fn == nil {
-		s.tracer.Observe(nil)
-		return
-	}
-	s.tracer.Observe(func(r *trace.Record) { fn(s.tracer.View(r)) })
 }
 
 // buildExplain turns a collected explain trace into the public report.
