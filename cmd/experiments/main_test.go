@@ -11,6 +11,11 @@ import (
 // experiments_output.md` from the repository root.
 const recordedOutput = "../../experiments_output.md"
 
+// recordedQuickOutput holds the -quick runs of the figures whose full
+// runs take minutes (1 and 2) and of the adapt replay: `for f in 1 2
+// adapt; do go run ./cmd/experiments -quick -fig $f; done`.
+const recordedQuickOutput = "testdata/quick_output.md"
+
 // captureRun executes run(fig, quick) with stdout captured.
 func captureRun(t *testing.T, fig string, quick bool) string {
 	t.Helper()
@@ -74,23 +79,38 @@ func TestRunUnknownFigure(t *testing.T) {
 // TestFiguresMatchRecordedOutput reruns every figure whose full-size run
 // is fast and deterministic and compares each of its sections with the
 // recorded output line for line. Timing cells are skipped: table columns
-// headed in ms or µs (Fig. 5, adapt and phases, which time throughout,
-// are not rerun; neither are Figs. 1 and 2, which take minutes).
+// headed in ms or µs (Fig. 5 and phases, which time throughout, are not
+// rerun; Figs. 1 and 2, which take minutes, and the adapt replay are
+// checked at -quick by TestQuickFiguresMatchRecordedOutput).
 func TestFiguresMatchRecordedOutput(t *testing.T) {
-	raw, err := os.ReadFile(recordedOutput)
+	matchRecorded(t, recordedOutput, false, "3", "4", "6", "7", "8", "9", "tab2", "abl", "part")
+}
+
+// TestQuickFiguresMatchRecordedOutput reruns Figs. 1 and 2 and the adapt
+// replay at -quick and compares them with the recorded quick runs the
+// same way.
+func TestQuickFiguresMatchRecordedOutput(t *testing.T) {
+	matchRecorded(t, recordedQuickOutput, true, "1", "2", "adapt")
+}
+
+// matchRecorded runs each figure and compares every section it prints
+// with the same section of the recorded file.
+func matchRecorded(t *testing.T, recorded string, quick bool, figs ...string) {
+	t.Helper()
+	raw, err := os.ReadFile(recorded)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := sections(string(raw))
-	for _, fig := range []string{"3", "4", "6", "7", "8", "9", "tab2", "abl", "part"} {
-		got := sections(captureRun(t, fig, false))
+	for _, fig := range figs {
+		got := sections(captureRun(t, fig, quick))
 		if len(got) == 0 {
 			t.Errorf("fig %s printed no section", fig)
 		}
 		for title, lines := range got {
 			rec, ok := want[title]
 			if !ok {
-				t.Errorf("fig %s: section %q is not in %s", fig, title, recordedOutput)
+				t.Errorf("fig %s: section %q is not in %s", fig, title, recorded)
 				continue
 			}
 			compareSection(t, title, lines, rec)
