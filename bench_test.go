@@ -12,6 +12,7 @@ package faircache_test
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	faircache "repro"
@@ -157,15 +158,11 @@ func BenchmarkFig1ChunkDistribution6x6(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			total := 0
-			for _, d := range fig.Diff[faircache.AlgorithmApprox] {
-				if d < 0 {
-					total -= d
-				} else {
-					total += d
-				}
+			total := 0.0
+			for _, d := range fig.Column("Appx") {
+				total += max(d, -d)
 			}
-			b.ReportMetric(float64(total), "appx-total-|diff|")
+			b.ReportMetric(total, "appx-total-|diff|")
 		}
 	}
 }
@@ -173,13 +170,12 @@ func BenchmarkFig1ChunkDistribution6x6(b *testing.B) {
 func BenchmarkFig2SmallGridsWithOptimal(b *testing.B) {
 	sc := benchScenario()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig2Small([]int{3, 4}, sc)
+		tab, err := eval.RunFig2Small([]int{3, 4}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(last.Total[faircache.AlgorithmApprox]/last.Optimal, "appx/optimal-ratio")
+			b.ReportMetric(tab.Value("16", "Appx")/tab.Value("16", "Brtf"), "appx/optimal-ratio")
 		}
 	}
 }
@@ -187,13 +183,12 @@ func BenchmarkFig2SmallGridsWithOptimal(b *testing.B) {
 func BenchmarkFig2LargeGrids(b *testing.B) {
 	sc := benchScenario()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig2Large([]int{10, 12}, sc)
+		tab, err := eval.RunFig2Large([]int{10, 12}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(last.Total[faircache.AlgorithmHopCount]/last.Total[faircache.AlgorithmApprox], "hopc/appx-ratio")
+			b.ReportMetric(tab.Value("144", "Hopc")/tab.Value("144", "Appx"), "hopc/appx-ratio")
 		}
 	}
 }
@@ -201,12 +196,13 @@ func BenchmarkFig2LargeGrids(b *testing.B) {
 func BenchmarkFig3HopLimitSweep(b *testing.B) {
 	sc := benchScenario()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig3(6, 6, 4, sc)
+		tab, err := eval.RunFig3(6, 6, 4, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(rows[0].Total()/rows[1].Total(), "k1/k2-cost-ratio")
+			total := tab.Column("total")
+			b.ReportMetric(total[0]/total[1], "k1/k2-cost-ratio")
 		}
 	}
 }
@@ -215,13 +211,12 @@ func BenchmarkFig4RandomNetworks(b *testing.B) {
 	sc := benchScenario()
 	sc.Seeds = []int64{1, 2} // 2 seeds per op keeps the bench responsive
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig4([]int{20, 60}, sc)
+		tab, err := eval.RunFig4([]int{20, 60}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(last.Total[faircache.AlgorithmHopCount]/last.Total[faircache.AlgorithmApprox], "hopc/appx-ratio")
+			b.ReportMetric(tab.Value("60", "Hopc")/tab.Value("60", "Appx"), "hopc/appx-ratio")
 		}
 	}
 }
@@ -253,8 +248,8 @@ func BenchmarkFig6StorageConcentration(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(100*fig.Percentile75[faircache.AlgorithmApprox], "appx-75pct-fairness-%")
-			b.ReportMetric(100*fig.Percentile75[faircache.AlgorithmHopCount], "hopc-75pct-fairness-%")
+			b.ReportMetric(fig.Value("Appx", "75-pct fairness"), "appx-75pct-fairness-%")
+			b.ReportMetric(fig.Value("Hopc", "75-pct fairness"), "hopc-75pct-fairness-%")
 		}
 	}
 }
@@ -262,12 +257,12 @@ func BenchmarkFig6StorageConcentration(b *testing.B) {
 func BenchmarkFig7GiniGrids(b *testing.B) {
 	sc := benchScenario()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig7Grid([]int{4, 6, 8}, sc)
+		tab, err := eval.RunFig7Grid([]int{4, 6, 8}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(rows[1].Gini[faircache.AlgorithmApprox], "appx-gini-6x6")
+			b.ReportMetric(tab.Value("36", "Appx"), "appx-gini-6x6")
 		}
 	}
 }
@@ -276,12 +271,12 @@ func BenchmarkFig7GiniRandom(b *testing.B) {
 	sc := benchScenario()
 	sc.Seeds = []int64{1, 2}
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig7Random([]int{20, 60}, sc)
+		tab, err := eval.RunFig7Random([]int{20, 60}, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			b.ReportMetric(rows[1].Gini[faircache.AlgorithmApprox], "appx-gini-60")
+			b.ReportMetric(tab.Value("60", "Appx"), "appx-gini-60")
 		}
 	}
 }
@@ -292,13 +287,12 @@ func BenchmarkFig8AccumulatedCost8x8(b *testing.B) { benchFig8(b, 8) }
 func benchFig8(b *testing.B, side int) {
 	sc := benchScenario()
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunFig8(side, side, 10, sc)
+		tab, err := eval.RunFig8(side, side, 10, sc)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			last := rows[len(rows)-1]
-			b.ReportMetric(last.Total[faircache.AlgorithmContention]/last.Total[faircache.AlgorithmApprox], "cont/appx-at-10-chunks")
+			b.ReportMetric(tab.Value("10", "Cont")/tab.Value("10", "Appx"), "cont/appx-at-10-chunks")
 		}
 	}
 }
@@ -314,7 +308,7 @@ func benchFig9(b *testing.B, side int) {
 			b.Fatal(err)
 		}
 		if i == b.N-1 {
-			xs := fig.PerChunk[faircache.AlgorithmApprox]
+			xs := fig.Column("Appx")
 			lo, hi := xs[0], xs[0]
 			for _, x := range xs {
 				if x < lo {
@@ -336,11 +330,11 @@ func BenchmarkTable2MessageCounts(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !tab.WithinBound {
-			b.Fatalf("message bound violated: %d > %d", tab.Total, tab.Bound)
+		if !strings.HasSuffix(tab.After[0], ": true") {
+			b.Fatalf("message bound violated: %s", tab.After[0])
 		}
 		if i == b.N-1 {
-			b.ReportMetric(float64(tab.Total), "messages")
+			b.ReportMetric(tab.Value("total", "count"), "messages")
 		}
 	}
 }
@@ -487,15 +481,11 @@ func BenchmarkAdaptReplay(b *testing.B) {
 	}
 	var hitRate float64
 	for i := 0; i < b.N; i++ {
-		rows, err := eval.RunAdaptive(sc)
+		tab, err := eval.RunAdaptive(sc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, r := range rows {
-			if r.Policy == "adaptive" {
-				hitRate = r.HitRate
-			}
-		}
+		hitRate = tab.Value("adaptive", "hit-rate")
 	}
 	b.ReportMetric(hitRate, "hit-rate")
 	b.ReportMetric(float64(sc.Requests*3)/float64(b.Elapsed().Seconds()*float64(b.N)+1e-9)/1e6, "Mreq/s")

@@ -14,13 +14,10 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
-	"time"
 
 	faircache "repro"
 
@@ -70,37 +67,103 @@ func applyAlgFilter(spec string) error {
 	return nil
 }
 
-type config struct {
-	quick bool
+// figure prints one -fig key's tables through emit, at full size or,
+// with quick, at reduced sizes and budgets.
+type figure func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error
+
+// order is the sequence -fig all prints.
+var order = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "tab2", "abl", "part", "adapt", "phases"}
+
+var figures = map[string]figure{
+	"1": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		// The exact search is budgeted (PuLP-replacement B&B with subset
+		// width 8); the table says whether the reference is proven optimal.
+		sc.OptimalBudget = pick(quick, 4000, 500)
+		side := pick(quick, 6, 4)
+		return emit(eval.RunFig1(side, side, sc))
+	},
+	"2": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		if err := emit(eval.RunFig2Small(pick(quick, []int{3, 4, 5}, []int{3, 4}), sc)); err != nil {
+			return err
+		}
+		return emit(eval.RunFig2Large(pick(quick, []int{10, 12, 14, 16}, []int{8}), sc))
+	},
+	"3": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		return emit(eval.RunFig3(6, 6, pick(quick, 5, 3), sc))
+	},
+	"4": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		return emit(eval.RunFig4(pick(quick, []int{20, 60, 100, 140, 180}, []int{20, 40}), sc))
+	},
+	"5": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		return emit(eval.RunFig5(pick(quick, []int{4, 6, 8, 10, 12}, []int{4, 6}), sc))
+	},
+	"6": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		return emit(eval.RunFig6(6, 6, sc))
+	},
+	"7": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		if err := emit(eval.RunFig7Grid(pick(quick, []int{4, 6, 8, 10}, []int{4, 6}), sc)); err != nil {
+			return err
+		}
+		return emit(eval.RunFig7Random(pick(quick, []int{20, 60, 100, 140, 180}, []int{20, 40}), sc))
+	},
+	"8": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		for _, side := range []int{4, 8} {
+			if err := emit(eval.RunFig8(side, side, pick(quick, 10, 6), sc)); err != nil {
+				return err
+			}
+		}
+		return nil
+	},
+	"9": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		for _, side := range []int{4, 6} {
+			if err := emit(eval.RunFig9(side, side, 10, sc)); err != nil {
+				return err
+			}
+		}
+		return nil
+	},
+	"tab2": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		return emit(eval.RunTable2(6, 6, sc))
+	},
+	"abl": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		return emit(eval.RunAblations(sc))
+	},
+	"part": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		cases, err := eval.DefaultPartitionedCases()
+		if err != nil {
+			return err
+		}
+		return emit(eval.RunPartitioned(cases[:pick(quick, len(cases), 1)], sc))
+	},
+	"adapt": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		if quick {
+			return emit(eval.RunAdaptive(eval.AdaptiveScenario{Rows: 9, Cols: 9, Chunks: 48, Requests: 100_000, AdaptEvery: 5_000}))
+		}
+		return emit(eval.RunAdaptive(eval.AdaptiveScenario{}))
+	},
+	"phases": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+		side := pick(quick, 6, 4)
+		return emit(eval.RunPhases(side, side, sc))
+	},
 }
 
+// run prints the tables of one figure, or of all of them in order.
 func run(fig string, quick bool) error {
-	c := config{quick: quick}
-	runners := map[string]func() error{
-		"1":      c.fig1,
-		"2":      c.fig2,
-		"3":      c.fig3,
-		"4":      c.fig4,
-		"5":      c.fig5,
-		"6":      c.fig6,
-		"7":      c.fig7,
-		"8":      c.fig8,
-		"9":      c.fig9,
-		"tab2":   c.table2,
-		"abl":    c.ablations,
-		"part":   c.partitioned,
-		"adapt":  c.adaptive,
-		"phases": c.phases,
-	}
+	keys := order
 	if fig != "all" {
-		r, ok := runners[fig]
-		if !ok {
+		if _, ok := figures[fig]; !ok {
 			return fmt.Errorf("unknown figure %q", fig)
 		}
-		return r()
+		keys = []string{fig}
 	}
-	for _, key := range []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "tab2", "abl", "part", "adapt", "phases"} {
-		if err := runners[key](); err != nil {
+	emit := func(t *eval.Table, err error) error {
+		if err == nil {
+			t.Print(os.Stdout)
+		}
+		return err
+	}
+	for _, key := range keys {
+		if err := figures[key](scenario(quick), quick, emit); err != nil {
 			return fmt.Errorf("fig %s: %w", key, err)
 		}
 	}
@@ -110,490 +173,20 @@ func run(fig string, quick bool) error {
 // scenario returns the paper's defaults, with a budgeted optimal search
 // (the pure-Go exact solver replaces PuLP; budgets keep it tractable and
 // the proven/best-found distinction is printed).
-func (c config) scenario() eval.Scenario {
+func scenario(quick bool) eval.Scenario {
 	sc := eval.DefaultScenario()
-	sc.OptimalBudget = 20000
+	sc.OptimalBudget = pick(quick, 20000, 1000)
 	sc.OptimalWidth = 8
-	if c.quick {
-		sc.OptimalBudget = 1000
+	if quick {
 		sc.Seeds = []int64{1, 2}
 	}
 	return sc
 }
 
-func header(title string) {
-	fmt.Printf("\n## %s\n\n", title)
-}
-
-func algColumns() []string {
-	cols := make([]string, 0, len(eval.Algorithms))
-	for _, a := range eval.Algorithms {
-		cols = append(cols, a.String())
+// pick returns full, or q under -quick.
+func pick[T any](quick bool, full, q T) T {
+	if quick {
+		return q
 	}
-	return cols
-}
-
-func printTable(headers []string, rows [][]string) {
-	fmt.Println("| " + strings.Join(headers, " | ") + " |")
-	seps := make([]string, len(headers))
-	for i := range seps {
-		seps[i] = "---"
-	}
-	fmt.Println("| " + strings.Join(seps, " | ") + " |")
-	for _, row := range rows {
-		fmt.Println("| " + strings.Join(row, " | ") + " |")
-	}
-}
-
-func (c config) fig1() error {
-	header("Fig. 1 — per-node chunk-count difference vs optimal (6×6 grid, producer 9)")
-	sc := c.scenario()
-	sc.OptimalBudget = 4000
-	if c.quick {
-		sc.OptimalBudget = 500
-	}
-	side := 6
-	if c.quick {
-		side = 4
-	}
-	// The exact 6×6 search is budgeted (PuLP-replacement B&B with subset
-	// width 8); the reference optimality flag is printed below.
-	fig, err := eval.RunFig1(side, side, sc)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("reference proven optimal: %v (budget %d nodes, width 8)\n\n", fig.ReferenceOptimal, sc.OptimalBudget)
-	headers := append([]string{"node", "Brtf count"}, algColumns()...)
-	var rows [][]string
-	for v := 0; v < side*side; v++ {
-		row := []string{fmt.Sprint(v), fmt.Sprint(fig.Reference[v])}
-		for _, alg := range eval.Algorithms {
-			row = append(row, fmt.Sprintf("%+d", fig.Diff[alg][v]))
-		}
-		rows = append(rows, row)
-	}
-	printTable(headers, rows)
-	// Summary: total absolute deviation per algorithm.
-	fmt.Println()
-	for _, alg := range eval.Algorithms {
-		total := 0
-		for _, d := range fig.Diff[alg] {
-			if d < 0 {
-				total -= d
-			} else {
-				total += d
-			}
-		}
-		fmt.Printf("total |diff| %s: %d\n", alg, total)
-	}
-	return nil
-}
-
-func (c config) fig2() error {
-	sc := c.scenario()
-	header("Fig. 2(a) — total contention cost, small grids (with Brtf)")
-	small := []int{3, 4, 5}
-	if c.quick {
-		small = []int{3, 4}
-	}
-	rows, err := eval.RunFig2Small(small, sc)
-	if err != nil {
-		return err
-	}
-	headers := append([]string{"nodes"}, algColumns()...)
-	headers = append(headers, "Brtf", "Brtf proven")
-	var out [][]string
-	for _, r := range rows {
-		row := []string{fmt.Sprint(r.Nodes)}
-		for _, alg := range eval.Algorithms {
-			row = append(row, fmt.Sprintf("%.0f", r.Total[alg]))
-		}
-		row = append(row, fmt.Sprintf("%.0f", r.Optimal), fmt.Sprint(r.OptimalProven))
-		out = append(out, row)
-	}
-	printTable(headers, out)
-
-	header("Fig. 2(b) — total contention cost, large grids (100–256 nodes)")
-	large := []int{10, 12, 14, 16}
-	if c.quick {
-		large = []int{8}
-	}
-	rows, err = eval.RunFig2Large(large, sc)
-	if err != nil {
-		return err
-	}
-	out = nil
-	for _, r := range rows {
-		row := []string{fmt.Sprint(r.Nodes)}
-		for _, alg := range eval.Algorithms {
-			row = append(row, fmt.Sprintf("%.0f", r.Total[alg]))
-		}
-		out = append(out, row)
-	}
-	printTable(append([]string{"nodes"}, algColumns()...), out)
-	return nil
-}
-
-func (c config) fig3() error {
-	header("Fig. 3 — distributed algorithm contention cost vs hop limit (6×6 grid)")
-	sc := c.scenario()
-	maxK := 5
-	if c.quick {
-		maxK = 3
-	}
-	rows, err := eval.RunFig3(6, 6, maxK, sc)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			fmt.Sprint(r.HopLimit),
-			fmt.Sprintf("%.0f", r.Access),
-			fmt.Sprintf("%.0f", r.Dissemination),
-			fmt.Sprintf("%.0f", r.Total()),
-		})
-	}
-	printTable([]string{"hop limit", "access", "dissemination", "total"}, out)
-	return nil
-}
-
-func (c config) fig4() error {
-	header("Fig. 4 — total contention cost on random networks (avg over seeds)")
-	sc := c.scenario()
-	sizes := []int{20, 60, 100, 140, 180}
-	if c.quick {
-		sizes = []int{20, 40}
-	}
-	rows, err := eval.RunFig4(sizes, sc)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		row := []string{fmt.Sprint(r.Nodes)}
-		for _, alg := range eval.Algorithms {
-			row = append(row, fmt.Sprintf("%.0f", r.Total[alg]))
-		}
-		out = append(out, row)
-	}
-	printTable(append([]string{"nodes"}, algColumns()...), out)
-	return nil
-}
-
-func (c config) fig5() error {
-	header("Fig. 5 — running time to place one chunk on grids")
-	sc := c.scenario()
-	sides := []int{4, 6, 8, 10, 12}
-	if c.quick {
-		sides = []int{4, 6}
-	}
-	rows, err := eval.RunFig5(sides, sc)
-	if err != nil {
-		return err
-	}
-	headers := []string{"nodes"}
-	for _, alg := range eval.Algorithms {
-		if alg == faircache.AlgorithmDistributed {
-			continue
-		}
-		headers = append(headers, string(alg))
-	}
-	var out [][]string
-	for _, r := range rows {
-		row := []string{fmt.Sprint(r.Nodes)}
-		for _, alg := range eval.Algorithms {
-			if alg == faircache.AlgorithmDistributed {
-				continue
-			}
-			row = append(row, r.Elapsed[alg].Round(10*time.Microsecond).String())
-		}
-		out = append(out, row)
-	}
-	printTable(headers, out)
-	return nil
-}
-
-func (c config) fig6() error {
-	header("Fig. 6 — storage concentration (6×6 grid) and 75-percentile fairness")
-	sc := c.scenario()
-	fig, err := eval.RunFig6(6, 6, sc)
-	if err != nil {
-		return err
-	}
-	// Nodes needed for 25/50/75/100% of data.
-	var out [][]string
-	for _, alg := range eval.Algorithms {
-		curve := fig.Curve[alg]
-		row := []string{string(alg)}
-		for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-			k := 0
-			for i, v := range curve {
-				if v >= frac-1e-9 {
-					k = i + 1
-					break
-				}
-			}
-			row = append(row, fmt.Sprint(k))
-		}
-		row = append(row, fmt.Sprintf("%.1f%%", 100*fig.Percentile75[alg]))
-		out = append(out, row)
-	}
-	printTable([]string{"algorithm", "nodes for 25%", "50%", "75%", "100%", "75-pct fairness"}, out)
-	return nil
-}
-
-func (c config) fig7() error {
-	sc := c.scenario()
-	header("Fig. 7(a) — Gini coefficient on grids")
-	sides := []int{4, 6, 8, 10}
-	if c.quick {
-		sides = []int{4, 6}
-	}
-	rows, err := eval.RunFig7Grid(sides, sc)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		row := []string{fmt.Sprint(r.Nodes)}
-		for _, alg := range eval.Algorithms {
-			row = append(row, fmt.Sprintf("%.3f", r.Gini[alg]))
-		}
-		out = append(out, row)
-	}
-	printTable(append([]string{"nodes"}, algColumns()...), out)
-
-	header("Fig. 7(b) — Gini coefficient on random networks (avg over seeds)")
-	sizes := []int{20, 60, 100, 140, 180}
-	if c.quick {
-		sizes = []int{20, 40}
-	}
-	rows, err = eval.RunFig7Random(sizes, sc)
-	if err != nil {
-		return err
-	}
-	out = nil
-	for _, r := range rows {
-		row := []string{fmt.Sprint(r.Nodes)}
-		for _, alg := range eval.Algorithms {
-			row = append(row, fmt.Sprintf("%.3f", r.Gini[alg]))
-		}
-		out = append(out, row)
-	}
-	printTable(append([]string{"nodes"}, algColumns()...), out)
-	return nil
-}
-
-func (c config) fig8() error {
-	sc := c.scenario()
-	maxChunks := 10
-	if c.quick {
-		maxChunks = 6
-	}
-	for _, side := range []int{4, 8} {
-		header(fmt.Sprintf("Fig. 8 — accumulated contention cost vs distinct chunks (%d×%d grid)", side, side))
-		rows, err := eval.RunFig8(side, side, maxChunks, sc)
-		if err != nil {
-			return err
-		}
-		var out [][]string
-		for _, r := range rows {
-			row := []string{fmt.Sprint(r.Chunks)}
-			for _, alg := range eval.Algorithms {
-				row = append(row, fmt.Sprintf("%.0f", r.Total[alg]))
-			}
-			out = append(out, row)
-		}
-		printTable(append([]string{"chunks"}, algColumns()...), out)
-	}
-	return nil
-}
-
-func (c config) fig9() error {
-	sc := c.scenario()
-	for _, side := range []int{4, 6} {
-		header(fmt.Sprintf("Fig. 9 — per-chunk contention cost, 10 chunks (%d×%d grid)", side, side))
-		fig, err := eval.RunFig9(side, side, 10, sc)
-		if err != nil {
-			return err
-		}
-		var out [][]string
-		for n := 0; n < 10; n++ {
-			row := []string{fmt.Sprint(n + 1)}
-			for _, alg := range eval.Algorithms {
-				row = append(row, fmt.Sprintf("%.0f", fig.PerChunk[alg][n]))
-			}
-			out = append(out, row)
-		}
-		printTable(append([]string{"chunk"}, algColumns()...), out)
-	}
-	return nil
-}
-
-func (c config) table2() error {
-	header("TABLE II / Sec. IV-D — distributed protocol message counts (6×6 grid)")
-	sc := c.scenario()
-	tab, err := eval.RunTable2(6, 6, sc)
-	if err != nil {
-		return err
-	}
-	kinds := make([]string, 0, len(tab.Counts))
-	for k := range tab.Counts {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	var out [][]string
-	for _, k := range kinds {
-		out = append(out, []string{k, fmt.Sprint(tab.Counts[k])})
-	}
-	out = append(out, []string{"total", fmt.Sprint(tab.Total)})
-	printTable([]string{"message", "count"}, out)
-	fmt.Printf("\nO(QN+N²) bound: %d messages ≤ %d: %v\n", tab.Total, tab.Bound, tab.WithinBound)
-	return nil
-}
-
-// partitioned prints the sharded-vs-global comparison: the cost-error
-// factor the boundary stitch achieves and the peak-matrix saving, per
-// topology model.
-func (c config) partitioned() error {
-	header("Sharded solves — partitioned vs global (Options.Partition)")
-	cases, err := eval.DefaultPartitionedCases()
-	if err != nil {
-		return err
-	}
-	if c.quick {
-		cases = cases[:1]
-	}
-	rows, err := eval.RunPartitioned(cases, c.scenario())
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Label,
-			fmt.Sprint(r.Nodes),
-			fmt.Sprint(r.Regions),
-			fmt.Sprintf("%.0f", r.GlobalCost),
-			fmt.Sprintf("%.0f", r.ShardedCost),
-			fmt.Sprintf("%.3f", r.Ratio),
-			fmt.Sprintf("%.1f", r.GlobalMs),
-			fmt.Sprintf("%.1f", r.ShardedMs),
-			fmt.Sprint(r.DroppedCopies),
-			fmt.Sprintf("%.1f%%", 100*float64(r.MatrixCells)/float64(r.FullMatrixCells)),
-		})
-	}
-	printTable([]string{"topology", "nodes", "regions", "global cost", "sharded cost", "ratio", "global ms", "sharded ms", "dropped", "matrix cells vs N²"}, out)
-	return nil
-}
-
-func (c config) adaptive() error {
-	header("Adaptive caching — 1M-request Zipf trace replay (15×15 grid)")
-	sc := eval.AdaptiveScenario{}
-	if c.quick {
-		sc.Rows, sc.Cols = 9, 9
-		sc.Chunks = 48
-		sc.Requests = 100_000
-		sc.AdaptEvery = 5_000
-	}
-	rows, err := eval.RunAdaptive(sc)
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Policy,
-			fmt.Sprintf("%.4f", r.HitRate),
-			fmt.Sprintf("%.4f", r.CacheRate),
-			fmt.Sprintf("%.3f", r.MeanCost),
-			fmt.Sprintf("%.0f", r.P99Cost),
-			fmt.Sprintf("%.3f", r.GiniMean),
-			fmt.Sprintf("%.3f", r.GiniFinal),
-			fmt.Sprint(r.Evictions),
-			fmt.Sprint(r.Adaptations),
-			fmt.Sprint(r.CopiesPlaced),
-			fmt.Sprintf("%.0f", r.Ms),
-		})
-	}
-	printTable([]string{"policy", "hit-rate", "cache-rate", "mean cost", "p99 cost", "gini mean", "gini final", "evictions", "adaptations", "copies placed", "ms"}, out)
-	return nil
-}
-
-func (c config) ablations() error {
-	header("Ablations — DESIGN.md §5 design knobs (6×6 grid, 10 chunks)")
-	rows, err := eval.RunAblations(c.scenario())
-	if err != nil {
-		return err
-	}
-	var out [][]string
-	for _, r := range rows {
-		out = append(out, []string{
-			r.Name,
-			fmt.Sprintf("%.3f", r.Gini),
-			fmt.Sprint(r.DistinctCaches),
-			fmt.Sprintf("%.0f", r.Total),
-			fmt.Sprintf("%.0f", r.Dissemination),
-		})
-	}
-	printTable([]string{"configuration", "gini", "distinct caches", "total cost", "dissemination"}, out)
-	return nil
-}
-
-// phases runs one explain'd Fig-1 solve (6×6 grid, producer 9, the
-// paper's 5 chunks) and prints its per-phase trace breakdown: where the
-// approximation's wall-clock goes (cost-model build, ConFL dual growth,
-// Steiner connection, per-chunk placement) plus each phase's summed
-// counters. Quick mode shrinks the grid like fig1 does.
-func (c config) phases() error {
-	header("Phase breakdown — one explain'd Appx solve (Fig. 1 configuration)")
-	side := 6
-	if c.quick {
-		side = 4
-	}
-	sc := c.scenario()
-	topo, err := faircache.Grid(side, side)
-	if err != nil {
-		return err
-	}
-	solver, err := faircache.NewSolver(topo)
-	if err != nil {
-		return err
-	}
-	producer := 9 // the paper's Fig. 1 producer
-	if producer >= topo.NumNodes() {
-		producer = topo.CentralNode()
-	}
-	res, err := solver.Solve(context.Background(), faircache.Request{
-		Producer: producer,
-		Chunks:   sc.Chunks,
-		Options:  &faircache.Options{Capacity: sc.Capacity, Explain: true},
-	})
-	if err != nil {
-		return err
-	}
-	rep := res.Trace
-	if rep == nil {
-		return fmt.Errorf("explain solve returned no trace")
-	}
-	fmt.Printf("trace %s: %d spans, %.2f ms total\n\n", rep.TraceID, rep.Spans, rep.TotalMs)
-	var rows [][]string
-	for _, ph := range rep.Phases {
-		counters := make([]string, 0, len(ph.Counters))
-		for k, v := range ph.Counters {
-			counters = append(counters, fmt.Sprintf("%s=%d", k, v))
-		}
-		sort.Strings(counters)
-		rows = append(rows, []string{
-			ph.Phase,
-			fmt.Sprint(ph.Count),
-			fmt.Sprintf("%.3f", ph.TotalMs),
-			fmt.Sprintf("%.1f%%", 100*ph.TotalMs/rep.TotalMs),
-			strings.Join(counters, ", "),
-		})
-	}
-	printTable([]string{"phase", "spans", "total ms", "% of solve", "counters"}, rows)
-	fmt.Println("\nPhases nest (a chunk span contains its confl and steiner spans), so percentages do not sum to 100.")
-	return nil
+	return full
 }

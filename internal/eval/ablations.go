@@ -4,38 +4,30 @@ import (
 	faircache "repro"
 )
 
-// AblationRow is one configuration's outcome in an ablation sweep.
-type AblationRow struct {
-	// Name identifies the configuration.
-	Name string
-	// Gini is the placement's fairness.
-	Gini float64
-	// DistinctCaches counts nodes holding at least one chunk.
-	DistinctCaches int
-	// Total is the evaluated contention cost.
-	Total float64
-	// Dissemination is the dissemination share of Total.
-	Dissemination float64
-}
-
 // RunAblations sweeps the design knobs called out in DESIGN.md §5 on the
 // paper's 6×6 grid with a 10-chunk load (twice the capacity-5 default, so
 // the fairness terms actually bite): SPAN quorum M, dual step U_α,
-// fairness weight, greedy vs primal-dual ConFL, and Steiner local search.
-func RunAblations(sc Scenario) ([]AblationRow, error) {
-	topo, err := faircache.Grid(6, 6)
+// fairness weight, greedy vs primal-dual ConFL, Steiner local search and,
+// as an extension, battery fairness. All configurations share one Solver.
+func RunAblations(sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(6, 6, 10)
 	if err != nil {
 		return nil, err
 	}
-	producer := sc.producerOn(topo)
-	const chunks = 10
-
-	type cfg struct {
+	// Battery extension: drain the left half of the grid and show where
+	// placement shifts.
+	levels := make([]float64, 36)
+	for i := range levels {
+		levels[i] = 1
+		if i%6 < 3 {
+			levels[i] = 0.05
+		}
+	}
+	configs := []struct {
 		name string
 		opts faircache.Options
-	}
-	configs := []cfg{
-		{name: "default (M=2, Uγ=2.5, w=1)", opts: faircache.Options{}},
+	}{
+		{name: "default (M=2, Uγ=2.5, w=1)"},
 		{name: "quorum M=1", opts: faircache.Options{SpanQuorum: 1}},
 		{name: "quorum M=3", opts: faircache.Options{SpanQuorum: 3}},
 		{name: "quorum M=4", opts: faircache.Options{SpanQuorum: 4}},
@@ -45,55 +37,30 @@ func RunAblations(sc Scenario) ([]AblationRow, error) {
 		{name: "fairness heavy (w=4)", opts: faircache.Options{FairnessWeight: 4}},
 		{name: "greedy ConFL", opts: faircache.Options{GreedyConFL: true}},
 		{name: "steiner local search", opts: faircache.Options{ImproveSteiner: true}},
+		{name: "battery fairness (left half drained)", opts: faircache.Options{BatteryLevels: levels, BatteryWeight: 1}},
 	}
-
-	var rows []AblationRow
+	t := &Table{
+		Title:  "Ablations — DESIGN.md §5 design knobs (6×6 grid, 10 chunks)",
+		Header: []string{"configuration", "gini", "distinct caches", "total cost", "dissemination"},
+	}
 	for _, c := range configs {
 		opts := c.opts
 		opts.Capacity = sc.Capacity
-		res, err := Run(faircache.AlgorithmApprox, topo, producer, chunks, &opts)
+		res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmApprox}, &opts)
 		if err != nil {
 			return nil, err
 		}
-		report, err := res.ContentionCost()
+		report, err := res[0].ContentionCost()
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Name:           c.name,
-			Gini:           res.Gini(),
-			DistinctCaches: res.DistinctCacheNodes(),
-			Total:          report.Total(),
-			Dissemination:  report.Dissemination,
+		t.Rows = append(t.Rows, []Cell{
+			{Text: c.name},
+			num("%.3f", res[0].Gini()),
+			num("%.0f", float64(res[0].DistinctCacheNodes())),
+			num("%.0f", report.Total()),
+			num("%.0f", report.Dissemination),
 		})
 	}
-
-	// Battery extension: drain half the grid and show placement shifts.
-	levels := make([]float64, topo.NumNodes())
-	for i := range levels {
-		levels[i] = 1
-		if i%6 < 3 {
-			levels[i] = 0.05 // nearly dead left half
-		}
-	}
-	res, err := Run(faircache.AlgorithmApprox, topo, producer, chunks, &faircache.Options{
-		Capacity:      sc.Capacity,
-		BatteryLevels: levels,
-		BatteryWeight: 1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	report, err := res.ContentionCost()
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, AblationRow{
-		Name:           "battery fairness (left half drained)",
-		Gini:           res.Gini(),
-		DistinctCaches: res.DistinctCacheNodes(),
-		Total:          report.Total(),
-		Dissemination:  report.Dissemination,
-	})
-	return rows, nil
+	return t, nil
 }

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"time"
 
 	faircache "repro"
 	"repro/internal/sim"
@@ -89,30 +90,6 @@ func (sc AdaptiveScenario) withDefaults() AdaptiveScenario {
 	return sc
 }
 
-// AdaptiveRow reports one policy's replay outcome.
-type AdaptiveRow struct {
-	// Policy names the caching policy ("static", "lru", "adaptive").
-	Policy string
-	// HitRate is the fraction of requests served by a cache copy within
-	// HitRadius hops; CacheRate the fraction served by any cache copy.
-	HitRate   float64
-	CacheRate float64
-	// MeanCost and P99Cost summarize the hop-distance retrieval cost.
-	MeanCost float64
-	P99Cost  float64
-	// GiniMean, GiniFinal and GiniMax summarize the storage-fairness Gini
-	// coefficient sampled every SampleEvery requests.
-	GiniMean  float64
-	GiniFinal float64
-	GiniMax   float64
-	// Evictions, Adaptations and CopiesPlaced count the policy's work.
-	Evictions    int64
-	Adaptations  int64
-	CopiesPlaced int64
-	// Ms is the replay wall time.
-	Ms float64
-}
-
 // traceSpec builds the scenario's request generator; every policy replays
 // the identical stream.
 func (sc AdaptiveScenario) traceSpec(producer int) sim.TraceSpec {
@@ -128,27 +105,21 @@ func (sc AdaptiveScenario) traceSpec(producer int) sim.TraceSpec {
 
 // giniTrack accumulates the over-time fairness summary.
 type giniTrack struct {
-	sum   float64
-	max   float64
-	last  float64
-	count int
+	sum, last float64
+	count     int
 }
 
 func (g *giniTrack) add(v float64) {
 	g.sum += v
-	if v > g.max {
-		g.max = v
-	}
 	g.last = v
 	g.count++
 }
 
-func (g *giniTrack) fill(row *AdaptiveRow) {
-	if g.count > 0 {
-		row.GiniMean = g.sum / float64(g.count)
+func (g *giniTrack) mean() float64 {
+	if g.count == 0 {
+		return 0
 	}
-	row.GiniFinal = g.last
-	row.GiniMax = g.max
+	return g.sum / float64(g.count)
 }
 
 // RunAdaptive replays the scenario's request trace under three policies —
@@ -156,11 +127,13 @@ func (g *giniTrack) fill(row *AdaptiveRow) {
 // cooperative LRU (insert-on-miss at the requester, per-node LRU
 // replacement, no placement intelligence), and the adaptive system
 // (static seed + periodic demand-driven adaptation) — and reports
-// hit-rate, retrieval cost and fairness-over-time per policy. All three
-// policies serve requests by the same rule (nearest copy network-wide,
-// local hit within HitRadius hops), so the rows differ only by placement
-// policy.
-func RunAdaptive(sc AdaptiveScenario) ([]AdaptiveRow, error) {
+// hit-rate, retrieval cost, fairness over time (the mean and final Gini
+// coefficient of the samples taken every SampleEvery requests), the
+// policy's work and its wall time. All three policies serve requests by
+// the same rule (nearest copy network-wide, local hit within HitRadius
+// hops), so the rows differ only by placement policy. The title names the
+// default scenario at every size.
+func RunAdaptive(sc AdaptiveScenario) (*Table, error) {
 	sc = sc.withDefaults()
 	topo, err := faircache.Grid(sc.Rows, sc.Cols)
 	if err != nil {
@@ -168,34 +141,50 @@ func RunAdaptive(sc AdaptiveScenario) ([]AdaptiveRow, error) {
 	}
 	producer := topo.CentralNode()
 
-	rows := make([]AdaptiveRow, 0, 3)
+	t := &Table{
+		Title:  "Adaptive caching — 1M-request Zipf trace replay (15×15 grid)",
+		Header: []string{"policy", "hit-rate", "cache-rate", "mean cost", "p99 cost", "gini mean", "gini final", "evictions", "adaptations", "copies placed", "ms"},
+	}
 	for _, policy := range []string{"static", "lru", "adaptive"} {
-		var row AdaptiveRow
-		ms, err := timeIt(func() error {
-			r, err := sc.runPolicy(topo, producer, policy)
-			row = r
-			return err
-		})
+		start := time.Now()
+		var st faircache.AdaptiveStats
+		var gini giniTrack
+		if policy == "lru" {
+			st, gini, err = sc.runNaiveLRU(topo, producer)
+		} else {
+			st, gini, err = sc.runSystem(topo, producer, policy == "adaptive")
+		}
 		if err != nil {
 			return nil, fmt.Errorf("adaptive replay %q: %w", policy, err)
 		}
-		row.Ms = float64(ms.Microseconds()) / 1000
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, []Cell{
+			{Text: policy},
+			num("%.4f", st.HitRate),
+			num("%.4f", st.CacheRate),
+			num("%.3f", st.MeanCost),
+			num("%.0f", st.P99Cost),
+			num("%.3f", gini.mean()),
+			num("%.3f", gini.last),
+			num("%.0f", float64(st.Evictions)),
+			num("%.0f", float64(st.Adaptations)),
+			num("%.0f", float64(st.CopiesPlaced)),
+			num("%.0f", float64(time.Since(start).Microseconds())/1000),
+		})
 	}
-	return rows, nil
+	return t, nil
 }
 
-func (sc AdaptiveScenario) runPolicy(topo *faircache.Topology, producer int, policy string) (AdaptiveRow, error) {
-	if policy == "lru" {
-		return sc.runNaiveLRU(topo, producer)
-	}
+// runSystem replays the trace through an AdaptiveSystem, running an
+// adaptation pass every AdaptEvery requests when adapt is set.
+func (sc AdaptiveScenario) runSystem(topo *faircache.Topology, producer int, adapt bool) (faircache.AdaptiveStats, giniTrack, error) {
+	var gini giniTrack
 	trace, err := sim.NewTrace(sc.traceSpec(producer))
 	if err != nil {
-		return AdaptiveRow{}, err
+		return faircache.AdaptiveStats{}, gini, err
 	}
 	solver, err := faircache.NewSolver(topo)
 	if err != nil {
-		return AdaptiveRow{}, err
+		return faircache.AdaptiveStats{}, gini, err
 	}
 	sys, err := solver.NewAdaptive(context.Background(), producer, sc.Chunks, &faircache.AdaptiveOptions{
 		Capacity:   sc.Capacity,
@@ -204,10 +193,9 @@ func (sc AdaptiveScenario) runPolicy(topo *faircache.Topology, producer int, pol
 		CopyBudget: sc.CopyBudget,
 	})
 	if err != nil {
-		return AdaptiveRow{}, err
+		return faircache.AdaptiveStats{}, gini, err
 	}
 
-	var gini giniTrack
 	batch := make([]faircache.RequestEvent, 0, sc.SampleEvery)
 	for done := 0; done < sc.Requests; {
 		n := sc.SampleEvery
@@ -220,27 +208,15 @@ func (sc AdaptiveScenario) runPolicy(topo *faircache.Topology, producer int, pol
 			batch = append(batch, faircache.RequestEvent{Node: r.Node, Chunk: r.Chunk})
 		}
 		if _, err := sys.Report(batch); err != nil {
-			return AdaptiveRow{}, err
+			return faircache.AdaptiveStats{}, gini, err
 		}
 		done += n
 		gini.add(sys.Gini())
-		if policy == "adaptive" && done%sc.AdaptEvery == 0 && done < sc.Requests {
+		if adapt && done%sc.AdaptEvery == 0 && done < sc.Requests {
 			if _, err := sys.Adapt(context.Background()); err != nil {
-				return AdaptiveRow{}, err
+				return faircache.AdaptiveStats{}, gini, err
 			}
 		}
 	}
-	st := sys.Stats()
-	row := AdaptiveRow{
-		Policy:       policy,
-		HitRate:      st.HitRate,
-		CacheRate:    st.CacheRate,
-		MeanCost:     st.MeanCost,
-		P99Cost:      st.P99Cost,
-		Evictions:    st.Evictions,
-		Adaptations:  st.Adaptations,
-		CopiesPlaced: st.CopiesPlaced,
-	}
-	gini.fill(&row)
-	return row, nil
+	return sys.Stats(), gini, nil
 }

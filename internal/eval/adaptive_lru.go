@@ -155,16 +155,16 @@ func (l *naiveLRU) percentile(q float64) float64 {
 }
 
 // runNaiveLRU replays the scenario's trace under the naive LRU baseline.
-func (sc AdaptiveScenario) runNaiveLRU(topo *faircache.Topology, producer int) (AdaptiveRow, error) {
+func (sc AdaptiveScenario) runNaiveLRU(topo *faircache.Topology, producer int) (faircache.AdaptiveStats, giniTrack, error) {
+	var gini giniTrack
 	trace, err := sim.NewTrace(sc.traceSpec(producer))
 	if err != nil {
-		return AdaptiveRow{}, err
+		return faircache.AdaptiveStats{}, gini, err
 	}
 	l, err := newNaiveLRU(topo, producer, sc.Chunks, sc.Capacity, sc.HitRadius)
 	if err != nil {
-		return AdaptiveRow{}, err
+		return faircache.AdaptiveStats{}, gini, err
 	}
-	var gini giniTrack
 	for i := 1; i <= sc.Requests; i++ {
 		r := trace.Next()
 		l.observe(r.Node, r.Chunk)
@@ -172,14 +172,11 @@ func (sc AdaptiveScenario) runNaiveLRU(topo *faircache.Topology, producer int) (
 			gini.add(metrics.Gini(l.counts()))
 		}
 	}
-	row := AdaptiveRow{
-		Policy:    "lru",
+	return faircache.AdaptiveStats{
 		HitRate:   float64(l.localHits) / float64(l.requests),
 		CacheRate: float64(l.cacheHits) / float64(l.requests),
 		MeanCost:  l.costSum / float64(l.requests),
 		P99Cost:   l.percentile(0.99),
 		Evictions: l.evictions,
-	}
-	gini.fill(&row)
-	return row, nil
+	}, gini, nil
 }

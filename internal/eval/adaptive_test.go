@@ -17,54 +17,55 @@ func smokeScenario() AdaptiveScenario {
 }
 
 func TestAdaptReplaySmoke(t *testing.T) {
-	rows, err := RunAdaptive(smokeScenario())
+	tab, err := RunAdaptive(smokeScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("got %d rows, want 3", len(rows))
+	if len(tab.Rows) != 3 {
+		t.Fatalf("got %d rows, want 3", len(tab.Rows))
 	}
-	byPolicy := map[string]AdaptiveRow{}
-	for _, r := range rows {
-		byPolicy[r.Policy] = r
-		if r.HitRate < 0 || r.HitRate > 1 || r.CacheRate < r.HitRate {
-			t.Errorf("%s: inconsistent rates: %+v", r.Policy, r)
+	for _, row := range tab.Rows {
+		policy := row[0].Text
+		v := func(header string) float64 { return tab.Value(policy, header) }
+		if v("hit-rate") < 0 || v("hit-rate") > 1 || v("cache-rate") < v("hit-rate") {
+			t.Errorf("%s: inconsistent rates: %v", policy, row)
 		}
-		if r.MeanCost < 0 || r.P99Cost < r.MeanCost {
-			t.Errorf("%s: inconsistent costs: %+v", r.Policy, r)
+		if v("mean cost") < 0 || v("p99 cost") < v("mean cost") {
+			t.Errorf("%s: inconsistent costs: %v", policy, row)
 		}
 	}
-	static, lru, adaptive := byPolicy["static"], byPolicy["lru"], byPolicy["adaptive"]
-	if adaptive.HitRate <= static.HitRate {
-		t.Errorf("adaptive hit-rate %.4f does not beat static %.4f", adaptive.HitRate, static.HitRate)
+	if adaptive, static := tab.Value("adaptive", "hit-rate"), tab.Value("static", "hit-rate"); adaptive <= static {
+		t.Errorf("adaptive hit-rate %.4f does not beat static %.4f", adaptive, static)
 	}
-	if adaptive.GiniFinal > static.GiniFinal {
-		t.Errorf("adaptive GiniFinal %.4f worse than static %.4f", adaptive.GiniFinal, static.GiniFinal)
+	if adaptive, static := tab.Value("adaptive", "gini final"), tab.Value("static", "gini final"); adaptive > static {
+		t.Errorf("adaptive GiniFinal %.4f worse than static %.4f", adaptive, static)
 	}
-	if adaptive.Adaptations == 0 || adaptive.CopiesPlaced == 0 {
-		t.Errorf("adaptive did no work: %+v", adaptive)
+	if tab.Value("adaptive", "adaptations") == 0 || tab.Value("adaptive", "copies placed") == 0 {
+		t.Errorf("adaptive did no work: %v", tab.Rows[2])
 	}
-	if lru.Evictions == 0 {
-		t.Errorf("lru baseline did not churn: %+v", lru)
+	if tab.Value("lru", "evictions") == 0 {
+		t.Errorf("lru baseline did not churn: %v", tab.Rows[1])
 	}
 }
 
 func TestAdaptReplayDeterministic(t *testing.T) {
 	sc := smokeScenario()
 	sc.Requests = 30_000
-	run := func() []AdaptiveRow {
-		rows, err := RunAdaptive(sc)
+	run := func() *Table {
+		tab, err := RunAdaptive(sc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rows
+		return tab
 	}
 	a, b := run(), run()
-	for i := range a {
-		// Ms is wall time; everything else must replay identically.
-		a[i].Ms, b[i].Ms = 0, 0
-		if a[i] != b[i] {
-			t.Errorf("row %d diverged:\n  %+v\n  %+v", i, a[i], b[i])
+	for i := range a.Rows {
+		for c, h := range a.Header {
+			// The ms column is wall time; everything else must replay
+			// identically.
+			if h != "ms" && a.Rows[i][c] != b.Rows[i][c] {
+				t.Errorf("row %d %s diverged: %v, %v", i, h, a.Rows[i][c], b.Rows[i][c])
+			}
 		}
 	}
 }

@@ -1,13 +1,13 @@
 // Package eval is the experiment harness: one runner per table/figure of
 // the paper's evaluation section (Sec. V), each driving the public
-// faircache API exactly as a downstream user would. The cmd/experiments
-// binary renders runner output as the tables recorded in EXPERIMENTS.md;
-// the root bench_test.go wraps the same runners as benchmarks.
+// faircache API exactly as a downstream user would and returning the
+// figure as a Table. The cmd/experiments binary prints those tables, as
+// recorded in EXPERIMENTS.md; the root bench_test.go wraps the same
+// runners as benchmarks and reads their metrics from the tables' cells.
 package eval
 
 import (
 	"context"
-	"time"
 
 	faircache "repro"
 )
@@ -20,9 +20,10 @@ var Algorithms = []faircache.Algorithm{
 	faircache.AlgorithmContention,
 }
 
-// Run executes one algorithm on a topology and returns its placement. It
-// drives the Solver API with a background context; unknown algorithms
-// fail with faircache.ErrBadArgument.
+// Run executes one algorithm on a topology with a fresh Solver, and so a
+// cold cost model, and returns its placement. It drives the Solver API
+// with a background context; unknown algorithms fail with
+// faircache.ErrBadArgument.
 func Run(alg faircache.Algorithm, topo *faircache.Topology, producer, chunks int, opts *faircache.Options) (*faircache.Result, error) {
 	solver, err := faircache.NewSolver(topo)
 	if err != nil {
@@ -34,19 +35,6 @@ func Run(alg faircache.Algorithm, topo *faircache.Topology, producer, chunks int
 		Algorithm: alg,
 		Options:   opts,
 	})
-}
-
-// Cost runs an algorithm and evaluates its total contention cost.
-func Cost(alg faircache.Algorithm, topo *faircache.Topology, producer, chunks int, opts *faircache.Options) (float64, error) {
-	res, err := Run(alg, topo, producer, chunks, opts)
-	if err != nil {
-		return 0, err
-	}
-	report, err := res.ContentionCost()
-	if err != nil {
-		return 0, err
-	}
-	return report.Total(), nil
 }
 
 // Scenario is the shared experimental setup of Sec. V-A.
@@ -96,11 +84,4 @@ func (s Scenario) producerOn(topo *faircache.Topology) int {
 		return 9
 	}
 	return topo.NumNodes() / 2
-}
-
-// timeIt measures the wall-clock time of fn.
-func timeIt(fn func() error) (time.Duration, error) {
-	start := time.Now()
-	err := fn()
-	return time.Since(start), err
 }

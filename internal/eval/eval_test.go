@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	faircache "repro"
@@ -28,64 +30,64 @@ func TestRunUnknownAlgorithm(t *testing.T) {
 
 func TestRunFig1Small(t *testing.T) {
 	sc := fastScenario()
+	topo, err := faircache.Grid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := sc.producerOn(topo); p != 9 {
+		t.Errorf("producer = %d, want 9", p)
+	}
 	fig, err := RunFig1(4, 4, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fig.Producer != 9 {
-		t.Errorf("producer = %d, want 9", fig.Producer)
-	}
-	if len(fig.Reference) != 16 {
-		t.Fatalf("reference length = %d", len(fig.Reference))
+	if n := len(fig.Column("Brtf count")); n != 16 {
+		t.Fatalf("reference length = %d", n)
 	}
 	for _, alg := range Algorithms {
-		diff, ok := fig.Diff[alg]
-		if !ok || len(diff) != 16 {
-			t.Errorf("%s: diff missing or wrong length", alg)
+		if n := len(fig.Column(alg.String())); n != 16 {
+			t.Errorf("%s: diff length %d", alg, n)
 		}
 	}
 	// The diff of the optimal against itself is not included; the
 	// approximation should differ somewhere but sum to a small offset.
-	if fig.Diff[faircache.AlgorithmHopCount][fig.Producer] != -fig.Reference[fig.Producer] {
-		t.Errorf("producer diff inconsistent: %d vs reference %d",
-			fig.Diff[faircache.AlgorithmHopCount][fig.Producer], fig.Reference[fig.Producer])
+	if hopc, ref := fig.Value("9", "Hopc"), fig.Value("9", "Brtf count"); hopc != -ref {
+		t.Errorf("producer diff inconsistent: %g vs reference %g", hopc, ref)
 	}
 }
 
 func TestRunFig2SmallShape(t *testing.T) {
 	sc := fastScenario()
-	rows, err := RunFig2Small([]int{3}, sc)
+	tab, err := RunFig2Small([]int{3}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 || rows[0].Nodes != 9 {
-		t.Fatalf("rows = %+v", rows)
+	if nodes := tab.Column("nodes"); len(nodes) != 1 || nodes[0] != 9 {
+		t.Fatalf("nodes = %v", nodes)
 	}
-	row := rows[0]
-	if row.Optimal <= 0 {
+	optimal := tab.Value("9", "Brtf")
+	if optimal <= 0 {
 		t.Error("optimal cost not computed")
 	}
 	for _, alg := range Algorithms {
-		if row.Total[alg] <= 0 {
-			t.Errorf("%s cost = %g", alg, row.Total[alg])
+		if cost := tab.Value("9", alg.String()); cost <= 0 {
+			t.Errorf("%s cost = %g", alg, cost)
 		}
 	}
 	// Approximation guarantee on the evaluation metric: within 6.55x of
 	// the (budgeted) optimum reference.
-	if row.Total[faircache.AlgorithmApprox] > 6.55*row.Optimal {
-		t.Errorf("Appx %g exceeds 6.55x optimal %g", row.Total[faircache.AlgorithmApprox], row.Optimal)
+	if appx := tab.Value("9", "Appx"); appx > 6.55*optimal {
+		t.Errorf("Appx %g exceeds 6.55x optimal %g", appx, optimal)
 	}
 }
 
 func TestRunFig2LargeOrdering(t *testing.T) {
 	sc := fastScenario()
-	rows, err := RunFig2Large([]int{8}, sc)
+	tab, err := RunFig2Large([]int{8}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := rows[0]
-	appx := row.Total[faircache.AlgorithmApprox]
-	hopc := row.Total[faircache.AlgorithmHopCount]
+	appx, hopc := tab.Value("64", "Appx"), tab.Value("64", "Hopc")
 	if hopc <= appx {
 		t.Errorf("Hopc %g not worse than Appx %g on a large grid", hopc, appx)
 	}
@@ -93,31 +95,32 @@ func TestRunFig2LargeOrdering(t *testing.T) {
 
 func TestRunFig3HopSweep(t *testing.T) {
 	sc := fastScenario()
-	rows, err := RunFig3(6, 6, 3, sc)
+	tab, err := RunFig3(6, 6, 3, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
+	limits, total := tab.Column("hop limit"), tab.Column("total")
+	if len(limits) != 3 {
+		t.Fatalf("rows = %d, want 3", len(limits))
 	}
-	if rows[0].HopLimit != 1 || rows[2].HopLimit != 3 {
-		t.Errorf("hop limits = %d..%d", rows[0].HopLimit, rows[2].HopLimit)
+	if limits[0] != 1 || limits[2] != 3 {
+		t.Errorf("hop limits = %g..%g", limits[0], limits[2])
 	}
 	// Fig. 3's claim: 1 hop is no better than 2 hops.
-	if rows[0].Total() < rows[1].Total()-1e-9 {
-		t.Errorf("1-hop %g beats 2-hop %g", rows[0].Total(), rows[1].Total())
+	if total[0] < total[1]-1e-9 {
+		t.Errorf("1-hop %g beats 2-hop %g", total[0], total[1])
 	}
 }
 
 func TestRunFig4Averaging(t *testing.T) {
 	sc := fastScenario()
-	rows, err := RunFig4([]int{20}, sc)
+	tab, err := RunFig4([]int{20}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, alg := range Algorithms {
-		if rows[0].Total[alg] <= 0 {
-			t.Errorf("%s average cost = %g", alg, rows[0].Total[alg])
+		if cost := tab.Value("20", alg.String()); cost <= 0 {
+			t.Errorf("%s average cost = %g", alg, cost)
 		}
 	}
 	if _, err := RunFig4([]int{20}, Scenario{Chunks: 1, Capacity: 5}); err == nil {
@@ -127,17 +130,16 @@ func TestRunFig4Averaging(t *testing.T) {
 
 func TestRunFig5Timing(t *testing.T) {
 	sc := fastScenario()
-	rows, err := RunFig5([]int{4}, sc)
+	tab, err := RunFig5([]int{4}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := rows[0]
-	if _, hasDist := row.Elapsed[faircache.AlgorithmDistributed]; hasDist {
+	if slices.Contains(tab.Header, faircache.AlgorithmDistributed.String()) {
 		t.Error("Fig 5 must exclude the distributed algorithm (paper does)")
 	}
 	for _, alg := range []faircache.Algorithm{faircache.AlgorithmApprox, faircache.AlgorithmHopCount, faircache.AlgorithmContention} {
-		if row.Elapsed[alg] <= 0 {
-			t.Errorf("%s elapsed = %v", alg, row.Elapsed[alg])
+		if ms := tab.Value("16", alg.String()); ms <= 0 {
+			t.Errorf("%s elapsed = %g ms", alg, ms)
 		}
 	}
 }
@@ -148,19 +150,17 @@ func TestRunFig6FairnessOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appx := fig.Percentile75[faircache.AlgorithmApprox]
-	cont := fig.Percentile75[faircache.AlgorithmContention]
-	hopc := fig.Percentile75[faircache.AlgorithmHopCount]
+	appx := fig.Value("Appx", "75-pct fairness")
+	cont := fig.Value("Cont", "75-pct fairness")
+	hopc := fig.Value("Hopc", "75-pct fairness")
 	if !(appx > cont && cont > hopc) {
 		t.Errorf("75-percentile fairness ordering violated: appx %g, cont %g, hopc %g", appx, cont, hopc)
 	}
+	// The storage curve has one point per node and must reach all of the
+	// data within the grid's 36 nodes.
 	for _, alg := range Algorithms {
-		curve := fig.Curve[alg]
-		if len(curve) != 36 {
-			t.Fatalf("%s: curve length %d", alg, len(curve))
-		}
-		if curve[35] != 1 {
-			t.Errorf("%s: curve does not reach 1", alg)
+		if k := fig.Value(alg.String(), "100%"); k < 1 || k > 36 {
+			t.Errorf("%s: curve does not reach 1 within 36 nodes (%g)", alg, k)
 		}
 	}
 }
@@ -171,36 +171,37 @@ func TestRunFig7GiniShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := grid[0].Gini
-	if g[faircache.AlgorithmApprox] >= 0.4 {
-		t.Errorf("Appx gini = %g, want < 0.4 (paper headline)", g[faircache.AlgorithmApprox])
+	appx, hopc := grid.Value("36", "Appx"), grid.Value("36", "Hopc")
+	if appx >= 0.4 {
+		t.Errorf("Appx gini = %g, want < 0.4 (paper headline)", appx)
 	}
-	if g[faircache.AlgorithmHopCount] <= g[faircache.AlgorithmApprox] {
+	if hopc <= appx {
 		t.Error("Hopc not less fair than Appx")
 	}
 	random, err := RunFig7Random([]int{20}, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if random[0].Gini[faircache.AlgorithmApprox] <= 0 {
+	if random.Value("20", "Appx") <= 0 {
 		t.Error("random-network gini not computed")
 	}
 }
 
 func TestRunFig8BaselineJumpAtCapacity(t *testing.T) {
 	sc := DefaultScenario()
-	rows, err := RunFig8(4, 4, 6, sc)
+	tab, err := RunFig8(4, 4, 6, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 6 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(tab.Rows) != 6 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 	// Fig. 8's discontinuity: the Contention baseline's increment jumps
 	// when chunk 6 forces a second node set (capacity 5), while the fair
 	// algorithm keeps growing smoothly.
 	inc := func(alg faircache.Algorithm, q int) float64 {
-		return rows[q-1].Total[alg] - rows[q-2].Total[alg]
+		total := tab.Column(alg.String())
+		return total[q-1] - total[q-2]
 	}
 	if inc(faircache.AlgorithmContention, 6) <= inc(faircache.AlgorithmContention, 5) {
 		t.Errorf("Cont: no capacity jump (inc5 %g, inc6 %g)",
@@ -230,10 +231,10 @@ func TestRunFig9PerChunkEvenness(t *testing.T) {
 		}
 		return hi - lo
 	}
-	appx := fig.PerChunk[faircache.AlgorithmApprox]
-	dist := fig.PerChunk[faircache.AlgorithmDistributed]
-	hopc := fig.PerChunk[faircache.AlgorithmHopCount]
-	cont := fig.PerChunk[faircache.AlgorithmContention]
+	appx := fig.Column("Appx")
+	dist := fig.Column("Dist")
+	hopc := fig.Column("Hopc")
+	cont := fig.Column("Cont")
 	if len(appx) != 10 || len(hopc) != 10 {
 		t.Fatalf("per-chunk lengths: %d, %d", len(appx), len(hopc))
 	}
@@ -243,7 +244,6 @@ func TestRunFig9PerChunkEvenness(t *testing.T) {
 	if spread(dist) >= spread(cont) {
 		t.Errorf("Dist per-chunk spread %g not tighter than Cont %g", spread(dist), spread(cont))
 	}
-	_ = appx
 
 	// Paper: "the Contention Cost is ... lower than other two algorithms
 	// for most chunks" — on the 6×6 grid of Fig. 9(b).
@@ -251,9 +251,9 @@ func TestRunFig9PerChunkEvenness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appx6 := fig6x6.PerChunk[faircache.AlgorithmApprox]
-	hopc6 := fig6x6.PerChunk[faircache.AlgorithmHopCount]
-	cont6 := fig6x6.PerChunk[faircache.AlgorithmContention]
+	appx6 := fig6x6.Column("Appx")
+	hopc6 := fig6x6.Column("Hopc")
+	cont6 := fig6x6.Column("Cont")
 	lowerCount := 0
 	for n := range appx6 {
 		if appx6[n] < hopc6[n] && appx6[n] < cont6[n] {
@@ -263,7 +263,6 @@ func TestRunFig9PerChunkEvenness(t *testing.T) {
 	if lowerCount < 7 {
 		t.Errorf("Appx cheaper than both baselines on only %d/10 chunks (6x6)", lowerCount)
 	}
-	_ = hopc
 }
 
 func TestRunTable2MessageAccounting(t *testing.T) {
@@ -272,40 +271,38 @@ func TestRunTable2MessageAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !tab.WithinBound {
-		t.Errorf("message total %d exceeds bound %d", tab.Total, tab.Bound)
+	if len(tab.After) != 1 || !strings.HasSuffix(tab.After[0], ": true") {
+		t.Errorf("message total exceeds its bound: %q", tab.After)
 	}
 	for _, kind := range []string{"NPI", "CC", "TIGHT"} {
-		if tab.Counts[kind] == 0 {
+		if tab.Value(kind, "count") == 0 {
 			t.Errorf("no %s messages", kind)
 		}
 	}
-	if tab.Total <= 0 {
+	if tab.Value("total", "count") <= 0 {
 		t.Error("no messages recorded")
 	}
 }
 
 func TestRunAblations(t *testing.T) {
-	rows, err := RunAblations(DefaultScenario())
+	tab, err := RunAblations(DefaultScenario())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) < 10 {
-		t.Fatalf("ablation rows = %d", len(rows))
+	if len(tab.Rows) < 10 {
+		t.Fatalf("ablation rows = %d", len(tab.Rows))
 	}
-	byName := map[string]AblationRow{}
-	for _, r := range rows {
-		byName[r.Name] = r
-		if r.Total <= 0 {
-			t.Errorf("%s: non-positive cost", r.Name)
+	for _, row := range tab.Rows {
+		if total := tab.Value(row[0].Text, "total cost"); total <= 0 {
+			t.Errorf("%s: non-positive cost", row[0].Text)
 		}
 	}
 	// Quorum knob monotonicity: larger M, fewer caches.
-	if byName["quorum M=1"].DistinctCaches < byName["quorum M=4"].DistinctCaches {
+	if tab.Value("quorum M=1", "distinct caches") < tab.Value("quorum M=4", "distinct caches") {
 		t.Error("quorum sweep not monotone in cache count")
 	}
 	// Steiner local search never raises dissemination vs default.
-	if byName["steiner local search"].Dissemination > byName["default (M=2, Uγ=2.5, w=1)"].Dissemination+1e-9 {
+	if tab.Value("steiner local search", "dissemination") > tab.Value("default (M=2, Uγ=2.5, w=1)", "dissemination")+1e-9 {
 		t.Error("local search raised dissemination")
 	}
 }

@@ -3,6 +3,10 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	faircache "repro"
@@ -11,457 +15,464 @@ import (
 	"repro/internal/pool"
 )
 
-// Fig1 reproduces Fig. 1: the per-node difference in stored-chunk counts
-// between each algorithm and the optimal reference on a grid network.
-type Fig1 struct {
-	// Rows and Cols describe the grid (paper: 6×6).
-	Rows, Cols int
-	// Producer is the data producer (paper: node 9).
-	Producer int
-	// Reference holds the optimal (Brtf) per-node chunk counts.
-	Reference []int
-	// ReferenceOptimal reports whether the reference search completed
-	// exhaustively (false when a budget truncated it).
-	ReferenceOptimal bool
-	// Diff[alg][i] = counts(alg)[i] − Reference[i].
-	Diff map[faircache.Algorithm][]int
+// point is one placement configuration of a figure: every algorithm
+// that runs on it shares its Solver, and so one cost model.
+type point struct {
+	solver   *faircache.Solver
+	producer int
+	chunks   int
 }
 
-// RunFig1 executes the Fig. 1 experiment on a rows×cols grid.
-func RunFig1(rows, cols int, sc Scenario) (*Fig1, error) {
+// onGrid returns a point on a fresh rows×cols grid with the scenario's
+// producer.
+func (sc Scenario) onGrid(rows, cols, chunks int) (point, error) {
 	topo, err := faircache.Grid(rows, cols)
 	if err != nil {
-		return nil, err
+		return point{}, err
 	}
-	producer := sc.producerOn(topo)
-	ref, err := Run(faircache.AlgorithmOptimal, topo, producer, sc.Chunks, sc.options())
+	solver, err := faircache.NewSolver(topo)
 	if err != nil {
-		return nil, fmt.Errorf("fig1 reference: %w", err)
+		return point{}, err
 	}
-	out := &Fig1{
-		Rows: rows, Cols: cols,
-		Producer:         producer,
-		Reference:        ref.Counts,
-		ReferenceOptimal: ref.ProvenOptimal,
-		Diff:             make(map[faircache.Algorithm][]int, len(Algorithms)),
-	}
-	for _, alg := range Algorithms {
-		res, err := Run(alg, topo, producer, sc.Chunks, sc.options())
+	return point{solver, sc.producerOn(topo), chunks}, nil
+}
+
+// solve runs each algorithm in turn on the point's Solver.
+func (p point) solve(algs []faircache.Algorithm, opts *faircache.Options) ([]*faircache.Result, error) {
+	out := make([]*faircache.Result, len(algs))
+	for i, alg := range algs {
+		res, err := p.solver.Solve(context.Background(), faircache.Request{
+			Producer:  p.producer,
+			Chunks:    p.chunks,
+			Algorithm: alg,
+			Options:   opts,
+		})
 		if err != nil {
-			return nil, fmt.Errorf("fig1 %s: %w", alg, err)
+			return nil, fmt.Errorf("%s on %d nodes, %d chunks: %w", alg, p.solver.Topology().NumNodes(), p.chunks, err)
 		}
-		diff, err := metrics.DistributionDiff(res.Counts, ref.Counts)
-		if err != nil {
-			return nil, err
-		}
-		out.Diff[alg] = diff
+		out[i] = res
 	}
 	return out, nil
 }
 
-// CostRow is one network size's total contention cost per algorithm
-// (Figs. 2 and 4).
-type CostRow struct {
-	// Nodes is the network size.
-	Nodes int
-	// Total[alg] is the evaluated contention cost (access +
-	// dissemination).
-	Total map[faircache.Algorithm]float64
-	// Optimal is the Brtf cost when computed (small networks only; 0
-	// otherwise).
-	Optimal float64
-	// OptimalProven reports exhaustive completion of the Brtf search.
-	OptimalProven bool
+// headers returns the column headers of the algorithms.
+func headers(first []string, algs []faircache.Algorithm) []string {
+	out := slices.Clip(first)
+	for _, a := range algs {
+		out = append(out, a.String())
+	}
+	return out
+}
+
+// measure is the quantity a sweep reads off each placement, and how it
+// prints.
+type measure struct {
+	format string
+	of     func(*faircache.Result) (float64, error)
+}
+
+var (
+	totalCost = measure{"%.0f", func(r *faircache.Result) (float64, error) {
+		report, err := r.ContentionCost()
+		if err != nil {
+			return 0, err
+		}
+		return report.Total(), nil
+	}}
+	gini = measure{"%.3f", func(r *faircache.Result) (float64, error) { return r.Gini(), nil }}
+)
+
+// axis is the rows of a sweep: the first column's header and labels, and
+// each row's placements, one per seed.
+type axis struct {
+	header string
+	labels []int
+	seeds  int
+	at     func(row, seed int) (point, error)
+}
+
+// grids is one row per square grid, labelled by its node count.
+func (sc Scenario) grids(sides []int) axis {
+	a := axis{header: "nodes", seeds: 1, at: func(row, _ int) (point, error) {
+		return sc.onGrid(sides[row], sides[row], sc.Chunks)
+	}}
+	for _, side := range sides {
+		a.labels = append(a.labels, side*side)
+	}
+	return a
+}
+
+// randoms is one row per random-network size, one network per seed,
+// each with its central node as the producer.
+func (sc Scenario) randoms(sizes []int) axis {
+	return axis{header: "nodes", labels: sizes, seeds: len(sc.Seeds), at: func(row, seed int) (point, error) {
+		topo, err := faircache.Random(sizes[row], sc.Seeds[seed])
+		if err != nil {
+			return point{}, err
+		}
+		solver, err := faircache.NewSolver(topo)
+		if err != nil {
+			return point{}, err
+		}
+		return point{solver, topo.CentralNode(), sc.Chunks}, nil
+	}}
+}
+
+// sweep is the per-algorithm figure: one row per label of the axis, whose
+// cells are each algorithm's measure averaged over the row's seeds
+// (solved in parallel; each seed's placement runs on its own topology,
+// and results merge by seed index, so the rows do not depend on
+// completion order). withBrtf also runs the exact reference on each
+// placement and closes the row with its measure and whether its search
+// was proven optimal (of the first seed).
+func (sc Scenario) sweep(title string, a axis, m measure, withBrtf bool) (*Table, error) {
+	algs := Algorithms
+	if withBrtf {
+		algs = append(slices.Clip(algs), faircache.AlgorithmOptimal)
+	}
+	t := &Table{Title: title, Header: headers([]string{a.header}, algs)}
+	if withBrtf {
+		t.Header = append(t.Header, "Brtf proven")
+	}
+	pl := pool.New(0)
+	defer pl.Close()
+	for row, label := range a.labels {
+		vals := make([][]float64, a.seeds)
+		proven := make([]bool, a.seeds)
+		err := pl.ForEachErr(context.Background(), a.seeds, func(seed int) error {
+			p, err := a.at(row, seed)
+			if err != nil {
+				return err
+			}
+			res, err := p.solve(algs, sc.options())
+			if err != nil {
+				return err
+			}
+			vals[seed] = make([]float64, len(res))
+			for i, r := range res {
+				if vals[seed][i], err = m.of(r); err != nil {
+					return err
+				}
+			}
+			proven[seed] = res[len(res)-1].ProvenOptimal
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		cells := []Cell{num("%.0f", float64(label))}
+		for i := range algs {
+			sum := 0.0
+			for _, v := range vals {
+				sum += v[i]
+			}
+			cells = append(cells, num(m.format, sum/float64(a.seeds)))
+		}
+		if withBrtf {
+			cells = append(cells, Cell{Text: strconv.FormatBool(proven[0])})
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t, nil
+}
+
+// RunFig1 reproduces Fig. 1 on a rows×cols grid: each node's exact-search
+// (Brtf) chunk count and each algorithm's difference from it, with the
+// total absolute difference per algorithm after the table. The title
+// names the paper's 6×6 configuration at every size.
+func RunFig1(rows, cols int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, sc.Chunks)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.solve(append([]faircache.Algorithm{faircache.AlgorithmOptimal}, Algorithms...), sc.options())
+	if err != nil {
+		return nil, err
+	}
+	ref := res[0]
+	t := &Table{
+		Title:  "Fig. 1 — per-node chunk-count difference vs optimal (6×6 grid, producer 9)",
+		Before: []string{fmt.Sprintf("reference proven optimal: %v (budget %d nodes, width %d)", ref.ProvenOptimal, sc.OptimalBudget, sc.OptimalWidth)},
+		Header: headers([]string{"node", "Brtf count"}, Algorithms),
+	}
+	for v, c := range ref.Counts {
+		t.Rows = append(t.Rows, []Cell{num("%.0f", float64(v)), num("%.0f", float64(c))})
+	}
+	for i, r := range res[1:] {
+		diff, err := metrics.DistributionDiff(r.Counts, ref.Counts)
+		if err != nil {
+			return nil, err
+		}
+		total := 0
+		for v, d := range diff {
+			t.Rows[v] = append(t.Rows[v], num("%+.0f", float64(d)))
+			total += max(d, -d)
+		}
+		t.After = append(t.After, fmt.Sprintf("total |diff| %s: %d", Algorithms[i], total))
+	}
+	return t, nil
 }
 
 // RunFig2Small reproduces the small-network half of Fig. 2: total
-// contention cost on square grids including the optimal reference.
-func RunFig2Small(sides []int, sc Scenario) ([]CostRow, error) {
-	var rows []CostRow
-	for _, side := range sides {
-		topo, err := faircache.Grid(side, side)
-		if err != nil {
-			return nil, err
-		}
-		producer := sc.producerOn(topo)
-		row := CostRow{Nodes: side * side, Total: map[faircache.Algorithm]float64{}}
-		for _, alg := range Algorithms {
-			cost, err := Cost(alg, topo, producer, sc.Chunks, sc.options())
-			if err != nil {
-				return nil, fmt.Errorf("fig2 %s on %dx%d: %w", alg, side, side, err)
-			}
-			row.Total[alg] = cost
-		}
-		ref, err := Run(faircache.AlgorithmOptimal, topo, producer, sc.Chunks, sc.options())
-		if err != nil {
-			return nil, fmt.Errorf("fig2 optimal on %dx%d: %w", side, side, err)
-		}
-		refCost, err := ref.ContentionCost()
-		if err != nil {
-			return nil, err
-		}
-		row.Optimal = refCost.Total()
-		row.OptimalProven = ref.ProvenOptimal
-		rows = append(rows, row)
-	}
-	return rows, nil
+// contention cost on square grids, with the exact-search reference.
+func RunFig2Small(sides []int, sc Scenario) (*Table, error) {
+	return sc.sweep("Fig. 2(a) — total contention cost, small grids (with Brtf)", sc.grids(sides), totalCost, true)
 }
 
-// RunFig2Large reproduces the large-network half of Fig. 2 (100–255
-// nodes), where brute force is infeasible.
-func RunFig2Large(sides []int, sc Scenario) ([]CostRow, error) {
-	var rows []CostRow
-	for _, side := range sides {
-		topo, err := faircache.Grid(side, side)
-		if err != nil {
-			return nil, err
-		}
-		producer := sc.producerOn(topo)
-		row := CostRow{Nodes: side * side, Total: map[faircache.Algorithm]float64{}}
-		for _, alg := range Algorithms {
-			cost, err := Cost(alg, topo, producer, sc.Chunks, sc.options())
-			if err != nil {
-				return nil, fmt.Errorf("fig2 %s on %dx%d: %w", alg, side, side, err)
-			}
-			row.Total[alg] = cost
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+// RunFig2Large reproduces the large-network half of Fig. 2, where the
+// exact search is infeasible. The title names the paper's 100–256 nodes
+// at every size.
+func RunFig2Large(sides []int, sc Scenario) (*Table, error) {
+	return sc.sweep("Fig. 2(b) — total contention cost, large grids (100–256 nodes)", sc.grids(sides), totalCost, false)
 }
-
-// Fig3Row is the distributed algorithm's cost under one hop limit.
-type Fig3Row struct {
-	HopLimit      int
-	Access        float64
-	Dissemination float64
-}
-
-// Total returns the row's total contention cost.
-func (r Fig3Row) Total() float64 { return r.Access + r.Dissemination }
 
 // RunFig3 reproduces Fig. 3: the distributed algorithm's contention cost
 // under hop limits 1..maxK on a rows×cols grid.
-func RunFig3(rows, cols, maxK int, sc Scenario) ([]Fig3Row, error) {
-	topo, err := faircache.Grid(rows, cols)
+func RunFig3(rows, cols, maxK int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, sc.Chunks)
 	if err != nil {
 		return nil, err
 	}
-	producer := sc.producerOn(topo)
-	var out []Fig3Row
+	t := &Table{
+		Title:  fmt.Sprintf("Fig. 3 — distributed algorithm contention cost vs hop limit (%d×%d grid)", rows, cols),
+		Header: []string{"hop limit", "access", "dissemination", "total"},
+	}
 	for k := 1; k <= maxK; k++ {
 		opts := sc.options()
 		opts.HopLimit = k
-		res, err := Run(faircache.AlgorithmDistributed, topo, producer, sc.Chunks, opts)
-		if err != nil {
-			return nil, fmt.Errorf("fig3 k=%d: %w", k, err)
-		}
-		report, err := res.ContentionCost()
+		res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmDistributed}, opts)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Fig3Row{HopLimit: k, Access: report.Access, Dissemination: report.Dissemination})
+		report, err := res[0].ContentionCost()
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []Cell{
+			num("%.0f", float64(k)),
+			num("%.0f", report.Access),
+			num("%.0f", report.Dissemination),
+			num("%.0f", report.Total()),
+		})
 	}
-	return out, nil
+	return t, nil
 }
 
 // RunFig4 reproduces Fig. 4: contention cost on random networks of
 // growing size, averaged over the scenario's seeds.
-func RunFig4(sizes []int, sc Scenario) ([]CostRow, error) {
+func RunFig4(sizes []int, sc Scenario) (*Table, error) {
 	if len(sc.Seeds) == 0 {
 		return nil, fmt.Errorf("fig4: no seeds")
 	}
-	// Each seed runs on its own topology and state; results merge by
-	// seed index, so the rows do not depend on completion order.
-	pl := pool.New(0)
-	defer pl.Close()
-	var rows []CostRow
-	for _, n := range sizes {
-		perSeed := make([]map[faircache.Algorithm]float64, len(sc.Seeds))
-		err := pl.ForEachErr(context.Background(), len(sc.Seeds), func(idx int) error {
-			seed := sc.Seeds[idx]
-			topo, err := faircache.Random(n, seed)
-			if err != nil {
-				return err
-			}
-			producer := topo.CentralNode()
-			totals := map[faircache.Algorithm]float64{}
-			for _, alg := range Algorithms {
-				cost, err := Cost(alg, topo, producer, sc.Chunks, sc.options())
-				if err != nil {
-					return fmt.Errorf("fig4 %s n=%d seed=%d: %w", alg, n, seed, err)
-				}
-				totals[alg] = cost
-			}
-			perSeed[idx] = totals
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := CostRow{Nodes: n, Total: map[faircache.Algorithm]float64{}}
-		for _, totals := range perSeed {
-			for alg, cost := range totals {
-				row.Total[alg] += cost
-			}
-		}
-		for alg := range row.Total {
-			row.Total[alg] /= float64(len(sc.Seeds))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Fig5Row is the single-chunk placement time per algorithm at one size.
-type Fig5Row struct {
-	Nodes int
-	// Elapsed[alg] is the wall-clock placement time for one chunk.
-	Elapsed map[faircache.Algorithm]time.Duration
+	return sc.sweep("Fig. 4 — total contention cost on random networks (avg over seeds)", sc.randoms(sizes), totalCost, false)
 }
 
 // RunFig5 reproduces Fig. 5: running time to place one chunk on growing
-// grids. Absolute values differ from the paper's Python timings; the
-// claim under test is the relative ordering and growth.
-func RunFig5(sides []int, sc Scenario) ([]Fig5Row, error) {
-	var rows []Fig5Row
+// grids, each placement on a fresh Solver (the figure times a cold
+// placement; the paper excludes the message-based Dist). Absolute values
+// differ from the paper's Python timings; the claim under test is the
+// relative ordering and growth.
+func RunFig5(sides []int, sc Scenario) (*Table, error) {
+	var algs []faircache.Algorithm
+	for _, alg := range Algorithms {
+		if alg != faircache.AlgorithmDistributed {
+			algs = append(algs, alg)
+		}
+	}
+	t := &Table{Title: "Fig. 5 — running time to place one chunk on grids", Header: headers([]string{"nodes"}, algs)}
 	for _, side := range sides {
 		topo, err := faircache.Grid(side, side)
 		if err != nil {
 			return nil, err
 		}
-		producer := sc.producerOn(topo)
-		row := Fig5Row{Nodes: side * side, Elapsed: map[faircache.Algorithm]time.Duration{}}
-		for _, alg := range Algorithms {
-			if alg == faircache.AlgorithmDistributed {
-				continue // the paper excludes Dist from timing (message-based)
-			}
-			elapsed, err := timeIt(func() error {
-				_, err := Run(alg, topo, producer, 1, sc.options())
-				return err
-			})
-			if err != nil {
+		cells := []Cell{num("%.0f", float64(side*side))}
+		for _, alg := range algs {
+			start := time.Now()
+			if _, err := Run(alg, topo, sc.producerOn(topo), 1, sc.options()); err != nil {
 				return nil, fmt.Errorf("fig5 %s on %dx%d: %w", alg, side, side, err)
 			}
-			row.Elapsed[alg] = elapsed
+			elapsed := time.Since(start)
+			cells = append(cells, Cell{Text: elapsed.Round(10 * time.Microsecond).String(), Num: elapsed.Seconds() * 1000})
 		}
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, cells)
 	}
-	return rows, nil
+	return t, nil
 }
 
-// Fig6 reproduces Fig. 6: the storage concentration curve (fraction of
-// all data held by the k most-loaded nodes) and the 75-percentile
-// fairness per algorithm.
-type Fig6 struct {
-	// Curve[alg][k-1] is the cumulative data fraction on the top-k nodes.
-	Curve map[faircache.Algorithm][]float64
-	// Percentile75[alg] is the paper's 75-percentile fairness.
-	Percentile75 map[faircache.Algorithm]float64
-}
-
-// RunFig6 executes the Fig. 6 experiment on a rows×cols grid.
-func RunFig6(rows, cols int, sc Scenario) (*Fig6, error) {
-	topo, err := faircache.Grid(rows, cols)
+// RunFig6 reproduces Fig. 6 on a rows×cols grid: how many of the most
+// loaded nodes hold 25/50/75/100% of all cached data, and the
+// 75-percentile fairness, per algorithm.
+func RunFig6(rows, cols int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, sc.Chunks)
 	if err != nil {
 		return nil, err
 	}
-	producer := sc.producerOn(topo)
-	out := &Fig6{
-		Curve:        map[faircache.Algorithm][]float64{},
-		Percentile75: map[faircache.Algorithm]float64{},
+	res, err := p.solve(Algorithms, sc.options())
+	if err != nil {
+		return nil, err
 	}
-	for _, alg := range Algorithms {
-		res, err := Run(alg, topo, producer, sc.Chunks, sc.options())
-		if err != nil {
-			return nil, fmt.Errorf("fig6 %s: %w", alg, err)
-		}
-		out.Curve[alg] = res.StorageCurve()
-		pf, err := res.PercentileFairness(75)
-		if err != nil {
-			return nil, fmt.Errorf("fig6 %s percentile: %w", alg, err)
-		}
-		out.Percentile75[alg] = pf
+	t := &Table{
+		Title:  fmt.Sprintf("Fig. 6 — storage concentration (%d×%d grid) and 75-percentile fairness", rows, cols),
+		Header: []string{"algorithm", "nodes for 25%", "50%", "75%", "100%", "75-pct fairness"},
 	}
-	return out, nil
-}
-
-// GiniRow is one network size's Gini coefficient per algorithm (Fig. 7).
-type GiniRow struct {
-	Nodes int
-	Gini  map[faircache.Algorithm]float64
-}
-
-// RunFig7Grid reproduces Fig. 7(a): Gini coefficient on growing grids.
-func RunFig7Grid(sides []int, sc Scenario) ([]GiniRow, error) {
-	var rows []GiniRow
-	for _, side := range sides {
-		topo, err := faircache.Grid(side, side)
+	for i, r := range res {
+		curve := r.StorageCurve()
+		cells := []Cell{{Text: Algorithms[i].String()}}
+		for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
+			k := 0
+			for n, v := range curve {
+				if v >= frac-1e-9 {
+					k = n + 1
+					break
+				}
+			}
+			cells = append(cells, num("%.0f", float64(k)))
+		}
+		pf, err := r.PercentileFairness(75)
 		if err != nil {
 			return nil, err
 		}
-		producer := sc.producerOn(topo)
-		row := GiniRow{Nodes: side * side, Gini: map[faircache.Algorithm]float64{}}
-		for _, alg := range Algorithms {
-			res, err := Run(alg, topo, producer, sc.Chunks, sc.options())
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s on %dx%d: %w", alg, side, side, err)
-			}
-			row.Gini[alg] = res.Gini()
-		}
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, append(cells, num("%.1f%%", 100*pf)))
 	}
-	return rows, nil
+	return t, nil
+}
+
+// RunFig7Grid reproduces Fig. 7(a): Gini coefficient on growing grids.
+func RunFig7Grid(sides []int, sc Scenario) (*Table, error) {
+	return sc.sweep("Fig. 7(a) — Gini coefficient on grids", sc.grids(sides), gini, false)
 }
 
 // RunFig7Random reproduces Fig. 7(b): Gini coefficient on random
 // networks, averaged over the scenario's seeds.
-func RunFig7Random(sizes []int, sc Scenario) ([]GiniRow, error) {
+func RunFig7Random(sizes []int, sc Scenario) (*Table, error) {
 	if len(sc.Seeds) == 0 {
 		return nil, fmt.Errorf("fig7: no seeds")
 	}
-	// Each seed runs on its own topology and state; results merge by
-	// seed index, so the rows do not depend on completion order.
-	pl := pool.New(0)
-	defer pl.Close()
-	var rows []GiniRow
-	for _, n := range sizes {
-		perSeed := make([]map[faircache.Algorithm]float64, len(sc.Seeds))
-		err := pl.ForEachErr(context.Background(), len(sc.Seeds), func(idx int) error {
-			seed := sc.Seeds[idx]
-			topo, err := faircache.Random(n, seed)
-			if err != nil {
-				return err
-			}
-			producer := topo.CentralNode()
-			ginis := map[faircache.Algorithm]float64{}
-			for _, alg := range Algorithms {
-				res, err := Run(alg, topo, producer, sc.Chunks, sc.options())
-				if err != nil {
-					return fmt.Errorf("fig7 %s n=%d seed=%d: %w", alg, n, seed, err)
-				}
-				ginis[alg] = res.Gini()
-			}
-			perSeed[idx] = ginis
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		row := GiniRow{Nodes: n, Gini: map[faircache.Algorithm]float64{}}
-		for _, ginis := range perSeed {
-			for alg, g := range ginis {
-				row.Gini[alg] += g
-			}
-		}
-		for alg := range row.Gini {
-			row.Gini[alg] /= float64(len(sc.Seeds))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Fig8Row is the accumulated contention cost with a growing number of
-// distinct chunks (Fig. 8).
-type Fig8Row struct {
-	Chunks int
-	Total  map[faircache.Algorithm]float64
+	return sc.sweep("Fig. 7(b) — Gini coefficient on random networks (avg over seeds)", sc.randoms(sizes), gini, false)
 }
 
 // RunFig8 reproduces Fig. 8 on a rows×cols grid: total contention cost as
 // the number of distinct chunks grows 1..maxChunks (capacity stays at the
 // scenario's value, so baselines overflow to a second node set past
 // capacity — the discontinuity the paper highlights).
-func RunFig8(rows, cols, maxChunks int, sc Scenario) ([]Fig8Row, error) {
-	topo, err := faircache.Grid(rows, cols)
+func RunFig8(rows, cols, maxChunks int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, 0)
 	if err != nil {
 		return nil, err
 	}
-	producer := sc.producerOn(topo)
-	var out []Fig8Row
+	a := axis{header: "chunks", seeds: 1, at: func(row, _ int) (point, error) {
+		q := p
+		q.chunks = row + 1
+		return q, nil
+	}}
 	for q := 1; q <= maxChunks; q++ {
-		row := Fig8Row{Chunks: q, Total: map[faircache.Algorithm]float64{}}
-		for _, alg := range Algorithms {
-			cost, err := Cost(alg, topo, producer, q, sc.options())
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %s q=%d: %w", alg, q, err)
-			}
-			row.Total[alg] = cost
-		}
-		out = append(out, row)
+		a.labels = append(a.labels, q)
 	}
-	return out, nil
+	return sc.sweep(fmt.Sprintf("Fig. 8 — accumulated contention cost vs distinct chunks (%d×%d grid)", rows, cols), a, totalCost, false)
 }
 
-// Fig9 reproduces Fig. 9: the per-chunk contention cost of a 10-chunk
-// placement (per-chunk fairness — chunks of one data item should cost
-// about the same or retrieval completion is delayed by the worst chunk).
-type Fig9 struct {
-	// PerChunk[alg][n] is chunk n's access + dissemination cost.
-	PerChunk map[faircache.Algorithm][]float64
-}
-
-// RunFig9 executes the Fig. 9 experiment on a rows×cols grid.
-func RunFig9(rows, cols, chunks int, sc Scenario) (*Fig9, error) {
-	topo, err := faircache.Grid(rows, cols)
+// RunFig9 reproduces Fig. 9 on a rows×cols grid: each chunk's access +
+// dissemination cost (per-chunk fairness — chunks of one data item
+// should cost about the same, or retrieval waits for the worst chunk).
+func RunFig9(rows, cols, chunks int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, chunks)
 	if err != nil {
 		return nil, err
 	}
-	producer := sc.producerOn(topo)
-	out := &Fig9{PerChunk: map[faircache.Algorithm][]float64{}}
-	for _, alg := range Algorithms {
-		res, err := Run(alg, topo, producer, chunks, sc.options())
-		if err != nil {
-			return nil, fmt.Errorf("fig9 %s: %w", alg, err)
-		}
-		report, err := res.ContentionCost()
+	res, err := p.solve(Algorithms, sc.options())
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title:  fmt.Sprintf("Fig. 9 — per-chunk contention cost, %d chunks (%d×%d grid)", chunks, rows, cols),
+		Header: headers([]string{"chunk"}, Algorithms),
+	}
+	for n := 1; n <= chunks; n++ {
+		t.Rows = append(t.Rows, []Cell{num("%.0f", float64(n))})
+	}
+	for _, r := range res {
+		report, err := r.ContentionCost()
 		if err != nil {
 			return nil, err
 		}
-		out.PerChunk[alg] = report.PerChunk
+		for n, c := range report.PerChunk {
+			t.Rows[n] = append(t.Rows[n], num("%.0f", c))
+		}
 	}
-	return out, nil
+	return t, nil
 }
 
-// Table2 reproduces TABLE II / Sec. IV-D: distributed protocol message
-// counts per type, with the O(QN + N²) bound check.
-type Table2 struct {
-	Nodes, Chunks int
-	// Counts per message kind.
-	Counts map[string]int
-	// Total message count.
-	Total int
-	// Bound is the concrete O(QN + N²) budget used for the check.
-	Bound int
-	// WithinBound reports Total <= Bound.
-	WithinBound bool
-}
-
-// RunTable2 executes the message-accounting experiment on a grid.
-func RunTable2(rows, cols int, sc Scenario) (*Table2, error) {
-	topo, err := faircache.Grid(rows, cols)
+// RunTable2 reproduces TABLE II / Sec. IV-D on a rows×cols grid: the
+// distributed protocol's message counts per type and in total, with the
+// O(QN + N²) bound check after the table.
+func RunTable2(rows, cols int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, sc.Chunks)
 	if err != nil {
 		return nil, err
 	}
-	producer := sc.producerOn(topo)
-	res, err := Run(faircache.AlgorithmDistributed, topo, producer, sc.Chunks, sc.options())
+	res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmDistributed}, sc.options())
 	if err != nil {
 		return nil, err
 	}
-	n := topo.NumNodes()
+	msgs := res[0].Messages
+	kinds := make([]string, 0, len(msgs))
+	for k := range msgs {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	t := &Table{
+		Title:  fmt.Sprintf("TABLE II / Sec. IV-D — distributed protocol message counts (%d×%d grid)", rows, cols),
+		Header: []string{"message", "count"},
+	}
 	total := 0
-	for _, v := range res.Messages {
-		total += v
+	for _, k := range kinds {
+		t.Rows = append(t.Rows, []Cell{{Text: k}, num("%.0f", float64(msgs[k]))})
+		total += msgs[k]
 	}
+	t.Rows = append(t.Rows, []Cell{{Text: "total"}, num("%.0f", float64(total))})
 	// The constant folds per-flood fan-out on bounded-degree topologies.
+	n := rows * cols
 	bound := 40 * (sc.Chunks*n + n*n)
-	return &Table2{
-		Nodes:       n,
-		Chunks:      sc.Chunks,
-		Counts:      res.Messages,
-		Total:       total,
-		Bound:       bound,
-		WithinBound: total <= bound,
-	}, nil
+	t.After = []string{fmt.Sprintf("O(QN+N²) bound: %d messages ≤ %d: %v", total, bound, total <= bound)}
+	return t, nil
+}
+
+// RunPhases runs one explain'd Appx solve in the Fig. 1 configuration on
+// a rows×cols grid and breaks its wall-clock down by trace phase
+// (cost-model build, ConFL dual growth, Steiner connection, per-chunk
+// placement), with each phase's summed counters.
+func RunPhases(rows, cols int, sc Scenario) (*Table, error) {
+	p, err := sc.onGrid(rows, cols, sc.Chunks)
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmApprox}, &faircache.Options{Capacity: sc.Capacity, Explain: true})
+	if err != nil {
+		return nil, err
+	}
+	rep := res[0].Trace
+	if rep == nil {
+		return nil, fmt.Errorf("explain solve returned no trace")
+	}
+	t := &Table{
+		Title:  "Phase breakdown — one explain'd Appx solve (Fig. 1 configuration)",
+		Before: []string{fmt.Sprintf("trace %s: %d spans, %.2f ms total", rep.TraceID, rep.Spans, rep.TotalMs)},
+		Header: []string{"phase", "spans", "total ms", "% of solve", "counters"},
+		After:  []string{"Phases nest (a chunk span contains its confl and steiner spans), so percentages do not sum to 100."},
+	}
+	for _, ph := range rep.Phases {
+		counters := make([]string, 0, len(ph.Counters))
+		for k, v := range ph.Counters {
+			counters = append(counters, fmt.Sprintf("%s=%d", k, v))
+		}
+		sort.Strings(counters)
+		t.Rows = append(t.Rows, []Cell{
+			{Text: ph.Phase},
+			num("%.0f", float64(ph.Count)),
+			num("%.3f", ph.TotalMs),
+			num("%.1f%%", 100*ph.TotalMs/rep.TotalMs),
+			{Text: strings.Join(counters, ", ")},
+		})
+	}
+	return t, nil
 }

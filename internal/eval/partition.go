@@ -1,35 +1,11 @@
 package eval
 
 import (
-	"context"
 	"fmt"
+	"time"
 
 	faircache "repro"
 )
-
-// PartitionedRow compares one topology's global solve against its sharded
-// solve: cost, wall time and peak cost-matrix footprint.
-type PartitionedRow struct {
-	// Label names the topology ("grid 15x15", "random 120", ...).
-	Label string
-	// Nodes is the topology size; Regions the sharded region count.
-	Nodes   int
-	Regions int
-	// GlobalCost and ShardedCost are the replayed contention costs of the
-	// two solves; Ratio is Sharded/Global (the cost-error factor).
-	GlobalCost  float64
-	ShardedCost float64
-	Ratio       float64
-	// GlobalMs and ShardedMs are the solve wall times.
-	GlobalMs  float64
-	ShardedMs float64
-	// DroppedCopies counts the copies the stitch pass removed; MatrixCells
-	// and FullMatrixCells compare the sharded path's summed per-region
-	// matrices against the global N².
-	DroppedCopies   int
-	MatrixCells     int
-	FullMatrixCells int
-}
 
 // PartitionedCase is one topology of the sharded-vs-global comparison.
 type PartitionedCase struct {
@@ -62,62 +38,51 @@ func DefaultPartitionedCases() ([]PartitionedCase, error) {
 }
 
 // RunPartitioned runs the sharded-vs-global comparison: each case is
-// solved globally and with Options.Partition, both placements are
-// evaluated under the uniform replay metric, and the row reports the
-// cost-error factor alongside the memory and time deltas.
-func RunPartitioned(cases []PartitionedCase, sc Scenario) ([]PartitionedRow, error) {
-	rows := make([]PartitionedRow, 0, len(cases))
+// solved globally and with Options.Partition on one Solver, both
+// placements are evaluated under the uniform replay metric, and the row
+// reports the cost-error factor (sharded/global) beside the wall times,
+// the copies the stitch pass dropped and the sharded path's summed
+// per-region matrices against the global N².
+func RunPartitioned(cases []PartitionedCase, sc Scenario) (*Table, error) {
+	t := &Table{
+		Title:  "Sharded solves — partitioned vs global (Options.Partition)",
+		Header: []string{"topology", "nodes", "regions", "global cost", "sharded cost", "ratio", "global ms", "sharded ms", "dropped", "matrix cells vs N²"},
+	}
 	for _, c := range cases {
 		solver, err := faircache.NewSolver(c.Topo)
 		if err != nil {
 			return nil, err
 		}
-		producer := sc.producerOn(c.Topo)
-		base := faircache.Request{Producer: producer, Chunks: sc.Chunks, Options: sc.options()}
-
-		var global *faircache.Result
-		globalTime, err := timeIt(func() error {
-			global, err = solver.Solve(context.Background(), base)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s global: %w", c.Label, err)
+		p := point{solver, sc.producerOn(c.Topo), sc.Chunks}
+		sharded := *sc.options()
+		sharded.Partition = &faircache.PartitionOptions{Regions: c.Regions}
+		var costs, ms [2]float64
+		var part *faircache.PartitionReport
+		for i, opts := range []*faircache.Options{sc.options(), &sharded} {
+			start := time.Now()
+			res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmApprox}, opts)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", c.Label, err)
+			}
+			ms[i] = float64(time.Since(start).Microseconds()) / 1000
+			report, err := res[0].ContentionCost()
+			if err != nil {
+				return nil, err
+			}
+			costs[i], part = report.Total(), res[0].Partition
 		}
-
-		shardedReq := base
-		opts := *sc.options()
-		opts.Partition = &faircache.PartitionOptions{Regions: c.Regions}
-		shardedReq.Options = &opts
-		var sharded *faircache.Result
-		shardedTime, err := timeIt(func() error {
-			sharded, err = solver.Solve(context.Background(), shardedReq)
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s sharded: %w", c.Label, err)
-		}
-
-		globalCost, err := global.ContentionCost()
-		if err != nil {
-			return nil, err
-		}
-		shardedCost, err := sharded.ContentionCost()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, PartitionedRow{
-			Label:           c.Label,
-			Nodes:           c.Topo.NumNodes(),
-			Regions:         sharded.Partition.Regions,
-			GlobalCost:      globalCost.Total(),
-			ShardedCost:     shardedCost.Total(),
-			Ratio:           shardedCost.Total() / globalCost.Total(),
-			GlobalMs:        float64(globalTime.Microseconds()) / 1000,
-			ShardedMs:       float64(shardedTime.Microseconds()) / 1000,
-			DroppedCopies:   sharded.Partition.DroppedCopies,
-			MatrixCells:     sharded.Partition.MatrixCells,
-			FullMatrixCells: sharded.Partition.FullMatrixCells,
+		t.Rows = append(t.Rows, []Cell{
+			{Text: c.Label},
+			num("%.0f", float64(c.Topo.NumNodes())),
+			num("%.0f", float64(part.Regions)),
+			num("%.0f", costs[0]),
+			num("%.0f", costs[1]),
+			num("%.3f", costs[1]/costs[0]),
+			num("%.1f", ms[0]),
+			num("%.1f", ms[1]),
+			num("%.0f", float64(part.DroppedCopies)),
+			num("%.1f%%", 100*float64(part.MatrixCells)/float64(part.FullMatrixCells)),
 		})
 	}
-	return rows, nil
+	return t, nil
 }
