@@ -66,7 +66,8 @@ var (
 // min over A of Σ_{i∈A} f_i + Σ_j min_{i∈A∪{v}} c_ij + SteinerOpt(A ∪ {v}).
 // The model supplies the fairness and contention costs; the caller commits
 // the result back through it. ctx is checked inside the branch-and-bound
-// every few hundred explored nodes and throughout the precomputation
+// every 128 explored nodes and before every exact Steiner evaluation, and
+// throughout the precomputation
 // (contention matrix, all-pairs Dijkstra), which fans out over pl; the
 // search itself is sequential, so results are identical at any width.
 func solveChunkModel(ctx context.Context, m *costmodel.Model, producer int, opts Options, pl *pool.Pool) (*Solution, error) {
@@ -320,6 +321,13 @@ func (s *search) evaluate(set []int) {
 	// Cheap admissible screen before the exponential exact Steiner.
 	if fairness+access+s.closureMST(terminals)/2 >= s.bestCost-1e-9 {
 		return
+	}
+	// One exact Steiner DP can take tens of milliseconds, so the context
+	// is checked before every one, not only by dfs's periodic poll.
+	if s.ctx != nil {
+		if s.ctxErr = s.ctx.Err(); s.ctxErr != nil {
+			return
+		}
 	}
 	stCost, err := steiner.ExactCostDist(s.spDist, terminals, &s.dw)
 	if err != nil {

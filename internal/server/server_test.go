@@ -439,6 +439,21 @@ func TestSolveTinyAlphaStep(t *testing.T) {
 	}
 }
 
+// TestSolveOptimalTimeoutFreesWorker times out an exhaustive Brtf solve
+// and then solves with Appx on the same topology. The exact search checks
+// its context before each Steiner DP (tens of milliseconds on a 4×4 grid,
+// several times that under -race), so the worker is free again soon after
+// the 504 and the Appx solve answers 200 within its own timeout.
+func TestSolveOptimalTimeoutFreesWorker(t *testing.T) {
+	c, _ := newTestClient(t, Options{SolveTimeout: 500 * time.Millisecond})
+	reg := c.registerGrid(4, 4, 5)
+	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve",
+		SolveRequest{Chunks: 10, Options: &SolveOptions{Algorithm: "brtf"}}, http.StatusGatewayTimeout, CodeTimeout)
+	var out SolveResponse
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve",
+		SolveRequest{Chunks: 5, Options: &SolveOptions{Algorithm: "appx"}}, &out, http.StatusOK)
+}
+
 func TestSolveTimeout(t *testing.T) {
 	c, _ := newTestClient(t, Options{SolveTimeout: time.Nanosecond})
 	reg := c.registerGrid(4, 4, 9)

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	faircache "repro"
 )
@@ -281,6 +282,40 @@ func TestSolveDeadlineExceeded(t *testing.T) {
 	_, err = solver.Solve(ctx, faircache.Request{Producer: 0, Chunks: 2})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestOptimalSolveStopsAtDeadline checks that an exact (Brtf) solve
+// returns soon after its deadline, with or without a search budget. Each
+// caching set the search explores may run the exact Dreyfus–Wagner
+// Steiner DP, tens of milliseconds on a 4×4 grid (several times that
+// under -race), so the search must check its context before each one.
+func TestOptimalSolveStopsAtDeadline(t *testing.T) {
+	topo, err := faircache.Grid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := faircache.NewSolver(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int{0, 50} {
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		start := time.Now()
+		_, err := solver.Solve(ctx, faircache.Request{
+			Producer:  5,
+			Chunks:    5,
+			Algorithm: faircache.AlgorithmOptimal,
+			Options:   &faircache.Options{SearchBudget: budget},
+		})
+		elapsed := time.Since(start)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("budget %d: err = %v, want context.DeadlineExceeded", budget, err)
+		}
+		if elapsed > time.Second {
+			t.Errorf("budget %d: solve returned %v after its 100ms deadline began", budget, elapsed)
+		}
 	}
 }
 
