@@ -53,9 +53,6 @@ type Instance struct {
 	// Like FacilityCost it is a read-only borrow from the caller's cost
 	// model, valid for the duration of one solve.
 	ConnCost []float64
-	// PreOpen lists nodes already caching the chunk; they behave like the
-	// producer (open facilities with no further opening cost).
-	PreOpen []int
 }
 
 // connRow returns row i of the flat connection cost matrix.
@@ -105,10 +102,10 @@ func DefaultOptions() Options {
 // allocated per solve (they outlive the scratch the dual growth ran on).
 type Solution struct {
 	// Facilities is the ADMIN set A: nodes chosen to cache the chunk
-	// (never includes the producer or pre-open nodes), sorted.
+	// (never includes the producer), sorted.
 	Facilities []int
 	// Assign maps every node to the open facility it was frozen against
-	// (producer, pre-open or ADMIN member). Assign[Producer] = Producer.
+	// (producer or ADMIN member). Assign[Producer] = Producer.
 	Assign []int
 	// Alpha holds the final dual values α_j.
 	Alpha []float64
@@ -278,11 +275,6 @@ func (s *solver) reset(inst Instance, opts Options) *solver {
 	s.open.Add(inst.Producer)
 	s.frozen[inst.Producer] = true
 	s.assign[inst.Producer] = int32(inst.Producer)
-	for _, v := range inst.PreOpen {
-		s.open.Add(v)
-		s.frozen[v] = true
-		s.assign[v] = int32(v)
-	}
 	return s
 }
 
@@ -485,11 +477,6 @@ func validate(inst Instance) error {
 	for j, c := range inst.connRow(inst.Producer) {
 		if math.IsInf(c, 1) {
 			return fmt.Errorf("%w: node %d unreachable from producer", ErrBadInstance, j)
-		}
-	}
-	for _, v := range inst.PreOpen {
-		if v < 0 || v >= inst.N {
-			return fmt.Errorf("%w: pre-open node %d out of range", ErrBadInstance, v)
 		}
 	}
 	return nil

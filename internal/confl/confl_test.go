@@ -35,7 +35,6 @@ func instanceFrom(g *graph.Graph, st *cache.State, producer int) Instance {
 		Producer:     producer,
 		FacilityCost: fc,
 		ConnCost:     costs.C,
-		PreOpen:      nil,
 	}
 }
 
@@ -49,7 +48,6 @@ func TestSolveValidation(t *testing.T) {
 		{name: "producer out of range", mutate: func(in Instance) Instance { in.Producer = 9; return in }},
 		{name: "bad facility cost length", mutate: func(in Instance) Instance { in.FacilityCost = in.FacilityCost[:2]; return in }},
 		{name: "bad cost rows", mutate: func(in Instance) Instance { in.ConnCost = in.ConnCost[:1]; return in }},
-		{name: "bad pre-open", mutate: func(in Instance) Instance { in.PreOpen = []int{9}; return in }},
 		{name: "unreachable node", mutate: func(in Instance) Instance {
 			in.ConnCost[0*in.N+3] = math.Inf(1)
 			return in
@@ -163,21 +161,6 @@ func TestSolveOpensFacilityOnLongLine(t *testing.T) {
 	}
 	if servedByAdmin == 0 {
 		t.Error("all demands assigned to producer despite open facilities")
-	}
-}
-
-func TestSolvePreOpenServesNeighbors(t *testing.T) {
-	inst := lineInstance(t, 10, 0)
-	inst.PreOpen = []int{9}
-	sol, err := SolveScratchCtx(context.Background(), inst, DefaultOptions(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Assign[9] != 9 {
-		t.Errorf("pre-open node assigned to %d, want itself", sol.Assign[9])
-	}
-	if sol.Assign[8] != 9 {
-		t.Errorf("Assign[8] = %d, want pre-open neighbor 9", sol.Assign[8])
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"repro/internal/pool"
 )
 
-// randomInstance builds a valid symmetric instance with a few pre-open
-// nodes and a few storage-full (+Inf facility cost) nodes.
+// randomInstance builds a valid symmetric instance with a few
+// storage-full (+Inf facility cost) nodes.
 func randomInstance(seed int64, n int) Instance {
 	rng := rand.New(rand.NewSource(seed))
 	conn := make([]float64, n*n)
@@ -29,11 +29,7 @@ func randomInstance(seed int64, n int) Instance {
 			fc[i] = 5 + 50*rng.Float64()
 		}
 	}
-	inst := Instance{N: n, Producer: rng.Intn(n), FacilityCost: fc, ConnCost: conn}
-	if rng.Intn(2) == 0 {
-		inst.PreOpen = []int{rng.Intn(n)}
-	}
-	return inst
+	return Instance{N: n, Producer: rng.Intn(n), FacilityCost: fc, ConnCost: conn}
 }
 
 func sameSolution(t *testing.T, tag string, want, got *Solution) {

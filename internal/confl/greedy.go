@@ -33,9 +33,6 @@ func SolveGreedyCtx(ctx context.Context, inst Instance, opts Options) (*Solution
 
 	open := make([]bool, n)
 	open[inst.Producer] = true
-	for _, v := range inst.PreOpen {
-		open[v] = true
-	}
 
 	// best[j]: current cheapest service cost for demand j.
 	best := make([]float64, n)

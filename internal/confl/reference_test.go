@@ -141,11 +141,6 @@ func (s *refSolver) reset(inst Instance, opts Options) *refSolver {
 	s.open.Add(inst.Producer)
 	s.frozen[inst.Producer] = true
 	s.assign[inst.Producer] = int32(inst.Producer)
-	for _, v := range inst.PreOpen {
-		s.open.Add(v)
-		s.frozen[v] = true
-		s.assign[v] = int32(v)
-	}
 	if s.freezeFn == nil {
 		s.freezeFn = func(_, j int) { s.freezeDemand(j) }
 		s.spanFn = func(_, i int) { s.raiseSpan(i) }
@@ -374,20 +369,6 @@ func diffInstance(rng *rand.Rand) (Instance, Options) {
 	}
 
 	inst := Instance{N: n, Producer: producer, FacilityCost: fc, ConnCost: conn}
-	for k := rng.Intn(4); k > 0; k-- {
-		switch rng.Intn(4) {
-		case 0:
-			inst.PreOpen = append(inst.PreOpen, producer)
-		case 1:
-			if len(inst.PreOpen) > 0 {
-				inst.PreOpen = append(inst.PreOpen, inst.PreOpen[0])
-				continue
-			}
-			fallthrough
-		default:
-			inst.PreOpen = append(inst.PreOpen, rng.Intn(n))
-		}
-	}
 
 	steps := []float64{0.1, 0.25, 0.5, 1, 1.5, 2}
 	opts := Options{

@@ -38,9 +38,6 @@ type Options struct {
 	// BatteryWeight scales the battery Fairness Degree Cost (footnote 1
 	// extension); 0 ignores battery levels.
 	BatteryWeight float64
-	// MaxRounds caps one chunk's protocol run; 0 derives a bound from
-	// the producer's worst-case contention cost.
-	MaxRounds int
 	// Drop, when non-nil, injects message loss (failure testing).
 	Drop sim.DropFunc
 	// Trace, when non-nil, observes every delivered protocol message.
@@ -207,11 +204,7 @@ func (pr *Protocol) runChunk(ctx context.Context, network *sim.Network, nodes []
 		fairness := st.CombinedFairnessCost(i, pr.opts.FairnessWeight, pr.opts.BatteryWeight)
 		nodes[i].reset(weights[i], fairness, st.Free(i) > 0 && !math.IsInf(fairness, 1))
 	}
-	maxRounds := pr.opts.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = pr.roundBound(producer, weights)
-	}
-	rounds, err := network.Run(ctx, maxRounds)
+	rounds, err := network.Run(ctx, pr.roundBound(producer, weights))
 	if err != nil {
 		return ChunkRun{}, err
 	}

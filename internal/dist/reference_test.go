@@ -379,11 +379,7 @@ func refPlaceChunks(g *graph.Graph, opts Options, producer, chunks int, st *cach
 		}
 		network.Drop = opts.Drop
 		network.Trace = opts.Trace
-		maxRounds := opts.MaxRounds
-		if maxRounds == 0 {
-			maxRounds = pr.roundBound(producer, weights)
-		}
-		rounds, err := network.Run(context.Background(), maxRounds)
+		rounds, err := network.Run(context.Background(), pr.roundBound(producer, weights))
 		if err != nil {
 			return nil, fmt.Errorf("chunk %d: %w", chunk, err)
 		}

@@ -69,12 +69,9 @@ type Options struct {
 	// snapshots live here and New recovers from them. Empty keeps the
 	// service purely in-memory.
 	DataDir string
-	// Fsync is the WAL sync policy: "always" (default), "interval" or
-	// "never".
+	// Fsync is the WAL sync policy: "always" (default), "interval" (a
+	// background flush every 100ms) or "never".
 	Fsync string
-	// FsyncInterval is the background flush cadence for Fsync="interval"
-	// (default 100ms).
-	FsyncInterval time.Duration
 	// SnapshotEvery writes a full-state snapshot and compacts the log
 	// after this many records (default 256; negative disables automatic
 	// snapshots).
@@ -212,7 +209,6 @@ func (s *Server) openJournal() error {
 	log, recovered, err := wal.Open(wal.Options{
 		Dir:             s.opts.DataDir,
 		Policy:          policy,
-		Interval:        s.opts.FsyncInterval,
 		MaxSegmentBytes: s.opts.MaxSegmentBytes,
 		Logger:          s.log,
 	})
