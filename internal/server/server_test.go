@@ -330,6 +330,68 @@ func FuzzSolveBody(f *testing.F) {
 	})
 }
 
+// FuzzAdaptBody posts fuzzed bodies to the adapt endpoint of a 4×4 grid
+// whose demand subsystem one requests batch has initialized. Every body
+// must answer 200 or a typed 4xx, never a 5xx or a panic. A 200 must
+// commit exactly one new version, whose snapshot lists only chunks that
+// hold a copy; a 4xx must commit nothing. The seed corpus holds the
+// empty body, an empty object, explain as a bool and as a number, an
+// unknown field, trailing data and null.
+func FuzzAdaptBody(f *testing.F) {
+	s, err := New(Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+	serve := func(method, path string, body []byte) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+		return rec
+	}
+	rec := serve(http.MethodPost, "/v1/topologies", []byte(`{"kind":"grid","rows":4,"cols":4}`))
+	var reg RegisterResponse
+	if rec.Code != http.StatusCreated || json.Unmarshal(rec.Body.Bytes(), &reg) != nil {
+		f.Fatalf("register: status %d, %s", rec.Code, rec.Body)
+	}
+	tp, terr := s.lookupTopology(reg.ID)
+	if terr != nil {
+		f.Fatal(terr)
+	}
+	batch := `{"events":[{"node":1,"chunk":0},{"node":6,"chunk":1},{"node":11,"chunk":0},{"node":15,"chunk":3}],"init":{"chunks":4}}`
+	if rec := serve(http.MethodPost, "/v1/topologies/"+reg.ID+"/requests", []byte(batch)); rec.Code != http.StatusOK {
+		f.Fatalf("requests: status %d, %s", rec.Code, rec.Body)
+	}
+	path := "/v1/topologies/" + reg.ID + "/adapt"
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := tp.snap.Load().Version
+		rec := serve(http.MethodPost, path, body)
+		snap := tp.snap.Load()
+		if rec.Code != http.StatusOK {
+			var env errorEnvelope
+			typed := json.Unmarshal(rec.Body.Bytes(), &env) == nil && env.Error != nil && env.Error.Code != ""
+			if !typed || rec.Code < 400 || rec.Code >= 500 {
+				t.Fatalf("body %q: status %d, %s; want 200 or a typed 4xx", body, rec.Code, rec.Body)
+			}
+			if snap.Version != before {
+				t.Fatalf("body %q: refused with %d but committed version %d over %d", body, rec.Code, snap.Version, before)
+			}
+			return
+		}
+		var out AdaptResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatalf("body %q: adapt response %s: %v", body, rec.Body, err)
+		}
+		if snap.Version != before+1 || out.Version != snap.Version {
+			t.Fatalf("body %q: versions %d -> %d, response says %d; want exactly one new version", body, before, snap.Version, out.Version)
+		}
+		for chunk, holders := range snap.Holders {
+			if len(holders) == 0 {
+				t.Fatalf("body %q: committed snapshot lists chunk %d with no copy", body, chunk)
+			}
+		}
+	})
+}
+
 func TestSolveEveryAlgorithm(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 9)
