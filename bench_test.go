@@ -234,7 +234,7 @@ func benchPlaceOne(b *testing.B, alg faircache.Algorithm) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eval.Run(alg, topo, 9, 1, nil); err != nil {
+		if _, err := runAlg(alg, topo, 9, 1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

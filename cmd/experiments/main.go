@@ -69,44 +69,47 @@ func applyAlgFilter(spec string) error {
 
 // figure prints one -fig key's tables through emit, at full size or,
 // with quick, at reduced sizes and budgets.
-type figure func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error
+type figure func(sc eval.Scenario, quick bool, emit emitFunc) error
+
+// emitFunc prints a runner's table, or returns its error.
+type emitFunc func(*eval.Table, error) error
 
 // order is the sequence -fig all prints.
 var order = []string{"1", "2", "3", "4", "5", "6", "7", "8", "9", "tab2", "abl", "part", "adapt", "phases"}
 
 var figures = map[string]figure{
-	"1": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"1": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		// The exact search is budgeted (PuLP-replacement B&B with subset
 		// width 8); the table says whether the reference is proven optimal.
 		sc.OptimalBudget = pick(quick, 4000, 500)
 		side := pick(quick, 6, 4)
 		return emit(eval.RunFig1(side, side, sc))
 	},
-	"2": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"2": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		if err := emit(eval.RunFig2Small(pick(quick, []int{3, 4, 5}, []int{3, 4}), sc)); err != nil {
 			return err
 		}
 		return emit(eval.RunFig2Large(pick(quick, []int{10, 12, 14, 16}, []int{8}), sc))
 	},
-	"3": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"3": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		return emit(eval.RunFig3(6, 6, pick(quick, 5, 3), sc))
 	},
-	"4": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"4": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		return emit(eval.RunFig4(pick(quick, []int{20, 60, 100, 140, 180}, []int{20, 40}), sc))
 	},
-	"5": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"5": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		return emit(eval.RunFig5(pick(quick, []int{4, 6, 8, 10, 12}, []int{4, 6}), sc))
 	},
-	"6": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"6": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		return emit(eval.RunFig6(6, 6, sc))
 	},
-	"7": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"7": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		if err := emit(eval.RunFig7Grid(pick(quick, []int{4, 6, 8, 10}, []int{4, 6}), sc)); err != nil {
 			return err
 		}
 		return emit(eval.RunFig7Random(pick(quick, []int{20, 60, 100, 140, 180}, []int{20, 40}), sc))
 	},
-	"8": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"8": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		for _, side := range []int{4, 8} {
 			if err := emit(eval.RunFig8(side, side, pick(quick, 10, 6), sc)); err != nil {
 				return err
@@ -114,7 +117,7 @@ var figures = map[string]figure{
 		}
 		return nil
 	},
-	"9": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"9": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		for _, side := range []int{4, 6} {
 			if err := emit(eval.RunFig9(side, side, 10, sc)); err != nil {
 				return err
@@ -122,26 +125,26 @@ var figures = map[string]figure{
 		}
 		return nil
 	},
-	"tab2": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"tab2": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		return emit(eval.RunTable2(6, 6, sc))
 	},
-	"abl": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"abl": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		return emit(eval.RunAblations(sc))
 	},
-	"part": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"part": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		cases, err := eval.DefaultPartitionedCases()
 		if err != nil {
 			return err
 		}
 		return emit(eval.RunPartitioned(cases[:pick(quick, len(cases), 1)], sc))
 	},
-	"adapt": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"adapt": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		if quick {
 			return emit(eval.RunAdaptive(eval.AdaptiveScenario{Rows: 9, Cols: 9, Chunks: 48, Requests: 100_000, AdaptEvery: 5_000}))
 		}
 		return emit(eval.RunAdaptive(eval.AdaptiveScenario{}))
 	},
-	"phases": func(sc eval.Scenario, quick bool, emit func(*eval.Table, error) error) error {
+	"phases": func(sc eval.Scenario, quick bool, emit emitFunc) error {
 		side := pick(quick, 6, 4)
 		return emit(eval.RunPhases(side, side, sc))
 	},

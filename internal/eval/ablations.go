@@ -46,18 +46,18 @@ func RunAblations(sc Scenario) (*Table, error) {
 	for _, c := range configs {
 		opts := c.opts
 		opts.Capacity = sc.Capacity
-		res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmApprox}, &opts)
+		res, err := p.run(faircache.AlgorithmApprox, &opts)
 		if err != nil {
 			return nil, err
 		}
-		report, err := res[0].ContentionCost()
+		report, err := res.ContentionCost()
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []Cell{
 			{Text: c.name},
-			num("%.3f", res[0].Gini()),
-			num("%.0f", float64(res[0].DistinctCacheNodes())),
+			num("%.3f", res.Gini()),
+			num("%.0f", float64(res.DistinctCacheNodes())),
 			num("%.0f", report.Total()),
 			num("%.0f", report.Dissemination),
 		})

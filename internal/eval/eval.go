@@ -7,8 +7,6 @@
 package eval
 
 import (
-	"context"
-
 	faircache "repro"
 )
 
@@ -18,23 +16,6 @@ var Algorithms = []faircache.Algorithm{
 	faircache.AlgorithmDistributed,
 	faircache.AlgorithmHopCount,
 	faircache.AlgorithmContention,
-}
-
-// Run executes one algorithm on a topology with a fresh Solver, and so a
-// cold cost model, and returns its placement. It drives the Solver API
-// with a background context; unknown algorithms fail with
-// faircache.ErrBadArgument.
-func Run(alg faircache.Algorithm, topo *faircache.Topology, producer, chunks int, opts *faircache.Options) (*faircache.Result, error) {
-	solver, err := faircache.NewSolver(topo)
-	if err != nil {
-		return nil, err
-	}
-	return solver.Solve(context.Background(), faircache.Request{
-		Producer:  producer,
-		Chunks:    chunks,
-		Algorithm: alg,
-		Options:   opts,
-	})
 }
 
 // Scenario is the shared experimental setup of Sec. V-A.

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -19,12 +20,12 @@ func fastScenario() Scenario {
 }
 
 func TestRunUnknownAlgorithm(t *testing.T) {
-	topo, err := faircache.Grid(3, 3)
+	p, err := DefaultScenario().onGrid(3, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run("nope", topo, 0, 1, nil); err == nil {
-		t.Error("unknown algorithm: want error")
+	if _, err := p.run("nope", nil); !errors.Is(err, faircache.ErrBadArgument) {
+		t.Errorf("unknown algorithm: err = %v, want ErrBadArgument", err)
 	}
 }
 

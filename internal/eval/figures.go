@@ -37,31 +37,39 @@ func (sc Scenario) onGrid(rows, cols, chunks int) (point, error) {
 	return point{solver, sc.producerOn(topo), chunks}, nil
 }
 
+// run solves the point with one algorithm.
+func (p point) run(alg faircache.Algorithm, opts *faircache.Options) (*faircache.Result, error) {
+	res, err := p.solver.Solve(context.Background(), faircache.Request{
+		Producer:  p.producer,
+		Chunks:    p.chunks,
+		Algorithm: alg,
+		Options:   opts,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("%s on %d nodes, %d chunks: %w", alg, p.solver.Topology().NumNodes(), p.chunks, err)
+	}
+	return res, nil
+}
+
 // solve runs each algorithm in turn on the point's Solver.
 func (p point) solve(algs []faircache.Algorithm, opts *faircache.Options) ([]*faircache.Result, error) {
 	out := make([]*faircache.Result, len(algs))
 	for i, alg := range algs {
-		res, err := p.solver.Solve(context.Background(), faircache.Request{
-			Producer:  p.producer,
-			Chunks:    p.chunks,
-			Algorithm: alg,
-			Options:   opts,
-		})
+		res, err := p.run(alg, opts)
 		if err != nil {
-			return nil, fmt.Errorf("%s on %d nodes, %d chunks: %w", alg, p.solver.Topology().NumNodes(), p.chunks, err)
+			return nil, err
 		}
 		out[i] = res
 	}
 	return out, nil
 }
 
-// headers returns the column headers of the algorithms.
+// headers returns first followed by the algorithms' names.
 func headers(first []string, algs []faircache.Algorithm) []string {
-	out := slices.Clip(first)
 	for _, a := range algs {
-		out = append(out, a.String())
+		first = append(first, a.String())
 	}
-	return out
+	return first
 }
 
 // measure is the quantity a sweep reads off each placement, and how it
@@ -240,11 +248,11 @@ func RunFig3(rows, cols, maxK int, sc Scenario) (*Table, error) {
 	for k := 1; k <= maxK; k++ {
 		opts := sc.options()
 		opts.HopLimit = k
-		res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmDistributed}, opts)
+		res, err := p.run(faircache.AlgorithmDistributed, opts)
 		if err != nil {
 			return nil, err
 		}
-		report, err := res[0].ContentionCost()
+		report, err := res.ContentionCost()
 		if err != nil {
 			return nil, err
 		}
@@ -281,15 +289,15 @@ func RunFig5(sides []int, sc Scenario) (*Table, error) {
 	}
 	t := &Table{Title: "Fig. 5 — running time to place one chunk on grids", Header: headers([]string{"nodes"}, algs)}
 	for _, side := range sides {
-		topo, err := faircache.Grid(side, side)
-		if err != nil {
-			return nil, err
-		}
 		cells := []Cell{num("%.0f", float64(side*side))}
 		for _, alg := range algs {
+			p, err := sc.onGrid(side, side, 1)
+			if err != nil {
+				return nil, err
+			}
 			start := time.Now()
-			if _, err := Run(alg, topo, sc.producerOn(topo), 1, sc.options()); err != nil {
-				return nil, fmt.Errorf("fig5 %s on %dx%d: %w", alg, side, side, err)
+			if _, err := p.run(alg, sc.options()); err != nil {
+				return nil, err
 			}
 			elapsed := time.Since(start)
 			cells = append(cells, Cell{Text: elapsed.Round(10 * time.Microsecond).String(), Num: elapsed.Seconds() * 1000})
@@ -410,11 +418,11 @@ func RunTable2(rows, cols int, sc Scenario) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmDistributed}, sc.options())
+	res, err := p.run(faircache.AlgorithmDistributed, sc.options())
 	if err != nil {
 		return nil, err
 	}
-	msgs := res[0].Messages
+	msgs := res.Messages
 	kinds := make([]string, 0, len(msgs))
 	for k := range msgs {
 		kinds = append(kinds, k)
@@ -446,11 +454,11 @@ func RunPhases(rows, cols int, sc Scenario) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmApprox}, &faircache.Options{Capacity: sc.Capacity, Explain: true})
+	res, err := p.run(faircache.AlgorithmApprox, &faircache.Options{Capacity: sc.Capacity, Explain: true})
 	if err != nil {
 		return nil, err
 	}
-	rep := res[0].Trace
+	rep := res.Trace
 	if rep == nil {
 		return nil, fmt.Errorf("explain solve returned no trace")
 	}

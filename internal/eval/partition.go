@@ -60,16 +60,16 @@ func RunPartitioned(cases []PartitionedCase, sc Scenario) (*Table, error) {
 		var part *faircache.PartitionReport
 		for i, opts := range []*faircache.Options{sc.options(), &sharded} {
 			start := time.Now()
-			res, err := p.solve([]faircache.Algorithm{faircache.AlgorithmApprox}, opts)
+			res, err := p.run(faircache.AlgorithmApprox, opts)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", c.Label, err)
 			}
 			ms[i] = float64(time.Since(start).Microseconds()) / 1000
-			report, err := res[0].ContentionCost()
+			report, err := res.ContentionCost()
 			if err != nil {
 				return nil, err
 			}
-			costs[i], part = report.Total(), res[0].Partition
+			costs[i], part = report.Total(), res.Partition
 		}
 		t.Rows = append(t.Rows, []Cell{
 			{Text: c.Label},
