@@ -56,6 +56,8 @@ func RunPartitioned(cases []PartitionedCase, sc Scenario) (*Table, error) {
 		p := point{solver, sc.producerOn(c.Topo), sc.Chunks}
 		sharded := *sc.options()
 		sharded.Partition = &faircache.PartitionOptions{Regions: c.Regions}
+		// Index 0 is the global solve, 1 the sharded one, whose report
+		// part keeps.
 		var costs, ms [2]float64
 		var part *faircache.PartitionReport
 		for i, opts := range []*faircache.Options{sc.options(), &sharded} {
