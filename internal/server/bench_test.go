@@ -14,7 +14,8 @@ import (
 // wrappers below is the before/after comparison bench.sh records: with
 // coalescing, concurrent identical requests attach to a shared flight
 // and the "coalesced/op" metric approaches 1; without it every request
-// pays for its own computation.
+// after the first is a memo hit that commits its own copy of the stored
+// placement.
 func benchmarkSolveBurst(b *testing.B, disable bool) {
 	s, err := New(Options{DisableCoalescing: disable})
 	if err != nil {

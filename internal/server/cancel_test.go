@@ -37,14 +37,18 @@ func TestAsErrorContextMapping(t *testing.T) {
 // well before the full solve duration — the deadline aborts the engine
 // mid-solve rather than letting it run to completion and discarding the
 // result — and the worker must be free for the next request immediately.
+// The reference solve runs on a second registration of the same grid:
+// timeoutMs is not part of the solve key, so on the same topology the
+// short-deadline request would be a memo hit.
 func TestSolveDeadlineAbortsEngine(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
+	ref := c.registerGrid(15, 15, 9)
 	reg := c.registerGrid(15, 15, 9)
 	solve := SolveRequest{Chunks: 64, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
 
 	// Reference: the full solve, untimed-out.
 	start := time.Now()
-	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", solve, nil, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+ref.ID+"/solve", solve, nil, http.StatusOK)
 	full := time.Since(start)
 
 	// The same solve with a 30ms deadline must abort early.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	faircache "repro"
@@ -467,19 +468,23 @@ type SolveResponse struct {
 	Trace *faircache.ExplainReport `json:"trace,omitempty"`
 }
 
-// solveKey is the canonical coalescing identity of a solve: requests
-// coalesce iff they place the same chunk count with byte-identical
-// normalized options. TimeoutMs is deliberately excluded — it shapes a
-// caller's wait, not the computation.
+// solveKey is the canonical identity of a solve: requests coalesce, and
+// a repeat is served from the topology's memo, iff they place the same
+// chunk count with byte-identical normalized options. TimeoutMs is
+// deliberately excluded — it shapes a caller's wait, not the computation.
 func solveKey(chunks int, opts *SolveOptions) string {
 	payload, err := json.Marshal(opts)
 	if err != nil {
 		// Options are plain scalars and slices; Marshal cannot fail. Keep
-		// a defensive unique key rather than coalescing wrongly.
-		return fmt.Sprintf("nomarshal:%p", opts)
+		// a defensive key that no other request ever shares rather than
+		// coalescing or serving a memo entry wrongly.
+		return fmt.Sprintf("nomarshal:%d", noMarshalKeys.Add(1))
 	}
 	return fmt.Sprintf("%d:%s", chunks, payload)
 }
+
+// noMarshalKeys numbers solveKey's defensive keys.
+var noMarshalKeys atomic.Uint64
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	tp, terr := s.lookupTopology(r.PathValue("id"))
@@ -520,24 +525,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ctx = s.startTrace(ctx, r, opts.Explain)
 
+	key := solveKey(req.Chunks, opts)
 	var (
 		v      any
 		shared bool
 		err    error
 	)
 	if s.opts.DisableCoalescing {
-		v, err = s.runSolve(ctx, tp, alg, req.Chunks, opts)
+		v, err = s.runSolve(ctx, tp, alg, req.Chunks, opts, key)
 	} else {
 		// Identical concurrent solves share one flight. The flight gets
 		// the server's full solve budget regardless of any one caller's
 		// timeoutMs: a short-deadline caller detaches on its own deadline
 		// without starving the flight's other waiters.
-		v, shared, err = tp.solveG.Do(ctx, solveKey(req.Chunks, opts), func(fctx context.Context) (any, error) {
+		v, shared, err = tp.solveG.Do(ctx, key, func(fctx context.Context) (any, error) {
 			fsp := trace.FromContext(fctx).Start("coalesce.flight")
 			defer fsp.End()
 			fctx, fcancel := context.WithTimeout(fctx, s.opts.SolveTimeout)
 			defer fcancel()
-			return s.runSolve(fctx, tp, alg, req.Chunks, opts)
+			return s.runSolve(fctx, tp, alg, req.Chunks, opts, key)
 		})
 		if shared {
 			s.metrics.coalesceHits.WithLabelValues("solve").Inc()
@@ -557,89 +563,132 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // runSolve executes one underlying solve on the topology's worker and
-// commits the placement: the computation a coalesced flight shares.
-func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions) (*SolveResponse, error) {
+// commits the placement: the computation a coalesced flight shares. A
+// request the topology's memo holds under key commits the stored
+// placement without running the engine; explain requests always run it.
+func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions, key string) (*SolveResponse, error) {
 	// The id rode in on the context — for coalesced flights that is the
 	// leader's id, which every attached caller's response then carries.
 	traceID := traceIDFrom(ctx)
 	v, err := tp.do(ctx, func(cctx context.Context) (any, error) {
 		start := time.Now()
-		res, err := tp.solver.Solve(cctx, faircache.Request{
-			Producer:  tp.producer,
-			Chunks:    chunks,
-			Algorithm: alg,
-			Options:   opts.toOptions(tp.capacity),
-		})
-		s.metrics.solveDuration.Observe(time.Since(start).Seconds())
-		if err != nil {
-			return nil, err
-		}
-		// A solve that finished right at the deadline must not commit:
-		// the client has already been answered with a timeout.
-		if cctx.Err() != nil {
-			return nil, timeoutf("solve finished after the request deadline; result discarded")
-		}
-		esp := trace.FromContext(cctx).Start("metrics.evaluate")
-		cost, err := res.ContentionCost()
-		esp.End()
-		if err != nil {
-			return nil, err
-		}
-		prev := tp.snap.Load()
-		// Like publish and adapt commits, the snapshot lists only chunks
-		// that hold a copy; a lookup of any other known chunk falls
-		// through to the producer.
-		holders := make(map[int][]int, len(res.Holders))
-		for chunk, nodes := range res.Holders {
-			if len(nodes) > 0 {
-				holders[chunk] = append([]int(nil), nodes...)
+		var (
+			resp *SolveResponse
+			err  error
+		)
+		if stored := tp.memo.get(key); stored != nil && !opts.Explain {
+			sp := trace.FromContext(cctx).Start("solve.memo")
+			resp, err = s.commitSolve(cctx, tp, stored)
+			sp.End()
+			if err != nil {
+				return nil, err
 			}
+			s.metrics.memoHits.Inc()
+		} else if resp, err = s.solveFresh(cctx, tp, alg, chunks, opts, key); err != nil {
+			return nil, err
 		}
-		snap := &Snapshot{
-			Version:      tp.version + 1,
-			Source:       "solve:" + res.Algorithm.String(),
-			Producer:     tp.producer,
-			Chunks:       chunks,
-			Holders:      holders,
-			Counts:       append([]int(nil), res.Counts...),
-			Clock:        prev.Clock,
-			Solves:       prev.Solves + 1,
-			Publications: prev.Publications,
-		}
-		// WAL first, snapshot swap second: the record carries the full
-		// committed snapshot, so recovery replays absolute state.
-		if jerr := s.journal.append(cctx, &WALRecord{Type: WALSolve, ID: tp.id, Snap: snap},
-			func() { tp.commit(snap) }); jerr != nil {
-			return nil, jerr
-		}
-		if res.Partition != nil {
-			s.metrics.stitchRebids.Add(float64(res.Partition.RebidCandidates))
-			s.metrics.stitchDropped.Add(float64(res.Partition.DroppedCopies))
-		}
-		return &SolveResponse{
-			Version:           snap.Version,
-			Algorithm:         res.Algorithm.String(),
-			Chunks:            chunks,
-			Holders:           res.Holders,
-			Counts:            res.Counts,
-			Copies:            res.TotalCopies(),
-			DistinctCaches:    res.DistinctCacheNodes(),
-			Gini:              res.Gini(),
-			AccessCost:        cost.Access,
-			DisseminationCost: cost.Dissemination,
-			TotalCost:         cost.Total(),
-			ElapsedMs:         float64(time.Since(start).Microseconds()) / 1000,
-			ProvenOptimal:     res.ProvenOptimal,
-			Messages:          res.Messages,
-			Partition:         res.Partition,
-			TraceID:           traceID,
-			Trace:             res.Trace,
-		}, nil
+		resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
+		resp.TraceID = traceID
+		return resp, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return v.(*SolveResponse), nil
+}
+
+// solveFresh runs the engine and the evaluation for one solve, stores
+// the result in the topology's memo unless the request is an explain,
+// and commits it. Worker goroutine only.
+func (s *Server) solveFresh(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions, key string) (*SolveResponse, error) {
+	start := time.Now()
+	res, err := tp.solver.Solve(ctx, faircache.Request{
+		Producer:  tp.producer,
+		Chunks:    chunks,
+		Algorithm: alg,
+		Options:   opts.toOptions(tp.capacity),
+	})
+	s.metrics.solveDuration.Observe(time.Since(start).Seconds())
+	if err != nil {
+		return nil, err
+	}
+	// A solve that finished right at the deadline must not commit:
+	// the client has already been answered with a timeout.
+	if ctx.Err() != nil {
+		return nil, timeoutf("solve finished after the request deadline; result discarded")
+	}
+	esp := trace.FromContext(ctx).Start("metrics.evaluate")
+	cost, err := res.ContentionCost()
+	esp.End()
+	if err != nil {
+		return nil, err
+	}
+	stored := &SolveResponse{
+		Algorithm:         res.Algorithm.String(),
+		Chunks:            chunks,
+		Holders:           res.Holders,
+		Counts:            res.Counts,
+		Copies:            res.TotalCopies(),
+		DistinctCaches:    res.DistinctCacheNodes(),
+		Gini:              res.Gini(),
+		AccessCost:        cost.Access,
+		DisseminationCost: cost.Dissemination,
+		TotalCost:         cost.Total(),
+		ProvenOptimal:     res.ProvenOptimal,
+		Messages:          res.Messages,
+		Partition:         res.Partition,
+	}
+	if !opts.Explain {
+		tp.memo.put(key, stored)
+	}
+	resp, err := s.commitSolve(ctx, tp, stored)
+	if err != nil {
+		return nil, err
+	}
+	if res.Partition != nil {
+		s.metrics.stitchRebids.Add(float64(res.Partition.RebidCandidates))
+		s.metrics.stitchDropped.Add(float64(res.Partition.DroppedCopies))
+	}
+	resp.Trace = res.Trace
+	return resp, nil
+}
+
+// commitSolve logs the placement stored describes and commits it as the
+// topology's next snapshot, for a fresh solve and a memo hit alike, and
+// returns a copy of stored carrying the new version. The snapshot shares
+// stored's holder and count slices: neither is ever modified. Worker
+// goroutine only.
+func (s *Server) commitSolve(ctx context.Context, tp *topology, stored *SolveResponse) (*SolveResponse, error) {
+	prev := tp.snap.Load()
+	// Like publish and adapt commits, the snapshot lists only chunks
+	// that hold a copy; a lookup of any other known chunk falls
+	// through to the producer.
+	holders := make(map[int][]int, len(stored.Holders))
+	for chunk, nodes := range stored.Holders {
+		if len(nodes) > 0 {
+			holders[chunk] = nodes
+		}
+	}
+	snap := &Snapshot{
+		Version:      tp.version + 1,
+		Source:       "solve:" + stored.Algorithm,
+		Producer:     tp.producer,
+		Chunks:       stored.Chunks,
+		Holders:      holders,
+		Counts:       stored.Counts,
+		Clock:        prev.Clock,
+		Solves:       prev.Solves + 1,
+		Publications: prev.Publications,
+	}
+	// WAL first, snapshot swap second: the record carries the full
+	// committed snapshot, so recovery replays absolute state.
+	if jerr := s.journal.append(ctx, &WALRecord{Type: WALSolve, ID: tp.id, Snap: snap},
+		func() { tp.commit(snap) }); jerr != nil {
+		return nil, jerr
+	}
+	resp := *stored
+	resp.Version = snap.Version
+	return &resp, nil
 }
 
 // PublishRequest is the body of POST /v1/topologies/{id}/publish. An

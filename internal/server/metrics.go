@@ -23,6 +23,7 @@ type serverMetrics struct {
 	solveDuration   *prom.Histogram  // underlying engine solves only
 	coalesceFlights *prom.CounterVec // underlying computations started
 	coalesceHits    *prom.CounterVec // callers served by a shared flight
+	memoHits        *prom.Counter    // solves served from a topology's memo
 
 	// Coalesce lifecycle instruments: callers that gave up on a running
 	// flight, and flights aborted because every caller left.
@@ -78,7 +79,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		duration: reg.HistogramVec("faircached_request_duration_seconds",
 			"HTTP request latency, by endpoint.", nil, "endpoint"),
 		solveDuration: reg.Histogram("faircached_solve_duration_seconds",
-			"Latency of underlying engine solves (coalesced callers share one observation).", solveBuckets),
+			"Latency of underlying engine solves (coalesced callers share one observation; memo hits make none).", solveBuckets),
+		memoHits: reg.Counter("faircached_solve_memo_hits_total",
+			"Solves that committed a placement from the topology's result memo without running the engine."),
 		coalesceFlights: reg.CounterVec("faircached_coalesce_flights_total",
 			"Underlying computations started by coalescing endpoints.", "endpoint"),
 		coalesceHits: reg.CounterVec("faircached_coalesced_requests_total",

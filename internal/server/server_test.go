@@ -286,11 +286,13 @@ func FuzzRegisterBody(f *testing.F) {
 // FuzzSolveBody posts fuzzed bodies to the solve endpoint of a 4×4 grid
 // on a server with a 100 ms solve timeout. Every body must answer 200, a
 // typed 4xx or a typed 504, never a 5xx otherwise or a panic, and a
-// committed solve's snapshot must list only chunks that hold a copy. The
-// seed corpus holds chunk counts past the (chunk, node) cell budget, a
-// dual step so small that the tick bound saturates, a placement that
-// stores no copy, the removed workers knob, and one valid body per solve
-// path.
+// committed solve's snapshot must list only chunks that hold a copy. A
+// body that answered 200 without explain is posted again and must be
+// served from the memo: 200 with every field equal but the per-request
+// ones, and a version exactly one higher. The seed corpus holds chunk
+// counts past the (chunk, node) cell budget, a dual step so small that
+// the tick bound saturates, a placement that stores no copy, the removed
+// workers knob, and one valid body per solve path.
 func FuzzSolveBody(f *testing.F) {
 	s, err := New(Options{SolveTimeout: 100 * time.Millisecond})
 	if err != nil {
@@ -326,6 +328,24 @@ func FuzzSolveBody(f *testing.F) {
 			if len(holders) == 0 {
 				t.Fatalf("body %q: committed snapshot lists chunk %d with no copy", body, chunk)
 			}
+		}
+		var req SolveRequest
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("body %q answered 200 but does not decode: %v", body, err)
+		}
+		if req.Options != nil && req.Options.Explain {
+			return
+		}
+		again := serve(http.MethodPost, path, body)
+		if again.Code != http.StatusOK {
+			t.Fatalf("body %q: repeat answered %d, %s; want 200", body, again.Code, again.Body)
+		}
+		first, repeat := rec.Body.Bytes(), again.Body.Bytes()
+		if got, want := withoutPerRequest(t, repeat), withoutPerRequest(t, first); got != want {
+			t.Fatalf("body %q: repeat answered\n %s\nwant\n %s", body, got, want)
+		}
+		if v, prev := versionOf(t, repeat), versionOf(t, first); v != prev+1 {
+			t.Fatalf("body %q: repeat committed version %d after %d, want exactly one higher", body, v, prev)
 		}
 	})
 }
@@ -742,14 +762,20 @@ func TestServerCloseRejectsNewWork(t *testing.T) {
 
 // TestReportSolverStats checks the warm-model plumbing end to end: the
 // first solve on a topology pays the one cold cost-matrix build, every
-// repeat solve is served from the warm base model, and the report exposes
-// the counters.
+// later distinct solve is served from the warm base model, and the
+// report exposes the counters. The two appx solves differ in chunk count
+// so the second runs the engine rather than the memo.
 func TestReportSolverStats(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 9)
-	for _, alg := range []string{"appx", "appx", "hopc", "cont"} {
+	for _, req := range []SolveRequest{
+		{Chunks: 3, Options: &SolveOptions{Algorithm: "appx"}},
+		{Chunks: 4, Options: &SolveOptions{Algorithm: "appx"}},
+		{Chunks: 3, Options: &SolveOptions{Algorithm: "hopc"}},
+		{Chunks: 3, Options: &SolveOptions{Algorithm: "cont"}},
+	} {
 		var solve SolveResponse
-		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: alg}}, &solve, http.StatusOK)
+		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", req, &solve, http.StatusOK)
 	}
 	var rep ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)

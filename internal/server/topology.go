@@ -91,6 +91,9 @@ type topology struct {
 	adaptive       *faircache.AdaptiveSystem
 	demandCapacity int
 	version        int
+	// memo serves repeated solve requests; it starts empty, so a
+	// recovered topology's first solve of each request runs the engine.
+	memo solveMemo
 }
 
 // newTopology builds a topology and starts its worker. version and snap
@@ -109,6 +112,7 @@ func newTopology(id, kind string, topo *faircache.Topology, producer, capacity i
 		quit:     make(chan struct{}),
 		online:   online,
 		solver:   solver,
+		memo:     newSolveMemo(memoBudget),
 	}
 	if snap == nil {
 		snap = &Snapshot{

@@ -248,6 +248,7 @@ func TestAdaptExplain(t *testing.T) {
 // GET /debug/trace must hold the server and the solver layers of one
 // request together, and exactly every second request must be sampled,
 // although the startup recovery trace is recorded before any request.
+// Each solve places its own chunk count, so none is a memo hit.
 func TestSampledRequestRecordsEveryLayer(t *testing.T) {
 	c, _ := newTestClient(t, Options{DataDir: t.TempDir(), TraceSample: 2})
 	regs := []RegisterResponse{c.registerGrid(4, 4, 5), c.registerGrid(3, 3, 4)}
@@ -267,7 +268,7 @@ func TestSampledRequestRecordsEveryLayer(t *testing.T) {
 		path := "/v1/topologies/" + regs[i%2].ID
 		if i/2%2 == 0 {
 			layers[i] = []string{"solve", "confl", "metrics.evaluate", "wal.append"}
-			c.doTraced("POST", path+"/solve", header, SolveRequest{Chunks: 3}, nil, http.StatusOK)
+			c.doTraced("POST", path+"/solve", header, SolveRequest{Chunks: 3 + i}, nil, http.StatusOK)
 		} else {
 			layers[i] = []string{"adapt", "wal.append"}
 			c.doTraced("POST", path+"/adapt", header, nil, nil, http.StatusOK)
