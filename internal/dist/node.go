@@ -229,7 +229,7 @@ func (n *node) maybeBecomeAdmin(ctx *sim.Context) {
 	for _, r := range n.requesters {
 		ctx.Send(r.id, nadmin{})
 	}
-	ctx.SendNeighbors(badmin{Admin: n.id, Accum: n.weight})
+	ctx.SendNeighbors(n.scr.badmin(n.id, n.weight))
 	// The data chunk itself is then proactively requested from the
 	// producer; the dissemination cost is evaluated by the Steiner-tree
 	// metric, not by protocol messages.
@@ -293,7 +293,7 @@ func (n *node) onBAdmin(ctx *sim.Context, m badmin) {
 	}
 	if cost := m.Accum + n.weight; cost < a.cost {
 		a.cost = cost
-		ctx.SendNeighbors(badmin{Admin: m.Admin, Accum: cost})
+		ctx.SendNeighbors(n.scr.badmin(m.Admin, cost))
 	}
 	if n.state == stateActive && n.alpha >= a.cost {
 		n.state = stateFrozen
@@ -374,12 +374,28 @@ func (n *node) refreshCon(nbrs []int) {
 
 func (n *node) Done() bool { return n.state != stateActive }
 
-// pathScratch is localPathCosts' workspace. The nodes of one
-// PlaceChunksCtx call share one: the simulator runs them one at a time.
+// pathScratch is localPathCosts' workspace and the BADMIN payloads
+// boxed so far. The nodes of one PlaceChunksCtx call share one: the
+// simulator runs them one at a time.
 type pathScratch struct {
 	local []int32   // node id → local index; -1 outside a call
 	dist  []float64 // by local index
 	open  []int32   // reached, unsettled local indices
+
+	boxes [1 << badminSlotBits]boxedBAdmin // direct-mapped by value hash
+}
+
+// badminSlotBits sizes pathScratch's BADMIN box cache. A flood's repeated
+// costs arrive within a few rounds of each other, so a small table keeps
+// nearly every repeat: BenchmarkProtocolFiveChunks8x8 makes 5,449
+// allocs/op with 256 slots and 5,078 with 4,096.
+const badminSlotBits = 8
+
+// boxedBAdmin is one BADMIN payload boxed earlier in the call, with its
+// value for the lookup (p is nil while the slot is empty).
+type boxedBAdmin struct {
+	m badmin
+	p sim.Payload
 }
 
 // newPathScratch sizes a scratch for an n-node graph: a node knows at
@@ -394,6 +410,22 @@ func newPathScratch(n int) *pathScratch {
 		scr.local[i] = -1
 	}
 	return scr
+}
+
+// badmin returns the BADMIN payload announcing admin at accumulated cost
+// accum, reusing the box of an equal payload sent earlier in the call
+// when the cache still holds it: a payload is never modified, and a
+// flood re-sends the same costs from every node whose cheapest path to
+// the ADMIN costs the same. Boxing one payload per re-flood was most of
+// a Dist solve's allocations.
+func (scr *pathScratch) badmin(admin int, accum float64) sim.Payload {
+	m := badmin{Admin: admin, Accum: accum}
+	h := math.Float64bits(accum)*0x9e3779b97f4a7c15 + uint64(admin)*0xbf58476d1ce4e5b9
+	slot := &scr.boxes[h>>(64-badminSlotBits)]
+	if slot.p == nil || slot.m != m {
+		slot.m, slot.p = m, m
+	}
+	return slot.p
 }
 
 // localPathCosts runs a node-weighted Dijkstra over the locally known
