@@ -131,8 +131,7 @@ func (g *giniTrack) mean() float64 {
 // coefficient of the samples taken every SampleEvery requests), the
 // policy's work and its wall time. All three policies serve requests by
 // the same rule (nearest copy network-wide, local hit within HitRadius
-// hops), so the rows differ only by placement policy. The title names the
-// default scenario at every size.
+// hops), so the rows differ only by placement policy.
 func RunAdaptive(sc AdaptiveScenario) (*Table, error) {
 	sc = sc.withDefaults()
 	topo, err := faircache.Grid(sc.Rows, sc.Cols)
@@ -142,7 +141,7 @@ func RunAdaptive(sc AdaptiveScenario) (*Table, error) {
 	producer := topo.CentralNode()
 
 	t := &Table{
-		Title:  "Adaptive caching — 1M-request Zipf trace replay (15×15 grid)",
+		Title:  fmt.Sprintf("Adaptive caching — %s-request Zipf trace replay (%d×%d grid)", shortCount(sc.Requests), sc.Rows, sc.Cols),
 		Header: []string{"policy", "hit-rate", "cache-rate", "mean cost", "p99 cost", "gini mean", "gini final", "evictions", "adaptations", "copies placed", "ms"},
 	}
 	for _, policy := range []string{"static", "lru", "adaptive"} {
@@ -172,6 +171,18 @@ func RunAdaptive(sc AdaptiveScenario) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// shortCount prints a request count in whole millions or thousands
+// where it is one (1M, 100k), else in full.
+func shortCount(n int) string {
+	switch {
+	case n%1_000_000 == 0:
+		return fmt.Sprintf("%dM", n/1_000_000)
+	case n%1_000 == 0:
+		return fmt.Sprintf("%dk", n/1_000)
+	}
+	return fmt.Sprint(n)
 }
 
 // runSystem replays the trace through an AdaptiveSystem, running an

@@ -186,8 +186,7 @@ func (sc Scenario) sweep(title string, a axis, m measure, withBrtf bool) (*Table
 
 // RunFig1 reproduces Fig. 1 on a rows×cols grid: each node's exact-search
 // (Brtf) chunk count and each algorithm's difference from it, with the
-// total absolute difference per algorithm after the table. The title
-// names the paper's 6×6 configuration at every size.
+// total absolute difference per algorithm after the table.
 func RunFig1(rows, cols int, sc Scenario) (*Table, error) {
 	p, err := sc.onGrid(rows, cols, sc.Chunks)
 	if err != nil {
@@ -199,7 +198,7 @@ func RunFig1(rows, cols int, sc Scenario) (*Table, error) {
 	}
 	ref := res[0]
 	t := &Table{
-		Title:  "Fig. 1 — per-node chunk-count difference vs optimal (6×6 grid, producer 9)",
+		Title:  fmt.Sprintf("Fig. 1 — per-node chunk-count difference vs optimal (%d×%d grid, producer %d)", rows, cols, p.producer),
 		Before: []string{fmt.Sprintf("reference proven optimal: %v (budget %d nodes, width %d)", ref.ProvenOptimal, sc.OptimalBudget, sc.OptimalWidth)},
 		Header: headers([]string{"node", "Brtf count"}, Algorithms),
 	}
@@ -228,10 +227,17 @@ func RunFig2Small(sides []int, sc Scenario) (*Table, error) {
 }
 
 // RunFig2Large reproduces the large-network half of Fig. 2, where the
-// exact search is infeasible. The title names the paper's 100–256 nodes
-// at every size.
+// exact search is infeasible. The title names the node counts of the
+// smallest and largest grid (sides in increasing order).
 func RunFig2Large(sides []int, sc Scenario) (*Table, error) {
-	return sc.sweep("Fig. 2(b) — total contention cost, large grids (100–256 nodes)", sc.grids(sides), totalCost, false)
+	if len(sides) == 0 {
+		return nil, fmt.Errorf("%w: no grid sides", faircache.ErrBadArgument)
+	}
+	nodes := fmt.Sprint(sides[0] * sides[0])
+	if last := sides[len(sides)-1]; last != sides[0] {
+		nodes += fmt.Sprintf("–%d", last*last)
+	}
+	return sc.sweep("Fig. 2(b) — total contention cost, large grids ("+nodes+" nodes)", sc.grids(sides), totalCost, false)
 }
 
 // RunFig3 reproduces Fig. 3: the distributed algorithm's contention cost
