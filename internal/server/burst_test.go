@@ -94,7 +94,8 @@ func TestSolveBurstCollapses(t *testing.T) {
 	}
 }
 
-// engineRuns is the number of solves the report's solver stats count.
+// engineRuns is the number of Appx solves the report's solver stats
+// count: each one builds or forks the cost model once.
 func engineRuns(rep *server.ReportResponse) int {
-	return rep.Solver.ColdBuilds + rep.Solver.WarmSolves + rep.Solver.PartitionedSolves
+	return rep.Solver.ColdBuilds + rep.Solver.WarmSolves
 }
