@@ -3,10 +3,11 @@ package server
 // memoBudget bounds one topology's solve memo by the holder and count
 // ints its entries keep: 1<<18 ints, 2 MiB on a 64-bit machine, the size
 // of the N×N float64 cost matrix a 512-node topology's solver already
-// keeps. A 16-chunk placement on a 15×15 grid at capacity 5 keeps about
-// 300 ints, so the memo holds hundreds of distinct requests at the sizes
-// the daemon is benchmarked on, and at least 64 on a topology of the
-// largest registrable size (4096 counts per entry).
+// keeps. A 16-chunk Appx placement on a 15×15 grid at capacity 5 keeps
+// about 1,000 ints (786 copies, 225 counts), so the memo holds about 250
+// such requests, several times the distinct solves a benchmark pass
+// sends to one topology, while on a topology of the largest registrable
+// size (4096 nodes) the counts alone limit it to 64.
 const memoBudget = 1 << 18
 
 // solveMemo keeps the committed response of each distinct solve request
