@@ -92,6 +92,12 @@ func TestRunFig2LargeOrdering(t *testing.T) {
 	if hopc <= appx {
 		t.Errorf("Hopc %g not worse than Appx %g on a large grid", hopc, appx)
 	}
+	if want := "Fig. 2(b) — total contention cost, large grids (64 nodes)"; tab.Title != want {
+		t.Errorf("title %q, want %q", tab.Title, want)
+	}
+	if _, err := RunFig2Large(nil, sc); !errors.Is(err, faircache.ErrBadArgument) {
+		t.Errorf("no grid sides: err = %v, want ErrBadArgument", err)
+	}
 }
 
 func TestRunFig3HopSweep(t *testing.T) {
