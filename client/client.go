@@ -282,9 +282,8 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 // ("00-<trace-id>-<span-id>-01") with fresh random ids, one per request.
 // The daemon threads the trace id through its logs, spans and responses
 // (SolveResponse.TraceID), so a client-side failure can be matched to
-// the exact server-side computation — including a coalesced one, whose
-// response carries the flight leader's id instead. Returns "" if the
-// randomness source fails; the server then generates an id itself.
+// the exact server-side request. Returns "" if the randomness source
+// fails; the server then generates an id itself.
 func newTraceparent() string {
 	var b [24]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -51,7 +51,6 @@ func main() {
 		fsync         = flag.String("fsync", "always", "WAL fsync policy: always, interval or never")
 		snapshotEvery = flag.Int("snapshot-every", 256, "WAL records between full-state snapshots (negative disables)")
 		inspect       = flag.Bool("inspect", false, "print a redacted record listing of -data-dir and exit")
-		coalesceOn    = flag.Bool("coalesce", true, "coalesce concurrent identical solve requests onto shared flights")
 		pprofOn       = flag.Bool("pprof", false, "serve net/http/pprof profiling endpoints under /debug/pprof/")
 		logFormat     = flag.String("log-format", "text", "structured log format: text or json")
 		logLevel      = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -74,14 +73,13 @@ func main() {
 		return
 	}
 	opts := server.Options{
-		SolveTimeout:      *solveTimeout,
-		MaxNodes:          *maxNodes,
-		DataDir:           *dataDir,
-		Fsync:             *fsync,
-		SnapshotEvery:     *snapshotEvery,
-		DisableCoalescing: !*coalesceOn,
-		Logger:            logger,
-		TraceSample:       *traceSample,
+		SolveTimeout:  *solveTimeout,
+		MaxNodes:      *maxNodes,
+		DataDir:       *dataDir,
+		Fsync:         *fsync,
+		SnapshotEvery: *snapshotEvery,
+		Logger:        logger,
+		TraceSample:   *traceSample,
 	}
 	if err := run(*addr, opts, *drainTimeout, *pprofOn); err != nil {
 		logger.Error("daemon exited with error", "err", err)

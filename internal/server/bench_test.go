@@ -9,15 +9,11 @@ import (
 	"testing"
 )
 
-// benchmarkSolveBurst hammers one topology with identical solve requests
-// from parallel clients, with request coalescing on or off. The pair of
-// wrappers below is the before/after comparison bench.sh records: with
-// coalescing, concurrent identical requests attach to a shared flight
-// and the "coalesced/op" metric approaches 1; without it every request
-// after the first is a memo hit that commits its own copy of the stored
-// placement.
-func benchmarkSolveBurst(b *testing.B, disable bool) {
-	s, err := New(Options{DisableCoalescing: disable})
+// BenchmarkSolveBurst hammers one topology with identical solve requests
+// from parallel clients: the first runs the engine, and every later one
+// is a memo hit that commits its own copy of the stored placement.
+func BenchmarkSolveBurst(b *testing.B) {
+	s, err := New(Options{})
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
@@ -55,7 +51,7 @@ func benchmarkSolveBurst(b *testing.B, disable bool) {
 
 	solveURL := ts.URL + "/v1/topologies/" + regOut.ID + "/solve"
 	body := []byte(`{"chunks":6}`)
-	var coalesced, failures atomic.Int64
+	var failures atomic.Int64
 
 	b.SetParallelism(16)
 	b.ResetTimer()
@@ -71,10 +67,6 @@ func benchmarkSolveBurst(b *testing.B, disable bool) {
 			resp.Body.Close()
 			if err != nil || resp.StatusCode != http.StatusOK {
 				failures.Add(1)
-				continue
-			}
-			if out.Coalesced {
-				coalesced.Add(1)
 			}
 		}
 	})
@@ -82,11 +74,7 @@ func benchmarkSolveBurst(b *testing.B, disable bool) {
 	if n := failures.Load(); n > 0 {
 		b.Fatalf("%d of %d solve requests failed", n, b.N)
 	}
-	b.ReportMetric(float64(coalesced.Load())/float64(b.N), "coalesced/op")
 }
-
-func BenchmarkSolveCoalesced(b *testing.B)   { benchmarkSolveBurst(b, false) }
-func BenchmarkSolveUncoalesced(b *testing.B) { benchmarkSolveBurst(b, true) }
 
 // BenchmarkRequestsBody times the requests codec on a canonical
 // 2,000-event batch, the size the demand benchmark sends: decode is the

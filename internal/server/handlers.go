@@ -14,7 +14,6 @@ import (
 
 	faircache "repro"
 
-	"repro/internal/coalesce"
 	"repro/internal/demand"
 	"repro/internal/metrics"
 	"repro/internal/trace"
@@ -176,7 +175,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 
 	tp := newTopology(id, kind, topo, producer, capacity, online, 0, nil)
-	s.wireObservability(tp)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -372,8 +370,8 @@ type SolveOptions struct {
 	Partition *PartitionSpec `json:"partition,omitempty"`
 	// Explain records the solve's phase spans regardless of the server's
 	// sampling knob and returns the per-phase breakdown in the response's
-	// trace field. Part of the coalescing identity (it changes the
-	// response), unlike the trace id (which never splits a flight).
+	// trace field. It is part of the solve key, and an explain request
+	// always runs the engine: the memo keeps no per-request trace.
 	Explain bool `json:"explain,omitempty"`
 }
 
@@ -412,8 +410,8 @@ type SolveRequest struct {
 	// Chunks is the number of distinct chunks to place (default 5).
 	Chunks int `json:"chunks,omitempty"`
 	// TimeoutMs shortens the server's solve timeout for this request.
-	// It shapes only this caller's wait, never the shared flight, so it
-	// is not part of the coalescing identity.
+	// It bounds this request's own wait and solve, not the placement, so
+	// it is not part of the solve key.
 	TimeoutMs int `json:"timeoutMs,omitempty"`
 	// Options tunes the algorithm; zero values mean paper defaults.
 	Options *SolveOptions `json:"options,omitempty"`
@@ -421,7 +419,7 @@ type SolveRequest struct {
 
 // normalize resolves the request's algorithm to its canonical name and
 // returns a normalized copy of its options whose JSON encoding is a
-// canonical coalescing identity.
+// canonical solve identity.
 func (req *SolveRequest) normalize() (faircache.Algorithm, *SolveOptions, *Error) {
 	opts := &SolveOptions{}
 	if req.Options != nil {
@@ -457,27 +455,23 @@ type SolveResponse struct {
 	// Partition reports the decomposition of a sharded solve (nil for
 	// global solves).
 	Partition *faircache.PartitionReport `json:"partition,omitempty"`
-	// Coalesced reports that this response was served by attaching to
-	// another request's in-progress identical solve.
-	Coalesced bool `json:"coalesced,omitempty"`
-	// TraceID identifies the underlying computation's trace; coalesced
-	// callers see the flight leader's id, not their own.
+	// TraceID is the request's trace id.
 	TraceID string `json:"traceId,omitempty"`
 	// Trace is the per-phase explain breakdown, present only when the
 	// request set options.explain.
 	Trace *faircache.ExplainReport `json:"trace,omitempty"`
 }
 
-// solveKey is the canonical identity of a solve: requests coalesce, and
-// a repeat is served from the topology's memo, iff they place the same
-// chunk count with byte-identical normalized options. TimeoutMs is
-// deliberately excluded — it shapes a caller's wait, not the computation.
+// solveKey is the canonical identity of a solve: a request is served
+// from the topology's memo iff an earlier one placed the same chunk count
+// with byte-identical normalized options. TimeoutMs is deliberately
+// excluded — it bounds a request's wait, not the placement.
 func solveKey(chunks int, opts *SolveOptions) string {
 	payload, err := json.Marshal(opts)
 	if err != nil {
 		// Options are plain scalars and slices; Marshal cannot fail. Keep
 		// a defensive key that no other request ever shares rather than
-		// coalescing or serving a memo entry wrongly.
+		// serving a memo entry wrongly.
 		return fmt.Sprintf("nomarshal:%d", noMarshalKeys.Add(1))
 	}
 	return fmt.Sprintf("%d:%s", chunks, payload)
@@ -524,52 +518,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	ctx = s.startTrace(ctx, r, opts.Explain)
-
-	key := solveKey(req.Chunks, opts)
-	var (
-		v      any
-		shared bool
-		err    error
-	)
-	if s.opts.DisableCoalescing {
-		v, err = s.runSolve(ctx, tp, alg, req.Chunks, opts, key)
-	} else {
-		// Identical concurrent solves share one flight. The flight gets
-		// the server's full solve budget regardless of any one caller's
-		// timeoutMs: a short-deadline caller detaches on its own deadline
-		// without starving the flight's other waiters.
-		v, shared, err = tp.solveG.Do(ctx, key, func(fctx context.Context) (any, error) {
-			fsp := trace.FromContext(fctx).Start("coalesce.flight")
-			defer fsp.End()
-			fctx, fcancel := context.WithTimeout(fctx, s.opts.SolveTimeout)
-			defer fcancel()
-			return s.runSolve(fctx, tp, alg, req.Chunks, opts, key)
-		})
-		if shared {
-			s.metrics.coalesceHits.WithLabelValues("solve").Inc()
-		} else {
-			s.metrics.coalesceFlights.WithLabelValues("solve").Inc()
-		}
-	}
+	resp, err := s.runSolve(ctx, tp, alg, req.Chunks, opts)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	// The flight's response is shared between callers: shallow-copy it so
-	// the per-caller coalesced flag never races.
-	resp := *(v.(*SolveResponse))
-	resp.Coalesced = shared
-	writeJSON(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, resp)
 }
 
-// runSolve executes one underlying solve on the topology's worker and
-// commits the placement: the computation a coalesced flight shares. A
-// request the topology's memo holds under key commits the stored
+// runSolve runs one solve on the topology's worker and commits the
+// placement. A request the topology's memo holds commits the stored
 // placement without running the engine; explain requests always run it.
-func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions, key string) (*SolveResponse, error) {
-	// The id rode in on the context — for coalesced flights that is the
-	// leader's id, which every attached caller's response then carries.
-	traceID := traceIDFrom(ctx)
+func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions) (*SolveResponse, error) {
+	key := solveKey(chunks, opts)
 	v, err := tp.do(ctx, func(cctx context.Context) (any, error) {
 		start := time.Now()
 		var (
@@ -588,7 +549,7 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 			return nil, err
 		}
 		resp.ElapsedMs = float64(time.Since(start).Microseconds()) / 1000
-		resp.TraceID = traceID
+		resp.TraceID = traceIDFrom(cctx)
 		return resp, nil
 	})
 	if err != nil {
@@ -885,11 +846,6 @@ func queryInt(r *http.Request, key string) (int, *Error) {
 	return v, nil
 }
 
-// CoalesceInfo is one topology's cumulative solve-dedup counters.
-type CoalesceInfo struct {
-	Solve coalesce.Stats `json:"solve"`
-}
-
 // ReportResponse is the body of GET /v1/topologies/{id}/report: the full
 // committed snapshot plus the paper's fairness metrics.
 type ReportResponse struct {
@@ -908,8 +864,6 @@ type ReportResponse struct {
 	// Solver exposes the warm/cold cost-model counters: after the first
 	// solve on a topology every later one should be warm.
 	Solver faircache.SolverStats `json:"solver"`
-	// Coalesce exposes this topology's solve-dedup counters.
-	Coalesce CoalesceInfo `json:"coalesce"`
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -950,7 +904,6 @@ func buildReport(tp *topology) *ReportResponse {
 		Fairness75:     fairness75,
 		StorageCurve:   metrics.StorageCurve(snap.Counts),
 		Solver:         tp.solver.Stats(),
-		Coalesce:       CoalesceInfo{Solve: tp.solveG.Stats()},
 	}
 }
 

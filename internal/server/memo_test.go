@@ -1,18 +1,20 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // perRequestFields are the solve response fields a memo hit fills per
 // request rather than from the stored result.
-var perRequestFields = []string{"version", "elapsedMs", "traceId", "coalesced"}
+var perRequestFields = []string{"version", "elapsedMs", "traceId"}
 
 // solveRaw posts one solve and returns the raw response body.
 func (c *testClient) solveRaw(id string, req SolveRequest) []byte {
@@ -56,6 +58,12 @@ func versionOf(t *testing.T, raw []byte) int {
 // every engine run of every algorithm makes and a memo hit does not.
 func engineRuns(c *testClient) float64 {
 	return c.scrape()["faircached_solve_duration_seconds_count"]
+}
+
+// memoHits is the number of solves the server has served from a memo,
+// on any topology.
+func memoHits(c *testClient) float64 {
+	return c.scrape()["faircached_solve_memo_hits_total"]
 }
 
 // TestMemoRepeatMatchesColdSolve solves each request on one server and
@@ -293,8 +301,7 @@ func TestMemoHitSampledSpans(t *testing.T) {
 // TestMemoConcurrentMix runs identical solves, distinct solves and
 // publishes on one topology from several goroutines (run it with -race
 // -count=10). Every solve of one request answers the same placement, and
-// the final snapshot counts exactly one commit per non-coalesced solve
-// and per publish.
+// the final snapshot counts exactly one commit per solve and per publish.
 func TestMemoConcurrentMix(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 5)
@@ -331,9 +338,7 @@ func TestMemoConcurrentMix(t *testing.T) {
 					return
 				}
 				mu.Lock()
-				if !out.Coalesced {
-					commits++
-				}
+				commits++
 				if prev, ok := placed[chunks]; ok && !reflect.DeepEqual(prev, out.Holders) {
 					t.Errorf("%d-chunk solve answered %v, earlier %v", chunks, out.Holders, prev)
 				}
@@ -353,5 +358,143 @@ func TestMemoConcurrentMix(t *testing.T) {
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "appx"}}, nil, http.StatusOK)
 	if got := engineRuns(c); got != runs {
 		t.Errorf("repeat after the mix ran the engine: %v runs, %v before", got, runs)
+	}
+}
+
+// TestMemoQueuedRepeats queues 8 identical solves behind a parked worker.
+// The first one the worker takes runs the engine and the other 7 are memo
+// hits; each commits its own version with the same placement.
+func TestMemoQueuedRepeats(t *testing.T) {
+	c, s := newTestClient(t, Options{})
+	reg := c.registerGrid(4, 4, 5)
+	release := blockWorker(t, s, reg.ID)
+
+	const callers = 8
+	req := SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "appx"}}
+	responses := make([]SolveResponse, callers)
+	var wg sync.WaitGroup
+	for i := range responses {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", "", req, &responses[i], http.StatusOK); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	waitQueued(t, s, reg.ID, 1+callers)
+	release()
+	wg.Wait()
+
+	versions := make([]int, callers)
+	for i, resp := range responses {
+		if resp.Algorithm != "Appx" || len(resp.Holders) != 3 || !reflect.DeepEqual(resp.Holders, responses[0].Holders) {
+			t.Errorf("response %d = %+v, want response 0's 3-chunk Appx placement", i, resp)
+		}
+		versions[i] = resp.Version
+	}
+	slices.Sort(versions)
+	for i, v := range versions {
+		if v != 2+i {
+			t.Fatalf("versions %v, want 2..%d", versions, 1+callers)
+		}
+	}
+	if runs, hits := engineRuns(c), memoHits(c); runs != 1 || hits != callers-1 {
+		t.Errorf("%v engine runs and %v memo hits, want 1 and %d", runs, hits, callers-1)
+	}
+	if solves := reportOf(c, reg.ID).Snapshot.Solves; solves != callers {
+		t.Errorf("committed solves = %d, want %d", solves, callers)
+	}
+}
+
+// expiredCtx has ended but never closes Done, so tp.do hands it to the
+// worker instead of giving up while it waits.
+type expiredCtx struct{ context.Context }
+
+func (expiredCtx) Err() error { return context.Canceled }
+
+// TestMemoCancelledQueuedSolve hangs up a solve queued behind a parked
+// worker. It never runs or commits: the identical solve queued behind it
+// runs the engine itself and commits v2. The hung-up solve leaves at
+// tp.do's wait, so the worker's own check, which skips a command whose
+// context ended before the worker took it, is driven directly.
+func TestMemoCancelledQueuedSolve(t *testing.T) {
+	c, s := newTestClient(t, Options{})
+	reg := c.registerGrid(4, 4, 5)
+	release := blockWorker(t, s, reg.ID)
+	path := "/v1/topologies/" + reg.ID + "/solve"
+
+	ctx, cancel := context.WithCancel(context.Background())
+	hungUp := make(chan error, 1)
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, "POST", c.srv.URL+path, strings.NewReader(`{"chunks": 3}`))
+		resp, err := c.srv.Client().Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		hungUp <- err
+	}()
+	waitQueued(t, s, reg.ID, 2)
+	var next SolveResponse
+	nextDone := make(chan struct{})
+	go func() {
+		defer close(nextDone)
+		if err := c.sendJSON("POST", path, "", SolveRequest{Chunks: 3}, &next, http.StatusOK); err != nil {
+			t.Error(err)
+		}
+	}()
+	waitQueued(t, s, reg.ID, 3)
+	cancel()
+	if err := <-hungUp; err == nil {
+		t.Error("hung-up solve returned no error")
+	}
+	// The server notices the hang-up asynchronously.
+	waitQueued(t, s, reg.ID, 2)
+	release()
+	<-nextDone
+
+	if next.Version != 2 {
+		t.Errorf("solve behind the hung-up one committed v%d, want v2", next.Version)
+	}
+	if runs, hits := engineRuns(c), memoHits(c); runs != 1 || hits != 0 {
+		t.Errorf("%v engine runs and %v memo hits, want 1 and 0", runs, hits)
+	}
+	if solves := reportOf(c, reg.ID).Snapshot.Solves; solves != 1 {
+		t.Errorf("committed solves = %d, want 1", solves)
+	}
+
+	tp, _ := s.lookupTopology(reg.ID)
+	ran := false
+	if _, err := tp.do(expiredCtx{context.Background()}, func(context.Context) (any, error) {
+		ran = true
+		return nil, nil
+	}); err == nil || ran {
+		t.Errorf("worker took an expired command: ran %v, error %v", ran, err)
+	}
+}
+
+// TestMemoKeyDistinctRequests sends five solves one after another. Each
+// that differs from the earlier ones in chunks, algorithm or an option
+// runs the engine; the one that differs only in timeoutMs, which is not
+// part of the solve key, is a memo hit.
+func TestMemoKeyDistinctRequests(t *testing.T) {
+	c, _ := newTestClient(t, Options{})
+	reg := c.registerGrid(4, 4, 5)
+	steps := []struct {
+		req                SolveRequest
+		wantRuns, wantHits float64
+	}{
+		{SolveRequest{Chunks: 3}, 1, 0},
+		{SolveRequest{Chunks: 3, TimeoutMs: 60000}, 1, 1},
+		{SolveRequest{Chunks: 4}, 2, 1},
+		{SolveRequest{Chunks: 3, Options: &SolveOptions{Algorithm: "dist"}}, 3, 1},
+		{SolveRequest{Chunks: 3, Options: &SolveOptions{SpanQuorum: 3}}, 4, 1},
+	}
+	for i, st := range steps {
+		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", st.req, nil, http.StatusOK)
+		if runs, hits := engineRuns(c), memoHits(c); runs != st.wantRuns || hits != st.wantHits {
+			t.Errorf("after solve %d (%+v): %v engine runs and %v memo hits, want %v and %v",
+				i, st.req, runs, hits, st.wantRuns, st.wantHits)
+		}
 	}
 }

@@ -20,15 +20,8 @@ type serverMetrics struct {
 	duration *prom.HistogramVec // faircached_request_duration_seconds{endpoint}
 
 	// Solve-path instruments.
-	solveDuration   *prom.Histogram  // underlying engine solves only
-	coalesceFlights *prom.CounterVec // underlying computations started
-	coalesceHits    *prom.CounterVec // callers served by a shared flight
-	memoHits        *prom.Counter    // solves served from a topology's memo
-
-	// Coalesce lifecycle instruments: callers that gave up on a running
-	// flight, and flights aborted because every caller left.
-	coalesceDetached *prom.CounterVec
-	coalesceAborted  *prom.CounterVec
+	solveDuration *prom.Histogram // engine runs only
+	memoHits      *prom.Counter   // solves served from a topology's memo
 
 	// Trace-fed phase latency. Observations come from the span observer,
 	// so only sampled (or explain) requests contribute — interpret as a
@@ -79,17 +72,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 		duration: reg.HistogramVec("faircached_request_duration_seconds",
 			"HTTP request latency, by endpoint.", nil, "endpoint"),
 		solveDuration: reg.Histogram("faircached_solve_duration_seconds",
-			"Latency of underlying engine solves (coalesced callers share one observation; memo hits make none).", solveBuckets),
+			"Latency of engine runs, one observation per run (memo hits make none).", solveBuckets),
 		memoHits: reg.Counter("faircached_solve_memo_hits_total",
 			"Solves that committed a placement from the topology's result memo without running the engine."),
-		coalesceFlights: reg.CounterVec("faircached_coalesce_flights_total",
-			"Underlying computations started by coalescing endpoints.", "endpoint"),
-		coalesceHits: reg.CounterVec("faircached_coalesced_requests_total",
-			"Requests served by attaching to an in-progress identical flight.", "endpoint"),
-		coalesceDetached: reg.CounterVec("faircached_coalesce_detached_total",
-			"Callers that gave up (context done) while their coalesced flight was still running.", "endpoint"),
-		coalesceAborted: reg.CounterVec("faircached_coalesce_aborted_total",
-			"Coalesced flights cancelled because every attached caller detached.", "endpoint"),
 		phaseDuration: reg.HistogramVec("faircached_solve_phase_seconds",
 			"Latency of traced solve-pipeline phases (sampled and explain requests only).", nil, "phase"),
 		stitchRebids: reg.Counter("faircached_partition_rebid_candidates_total",

@@ -100,8 +100,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"faircached_request_errors_total":     "counter",
 		"faircached_request_duration_seconds": "histogram",
 		"faircached_solve_duration_seconds":   "histogram",
-		"faircached_coalesce_flights_total":   "counter",
-		"faircached_coalesced_requests_total": "counter",
 		"faircached_topologies":               "gauge",
 		"faircached_worker_queue_depth":       "gauge",
 		"faircached_costmodel_cold_builds":    "gauge",
@@ -110,8 +108,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"faircached_uptime_seconds":           "gauge",
 		"faircached_demand_events_total":      "counter",
 		"faircached_solve_phase_seconds":      "histogram",
-		"faircached_coalesce_detached_total":  "counter",
-		"faircached_coalesce_aborted_total":   "counter",
 		"faircached_adapt_passes_total":       "counter",
 		"faircached_adapt_actions_total":      "counter",
 		"faircached_publications_total":       "counter",
@@ -129,13 +125,12 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	// Spot-check the counters this test moved.
 	checks := map[string]float64{
-		`faircached_requests_total{endpoint="solve"}`:         1,
-		`faircached_requests_total{endpoint="report"}`:        1,
-		`faircached_request_errors_total{endpoint="lookup"}`:  1,
-		`faircached_coalesce_flights_total{endpoint="solve"}`: 1,
-		"faircached_topologies":                               1,
-		"faircached_solve_duration_seconds_count":             1,
-		"faircached_publications_total":                       1,
+		`faircached_requests_total{endpoint="solve"}`:        1,
+		`faircached_requests_total{endpoint="report"}`:       1,
+		`faircached_request_errors_total{endpoint="lookup"}`: 1,
+		"faircached_topologies":                              1,
+		"faircached_solve_duration_seconds_count":            1,
+		"faircached_publications_total":                      1,
 	}
 	for sample, want := range checks {
 		if got := samples[sample]; got != want {

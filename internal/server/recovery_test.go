@@ -52,11 +52,9 @@ func TestRecoveryRoundTrip(t *testing.T) {
 	c1.doJSON("POST", "/v1/topologies/"+reg2.ID+"/publish", PublishRequest{Count: 6}, nil, http.StatusOK)
 
 	before1, before2 := reportOf(c1, reg.ID), reportOf(c1, reg2.ID)
-	// Warm/cold solver counters and coalescing dedup counters are runtime
-	// state, not journaled — they reset on restart by design, so exclude
-	// them from the round trip.
+	// Warm/cold solver counters are runtime state, not journaled — they
+	// reset on restart by design, so exclude them from the round trip.
 	before1.Solver, before2.Solver = faircache.SolverStats{}, faircache.SolverStats{}
-	before1.Coalesce, before2.Coalesce = CoalesceInfo{}, CoalesceInfo{}
 	var beforeLookup LookupResponse
 	c1.doJSON("GET", "/v1/topologies/"+reg.ID+"/lookup?chunk=2&node=0", nil, &beforeLookup, http.StatusOK)
 	c1.srv.Close()
@@ -64,7 +62,6 @@ func TestRecoveryRoundTrip(t *testing.T) {
 
 	c2, s2 := newTestClient(t, opts)
 	after1, after2 := reportOf(c2, reg.ID), reportOf(c2, reg2.ID)
-	after1.Coalesce, after2.Coalesce = CoalesceInfo{}, CoalesceInfo{}
 	if !reflect.DeepEqual(before1, after1) {
 		t.Errorf("recovered report for %s diverges:\n before %+v\n after  %+v", reg.ID, before1, after1)
 	}
@@ -366,13 +363,12 @@ func TestRecoveryAfterCancelledPublish(t *testing.T) {
 		c1.doJSON("POST", path, nil, nil, http.StatusOK)
 	}
 	before := reportOf(c1, reg.ID)
-	before.Solver, before.Coalesce = faircache.SolverStats{}, CoalesceInfo{}
+	before.Solver = faircache.SolverStats{}
 	c1.srv.Close()
 	s1.Close()
 
 	c2, _ := newTestClient(t, opts)
 	after := reportOf(c2, reg.ID)
-	after.Coalesce = CoalesceInfo{}
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("recovered report diverges:\n before %+v\n after  %+v", before, after)
 	}

@@ -59,11 +59,6 @@ type Options struct {
 	MaxNodes int
 	// MaxPublishBatch caps the count of one publish request (default 64).
 	MaxPublishBatch int
-	// DisableCoalescing turns off singleflight coalescing of identical
-	// solve requests. Coalescing is on by default; disabling it makes
-	// every solve run its own computation, the baseline
-	// BenchmarkSolveUncoalesced measures.
-	DisableCoalescing bool
 
 	// DataDir enables durability: the write-ahead log and full-state
 	// snapshots live here and New recovers from them. Empty keeps the
@@ -80,8 +75,8 @@ type Options struct {
 	MaxSegmentBytes int64
 
 	// Logger receives the daemon's leveled operational records
-	// (registrations, deletions, WAL recovery, abandoned flights),
-	// tagged with trace ids where one is in scope. Nil discards them.
+	// (registrations, deletions, WAL recovery), tagged with trace ids
+	// where one is in scope. Nil discards them.
 	Logger *slog.Logger
 	// TraceSample records the spans of 1 in every N solve and adapt
 	// requests, server and solver layers together, into the span ring
@@ -138,9 +133,9 @@ type Server struct {
 
 	// tracer is the daemon's one span ring and sampling decision: a
 	// sampled or explain'd request's trace rides its context, so the
-	// server layer (coalesce flights, evaluation, WAL appends, startup
-	// recovery) and the solver and adaptation phases record into it
-	// together. GET /debug/trace reads it.
+	// server layer (memo hits, evaluation, WAL appends, startup recovery)
+	// and the solver and adaptation phases record into it together.
+	// GET /debug/trace reads it.
 	tracer *trace.Tracer
 	// walRecovery is the startup recovery duration, written once in New
 	// before the server is shared and read by the metrics gauge.
@@ -274,9 +269,7 @@ func (s *Server) restore(shadow *walShadow) error {
 		if ts.Snap != nil {
 			version = ts.Snap.Version
 		}
-		tp := newTopology(ts.ID, kind, topo, ts.Producer, ts.Capacity, online, version, ts.Snap)
-		s.wireObservability(tp)
-		s.topos[ts.ID] = tp
+		s.topos[ts.ID] = newTopology(ts.ID, kind, topo, ts.Producer, ts.Capacity, online, version, ts.Snap)
 		s.log.Debug("topology recovered",
 			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", version, "clock", ts.Clock)
 	}
@@ -345,22 +338,5 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 		if rec.status >= 400 {
 			s.metrics.errors.WithLabelValues(name).Inc()
 		}
-	}
-}
-
-// wireObservability connects a fresh topology's solve-coalescing group
-// to the server's metrics and logger: a caller detaching from a flight is
-// counted (with the flight abort when it was the last caller) and logged
-// with its trace id. Must run before the topology is published to the
-// registry (hook installation is not synchronized with traffic).
-func (s *Server) wireObservability(tp *topology) {
-	tp.solveG.OnDetach = func(ctx context.Context, key string, alone bool) {
-		s.metrics.coalesceDetached.WithLabelValues("solve").Inc()
-		if alone {
-			s.metrics.coalesceAborted.WithLabelValues("solve").Inc()
-		}
-		s.log.Warn("caller detached from coalesced flight",
-			"endpoint", "solve", "topology", tp.id, "key", key,
-			"flightAborted", alone, "traceId", traceIDFrom(ctx))
 	}
 }

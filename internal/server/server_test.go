@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -135,6 +137,49 @@ func (c *testClient) wantError(method, path string, body any, wantStatus int, wa
 		c.t.Fatalf("%s %s: code %q, want %q (message %q)", method, path, env.Error.Code, wantCode, env.Error.Message)
 	}
 	return env.Error.Message
+}
+
+// blockWorker parks tp's single-writer worker on a mutation that only
+// returns when the returned release func is called. While parked, every
+// mutation queues behind it, which lets a test line up any number of
+// requests on the worker deterministically (waitQueued counts them).
+func blockWorker(t *testing.T, s *Server, id string) (release func()) {
+	t.Helper()
+	tp, terr := s.lookupTopology(id)
+	if terr != nil {
+		t.Fatalf("lookupTopology(%s): %v", id, terr)
+	}
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _ = tp.do(context.Background(), func(context.Context) (any, error) {
+			close(started)
+			<-gate
+			return nil, nil
+		})
+	}()
+	<-started
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(gate) }); <-done })
+	return func() { once.Do(func() { close(gate) }); <-done }
+}
+
+// waitQueued polls until exactly n mutations, blockWorker's parked one
+// included, are queued on or running in the topology's worker.
+func waitQueued(t *testing.T, s *Server, id string, n int64) {
+	t.Helper()
+	tp, terr := s.lookupTopology(id)
+	if terr != nil {
+		t.Fatalf("lookupTopology(%s): %v", id, terr)
+	}
+	for deadline := time.Now().Add(5 * time.Second); tp.queued.Load() != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("worker of %s never held %d mutations; it holds %d", id, n, tp.queued.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestHealthz(t *testing.T) {

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 
 	faircache "repro"
-
-	"repro/internal/coalesce"
 )
 
 // Snapshot is the immutable committed state of one registered topology.
@@ -73,11 +71,6 @@ type topology struct {
 	// queued counts mutations submitted to the worker and not yet
 	// answered — the worker queue depth the metrics gauge sums.
 	queued atomic.Int64
-
-	// solveG coalesces concurrent identical solve requests onto shared
-	// flights; its per-topology dedup counters are exposed in the report
-	// response.
-	solveG coalesce.Group
 
 	// demand is the last demand-subsystem snapshot, stored by the worker
 	// after each requests/adapt mutation and read lock-free by the list

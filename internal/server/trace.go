@@ -14,9 +14,7 @@ import (
 )
 
 // traceIDKey carries the request's resolved trace id string through
-// contexts — including into coalesced flights, whose context inherits the
-// leader's values, so every caller's logs and the shared response agree
-// on one id per underlying computation.
+// contexts, so the request's logs, spans and response agree on one id.
 type traceIDKey struct{}
 
 func withTraceID(ctx context.Context, id string) context.Context {
@@ -32,8 +30,7 @@ func traceIDFrom(ctx context.Context) string {
 // startTrace resolves r's trace id and threads it through ctx together
 // with the request's trace, which the server layer and the solver both
 // record into (nil, so recording nothing, unless the request is sampled
-// or explain'd). A coalesced flight inherits the leader's values, so the
-// whole flight shares one id.
+// or explain'd).
 func (s *Server) startTrace(ctx context.Context, r *http.Request, explain bool) context.Context {
 	id := requestTraceID(r)
 	return trace.NewContext(withTraceID(ctx, id), s.tracer.StartTrace(id, explain))

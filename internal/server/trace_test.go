@@ -88,8 +88,8 @@ func TestSolveTraceparentPropagation(t *testing.T) {
 }
 
 // TestDebugTraceEndpoint checks GET /debug/trace returns the spans of an
-// explain'd solve — the solver-layer phases and the server-layer flight
-// and evaluation spans — and that the slowerThanMs filter and input
+// explain'd solve — the solver-layer phases and the server-layer
+// evaluation span — and that the slowerThanMs filter and input
 // validation work.
 func TestDebugTraceEndpoint(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
@@ -119,7 +119,7 @@ func TestDebugTraceEndpoint(t *testing.T) {
 		}
 		names[sp.Name] = true
 	}
-	for _, want := range []string{"coalesce.flight", "metrics.evaluate", "solve", "confl"} {
+	for _, want := range []string{"metrics.evaluate", "solve", "confl"} {
 		if !names[want] {
 			t.Errorf("dump missing span %q (have %v)", want, names)
 		}
@@ -145,25 +145,23 @@ func TestDebugTraceEndpoint(t *testing.T) {
 	c.wantError("GET", "/debug/trace?slowerThanMs=-1", nil, http.StatusBadRequest, CodeBadRequest)
 }
 
-// TestCoalescedFlightSharesTraceID attaches several callers, each with
-// its own traceparent, to one coalesced flight and checks every response
-// reports the same trace id — the flight leader's — so logs and spans of
-// the one underlying computation resolve to one id.
-func TestCoalescedFlightSharesTraceID(t *testing.T) {
+// TestQueuedSolvesKeepTraceIDs queues identical solves, each with its
+// own traceparent, behind a parked worker. All but the first are memo
+// hits, and each answers its own request's trace id.
+func TestQueuedSolvesKeepTraceIDs(t *testing.T) {
 	c, s := newTestClient(t, Options{})
 	reg := c.registerGrid(4, 4, 5)
 	release := blockWorker(t, s, reg.ID)
 
-	const callers = 4
 	headers := []string{
 		"00-aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa-00f067aa0ba902b7-01",
 		"00-bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb-00f067aa0ba902b7-01",
 		"00-cccccccccccccccccccccccccccccccc-00f067aa0ba902b7-01",
 		"00-dddddddddddddddddddddddddddddddd-00f067aa0ba902b7-01",
 	}
-	responses := make([]SolveResponse, callers)
+	responses := make([]SolveResponse, len(headers))
 	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
+	for i := range headers {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -173,32 +171,17 @@ func TestCoalescedFlightSharesTraceID(t *testing.T) {
 			}
 		}(i)
 	}
-	waitSolveFlights(t, s, reg.ID, 1, callers-1)
+	waitQueued(t, s, reg.ID, int64(1+len(headers)))
 	release()
 	wg.Wait()
 
-	leader := responses[0].TraceID
-	if leader == "" {
-		t.Fatal("response carries no trace id")
-	}
-	sent := map[string]bool{}
-	for _, h := range headers {
-		sent[parseTraceparent(h)] = true
-	}
-	if !sent[leader] {
-		t.Errorf("flight trace id %q is none of the callers' ids", leader)
-	}
-	coalesced := 0
 	for i, resp := range responses {
-		if resp.TraceID != leader {
-			t.Errorf("response %d trace id %q, want the flight leader's %q", i, resp.TraceID, leader)
-		}
-		if resp.Coalesced {
-			coalesced++
+		if want := parseTraceparent(headers[i]); resp.TraceID != want {
+			t.Errorf("response %d trace id %q, want its own %q", i, resp.TraceID, want)
 		}
 	}
-	if coalesced != callers-1 {
-		t.Errorf("%d responses marked coalesced, want %d", coalesced, callers-1)
+	if hits := memoHits(c); hits != float64(len(headers)-1) {
+		t.Errorf("%v memo hits, want %d", hits, len(headers)-1)
 	}
 }
 

@@ -55,19 +55,17 @@ BEGIN {
 /^Benchmark/ {
   name = $1
   iters = $2
-  ns = ""; bytes = ""; allocs = ""; coal = ""
+  ns = ""; bytes = ""; allocs = ""
   for (i = 3; i < NF; i++) {
     if ($(i+1) == "ns/op") ns = $i
     if ($(i+1) == "B/op") bytes = $i
     if ($(i+1) == "allocs/op") allocs = $i
-    if ($(i+1) == "coalesced/op") coal = $i
   }
   if (ns == "") next
   if (n++) printf ","
   printf "\n    {\"name\": \"%s\", \"iterations\": %s, \"nsPerOp\": %s", name, iters, ns
   if (bytes != "") printf ", \"bytesPerOp\": %s", bytes
   if (allocs != "") printf ", \"allocsPerOp\": %s", allocs
-  if (coal != "") printf ", \"coalescedPerOp\": %s", coal
   printf "}"
 }
 END { printf "\n  ]\n}\n" }

@@ -55,19 +55,24 @@ type Solver struct {
 	plans  map[int]*partitionPlan
 }
 
-// SolverStats counts how solves obtained their cost matrices.
+// SolverStats counts how solves obtained their cost matrices, not how
+// many solves ran: a Dist solve obtains none and counts in no field, and
+// a partitioned solve counts in PartitionedSolves and also in ColdBuilds
+// or WarmSolves, by whether it built its plan's region models. The
+// daemon counts engine runs in faircached_solve_duration_seconds_count.
 type SolverStats struct {
-	// ColdBuilds counts solves that had to build the topology cost
-	// matrices from scratch (at most one per topology lifetime for the
-	// approximation, exact and baseline paths, which share one base
-	// model).
+	// ColdBuilds counts solves that had to build cost matrices from
+	// scratch: at most one per topology lifetime for the approximation,
+	// exact and baseline paths, which share one base model, and one per
+	// partition plan for partitioned solves.
 	ColdBuilds int `json:"coldBuilds"`
-	// WarmSolves counts solves served from the pre-built base model (a
-	// fork for the approximation and the exact solver, a read-only borrow
-	// for the baselines).
+	// WarmSolves counts solves served from matrices built earlier: the
+	// base model (a fork for the approximation and the exact solver, a
+	// read-only borrow for the baselines) or a plan's region models.
 	WarmSolves int `json:"warmSolves"`
 	// PartitionedSolves counts solves served by the sharded
-	// (partition-and-stitch) engine.
+	// (partition-and-stitch) engine, each also counted in ColdBuilds or
+	// WarmSolves.
 	PartitionedSolves int `json:"partitionedSolves"`
 	// PartitionPlans counts distinct partition plans built — one per
 	// requested region count, each holding its regions' subtopologies,
