@@ -25,8 +25,6 @@ type RequestEvent struct {
 type AdaptiveOptions struct {
 	// Capacity is the per-node cache capacity in chunks (default 5).
 	Capacity int
-	// FairnessWeight scales the fairness cost term (default 1).
-	FairnessWeight float64
 	// Eviction names the score adaptation passes evict copies by, lowest
 	// first: "cost" (default — the demand-weighted retrieval-cost increase
 	// the copy's removal would cause), "lru" (the tick of the copy's last
@@ -128,11 +126,6 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 	if o.Capacity < 0 {
 		return nil, fmt.Errorf("%w: negative capacity %d", ErrBadArgument, o.Capacity)
 	}
-	if o.FairnessWeight == 0 {
-		o.FairnessWeight = 1
-	} else if o.FairnessWeight < 0 {
-		o.FairnessWeight = 0
-	}
 	var eviction demand.Eviction
 	switch o.Eviction {
 	case "", "cost":
@@ -153,7 +146,8 @@ func (s *Solver) NewAdaptive(ctx context.Context, producer, chunks int, opts *Ad
 		return nil, err
 	}
 	st := cache.NewState(s.topo.g.NumNodes(), o.Capacity)
-	m, err := bm.ForkCtx(ctx, pl, st, costmodel.Options{FairnessWeight: o.FairnessWeight})
+	// The fairness cost term carries the paper's weight 1.
+	m, err := bm.ForkCtx(ctx, pl, st, costmodel.Options{FairnessWeight: 1})
 	if err != nil {
 		return nil, fmt.Errorf("faircache: %w", err)
 	}
@@ -215,11 +209,10 @@ func (a *AdaptiveSystem) Adapt(ctx context.Context) (*AdaptationResult, error) {
 
 // AdaptWith is Adapt with per-pass observability options: an Explain
 // pass records the five phases' spans (score, evict, replace,
-// redundancy, fill, plus the settling refresh) and returns the summary
-// in AdaptationResult.Trace. The spans record into the trace the context
-// carries, if any (the daemon's); an Explain pass whose context carries
-// none keeps its spans for its report only. nil opts behaves exactly like
-// Adapt.
+// redundancy, fill) and returns the summary in AdaptationResult.Trace.
+// The spans record into the trace the context carries, if any (the
+// daemon's); an Explain pass whose context carries none keeps its spans
+// for its report only. nil opts behaves exactly like Adapt.
 func (a *AdaptiveSystem) AdaptWith(ctx context.Context, opts *AdaptRunOptions) (*AdaptationResult, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -343,44 +343,29 @@ type solvedTree struct {
 	cost    float64
 }
 
+// withDefaults copies o and defaults the fields it adjusts: Capacity and
+// HopLimit fall back to the paper's 5 and 2, FairnessWeight 0 selects 1
+// and a negative one the contention-only 0, and a negative BatteryWeight
+// is 0.
 func (o *Options) withDefaults() Options {
-	out := Options{
-		Capacity:       5,
-		FairnessWeight: 1,
-		HopLimit:       2,
+	var out Options
+	if o != nil {
+		out = *o
 	}
-	if o == nil {
-		return out
+	if out.Capacity <= 0 {
+		out.Capacity = 5
 	}
-	if o.Capacity > 0 {
-		out.Capacity = o.Capacity
-	}
-	out.Capacities = o.Capacities
-	out.AlphaStep = o.AlphaStep
-	out.GammaStep = o.GammaStep
-	out.SpanQuorum = o.SpanQuorum
-	if o.FairnessWeight != 0 {
-		out.FairnessWeight = o.FairnessWeight
-	}
-	if out.FairnessWeight < 0 {
+	if out.FairnessWeight == 0 {
+		out.FairnessWeight = 1
+	} else if out.FairnessWeight < 0 {
 		out.FairnessWeight = 0
 	}
-	if o.HopLimit > 0 {
-		out.HopLimit = o.HopLimit
+	if out.HopLimit <= 0 {
+		out.HopLimit = 2
 	}
-	out.Lambda = o.Lambda
-	out.SearchBudget = o.SearchBudget
-	out.SearchWidth = o.SearchWidth
-	out.BatteryLevels = o.BatteryLevels
-	if o.BatteryWeight > 0 {
-		out.BatteryWeight = o.BatteryWeight
+	if out.BatteryWeight < 0 {
+		out.BatteryWeight = 0
 	}
-	out.ChunkTTL = o.ChunkTTL
-	out.GreedyConFL = o.GreedyConFL
-	out.ImproveSteiner = o.ImproveSteiner
-	out.ChunkStarted = o.ChunkStarted
-	out.Partition = o.Partition
-	out.Explain = o.Explain
 	return out
 }
 

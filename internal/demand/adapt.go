@@ -68,18 +68,18 @@ type chunkScore struct {
 //     than its server.
 //  5. Fill the capacity left idle, scanning every chunk per free slot.
 //
-// Every mutation flows through the cost model, whose next read sweeps the
-// matrix once over the memoised BFS layers, and through holdersAdd or
-// holdersRemove, which keep the table current. The pass is deterministic
-// for a fixed request history.
+// Every mutation flows through the cost model and through holdersAdd or
+// holdersRemove, which keep the table current. The pass leaves the
+// matrix to its readers (core.PlaceOneCtx, core.PlaceCtx and Verify),
+// which sweep it once over the memoised BFS layers before they read it.
+// The pass is deterministic for a fixed request history.
 func (s *System) AdaptCtx(ctx context.Context) (*AdaptReport, error) {
 	return s.AdaptTraceCtx(ctx, nil)
 }
 
 // AdaptTraceCtx is AdaptCtx with each of the five phases (score, evict,
-// replace, redundancy, fill) plus the settling refresh recorded as child
-// spans of parent. A nil (or dead) parent runs the untraced path at zero
-// extra cost.
+// replace, redundancy, fill) recorded as child spans of parent. A nil
+// (or dead) parent runs the untraced path at zero extra cost.
 func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptReport, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("demand: adapt: %w", err)
@@ -133,13 +133,6 @@ func (s *System) AdaptTraceCtx(ctx context.Context, parent *trace.Span) (*AdaptR
 	sp.SetInt("placed", int64(len(report.Placed)-placedBefore))
 	sp.End()
 
-	// Leave the matrix fresh: one refresh after the pass's mutations lets
-	// the next request burst and Verify calls start from a clean model.
-	sp = parent.Child("adapt.refresh")
-	if err := s.model.RefreshCtx(ctx, pl); err != nil {
-		return nil, err
-	}
-	sp.End()
 	s.statsMu.Lock()
 	s.stats.Adaptations++
 	s.stats.CopiesPlaced += int64(len(report.Placed))

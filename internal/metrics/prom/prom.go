@@ -1,7 +1,8 @@
 // Package prom is a dependency-free Prometheus text-format exporter for
-// the faircached daemon: counters, gauges and fixed-bucket histograms,
-// optionally labelled, rendered in the Prometheus exposition format
-// (text version 0.0.4) by a Registry that doubles as an http.Handler.
+// the faircached daemon: counters and fixed-bucket histograms, optionally
+// labelled, and gauge funcs read at render time, rendered in the
+// Prometheus exposition format (text version 0.0.4) by a Registry that
+// doubles as an http.Handler.
 //
 // It deliberately implements only what a scrape target needs — atomic
 // instruments and deterministic rendering — not the full client_golang
@@ -34,7 +35,6 @@ func (f *atomicFloat) Add(v float64) {
 	}
 }
 
-func (f *atomicFloat) Set(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }
 
 // Counter is a monotonically increasing value.
@@ -52,18 +52,6 @@ func (c *Counter) Add(v float64) {
 
 // Value returns the current count.
 func (c *Counter) Value() float64 { return c.v.Load() }
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomicFloat }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.v.Set(v) }
-
-// Add adjusts the value by v (may be negative).
-func (g *Gauge) Add(v float64) { g.v.Add(v) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram.
 type Histogram struct {
@@ -117,14 +105,13 @@ type family struct {
 	children map[string]*child // keyed by canonical label-value tuple
 	order    []string          // insertion order of child keys
 
-	gaugeFn func() float64 // kindGauge callback families
+	gaugeFn func() float64 // kindGauge families read it at render time
 	buckets []float64      // kindHistogram bucket bounds
 }
 
 type child struct {
 	labelValues []string
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 }
 
@@ -172,15 +159,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	f.children[""] = c
 	f.order = append(f.order, "")
 	return c.counter
-}
-
-// Gauge registers and returns an unlabelled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	f := r.register(name, help, kindGauge, nil)
-	c := &child{gauge: &Gauge{}}
-	f.children[""] = c
-	f.order = append(f.order, "")
-	return c.gauge
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at render
@@ -268,8 +246,6 @@ func (f *family) child(values []string) *child {
 		switch f.kind {
 		case kindCounter:
 			c.counter = &Counter{}
-		case kindGauge:
-			c.gauge = &Gauge{}
 		case kindHistogram:
 			c.hist = newHistogram(f.buckets)
 		}
@@ -321,8 +297,6 @@ func (f *family) write(b *strings.Builder) {
 		switch f.kind {
 		case kindCounter:
 			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, c.labelValues, "", 0), formatFloat(c.counter.Value()))
-		case kindGauge:
-			fmt.Fprintf(b, "%s%s %s\n", f.name, labelString(f.labels, c.labelValues, "", 0), formatFloat(c.gauge.Value()))
 		case kindHistogram:
 			h := c.hist
 			cum := uint64(0)

@@ -107,3 +107,36 @@ func TestDistTinyStepStopsAtDeadline(t *testing.T) {
 		t.Fatalf("follow-up solve version = %d, want 2 (the timed-out solves commit nothing)", out.Version)
 	}
 }
+
+// TestQueuedExpiryStatus: a mutation whose context ends while it waits
+// for the topology's worker answers by how the context ended, like an
+// engine run the context aborts: 499 canceled when the caller hung up,
+// 504 timeout when its deadline passed. Neither runs.
+func TestQueuedExpiryStatus(t *testing.T) {
+	c, s := newTestClient(t, Options{})
+	reg := c.registerGrid(3, 3, 4)
+	blockWorker(t, s, reg.ID)
+	tp, _ := s.lookupTopology(reg.ID)
+
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, stop := context.WithTimeout(context.Background(), time.Millisecond)
+	defer stop()
+	for _, tc := range []struct {
+		ctx        context.Context
+		wantStatus int
+		wantCode   string
+	}{
+		{canceled, StatusClientClosedRequest, CodeCanceled},
+		{expired, http.StatusGatewayTimeout, CodeTimeout},
+	} {
+		ran := false
+		_, err := tp.do(tc.ctx, func(context.Context) (any, error) {
+			ran = true
+			return nil, nil
+		})
+		if e := asError(err); e.Status != tc.wantStatus || e.Code != tc.wantCode || ran {
+			t.Errorf("%v: status %d %s (ran %v), want %d %s", tc.ctx.Err(), e.Status, e.Code, ran, tc.wantStatus, tc.wantCode)
+		}
+	}
+}

@@ -14,6 +14,9 @@ import (
 // streams are reported in consecutive calls.
 const maxRequestBatch = 8192
 
+// maxPublishBatch caps the count of one publish request.
+const maxPublishBatch = 64
+
 // DemandInit configures a topology's demand subsystem on first use. It
 // may only accompany the first requests batch; later batches must omit
 // it. The subsystem is in-memory only: a restart drops it, and the next
@@ -192,30 +195,16 @@ func (s *Server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		holders := make(map[int][]int)
-		for k, hs := range tp.adaptive.Placement() {
-			if len(hs) > 0 {
-				holders[k] = hs
-			}
-		}
-		prev := tp.snap.Load()
 		snap := &Snapshot{
-			Version:      tp.version + 1,
-			Source:       "adapt",
-			Producer:     tp.producer,
-			Chunks:       tp.adaptive.Chunks(),
-			Holders:      holders,
-			Counts:       tp.adaptive.Counts(),
-			Clock:        prev.Clock,
-			Solves:       prev.Solves,
-			Publications: prev.Publications,
+			Source:  "adapt",
+			Chunks:  tp.adaptive.Chunks(),
+			Holders: holderMap(tp.adaptive.Placement()),
+			Counts:  tp.adaptive.Counts(),
 		}
-		// Like solve records, the adapt record carries the absolute
-		// committed snapshot; the demand stream that produced it is
-		// deliberately not logged (it is ephemeral observation state).
-		if jerr := s.journal.append(cctx, &WALRecord{Type: WALAdapt, ID: tp.id, Snap: snap},
-			func() { tp.commit(snap) }); jerr != nil {
-			return nil, jerr
+		// The demand stream that produced the placement is deliberately
+		// not logged (it is ephemeral observation state).
+		if err := s.commit(cctx, tp, WALAdapt, 0, snap); err != nil {
+			return nil, err
 		}
 		s.metrics.adaptPasses.Inc()
 		s.metrics.adaptActions.WithLabelValues("evicted").Add(float64(res.Evicted))

@@ -143,11 +143,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, badRequestf("negative capacity %d", capacity))
 		return
 	}
-	online, oerr := faircache.NewOnline(topo, producer, &faircache.Options{
-		Capacity:       capacity,
-		ChunkTTL:       req.ChunkTTL,
-		FairnessWeight: req.FairnessWeight,
-	})
+	online, oerr := newOnline(topo, &req, producer, capacity)
 	if oerr != nil {
 		s.writeError(w, oerr)
 		return
@@ -174,7 +170,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tp := newTopology(id, kind, topo, producer, capacity, online, 0, nil)
+	tp := newTopology(id, kind, topo, producer, capacity, online, nil)
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -191,6 +187,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("topology registered",
 		"id", id, "kind", kind, "nodes", topo.NumNodes(), "links", topo.NumLinks(),
 		"producer", producer, "capacity", capacity)
+	snap := tp.snap.Load()
 	writeJSON(w, http.StatusCreated, RegisterResponse{
 		ID:       id,
 		Kind:     kind,
@@ -198,7 +195,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		Links:    topo.NumLinks(),
 		Producer: producer,
 		Capacity: capacity,
-		Version:  tp.snap.Load().Version,
+		Version:  snap.Version,
+	})
+}
+
+// newOnline builds the online system a registration asks for: the
+// spec's chunk lifetime and fairness weight at the resolved capacity.
+func newOnline(topo *faircache.Topology, spec *RegisterRequest, producer, capacity int) (*faircache.OnlineSystem, error) {
+	return faircache.NewOnline(topo, producer, &faircache.Options{
+		Capacity:       capacity,
+		ChunkTTL:       spec.ChunkTTL,
+		FairnessWeight: spec.FairnessWeight,
 	})
 }
 
@@ -614,49 +621,46 @@ func (s *Server) solveFresh(ctx context.Context, tp *topology, alg faircache.Alg
 	return resp, nil
 }
 
-// commitSolve logs the placement stored describes and commits it as the
-// topology's next snapshot, for a fresh solve and a memo hit alike, and
-// returns a copy of stored carrying the new version. The snapshot shares
-// stored's holder and count slices: neither is ever modified. Worker
-// goroutine only.
+// commitSolve commits the placement stored describes as the topology's
+// next version, for a fresh solve and a memo hit alike, and returns a
+// copy of stored carrying that version. The snapshot shares stored's
+// holder and count slices: neither is ever modified. Worker goroutine
+// only.
 func (s *Server) commitSolve(ctx context.Context, tp *topology, stored *SolveResponse) (*SolveResponse, error) {
-	prev := tp.snap.Load()
-	// Like publish and adapt commits, the snapshot lists only chunks
-	// that hold a copy; a lookup of any other known chunk falls
-	// through to the producer.
-	holders := make(map[int][]int, len(stored.Holders))
-	for chunk, nodes := range stored.Holders {
-		if len(nodes) > 0 {
-			holders[chunk] = nodes
-		}
-	}
 	snap := &Snapshot{
-		Version:      tp.version + 1,
-		Source:       "solve:" + stored.Algorithm,
-		Producer:     tp.producer,
-		Chunks:       stored.Chunks,
-		Holders:      holders,
-		Counts:       stored.Counts,
-		Clock:        prev.Clock,
-		Solves:       prev.Solves + 1,
-		Publications: prev.Publications,
+		Source:  "solve:" + stored.Algorithm,
+		Chunks:  stored.Chunks,
+		Holders: holderMap(stored.Holders),
+		Counts:  stored.Counts,
 	}
-	// WAL first, snapshot swap second: the record carries the full
-	// committed snapshot, so recovery replays absolute state.
-	if jerr := s.journal.append(ctx, &WALRecord{Type: WALSolve, ID: tp.id, Snap: snap},
-		func() { tp.commit(snap) }); jerr != nil {
-		return nil, jerr
+	if err := s.commit(ctx, tp, WALSolve, 0, snap); err != nil {
+		return nil, err
 	}
 	resp := *stored
 	resp.Version = snap.Version
 	return &resp, nil
 }
 
+// holderMap keys each chunk of placement that holds a copy to its
+// holders. Like publish commits, solve and adapt snapshots list only such
+// chunks; a lookup of any other known chunk falls through to the
+// producer.
+func holderMap(placement [][]int) map[int][]int {
+	holders := make(map[int][]int, len(placement))
+	for chunk, nodes := range placement {
+		if len(nodes) > 0 {
+			holders[chunk] = nodes
+		}
+	}
+	return holders
+}
+
 // PublishRequest is the body of POST /v1/topologies/{id}/publish. An
 // empty body publishes one chunk. Once the topology's worker starts a
 // batch, the batch runs to its commit whatever happens to the request: a
-// caller whose deadline passes or who disconnects mid-batch gets 504
-// while the batch still commits, and the next report shows it.
+// caller whose deadline passes mid-batch gets 504, and one who
+// disconnects 499, while the batch still commits, and the next report
+// shows it.
 type PublishRequest struct {
 	// Count is the number of chunks to publish in one serialized batch
 	// (default 1).
@@ -700,8 +704,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			req.Count = 1
 		}
 	}
-	if req.Count < 1 || req.Count > s.opts.MaxPublishBatch {
-		s.writeError(w, badRequestf("count must be in [1,%d], got %d", s.opts.MaxPublishBatch, req.Count))
+	if req.Count < 1 || req.Count > maxPublishBatch {
+		s.writeError(w, badRequestf("count must be in [1,%d], got %d", maxPublishBatch, req.Count))
 		return
 	}
 
@@ -710,7 +714,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		// clock tick and TTL evictions with no WAL record, and recovery,
 		// which replays Clock publications, would then diverge from the
 		// logged snapshot. So a started batch ignores cancellation: it is
-		// at most MaxPublishBatch single-chunk placements, and a request
+		// at most maxPublishBatch single-chunk placements, and a request
 		// whose context ended while queued never starts.
 		cctx = context.WithoutCancel(cctx)
 		pubs := make([]PublicationInfo, 0, req.Count)
@@ -729,24 +733,18 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 		os := tp.online.Snapshot()
-		prev := tp.snap.Load()
-		snap := &Snapshot{
-			Version:      tp.version + 1,
-			Source:       "publish",
-			Producer:     tp.producer,
-			Chunks:       os.Published,
-			Holders:      os.Holders,
-			Counts:       os.Counts,
-			Clock:        os.Clock,
-			Solves:       prev.Solves,
-			Publications: prev.Publications + len(pubs),
-		}
 		// The record's Clock is the online system's absolute publication
 		// count, so recovery replays exactly that many arrivals and TTL
 		// expiry falls on the same ticks.
-		if jerr := s.journal.append(cctx, &WALRecord{Type: WALPublish, ID: tp.id, Snap: snap, Count: len(pubs)},
-			func() { tp.commit(snap) }); jerr != nil {
-			return nil, jerr
+		snap := &Snapshot{
+			Source:  "publish",
+			Chunks:  os.Published,
+			Holders: os.Holders,
+			Counts:  os.Counts,
+			Clock:   os.Clock,
+		}
+		if err := s.commit(cctx, tp, WALPublish, len(pubs), snap); err != nil {
+			return nil, err
 		}
 		return &PublishResponse{
 			Version:      snap.Version,

@@ -43,8 +43,6 @@ import (
 	"sync"
 	"time"
 
-	faircache "repro"
-
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -57,8 +55,6 @@ type Options struct {
 	SolveTimeout time.Duration
 	// MaxNodes caps registered topology sizes (default 4096).
 	MaxNodes int
-	// MaxPublishBatch caps the count of one publish request (default 64).
-	MaxPublishBatch int
 
 	// DataDir enables durability: the write-ahead log and full-state
 	// snapshots live here and New recovers from them. Empty keeps the
@@ -109,9 +105,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxNodes <= 0 {
 		o.MaxNodes = 4096
-	}
-	if o.MaxPublishBatch <= 0 {
-		o.MaxPublishBatch = 64
 	}
 	if o.SnapshotEvery == 0 {
 		o.SnapshotEvery = 256
@@ -244,11 +237,7 @@ func (s *Server) restore(shadow *walShadow) error {
 		if err != nil {
 			return fmt.Errorf("topology %s: rebuilding %q graph: %w", ts.ID, ts.Kind, err)
 		}
-		online, err := faircache.NewOnline(topo, ts.Producer, &faircache.Options{
-			Capacity:       ts.Capacity,
-			ChunkTTL:       ts.Spec.ChunkTTL,
-			FairnessWeight: ts.Spec.FairnessWeight,
-		})
+		online, err := newOnline(topo, &ts.Spec, ts.Producer, ts.Capacity)
 		if err != nil {
 			return fmt.Errorf("topology %s: rebuilding online system: %w", ts.ID, err)
 		}
@@ -265,13 +254,10 @@ func (s *Server) restore(shadow *walShadow) error {
 					ts.ID, os.Clock, ts.Snap.Clock)
 			}
 		}
-		version := 1
-		if ts.Snap != nil {
-			version = ts.Snap.Version
-		}
-		s.topos[ts.ID] = newTopology(ts.ID, kind, topo, ts.Producer, ts.Capacity, online, version, ts.Snap)
+		tp := newTopology(ts.ID, kind, topo, ts.Producer, ts.Capacity, online, ts.Snap)
+		s.topos[ts.ID] = tp
 		s.log.Debug("topology recovered",
-			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", version, "clock", ts.Clock)
+			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", tp.snap.Load().Version, "clock", ts.Clock)
 	}
 	s.nextID = shadow.nextID
 	return nil

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -83,16 +84,15 @@ type topology struct {
 	// first requests batch. In-memory only: restarts drop it.
 	adaptive       *faircache.AdaptiveSystem
 	demandCapacity int
-	version        int
 	// memo serves repeated solve requests; it starts empty, so a
 	// recovered topology's first solve of each request runs the engine.
 	memo solveMemo
 }
 
-// newTopology builds a topology and starts its worker. version and snap
-// restore recovered state; version <= 1 with a nil snap is a fresh
-// registration (version 1, empty register snapshot).
-func newTopology(id, kind string, topo *faircache.Topology, producer, capacity int, online *faircache.OnlineSystem, version int, snap *Snapshot) *topology {
+// newTopology builds a topology and starts its worker. snap restores
+// recovered state; a nil snap is a fresh registration (version 1, empty
+// register snapshot).
+func newTopology(id, kind string, topo *faircache.Topology, producer, capacity int, online *faircache.OnlineSystem, snap *Snapshot) *topology {
 	// NewSolver only fails on a nil topology, which every caller excludes.
 	solver, _ := faircache.NewSolver(topo)
 	tp := &topology{
@@ -116,10 +116,6 @@ func newTopology(id, kind string, topo *faircache.Topology, producer, capacity i
 			Counts:   make([]int, topo.NumNodes()),
 		}
 	}
-	if version < 1 {
-		version = 1
-	}
-	tp.version = version
 	tp.snap.Store(snap)
 	tp.wg.Add(1)
 	go tp.run()
@@ -139,7 +135,7 @@ func (tp *topology) run() {
 			// A request that expired while queued is skipped outright —
 			// starting a solve whose client is already gone is pure waste.
 			if err := cmd.ctx.Err(); err != nil {
-				cmd.reply <- cmdResult{err: timeoutf("request expired before the %s worker ran it: %v", tp.id, err)}
+				cmd.reply <- cmdResult{err: fmt.Errorf("request expired before the %s worker ran it: %w", tp.id, err)}
 				continue
 			}
 			v, err := cmd.apply(cmd.ctx)
@@ -148,10 +144,12 @@ func (tp *topology) run() {
 	}
 }
 
-// do submits a mutation to the worker and waits for its result, the
-// request deadline, or topology shutdown — whichever comes first. The
-// reply channel is buffered so an abandoned command never blocks the
-// worker.
+// do submits a mutation to the worker and waits for its result, the end
+// of the request's context, or topology shutdown — whichever comes
+// first. An ended context's error is wrapped, so asError answers 499
+// canceled for a caller that hung up and 504 timeout for a passed
+// deadline. The reply channel is buffered so an abandoned command never
+// blocks the worker.
 func (tp *topology) do(ctx context.Context, apply func(ctx context.Context) (any, error)) (any, error) {
 	tp.queued.Add(1)
 	defer tp.queued.Add(-1)
@@ -161,7 +159,7 @@ func (tp *topology) do(ctx context.Context, apply func(ctx context.Context) (any
 	case <-tp.quit:
 		return nil, gonef("topology %s is shut down", tp.id)
 	case <-ctx.Done():
-		return nil, timeoutf("request expired while waiting for the %s worker: %v", tp.id, ctx.Err())
+		return nil, fmt.Errorf("request expired while waiting for the %s worker: %w", tp.id, ctx.Err())
 	}
 	select {
 	case res := <-cmd.reply:
@@ -169,20 +167,32 @@ func (tp *topology) do(ctx context.Context, apply func(ctx context.Context) (any
 	case <-tp.quit:
 		return nil, gonef("topology %s shut down mid-request", tp.id)
 	case <-ctx.Done():
-		return nil, timeoutf("request deadline passed while the %s worker was busy: %v", tp.id, ctx.Err())
+		return nil, fmt.Errorf("request ended while the %s worker was busy: %w", tp.id, ctx.Err())
 	}
 }
 
-// commit assigns the next version and publishes the snapshot. The caller
-// fills Source, Chunks, Holders, Counts, Clock and the Solves /
-// Publications totals (usually carried forward from tp.snap.Load()).
+// commit makes snap the topology's next version. The caller fills what
+// the mutation decided: Source, Chunks, Holders, Counts and, for a
+// publish, Clock. commit sets the version, producer and the solve and
+// publication totals from the committed snapshot (count is a publish's
+// batch size, 0 otherwise), carries the clock forward for every other
+// type, and logs a record of type typ before it swaps snap in under the
+// journal's lock, so the record carries the absolute committed state.
 // Worker goroutine only.
-func (tp *topology) commit(snap *Snapshot) *Snapshot {
-	tp.version++
-	snap.Version = tp.version
+func (s *Server) commit(ctx context.Context, tp *topology, typ string, count int, snap *Snapshot) error {
+	prev := tp.snap.Load()
+	snap.Version = prev.Version + 1
 	snap.Producer = tp.producer
-	tp.snap.Store(snap)
-	return snap
+	snap.Solves = prev.Solves
+	snap.Publications = prev.Publications + count
+	if typ == WALSolve {
+		snap.Solves++
+	}
+	if typ != WALPublish {
+		snap.Clock = prev.Clock
+	}
+	return s.journal.append(ctx, &WALRecord{Type: typ, ID: tp.id, Snap: snap, Count: count},
+		func() { tp.snap.Store(snap) })
 }
 
 // stop signals the worker to exit after its current mutation. Safe to

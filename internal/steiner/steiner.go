@@ -14,9 +14,9 @@
 //     distance row, from a Dijkstra bounded by the keys of the terminals
 //     still outside. The trees are bit for bit those of a full Dijkstra row
 //     per terminal and an ascending scan of the closure. The construction
-//     is sequential, so the pool parameter of MSTApproxCtx and
-//     MSTApproxScratchCtx is unused; it stays for the callers that pass
-//     their solve's pool to every phase.
+//     is sequential, so the pool parameter of MSTApproxScratchCtx is
+//     unused; it stays for the callers that pass their solve's pool to
+//     every phase.
 //   - ExactCost: the Dreyfus–Wagner dynamic program, exponential in the
 //     number of terminals, used by the exact ("Brtf") baseline on small
 //     instances.
@@ -171,22 +171,17 @@ func ufUnion(parent []int32, a, b int32) bool {
 //
 // Zero or one terminal yields an empty tree with cost 0.
 func MSTApprox(g *graph.Graph, w graph.EdgeWeightFunc, terminals []int) (Tree, error) {
-	return MSTApproxCtx(context.Background(), g, w, terminals, nil)
+	return MSTApproxScratchCtx(context.Background(), g, w, terminals, nil, nil)
 }
 
-// MSTApproxCtx is MSTApprox with cancellation via ctx, checked before
-// each terminal joins the closure tree. The construction is sequential:
-// each joining terminal's bounded search depends on the keys the previous
-// ones left, so p is unused. It stays in the signature for the callers
-// that thread their solve's pool through every phase.
-func MSTApproxCtx(ctx context.Context, g *graph.Graph, w graph.EdgeWeightFunc, terminals []int, p *pool.Pool) (Tree, error) {
-	return MSTApproxScratchCtx(ctx, g, w, terminals, p, nil)
-}
-
-// MSTApproxScratchCtx is MSTApproxCtx with every intermediate buffer carved
-// out of scr (nil allocates a transient scratch): a warm scratch makes the
-// construction allocate only the returned Tree.Edges. p is unused, as in
-// MSTApproxCtx.
+// MSTApproxScratchCtx is MSTApprox with cancellation via ctx, checked
+// before each terminal joins the closure tree, and with every
+// intermediate buffer carved out of scr (nil allocates a transient
+// scratch): a warm scratch makes the construction allocate only the
+// returned Tree.Edges. The construction is sequential: each joining
+// terminal's bounded search depends on the keys the previous ones left,
+// so p is unused. It stays in the signature for the callers that thread
+// their solve's pool through every phase.
 //
 // It evaluates w once per arc (2·NumEdges calls) and runs Prim over the
 // terminal metric closure in Prim's own order. Terminal 0 (the smallest)

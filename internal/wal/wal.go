@@ -42,7 +42,7 @@ const (
 	// the mutation it logs is acknowledged.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval fsyncs dirty segments from a background ticker every
-	// Options.Interval: bounded data loss, near in-memory append speed.
+	// syncInterval: bounded data loss, near in-memory append speed.
 	SyncInterval
 	// SyncNever leaves flushing to the operating system (plus one fsync
 	// on rotation, snapshot and close).
@@ -77,12 +77,14 @@ func (p SyncPolicy) String() string {
 	}
 }
 
+// syncInterval is the SyncInterval flusher's period.
+const syncInterval = 100 * time.Millisecond
+
 // Options configures a Log. Dir is required; zero values elsewhere mean
-// SyncAlways, a 100ms sync interval, 4MiB segments and a silent logger.
+// SyncAlways, 4MiB segments and a silent logger.
 type Options struct {
 	Dir             string
 	Policy          SyncPolicy
-	Interval        time.Duration
 	MaxSegmentBytes int64
 	// Logger receives leveled operational records (recovery outcome,
 	// torn-tail truncation, segment rotation, snapshot compaction). nil
@@ -91,9 +93,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Interval <= 0 {
-		o.Interval = 100 * time.Millisecond
-	}
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = 4 << 20
 	}
@@ -350,7 +349,7 @@ func (l *Log) syncDir() error {
 }
 
 // Append writes one record. Durability on return depends on the sync
-// policy: guaranteed for SyncAlways, bounded by Interval for
+// policy: guaranteed for SyncAlways, bounded by syncInterval for
 // SyncInterval, up to the OS for SyncNever.
 func (l *Log) Append(payload []byte) error {
 	frame, err := EncodeRecord(payload)
@@ -500,7 +499,7 @@ func writeFileSync(path string, data []byte) error {
 // syncLoop is the SyncInterval background flusher.
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.opts.Interval)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

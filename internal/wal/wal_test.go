@@ -223,10 +223,10 @@ func TestSyncPolicies(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, _ := openTest(t, dir, Options{Policy: policy, Interval: 5 * time.Millisecond})
+			l, _ := openTest(t, dir, Options{Policy: policy})
 			appendAll(t, l, "p1", "p2")
 			if policy == SyncInterval {
-				time.Sleep(30 * time.Millisecond) // let the flusher run
+				time.Sleep(syncInterval * 3 / 2) // let the flusher run
 			}
 			if err := l.Sync(); err != nil {
 				t.Fatalf("sync: %v", err)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/demand"
 	"repro/internal/dist"
 	"repro/internal/exact"
 	"repro/internal/metrics"
@@ -24,7 +25,9 @@ import (
 type Request struct {
 	// Producer is the data producer node (never caches).
 	Producer int
-	// Chunks is the number of chunks to place (ids 0..Chunks-1).
+	// Chunks is the number of chunks to place (ids 0..Chunks-1). Chunks
+	// times the node count may not exceed the engines' budget of 1<<22
+	// (chunk, node) cells.
 	Chunks int
 	// Algorithm selects the placement algorithm; "" means AlgorithmApprox.
 	Algorithm Algorithm
@@ -190,6 +193,11 @@ func (s *Solver) Solve(ctx context.Context, req Request) (*Result, error) {
 	}
 	if req.Chunks <= 0 {
 		return nil, fmt.Errorf("%w: chunk count %d must be positive", ErrBadArgument, req.Chunks)
+	}
+	// The engines allocate per (chunk, node) before their first context
+	// check, so the count is capped by the adaptive engine's cell budget.
+	if n := s.topo.NumNodes(); req.Chunks > demand.MaxCells/n {
+		return nil, fmt.Errorf("%w: %d chunks on %d nodes exceeds the limit of %d (chunk, node) cells", ErrBadArgument, req.Chunks, n, demand.MaxCells)
 	}
 	o := req.Options.withDefaults()
 	tr := trace.FromContext(ctx)

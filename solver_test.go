@@ -10,6 +10,8 @@ import (
 	"time"
 
 	faircache "repro"
+
+	"repro/internal/demand"
 )
 
 // topologies returns the three network models of the paper's evaluation,
@@ -199,6 +201,39 @@ func TestSolveBadArguments(t *testing.T) {
 	// 1-node topology is refused when it is built.
 	if _, err := faircache.FromLinks(1, nil); !errors.Is(err, faircache.ErrBadArgument) {
 		t.Errorf("FromLinks(1, nil): err = %v, want errors.Is(ErrBadArgument)", err)
+	}
+}
+
+// TestSolveRefusesOversizeChunkCount: a chunk count past the (chunk,
+// node) cell budget is refused with ErrBadArgument before any algorithm
+// allocates for it. 2^50 chunks cannot even be allocated, and one chunk
+// over the budget on these 16 nodes is refused the same way. Every call
+// carries a deadline, so an engine that did start on such a count stops
+// instead of growing without bound.
+func TestSolveRefusesOversizeChunkCount(t *testing.T) {
+	topo, err := faircache.Grid(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solver, err := faircache.NewSolver(topo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alg := range []faircache.Algorithm{
+		faircache.AlgorithmApprox,
+		faircache.AlgorithmDistributed,
+		faircache.AlgorithmHopCount,
+		faircache.AlgorithmContention,
+		faircache.AlgorithmOptimal,
+	} {
+		for _, chunks := range []int{1 << 50, demand.MaxCells/16 + 1} {
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			_, err := solver.Solve(ctx, faircache.Request{Producer: 0, Chunks: chunks, Algorithm: alg})
+			cancel()
+			if !errors.Is(err, faircache.ErrBadArgument) {
+				t.Errorf("%s, %d chunks: err = %v, want ErrBadArgument", alg, chunks, err)
+			}
+		}
 	}
 }
 
