@@ -10,9 +10,13 @@
 // reaches the cheapest cost it left uncovered, relay bids exist only for
 // the pairs a bid has reached, SPAN supporters are counted as relay bids
 // cover their costs and as demands freeze, and β totals are summed only
-// for candidates that already hold a quorum. A tick costs O(N), plus O(N)
-// per column read, β total and opening, plus O(1) per rising relay bid;
-// the dense O(N²) tick survives only as the test oracle in
+// for candidates that already hold a quorum. Eq. (1) prices a full node's
+// opening at +Inf, so such a node is never open and never a candidate:
+// column reads and the opening scan walk only the live nodes, the
+// producer and those with a finite opening cost. A tick costs O(N) for
+// the bid raise, plus O(|live|) per column read and for the opening
+// scan, plus O(N) per β total and opening, plus O(1) per rising relay
+// bid; the dense O(N²) tick survives only as the test oracle in
 // reference_test.go.
 //
 // The scheme mirrors the structure of the 6.55-approximation primal-dual
@@ -138,10 +142,17 @@ type solver struct {
 	frozen []bool
 	assign []int32
 	alpha  []float64
-	// next[j] is the smallest cost in demand j's column that α_j did not
-	// cover at the column's last read. Until α_j reaches it, the read
-	// would neither freeze j nor reach a new candidate, so it is skipped.
+	// next[j] is the smallest cost in demand j's column, over the live
+	// nodes, that α_j did not cover at the column's last read. Until α_j
+	// reaches it, the read would neither freeze j nor reach a new
+	// candidate, so it is skipped; a read walks O(|live|) entries.
 	next []float64
+	// live lists in ascending order the nodes that can ever be open: the
+	// producer and every node whose facility cost is finite. liveOff[k] is
+	// live[k]'s row offset live[k]·N, so a column read indexes ConnCost
+	// without a multiply per entry. Both are built once per solve.
+	live    []int32
+	liveOff []int
 	// span[i] counts candidate i's SPAN supporters: active demands j ≠ i
 	// with c_ij > 0 whose relay bid covers c_ij.
 	span []int32
@@ -266,6 +277,17 @@ func (s *solver) reset(inst Instance, opts Options) *solver {
 	s.words = (n + 63) / 64
 	s.supports = s.supports.Grow(n * s.words * 64)
 	s.rising = s.rising[:0]
+	if cap(s.live) < n {
+		s.live = make([]int32, 0, n)
+		s.liveOff = make([]int, 0, n)
+	}
+	s.live, s.liveOff = s.live[:0], s.liveOff[:0]
+	for i, f := range inst.FacilityCost {
+		if i == inst.Producer || !math.IsInf(f, 1) {
+			s.live = append(s.live, int32(i))
+			s.liveOff = append(s.liveOff, i*n)
+		}
+	}
 	for j := range s.assign {
 		s.assign[j] = -1
 		s.span[j] = 0
@@ -302,7 +324,8 @@ func (s *solver) tick() {
 
 	// Open candidates that hold a SPAN quorum and are fully paid. β totals
 	// are computed only for quorum holders; α does not move in this scan.
-	for i := 0; i < n; i++ {
+	for _, v := range s.live {
+		i := int(v)
 		if !s.isCandidate(i) || int(s.span[i]) < s.opts.SpanQuorum {
 			continue
 		}
@@ -313,23 +336,27 @@ func (s *solver) tick() {
 	}
 }
 
-// readColumn reads demand j's column after its bid reached next[j]. When
-// the bid covers an open facility, j freezes (TIGHT) on the cheapest one,
-// the lowest index on ties. Otherwise every candidate the bid reached since
-// the last read starts a relay bid from j, and next[j] becomes the
-// cheapest cost still uncovered.
+// readColumn reads demand j's column over the live nodes after its bid
+// reached next[j]. When the bid covers an open facility, j freezes (TIGHT)
+// on the cheapest one, the lowest index on ties. Otherwise every candidate
+// the bid reached since the last read starts a relay bid from j, and
+// next[j] becomes the cheapest live cost still uncovered. An entry a full
+// node holds could only have lowered next[j], and the extra read it
+// triggered would cover no live entry, so skipping full nodes changes
+// nothing: every live entry is still first covered at the same tick.
 func (s *solver) readColumn(j int) {
-	n, conn := s.inst.N, s.inst.ConnCost
+	conn := s.inst.ConnCost
 	aj, from := s.alpha[j], s.next[j]
 	best, bestC, next := -1, math.Inf(1), math.Inf(1)
-	for i := 0; i < n; i++ {
-		c := conn[i*n+j]
+	for k, off := range s.liveOff {
+		c := conn[off+j]
 		if aj < c {
 			if c < next {
 				next = c
 			}
 			continue
 		}
+		i := int(s.live[k])
 		if s.open.Has(i) {
 			if c < bestC {
 				best, bestC = i, c

@@ -321,8 +321,10 @@ func (s *refSolver) anyActive() bool {
 // diffInstance draws one instance and option set for the differential
 // test. Costs come from a small range so that the dense reference stays
 // cheap, and integer costs with round steps hit the exact-equality cases
-// (α = c, γ = c) that the bid comparisons must break the same way.
-func diffInstance(rng *rand.Rand) (Instance, Options) {
+// (α = c, γ = c) that the bid comparisons must break the same way. One
+// instance in three is under capacity pressure (reported by pressured):
+// 50–95% of its nodes are full, so only a few can still open.
+func diffInstance(rng *rand.Rand) (inst Instance, opts Options, pressured bool) {
 	n := 2 + rng.Intn(59)
 	integer := rng.Intn(2) == 0
 	draw := func(scale float64) float64 {
@@ -357,21 +359,25 @@ func diffInstance(rng *rand.Rand) (Instance, Options) {
 
 	fc := make([]float64, n)
 	fscale := float64(1 + rng.Intn(30))
+	full := 0.1
+	if pressured = rng.Intn(3) == 0; pressured {
+		full = 0.5 + 0.45*rng.Float64()
+	}
 	for i := range fc {
-		switch rng.Intn(10) {
-		case 0:
+		switch r := rng.Float64(); {
+		case r < full:
 			fc[i] = math.Inf(1)
-		case 1:
+		case r < full+(1-full)/9:
 			fc[i] = 0
 		default:
 			fc[i] = draw(fscale)
 		}
 	}
 
-	inst := Instance{N: n, Producer: producer, FacilityCost: fc, ConnCost: conn}
+	inst = Instance{N: n, Producer: producer, FacilityCost: fc, ConnCost: conn}
 
 	steps := []float64{0.1, 0.25, 0.5, 1, 1.5, 2}
-	opts := Options{
+	opts = Options{
 		AlphaStep:  steps[rng.Intn(len(steps))],
 		GammaStep:  0.05 + 3.95*rng.Float64(),
 		SpanQuorum: 1 + rng.Intn(5),
@@ -386,7 +392,7 @@ func diffInstance(rng *rand.Rand) (Instance, Options) {
 	if rng.Intn(6) == 0 {
 		opts.MaxIterations = 1 + rng.Intn(12)
 	}
-	return inst, opts
+	return inst, opts, pressured
 }
 
 // TestSolveMatchesDenseReference pins the event-driven dual growth to the
@@ -397,9 +403,9 @@ func TestSolveMatchesDenseReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var scr Scratch
 	var ref refScratch
-	var failed, opened int
+	var failed, opened, pressuredOpened int
 	for k := 0; k < 2000; k++ {
-		inst, opts := diffInstance(rng)
+		inst, opts, pressured := diffInstance(rng)
 		tag := fmt.Sprintf("instance %d (N=%d, %+v)", k, inst.N, opts)
 		want, wantErr := refSolveScratchCtx(ctx, inst, opts, &ref)
 		got, gotErr := SolveScratchCtx(ctx, inst, opts, &scr)
@@ -413,11 +419,15 @@ func TestSolveMatchesDenseReference(t *testing.T) {
 		sameSolution(t, tag, want, got)
 		if len(want.Facilities) > 0 {
 			opened++
+			if pressured {
+				pressuredOpened++
+			}
 		}
 	}
-	// Guard the generator: both the error path and the opening path must
-	// stay well exercised.
-	if failed < 100 || opened < 1000 {
-		t.Errorf("%d instances failed and %d opened a facility; want >= 100 and >= 1000", failed, opened)
+	// Guard the generator: the error path, the opening path and openings
+	// under capacity pressure must all stay well exercised.
+	if failed < 100 || opened < 1000 || pressuredOpened < 200 {
+		t.Errorf("%d instances failed, %d opened a facility and %d of those were under capacity pressure; want >= 100, >= 1000 and >= 200",
+			failed, opened, pressuredOpened)
 	}
 }

@@ -386,9 +386,9 @@ type record struct {
 }
 
 // nearestTwo scans chunk k's holders once for requester j's record. It
-// is the one statement of the serving rule: the nearest server, a copy
-// winning a tie with the producer, then the lowest id (holder lists are
-// sorted).
+// states the serving rule in full: the nearest server, a copy winning a
+// tie with the producer, then the lowest id (holder lists are sorted).
+// holdersAdd applies the same rule to one new copy.
 func (s *System) nearestTwo(j, k int) record {
 	row := s.hop[j]
 	r := record{server: -1, best: row[s.producer], second: math.MaxInt32}
@@ -423,10 +423,12 @@ func (s *System) touch(v, k int, served bool) {
 
 // holdersAdd records a new copy of chunk k on node v: it inserts v into
 // the chunk's sorted holder list, touches the copy's score as a store,
-// and rescans the records the copy can move: those of the requesters no
-// farther from v than from their second-nearest server. A farther copy
-// is neither a requester's server nor its second. Hop counts are
-// symmetric, so v's own row gives every requester's distance to v.
+// and updates every requester's record in O(1) under nearestTwo's
+// serving rule. v becomes the server when it is nearer than the server,
+// or as near and either the producer serves or v has the lower id; the
+// old server's distance is then the second. Otherwise v can only lower
+// the second distance. Hop counts are symmetric, so v's own row gives
+// every requester's distance to v.
 func (s *System) holdersAdd(k, v int) {
 	h := s.holders[k]
 	i, _ := slices.BinarySearch(h, v)
@@ -441,8 +443,11 @@ func (s *System) holdersAdd(k, v int) {
 	n := len(s.hop)
 	recs := s.records[k*n : (k+1)*n]
 	for j, d := range s.hop[v] {
-		if d <= recs[j].second {
-			recs[j] = s.nearestTwo(j, k)
+		r := &recs[j]
+		if d < r.best || (d == r.best && (r.server < 0 || int32(v) < r.server)) {
+			r.server, r.best, r.second = int32(v), d, r.best
+		} else {
+			r.second = min(r.second, d)
 		}
 	}
 }
@@ -451,7 +456,8 @@ func (s *System) holdersAdd(k, v int) {
 // records it can move: those of the requesters v served, and of those
 // whose second-nearest distance equals their distance to v (v may have
 // been that second server). The rest keep their server and both
-// distances.
+// distances. Unlike an addition this needs the scan: a departure can
+// promote a third-nearest server, which the record does not keep.
 func (s *System) holdersRemove(k, v int) {
 	h := s.holders[k]
 	i, _ := slices.BinarySearch(h, v)

@@ -39,12 +39,14 @@ func TestAsErrorContextMapping(t *testing.T) {
 // result — and the worker must be free for the next request immediately.
 // The reference solve runs on a second registration of the same grid:
 // timeoutMs is not part of the solve key, so on the same topology the
-// short-deadline request would be a memo hit.
+// short-deadline request would be a memo hit. The full solve (24×24, 128
+// chunks at capacity 3) takes about 0.2 s on a 2-core VM, over 5× the
+// 30ms deadline, and about 4 s under -race.
 func TestSolveDeadlineAbortsEngine(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
-	ref := c.registerGrid(15, 15, 9)
-	reg := c.registerGrid(15, 15, 9)
-	solve := SolveRequest{Chunks: 64, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
+	ref := c.registerGrid(24, 24, 9)
+	reg := c.registerGrid(24, 24, 9)
+	solve := SolveRequest{Chunks: 128, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
 
 	// Reference: the full solve, untimed-out.
 	start := time.Now()
@@ -70,11 +72,12 @@ func TestSolveDeadlineAbortsEngine(t *testing.T) {
 }
 
 // TestSolveTimeoutDoesNotCommit asserts an aborted solve leaves no trace
-// in the committed snapshot: the report still shows the prior state.
+// in the committed snapshot: the report still shows the prior state. The
+// solve is TestSolveDeadlineAbortsEngine's, at over 5× the 20ms deadline.
 func TestSolveTimeoutDoesNotCommit(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
-	reg := c.registerGrid(12, 12, 9)
-	solve := SolveRequest{Chunks: 48, TimeoutMs: 20, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
+	reg := c.registerGrid(24, 24, 9)
+	solve := SolveRequest{Chunks: 128, TimeoutMs: 20, Options: &SolveOptions{Algorithm: "appx", Capacity: 3}}
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve", solve, http.StatusGatewayTimeout, CodeTimeout)
 
 	var rep ReportResponse
