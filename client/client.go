@@ -12,8 +12,6 @@ package client
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -100,15 +98,6 @@ func (c *Client) Topologies(ctx context.Context) ([]server.TopologyInfo, error) 
 	return out.Topologies, nil
 }
 
-// Topology fetches one topology's list row.
-func (c *Client) Topology(ctx context.Context, id string) (*server.TopologyInfo, error) {
-	var out server.TopologyInfo
-	if err := c.do(ctx, http.MethodGet, "/v1/topologies/"+id, nil, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
 // Delete unregisters a topology.
 func (c *Client) Delete(ctx context.Context, id string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/topologies/"+id, nil, nil)
@@ -149,10 +138,11 @@ func (c *Client) Lookup(ctx context.Context, id string, chunk, node int) (*serve
 	return &out, nil
 }
 
-// Report fetches the full fairness report for a topology.
+// Report fetches a topology's one read: its committed snapshot, fairness
+// metrics, storage curve, solver stats and demand state.
 func (c *Client) Report(ctx context.Context, id string) (*server.ReportResponse, error) {
 	var out server.ReportResponse
-	if err := c.do(ctx, http.MethodGet, "/v1/topologies/"+id+"/report", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, "/v1/topologies/"+id, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -251,9 +241,6 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	if tp := newTraceparent(); tp != "" {
-		req.Header.Set("traceparent", tp)
-	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
@@ -276,18 +263,4 @@ func (c *Client) send(ctx context.Context, method, path string, body []byte, out
 		return nil
 	}
 	return json.Unmarshal(raw, out)
-}
-
-// newTraceparent mints a W3C trace-context header
-// ("00-<trace-id>-<span-id>-01") with fresh random ids, one per request.
-// The daemon threads the trace id through its logs, spans and responses
-// (SolveResponse.TraceID), so a client-side failure can be matched to
-// the exact server-side request. Returns "" if the randomness source
-// fails; the server then generates an id itself.
-func newTraceparent() string {
-	var b [24]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return ""
-	}
-	return "00-" + hex.EncodeToString(b[:16]) + "-" + hex.EncodeToString(b[16:]) + "-01"
 }

@@ -23,7 +23,7 @@ import (
 func TestAPIError(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
-		case "/v1/topologies/gone/report":
+		case "/v1/topologies/gone":
 			w.WriteHeader(http.StatusNotFound)
 			fmt.Fprint(w, `{"error":{"code":"not_found","message":"unknown topology \"gone\""}}`)
 		default:

@@ -18,7 +18,7 @@
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: the listener stops
 // accepting, in-flight requests drain (up to -drain-timeout), then every
-// topology worker is stopped and the write-ahead log is closed.
+// topology is shut down and the write-ahead log is closed.
 package main
 
 import (

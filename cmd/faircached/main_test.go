@@ -203,8 +203,9 @@ func TestPprofFlag(t *testing.T) {
 // TestCrashRecovery is the durability end-to-end test: a daemon with
 // -data-dir takes a register, a solve and 20+ publications (the last
 // stretch from four concurrent writers), dies on SIGKILL mid-stream,
-// and a restart on the same dir must answer /report and /lookup exactly
-// as the write-ahead log says the last fsynced commit did. The expected
+// and a restart on the same dir must answer GET /v1/topologies/{id} and
+// /lookup exactly as the write-ahead log says the last fsynced commit
+// did. The expected
 // state is derived from the WAL through server.LoadWALState — an
 // independent decode path, not the server's own recovery code.
 func TestCrashRecovery(t *testing.T) {

@@ -81,7 +81,7 @@ func TestSolveTimeoutDoesNotCommit(t *testing.T) {
 	c.wantError("POST", "/v1/topologies/"+reg.ID+"/solve", solve, http.StatusGatewayTimeout, CodeTimeout)
 
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version != 1 || rep.Snapshot.Solves != 0 {
 		t.Fatalf("aborted solve committed: version %d, solves %d", rep.Snapshot.Version, rep.Snapshot.Solves)
 	}

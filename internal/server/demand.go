@@ -38,7 +38,8 @@ type DemandInit struct {
 }
 
 // DemandInfo reports a topology's demand subsystem state; nil in
-// TopologyInfo means no request has been reported yet.
+// TopologyInfo and ReportResponse means no request has been reported
+// yet.
 type DemandInfo struct {
 	Chunks   int `json:"chunks"`
 	Capacity int `json:"capacity"`
@@ -63,7 +64,7 @@ type RequestsResponse struct {
 
 // newAdaptive builds a demand subsystem for the topology and returns it
 // with its per-node capacity; the caller keeps it only once the batch
-// that built it is accepted. Worker goroutine only.
+// that built it is accepted. Under the topology's lock.
 func (tp *topology) newAdaptive(ctx context.Context, init *DemandInit) (*faircache.AdaptiveSystem, int, error) {
 	cfg := DemandInit{}
 	if init != nil {
@@ -92,8 +93,8 @@ func (tp *topology) newAdaptive(ctx context.Context, init *DemandInit) (*faircac
 }
 
 // demandInfo snapshots the subsystem's cumulative state for readers.
-// Worker goroutine only; the result is stored atomically for the list
-// and get handlers.
+// Under the topology's lock; the result is stored atomically for the
+// list and get handlers.
 func (tp *topology) demandInfo() *DemandInfo {
 	info := &DemandInfo{
 		Chunks:        tp.adaptive.Chunks(),

@@ -48,7 +48,7 @@ func TestRequestsLazyInitAndAccounting(t *testing.T) {
 	} {
 		c.wantError("POST", "/v1/topologies/"+reg.ID+"/requests", req, http.StatusBadRequest, CodeBadRequest)
 	}
-	var info TopologyInfo
+	var info ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
 	if info.Demand != nil {
 		t.Fatalf("refused first batches left demand state %+v", info.Demand)
@@ -153,7 +153,7 @@ func TestAdaptCommitsSnapshot(t *testing.T) {
 
 	// The committed snapshot is what report and lookup now serve.
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Source != "adapt" {
 		t.Fatalf("snapshot source = %q, want adapt", rep.Snapshot.Source)
 	}
@@ -216,16 +216,16 @@ func TestAdaptSnapshotSurvivesRestart(t *testing.T) {
 	c2, _ := newTestClient(t, Options{DataDir: dir})
 	// The adapt-sourced snapshot (version, holders) is durable; the demand
 	// observation stream is not, so a fresh batch re-initializes.
-	var info TopologyInfo
+	var info ReportResponse
 	c2.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
-	if info.Version != ar.Version {
-		t.Fatalf("recovered version = %d, want %d", info.Version, ar.Version)
+	if info.Snapshot.Version != ar.Version {
+		t.Fatalf("recovered version = %d, want %d", info.Snapshot.Version, ar.Version)
 	}
 	if info.Demand != nil {
 		t.Fatalf("demand state should not survive restart: %+v", info.Demand)
 	}
 	var rep ReportResponse
-	c2.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c2.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Source != "adapt" || rep.Snapshot.Chunks != 8 {
 		t.Fatalf("recovered snapshot = %+v", rep.Snapshot)
 	}

@@ -174,7 +174,6 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		tp.stop()
 		// Undo the durable registration so a restart does not resurrect
 		// a topology the client was told failed.
 		_ = s.journal.append(r.Context(), &WALRecord{Type: WALDelete, ID: id}, nil)
@@ -270,7 +269,7 @@ type TopologyInfo struct {
 	Demand *DemandInfo `json:"demand,omitempty"`
 }
 
-// info builds the topology's list/get row from its committed snapshot.
+// info builds the topology's list row from its committed snapshot.
 func (tp *topology) info() TopologyInfo {
 	snap := tp.snap.Load()
 	return TopologyInfo{
@@ -299,17 +298,6 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	}{infos})
 }
 
-// handleGetTopology answers GET /v1/topologies/{id} with the same row
-// the list endpoint would show for it.
-func (s *Server) handleGetTopology(w http.ResponseWriter, r *http.Request) {
-	tp, terr := s.lookupTopology(r.PathValue("id"))
-	if terr != nil {
-		s.writeError(w, terr)
-		return
-	}
-	writeJSON(w, http.StatusOK, tp.info())
-}
-
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
@@ -322,10 +310,9 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, notFoundf("unknown topology %q", id))
 		return
 	}
-	// Drain the worker before logging the deletion so any mutation it
-	// was mid-commit on lands in the WAL ahead of the delete record.
+	// stop waits for the mutation holding the lock, so its WAL record
+	// lands ahead of the delete record.
 	tp.stop()
-	tp.wg.Wait()
 	if jerr := s.journal.append(r.Context(), &WALRecord{Type: WALDelete, ID: id}, nil); jerr != nil {
 		s.writeError(w, jerr)
 		return
@@ -533,7 +520,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runSolve runs one solve on the topology's worker and commits the
+// runSolve runs one solve under the topology's lock and commits the
 // placement. A request the topology's memo holds commits the stored
 // placement without running the engine; explain requests always run it.
 func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions) (*SolveResponse, error) {
@@ -567,7 +554,7 @@ func (s *Server) runSolve(ctx context.Context, tp *topology, alg faircache.Algor
 
 // solveFresh runs the engine and the evaluation for one solve, stores
 // the result in the topology's memo unless the request is an explain,
-// and commits it. Worker goroutine only.
+// and commits it. Under the topology's lock.
 func (s *Server) solveFresh(ctx context.Context, tp *topology, alg faircache.Algorithm, chunks int, opts *SolveOptions, key string) (*SolveResponse, error) {
 	start := time.Now()
 	res, err := tp.solver.Solve(ctx, faircache.Request{
@@ -624,8 +611,8 @@ func (s *Server) solveFresh(ctx context.Context, tp *topology, alg faircache.Alg
 // commitSolve commits the placement stored describes as the topology's
 // next version, for a fresh solve and a memo hit alike, and returns a
 // copy of stored carrying that version. The snapshot shares stored's
-// holder and count slices: neither is ever modified. Worker goroutine
-// only.
+// holder and count slices: neither is ever modified. Under the
+// topology's lock.
 func (s *Server) commitSolve(ctx context.Context, tp *topology, stored *SolveResponse) (*SolveResponse, error) {
 	snap := &Snapshot{
 		Source:  "solve:" + stored.Algorithm,
@@ -656,8 +643,8 @@ func holderMap(placement [][]int) map[int][]int {
 }
 
 // PublishRequest is the body of POST /v1/topologies/{id}/publish. An
-// empty body publishes one chunk. Once the topology's worker starts a
-// batch, the batch runs to its commit whatever happens to the request: a
+// empty body publishes one chunk. Once a batch takes the topology's
+// lock, it runs to its commit whatever happens to the request: a
 // caller whose deadline passes mid-batch gets 504, and one who
 // disconnects 499, while the batch still commits, and the next report
 // shows it.
@@ -715,7 +702,7 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		// which replays Clock publications, would then diverge from the
 		// logged snapshot. So a started batch ignores cancellation: it is
 		// at most maxPublishBatch single-chunk placements, and a request
-		// whose context ended while queued never starts.
+		// whose context ended before it took the lock never starts.
 		cctx = context.WithoutCancel(cctx)
 		pubs := make([]PublicationInfo, 0, req.Count)
 		for i := 0; i < req.Count; i++ {
@@ -844,7 +831,7 @@ func queryInt(r *http.Request, key string) (int, *Error) {
 	return v, nil
 }
 
-// ReportResponse is the body of GET /v1/topologies/{id}/report: the full
+// ReportResponse is the body of GET /v1/topologies/{id}: the full
 // committed snapshot plus the paper's fairness metrics.
 type ReportResponse struct {
 	ID             string    `json:"id"`
@@ -862,6 +849,9 @@ type ReportResponse struct {
 	// Solver exposes the warm/cold cost-model counters: after the first
 	// solve on a topology every later one should be warm.
 	Solver faircache.SolverStats `json:"solver"`
+	// Demand is the demand subsystem's cumulative state, nil until the
+	// first requests batch.
+	Demand *DemandInfo `json:"demand,omitempty"`
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -902,6 +892,7 @@ func buildReport(tp *topology) *ReportResponse {
 		Fairness75:     fairness75,
 		StorageCurve:   metrics.StorageCurve(snap.Counts),
 		Solver:         tp.solver.Stats(),
+		Demand:         tp.demand.Load(),
 	}
 }
 

@@ -16,7 +16,8 @@ const memoBudget = 1 << 18
 // empty-state cost model), so a repeat can commit the stored placement
 // without running the engine again. The stored responses carry no
 // per-request field (version, elapsed time, trace id or explain trace)
-// and are never modified. Worker goroutine only, so it needs no lock.
+// and are never modified. Under the topology's lock only, so it needs no
+// lock of its own.
 type solveMemo struct {
 	budget  int // ints the entries may keep
 	ints    int // ints the entries keep now

@@ -9,8 +9,8 @@ import (
 
 // serverMetrics is the server's Prometheus instrument set, served on
 // GET /metrics, the daemon's one metrics surface. Registry callbacks
-// read live server state at scrape time, so gauges like worker queue
-// depth and WAL fsync lag never go stale.
+// read live server state at scrape time, so gauges like the mutation
+// queue depth and WAL fsync lag never go stale.
 type serverMetrics struct {
 	registry *prom.Registry
 
@@ -111,7 +111,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(len(s.topos))
 		})
 	reg.GaugeFunc("faircached_worker_queue_depth",
-		"Mutations queued on or running in topology workers.", func() float64 {
+		"Mutations waiting for or holding a topology's lock.", func() float64 {
 			var n int64
 			s.mu.RLock()
 			for _, tp := range s.topos {

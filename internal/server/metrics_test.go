@@ -80,7 +80,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		SolveRequest{Chunks: 3, Options: &SolveOptions{Explain: true}}, &solve, http.StatusOK)
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", nil, new(PublishResponse), http.StatusOK)
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	// One failing request moves the error counter.
 	c.wantError("GET", "/v1/topologies/"+reg.ID+"/lookup?chunk=99&node=0", nil, http.StatusNotFound, CodeNotFound)
 
@@ -126,7 +126,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	// Spot-check the counters this test moved.
 	checks := map[string]float64{
 		`faircached_requests_total{endpoint="solve"}`:        1,
-		`faircached_requests_total{endpoint="report"}`:       1,
+		`faircached_requests_total{endpoint="get"}`:          1,
 		`faircached_request_errors_total{endpoint="lookup"}`: 1,
 		"faircached_topologies":                              1,
 		"faircached_solve_duration_seconds_count":            1,

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,8 @@ import (
 	"time"
 
 	faircache "repro"
+
+	"repro/internal/wal"
 )
 
 // durableOpts returns Options pointing at a fresh temp data dir.
@@ -27,8 +30,20 @@ func durableOpts(t *testing.T, fsync string) Options {
 func reportOf(c *testClient, id string) ReportResponse {
 	c.t.Helper()
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+id+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+id, nil, &rep, http.StatusOK)
 	return rep
+}
+
+// getInfo reads the topology's list-row fields from its one read, the
+// producer, version and chunk count through its snapshot.
+func getInfo(c *testClient, id string) TopologyInfo {
+	c.t.Helper()
+	rep := reportOf(c, id)
+	return TopologyInfo{
+		ID: rep.ID, Kind: rep.Kind, Nodes: rep.Nodes, Links: rep.Links,
+		Producer: rep.Snapshot.Producer, Version: rep.Snapshot.Version, Chunks: rep.Snapshot.Chunks,
+		Demand: rep.Demand,
+	}
 }
 
 // TestRecoveryRoundTrip drives registrations, solves and publications
@@ -257,14 +272,13 @@ func TestExpvarIsolationBetweenServers(t *testing.T) {
 func TestGetTopologyByID(t *testing.T) {
 	c, _ := newTestClient(t, Options{})
 	reg := c.registerGrid(3, 4, 2)
-	var info TopologyInfo
-	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
+	info := getInfo(c, reg.ID)
 	want := TopologyInfo{ID: reg.ID, Kind: "grid", Nodes: 12, Links: reg.Links, Producer: 2, Version: 1, Chunks: 0}
 	if info != want {
 		t.Errorf("GET %s = %+v, want %+v", reg.ID, info, want)
 	}
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", PublishRequest{Count: 2}, nil, http.StatusOK)
-	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
+	info = getInfo(c, reg.ID)
 	if info.Version != 2 || info.Chunks != 2 {
 		t.Errorf("after one publish batch of two: %+v, want version 2 chunks 2", info)
 	}
@@ -316,6 +330,108 @@ func TestNoWorkerGoroutineLeaks(t *testing.T) {
 			t.Fatalf("goroutines leaked: baseline %d, now %d\n%s", baseline, n, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRegisterStartsNoGoroutine registers 50 topologies and checks the
+// process goroutine count stays put: a topology's mutations run on the
+// goroutines of the requests that send them.
+func TestRegisterStartsNoGoroutine(t *testing.T) {
+	s, err := New(Options{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/topologies", strings.NewReader(`{"kind":"grid","rows":3,"cols":3}`)))
+		if w.Code != http.StatusCreated {
+			t.Fatalf("register: status %d: %s", w.Code, w.Body)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before+5 {
+		t.Errorf("50 registrations took the goroutine count from %d to %d", before, after)
+	}
+}
+
+// TestDeleteWaitsForRunningMutation deletes a topology of a durable
+// server while a mutation holds its lock and another waits for it. The
+// running one finishes and answers its own result, DELETE answers only
+// after it, and its WAL record precedes the delete record; the waiting
+// one answers 410 gone and never runs.
+func TestDeleteWaitsForRunningMutation(t *testing.T) {
+	opts := durableOpts(t, "always")
+	c, s := newTestClient(t, opts)
+	reg := c.registerGrid(3, 3, 4)
+	tp, _ := s.lookupTopology(reg.ID)
+
+	gate := make(chan struct{})
+	started := make(chan struct{})
+	applied := make(chan struct{})
+	type result struct {
+		v   any
+		err error
+	}
+	parked := make(chan result, 1)
+	go func() {
+		v, err := tp.do(context.Background(), func(ctx context.Context) (any, error) {
+			close(started)
+			<-gate
+			defer close(applied)
+			snap := &Snapshot{Source: "solve:Appx", Holders: map[int][]int{}, Counts: make([]int, 9)}
+			return snap, s.commit(ctx, tp, WALSolve, 0, snap)
+		})
+		parked <- result{v, err}
+	}()
+	<-started
+
+	queued := make(chan error, 1)
+	go func() {
+		queued <- c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/publish", "", nil, nil, http.StatusGone)
+	}()
+	waitQueued(t, s, reg.ID, 2)
+	deleted := make(chan error, 1)
+	go func() {
+		deleted <- c.sendJSON("DELETE", "/v1/topologies/"+reg.ID, "", nil, nil, http.StatusOK)
+	}()
+	// The waiting publish is refused once DELETE has closed quit.
+	if err := <-queued; err != nil {
+		t.Errorf("publish queued behind the running mutation: %v", err)
+	}
+	select {
+	case err := <-deleted:
+		t.Fatalf("DELETE answered (%v) while a mutation held the lock", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-applied:
+	default:
+		t.Error("DELETE answered before the running mutation finished")
+	}
+	res := <-parked
+	if snap, ok := res.v.(*Snapshot); res.err != nil || !ok || snap.Version != 2 {
+		t.Errorf("running mutation answered %v, %v; want its own v2 snapshot", res.v, res.err)
+	}
+
+	rec, err := wal.Scan(opts.DataDir)
+	if err != nil {
+		t.Fatalf("wal.Scan: %v", err)
+	}
+	var types []string
+	for _, payload := range rec.Records {
+		var r WALRecord
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatalf("decoding a WAL record: %v", err)
+		}
+		types = append(types, r.Type)
+	}
+	if want := []string{WALRegister, WALSolve, WALDelete}; !reflect.DeepEqual(types, want) {
+		t.Errorf("WAL records %v, want %v", types, want)
 	}
 }
 

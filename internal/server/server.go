@@ -1,10 +1,11 @@
 // Package server implements faircached, a concurrent placement service
-// wrapping the faircache engine. It owns a registry of named topologies;
-// each registered topology gets a single-writer worker goroutine that
-// serializes mutations (one-shot solves, online publications with TTL
-// expiry) while read endpoints — placement lookups, fairness reports,
-// storage curves — are served concurrently from an atomically swapped
-// immutable snapshot of the last committed state.
+// wrapping the faircache engine. It owns a registry of named topologies.
+// A topology's mutations (one-shot solves, online publications with TTL
+// expiry, demand batches and adaptation passes) run one at a time under
+// the topology's lock, on the goroutines of the requests that send them,
+// while read endpoints — placement lookups, fairness reports, storage
+// curves — are served concurrently from an atomically swapped immutable
+// snapshot of the last committed state.
 //
 // With Options.DataDir set the service is durable: every committed
 // mutation is appended to a write-ahead log (internal/wal) before the
@@ -16,8 +17,8 @@
 //
 //	POST   /v1/topologies              register grid/random/clustered/line/ring/links
 //	GET    /v1/topologies              list registered topologies
-//	GET    /v1/topologies/{id}         one topology's info
-//	DELETE /v1/topologies/{id}         unregister and stop the worker
+//	GET    /v1/topologies/{id}         snapshot + fairness metrics + storage curve
+//	DELETE /v1/topologies/{id}         unregister, after the running mutation
 //	POST   /v1/topologies/{id}/solve   one-shot placement (appx/dist/hopc/cont/brtf)
 //	POST   /v1/topologies/{id}/publish online chunk arrival(s)
 //	POST   /v1/topologies/{id}/requests ingest demand events (lazy-inits the
@@ -25,7 +26,6 @@
 //	POST   /v1/topologies/{id}/adapt   run one demand adaptation pass and
 //	                                   commit its placement
 //	GET    /v1/topologies/{id}/lookup  which node serves chunk n to requester j
-//	GET    /v1/topologies/{id}/report  snapshot + fairness metrics + storage curve
 //	GET    /healthz                    liveness
 //	GET    /metrics                    Prometheus text-format metrics
 //
@@ -113,8 +113,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the placement service. It implements http.Handler; wrap it in
-// an http.Server to expose it on a socket. Close stops every topology
-// worker; call it after http.Server.Shutdown has drained in-flight
+// an http.Server to expose it on a socket. Close shuts every topology
+// down; call it after http.Server.Shutdown has drained in-flight
 // requests.
 type Server struct {
 	opts    Options
@@ -172,14 +172,13 @@ func New(opts Options) (*Server, error) {
 	s.mux.HandleFunc("GET /debug/trace", s.instrument("debug_trace", s.handleDebugTrace))
 	s.mux.HandleFunc("POST /v1/topologies", s.instrument("register", s.handleRegister))
 	s.mux.HandleFunc("GET /v1/topologies", s.instrument("list", s.handleList))
-	s.mux.HandleFunc("GET /v1/topologies/{id}", s.instrument("get", s.handleGetTopology))
+	s.mux.HandleFunc("GET /v1/topologies/{id}", s.instrument("get", s.handleReport))
 	s.mux.HandleFunc("DELETE /v1/topologies/{id}", s.instrument("delete", s.handleDelete))
 	s.mux.HandleFunc("POST /v1/topologies/{id}/solve", s.instrument("solve", s.handleSolve))
 	s.mux.HandleFunc("POST /v1/topologies/{id}/publish", s.instrument("publish", s.handlePublish))
 	s.mux.HandleFunc("POST /v1/topologies/{id}/requests", s.instrument("requests", s.handleRequests))
 	s.mux.HandleFunc("POST /v1/topologies/{id}/adapt", s.instrument("adapt", s.handleAdapt))
 	s.mux.HandleFunc("GET /v1/topologies/{id}/lookup", s.instrument("lookup", s.handleLookup))
-	s.mux.HandleFunc("GET /v1/topologies/{id}/report", s.instrument("report", s.handleReport))
 	return s, nil
 }
 
@@ -268,9 +267,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close unregisters every topology and stops its worker, then closes the
-// write-ahead log (when one is open). In-flight mutations finish; queued
-// ones fail with a "gone" error. Safe to call more than once.
+// Close unregisters every topology, waits for the mutation holding each
+// one's lock, then closes the write-ahead log (when one is open).
+// In-flight mutations finish and answer normally; waiting ones fail with
+// a "gone" error. Safe to call more than once.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -282,7 +282,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	for _, tp := range stopped {
 		tp.stop()
-		tp.wg.Wait()
 	}
 	_ = s.journal.close()
 }

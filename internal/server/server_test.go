@@ -520,7 +520,7 @@ func TestSolvePartitioned(t *testing.T) {
 	}
 	// The solver stats surface the sharded activity via the report.
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Solver.PartitionedSolves != 1 || rep.Solver.PartitionPlans != 1 {
 		t.Fatalf("solver stats %+v: want 1 partitioned solve and 1 plan", rep.Solver)
 	}
@@ -590,7 +590,7 @@ func TestSolveTimeout(t *testing.T) {
 		SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "appx"}}, http.StatusGatewayTimeout, CodeTimeout)
 	// A timed-out solve must not have committed a snapshot.
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Solves != 0 || rep.Snapshot.Chunks != 0 {
 		t.Fatalf("timed-out solve committed: %+v", rep.Snapshot)
 	}
@@ -668,7 +668,7 @@ func TestReport(t *testing.T) {
 	var solve SolveResponse
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 4, Options: &SolveOptions{Algorithm: "appx"}}, &solve, http.StatusOK)
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version != solve.Version {
 		t.Fatalf("report version %d != solve version %d", rep.Snapshot.Version, solve.Version)
 	}
@@ -722,7 +722,7 @@ func TestSolveThenPublishKeepsOnlineState(t *testing.T) {
 	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 2, Options: &SolveOptions{Algorithm: "hopc"}}, &solve, http.StatusOK)
 	// The solve replaced the committed snapshot...
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Source != "solve:Hopc" {
 		t.Fatalf("source = %q", rep.Snapshot.Source)
 	}
@@ -742,7 +742,7 @@ func TestDeleteTopology(t *testing.T) {
 	reg := c.registerGrid(3, 3, 4)
 	c.doJSON("DELETE", "/v1/topologies/"+reg.ID, nil, nil, http.StatusOK)
 	c.wantError("DELETE", "/v1/topologies/"+reg.ID, nil, http.StatusNotFound, CodeNotFound)
-	c.wantError("GET", "/v1/topologies/"+reg.ID+"/report", nil, http.StatusNotFound, CodeNotFound)
+	c.wantError("GET", "/v1/topologies/"+reg.ID, nil, http.StatusNotFound, CodeNotFound)
 	var out HealthResponse
 	c.doJSON("GET", "/healthz", nil, &out, http.StatusOK)
 	if out.Topologies != 0 {
@@ -799,7 +799,7 @@ func TestServerCloseRejectsNewWork(t *testing.T) {
 		t.Fatalf("register after close: status %d, want 503", resp.StatusCode)
 	}
 	// The old topology is gone from the registry.
-	resp, _ = c.do("GET", "/v1/topologies/"+reg.ID+"/report", nil)
+	resp, _ = c.do("GET", "/v1/topologies/"+reg.ID, nil)
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("report after close: status %d, want 404", resp.StatusCode)
 	}
@@ -823,7 +823,7 @@ func TestReportSolverStats(t *testing.T) {
 		c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", req, &solve, http.StatusOK)
 	}
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Solver.ColdBuilds != 1 {
 		t.Fatalf("coldBuilds = %d, want exactly 1 across 4 solves", rep.Solver.ColdBuilds)
 	}

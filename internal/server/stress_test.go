@@ -168,7 +168,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 				case 1:
 					_, _, err = c.send("POST", "/v1/topologies/"+reg.ID+"/publish", "", nil)
 				default:
-					if _, _, err = c.send("GET", "/v1/topologies/"+reg.ID+"/report", "", nil); err == nil {
+					if _, _, err = c.send("GET", "/v1/topologies/"+reg.ID, "", nil); err == nil {
 						_, _, err = c.send("GET", "/v1/topologies/"+reg.ID+"/lookup?chunk=0&node=3", "", nil)
 					}
 				}
@@ -205,7 +205,7 @@ func TestConcurrentMixedWorkload(t *testing.T) {
 	})
 
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version < 2 {
 		t.Fatalf("no mutations committed: %+v", rep.Snapshot)
 	}

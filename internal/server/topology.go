@@ -7,12 +7,14 @@ import (
 	"sync/atomic"
 
 	faircache "repro"
+
+	"repro/internal/trace"
 )
 
 // Snapshot is the immutable committed state of one registered topology.
-// Workers build a fresh Snapshot after every mutation and swap it in
-// atomically; readers load the pointer and never see a half-applied
-// mutation. A Snapshot must never be modified after it is stored.
+// Every mutation builds a fresh Snapshot and swaps it in atomically;
+// readers load the pointer and never see a half-applied mutation. A
+// Snapshot must never be modified after it is stored.
 type Snapshot struct {
 	// Version increases by one per committed mutation, starting at 1 for
 	// the registration commit.
@@ -37,24 +39,10 @@ type Snapshot struct {
 	Publications int `json:"publications"`
 }
 
-// command is one serialized mutation handed to a topology's worker. apply
-// receives the request context so the engine underneath can abort
-// mid-solve when the client disconnects or the deadline passes — not just
-// have its finished result discarded.
-type command struct {
-	ctx   context.Context
-	apply func(ctx context.Context) (any, error)
-	reply chan cmdResult
-}
-
-type cmdResult struct {
-	value any
-	err   error
-}
-
-// topology is one registered topology: an immutable network, a
-// single-writer worker goroutine that owns all mutable state, and an
-// atomically swapped snapshot that read endpoints consume lock-free.
+// topology is one registered topology: an immutable network, mutable
+// state that its mutations touch one at a time under the topology's
+// lock, and an atomically swapped snapshot that read endpoints consume
+// lock-free.
 type topology struct {
 	id       string
 	kind     string
@@ -62,23 +50,26 @@ type topology struct {
 	producer int
 	capacity int
 
-	cmds     chan *command
+	// lock is a one-slot channel: a mutation holds the topology's lock
+	// while it fills the slot. Like a mutex, the channel operations order
+	// every access to the state the lock guards (online, adaptive,
+	// demandCapacity and memo) for the race detector.
+	lock     chan struct{}
 	quit     chan struct{}
 	quitOnce sync.Once
-	wg       sync.WaitGroup
 	snap     atomic.Pointer[Snapshot]
 	solver   *faircache.Solver
 
-	// queued counts mutations submitted to the worker and not yet
-	// answered — the worker queue depth the metrics gauge sums.
+	// queued counts mutations waiting for or holding the lock — the
+	// queue depth the metrics gauge sums.
 	queued atomic.Int64
 
-	// demand is the last demand-subsystem snapshot, stored by the worker
-	// after each requests/adapt mutation and read lock-free by the list
-	// and get handlers. Nil until the first requests batch.
+	// demand is the last demand-subsystem snapshot, stored after each
+	// requests/adapt mutation and read lock-free by the list and get
+	// handlers. Nil until the first requests batch.
 	demand atomic.Pointer[DemandInfo]
 
-	// Worker-owned state below: only the run() goroutine touches it.
+	// Under the topology's lock only.
 	online *faircache.OnlineSystem
 	// adaptive is the topology's demand subsystem, built lazily by the
 	// first requests batch. In-memory only: restarts drop it.
@@ -89,9 +80,8 @@ type topology struct {
 	memo solveMemo
 }
 
-// newTopology builds a topology and starts its worker. snap restores
-// recovered state; a nil snap is a fresh registration (version 1, empty
-// register snapshot).
+// newTopology builds a topology. snap restores recovered state; a nil
+// snap is a fresh registration (version 1, empty register snapshot).
 func newTopology(id, kind string, topo *faircache.Topology, producer, capacity int, online *faircache.OnlineSystem, snap *Snapshot) *topology {
 	// NewSolver only fails on a nil topology, which every caller excludes.
 	solver, _ := faircache.NewSolver(topo)
@@ -101,7 +91,7 @@ func newTopology(id, kind string, topo *faircache.Topology, producer, capacity i
 		topo:     topo,
 		producer: producer,
 		capacity: capacity,
-		cmds:     make(chan *command),
+		lock:     make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		online:   online,
 		solver:   solver,
@@ -117,58 +107,42 @@ func newTopology(id, kind string, topo *faircache.Topology, producer, capacity i
 		}
 	}
 	tp.snap.Store(snap)
-	tp.wg.Add(1)
-	go tp.run()
 	return tp
 }
 
-// run is the topology's single-writer loop: mutations are applied one at
-// a time, each ending in an atomic snapshot swap. Requests whose context
-// expired while queued are skipped without running.
-func (tp *topology) run() {
-	defer tp.wg.Done()
-	for {
-		select {
-		case <-tp.quit:
-			return
-		case cmd := <-tp.cmds:
-			// A request that expired while queued is skipped outright —
-			// starting a solve whose client is already gone is pure waste.
-			if err := cmd.ctx.Err(); err != nil {
-				cmd.reply <- cmdResult{err: fmt.Errorf("request expired before the %s worker ran it: %w", tp.id, err)}
-				continue
-			}
-			v, err := cmd.apply(cmd.ctx)
-			cmd.reply <- cmdResult{value: v, err: err}
-		}
-	}
-}
-
-// do submits a mutation to the worker and waits for its result, the end
-// of the request's context, or topology shutdown — whichever comes
-// first. An ended context's error is wrapped, so asError answers 499
-// canceled for a caller that hung up and 504 timeout for a passed
-// deadline. The reply channel is buffered so an abandoned command never
-// blocks the worker.
+// do runs a mutation under the topology's lock on the caller's
+// goroutine and returns its result. A request that ends while it waits
+// for the lock, or whose topology shuts down first, never runs. An ended
+// context's error is wrapped, so asError answers 499 canceled for a
+// caller that hung up and 504 timeout for a passed deadline; a mutation
+// that completes after its caller's context ended answers the same way.
+// A traced request records its wait for the lock as a server.queue span.
 func (tp *topology) do(ctx context.Context, apply func(ctx context.Context) (any, error)) (any, error) {
+	sp := trace.FromContext(ctx).Start("server.queue")
 	tp.queued.Add(1)
 	defer tp.queued.Add(-1)
-	cmd := &command{ctx: ctx, apply: apply, reply: make(chan cmdResult, 1)}
 	select {
-	case tp.cmds <- cmd:
+	case tp.lock <- struct{}{}:
+		defer func() { <-tp.lock }()
+	case <-tp.quit:
+	case <-ctx.Done():
+	}
+	sp.End()
+	// A select with several ready cases picks one at random, so the lock
+	// may be held here although quit is closed or the context ended.
+	select {
 	case <-tp.quit:
 		return nil, gonef("topology %s is shut down", tp.id)
-	case <-ctx.Done():
-		return nil, fmt.Errorf("request expired while waiting for the %s worker: %w", tp.id, ctx.Err())
+	default:
 	}
-	select {
-	case res := <-cmd.reply:
-		return res.value, res.err
-	case <-tp.quit:
-		return nil, gonef("topology %s shut down mid-request", tp.id)
-	case <-ctx.Done():
-		return nil, fmt.Errorf("request ended while the %s worker was busy: %w", tp.id, ctx.Err())
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("request ended while it waited for the %s lock: %w", tp.id, err)
 	}
+	v, err := apply(ctx)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, fmt.Errorf("request ended while it held the %s lock: %w", tp.id, cerr)
+	}
+	return v, err
 }
 
 // commit makes snap the topology's next version. The caller fills what
@@ -178,7 +152,7 @@ func (tp *topology) do(ctx context.Context, apply func(ctx context.Context) (any
 // batch size, 0 otherwise), carries the clock forward for every other
 // type, and logs a record of type typ before it swaps snap in under the
 // journal's lock, so the record carries the absolute committed state.
-// Worker goroutine only.
+// Under the topology's lock.
 func (s *Server) commit(ctx context.Context, tp *topology, typ string, count int, snap *Snapshot) error {
 	prev := tp.snap.Load()
 	snap.Version = prev.Version + 1
@@ -195,8 +169,12 @@ func (s *Server) commit(ctx context.Context, tp *topology, typ string, count int
 		func() { tp.snap.Store(snap) })
 }
 
-// stop signals the worker to exit after its current mutation. Safe to
-// call more than once and from any goroutine.
+// stop shuts the topology down: it refuses every mutation still waiting
+// for the lock, waits for the running one to finish and then holds the
+// lock for good. Safe to call more than once and from any goroutine.
 func (tp *topology) stop() {
-	tp.quitOnce.Do(func() { close(tp.quit) })
+	tp.quitOnce.Do(func() {
+		close(tp.quit)
+		tp.lock <- struct{}{}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+	"time"
 
 	faircache "repro"
 )
@@ -182,6 +183,52 @@ func TestQueuedSolvesKeepTraceIDs(t *testing.T) {
 	}
 	if hits := memoHits(c); hits != float64(len(headers)-1) {
 		t.Errorf("%v memo hits, want %d", hits, len(headers)-1)
+	}
+}
+
+// TestQueueWaitSpan parks a mutation under a topology's lock, sends a
+// sampled solve behind it and releases the lock after 20 ms. The solve's
+// trace holds a server.queue span that lasts at least that long, beside
+// its engine span.
+func TestQueueWaitSpan(t *testing.T) {
+	c, s := newTestClient(t, Options{TraceSample: 1})
+	reg := c.registerGrid(4, 4, 5)
+	release := blockWorker(t, s, reg.ID)
+
+	const id = "0123456789abcdef0123456789abcdef"
+	done := make(chan error, 1)
+	go func() {
+		done <- c.sendJSON("POST", "/v1/topologies/"+reg.ID+"/solve", "00-"+id+"-00f067aa0ba902b7-01",
+			SolveRequest{Chunks: 3}, nil, http.StatusOK)
+	}()
+	waitQueued(t, s, reg.ID, 2)
+	const parked = 20 * time.Millisecond
+	time.Sleep(parked)
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	var dump TraceDump
+	c.doJSON("GET", "/debug/trace", nil, &dump, http.StatusOK)
+	waits := 0
+	engine := false
+	for _, sp := range dump.Spans {
+		if sp.TraceID != id {
+			continue
+		}
+		switch sp.Name {
+		case "server.queue":
+			waits++
+			if sp.DurationMs < float64(parked)/float64(time.Millisecond) {
+				t.Errorf("server.queue span lasted %.3f ms, want at least the %v the lock was held", sp.DurationMs, parked)
+			}
+		case "solve":
+			engine = true
+		}
+	}
+	if waits != 1 || !engine {
+		t.Errorf("solve trace holds %d server.queue spans and engine span %v, want 1 and true", waits, engine)
 	}
 }
 

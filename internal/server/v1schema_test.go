@@ -106,7 +106,7 @@ func TestSolveSchemaErrors(t *testing.T) {
 	}
 	// No rejected request committed a placement.
 	var rep ReportResponse
-	c.doJSON("GET", "/v1/topologies/"+reg.ID+"/report", nil, &rep, http.StatusOK)
+	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &rep, http.StatusOK)
 	if rep.Snapshot.Version != 1 {
 		t.Errorf("snapshot version = %d after rejected solves, want 1", rep.Snapshot.Version)
 	}
@@ -153,7 +153,7 @@ func TestRequestsSchemaErrors(t *testing.T) {
 		})
 	}
 	// No rejected batch reached the demand subsystem.
-	var info TopologyInfo
+	var info ReportResponse
 	c.doJSON("GET", "/v1/topologies/"+reg.ID, nil, &info, http.StatusOK)
 	if info.Demand == nil || info.Demand.Requests != first.Demand.Requests {
 		t.Fatalf("demand after rejected batches = %+v, want %d requests", info.Demand, first.Demand.Requests)
