@@ -201,13 +201,14 @@ func TestPprofFlag(t *testing.T) {
 }
 
 // TestCrashRecovery is the durability end-to-end test: a daemon with
-// -data-dir takes a register, a solve and 20+ publications (the last
-// stretch from four concurrent writers), dies on SIGKILL mid-stream,
-// and a restart on the same dir must answer GET /v1/topologies/{id} and
-// /lookup exactly as the write-ahead log says the last fsynced commit
-// did. The expected
-// state is derived from the WAL through server.LoadWALState — an
-// independent decode path, not the server's own recovery code.
+// -data-dir takes a register, a solve, 20 publications and a solve,
+// then more publications and solves from four concurrent writers, dies
+// on SIGKILL mid-stream, and a restart on the same dir must answer
+// GET /v1/topologies/{id} and /lookup exactly as the write-ahead log
+// says the last fsynced commit did, whether that commit was a publish
+// or a solve that replaced one. The expected state is derived from the
+// WAL through server.LoadWALState — an independent decode path, not the
+// server's own recovery code.
 func TestCrashRecovery(t *testing.T) {
 	bin := buildDaemon(t)
 	dataDir := t.TempDir()
@@ -229,13 +230,19 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("solve: %v", err)
 	}
 
-	// 20 acknowledged publications, then four writers keep the mutation
-	// stream hot so SIGKILL lands mid-traffic. Each writer stops at its
-	// first error; one before the kill fails the test.
+	// 20 acknowledged publications and a solve, then four writers keep
+	// the mutation stream hot so SIGKILL lands mid-traffic; the first
+	// solves after each publish, so the kill may land after a solve.
+	// Each writer stops at its first error; one before the kill fails
+	// the test.
 	for i := 0; i < 20; i++ {
 		if _, err := cl.Publish(ctx, reg.ID, 1); err != nil {
 			t.Fatalf("publish %d: %v", i, err)
 		}
+	}
+	solve := &server.SolveRequest{Chunks: 4, Options: &server.SolveOptions{Algorithm: "appx"}}
+	if _, err := cl.Solve(ctx, reg.ID, solve); err != nil {
+		t.Fatalf("solve after the publications: %v", err)
 	}
 	const writers, ackedBeforeKill = 4, 8
 	var (
@@ -247,7 +254,7 @@ func TestCrashRecovery(t *testing.T) {
 	signalHot := sync.OnceFunc(func() { close(hot) })
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(solves bool) {
 			defer wg.Done()
 			defer signalHot() // a writer that fails early must not leave the test waiting
 			for {
@@ -257,11 +264,19 @@ func TestCrashRecovery(t *testing.T) {
 					}
 					return
 				}
+				if solves {
+					if _, err := cl.Solve(ctx, reg.ID, solve); err != nil {
+						if !killed.Load() {
+							t.Errorf("solve before SIGKILL: %v", err)
+						}
+						return
+					}
+				}
 				if acked.Add(1) == ackedBeforeKill {
 					signalHot()
 				}
 			}
-		}()
+		}(w == 0)
 	}
 	<-hot
 	killed.Store(true)

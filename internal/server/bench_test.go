@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -112,3 +114,47 @@ func BenchmarkRequestsBody(b *testing.B) {
 
 // encodedSink keeps BenchmarkRequestsBody's encoded bodies live.
 var encodedSink []byte
+
+// BenchmarkRecovery times a durable daemon's restart, New plus Close, on
+// the history perfbench serve restarts on: one 12×12 grid at capacity 5
+// and chunk TTL 32 that has published 128 or 1,024 chunks, 16 at a time.
+// Every op recovers the same data dir, which opening and closing the log
+// leave as they found it.
+func BenchmarkRecovery(b *testing.B) {
+	for _, history := range []int{128, 1024} {
+		dir := b.TempDir()
+		writeHistory(b, dir, history)
+		b.Run(fmt.Sprintf("publications=%d", history), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := New(Options{DataDir: dir})
+				if err != nil {
+					b.Fatalf("New: %v", err)
+				}
+				s.Close()
+			}
+		})
+	}
+}
+
+// writeHistory registers BenchmarkRecovery's grid on a durable daemon in
+// dir and publishes n chunks on it, 16 per request.
+func writeHistory(b *testing.B, dir string, n int) {
+	b.Helper()
+	s, err := New(Options{DataDir: dir, Fsync: "never"})
+	if err != nil {
+		b.Fatalf("New: %v", err)
+	}
+	defer s.Close()
+	post := func(path, body string, want int) {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if w.Code != want {
+			b.Fatalf("POST %s: status %d, %s", path, w.Code, w.Body)
+		}
+	}
+	post("/v1/topologies", `{"kind":"grid","rows":12,"cols":12,"capacity":5,"chunkTTL":32}`, http.StatusCreated)
+	for left := n; left > 0; left -= 16 {
+		post("/v1/topologies/t1/publish", fmt.Sprintf(`{"count":%d}`, min(left, 16)), http.StatusOK)
+	}
+}

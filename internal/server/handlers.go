@@ -698,11 +698,13 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 
 	v, err := tp.do(r.Context(), func(cctx context.Context) (any, error) {
 		// A publication cancelled inside its placement would keep its
-		// clock tick and TTL evictions with no WAL record, and recovery,
-		// which replays Clock publications, would then diverge from the
-		// logged snapshot. So a started batch ignores cancellation: it is
-		// at most maxPublishBatch single-chunk placements, and a request
-		// whose context ended before it took the lock never starts.
+		// clock tick and TTL evictions with no WAL record: the live
+		// system would run ahead of its log, and a restart, which
+		// restores the logged clock and live window, would expire and
+		// place later chunks differently. So a started batch ignores
+		// cancellation: it is at most maxPublishBatch single-chunk
+		// placements, and a request whose context ended before it took
+		// the lock never starts.
 		cctx = context.WithoutCancel(cctx)
 		pubs := make([]PublicationInfo, 0, req.Count)
 		for i := 0; i < req.Count; i++ {
@@ -721,8 +723,8 @@ func (s *Server) handlePublish(w http.ResponseWriter, r *http.Request) {
 		}
 		os := tp.online.Snapshot()
 		// The record's Clock is the online system's absolute publication
-		// count, so recovery replays exactly that many arrivals and TTL
-		// expiry falls on the same ticks.
+		// count and its Holders the live copies: all a restart restores
+		// the online system from, with TTL expiry on the same ticks.
 		snap := &Snapshot{
 			Source:  "publish",
 			Chunks:  os.Published,

@@ -40,9 +40,9 @@ type WALRecord struct {
 	Spec     *RegisterRequest `json:"spec,omitempty"`
 	Producer int              `json:"producer,omitempty"`
 	Capacity int              `json:"capacity,omitempty"`
-	// Solve and publish: the full snapshot as committed (including
-	// Version, Source, Clock — the publish clock makes TTL expiry replay
-	// exactly).
+	// Solve, publish and adapt: the full snapshot as committed
+	// (including Version, Source, Clock — a publish snapshot is what a
+	// restart restores the online system from).
 	Snap *Snapshot `json:"snap,omitempty"`
 	// Publish only: publications in this batch.
 	Count int `json:"count,omitempty"`
@@ -55,12 +55,28 @@ type WALTopology struct {
 	Spec     RegisterRequest `json:"spec"`
 	Producer int             `json:"producer"`
 	Capacity int             `json:"capacity"`
-	// Clock is the online system's publication count; recovery replays
-	// exactly this many publications through the deterministic engine.
+	// Clock is the online system's publication count, the clock
+	// recovery restores the online system to.
 	Clock int `json:"clock"`
 	// Snap is the last committed snapshot, nil when only the
 	// registration has committed.
 	Snap *Snapshot `json:"snap,omitempty"`
+	// Online is the online system's last committed snapshot, the last
+	// publish snapshot, kept only while a later solve or adapt has
+	// replaced it as Snap. Nil when Snap is that snapshot or nothing has
+	// published.
+	Online *Snapshot `json:"online,omitempty"`
+}
+
+// onlineSnap returns the logged snapshot that holds the online system's
+// state: Online when set, else Snap when a publish committed it. It is
+// nil when nothing has published, and when a WAL snapshot written before
+// Online existed ends a topology on a solve or adapt after a publish.
+func (ts *WALTopology) onlineSnap() *Snapshot {
+	if ts.Online == nil && ts.Snap != nil && ts.Snap.Source == "publish" {
+		return ts.Snap
+	}
+	return ts.Online
 }
 
 // WALState is the payload of a WAL full-state snapshot: the whole
@@ -119,10 +135,15 @@ func (sh *walShadow) apply(rec *WALRecord) error {
 		if rec.Snap == nil {
 			return fmt.Errorf("%s record for %s has no snapshot", rec.Type, rec.ID)
 		}
-		ts.Snap = rec.Snap
+		// A publish snapshot is the online system's state; a solve or
+		// adapt that replaces it as Snap keeps it as Online.
 		if rec.Type == WALPublish {
 			ts.Clock = rec.Snap.Clock
+			ts.Online = nil
+		} else {
+			ts.Online = ts.onlineSnap()
 		}
+		ts.Snap = rec.Snap
 	case WALDelete:
 		delete(sh.topos, rec.ID)
 	default:

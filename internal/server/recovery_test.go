@@ -452,12 +452,12 @@ func (c *errAfter) Err() error {
 }
 
 // TestRecoveryAfterCancelledPublish restarts a durable daemon after a
-// publish whose request was cancelled inside its placement. A started
-// batch commits whatever happens to its request; otherwise the
-// cancelled publication's clock tick and TTL evictions would stand with
-// no WAL record, and recovery, which replays the logged clock's
-// publications, would diverge from the logged snapshot and refuse to
-// start.
+// publish whose request was cancelled while its batch held the lock. The
+// caller gets 499, but a started batch commits whatever happens to its
+// request, or the live system would run ahead of its log: a cancelled
+// publication's clock tick and TTL evictions would stand with no WAL
+// record. The three later publishes must read clock 7, and a restart,
+// which restores the logged online state, must reproduce the report.
 func TestRecoveryAfterCancelledPublish(t *testing.T) {
 	opts := durableOpts(t, "always")
 	c1, s1 := newTestClient(t, opts)
@@ -467,18 +467,23 @@ func TestRecoveryAfterCancelledPublish(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c1.doJSON("POST", path, nil, nil, http.StatusOK)
 	}
-	// The worker's queue check and PublishCtx's entry check are the first
-	// two Err calls; the fifth falls inside the placement's cost refresh.
-	ctx := &errAfter{Context: context.Background(), n: 5}
+	// The batch runs under context.WithoutCancel, so only the lock asks
+	// the request's context: once before apply, and the second time,
+	// which reports context.Canceled, after it.
+	ctx := &errAfter{Context: context.Background(), n: 2}
 	rec := httptest.NewRecorder()
 	s1.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil).WithContext(ctx))
-	if rec.Code != http.StatusOK && rec.Code != StatusClientClosedRequest {
-		t.Fatalf("cancelled publish: status %d, %s; want 200 or 499", rec.Code, rec.Body)
+	if rec.Code != StatusClientClosedRequest {
+		t.Fatalf("cancelled publish: status %d, %s; want %d", rec.Code, rec.Body, StatusClientClosedRequest)
 	}
 	for i := 0; i < 3; i++ {
 		c1.doJSON("POST", path, nil, nil, http.StatusOK)
 	}
 	before := reportOf(c1, reg.ID)
+	if before.Snapshot.Clock != 7 || before.Snapshot.Publications != 7 {
+		t.Fatalf("after the cancelled batch and three publishes: clock %d, %d publications; want 7 and 7",
+			before.Snapshot.Clock, before.Snapshot.Publications)
+	}
 	before.Solver = faircache.SolverStats{}
 	c1.srv.Close()
 	s1.Close()
@@ -487,5 +492,226 @@ func TestRecoveryAfterCancelledPublish(t *testing.T) {
 	after := reportOf(c2, reg.ID)
 	if !reflect.DeepEqual(before, after) {
 		t.Errorf("recovered report diverges:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// recoveryReplayed reads the replayed attribute of the startup trace's
+// wal.recover span: the publications recovery re-ran.
+func recoveryReplayed(c *testClient) int64 {
+	c.t.Helper()
+	var dump TraceDump
+	c.doJSON("GET", "/debug/trace", nil, &dump, http.StatusOK)
+	for _, sp := range dump.Spans {
+		if sp.TraceID == "startup" && sp.Name == "wal.recover" {
+			n, ok := sp.Attrs["replayed"]
+			if !ok {
+				c.t.Fatalf("wal.recover span has no replayed attribute: %+v", sp.Attrs)
+			}
+			return n
+		}
+	}
+	c.t.Fatal("no startup wal.recover span in GET /debug/trace")
+	return 0
+}
+
+// solveAndAdaptHistory registers two 5×5 grids and drives them so that
+// each one's last commit replaces a publish snapshot: t1 publishes, is
+// solved, publishes again and is solved; t2 publishes and runs an
+// adaptation pass. Its eight records are a multiple of a SnapshotEvery
+// of 2, so a durable daemon ends on a WAL snapshot.
+func solveAndAdaptHistory(t *testing.T, c *testClient) (id1, id2 string) {
+	t.Helper()
+	for _, id := range []*string{&id1, &id2} {
+		var reg RegisterResponse
+		c.doJSON("POST", "/v1/topologies", RegisterRequest{Kind: "grid", Rows: 5, Cols: 5, ChunkTTL: 4}, &reg, http.StatusCreated)
+		*id = reg.ID
+	}
+	t1, t2 := "/v1/topologies/"+id1, "/v1/topologies/"+id2
+	c.doJSON("POST", t1+"/publish", PublishRequest{Count: 6}, nil, http.StatusOK)
+	c.doJSON("POST", t1+"/solve", SolveRequest{Chunks: 3}, nil, http.StatusOK)
+	c.doJSON("POST", t1+"/publish", PublishRequest{Count: 3}, nil, http.StatusOK)
+	c.doJSON("POST", t2+"/publish", PublishRequest{Count: 5}, nil, http.StatusOK)
+	c.doJSON("POST", t1+"/solve", SolveRequest{Chunks: 4}, nil, http.StatusOK)
+	c.doJSON("POST", t2+"/requests", RequestsRequest{
+		Events: demandEvents(t, 25, 6, 300, 12),
+		Init:   &DemandInit{Chunks: 6},
+	}, nil, http.StatusOK)
+	c.doJSON("POST", t2+"/adapt", nil, nil, http.StatusOK)
+	return id1, id2
+}
+
+// restartReport is a topology's report with the state a restart drops by
+// design, the solver's warm/cold counters and the demand subsystem,
+// cleared.
+func restartReport(c *testClient, id string) ReportResponse {
+	c.t.Helper()
+	rep := reportOf(c, id)
+	rep.Solver, rep.Demand = faircache.SolverStats{}, nil
+	return rep
+}
+
+// TestRecoveryRestoresOnlineAfterSolveAndAdapt restarts a durable daemon
+// whose last WAL snapshot holds two topologies whose last commits, a
+// solve and an adapt, replaced their publish snapshots: the snapshot
+// carries each one's online state as its online member. Recovery must
+// restore both without re-running a publication, reproduce their
+// reports, and answer the next publish on each exactly as a twin daemon
+// that never restarted.
+func TestRecoveryRestoresOnlineAfterSolveAndAdapt(t *testing.T) {
+	opts := durableOpts(t, "always")
+	opts.SnapshotEvery = 2
+	c1, s1 := newTestClient(t, opts)
+	id1, id2 := solveAndAdaptHistory(t, c1)
+	before1, before2 := restartReport(c1, id1), restartReport(c1, id2)
+	c1.srv.Close()
+	s1.Close()
+
+	rec, err := wal.Scan(opts.DataDir)
+	if err != nil {
+		t.Fatalf("wal.Scan: %v", err)
+	}
+	var st WALState
+	if err := json.Unmarshal(rec.Snapshot, &st); err != nil || len(rec.Records) != 0 {
+		t.Fatalf("want a WAL snapshot and no tail: %d records, decode error %v", len(rec.Records), err)
+	}
+	for _, ts := range st.Topologies {
+		if ts.Online == nil || ts.Online.Source != "publish" || ts.Snap.Source == "publish" || ts.Online.Clock != ts.Clock {
+			t.Fatalf("WAL snapshot topology %s: clock %d, snap %+v, online %+v; want the publish snapshot as online",
+				ts.ID, ts.Clock, ts.Snap, ts.Online)
+		}
+	}
+
+	c2, _ := newTestClient(t, opts)
+	if n := recoveryReplayed(c2); n != 0 {
+		t.Errorf("recovery replayed %d publications, want 0", n)
+	}
+	if after := restartReport(c2, id1); !reflect.DeepEqual(before1, after) {
+		t.Errorf("recovered report for %s diverges:\n before %+v\n after  %+v", id1, before1, after)
+	}
+	if after := restartReport(c2, id2); !reflect.DeepEqual(before2, after) {
+		t.Errorf("recovered report for %s diverges:\n before %+v\n after  %+v", id2, before2, after)
+	}
+
+	twin, _ := newTestClient(t, Options{})
+	solveAndAdaptHistory(t, twin)
+	for _, id := range []string{id1, id2} {
+		var got, want PublishResponse
+		c2.doJSON("POST", "/v1/topologies/"+id+"/publish", PublishRequest{Count: 3}, &got, http.StatusOK)
+		twin.doJSON("POST", "/v1/topologies/"+id+"/publish", PublishRequest{Count: 3}, &want, http.StatusOK)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: publish after restart %+v, twin that never restarted %+v", id, got, want)
+		}
+	}
+}
+
+// writeWALState makes a fresh data dir whose only state is st, written
+// as a WAL snapshot.
+func writeWALState(t *testing.T, st *WALState) string {
+	t.Helper()
+	payload, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	log, _, err := wal.Open(wal.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.WriteSnapshot(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// publishThenSolve registers a 5×5 grid, publishes 7 chunks and solves
+// it, so its last commit is a solve after a publish.
+func publishThenSolve(c *testClient) string {
+	var reg RegisterResponse
+	c.doJSON("POST", "/v1/topologies", RegisterRequest{Kind: "grid", Rows: 5, Cols: 5, ChunkTTL: 4}, &reg, http.StatusCreated)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/publish", PublishRequest{Count: 7}, nil, http.StatusOK)
+	c.doJSON("POST", "/v1/topologies/"+reg.ID+"/solve", SolveRequest{Chunks: 3}, nil, http.StatusOK)
+	return reg.ID
+}
+
+// TestRecoveryReplaysLegacySnapshot recovers a WAL snapshot written
+// before the online member existed: a topology that has published and
+// whose last commit is a solve has no logged online state, so recovery
+// re-runs its publications. The report and the next publish must be
+// those of a daemon that never restarted.
+func TestRecoveryReplaysLegacySnapshot(t *testing.T) {
+	opts := durableOpts(t, "always")
+	c1, s1 := newTestClient(t, opts)
+	id := publishThenSolve(c1)
+	before := restartReport(c1, id)
+	c1.srv.Close()
+	s1.Close()
+
+	st, err := LoadWALState(opts.DataDir)
+	if err != nil {
+		t.Fatalf("LoadWALState: %v", err)
+	}
+	if len(st.Topologies) != 1 || st.Topologies[0].Online == nil {
+		t.Fatalf("want one topology that keeps its online snapshot, got %+v", st.Topologies)
+	}
+	st.Topologies[0].Online = nil
+	legacy := writeWALState(t, st)
+
+	c2, _ := newTestClient(t, Options{DataDir: legacy})
+	if n := recoveryReplayed(c2); n != 7 {
+		t.Errorf("recovery replayed %d publications, want the clock, 7", n)
+	}
+	if after := restartReport(c2, id); !reflect.DeepEqual(before, after) {
+		t.Errorf("recovered report diverges:\n before %+v\n after  %+v", before, after)
+	}
+	twin, _ := newTestClient(t, Options{})
+	publishThenSolve(twin)
+	var got, want PublishResponse
+	c2.doJSON("POST", "/v1/topologies/"+id+"/publish", nil, &got, http.StatusOK)
+	twin.doJSON("POST", "/v1/topologies/"+id+"/publish", nil, &want, http.StatusOK)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("publish after the legacy restart %+v, twin that never restarted %+v", got, want)
+	}
+}
+
+// TestRecoveryRefusesInconsistentOnlineSnapshot tampers with the online
+// member of a WAL snapshot. New must refuse the data dir with an error
+// that names the topology.
+func TestRecoveryRefusesInconsistentOnlineSnapshot(t *testing.T) {
+	opts := durableOpts(t, "always")
+	c1, s1 := newTestClient(t, opts)
+	id := publishThenSolve(c1)
+	c1.srv.Close()
+	s1.Close()
+
+	for name, tamper := range map[string]func(online *Snapshot){
+		"counts disagree with holders": func(online *Snapshot) { online.Counts[0]++ },
+		"holder duplicated": func(online *Snapshot) {
+			for chunk, hs := range online.Holders {
+				online.Holders[chunk] = append(hs, hs[0])
+				return
+			}
+		},
+		"chunk outside the live window": func(online *Snapshot) { online.Holders[online.Clock] = []int{0} },
+	} {
+		st, err := LoadWALState(opts.DataDir)
+		if err != nil {
+			t.Fatalf("LoadWALState: %v", err)
+		}
+		if len(st.Topologies) != 1 || st.Topologies[0].Online == nil {
+			t.Fatalf("want one topology that keeps its online snapshot, got %+v", st.Topologies)
+		}
+		tamper(st.Topologies[0].Online)
+		s, err := New(Options{DataDir: writeWALState(t, st)})
+		if err == nil {
+			s.Close()
+			t.Errorf("%s: New recovered the tampered snapshot", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), "topology "+id+":") {
+			t.Errorf("%s: New error %q does not name topology %s", name, err, id)
+		}
 	}
 }

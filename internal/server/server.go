@@ -9,9 +9,11 @@
 //
 // With Options.DataDir set the service is durable: every committed
 // mutation is appended to a write-ahead log (internal/wal) before the
-// snapshot swap, periodic full-state snapshots bound replay time, and
-// New recovers the registry — same topology ids, same versions, same
-// holder sets — from the log on restart.
+// snapshot swap, periodic full-state snapshots bound the records a
+// restart reads, and New recovers the registry — same topology ids, same
+// versions, same holder sets, same online clocks — from the log on
+// restart, restoring each online system from its logged snapshot
+// instead of re-running its publications.
 //
 // Endpoints:
 //
@@ -42,6 +44,8 @@ import (
 	"slices"
 	"sync"
 	"time"
+
+	faircache "repro"
 
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -143,10 +147,10 @@ type Server struct {
 // New returns a ready-to-serve placement service. With Options.DataDir
 // set it first recovers the registry from the directory's write-ahead
 // log: the topology graphs are rebuilt from their recorded generator
-// specs, online state is replayed publication by publication (the
-// engine is deterministic, so TTL expiry and holder sets come back
-// identical), and the recovered holder sets are verified against the
-// logged committed snapshots.
+// specs, and each online system is restored from its last logged
+// publish snapshot (holders, clock and live window; see
+// faircache.OnlineSystem.Restore) and checked against it, so a restart
+// costs the live copies, not one placement per publication ever made.
 func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:   opts.withDefaults(),
@@ -207,7 +211,8 @@ func (s *Server) openJournal() error {
 		log.Close()
 		return fmt.Errorf("server: WAL recovery: %w", err)
 	}
-	if err := s.restore(shadow); err != nil {
+	replayed, err := s.restore(shadow)
+	if err != nil {
 		log.Close()
 		return fmt.Errorf("server: WAL recovery: %w", err)
 	}
@@ -215,51 +220,80 @@ func (s *Server) openJournal() error {
 	s.walRecovery = time.Since(begin)
 	rsp.SetInt("topologies", int64(len(s.topos)))
 	rsp.SetInt("records", int64(len(recovered.Records)))
+	rsp.SetInt("replayed", int64(replayed))
 	rsp.End()
 	s.log.Info("wal recovery complete",
 		"dir", s.opts.DataDir,
 		"topologies", len(s.topos),
 		"records", len(recovered.Records),
+		"replayed", replayed,
 		"durationMs", float64(s.walRecovery.Microseconds())/1000)
 	return nil
 }
 
-// restore rebuilds the live registry from recovered WAL state. Replay is
-// deterministic, so re-publishing Clock arrivals reproduces the online
-// system (storage, expiry clocks, chunk ids) exactly; the recovered
-// holder sets are checked against the last logged committed snapshot.
-func (s *Server) restore(shadow *walShadow) error {
+// restore rebuilds the live registry from recovered WAL state and
+// returns the number of publications it re-ran: 0 unless a topology's
+// online state had to be replayed (see restoreOnline).
+func (s *Server) restore(shadow *walShadow) (int, error) {
 	st := shadow.state()
+	replayed := 0
 	for i := range st.Topologies {
 		ts := &st.Topologies[i]
 		topo, kind, err := buildTopology(&ts.Spec)
 		if err != nil {
-			return fmt.Errorf("topology %s: rebuilding %q graph: %w", ts.ID, ts.Kind, err)
+			return 0, fmt.Errorf("topology %s: rebuilding %q graph: %w", ts.ID, ts.Kind, err)
 		}
 		online, err := newOnline(topo, &ts.Spec, ts.Producer, ts.Capacity)
 		if err != nil {
-			return fmt.Errorf("topology %s: rebuilding online system: %w", ts.ID, err)
+			return 0, fmt.Errorf("topology %s: rebuilding online system: %w", ts.ID, err)
 		}
-		for c := 0; c < ts.Clock; c++ {
-			if _, err := online.Publish(); err != nil {
-				return fmt.Errorf("topology %s: replaying publication %d/%d: %w", ts.ID, c+1, ts.Clock, err)
-			}
+		n, err := restoreOnline(online, ts)
+		if err != nil {
+			return 0, fmt.Errorf("topology %s: %w", ts.ID, err)
 		}
-		if ts.Snap != nil && ts.Snap.Source == "publish" {
-			os := online.Snapshot()
-			if os.Clock != ts.Snap.Clock || !reflect.DeepEqual(os.Holders, ts.Snap.Holders) ||
-				!reflect.DeepEqual(os.Counts, ts.Snap.Counts) {
-				return fmt.Errorf("topology %s: replayed online state diverges from the logged snapshot (clock %d vs %d)",
-					ts.ID, os.Clock, ts.Snap.Clock)
-			}
-		}
+		replayed += n
 		tp := newTopology(ts.ID, kind, topo, ts.Producer, ts.Capacity, online, ts.Snap)
 		s.topos[ts.ID] = tp
 		s.log.Debug("topology recovered",
-			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", tp.snap.Load().Version, "clock", ts.Clock)
+			"id", ts.ID, "kind", kind, "nodes", topo.NumNodes(), "version", tp.snap.Load().Version,
+			"clock", ts.Clock, "replayed", n)
 	}
 	s.nextID = shadow.nextID
-	return nil
+	return replayed, nil
+}
+
+// restoreOnline takes a registration's fresh online system to ts's
+// logged clock and returns the publications it re-ran. It restores the
+// system from the last publish snapshot (ts.onlineSnap) and checks that
+// the snapshot is consistent: the restored clock, holders and counts
+// must equal the logged ones. A WAL snapshot written before
+// WALTopology.Online existed holds no online state for a topology whose
+// last commit was a solve or adapt after a publish; that topology
+// re-runs its ts.Clock publications through the deterministic engine
+// instead.
+func restoreOnline(online *faircache.OnlineSystem, ts *WALTopology) (int, error) {
+	logged := ts.onlineSnap()
+	if logged == nil {
+		for c := 0; c < ts.Clock; c++ {
+			if _, err := online.Publish(); err != nil {
+				return 0, fmt.Errorf("replaying publication %d/%d: %w", c+1, ts.Clock, err)
+			}
+		}
+		return ts.Clock, nil
+	}
+	if err := online.Restore(&faircache.OnlineSnapshot{
+		Clock:     logged.Clock,
+		Published: logged.Chunks,
+		Holders:   logged.Holders,
+	}); err != nil {
+		return 0, fmt.Errorf("restoring the online system from snapshot v%d: %w", logged.Version, err)
+	}
+	os := online.Snapshot()
+	if os.Clock != ts.Clock || !reflect.DeepEqual(os.Holders, logged.Holders) || !reflect.DeepEqual(os.Counts, logged.Counts) {
+		return 0, fmt.Errorf("restored online state diverges from the logged snapshot v%d: clock %d vs %d, or its holders or counts differ",
+			logged.Version, os.Clock, ts.Clock)
+	}
+	return 0, nil
 }
 
 // ServeHTTP dispatches to the service mux.

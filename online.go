@@ -173,6 +173,60 @@ func (o *OnlineSystem) Snapshot() *OnlineSnapshot {
 	}
 }
 
+// Restore takes a system that has never published to the state snap
+// describes, without placing anything: it commits every holder through
+// the cost model, sets the clock to snap.Clock and the live window to the
+// ids of the last chunk lifetime (see Options.ChunkTTL),
+// [max(0, Clock−ttl), Clock), or [0, Clock) when chunks never expire.
+// The cost matrix is a pure function of the cache state, so the next
+// publication is bit-identical to one on a system that re-ran all
+// snap.Clock publications. snap.Counts is not read; Snapshot derives it
+// from the holders. Restore refuses with ErrBadArgument, leaving the
+// system unchanged, when the system has published, when Published is not
+// Clock, when a chunk lies outside the live window, or when a holder is
+// out of range, duplicated or over capacity.
+func (o *OnlineSystem) Restore(snap *OnlineSnapshot) error {
+	if snap == nil {
+		return fmt.Errorf("%w: nil snapshot", ErrBadArgument)
+	}
+	if o.clock != 0 {
+		return fmt.Errorf("%w: restore into a system at clock %d", ErrBadArgument, o.clock)
+	}
+	if snap.Clock < 0 || snap.Published != snap.Clock {
+		return fmt.Errorf("%w: snapshot clock %d, published %d", ErrBadArgument, snap.Clock, snap.Published)
+	}
+	first := 0
+	if o.ttl > 0 {
+		first = max(0, snap.Clock-o.ttl)
+	}
+	chunks := make([]int, 0, len(snap.Holders))
+	for chunk := range snap.Holders {
+		if chunk < first || chunk >= snap.Clock {
+			return fmt.Errorf("%w: chunk %d outside the live window [%d,%d)", ErrBadArgument, chunk, first, snap.Clock)
+		}
+		chunks = append(chunks, chunk)
+	}
+	slices.Sort(chunks)
+	model, err := costmodel.New(o.model.Graph(), o.model.PathCache(), o.model.State().Clone(), modelOptions(o.opts))
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrBadArgument, err)
+	}
+	for _, chunk := range chunks {
+		for _, node := range snap.Holders[chunk] {
+			if err := model.Commit(node, chunk); err != nil {
+				return fmt.Errorf("%w: chunk %d: %v", ErrBadArgument, chunk, err)
+			}
+		}
+	}
+	o.model = model
+	o.clock = snap.Clock
+	o.live = make([]int, 0, snap.Clock-first)
+	for id := first; id < snap.Clock; id++ {
+		o.live = append(o.live, id)
+	}
+	return nil
+}
+
 // Live returns the ids of chunks currently cached somewhere, sorted.
 func (o *OnlineSystem) Live() []int {
 	var out []int

@@ -92,10 +92,11 @@ func renderOnlineGolden(t *testing.T) string {
 // TestOnlinePublicationGolden pins the online publication stream: every
 // caching set, expiry and post-publish snapshot on 6×6, 12×12, a random
 // 40-node topology and a 4×4 grid that moves to a ring and back, at the
-// default TTL, 1, never (-1), 32 and 5. A placement drift fails here; in
-// the daemon it would fail a restart instead, because WAL replay refuses
-// a re-published state that diverges from the logged snapshot. Rewrite
-// the file with -update only for an intended placement change.
+// default TTL, 1, never (-1), 32 and 5. A placement drift fails here.
+// The daemon restores its online systems from their logged snapshots
+// without re-publishing, so a drift does not fail a restart; this file
+// is what pins the online placements across versions.
+// Rewrite the file with -update only for an intended placement change.
 func TestOnlinePublicationGolden(t *testing.T) {
 	got := renderOnlineGolden(t)
 	if *updateGolden {

@@ -576,3 +576,103 @@ func TestOnlinePublishCtxCancelledMidPlacement(t *testing.T) {
 		unseen("after a later publish")
 	}
 }
+
+// TestOnlineRestoreMatchesReplay restores fresh systems from the
+// snapshots of one that published: on 6×6 and 12×12 grids, at the default
+// TTL, never (-1), 1, 5 and 32, and at clocks 1, 7, 40 and 130. Each
+// restored system's snapshot must equal the logged one, Restore must run
+// no placement, and its next 80 publications must be the ones the
+// replayed system made after that clock.
+func TestOnlineRestoreMatchesReplay(t *testing.T) {
+	const next = 80
+	clocks := []int{1, 7, 40, 130}
+	for _, size := range []int{6, 12} {
+		topo := mustGrid(t, size, size)
+		producer := topo.CentralNode()
+		for _, ttl := range []int{0, -1, 1, 5, 32} {
+			ref := mustOnline(t, topo, producer, &Options{ChunkTTL: ttl})
+			snaps := map[int]*OnlineSnapshot{}
+			var pubs []*Publication
+			for len(pubs) < clocks[len(clocks)-1]+next {
+				pubs = append(pubs, mustPublish(t, ref))
+				if slices.Contains(clocks, ref.Clock()) {
+					snaps[ref.Clock()] = ref.Snapshot()
+				}
+			}
+			for _, clock := range clocks {
+				placed := 0
+				sys := mustOnline(t, topo, producer, &Options{ChunkTTL: ttl, ChunkStarted: func(int) { placed++ }})
+				if err := sys.Restore(snaps[clock]); err != nil {
+					t.Fatalf("%dx%d ttl=%d clock=%d: Restore: %v", size, size, ttl, clock, err)
+				}
+				if placed != 0 {
+					t.Fatalf("%dx%d ttl=%d clock=%d: Restore ran %d placements", size, size, ttl, clock, placed)
+				}
+				if got := sys.Snapshot(); !reflect.DeepEqual(got, snaps[clock]) {
+					t.Fatalf("%dx%d ttl=%d clock=%d: restored snapshot %+v, logged %+v", size, size, ttl, clock, got, snaps[clock])
+				}
+				for i := 0; i < next; i++ {
+					if got, want := mustPublish(t, sys), pubs[clock+i]; !reflect.DeepEqual(got, want) {
+						t.Fatalf("%dx%d ttl=%d clock=%d: publication %d after restore %+v, replayed %+v",
+							size, size, ttl, clock, i+1, got, want)
+					}
+				}
+				if placed != next {
+					t.Fatalf("%dx%d ttl=%d clock=%d: %d placements for %d publications", size, size, ttl, clock, placed, next)
+				}
+			}
+		}
+	}
+}
+
+// TestOnlineRestoreRefusals feeds Restore every snapshot it must refuse
+// and checks that each refusal is an ErrBadArgument that leaves the
+// system's snapshot as it was. The grid has capacity 2 and TTL 5.
+func TestOnlineRestoreRefusals(t *testing.T) {
+	topo := mustGrid(t, 3, 3)
+	opts := &Options{Capacity: 2, ChunkTTL: 5}
+	valid := func(clock int, holders map[int][]int) *OnlineSnapshot {
+		return &OnlineSnapshot{Clock: clock, Published: clock, Holders: holders}
+	}
+	cases := []struct {
+		name      string
+		published int // publications before Restore
+		snap      *OnlineSnapshot
+	}{
+		{"nil snapshot", 0, nil},
+		{"already published", 1, valid(3, map[int][]int{2: {1}})},
+		{"negative clock", 0, valid(-1, nil)},
+		{"published is not clock", 0, &OnlineSnapshot{Clock: 3, Published: 2, Holders: map[int][]int{1: {0}}}},
+		{"chunk at clock", 0, valid(3, map[int][]int{3: {1}})},
+		{"chunk expired", 0, valid(10, map[int][]int{4: {1}})},
+		{"negative chunk", 0, valid(3, map[int][]int{-1: {1}})},
+		{"holder out of range", 0, valid(3, map[int][]int{1: {9}})},
+		{"negative holder", 0, valid(3, map[int][]int{1: {-1}})},
+		{"duplicated holder", 0, valid(3, map[int][]int{1: {2, 2}})},
+		{"over capacity", 0, valid(4, map[int][]int{0: {5}, 1: {3}, 2: {3, 5}, 3: {3}})},
+	}
+	for _, tc := range cases {
+		sys := mustOnline(t, topo, 4, opts)
+		for i := 0; i < tc.published; i++ {
+			mustPublish(t, sys)
+		}
+		before := sys.Snapshot()
+		if err := sys.Restore(tc.snap); !errors.Is(err, ErrBadArgument) {
+			t.Errorf("%s: Restore error = %v, want ErrBadArgument", tc.name, err)
+		}
+		if got := sys.Snapshot(); !reflect.DeepEqual(got, before) {
+			t.Errorf("%s: refused Restore moved the snapshot from %+v to %+v", tc.name, before, got)
+		}
+		if err := sys.model.Verify(context.Background(), nil); err != nil {
+			t.Errorf("%s: model after the refusal: %v", tc.name, err)
+		}
+	}
+	// The window at clock 10 with TTL 5 is [5, 10): its first id restores.
+	sys := mustOnline(t, topo, 4, opts)
+	if err := sys.Restore(valid(10, map[int][]int{5: {1}, 9: {1, 7}})); err != nil {
+		t.Fatalf("Restore of the window's edges: %v", err)
+	}
+	if got, want := sys.Live(), []int{5, 9}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("Live() = %v after Restore, want %v", got, want)
+	}
+}
